@@ -326,8 +326,11 @@ def cmd_apply(args):
         doc = json.load(fh)
     field = pt.PolyTensor.from_json(doc)
     t = _fraction(args.t) if args.t is not None else Fraction(0)
-    out = pt.apply_operator(args.op, field, t=t, k=args.k or 1,
-                            index=args.index or 0)
+    try:
+        out = pt.apply_operator(args.op, field, t=t, k=args.k or 1,
+                                index=args.index or 0)
+    except ValueError as exc:  # operator constraint on the field's shape
+        raise UsageError(f"--op {args.op}: {exc}") from exc
     _emit(args, out.canonical().to_json())
 
 
@@ -443,27 +446,25 @@ def cmd_bootstrap(args):
 
 def cmd_verify_all(args):
     scale = args.scale if args.scale is not None else 1.0
-    if args.jobs and args.jobs > 1:
-        from multiprocessing import Pool
-
-        names = [f.suite_name for f in verify.SUITES
-                 if not args.suite or f.suite_name in args.suite]
-        with Pool(args.jobs) as pool:
-            recs = pool.starmap(_run_one_suite,
-                                [(nm, args.seed, scale) for nm in names])
-        rep = {"suites": recs, "all_passed": all(r["passed"] for r in recs)}
-    else:
-        rep = verify.run_suites(names=args.suite, seed=args.seed, scale=scale)
-    rep["seed"] = args.seed
-    rep["scale"] = scale
-    for rec in rep["suites"]:
+    known = [fn.suite_name for fn in verify.SUITES]
+    unknown = sorted(set(args.suite or ()) - set(known))
+    if unknown:
+        raise UsageError(f"unknown suite(s): {', '.join(unknown)}; known "
+                         f"suites: {', '.join(known)}")
+    names = [nm for nm in known if not args.suite or nm in args.suite]
+    recs = mo.parallel_map(_run_one_suite,
+                           [(nm, args.seed, scale) for nm in names], args.jobs)
+    rep = {"suites": recs, "all_passed": all(r["passed"] for r in recs),
+           "seed": args.seed, "scale": scale}
+    for rec in recs:
         status = "PASS" if rec["passed"] else "FAIL"
         print(f"[{status}] {rec['name']}", file=sys.stderr)
     _emit(args, rep)
     return 0 if rep["all_passed"] else 1
 
 
-def _run_one_suite(name, seed, scale):
+def _run_one_suite(task):
+    name, seed, scale = task
     return verify.run_suites(names=[name], seed=seed, scale=scale)["suites"][0]
 
 

@@ -54,11 +54,6 @@ class ExpSum:
     def __post_init__(self):
         self.terms = _normalize(self.terms)
 
-    @classmethod
-    def from_pairs(cls, pairs):
-        """Build from (coeff, exponent) or (coeff, exponent, power) tuples."""
-        return cls([ExpTerm(*p) for p in pairs])
-
     def normalized(self):
         return ExpSum(list(self.terms))
 

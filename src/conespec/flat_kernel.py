@@ -66,27 +66,6 @@ def degree1_system(n, k):
     return rows, len(cols), cols
 
 
-def n3_degree1_system(n=3):
-    """Same quadratic matching with unit radial factor (the n = 3 profile)."""
-    cols = _a_index(n)
-    rows = []
-    for j in range(n):
-        for (l, m) in _sym_pairs(n):
-            row = {}
-            if l == m:
-                row[_acol(cols, l, j, l)] = Fraction(1)
-                for i in range(n):
-                    c = _acol(cols, i, j, i)
-                    row[c] = row.get(c, Fraction(0)) - 1
-            else:
-                c1 = _acol(cols, l, j, m)
-                c2 = _acol(cols, m, j, l)
-                row[c1] = row.get(c1, Fraction(0)) + 1
-                row[c2] = row.get(c2, Fraction(0)) + 1
-            rows.append({c: v for c, v in row.items() if v != 0})
-    return rows, len(cols), cols
-
-
 def constant_profile_system(n):
     """Rows for sum_i c_{ij} x_i = 0 on a symmetric constant matrix c."""
     pairs = _sym_pairs(n)
@@ -123,8 +102,8 @@ def divergence_free_nullspace(n, k, mode):
         rows, ncols, cols = constant_profile_system(n)
     elif mode == "degree1":
         rows, ncols, cols = degree1_system(n, k)
-    else:
-        rows, ncols, cols = n3_degree1_system(n)
+    else:  # n3_degree1 is the degree-1 matching with n - 2k = 1 (n = 3)
+        rows, ncols, cols = degree1_system(3, 1)
     basis = sparse_nullspace(rows, ncols)
     return {
         "mode": mode, "n": n, "k": k,
@@ -250,14 +229,12 @@ def quadratic_lie_isomorphism(n):
         raise ParameterError("need n >= 2")
     rows, ncols, acols, row_index = quadratic_lie_map_rows(n)
     rank = sparse_rank(rows)
-    dim = ncols
-    nullity = dim - sparse_rank([dict(r) for r in rows])
     return {
         "n": n,
-        "dimension": dim,
+        "dimension": ncols,
         "rank": rank,
-        "invertible": rank == dim and len(rows) == dim,
-        "nullspace_dimension": nullity,
+        "invertible": rank == ncols and len(rows) == ncols,
+        "nullspace_dimension": ncols - rank,
     }
 
 

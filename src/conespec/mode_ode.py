@@ -20,11 +20,11 @@ from . import polytensor as pt
 from .closed_form import ParameterError
 from .expsum import ExpSum, ExpTerm, _poly_exp_integral, three_interval
 from .linalg import (det_dense, lagrange_coefficients, poly_derivative,
-                     poly_eval, poly_shift)
-from .polytensor import AngularBasis
+                     poly_eval)
+from .polytensor import AngularBasis, ClosureError
 
 
-class ProbeError(RuntimeError):
+class ProbeError(ClosureError):
     pass
 
 
@@ -79,26 +79,16 @@ class EulerOperator:
             pts.append((z, det_dense(self.eval_exact(z))))
         return lagrange_coefficients(pts)
 
-    def shifted(self, c):
-        """Same operator with the variable substituted z -> z + c."""
-        newP = [[poly_shift(p, Fraction(c)) for p in row] for row in self.P]
-        return EulerOperator(self.basis, self.target, self.weight,
-                             self.order, newP)
-
 
 def probe_euler(apply_fn, basis, order, *, target=None, probe_degrees=None,
-                holdout=True, t=0, k=1):
+                holdout=True):
     """Recover the exact Euler matrix polynomial of an operator by probing.
 
-    apply_fn maps a PolyTensor to a PolyTensor (an opcode string is also
-    accepted and dispatched with the given t, k); the basis (and target
+    apply_fn maps a PolyTensor to a PolyTensor; the basis (and target
     basis, when the operator changes rank) must be closed under it.
     Probes at order+1 distinct rational degrees, interpolates each matrix
     entry, and verifies one held-out degree.
     """
-    if isinstance(apply_fn, str):
-        opcode = apply_fn
-        apply_fn = lambda f: pt.apply_operator(opcode, f, t=t, k=k)
     target = target or basis
     degrees = list(probe_degrees) if probe_degrees is not None else \
         [Fraction(m) for m in range(order + 1)]
@@ -107,21 +97,18 @@ def probe_euler(apply_fn, basis, order, *, target=None, probe_degrees=None,
     extra = max(degrees) + 1 if holdout else None
 
     def column(m, ci):
-        T = basis.elements[ci].radial_scaled(m)
-        out = apply_fn(T)
-        if out.is_zero():
+        try:
+            read = pt.angular_image(apply_fn, basis.elements[ci], m)
+        except ClosureError as exc:
+            raise ProbeError(str(exc)) from exc
+        if read is None:
             return [Fraction(0)] * len(target), None
-        canon = out.canonical()
-        deg = canon.homogeneity()
-        if deg is None:
-            raise ProbeError("operator image is not homogeneous")
-        w = m - deg
-        ang = canon.radial_scaled(-(m - w))
+        w, ang = read
         try:
             coeffs, residual = target.decompose(ang)
         except ValueError as exc:
             raise ProbeError(f"image outside target span: {exc}") from exc
-        if not residual.is_zero():
+        if residual.comps:
             raise ProbeError(
                 "basis not closed under the operator; extend with "
                 "closure_basis before probing")
@@ -237,23 +224,29 @@ def _operator_scale(op):
     return worst
 
 
-def _chain_space(op, zeta, mult, rtol=1e-9):
-    """Basis of log-power solution chains at a root.
+def _chain_matrix(op, zeta, mult):
+    """Log-power chain condition of op at a root zeta of multiplicity mult.
 
-    Vectors stack (u_0, ..., u_{mult-1}); the kernel condition is, for each
-    output log power m: sum_i C(m+i, i) P^(i)(zeta) u_{m+i} = 0.
+    Vectors stack (u_0, ..., u_{mult-1}); block (m, m+i) is
+    C(m+i, i) P^(i)(zeta), so block row m reads
+    sum_i C(m+i, i) P^(i)(zeta) u_{m+i} = 0.
     """
     m_ang = op.m_ang
-    derivs = [op.eval_float(zeta, derivative=i) for i in range(mult)]
-    rows = []
-    for m in range(mult):
-        block = np.zeros((m_ang, mult * m_ang), dtype=complex)
-        for i in range(0, mult - m):
-            block[:, (m + i) * m_ang:(m + i + 1) * m_ang] = \
-                math.comb(m + i, i) * derivs[i]
-        rows.append(block)
-    big = np.vstack(rows)
-    return _nullspace_float(big, rtol=rtol, scale=_operator_scale(op))
+    rows = len(op.target)
+    big = np.zeros((mult * rows, mult * m_ang), dtype=complex)
+    for i in range(mult):
+        deriv = op.eval_float(zeta, derivative=i)
+        for m in range(mult - i):
+            col = (m + i) * m_ang
+            big[m * rows:(m + 1) * rows, col:col + m_ang] = \
+                math.comb(m + i, i) * deriv
+    return big
+
+
+def _chain_space(op, zeta, mult, rtol=1e-9):
+    """Basis of log-power solution chains at a root."""
+    return _nullspace_float(_chain_matrix(op, zeta, mult), rtol=rtol,
+                            scale=_operator_scale(op))
 
 
 def indicial_spectrum(op, cluster_radius=1e-7):
@@ -551,6 +544,8 @@ def turan_l_bound(spectrum, beta_prime):
 def tensor_mode_system(n, k, t, j):
     """Angular family basis and probed system of the gauged linearized
     operator; the probe's exact residual check certifies closure."""
+    if n < 3:
+        raise ParameterError("need n >= 3 (the operator carries 1/(n - 2))")
     basis = pt.tensor_mode_basis(n, j)
     order = 2 * (k + 1)
     apply_fn = lambda f: pt.gauged_lin(f, k, t)
@@ -600,13 +595,7 @@ def degenerate_scan(n, k, t_values, j_max, *, tol=1e-9, jobs=1):
     points are independent and run on a worker pool when jobs > 1.
     """
     tasks = [(n, k, t, j, tol) for t in t_values for j in range(j_max + 1)]
-    if jobs and jobs > 1:
-        from multiprocessing import Pool
-
-        with Pool(jobs) as pool:
-            results = pool.map(_scan_one_mode, tasks)
-    else:
-        results = [_scan_one_mode(task) for task in tasks]
+    results = parallel_map(_scan_one_mode, tasks, jobs)
     findings = []
     witnesses_t0 = []
     spectra = {}
@@ -620,21 +609,22 @@ def degenerate_scan(n, k, t_values, j_max, *, tol=1e-9, jobs=1):
             "spectra": {f"t={t},j={j}": s for (t, j), s in spectra.items()}}
 
 
+def parallel_map(fn, items, jobs=1):
+    """[fn(x) for x in items], on a pool of ``jobs`` processes when jobs > 1.
+
+    The pool uses the default start method and keeps the input order.
+    """
+    if not jobs or jobs <= 1:
+        return [fn(x) for x in items]
+    from multiprocessing import Pool
+
+    with Pool(jobs) as pool:
+        return pool.map(fn, items)
+
+
 def _divergence_free_chain_space(op, div_op, root, tol):
     """Chain vectors killed by both the mode system and the divergence system."""
-    mult = root.multiplicity
-    m_ang = op.m_ang
-    rows_out = div_op.eval_float(root.value).shape[0]
-    derivs_p = [op.eval_float(root.value, derivative=i) for i in range(mult)]
-    derivs_d = [div_op.eval_float(root.value, derivative=i) for i in range(mult)]
-    blocks = []
-    for derivs, nrows in ((derivs_p, m_ang), (derivs_d, rows_out)):
-        for m in range(mult):
-            block = np.zeros((nrows, mult * m_ang), dtype=complex)
-            for i in range(0, mult - m):
-                block[:, (m + i) * m_ang:(m + i + 1) * m_ang] = \
-                    math.comb(m + i, i) * derivs[i]
-            blocks.append(block)
-    big = np.vstack(blocks)
+    big = np.vstack([_chain_matrix(o, root.value, root.multiplicity)
+                     for o in (op, div_op)])
     scale = max(_operator_scale(op), _operator_scale(div_op))
     return _nullspace_float(big / scale, rtol=tol, scale=1.0)

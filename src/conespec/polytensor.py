@@ -11,8 +11,10 @@ metric, the gauge operators on 1-forms, the gauged linearized operator on
 2-tensors, and the full linearized Bach/obstruction operator.
 
 Rational inputs stay rational throughout, so orthogonality, closure and
-nullspace decisions are exact.  Floats are tolerated in coefficients for
-quick numeric work but none of the exact entry points require them.
+nullspace decisions are exact.  PolyTensor itself accepts float
+coefficients (``scale_pullback`` and ``evaluate`` use them), but probing and
+closure read every operator image through ``angular_image``, which rejects
+float coefficients.
 
 Equality and zero-testing canonicalize components modulo the relation
 ``sum_i x_i^2 = r^2`` (each component is rewritten as ``r^g * P(x)`` with
@@ -129,14 +131,6 @@ class PolyTensor:
             return self.copy()
         return PolyTensor(self.n, self.rank, {
             idx: {(alpha, gamma + dgamma): c
-                  for (alpha, gamma), c in comp.items()}
-            for idx, comp in self.comps.items()})
-
-    def monomial_scaled(self, malpha):
-        """Multiply by x^malpha."""
-        malpha = tuple(malpha)
-        return PolyTensor(self.n, self.rank, {
-            idx: {(tuple(a + b for a, b in zip(alpha, malpha)), gamma): c
                   for (alpha, gamma), c in comp.items()}
             for idx, comp in self.comps.items()})
 
@@ -599,7 +593,7 @@ def gauged_lin(h, k, t):
     ir = radial_contraction(h)
     core = laplacian(h, 2).scaled(Fraction(-1, 2))
     if t != 0:
-        core = core - hessian(divergence(ir)).scaled(t / 2)
+        core = core - hessian(divergence(ir)).scaled(t * Fraction(1, 2))
         core = core - laplacian(div_star(ir)).scaled(t)
     out = laplacian(core, k - 1) if k > 1 else core
     return out.scaled(cnk(n, k) / (n - 2))
@@ -811,7 +805,9 @@ class AngularBasis:
         return len(self.elements)
 
     def decompose(self, angular_field):
-        """Exact coefficients of angular_field in this basis, plus residual."""
+        """Exact coefficients of angular_field in this basis, plus the
+        canonical residual, whose ``comps`` are empty exactly when the field
+        lies in the span."""
         m = len(self.elements)
         rhs = []
         for T in self.elements:
@@ -824,7 +820,7 @@ class AngularBasis:
         recon = PolyTensor(angular_field.n, angular_field.rank)
         for c, T in zip(coeffs, self.elements):
             recon = recon + T.scaled(c)
-        return coeffs, (angular_field - recon)
+        return coeffs, (angular_field - recon).canonical()
 
 
 def _gram(elements):
@@ -844,53 +840,65 @@ def basis_from_elements(n, elements, labels=None):
     return AngularBasis(n, list(elements), _gram(elements), list(labels))
 
 
-class ClosureError(RuntimeError):
-    pass
+class ClosureError(ArithmeticError):
+    """An operator image that cannot be read exactly in an angular basis."""
 
 
-def closure_basis(seed, apply_fn, probe_degrees=(0, 1, 2), max_iter=50,
-                  labels=None):
+_CLOSURE_ROUNDS = 50
+
+
+def angular_image(apply_fn, element, m):
+    """Apply ``apply_fn`` to r^m * element and read the image exactly.
+
+    The image is canonicalized once.  Returns None when it vanishes, else
+    ``(weight, angular)`` with image = r^(m - weight) * angular, where
+    ``angular`` is canonical.  Raises ClosureError for a float coefficient
+    or a non-homogeneous image.
+    """
+    image = apply_fn(element.radial_scaled(m)).canonical()
+    if not image.comps:
+        return None
+    if not all(isinstance(c, (int, Fraction))
+               for comp in image.comps.values() for c in comp.values()):
+        raise ClosureError("operator image has float coefficients; probing "
+                           "and closure need exact int/Fraction arithmetic")
+    deg = image.homogeneity()
+    if deg is None:
+        raise ClosureError("operator image is not homogeneous")
+    return m - deg, image.radial_scaled(-deg)
+
+
+def closure_basis(seed, apply_fn, probe_degrees=(0, 1, 2)):
     """Invariant angular span of a seed under an exact operator.
 
-    Repeatedly applies ``apply_fn`` to r^m * element for the probe degrees,
-    strips the radial factor of the (necessarily homogeneous) image, and
-    adds any exactly-independent angular direction until the span is closed.
+    Repeatedly reads the angular image of r^m * element for the probe
+    degrees and adds any exactly-independent angular direction until the
+    span is closed.
     """
     deg = seed.homogeneity()
     if deg is None:
         raise ClosureError("seed must have pure homogeneity")
     elements = [seed.radial_scaled(-deg).canonical()]
-    basis = basis_from_elements(seed.n, elements, None)
+    basis = basis_from_elements(seed.n, elements)
     done = set()
-    for _ in range(max_iter):
+    for _ in range(_CLOSURE_ROUNDS):
         grew = False
         for ei in range(len(elements)):
             for m in probe_degrees:
-                key = (ei, m)
-                if key in done:
+                if (ei, m) in done:
                     continue
-                done.add(key)
-                image = apply_fn(elements[ei].radial_scaled(m))
-                if image.is_zero():
+                done.add((ei, m))
+                read = angular_image(apply_fn, elements[ei], m)
+                if read is None:
                     continue
-                idel = image.homogeneity()
-                if idel is None:
-                    image = image.canonical()
-                    idel = image.homogeneity()
-                    if idel is None:
-                        raise ClosureError("operator image not homogeneous")
-                ang = image.radial_scaled(-idel).canonical()
-                _, residual = basis.decompose(ang)
-                residual = residual.canonical()
-                if not residual.is_zero():
+                _, residual = basis.decompose(read[1])
+                if residual.comps:
                     elements.append(residual)
-                    basis = basis_from_elements(seed.n, elements, None)
+                    basis = basis_from_elements(seed.n, elements)
                     grew = True
         if not grew:
-            if labels:
-                basis.labels[:len(labels)] = labels
             return basis
-    raise ClosureError(f"no closure after {max_iter} iterations")
+    raise ClosureError(f"no closure after {_CLOSURE_ROUNDS} rounds")
 
 
 def tensor_mode_seed(n, j):
@@ -932,8 +940,8 @@ def tensor_mode_basis(n, j):
         els.append(sym_pair(tau, dr))
         labels.append("tau boxtimes dr")
     if j >= 2:
-        B = tangential_traceless_hessian(n, j)
-        if not B.is_zero():
+        B = tangential_traceless_hessian(n, j)  # already canonical
+        if B.comps:
             els.append(B)
             labels.append("traceless tangential")
     els.append(mul_scalar_field(tangential_metric(n), phi))

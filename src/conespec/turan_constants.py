@@ -183,11 +183,3 @@ def regenerate(seed=20240801, discrete_trials=200000, integral_trials=20000,
         "THREE_INTERVAL_A": _envelope(three),
     }
 
-
-def install(tables):
-    """Replace the module-level tables in place (session only)."""
-    DISCRETE_A.clear(); DISCRETE_A.update(tables["DISCRETE_A"])
-    INTEGRAL_A.clear(); INTEGRAL_A.update(tables["INTEGRAL_A"])
-    SUP_A.clear(); SUP_A.update(tables["SUP_A"])
-    L2L2_A.clear(); L2L2_A.update(tables["L2L2_A"])
-    THREE_INTERVAL_A.clear(); THREE_INTERVAL_A.update(tables["THREE_INTERVAL_A"])

@@ -98,6 +98,63 @@ def test_modes_json_and_csv(tmp_path):
     assert len(lines) == 1 + len(doc["roots"])
 
 
+def test_modes_integer_t(tmp_path):
+    out = tmp_path / "m.json"
+    assert main(["modes", "--n", "4", "--k", "1", "--t", "1", "--j", "1",
+                 "--out", str(out)]) == 0
+    assert read_json(out)["data"]["m_ang"] == 3
+
+
+@pytest.mark.parametrize("exc", ["ProbeError", "ClosureError"])
+def test_probe_and_closure_errors_exit_3(monkeypatch, capsys, exc):
+    from conespec import mode_ode as mo
+
+    def fail(*args):
+        raise getattr(mo, exc)("basis not closed")
+
+    monkeypatch.setattr(mo, "tensor_mode_system", fail)
+    assert main(["modes", "--n", "4", "--k", "1", "--j", "1"]) == 3
+    assert "numeric failure: basis not closed" in capsys.readouterr().err
+
+
+def test_apply_operator_constraint_is_usage_error(tmp_path, capsys):
+    from conespec import polytensor as pt
+
+    src = tmp_path / "field.json"
+    src.write_text(json.dumps(pt.radial_form(3).to_json()))
+    assert main(["apply", "--op", "trace", "--field", str(src)]) == 2
+    assert "trace needs rank 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["modes", "--j", "0"],
+    ["three-annulus", "--j", "0"],
+    ["degenerate-scan", "--t-values", "0", "--j-max", "0"],
+])
+def test_n2_is_usage_error(capsys, argv):
+    assert main(argv[:1] + ["--n", "2", "--k", "1"] + argv[1:]) == 2
+    assert "need n >= 3" in capsys.readouterr().err
+
+
+def test_verify_all_unknown_suite(capsys):
+    assert main(["verify-all", "--suite", "no.such.suite"]) == 2
+    err = capsys.readouterr().err
+    assert "no.such.suite" in err and "expsum.shift_covariance" in err
+
+
+def test_verify_all_jobs_matches_serial(tmp_path):
+    suites = ["--suite", "expsum.shift_covariance",
+              "--suite", "polytensor.gauge_composition"]
+    docs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"v{jobs}.json"
+        assert main(["verify-all", "--scale", "0.02", "--jobs", jobs,
+                     "--out", str(out)] + suites) == 0
+        docs.append(read_json(out)["data"])
+    assert docs[0] == docs[1]
+    assert len(docs[0]["suites"]) == 2
+
+
 def test_bootstrap_command(tmp_path):
     out = tmp_path / "b.json"
     rc = main(["bootstrap", "--regime", "infinity", "--n", "6", "--k", "1",

@@ -69,6 +69,26 @@ def test_probe_holdout_and_weight():
         probe_euler(lambda f: pt.gauged_lin(f, 1, Fraction(1, 10)), bad, 4)
 
 
+def test_probe_rejects_float_coefficients():
+    basis = pt.basis_from_elements(4, [pt.sphere_harmonic(4, 1)], ["phi"])
+    with pytest.raises(ProbeError, match="float coefficients"):
+        probe_euler(lambda f: pt.laplacian(f).scaled(0.1), basis, 2)
+
+
+def test_integer_t_stays_exact():
+    _, op = tensor_mode_system(4, 1, 1, 1)
+    assert all(type(c) in (int, Fraction)
+               for row in op.P for p in row for c in p)
+    assert op.P == tensor_mode_system(4, 1, Fraction(1), 1)[1].P
+    # P(z; t) is affine in t, so P(1) = 2 P(1/2) - P(0) entry by entry
+    half = tensor_mode_system(4, 1, Fraction(1, 2), 1)[1].P
+    zero = tensor_mode_system(4, 1, 0, 1)[1].P
+    for r, row in enumerate(op.P):
+        for c, p in enumerate(row):
+            assert p == [2 * a - b for a, b
+                         in zip(half[r][c], zero[r][c], strict=True)]
+
+
 def test_mode_multiplicities():
     for (n, k) in [(4, 1), (6, 1), (6, 2)]:
         basis, op = tensor_mode_system(n, k, Fraction(1, 10), 2)

@@ -175,6 +175,14 @@ def test_closure_basis_discovery():
     assert len(basisI) == 1
 
 
+def test_closure_rejects_float_and_mixed_images():
+    seed = pt.tensor_mode_seed(4, 1)
+    with pytest.raises(pt.ClosureError, match="float coefficients"):
+        pt.closure_basis(seed, lambda f: pt.gauged_lin(f, 1, 0.5))
+    with pytest.raises(pt.ClosureError, match="not homogeneous"):
+        pt.closure_basis(seed, lambda f: f + f.radial_scaled(1))
+
+
 def test_tensor_mode_basis_families():
     for n in (4, 6):
         assert len(pt.tensor_mode_basis(n, 0)) == 2
