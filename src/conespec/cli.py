@@ -33,9 +33,13 @@ class UsageError(Exception):
     pass
 
 
-def _fraction(text):
+def _fraction(text, option):
     """Exact rational from a decimal string ('0.05' -> 1/20)."""
-    return Fraction(str(text))
+    try:
+        return Fraction(str(text))
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"{option}: {text!r} is not a rational number "
+                         "(expected e.g. 0.05, -1/20 or 2)") from None
 
 
 def _emit(args, data, rows=None, header=None):
@@ -249,7 +253,7 @@ def cmd_exceptional(args):
 
 def cmd_rates(args):
     _require(args, "n", "family", "j")
-    t = _fraction(args.t) if args.t is not None else Fraction(0)
+    t = _fraction(args.t, "--t") if args.t is not None else Fraction(0)
     if t == 0:
         rp = cf.gauge_kernel_rates(args.n, args.family, args.j)
         roots = [complex(rp.plus), complex(rp.minus)]
@@ -274,7 +278,7 @@ def cmd_rates(args):
 
 def cmd_gap(args):
     _require(args, "n")
-    t = float(_fraction(args.t)) if args.t is not None else 0.0
+    t = float(_fraction(args.t, "--t")) if args.t is not None else 0.0
     j_max = args.j_max or 10
     rec = cf.essential_linear_gap(args.n, t, j_max)
     rows = [(w["order_re"], w["order_im"], w["distance"], w["label"])
@@ -322,10 +326,15 @@ def cmd_symbol(args):
 
 def cmd_apply(args):
     _require(args, "op", "field")
-    with open(args.field) as fh:
-        doc = json.load(fh)
+    try:
+        with open(args.field) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"--field {args.field}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"--field {args.field}: not JSON ({exc})") from exc
     field = pt.PolyTensor.from_json(doc)
-    t = _fraction(args.t) if args.t is not None else Fraction(0)
+    t = _fraction(args.t, "--t") if args.t is not None else Fraction(0)
     try:
         out = pt.apply_operator(args.op, field, t=t, k=args.k or 1,
                                 index=args.index or 0)
@@ -336,7 +345,7 @@ def cmd_apply(args):
 
 def cmd_modes(args):
     _require(args, "n", "k", "j")
-    t = _fraction(args.t) if args.t is not None else Fraction(0)
+    t = _fraction(args.t, "--t") if args.t is not None else Fraction(0)
     basis, op = mo.tensor_mode_system(args.n, args.k, t, args.j)
     spec = mo.indicial_spectrum(op)
     data = {"n": args.n, "k": args.k, "t": float(t), "j": args.j,
@@ -352,7 +361,7 @@ def cmd_modes(args):
 
 def cmd_three_annulus(args):
     _require(args, "n", "k", "j")
-    t = _fraction(args.t) if args.t is not None else Fraction(0)
+    t = _fraction(args.t, "--t") if args.t is not None else Fraction(0)
     frac = args.beta_prime_frac or 0.45
     trials = args.trials or 200
     basis, op = mo.tensor_mode_system(args.n, args.k, t, args.j)
@@ -374,7 +383,8 @@ def cmd_three_annulus(args):
 
 def cmd_degenerate_scan(args):
     _require(args, "n", "k", "t-values")
-    tvals = [_fraction(x) for x in str(args.t_values).split(",")]
+    tvals = [_fraction(x, "--t-values")
+             for x in str(args.t_values).split(",")]
     j_max = args.j_max if args.j_max is not None else 6
     rep = mo.degenerate_scan(args.n, args.k, tvals, j_max,
                              tol=args.tolerance or 1e-9, jobs=args.jobs)

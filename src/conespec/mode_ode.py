@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from . import polytensor as pt
 from .closed_form import ParameterError
 from .expsum import ExpSum, ExpTerm, _poly_exp_integral, three_interval
 from .linalg import (det_dense, lagrange_coefficients, poly_derivative,
-                     poly_eval)
+                     poly_eval, poly_trim)
 from .polytensor import AngularBasis, ClosureError
 
 
@@ -546,6 +547,11 @@ def tensor_mode_system(n, k, t, j):
     operator; the probe's exact residual check certifies closure."""
     if n < 3:
         raise ParameterError("need n >= 3 (the operator carries 1/(n - 2))")
+    if k < 1:
+        raise ParameterError("need k >= 1 (the operator is Delta^(k-1) of "
+                             "a fourth-order core)")
+    if j < 0:
+        raise ParameterError("need harmonic degree j >= 0")
     basis = pt.tensor_mode_basis(n, j)
     order = 2 * (k + 1)
     apply_fn = lambda f: pt.gauged_lin(f, k, t)
@@ -567,23 +573,72 @@ def divergence_mode_system(n, t, j, basis):
     return probe_euler(apply_fn, basis, 1, target=target)
 
 
+def interpolate_in_t(t, a, op_a, b, op_b):
+    """Exact system at t of an operator affine in t, from those at a != b.
+
+    Both scanned operators are affine in t (gauged_lin = A + t B and
+    div_t = div - t i_radial) and a probed P is linear in the operator, so
+    P(t) = P(a) + (t - a)/(b - a) (P(b) - P(a)) entry by entry; the result
+    equals a direct probe at t.  Raises ProbeError for a float t or when
+    the two systems differ in basis, target, weight or order.
+    """
+    if not isinstance(t, (int, Fraction)):
+        raise ProbeError("t must be an int or Fraction; the interpolated "
+                         "system is exact")
+    for name in ("basis", "target"):
+        if _basis_key(getattr(op_a, name)) != _basis_key(getattr(op_b, name)):
+            raise ProbeError(
+                f"systems at t = {a} and t = {b} differ in {name}")
+    if (op_a.weight, op_a.order) != (op_b.weight, op_b.order):
+        raise ProbeError(f"systems at t = {a} and t = {b} differ in weight "
+                         "or order")
+    s = (Fraction(t) - a) / (b - a)
+    P = [[poly_trim([ca + s * (cb - ca) for ca, cb
+                     in zip_longest(pa, pb, fillvalue=Fraction(0))])
+          for pa, pb in zip(row_a, row_b)]
+         for row_a, row_b in zip(op_a.P, op_b.P)]
+    return EulerOperator(op_a.basis, op_a.target, op_a.weight, op_a.order, P)
+
+
+def _basis_key(basis):
+    """Exact structural identity of an angular basis (equal constructions
+    compare equal without canonicalizing anything)."""
+    return (basis.n, basis.labels, basis.gram,
+            [(T.rank, T.comps) for T in basis.elements])
+
+
 def _scan_one_mode(task):
-    n, k, t, j, tol = task
-    basis, op = tensor_mode_system(n, k, t, j)
-    spec = indicial_spectrum(op)
-    div_op = divergence_mode_system(n, t, j, basis)
-    hits = []
-    for root in spec.roots:
-        if root.classification != "zero":
-            continue
-        inter = _divergence_free_chain_space(op, div_op, root, tol)
-        if inter.shape[1]:
-            hits.append({"t": float(t), "j": j,
-                         "root": {"re": root.value.real,
-                                  "im": root.value.imag,
-                                  "mult": root.multiplicity},
-                         "dimension": int(inter.shape[1])})
-    return (float(t), j, spec.summary(), hits)
+    """Spectra and divergence-compatible zero-root hits of one degree j at
+    every distinct t, from direct probes at no more than two of them."""
+    n, k, j, t_values, tol = task
+    distinct = list(dict.fromkeys(t_values))
+    anchors = sorted(distinct, key=lambda t: t != 0)[:2]  # t = 0 is cheapest
+    probed = {}
+    for t in anchors:
+        basis, op = tensor_mode_system(n, k, t, j)
+        probed[t] = (op, divergence_mode_system(n, t, j, basis))
+    a, b = anchors[0], anchors[-1]
+    cells = {}
+    for t in distinct:
+        if t in probed:
+            op, div_op = probed[t]
+        else:
+            op, div_op = [interpolate_in_t(t, a, sys_a, b, sys_b)
+                          for sys_a, sys_b in zip(probed[a], probed[b])]
+        spec = indicial_spectrum(op)
+        hits = []
+        for root in spec.roots:
+            if root.classification != "zero":
+                continue
+            inter = _divergence_free_chain_space(op, div_op, root, tol)
+            if inter.shape[1]:
+                hits.append({"t": float(t), "j": j,
+                             "root": {"re": root.value.real,
+                                      "im": root.value.imag,
+                                      "mult": root.multiplicity},
+                             "dimension": int(inter.shape[1])})
+        cells[t] = (spec.summary(), hits)
+    return cells
 
 
 def degenerate_scan(n, k, t_values, j_max, *, tol=1e-9, jobs=1):
@@ -591,18 +646,30 @@ def degenerate_scan(n, k, t_values, j_max, *, tol=1e-9, jobs=1):
     also satisfy the modified divergence constraint.
 
     At t = 0 constants are genuine witnesses (reported separately); for
-    small t != 0 the expected finding count is zero.  The (t, j) grid
-    points are independent and run on a worker pool when jobs > 1.
+    small t != 0 the expected finding count is zero.  Both operators are
+    affine in t, so each degree j probes its tensor and divergence systems
+    directly at two anchors only (t = 0 first when listed, being the
+    cheapest probe, then the first other t) and every other t gets its
+    exact system from ``interpolate_in_t``.  The degrees are independent
+    and run on a worker pool when jobs > 1; the report lists (t, j) cells
+    in t-major order, repeated t values included.
     """
-    tasks = [(n, k, t, j, tol) for t in t_values for j in range(j_max + 1)]
-    results = parallel_map(_scan_one_mode, tasks, jobs)
+    t_values = list(t_values)
+    if not t_values:
+        raise ParameterError("need at least one t value")
+    if j_max < 0:
+        raise ParameterError("need j_max >= 0")
+    tasks = [(n, k, j, t_values, tol) for j in range(j_max + 1)]
+    per_j = parallel_map(_scan_one_mode, tasks, jobs)
     findings = []
     witnesses_t0 = []
     spectra = {}
-    for tval, j, summary, hits in results:
-        spectra[(tval, j)] = summary
-        for rec in hits:
-            (witnesses_t0 if tval == 0 else findings).append(rec)
+    for t in t_values:
+        for j, cells in enumerate(per_j):
+            summary, hits = cells[t]
+            spectra[(float(t), j)] = summary
+            for rec in hits:
+                (witnesses_t0 if t == 0 else findings).append(rec)
     return {"n": n, "k": k, "j_max": j_max,
             "t_values": [float(t) for t in t_values],
             "findings": findings, "witnesses_t0": witnesses_t0,

@@ -637,6 +637,8 @@ OPCODES = ("partial", "laplacian", "div", "div_star", "trace", "hessian",
 def apply_operator(op, field, *, t=0, k=1, index=0):
     """Dispatch an opcode to the corresponding exact operator."""
     if op == "partial":
+        if not 0 <= index < field.n:
+            raise ValueError(f"index {index} out of range for n = {field.n}")
         return partial(field, index)
     if op == "laplacian":
         return laplacian(field)

@@ -136,6 +136,44 @@ def test_n2_is_usage_error(capsys, argv):
     assert "need n >= 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,option", [
+    (["modes", "--n", "4", "--k", "1", "--j", "1", "--t", "abc"], "--t"),
+    (["degenerate-scan", "--n", "4", "--k", "1", "--t-values", "0,abc"],
+     "--t-values"),
+])
+def test_non_rational_t_is_usage_error(capsys, argv, option):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{option}: 'abc' is not a rational number" in err
+
+
+def test_apply_missing_field_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["apply", "--op", "lie", "--field", str(missing)]) == 2
+    assert f"--field {missing}" in capsys.readouterr().err
+
+
+def test_apply_partial_index_out_of_range(tmp_path, capsys):
+    from conespec import polytensor as pt
+
+    src = tmp_path / "field.json"
+    src.write_text(json.dumps(pt.radial_form(3).to_json()))
+    assert main(["apply", "--op", "partial", "--index", "9",
+                 "--field", str(src)]) == 2
+    assert "index 9 out of range for n = 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,msg", [
+    (["modes", "--n", "4", "--k", "0", "--j", "1"], "need k >= 1"),
+    (["modes", "--n", "4", "--k", "1", "--j", "-1"], "need harmonic degree"),
+    (["degenerate-scan", "--n", "4", "--k", "1", "--t-values", "0",
+      "--j-max", "-1"], "need j_max >= 0"),
+])
+def test_mode_parameter_guards_are_usage_errors(capsys, argv, msg):
+    assert main(argv) == 2
+    assert msg in capsys.readouterr().err
+
+
 def test_verify_all_unknown_suite(capsys):
     assert main(["verify-all", "--suite", "no.such.suite"]) == 2
     err = capsys.readouterr().err

@@ -1,8 +1,12 @@
+import dataclasses
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conespec import polytensor as pt
 from conespec.closed_form import (ParameterError, scalar_indicial_polynomial,
@@ -11,7 +15,8 @@ from conespec.closed_form import (ParameterError, scalar_indicial_polynomial,
 from conespec.linalg import poly_shift
 from conespec.mode_ode import (EulerOperator, ModeSolution, ProbeError,
                                degenerate_scan, divergence_mode_system,
-                               empirical_l0, indicial_spectrum, probe_euler,
+                               empirical_l0, indicial_spectrum,
+                               interpolate_in_t, probe_euler,
                                scalar_mode_system, solution_split,
                                tensor_mode_system, three_annulus_verify,
                                triple_bar_norm)
@@ -87,6 +92,66 @@ def test_integer_t_stays_exact():
         for c, p in enumerate(row):
             assert p == [2 * a - b for a, b
                          in zip(half[r][c], zero[r][c], strict=True)]
+
+
+def _both_systems(n, k, t, j):
+    basis, op = tensor_mode_system(n, k, t, j)
+    return op, divergence_mode_system(n, t, j, basis)
+
+
+def _assert_same_system(got, want):
+    assert got.P == want.P
+    assert (got.weight, got.order) == (want.weight, want.order)
+    assert got.basis.labels == want.basis.labels
+    assert got.target.labels == want.target.labels
+
+
+@pytest.mark.parametrize("n,k,j", [(4, 1, 1), (4, 1, 2), (3, 1, 1)])
+@pytest.mark.parametrize("t_values", [
+    [0, Fraction(1, 20), Fraction(-1, 10), 1],
+    [Fraction(1, 20), Fraction(-1, 20), Fraction(1, 3)],
+], ids=["with-0", "without-0"])
+def test_interpolated_systems_equal_direct_probes(n, k, j, t_values):
+    a, b = t_values[:2]
+    anchors = _both_systems(n, k, a, j), _both_systems(n, k, b, j)
+    for t in t_values[2:]:
+        direct = _both_systems(n, k, t, j)
+        for i in (0, 1):  # tensor system, divergence system
+            got = interpolate_in_t(t, a, anchors[0][i], b, anchors[1][i])
+            _assert_same_system(got, direct[i])
+
+
+@functools.cache
+def _anchor_systems(j):
+    """(tensor, divergence) systems of (4, 1, j) at t = 0 and t = 1/7."""
+    return _both_systems(4, 1, 0, j), _both_systems(4, 1, Fraction(1, 7), j)
+
+
+@settings(max_examples=5, deadline=None)
+@given(j=st.integers(0, 1),
+       t=st.fractions(min_value=-1, max_value=1, max_denominator=12))
+def test_interpolation_is_exact_at_small_rational_t(j, t):
+    at_0, at_b = _anchor_systems(j)
+    direct = _both_systems(4, 1, t, j)
+    for i in (0, 1):
+        got = interpolate_in_t(t, 0, at_0[i], Fraction(1, 7), at_b[i])
+        _assert_same_system(got, direct[i])
+
+
+@pytest.mark.parametrize("change", ["weight", "order", "basis", "float t"])
+def test_interpolation_rejects_disagreeing_systems(change):
+    (op_a, _), (op_b, _) = _anchor_systems(1)
+    t = Fraction(1, 3)
+    if change == "weight":
+        op_b = dataclasses.replace(op_b, weight=op_b.weight + 1)
+    elif change == "order":
+        op_b = dataclasses.replace(op_b, order=op_b.order + 1)
+    elif change == "basis":
+        op_b = _anchor_systems(0)[1][0]
+    else:
+        t = 1 / 3
+    with pytest.raises(ProbeError):
+        interpolate_in_t(t, 0, op_a, Fraction(1, 7), op_b)
 
 
 def test_mode_multiplicities():
@@ -293,6 +358,50 @@ def test_degenerate_scan_parallel_matches_serial():
     rep_b = degenerate_scan(4, 1, [0, Fraction(1, 20)], 1, jobs=1)
     assert rep_a["findings"] == rep_b["findings"]
     assert rep_a["witnesses_t0"] == rep_b["witnesses_t0"]
+    assert rep_a["spectra"] == rep_b["spectra"]
+    assert rep_a == rep_b
+
+
+def test_degenerate_scan_matches_per_t_direct_probes():
+    from conespec.mode_ode import _divergence_free_chain_space
+
+    n, k, j_max, tol = 4, 1, 1, 1e-9
+    tvals = [Fraction(1, 20), 0, Fraction(1, 20), Fraction(-1, 10)]
+    want = {"n": n, "k": k, "j_max": j_max,
+            "t_values": [float(t) for t in tvals],
+            "findings": [], "witnesses_t0": [], "spectra": {}}
+    for t in tvals:  # every (t, j) cell probed directly, repeats included
+        for j in range(j_max + 1):
+            op, div_op = _both_systems(n, k, t, j)
+            spec = indicial_spectrum(op)
+            want["spectra"][f"t={float(t)},j={j}"] = spec.summary()
+            for root in spec.roots:
+                if root.classification != "zero":
+                    continue
+                inter = _divergence_free_chain_space(op, div_op, root, tol)
+                dim = inter.shape[1]
+                if dim:
+                    want["witnesses_t0" if t == 0 else "findings"].append(
+                        {"t": float(t), "j": j,
+                         "root": {"re": root.value.real, "im": root.value.imag,
+                                  "mult": root.multiplicity},
+                         "dimension": int(dim)})
+    assert degenerate_scan(n, k, tvals, j_max, tol=tol) == want
+
+
+@pytest.mark.parametrize("t_values,j_max,msg", [
+    ([], 1, "at least one t"),
+    ([0], -1, "j_max >= 0"),
+])
+def test_degenerate_scan_parameter_guards(t_values, j_max, msg):
+    with pytest.raises(ParameterError, match=msg):
+        degenerate_scan(4, 1, t_values, j_max)
+
+
+@pytest.mark.parametrize("k,j,msg", [(0, 1, "k >= 1"), (1, -1, "j >= 0")])
+def test_tensor_mode_system_parameter_guards(k, j, msg):
+    with pytest.raises(ParameterError, match=msg):
+        tensor_mode_system(4, k, 0, j)
 
 
 def test_high_dimension_mode_system():
