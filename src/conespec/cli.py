@@ -166,7 +166,9 @@ def build_parser():
     q.add_argument("--n", type=int, default=None)
     q.add_argument("--k", type=int, default=None)
     q.add_argument("--t-values", default=None,
-                   help="comma-separated list, e.g. 0.05,-0.05")
+                   help="comma-separated list, e.g. 0.05,-0.05; a list that "
+                        "starts with '-' needs the = form: "
+                        "--t-values=-0.25,0.2")
     q.add_argument("--j-max", type=int, default=None)
     _add_common(q)
 
@@ -333,10 +335,14 @@ def cmd_apply(args):
         raise UsageError(f"--field {args.field}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"--field {args.field}: not JSON ({exc})") from exc
-    field = pt.PolyTensor.from_json(doc)
+    try:
+        field = pt.PolyTensor.from_json(doc)
+    except ValueError as exc:
+        raise UsageError(f"--field {args.field}: {exc}") from exc
     t = _fraction(args.t, "--t") if args.t is not None else Fraction(0)
     try:
-        out = pt.apply_operator(args.op, field, t=t, k=args.k or 1,
+        out = pt.apply_operator(args.op, field, t=t,
+                                k=1 if args.k is None else args.k,
                                 index=args.index or 0)
     except ValueError as exc:  # operator constraint on the field's shape
         raise UsageError(f"--op {args.op}: {exc}") from exc

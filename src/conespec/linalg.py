@@ -8,6 +8,7 @@ polynomial interpolation of probed mode systems.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 ZERO = Fraction(0)
 
@@ -123,22 +124,43 @@ def lagrange_coefficients(points):
 
     points: list of (x, y) Fraction pairs with distinct x.
     """
-    n = len(points)
-    coeffs = [ZERO] * n
-    for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            basis = poly_mul(basis, [-xj, Fraction(1)])
-            denom *= xi - xj
-        scale = yi / denom
-        for k, c in enumerate(basis):
-            coeffs[k] += scale * c
+    basis = _lagrange_basis(tuple(x for x, _ in points))
+    coeffs = [ZERO] * len(points)
+    for (_, yi), li in zip(points, basis):
+        if yi == 0:
+            continue
+        for k, c in enumerate(li):
+            coeffs[k] += yi * c
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
+
+
+@lru_cache(maxsize=None)
+def _lagrange_basis(nodes):
+    """Coefficient tuples of the Lagrange basis polynomials on the nodes,
+    memoized per node tuple.
+
+    Each l_i is M(z) / ((z - x_i) M'(x_i)) with M the node polynomial,
+    read off by synthetic division.
+    """
+    xs = [x.numerator if x.denominator == 1 else x for x in nodes]
+    master = [1]
+    for x in xs:
+        master = poly_mul(master, [-x, 1])
+    out = []
+    for i, xi in enumerate(xs):
+        quo = [0] * len(xs)
+        acc = 0
+        for k in range(len(xs), 0, -1):
+            acc = master[k] + xi * acc
+            quo[k - 1] = acc
+        denom = 1
+        for j, xj in enumerate(xs):
+            if j != i:
+                denom *= xi - xj
+        out.append(tuple(Fraction(c) / denom for c in quo))
+    return tuple(out)
 
 
 def poly_mul(p, q):

@@ -11,31 +11,48 @@ metric, the gauge operators on 1-forms, the gauged linearized operator on
 2-tensors, and the full linearized Bach/obstruction operator.
 
 Rational inputs stay rational throughout, so orthogonality, closure and
-nullspace decisions are exact.  PolyTensor itself accepts float
-coefficients (``scale_pullback`` and ``evaluate`` use them), but probing and
-closure read every operator image through ``angular_image``, which rejects
-float coefficients.
+nullspace decisions are exact.  Exact coefficients are ``int`` or
+``Fraction``: integer input stays native ``int`` through the operators, a
+``Fraction`` enters only with a rational factor (t, c_{n,k}/(n-2), 1/2, a
+Gram solve), and canonical forms store every integer coefficient as an
+``int``.  PolyTensor itself accepts float coefficients
+(``scale_pullback`` and ``evaluate`` use them), but probing and closure
+read every operator image through ``angular_image``, which rejects float
+coefficients.
 
 Equality and zero-testing canonicalize components modulo the relation
 ``sum_i x_i^2 = r^2`` (each component is rewritten as ``r^g * P(x)`` with
 ``P`` not divisible by ``sum x_i^2``, separately per parity class of the
-radial exponent).
+radial exponent).  Canonicalization runs on integer numerators over one
+common denominator per component.
+
+Caches, all filled lazily, holding immutable values and bounded by the
+degrees and bases in use:
+
+- ``_q_power(n, k)``: the expansion of (sum_i x_i^2)^k used by
+  canonicalization;
+- ``_sphere_moment_reduced(n, alpha)``: the exact sphere moments behind
+  every slice inner product;
+- ``AngularBasis._functionals``: per basis element, the slice inner product
+  with one image term (idx, alpha, gamma), so ``decompose`` costs one
+  multiplication per image term and element.
+
+``linalg.lagrange_coefficients`` likewise memoizes its Lagrange basis per
+node tuple.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
 
 from .linalg import solve_dense
 
 Alpha = tuple  # multi-index over n variables
 Key = tuple  # (alpha, gamma)
-
-_ZERO = Fraction(0)
 
 
 def _fr(x):
@@ -85,7 +102,7 @@ class PolyTensor:
         coeff = _fr(coeff)
         comp = self.comps.setdefault(idx, {})
         key = (alpha, gamma)
-        comp[key] = comp.get(key, _ZERO) + coeff
+        comp[key] = comp.get(key, 0) + coeff
         if comp[key] == 0:
             del comp[key]
             if not comp:
@@ -205,7 +222,7 @@ class PolyTensor:
             terms = []
             for (alpha, gamma), c in sorted(comp.items()):
                 terms.append({
-                    "coeff": str(c) if isinstance(c, Fraction) else c,
+                    "coeff": str(c) if isinstance(c, (int, Fraction)) else c,
                     "alpha": list(alpha),
                     "gamma": str(gamma) if isinstance(gamma, Fraction) else gamma,
                 })
@@ -214,12 +231,42 @@ class PolyTensor:
 
     @classmethod
     def from_json(cls, doc):
-        out = cls(doc["n"], doc["rank"])
-        for idxs, terms in doc["components"].items():
-            idx = tuple(int(t) for t in idxs.split(",")) if idxs else ()
-            for t in terms:
-                out.add_term(idx, tuple(t["alpha"]), _fr(t["gamma"]),
-                             _fr(t["coeff"]))
+        """Field from a ``to_json`` document; ValueError names the first
+        missing or invalid key."""
+        if not isinstance(doc, dict):
+            raise ValueError("field document must be a JSON object with keys "
+                             "'n', 'rank' and 'components'")
+        for key in ("n", "rank", "components"):
+            if key not in doc:
+                raise ValueError(f"field document is missing key {key!r}")
+        n, rank, components = doc["n"], doc["rank"], doc["components"]
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"invalid 'n': {n!r} (need an integer >= 1)")
+        if not isinstance(rank, int) or rank < 0:
+            raise ValueError(f"invalid 'rank': {rank!r} (need an integer >= 0)")
+        if not isinstance(components, dict):
+            raise ValueError("invalid 'components': need an object mapping "
+                             "comma-separated indices to term lists")
+        out = cls(n, rank)
+        for idxs, terms in components.items():
+            try:
+                idx = tuple(int(i) for i in idxs.split(",")) if idxs else ()
+                if len(idx) != rank or not all(0 <= i < n for i in idx):
+                    raise ValueError
+                for t in terms:
+                    alpha = tuple(t["alpha"])
+                    if len(alpha) != n or not all(
+                            isinstance(a, int) and a >= 0 for a in alpha):
+                        raise ValueError
+                    if not all(isinstance(t[key], (int, float, str))
+                               for key in ("coeff", "gamma")):
+                        raise ValueError
+                    out.add_term(idx, alpha, _fr(t["gamma"]), _fr(t["coeff"]))
+            except (KeyError, TypeError, ValueError, ZeroDivisionError):
+                raise ValueError(
+                    f"invalid components[{idxs!r}]: need a rank-{rank} index "
+                    f"and terms {{'coeff', 'alpha' (n = {n} entries), "
+                    "'gamma'}") from None
         return out
 
     def __repr__(self):  # pragma: no cover
@@ -229,63 +276,67 @@ class PolyTensor:
 # -- canonicalization helpers ------------------------------------------
 
 
-def _poly_mul(p, q, n):
-    out = {}
-    for a1, c1 in p.items():
-        for a2, c2 in q.items():
-            a = tuple(x + y for x, y in zip(a1, a2))
-            out[a] = out.get(a, _ZERO) + c1 * c2
-            if out[a] == 0:
-                del out[a]
-    return out
-
-
-def _q_poly(n):
-    return {tuple(2 if j == i else 0 for j in range(n)): Fraction(1)
-            for i in range(n)}
+@lru_cache(maxsize=None)
+def _q_power(n, k):
+    """(sum_i x_i^2)^k as a tuple of (alpha, int coefficient) pairs,
+    memoized per (n, k)."""
+    out = {(0,) * n: 1}
+    for _ in range(k):
+        nxt = {}
+        for a, c in out.items():
+            for i in range(n):
+                b = a[:i] + (a[i] + 2,) + a[i + 1:]
+                nxt[b] = nxt.get(b, 0) + c
+        out = nxt
+    return tuple(out.items())
 
 
 def _divide_by_q(p, n):
     """Exact division of polynomial dict p by sum x_i^2; None if not divisible."""
     rem = dict(p)
     quo = {}
-    lead = tuple([2] + [0] * (n - 1))
     while rem:
         a = max(rem)  # lex-max monomial
         c = rem[a]
         if a[0] < 2:
             return None
-        qa = tuple(x - y for x, y in zip(a, lead))
-        quo[qa] = quo.get(qa, _ZERO) + c
+        qa = (a[0] - 2,) + a[1:]
+        quo[qa] = quo.get(qa, 0) + c
         for i in range(n):
-            b = tuple(qa[j] + (2 if j == i else 0) for j in range(n))
-            rem[b] = rem.get(b, _ZERO) - c
-            if rem[b] == 0:
-                del rem[b]
+            b = qa[:i] + (qa[i] + 2,) + qa[i + 1:]
+            _merge(rem, b, -c)
     return quo
 
 
 def _canonical_component(comp, n):
-    """Canonical term dict for one component (see module docstring)."""
+    """Canonical term dict for one component (see module docstring).
+
+    Works on integer numerators over the common denominator ``den`` of the
+    component's Fraction coefficients and divides once per output term.
+    """
     classes = {}
+    den = 1
     for (alpha, gamma), c in comp.items():
         if c == 0:
             continue
-        cls = gamma % 2 if isinstance(gamma, Fraction) else Fraction(gamma) % 2
-        classes.setdefault(cls, []).append((alpha, gamma, c))
+        if type(c) is Fraction:
+            den = math.lcm(den, c.denominator)
+        classes.setdefault(gamma % 2, []).append((alpha, gamma, c))
     out = {}
     for _, terms in sorted(classes.items()):
         gmin = min(t[1] for t in terms)
         poly = {}
         for alpha, gamma, c in terms:
-            k = int((gamma - gmin) / 2)
-            piece = {alpha: c}
-            for _ in range(k):
-                piece = _poly_mul(piece, _q_poly(n), n)
-            for a, v in piece.items():
-                poly[a] = poly.get(a, _ZERO) + v
-                if poly[a] == 0:
-                    del poly[a]
+            if type(c) is Fraction:
+                c = c.numerator * (den // c.denominator)
+            elif den != 1:
+                c = c * den
+            k = int((gamma - gmin) // 2)
+            if k == 0:
+                _merge(poly, alpha, c)
+                continue
+            for b, v in _q_power(n, k):
+                _merge(poly, tuple(x + y for x, y in zip(alpha, b)), c * v)
         g = gmin
         while poly:
             quo = _divide_by_q(poly, n)
@@ -294,8 +345,18 @@ def _canonical_component(comp, n):
             poly = quo
             g += 2
         for a, v in poly.items():
-            out[(a, g)] = v
+            out[(a, g)] = _over(v, den)
     return out
+
+
+def _over(v, den):
+    """v / den, kept as an int when exact (floats divide as floats)."""
+    if den == 1:
+        return v
+    if type(v) is int:
+        q, r = divmod(v, den)
+        return q if r == 0 else Fraction(v, den)
+    return v / den
 
 
 # -- standard fields ----------------------------------------------------
@@ -585,18 +646,26 @@ def gauged_lin(h, k, t):
 
     (c_{n,k}/(n-2)) Delta^{k-1} ( -1/2 Delta^2 h
         - t/2 Hess(div(i_radial h)) - t Delta div_star(i_radial h) ).
+
+    With t = p/q and div_star = -lie/2 this is evaluated as
+    -c_{n,k}/(2q(n-2)) Delta^{k-1} ( q Delta^2 h + p Hess(div(i_radial h))
+    - p Delta lie(i_radial h) ), so integer input stays integer until the
+    one final scaling.
     """
     if h.rank != 2:
         raise ValueError("needs a 2-tensor")
+    if k < 1:
+        raise ValueError(f"need k >= 1, got k = {k}")
     n = h.n
     t = _fr(t)
-    ir = radial_contraction(h)
-    core = laplacian(h, 2).scaled(Fraction(-1, 2))
+    p, q = (t.numerator, t.denominator) if isinstance(t, Fraction) else (t, 1)
+    core = laplacian(h, 2).scaled(q)
     if t != 0:
-        core = core - hessian(divergence(ir)).scaled(t * Fraction(1, 2))
-        core = core - laplacian(div_star(ir)).scaled(t)
+        ir = radial_contraction(h)
+        core = core + (hessian(divergence(ir))
+                       - laplacian(lie_flat(ir))).scaled(p)
     out = laplacian(core, k - 1) if k > 1 else core
-    return out.scaled(cnk(n, k) / (n - 2))
+    return out.scaled(-cnk(n, k) / (2 * q * (n - 2)))
 
 
 def bach_lin(h, k=1):
@@ -608,6 +677,8 @@ def bach_lin(h, k=1):
     """
     if h.rank != 2:
         raise ValueError("needs a 2-tensor")
+    if k < 1:
+        raise ValueError(f"need k >= 1, got k = {k}")
     n = h.n
     tr = trace2(h)
     dh = divergence(h)
@@ -679,11 +750,16 @@ def _half_factorial_rational(a):
 def sphere_moment_reduced(n, alpha):
     """Moment integral over S^{n-1} of x^alpha divided by pi^floor(n/2).
 
-    Exact rational value; zero when any entry of alpha is odd.
+    Exact rational value; zero when any entry of alpha is odd.  Memoized
+    on (n, alpha).
     """
-    alpha = tuple(alpha)
+    return _sphere_moment_reduced(n, tuple(alpha))
+
+
+@lru_cache(maxsize=None)
+def _sphere_moment_reduced(n, alpha):
     if any(a % 2 for a in alpha):
-        return _ZERO
+        return 0
     half = [a // 2 for a in alpha]
     num = Fraction(2)
     for a in half:
@@ -706,40 +782,22 @@ def sphere_moment(n, alpha):
     return float(sphere_moment_reduced(n, alpha)) * math.pi ** power
 
 
-def pointwise_inner(A, B):
-    """Scalar field sum_I A_I B_I (flat-metric pointwise inner product)."""
-    if A.n != B.n or A.rank != B.rank:
-        raise ValueError("shape mismatch")
-    out = PolyTensor(A.n, 0)
-    for idx, compA in A.comps.items():
-        compB = B.comps.get(idx)
-        if not compB:
-            continue
-        for (a1, g1), c1 in compA.items():
-            for (a2, g2), c2 in compB.items():
-                alpha = tuple(x + y for x, y in zip(a1, a2))
-                out.add_term((), alpha, g1 + g2, c1 * c2)
-    return out
-
-
 def slice_inner_reduced(A, B):
     """Slice inner product <<A, B>> as dict r-exponent -> Fraction.
 
     The weighted slice integral (weight r^{-(n-1)}) of the pointwise inner
-    product; values are divided by pi^floor(n/2) to stay rational.
-    Radially parallel inputs give a single exponent 0.
+    product: the sum over matching terms of c1 c2 moment(alpha1 + alpha2)
+    at exponent gamma1 + gamma2 + |alpha1| + |alpha2|.  Values are divided
+    by pi^floor(n/2) to stay rational.  Radially parallel inputs give a
+    single exponent 0.
     """
-    s = pointwise_inner(A, B)
+    if A.n != B.n or A.rank != B.rank:
+        raise ValueError("shape mismatch")
     out = {}
-    comp = s.comps.get((), {})
-    for (alpha, gamma), c in comp.items():
-        m = sphere_moment_reduced(A.n, alpha)
-        if m == 0:
-            continue
-        expo = gamma + sum(alpha)
-        out[expo] = out.get(expo, _ZERO) + c * m
-        if out[expo] == 0:
-            del out[expo]
+    for idx, compA in A.comps.items():
+        for (a1, g1), c1 in compA.items():
+            for expo, v in _term_functional(B, idx, a1, g1).items():
+                _merge(out, expo, c1 * v)
     return out
 
 
@@ -798,6 +856,12 @@ class AngularBasis:
     elements: list
     gram: list
     labels: list
+    # per element: image term (idx, alpha, gamma) -> {r-exponent: value}
+    _functionals: list = dataclass_field(init=False, repr=False,
+                                        compare=False)
+
+    def __post_init__(self):
+        self._functionals = [{} for _ in self.elements]
 
     @property
     def norms(self):
@@ -810,14 +874,20 @@ class AngularBasis:
         """Exact coefficients of angular_field in this basis, plus the
         canonical residual, whose ``comps`` are empty exactly when the field
         lies in the span."""
-        m = len(self.elements)
         rhs = []
-        for T in self.elements:
-            d = slice_inner_reduced(angular_field, T)
-            extra = {e for e in d if e != 0}
-            if extra:
+        for T, table in zip(self.elements, self._functionals):
+            acc = {}
+            for idx, comp in angular_field.comps.items():
+                for (alpha, gamma), c in comp.items():
+                    key = (idx, alpha, gamma)
+                    f = table.get(key)
+                    if f is None:
+                        f = table[key] = _term_functional(T, idx, alpha, gamma)
+                    for expo, v in f.items():
+                        _merge(acc, expo, c * v)
+            if any(e != 0 for e in acc):
                 raise ValueError("field is not radially parallel against basis")
-            rhs.append(d.get(Fraction(0), _ZERO))
+            rhs.append(acc.get(0, 0))
         coeffs = solve_dense(self.gram, rhs)
         recon = PolyTensor(angular_field.n, angular_field.rank)
         for c, T in zip(coeffs, self.elements):
@@ -825,15 +895,28 @@ class AngularBasis:
         return coeffs, (angular_field - recon).canonical()
 
 
+def _term_functional(B, idx, alpha, gamma):
+    """<<x^alpha r^gamma e_idx, B>> as dict r-exponent -> value: the linear
+    functional of B evaluated on one term."""
+    n = B.n
+    d1 = gamma + sum(alpha)
+    out = {}
+    for (a2, g2), c2 in B.comps.get(idx, {}).items():
+        m = _sphere_moment_reduced(n, tuple(x + y for x, y in zip(alpha, a2)))
+        if m:
+            _merge(out, d1 + g2 + sum(a2), c2 * m)
+    return out
+
+
 def _gram(elements):
     m = len(elements)
-    g = [[_ZERO] * m for _ in range(m)]
+    g = [[0] * m for _ in range(m)]
     for i in range(m):
         for j in range(i, m):
             d = slice_inner_reduced(elements[i], elements[j])
             if any(e != 0 for e in d):
                 raise ValueError("basis element not radially parallel")
-            g[i][j] = g[j][i] = d.get(Fraction(0), _ZERO)
+            g[i][j] = g[j][i] = d.get(0, 0)
     return g
 
 

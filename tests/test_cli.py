@@ -153,6 +153,30 @@ def test_apply_missing_field_is_usage_error(tmp_path, capsys):
     assert f"--field {missing}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("op", ["gauged_lin", "bach_lin"])
+def test_apply_k_zero_is_usage_error(tmp_path, capsys, op):
+    from conespec import polytensor as pt
+
+    src = tmp_path / "field.json"
+    src.write_text(json.dumps(pt.dr_tensor(4).to_json()))
+    assert main(["apply", "--op", op, "--k", "0", "--field", str(src)]) == 2
+    assert "need k >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc,msg", [
+    ({}, "missing key 'n'"),
+    ([1, 2], "must be a JSON object"),
+    ({"n": 3, "rank": 1, "components": {"0": [{"alpha": [1, 0]}]}},
+     "invalid components['0']"),
+])
+def test_apply_non_field_document_is_usage_error(tmp_path, capsys, doc, msg):
+    src = tmp_path / "field.json"
+    src.write_text(json.dumps(doc))
+    assert main(["apply", "--op", "lie", "--field", str(src)]) == 2
+    err = capsys.readouterr().err
+    assert f"--field {src}" in err and msg in err
+
+
 def test_apply_partial_index_out_of_range(tmp_path, capsys):
     from conespec import polytensor as pt
 
