@@ -244,7 +244,7 @@ def cmd_exceptional(args):
         rows = [(v, ";".join(E.provenance[v])) for v in E.values]
     else:
         _require(args, "n")
-        j_max = args.j_max or 10
+        j_max = args.j_max if args.j_max is not None else 10
         E = cf.gauge_exceptional_values(args.n, j_max)
         data = {"operator": op, "n": args.n, "j_max": j_max,
                 "values": E.values,
@@ -281,7 +281,7 @@ def cmd_rates(args):
 def cmd_gap(args):
     _require(args, "n")
     t = float(_fraction(args.t, "--t")) if args.t is not None else 0.0
-    j_max = args.j_max or 10
+    j_max = args.j_max if args.j_max is not None else 10
     rec = cf.essential_linear_gap(args.n, t, j_max)
     rows = [(w["order_re"], w["order_im"], w["distance"], w["label"])
             for w in rec["witnesses"]]
@@ -368,8 +368,8 @@ def cmd_modes(args):
 def cmd_three_annulus(args):
     _require(args, "n", "k", "j")
     t = _fraction(args.t, "--t") if args.t is not None else Fraction(0)
-    frac = args.beta_prime_frac or 0.45
-    trials = args.trials or 200
+    frac = args.beta_prime_frac if args.beta_prime_frac is not None else 0.45
+    trials = args.trials if args.trials is not None else 200
     basis, op = mo.tensor_mode_system(args.n, args.k, t, args.j)
     spec = mo.indicial_spectrum(op)
     if spec.beta is None:
@@ -402,8 +402,10 @@ def cmd_degenerate_scan(args):
 
 
 def cmd_turan(args):
+    if args.trials is not None and args.trials < 1:
+        raise UsageError(f"--trials: need trials >= 1, got {args.trials}")
     if args.regenerate_constants:
-        trials = args.trials or 20000
+        trials = args.trials if args.trials is not None else 20000
         tables = turan_constants.regenerate(
             seed=args.seed or 20240801,
             discrete_trials=max(trials * 10, 10000),
@@ -411,14 +413,15 @@ def cmd_turan(args):
         _emit(args, tables)
         return 0
     if args.estimate is not None:
-        est = es.estimate_turan_constant(args.estimate, 10,
-                                         args.trials or 10000, args.seed)
+        est = es.estimate_turan_constant(
+            args.estimate, 10,
+            args.trials if args.trials is not None else 10000, args.seed)
         _emit(args, {"d": args.estimate, "estimate": est,
                      "with_safety": est * turan_constants.SAFETY})
         return 0
     check = args.check or "sweep"
     if check == "sweep":
-        scale = (args.trials / 10000.0) if args.trials else 1.0
+        scale = args.trials / 10000.0 if args.trials is not None else 1.0
         recs = [verify.check_discrete_sweep(seed=args.seed, scale=scale),
                 verify.check_integral_sweep(seed=args.seed, scale=scale),
                 verify.check_three_interval_sweep(seed=args.seed, scale=scale)]
@@ -426,10 +429,12 @@ def cmd_turan(args):
         _emit(args, {"suites": recs, "all_passed": ok})
         return 0 if ok else 1
     rng = np.random.default_rng(args.seed)
-    d = args.d or 2
+    d = args.d if args.d is not None else 2
+    if d < 1:
+        raise UsageError(f"--d: need d >= 1, got {d}")
     if check == "discrete":
         z, c, m = es.draw_discrete_instance(rng, dmax=d)
-        rec = es.turan_discrete(z, c, args.m or m)
+        rec = es.turan_discrete(z, c, m if args.m is None else args.m)
     elif check == "integral":
         p = es.draw_expsum(rng, d)
         rec = es.turan_integral(p, 1.0, 2.0)

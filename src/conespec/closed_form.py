@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import poly_eval
+from .linalg import poly_eval, poly_mul
 
 
 class ParameterError(ValueError):
@@ -179,14 +179,6 @@ def modified_typeII_matrix(n, t, nu):
     return [[two, off1], [off2, last]]
 
 
-def _poly_mul_num(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
 def _poly_sub(p, q):
     m = max(len(p), len(q))
     return [(p[i] if i < len(p) else 0) - (q[i] if i < len(q) else 0)
@@ -212,8 +204,8 @@ def modified_typeII_roots(n, t, j):
         spur = np.roots([1, (n - 4 - t), 2 * t])
         return {"roots": sorted(geo, key=lambda z: z.real),
                 "non_geometric": sorted(spur, key=lambda z: z.real)}
-    det = _poly_sub(_poly_mul_num(mat[0][0], mat[1][1]),
-                    _poly_mul_num(mat[0][1], mat[1][0]))
+    det = _poly_sub(poly_mul(mat[0][0], mat[1][1]),
+                    poly_mul(mat[0][1], mat[1][0]))
     coeffs = list(reversed([float(c) for c in det]))
     monic = np.array(coeffs, dtype=float) / coeffs[0]
     companion = np.diag(np.ones(len(monic) - 2), -1)
@@ -330,12 +322,7 @@ def scalar_indicial_polynomial(n, k, s):
         # (z - 2i)(z - 2i + n - 2) - ev
         c0 = Fraction((-2 * i) * (-2 * i + n - 2)) - ev
         c1 = Fraction(2 * (-2 * i) + n - 2)
-        factor = [c0, c1, Fraction(1)]
-        new = [Fraction(0)] * (len(poly) + 2)
-        for a, pa in enumerate(poly):
-            for b, fb in enumerate(factor):
-                new[a + b] += pa * fb
-        poly = new
+        poly = poly_mul(poly, [c0, c1, Fraction(1)])
     return poly
 
 

@@ -447,6 +447,8 @@ def three_annulus_verify(spectrum, beta_prime, L, a=1.0, trials=200, seed=0,
         raise ParameterError("need 0 < beta_prime < beta/2")
     if L <= 1:
         raise ParameterError("need L > 1")
+    if trials < 1:
+        raise ParameterError("need trials >= 1")
     rng = np.random.default_rng(seed)
     gram = RadialGram(spectrum, lambdas)
     t0 = math.log(a)

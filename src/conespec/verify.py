@@ -2,7 +2,9 @@
 
 Each suite re-checks one block of the library's stated invariants at a
 configurable trial scale and returns a pass/fail record; the CLI runs all
-of them and exits nonzero on any failure.
+of them and exits nonzero on any failure.  This is the one place these
+invariants are stated: the tests run every suite by name, and an
+acceptance criterion that a suite states calls that suite at scale 1.0.
 """
 
 from __future__ import annotations
@@ -102,6 +104,8 @@ def check_three_interval_sweep(seed=2, scale=1.0):
             terms.append(es.ExpTerm(complex(rng.standard_normal(),
                                             rng.standard_normal()), zeta, pw))
         p = es.ExpSum(terms)
+        if p.big_m + p.d > 5:  # the power budget keeps the index <= 5
+            violations += 1
         big_r = float(rng.uniform(0.2, 2.5))
         ell = int(rng.integers(1, 4))
         if not es.three_interval(p, big_r, ell, "growth")["holds"]:
@@ -184,7 +188,7 @@ def check_modified_at_zero(seed=0, scale=1.0):
 def check_rotation_rate(seed=0, scale=1.0):
     ok = True
     for n in (3, 4, 5, 6, 8):
-        for t in np.linspace(-0.4, 0.4, 33):
+        for t in np.linspace(-0.4, 0.4, 41):
             plus, _ = cf.modified_typeI_rates(n, float(t), 1)
             ok &= abs(plus - 2.0) < 1e-12
     return _result(check_rotation_rate, ok)
@@ -271,6 +275,8 @@ def check_divfree(seed=0, scale=1.0):
             rec = fk.divergence_free_nullspace(n, k, mode)
             dims[f"{n},{k},{mode}"] = rec["dimension"]
             ok &= rec["dimension"] == 0
+            if mode.endswith("degree1"):  # A_ij^l x_l, symmetric in ij
+                ok &= rec["unknowns"] == n * n * (n + 1) // 2
     return _result(check_divfree, ok, dimensions=dims)
 
 
@@ -279,7 +285,7 @@ def check_degree1_identities(seed=0, scale=1.0):
     ok = True
     for (n, k) in [(6, 1), (8, 2)]:
         checks = fk.degree1_identity_diagnostics(n, k)
-        ok &= all(rec[2] for rec in checks)
+        ok &= bool(checks) and all(rec[2] for rec in checks)
     return _result(check_degree1_identities, ok)
 
 
@@ -325,7 +331,6 @@ def check_symbols(seed=11, scale=1.0):
         xi = rng.standard_normal(n)
         xi /= np.linalg.norm(xi)
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v /= np.linalg.norm(v)
         out = sy.linearized_obstruction_symbol(n, k, xi, sy.lie_symbol(xi, v))
         worst_lie = max(worst_lie, float(np.max(np.abs(out))))
         worst_lie = max(worst_lie, abs(sy.linearized_scalar_symbol(
@@ -346,6 +351,21 @@ def check_symbols(seed=11, scale=1.0):
     return _result(check_symbols, ok, worst_lie=worst_lie, worst_red=worst_red)
 
 
+def _two_block_symbol(n, k, xi, h):
+    """The obstruction symbol re-derived from its two sub-blocks: the
+    Ricci/scalar-curvature block (-q) A'(h) and the Bianchi block
+    xi xi R'(h) / (2(n-1)), times the Laplacian-power factor (-q)^(k-1)."""
+    q = float(xi @ xi)
+    tr = np.trace(h)
+    hxi = h @ xi
+    rprime = q * tr - xi @ hxi
+    ric = 0.5 * q * h + 0.5 * np.outer(xi, xi) * tr \
+        - 0.5 * (np.outer(xi, hxi) + np.outer(hxi, xi))
+    aprime = (ric - rprime * np.eye(n) / (2 * (n - 1))) / (n - 2)
+    return ((-q) * aprime
+            + np.outer(xi, xi) * rprime / (2 * (n - 1))) * (-q) ** (k - 1)
+
+
 @_suite("symbols.two_block_assembly")
 def check_symbol_two_block(seed=13, scale=1.0):
     """Independent re-derivation: assemble the symbol from the Ricci and
@@ -359,15 +379,7 @@ def check_symbol_two_block(seed=13, scale=1.0):
         xi = rng.standard_normal(n)
         h = rng.standard_normal((n, n))
         h = h + h.T
-        q = float(xi @ xi)
-        tr = np.trace(h)
-        hxi = h @ xi
-        rprime = q * tr - xi @ hxi
-        ric = 0.5 * q * h + 0.5 * np.outer(xi, xi) * tr \
-            - 0.5 * (np.outer(xi, hxi) + np.outer(hxi, xi))
-        aprime = (ric - rprime * np.eye(n) / (2 * (n - 1))) / (n - 2)
-        want = ((-q) * aprime
-                + np.outer(xi, xi) * rprime / (2 * (n - 1))) * (-q) ** (k - 1)
+        want = _two_block_symbol(n, k, xi, h)
         got = sy.linearized_obstruction_symbol(n, k, xi, h)
         scalefac = max(1.0, float(np.max(np.abs(want))))
         ok &= float(np.max(np.abs(got - want))) < 1e-9 * scalefac
@@ -385,10 +397,10 @@ def check_symbol_homogeneity(seed=12, scale=1.0):
         xi = rng.standard_normal(n)
         h = rng.standard_normal((n, n))
         h = h + h.T
-        lam = float(rng.uniform(0.5, 2.0))
+        lam = float(rng.uniform(0.3, 2.5))
         a = sy.linearized_obstruction_symbol(n, k, lam * xi, h)
         b = sy.linearized_obstruction_symbol(n, k, xi, h) * lam ** (2 * (k + 1))
-        ok &= float(np.max(np.abs(a - b))) < 1e-9 * max(1.0, float(np.max(np.abs(b))))
+        ok &= np.allclose(a, b, rtol=1e-10, atol=1e-12)
     return _result(check_symbol_homogeneity, ok)
 
 
@@ -593,7 +605,8 @@ def check_probed_displays(seed=0, scale=1.0):
 def check_multiplicity(seed=0, scale=1.0):
     ok = True
     recs = {}
-    for (n, k) in [(4, 1), (6, 1), (6, 2)]:
+    pairs = [(4, 1), (6, 1), (6, 2)]  # cheapest probe first
+    for (n, k) in pairs[:int(len(pairs) * scale) or 1]:
         basis, op = mo.tensor_mode_system(n, k, Fraction(1, 10), 2)
         spec = mo.indicial_spectrum(op)
         recs[f"{n},{k}"] = spec.total_multiplicity
@@ -669,6 +682,8 @@ def check_degenerate_small(seed=0, scale=1.0):
     ok = not rep["findings"]
     ok &= any(w["j"] == 0 for w in rep["witnesses_t0"])
     ok &= any(w["j"] == 2 for w in rep["witnesses_t0"])
+    # rotations are not degenerate: j = 1 gives no constant witness
+    ok &= all(w["j"] != 1 for w in rep["witnesses_t0"])
     # every scanned mode keeps a positive growth-rate floor
     ok &= all(s["beta"] is not None and s["beta"] > 0
               for s in rep["spectra"].values())
@@ -693,8 +708,8 @@ def check_bootstrap_terminal(seed=0, scale=1.0):
             bound = math.ceil(math.log2(terminal / beta0)) + len(st.barriers)
             ok &= nsteps <= bound + 1
             beta0 = round(beta0 + 0.1, 10)
-        st = bs.bootstrap_origin(n, k, 0.3)
-        ok &= st.order == 2.0
+        for sigma0 in (0.1, 0.3, 0.5, 0.9, 1.3, 1.7):
+            ok &= bs.bootstrap_origin(n, k, sigma0).order == 2.0
     return _result(check_bootstrap_terminal, ok)
 
 
@@ -723,10 +738,9 @@ def check_barrier_mechanisms(seed=0, scale=1.0):
             chk = h.get("check")
             if not chk:
                 continue
-            if chk["op"] == "divergence_free_nullspace":
-                rec = fk.divergence_free_nullspace(chk["n"], chk["k"],
-                                                   chk["mode"])
-                ok &= rec["dimension"] == 0
+            ok &= chk["op"] == "divergence_free_nullspace" and \
+                fk.divergence_free_nullspace(
+                    chk["n"], chk["k"], chk["mode"])["dimension"] == 0
         st = bs.bootstrap_origin(n, k, 0.4)
         for h in st.history:
             chk = h.get("check")

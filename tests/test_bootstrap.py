@@ -7,8 +7,6 @@ from conespec.bootstrap import (bootstrap_infinity,
                                 bootstrap_origin, enumerate_schematic_terms,
                                 regularity_ladder, remainder_order)
 from conespec.closed_form import ParameterError
-from conespec.flat_kernel import (divergence_free_nullspace,
-                                  quadratic_lie_isomorphism)
 
 
 def orders(state):
@@ -73,22 +71,6 @@ def test_infinity_barrier_inventory_n8():
     assert kinds[1].startswith("nonexceptional")
 
 
-def test_infinity_grid_terminal_and_step_bound():
-    pairs = [(3, 1)] + [(n, k) for n in (4, 6, 8, 10)
-                        for k in range(1, n // 2)]
-    for (n, k) in pairs:
-        terminal = n - 2 * k
-        beta0 = 0.1
-        while beta0 < terminal - 1e-9:
-            st = bootstrap_infinity(n, k, beta0)
-            assert st.order == terminal, (n, k, beta0)
-            gains = sum(1 for h in st.history
-                        if h["mechanism"] == "remainder gain")
-            assert gains <= math.ceil(math.log2(terminal / beta0)) + \
-                len(st.barriers) + 1
-            beta0 = round(beta0 + 0.1, 10)
-
-
 def test_origin_paths():
     st = bootstrap_origin(4, 1, 0.5)
     assert st.order == 2.0
@@ -97,23 +79,6 @@ def test_origin_paths():
     assert bootstrap_origin(6, 2, 0.3).order == 2.0
     st = bootstrap_origin(4, 1, 3.0)
     assert st.order == 2.0 and len(st.history) == 1  # already past target
-
-
-def test_barrier_mechanisms_independently_verified():
-    for (n, k) in [(4, 1), (6, 1), (6, 2), (8, 2), (3, 1)]:
-        st = bootstrap_infinity(n, k, 0.3)
-        for h in st.history:
-            chk = h.get("check")
-            if not chk:
-                continue
-            assert chk["op"] == "divergence_free_nullspace"
-            rec = divergence_free_nullspace(chk["n"], chk["k"], chk["mode"])
-            assert rec["dimension"] == 0
-        st = bootstrap_origin(n, k, 0.4)
-        for h in st.history:
-            chk = h.get("check")
-            if chk and chk["op"] == "quadratic_lie_isomorphism":
-                assert quadratic_lie_isomorphism(chk["n"])["invertible"]
 
 
 def test_ladder_examples():

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import subprocess
@@ -5,6 +6,7 @@ import sys
 
 import pytest
 
+from conespec import verify
 from conespec.cli import main
 
 
@@ -198,23 +200,67 @@ def test_mode_parameter_guards_are_usage_errors(capsys, argv, msg):
     assert msg in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,msg", [
+    (["exceptional", "--operator", "gauge", "--n", "4", "--j-max", "0"],
+     "j_max >= 2"),
+    (["gap", "--n", "4", "--j-max", "0"], "need j_max >= 3"),
+    (["three-annulus", "--n", "4", "--k", "1", "--j", "1",
+      "--beta-prime-frac", "0"], "need 0 < beta_prime < beta/2"),
+    (["three-annulus", "--n", "4", "--k", "1", "--j", "1", "--trials", "0"],
+     "need trials >= 1"),
+    (["turan", "--check", "sweep", "--trials", "0"], "need trials >= 1"),
+    (["turan", "--check", "discrete", "--d", "0"], "need d >= 1"),
+    (["turan", "--check", "discrete", "--m", "0"], "m must be an integer >= 1"),
+])
+def test_out_of_range_option_is_usage_error(capsys, argv, msg):
+    # an explicit value is checked, never replaced by the default
+    assert main(argv) == 2
+    assert msg in capsys.readouterr().err
+
+
 def test_verify_all_unknown_suite(capsys):
     assert main(["verify-all", "--suite", "no.such.suite"]) == 2
     err = capsys.readouterr().err
     assert "no.such.suite" in err and "expsum.shift_covariance" in err
 
 
-def test_verify_all_jobs_matches_serial(tmp_path):
-    suites = ["--suite", "expsum.shift_covariance",
-              "--suite", "polytensor.gauge_composition"]
+SUITE_NAMES = [fn.suite_name for fn in verify.SUITES]
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_verify_all_suite(tmp_path, name):
+    # `--suite` and the benchmark's grouping rely on unique names whose
+    # prefix before the first '.' is the conespec module they check
+    assert SUITE_NAMES.count(name) == 1
+    assert importlib.util.find_spec("conespec." + name.split(".")[0])
+    out = tmp_path / "v.json"
+    assert main(["verify-all", "--suite", name, "--seed", "42",
+                 "--scale", "0.02", "--out", str(out)]) == 0
+    doc = read_json(out)["data"]
+    assert [s["name"] for s in doc["suites"]] == [name]
+    assert doc["all_passed"] is True
+
+
+def test_multiplicity_suite_scales_to_one_pair():
+    rec = verify.check_multiplicity(seed=42, scale=0.02)
+    assert rec["passed"]
+    assert list(rec["details"]["multiplicities"]) == ["4,1"]
+
+
+def test_verify_all_jobs_matches_serial(tmp_path, monkeypatch):
+    # a bare verify-all runs every registered suite and aggregates them
+    monkeypatch.setattr(verify, "SUITES", [verify.check_shift_covariance,
+                                           verify.check_gauge_composition])
     docs = []
     for jobs in ("1", "2"):
         out = tmp_path / f"v{jobs}.json"
         assert main(["verify-all", "--scale", "0.02", "--jobs", jobs,
-                     "--out", str(out)] + suites) == 0
+                     "--out", str(out)]) == 0
         docs.append(read_json(out)["data"])
     assert docs[0] == docs[1]
-    assert len(docs[0]["suites"]) == 2
+    assert [s["name"] for s in docs[0]["suites"]] == [
+        "expsum.shift_covariance", "polytensor.gauge_composition"]
+    assert docs[0]["all_passed"] is True
 
 
 def test_bootstrap_command(tmp_path):
@@ -266,16 +312,6 @@ def test_rerun_byte_identical_data(tmp_path):
     da = json.dumps(read_json(a)["data"], sort_keys=True)
     db = json.dumps(read_json(b)["data"], sort_keys=True)
     assert da == db
-
-
-def test_verify_all_quick(tmp_path):
-    out = tmp_path / "v.json"
-    rc = main(["verify-all", "--seed", "42", "--scale", "0.02",
-               "--out", str(out)])
-    assert rc == 0
-    doc = read_json(out)
-    assert doc["data"]["all_passed"] is True
-    assert len(doc["data"]["suites"]) >= 25
 
 
 def test_entry_point_installed():

@@ -3,21 +3,11 @@ import pytest
 
 from conespec import polytensor as pt
 from conespec.closed_form import ParameterError
-from conespec.flat_kernel import (QuadraticField, degree1_identity_diagnostics,
-                                  degree1_system, divergence_free_nullspace,
+from conespec.flat_kernel import (QuadraticField, degree1_system,
+                                  divergence_free_nullspace,
                                   quadratic_flow_error,
                                   quadratic_lie_isomorphism,
                                   quadratic_lie_map_rows, solve_quadratic_lie)
-
-
-def test_nullspace_dimensions_zero():
-    assert divergence_free_nullspace(6, 1, "degree0")["dimension"] == 0
-    rec = divergence_free_nullspace(6, 1, "degree1")
-    assert rec["unknowns"] == 126  # n^2 (n+1) / 2
-    assert rec["dimension"] == 0
-    assert divergence_free_nullspace(4, 1, "log")["dimension"] == 0
-    assert divergence_free_nullspace(3, 1, "n3_degree1")["dimension"] == 0
-    assert divergence_free_nullspace(3, 1, "degree0")["dimension"] == 0
 
 
 def test_mode_preconditions():
@@ -64,22 +54,6 @@ def test_degree1_assembly_matches_exact_divergence():
                 alpha = tuple(0 for _ in range(n))
                 want.add_term((j,), alpha, 2 * k - n, a)
     assert (got - want).is_zero()
-
-
-def test_degree1_identities_in_rowspace():
-    checks = degree1_identity_diagnostics(6, 1)
-    assert checks and all(ok for (_, _, ok) in checks)
-
-
-def test_lie_isomorphism_sizes_and_rank():
-    rec = quadratic_lie_isomorphism(3)
-    assert rec["dimension"] == 18 and rec["invertible"]
-    rec = quadratic_lie_isomorphism(4)
-    assert rec["dimension"] == 40 and rec["invertible"]
-    for n in range(2, 7):
-        rec = quadratic_lie_isomorphism(n)
-        assert rec["rank"] == n * n * (n + 1) // 2
-        assert rec["nullspace_dimension"] == 0  # no quadratic Killing fields
 
 
 def test_lie_rank_against_float_oracle():

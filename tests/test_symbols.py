@@ -2,51 +2,15 @@ import numpy as np
 import sympy
 
 from conespec import polytensor as pt
-from conespec.symbols import (gauged_reduction_value, lie_symbol,
+from conespec.symbols import (gauged_reduction_value,
                               linearized_obstruction_symbol,
                               linearized_scalar_symbol)
-
-
-def independent_symbol_oracle(n, k, xi, h):
-    """Re-derivation from the two sub-blocks of the linearization.
-
-    Assembles Delta A'(h) and the Hessian-of-scalar-curvature block
-    separately (different grouping than the implementation) and applies the
-    Laplacian-power prefactor.
-    """
-    xi = np.asarray(xi)
-    h = np.asarray(h)
-    q = float(xi @ xi)
-    tr = np.trace(h)
-    hxi = h @ xi
-    xihxi = xi @ hxi
-    eye = np.eye(n)
-    # scalar-curvature linearization symbol: q tr - xi.h.xi
-    rprime = q * tr - xihxi
-    # Ric'(h) symbol: -(1/2)(-q) h - (1/2)(-xi xi) tr - (adjoint-div of div)
-    ric = 0.5 * q * h + 0.5 * np.outer(xi, xi) * tr \
-        - 0.5 * (np.outer(xi, hxi) + np.outer(hxi, xi))
-    # A'(h) = (1/(n-2)) (Ric' - R'/(2(n-1)) g)
-    aprime = (ric - rprime * eye / (2 * (n - 1))) / (n - 2)
-    # Delta A' -> (-q) aprime ; Bianchi block -> -(1/(2(n-1))) (-xi xi) rprime
-    block1 = (-q) * aprime
-    block2 = (1 / (2 * (n - 1))) * np.outer(xi, xi) * rprime
-    return (block1 + block2) * (-q) ** (k - 1)
+from conespec.verify import (_two_block_symbol, check_symbol_homogeneity,
+                             check_symbol_two_block, check_symbols)
 
 
 def test_independent_two_block_oracle():
-    rng = np.random.default_rng(21)
-    for _ in range(30):
-        n = int(rng.integers(3, 8))
-        kmax = 1 if n == 3 else n // 2 - 1
-        k = int(rng.integers(1, kmax + 1))
-        xi = rng.standard_normal(n)
-        h = rng.standard_normal((n, n))
-        h = h + h.T
-        got = linearized_obstruction_symbol(n, k, xi, h)
-        want = independent_symbol_oracle(n, k, xi, h)
-        scale = max(1.0, float(np.max(np.abs(want))))
-        assert float(np.max(np.abs(got - want))) < 1e-9 * scale
+    assert check_symbol_two_block(seed=21, scale=0.15)["passed"]  # 30 draws
 
 
 def test_pure_trace_example():
@@ -54,23 +18,12 @@ def test_pure_trace_example():
     xi = np.array([1.0, 0, 0, 0])
     h = np.eye(n)
     got = linearized_obstruction_symbol(n, k, xi, h)
-    want = independent_symbol_oracle(n, k, xi, h)
+    want = _two_block_symbol(n, k, xi, h)
     assert np.allclose(got, want, atol=1e-12)
 
 
 def test_lie_directions_annihilated():
-    rng = np.random.default_rng(22)
-    for _ in range(300):
-        n = int(rng.integers(3, 9))
-        kmax = 1 if n == 3 else n // 2 - 1
-        k = int(rng.integers(1, kmax + 1))
-        xi = rng.standard_normal(n)
-        xi /= np.linalg.norm(xi)
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        h = lie_symbol(xi, v)
-        out = linearized_obstruction_symbol(n, k, xi, h)
-        assert float(np.max(np.abs(out))) < 1e-12
-        assert abs(linearized_scalar_symbol(n, xi, h)) < 1e-12
+    assert check_symbols(seed=22, scale=0.3)["passed"]  # 300 draws
 
 
 def test_transverse_traceless_reduction():
@@ -93,16 +46,7 @@ def test_scalar_symbol_examples():
 
 
 def test_homogeneity_scaling():
-    rng = np.random.default_rng(23)
-    for _ in range(20):
-        n, k = 4, 1
-        xi = rng.standard_normal(n)
-        h = rng.standard_normal((n, n))
-        h = h + h.T
-        lam = float(rng.uniform(0.3, 2.5))
-        a = linearized_obstruction_symbol(n, k, lam * xi, h)
-        b = linearized_obstruction_symbol(n, k, xi, h) * lam ** (2 * (k + 1))
-        assert np.allclose(a, b, rtol=1e-10, atol=1e-12)
+    assert check_symbol_homogeneity(seed=23, scale=0.4)["passed"]  # 20 draws
 
 
 def _symbol_as_operator(n, k, h_const, xs):
