@@ -241,12 +241,6 @@ def test_verify_all_suite(tmp_path, name):
     assert doc["all_passed"] is True
 
 
-def test_multiplicity_suite_scales_to_one_pair():
-    rec = verify.check_multiplicity(seed=42, scale=0.02)
-    assert rec["passed"]
-    assert list(rec["details"]["multiplicities"]) == ["4,1"]
-
-
 def test_verify_all_jobs_matches_serial(tmp_path, monkeypatch):
     # a bare verify-all runs every registered suite and aggregates them
     monkeypatch.setattr(verify, "SUITES", [verify.check_shift_covariance,

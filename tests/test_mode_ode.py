@@ -18,7 +18,7 @@ from conespec.mode_ode import (EulerOperator, ModeSolution, ProbeError,
                                probe_euler, scalar_mode_system,
                                solution_split, tensor_mode_system,
                                three_annulus_verify, triple_bar_norm)
-from conespec.verify import check_three_annulus
+from conespec.verify import check_multiplicity, check_three_annulus
 
 
 def synthetic_operator(roots_with_mult):
@@ -146,6 +146,13 @@ def test_interpolation_rejects_disagreeing_systems(change):
         t = 1 / 3
     with pytest.raises(ProbeError):
         interpolate_in_t(t, 0, op_a, Fraction(1, 7), op_b)
+
+
+def test_mode_multiplicities():
+    # below scale 1 the suite probes only (4, 1); criterion 8 runs all pairs
+    rec = check_multiplicity(seed=42, scale=0.02)
+    assert rec["passed"]
+    assert rec["details"]["multiplicities"] == {"4,1": 16}
 
 
 def test_t0_roots_are_integers():
