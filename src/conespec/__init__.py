@@ -20,6 +20,5 @@ from .mode_ode import (EulerOperator, IndicialSpectrum, ModeSolution,
                        probe_euler, solution_split, tensor_mode_system,
                        three_annulus_verify, triple_bar_norm)
 from .polytensor import (AngularBasis, PolyTensor, apply_operator,
-                         closure_basis, sphere_moment, tensor_mode_basis,
-                         triple_bar_norm_sq)
+                         sphere_moment, tensor_mode_basis, triple_bar_norm_sq)
 from .symbols import linearized_obstruction_symbol, linearized_scalar_symbol

@@ -214,7 +214,13 @@ def _apply_config(args):
                 setattr(args, attr, val)
     # defaults after config merge
     if getattr(args, "seed", None) is None:
-        args.seed = 0
+        args.seed = 20240801 if getattr(args, "regenerate_constants",
+                                        False) else 0
+    if getattr(args, "tolerance", None) is None:
+        args.tolerance = 1e-9
+    elif not args.tolerance > 0:
+        raise UsageError(f"--tolerance: need tolerance > 0, got "
+                         f"{args.tolerance}")
     if getattr(args, "format", None) is None:
         args.format = "json"
     if getattr(args, "jobs", None) is None:
@@ -376,7 +382,7 @@ def cmd_three_annulus(args):
         raise NumericError("mode has no nonzero-real-part roots")
     rec = mo.empirical_l0(spec, frac * spec.beta, trials=trials,
                           seed=args.seed, turan_check=args.turan_check,
-                          slack=args.tolerance or 1e-9)
+                          slack=args.tolerance)
     scan_rows = [(r["L"], sum(r["failures"].values())) for r in rec["scan"]]
     data = {"n": args.n, "k": args.k, "t": float(t), "j": args.j,
             "beta": spec.beta, "beta_prime": frac * spec.beta,
@@ -393,7 +399,7 @@ def cmd_degenerate_scan(args):
              for x in str(args.t_values).split(",")]
     j_max = args.j_max if args.j_max is not None else 6
     rep = mo.degenerate_scan(args.n, args.k, tvals, j_max,
-                             tol=args.tolerance or 1e-9, jobs=args.jobs)
+                             tol=args.tolerance, jobs=args.jobs)
     rows = [(f["t"], f["j"], f["root"]["re"], f["root"]["im"], f["dimension"])
             for f in rep["findings"] + rep["witnesses_t0"]]
     _emit(args, rep, rows=rows,
@@ -407,7 +413,7 @@ def cmd_turan(args):
     if args.regenerate_constants:
         trials = args.trials if args.trials is not None else 20000
         tables = turan_constants.regenerate(
-            seed=args.seed or 20240801,
+            seed=args.seed,
             discrete_trials=max(trials * 10, 10000),
             integral_trials=trials)
         _emit(args, tables)

@@ -3,9 +3,12 @@
 The exact operators act on radially parallel angular bases; applying one to
 r^m times a basis element returns r^{m-w} times an angular combination, so
 the matrix indicial polynomial P(z) is read off exactly by polynomial
-interpolation over enough probe degrees.  Spectra, growth/decay splits,
-the three-annulus inequalities and the degenerate-solution scan all live
-on top of that data.
+interpolation over enough probe degrees.  The standard mode systems are
+composed from probed systems of order <= 2 (Laplacian, radial contraction,
+divergence, Hessian, flat Lie derivative) with P_{A o B}(z) =
+P_A(z - w_B) P_B(z); the gauged linearized system is P(z; t) = A(z) +
+t B(z).  Spectra, growth/decay splits, the three-annulus inequalities and
+the degenerate-solution scan all live on top of that data.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import zip_longest
 
 import numpy as np
@@ -21,7 +25,7 @@ from . import polytensor as pt
 from .closed_form import ParameterError
 from .expsum import ExpSum, ExpTerm, _poly_exp_integral, three_interval
 from .linalg import (det_dense, lagrange_coefficients, poly_derivative,
-                     poly_eval, poly_trim)
+                     poly_eval, poly_mul, poly_shift, poly_trim)
 from .polytensor import AngularBasis, ClosureError
 
 
@@ -80,6 +84,40 @@ class EulerOperator:
             pts.append((z, det_dense(self.eval_exact(z))))
         return lagrange_coefficients(pts)
 
+    def compose(self, inner):
+        """The system of self o inner: P(z) = P_self(z - w_inner) P_inner(z),
+        with weights and orders added."""
+        if self.basis is not inner.target:
+            raise ProbeError("compose needs the outer system's basis to be "
+                             "the inner system's target")
+        outer = [[poly_shift(p, -inner.weight) for p in row] for row in self.P]
+        P = [[_poly_sum(poly_mul(a, inner.P[i][c]) for i, a in enumerate(row))
+              for c in range(len(inner.basis))]
+             for row in outer]
+        return EulerOperator(inner.basis, self.target,
+                             self.weight + inner.weight,
+                             self.order + inner.order, P)
+
+    @staticmethod
+    def combine(terms):
+        """The system of sum c * op over (c, op) in terms, whose systems
+        share basis, target and weight; its order is the largest."""
+        (_, first), *rest = terms
+        for _, op in rest:
+            if op.basis is not first.basis or op.target is not first.target \
+                    or op.weight != first.weight:
+                raise ProbeError("combined systems differ in basis, target "
+                                 "or weight")
+        P = [[_poly_sum([c * x for x in op.P[r][col]] for c, op in terms)
+              for col in range(len(first.basis))]
+             for r in range(len(first.target))]
+        return EulerOperator(first.basis, first.target, first.weight,
+                             max(op.order for _, op in terms), P)
+
+
+def _poly_sum(polys):
+    return poly_trim([sum(cs) for cs in zip_longest(*polys, fillvalue=0)])
+
 
 def probe_euler(apply_fn, basis, order, *, target=None, probe_degrees=None,
                 holdout=True):
@@ -110,9 +148,7 @@ def probe_euler(apply_fn, basis, order, *, target=None, probe_degrees=None,
         except ValueError as exc:
             raise ProbeError(f"image outside target span: {exc}") from exc
         if residual.comps:
-            raise ProbeError(
-                "basis not closed under the operator; extend with "
-                "closure_basis before probing")
+            raise ProbeError("basis not closed under the operator")
         return coeffs, w
 
     weight = None
@@ -544,9 +580,20 @@ def turan_l_bound(spectrum, beta_prime):
 # -- standard mode systems ----------------------------------------------------
 
 
-def tensor_mode_system(n, k, t, j):
-    """Angular family basis and probed system of the gauged linearized
-    operator; the probe's exact residual check certifies closure."""
+def _exact_t(t):
+    if not isinstance(t, (int, Fraction)):
+        raise ProbeError(f"t = {t!r} must be an int or Fraction; the mode "
+                         "systems are exact")
+
+
+def _gauged_parts(n, k, j, with_t):
+    """Families, A, B and i_r with P(z; t) = A(z) + t B(z) the system of the
+    gauged linearized operator
+
+        -c_{n,k}/(2(n-2)) Delta^(k-1) (Delta^2 + t (Hess div - Delta lie) i_r),
+
+    composed from pieces probed on the degree-j 2-tensor, 1-form and phi_j
+    families; B and i_r are None unless with_t."""
     if n < 3:
         raise ParameterError("need n >= 3 (the operator carries 1/(n - 2))")
     if k < 1:
@@ -555,78 +602,59 @@ def tensor_mode_system(n, k, t, j):
     if j < 0:
         raise ParameterError("need harmonic degree j >= 0")
     basis = pt.tensor_mode_basis(n, j)
-    order = 2 * (k + 1)
-    apply_fn = lambda f: pt.gauged_lin(f, k, t)
-    op = probe_euler(apply_fn, basis, order)
-    return basis, op
+    lap = probe_euler(pt.laplacian, basis, 2)
+    c = -pt.cnk(n, k) / (2 * (n - 2))
+    A = EulerOperator.combine([(c, reduce(EulerOperator.compose,
+                                          [lap] * (k + 1)))])
+    if not with_t:
+        return basis, A, None, None
+    forms = pt.oneform_mode_basis(n, j)
+    phi = pt.basis_from_elements(n, [pt.sphere_harmonic(n, j)], ["phi"])
+    i_r = probe_euler(pt.radial_contraction, basis, 0, target=forms)
+    hess_div = probe_euler(pt.hessian, phi, 2, target=basis).compose(
+        probe_euler(pt.divergence, forms, 1, target=phi))
+    lap_lie = lap.compose(probe_euler(pt.lie_flat, forms, 1, target=basis))
+    core = EulerOperator.combine([(1, hess_div), (-1, lap_lie)]).compose(i_r)
+    core = reduce(EulerOperator.compose, [lap] * (k - 1) + [core])
+    return basis, A, EulerOperator.combine([(c, core)]), i_r
+
+
+def tensor_mode_system(n, k, t, j):
+    """Angular families and exact system A + t B of the gauged linearized
+    operator (only the Laplacian is probed at t = 0)."""
+    _exact_t(t)
+    basis, A, B, _ = _gauged_parts(n, k, j, with_t=t != 0)
+    return basis, A if t == 0 else EulerOperator.combine([(1, A), (t, B)])
 
 
 def scalar_mode_system(n, k, s):
-    """Scalar Laplacian-power system on a single degree-s harmonic."""
+    """Scalar Laplacian-power system on a single degree-s harmonic: the
+    (k + 1)-fold composite of the probed scalar Laplacian."""
     basis = pt.basis_from_elements(n, [pt.sphere_harmonic(n, s)], ["phi"])
-    op = probe_euler(lambda f: pt.laplacian(f, k + 1), basis, 2 * (k + 1))
-    return basis, op
+    lap = probe_euler(pt.laplacian, basis, 2)
+    return basis, reduce(EulerOperator.compose, [lap] * (k + 1))
 
 
 def divergence_mode_system(n, t, j, basis):
-    """Probed modified-divergence system from 2-tensor modes to 1-forms."""
-    target = pt.oneform_mode_basis(n, j)
-    apply_fn = lambda f: pt.div_t(f, t)
-    return probe_euler(apply_fn, basis, 1, target=target)
-
-
-def interpolate_in_t(t, a, op_a, b, op_b):
-    """Exact system at t of an operator affine in t, from those at a != b.
-
-    Both scanned operators are affine in t (gauged_lin = A + t B and
-    div_t = div - t i_radial) and a probed P is linear in the operator, so
-    P(t) = P(a) + (t - a)/(b - a) (P(b) - P(a)) entry by entry; the result
-    equals a direct probe at t.  Raises ProbeError for a float t or when
-    the two systems differ in basis, target, weight or order.
-    """
-    if not isinstance(t, (int, Fraction)):
-        raise ProbeError("t must be an int or Fraction; the interpolated "
-                         "system is exact")
-    for name in ("basis", "target"):
-        if _basis_key(getattr(op_a, name)) != _basis_key(getattr(op_b, name)):
-            raise ProbeError(
-                f"systems at t = {a} and t = {b} differ in {name}")
-    if (op_a.weight, op_a.order) != (op_b.weight, op_b.order):
-        raise ProbeError(f"systems at t = {a} and t = {b} differ in weight "
-                         "or order")
-    s = (Fraction(t) - a) / (b - a)
-    P = [[poly_trim([ca + s * (cb - ca) for ca, cb
-                     in zip_longest(pa, pb, fillvalue=Fraction(0))])
-          for pa, pb in zip(row_a, row_b)]
-         for row_a, row_b in zip(op_a.P, op_b.P)]
-    return EulerOperator(op_a.basis, op_a.target, op_a.weight, op_a.order, P)
-
-
-def _basis_key(basis):
-    """Exact structural identity of an angular basis (equal constructions
-    compare equal without canonicalizing anything)."""
-    return (basis.n, basis.labels, basis.gram,
-            [(T.rank, T.comps) for T in basis.elements])
+    """Modified-divergence system div - t i_r from the 2-tensor families
+    ``basis`` to the degree-j 1-form pair."""
+    _exact_t(t)
+    forms = pt.oneform_mode_basis(n, j)
+    return EulerOperator.combine(
+        [(1, probe_euler(pt.divergence, basis, 1, target=forms)),
+         (-t, probe_euler(pt.radial_contraction, basis, 0, target=forms))])
 
 
 def _scan_one_mode(task):
     """Spectra and divergence-compatible zero-root hits of one degree j at
-    every distinct t, from direct probes at no more than two of them."""
+    every distinct t, each from A + t B and div - t i_r built once."""
     n, k, j, t_values, tol = task
-    distinct = list(dict.fromkeys(t_values))
-    anchors = sorted(distinct, key=lambda t: t != 0)[:2]  # t = 0 is cheapest
-    probed = {}
-    for t in anchors:
-        basis, op = tensor_mode_system(n, k, t, j)
-        probed[t] = (op, divergence_mode_system(n, t, j, basis))
-    a, b = anchors[0], anchors[-1]
+    basis, A, B, i_r = _gauged_parts(n, k, j, with_t=True)
+    div = probe_euler(pt.divergence, basis, 1, target=i_r.target)
     cells = {}
-    for t in distinct:
-        if t in probed:
-            op, div_op = probed[t]
-        else:
-            op, div_op = [interpolate_in_t(t, a, sys_a, b, sys_b)
-                          for sys_a, sys_b in zip(probed[a], probed[b])]
+    for t in dict.fromkeys(t_values):
+        op = EulerOperator.combine([(1, A), (t, B)])
+        div_op = EulerOperator.combine([(1, div), (-t, i_r)])
         spec = indicial_spectrum(op)
         hits = []
         for root in spec.roots:
@@ -649,18 +677,19 @@ def degenerate_scan(n, k, t_values, j_max, *, tol=1e-9, jobs=1):
 
     At t = 0 constants are genuine witnesses (reported separately); for
     small t != 0 the expected finding count is zero.  Both operators are
-    affine in t, so each degree j probes its tensor and divergence systems
-    directly at two anchors only (t = 0 first when listed, being the
-    cheapest probe, then the first other t) and every other t gets its
-    exact system from ``interpolate_in_t``.  The degrees are independent
-    and run on a worker pool when jobs > 1; the report lists (t, j) cells
-    in t-major order, repeated t values included.
+    affine in t, so each degree j composes A, B, div and i_r once and every
+    listed t gets the exact systems A + t B and div - t i_r (t must be an
+    int or Fraction).  The degrees are independent and run on a worker pool
+    when jobs > 1; the report lists (t, j) cells in t-major order, repeated
+    t values included.
     """
     t_values = list(t_values)
     if not t_values:
         raise ParameterError("need at least one t value")
     if j_max < 0:
         raise ParameterError("need j_max >= 0")
+    for t in t_values:
+        _exact_t(t)
     tasks = [(n, k, j, t_values, tol) for j in range(j_max + 1)]
     per_j = parallel_map(_scan_one_mode, tasks, jobs)
     findings = []

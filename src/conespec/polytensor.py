@@ -16,8 +16,8 @@ nullspace decisions are exact.  Exact coefficients are ``int`` or
 ``Fraction`` enters only with a rational factor (t, c_{n,k}/(n-2), 1/2, a
 Gram solve), and canonical forms store every integer coefficient as an
 ``int``.  PolyTensor itself accepts float coefficients
-(``scale_pullback`` and ``evaluate`` use them), but probing and closure
-read every operator image through ``angular_image``, which rejects float
+(``scale_pullback`` and ``evaluate`` use them), but probing reads every
+operator image through ``angular_image``, which rejects float
 coefficients.
 
 Equality and zero-testing canonicalize components modulo the relation
@@ -929,9 +929,6 @@ class ClosureError(ArithmeticError):
     """An operator image that cannot be read exactly in an angular basis."""
 
 
-_CLOSURE_ROUNDS = 50
-
-
 def angular_image(apply_fn, element, m):
     """Apply ``apply_fn`` to r^m * element and read the image exactly.
 
@@ -946,44 +943,11 @@ def angular_image(apply_fn, element, m):
     if not all(isinstance(c, (int, Fraction))
                for comp in image.comps.values() for c in comp.values()):
         raise ClosureError("operator image has float coefficients; probing "
-                           "and closure need exact int/Fraction arithmetic")
+                           "needs exact int/Fraction arithmetic")
     deg = image.homogeneity()
     if deg is None:
         raise ClosureError("operator image is not homogeneous")
     return m - deg, image.radial_scaled(-deg)
-
-
-def closure_basis(seed, apply_fn, probe_degrees=(0, 1, 2)):
-    """Invariant angular span of a seed under an exact operator.
-
-    Repeatedly reads the angular image of r^m * element for the probe
-    degrees and adds any exactly-independent angular direction until the
-    span is closed.
-    """
-    deg = seed.homogeneity()
-    if deg is None:
-        raise ClosureError("seed must have pure homogeneity")
-    elements = [seed.radial_scaled(-deg).canonical()]
-    basis = basis_from_elements(seed.n, elements)
-    done = set()
-    for _ in range(_CLOSURE_ROUNDS):
-        grew = False
-        for ei in range(len(elements)):
-            for m in probe_degrees:
-                if (ei, m) in done:
-                    continue
-                done.add((ei, m))
-                read = angular_image(apply_fn, elements[ei], m)
-                if read is None:
-                    continue
-                _, residual = basis.decompose(read[1])
-                if residual.comps:
-                    elements.append(residual)
-                    basis = basis_from_elements(seed.n, elements)
-                    grew = True
-        if not grew:
-            return basis
-    raise ClosureError(f"no closure after {_CLOSURE_ROUNDS} rounds")
 
 
 def tensor_mode_seed(n, j):

@@ -211,11 +211,55 @@ def test_mode_parameter_guards_are_usage_errors(capsys, argv, msg):
     (["turan", "--check", "sweep", "--trials", "0"], "need trials >= 1"),
     (["turan", "--check", "discrete", "--d", "0"], "need d >= 1"),
     (["turan", "--check", "discrete", "--m", "0"], "m must be an integer >= 1"),
+    (["three-annulus", "--n", "4", "--k", "1", "--j", "1", "--tolerance",
+      "0"], "need tolerance > 0"),
+    (["degenerate-scan", "--n", "4", "--k", "1", "--t-values", "0",
+      "--tolerance=-1e-9"], "need tolerance > 0"),
 ])
 def test_out_of_range_option_is_usage_error(capsys, argv, msg):
     # an explicit value is checked, never replaced by the default
     assert main(argv) == 2
     assert msg in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,want", [(["--tolerance", "1e-6"], 1e-6),
+                                       ([], 1e-9)])
+def test_tolerance_reaches_library(monkeypatch, flag, want):
+    from conespec import mode_ode as mo
+
+    seen = {}
+
+    def fake_l0(spec, beta_prime, *, slack, **kw):
+        seen["slack"] = slack
+        return {"L0": 2.0, "scan": [], "turan_bound": None}
+
+    def fake_scan(n, k, t_values, j_max, *, tol, jobs):
+        seen["tol"] = tol
+        return {"findings": [], "witnesses_t0": []}
+
+    monkeypatch.setattr(mo, "empirical_l0", fake_l0)
+    monkeypatch.setattr(mo, "degenerate_scan", fake_scan)
+    assert main(["three-annulus", "--n", "4", "--k", "1", "--j", "1"]
+                + flag) == 0
+    assert main(["degenerate-scan", "--n", "4", "--k", "1", "--t-values",
+                 "0"] + flag) == 0
+    assert seen == {"slack": want, "tol": want}
+
+
+@pytest.mark.parametrize("flag,want", [(["--seed", "0"], 0),
+                                       ([], 20240801)])
+def test_regenerate_constants_seed(monkeypatch, flag, want):
+    from conespec import turan_constants
+
+    seen = {}
+
+    def fake_regenerate(*, seed, **kw):
+        seen["seed"] = seed
+        return {}
+
+    monkeypatch.setattr(turan_constants, "regenerate", fake_regenerate)
+    assert main(["turan", "--regenerate-constants"] + flag) == 0
+    assert seen == {"seed": want}
 
 
 def test_verify_all_unknown_suite(capsys):

@@ -14,23 +14,6 @@ from conespec.closed_form import (ParameterError,
                                   scalar_indicial_roots, validate_nk)
 
 
-def test_typeI_rates_integer_closed_form():
-    # alpha +- theta collapses to the integers j+1 and 3-n-j
-    for n in range(3, 9):
-        for j in range(1, 11):
-            rp = gauge_kernel_rates(n, "typeI", j)
-            assert rp.plus == j + 1
-            assert rp.minus == 3 - n - j
-
-
-def test_typeII_rates_integer_closed_form():
-    for n in range(3, 9):
-        for j in range(0, 11):
-            rp = gauge_kernel_rates(n, "typeII", j)
-            assert rp.plus == j
-            assert rp.minus == 2 - n - j
-
-
 def test_rate_examples():
     rp = gauge_kernel_rates(4, "typeI", 1)   # mu = 4: alpha 0, theta 2
     assert (rp.plus, rp.minus) == (2, -2)

@@ -1,5 +1,3 @@
-import dataclasses
-import functools
 import math
 from fractions import Fraction
 
@@ -14,10 +12,10 @@ from conespec.closed_form import (ParameterError, scalar_indicial_polynomial,
 from conespec.linalg import poly_shift
 from conespec.mode_ode import (EulerOperator, ModeSolution, ProbeError,
                                degenerate_scan, divergence_mode_system,
-                               indicial_spectrum, interpolate_in_t,
-                               probe_euler, scalar_mode_system,
-                               solution_split, tensor_mode_system,
-                               three_annulus_verify, triple_bar_norm)
+                               indicial_spectrum, probe_euler,
+                               scalar_mode_system, solution_split,
+                               tensor_mode_system, three_annulus_verify,
+                               triple_bar_norm)
 from conespec.verify import check_multiplicity, check_three_annulus
 
 
@@ -93,6 +91,14 @@ def _both_systems(n, k, t, j):
     return op, divergence_mode_system(n, t, j, basis)
 
 
+def _direct_systems(n, k, t, j):
+    """Oracle: probe gauged_lin and div_t themselves at t."""
+    basis = pt.tensor_mode_basis(n, j)
+    forms = pt.oneform_mode_basis(n, j)
+    return (probe_euler(lambda f: pt.gauged_lin(f, k, t), basis, 2 * (k + 1)),
+            probe_euler(lambda f: pt.div_t(f, t), basis, 1, target=forms))
+
+
 def _assert_same_system(got, want):
     assert got.P == want.P
     assert (got.weight, got.order) == (want.weight, want.order)
@@ -100,52 +106,48 @@ def _assert_same_system(got, want):
     assert got.target.labels == want.target.labels
 
 
-@pytest.mark.parametrize("n,k,j", [(4, 1, 1), (4, 1, 2), (3, 1, 1)])
+@pytest.mark.parametrize("n,k,j", [(4, 1, 1), (4, 1, 2), (3, 1, 1), (3, 2, 1)])
 @pytest.mark.parametrize("t_values", [
     [0, Fraction(1, 20), Fraction(-1, 10), 1],
     [Fraction(1, 20), Fraction(-1, 20), Fraction(1, 3)],
 ], ids=["with-0", "without-0"])
 def test_interpolated_systems_equal_direct_probes(n, k, j, t_values):
-    a, b = t_values[:2]
-    anchors = _both_systems(n, k, a, j), _both_systems(n, k, b, j)
-    for t in t_values[2:]:
-        direct = _both_systems(n, k, t, j)
-        for i in (0, 1):  # tensor system, divergence system
-            got = interpolate_in_t(t, a, anchors[0][i], b, anchors[1][i])
-            _assert_same_system(got, direct[i])
-
-
-@functools.cache
-def _anchor_systems(j):
-    """(tensor, divergence) systems of (4, 1, j) at t = 0 and t = 1/7."""
-    return _both_systems(4, 1, 0, j), _both_systems(4, 1, Fraction(1, 7), j)
+    # the composed A + t B and div - t i_r equal direct probes at every t
+    for t in t_values:
+        for got, want in zip(_both_systems(n, k, t, j),
+                             _direct_systems(n, k, t, j), strict=True):
+            _assert_same_system(got, want)
 
 
 @settings(max_examples=5, deadline=None)
 @given(j=st.integers(0, 1),
        t=st.fractions(min_value=-1, max_value=1, max_denominator=12))
 def test_interpolation_is_exact_at_small_rational_t(j, t):
-    at_0, at_b = _anchor_systems(j)
-    direct = _both_systems(4, 1, t, j)
-    for i in (0, 1):
-        got = interpolate_in_t(t, 0, at_0[i], Fraction(1, 7), at_b[i])
-        _assert_same_system(got, direct[i])
+    for got, want in zip(_both_systems(4, 1, t, j),
+                         _direct_systems(4, 1, t, j), strict=True):
+        _assert_same_system(got, want)
 
 
-@pytest.mark.parametrize("change", ["weight", "order", "basis", "float t"])
-def test_interpolation_rejects_disagreeing_systems(change):
-    (op_a, _), (op_b, _) = _anchor_systems(1)
-    t = Fraction(1, 3)
-    if change == "weight":
-        op_b = dataclasses.replace(op_b, weight=op_b.weight + 1)
-    elif change == "order":
-        op_b = dataclasses.replace(op_b, order=op_b.order + 1)
-    elif change == "basis":
-        op_b = _anchor_systems(0)[1][0]
-    else:
-        t = 1 / 3
-    with pytest.raises(ProbeError):
-        interpolate_in_t(t, 0, op_a, Fraction(1, 7), op_b)
+def test_float_t_is_rejected():
+    # composition would carry a float t into P silently
+    basis = pt.tensor_mode_basis(4, 1)
+    for call in (lambda: tensor_mode_system(4, 1, 0.1, 1),
+                 lambda: divergence_mode_system(4, 0.1, 1, basis),
+                 lambda: degenerate_scan(4, 1, [0, 0.1], 1)):
+        with pytest.raises(ProbeError, match="int or Fraction"):
+            call()
+
+
+@pytest.mark.parametrize("n,j", [(4, 0), (4, 2), (5, 3)])
+def test_compose_shifts_by_inner_weight(n, j):
+    # P_{A o B}(z) = P_A(z - w_B) P_B(z) is a direct probe of Delta o Delta
+    basis = pt.basis_from_elements(n, [pt.sphere_harmonic(n, j)], ["phi"])
+    lap = probe_euler(pt.laplacian, basis, 2)
+    _assert_same_system(lap.compose(lap),
+                        probe_euler(lambda f: pt.laplacian(f, 2), basis, 4))
+    other = pt.basis_from_elements(n, [pt.sphere_harmonic(n, j)], ["phi"])
+    with pytest.raises(ProbeError, match="compose needs"):
+        lap.compose(probe_euler(pt.laplacian, other, 2))
 
 
 def test_mode_multiplicities():
@@ -321,7 +323,7 @@ def test_degenerate_scan_matches_per_t_direct_probes():
             "findings": [], "witnesses_t0": [], "spectra": {}}
     for t in tvals:  # every (t, j) cell probed directly, repeats included
         for j in range(j_max + 1):
-            op, div_op = _both_systems(n, k, t, j)
+            op, div_op = _direct_systems(n, k, t, j)
             spec = indicial_spectrum(op)
             want["spectra"][f"t={float(t)},j={j}"] = spec.summary()
             for root in spec.roots:

@@ -134,27 +134,12 @@ def test_gauged_lin_reduces_to_laplacian_power_at_t0():
         assert (got - want).is_zero()
 
 
-def test_closure_basis_discovery():
-    # modified-gauge closure from the scalar seed discovers the families
-    n, k = 4, 1
-    t = Fraction(1, 20)
-    for (j, expected) in [(0, 2), (1, 3), (2, 4)]:
-        seed = pt.tensor_mode_seed(n, j)
-        basis = pt.closure_basis(seed, lambda f: pt.gauged_lin(f, k, t),
-                                 probe_degrees=tuple(range(5)))
-        assert len(basis) == expected
-    # the gauge operator on a co-closed eigenform closes at dimension 1
-    basisI = pt.closure_basis(pt.coclosed_eigenform(4, 1),
-                              lambda f: pt.gauge_op(f))
-    assert len(basisI) == 1
-
-
 def test_closure_rejects_float_and_mixed_images():
     seed = pt.tensor_mode_seed(4, 1)
     with pytest.raises(pt.ClosureError, match="float coefficients"):
-        pt.closure_basis(seed, lambda f: pt.gauged_lin(f, 1, 0.5))
+        pt.angular_image(lambda f: pt.gauged_lin(f, 1, 0.5), seed, 0)
     with pytest.raises(pt.ClosureError, match="not homogeneous"):
-        pt.closure_basis(seed, lambda f: f + f.radial_scaled(1))
+        pt.angular_image(lambda f: f + f.radial_scaled(1), seed, 0)
 
 
 def test_tensor_mode_basis_families():
