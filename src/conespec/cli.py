@@ -388,6 +388,7 @@ def cmd_three_annulus(args):
             "beta": spec.beta, "beta_prime": frac * spec.beta,
             "trials": trials, "L0": rec["L0"],
             "turan_bound": rec["turan_bound"],
+            "low_confidence": spec.low_confidence,
             "scan": [{"L": L, "failures": f} for (L, f) in scan_rows]}
     _emit(args, data, rows=scan_rows, header=("L", "failures"))
     return 0 if rec["L0"] is not None else 1
@@ -420,7 +421,7 @@ def cmd_turan(args):
         return 0
     if args.estimate is not None:
         est = es.estimate_turan_constant(
-            args.estimate, 10,
+            args.estimate,
             args.trials if args.trials is not None else 10000, args.seed)
         _emit(args, {"d": args.estimate, "estimate": est,
                      "with_safety": est * turan_constants.SAFETY})

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import poly_eval, poly_mul
+from .linalg import poly_eval, poly_mul, poly_sum
 
 
 class ParameterError(ValueError):
@@ -179,12 +179,6 @@ def modified_typeII_matrix(n, t, nu):
     return [[two, off1], [off2, last]]
 
 
-def _poly_sub(p, q):
-    m = max(len(p), len(q))
-    return [(p[i] if i < len(p) else 0) - (q[i] if i < len(q) else 0)
-            for i in range(m)]
-
-
 def modified_typeII_roots(n, t, j):
     """Kernel exponents of the t-modified gauge operator, type II, degree j.
 
@@ -204,8 +198,8 @@ def modified_typeII_roots(n, t, j):
         spur = np.roots([1, (n - 4 - t), 2 * t])
         return {"roots": sorted(geo, key=lambda z: z.real),
                 "non_geometric": sorted(spur, key=lambda z: z.real)}
-    det = _poly_sub(poly_mul(mat[0][0], mat[1][1]),
-                    poly_mul(mat[0][1], mat[1][0]))
+    det = poly_sum([poly_mul(mat[0][0], mat[1][1]),
+                    [-c for c in poly_mul(mat[0][1], mat[1][0])]])
     coeffs = list(reversed([float(c) for c in det]))
     monic = np.array(coeffs, dtype=float) / coeffs[0]
     companion = np.diag(np.ones(len(monic) - 2), -1)

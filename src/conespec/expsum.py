@@ -26,7 +26,7 @@ class PreconditionError(ValueError):
 
 
 class NumericError(RuntimeError):
-    """Quadrature or root-finding failed to converge."""
+    """A randomized draw could not produce a usable instance."""
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ def eval_expsum(p, t):
     return acc
 
 
-# -- closed-form and quadrature L^2 integrals ------------------------------
+# -- closed-form L^2 integrals ----------------------------------------------
 
 
 def _poly_exp_integral(bpow, w, t0, t1):
@@ -156,17 +156,13 @@ def _poly_exp_integral(bpow, w, t0, t1):
     return anti(t1) - anti(t0)
 
 
-def l2_integral(p, t0, t1, method="closed"):
-    """Integral of |p(t)|^2 over [t0, t1]."""
-    if method == "quad":
-        from scipy import integrate
+def l2_integral(p, t0, t1):
+    """Integral of |p(t)|^2 over [t0, t1], in closed form.
 
-        val, err = integrate.quad(lambda t: abs(eval_expsum(p, t)) ** 2,
-                                  t0, t1, epsrel=1e-10, epsabs=1e-14,
-                                  limit=200)
-        if not math.isfinite(val) or (err > 1e-6 * (abs(val) + 1e-14)):
-            raise NumericError("quadrature did not converge")
-        return val
+    Expands |p|^2 into the pair terms t^(b+b') e^{(zeta + conj zeta') t}
+    and sums their exact integrals (_poly_exp_integral); negative roundoff
+    is clipped to 0.
+    """
     acc = 0j
     for a in p.terms:
         for b in p.terms:
@@ -210,11 +206,12 @@ def power_sum(z, c, ell):
     return sum(cj * zj ** ell for cj, zj in zip(c, z))
 
 
-def turan_discrete(z, c, m, *, constant=None, tol=1e-12):
+def turan_discrete(z, c, m):
     """Discrete power-sum bound: |S_0|^2 against the next d sums after m.
 
     Returns a record with lhs = |S_0|^2, rhs = max |S_{m+1..m+d}|^2,
-    constant_bound = A(d) ((m+d)/d)^{2(d-1)}, and the holds flag.
+    constant_bound = A(d) ((m+d)/d)^{2(d-1)}, and the holds flag.  |z_j| >= 1
+    is checked up to a roundoff margin of 1e-12.
     """
     z = [complex(v) for v in z]
     c = [complex(v) for v in c]
@@ -226,11 +223,11 @@ def turan_discrete(z, c, m, *, constant=None, tol=1e-12):
     if int(m) != m or m < 1:
         raise PreconditionError("m must be an integer >= 1")
     m = int(m)
-    if any(abs(v) < 1 - tol for v in z):
+    if any(abs(v) < 1 - 1e-12 for v in z):
         raise PreconditionError("all |z_j| must be >= 1")
     lhs = abs(power_sum(z, c, 0)) ** 2
     rhs = max(abs(power_sum(z, c, m + j)) ** 2 for j in range(1, d + 1))
-    a_d = turan_constants.discrete_constant(d) if constant is None else constant
+    a_d = turan_constants.discrete_constant(d)
     bound = a_d * ((m + d) / d) ** (2 * (d - 1))
     return {
         "lhs": lhs,
@@ -242,13 +239,13 @@ def turan_discrete(z, c, m, *, constant=None, tol=1e-12):
     }
 
 
-def turan_integral(p, a, b, *, big_r=None, method="quad"):
+def turan_integral(p, a, b):
     """Integral form of the power-sum bound plus its two interval variants.
 
     Requires all exponents with nonnegative real part and no powers.
     lhs = |p(0)|^2; bound = A(d) (b/(b-a))^{2(d-1)} (b+a)/(b-a)^2 * int_a^b |p|^2.
     The sup-norm and L^2-L^2 variants are evaluated on [0, R] against
-    [3R/2, 2R] with R = big_r (default b/2).
+    [3R/2, 2R] with R = b/2.
     """
     if not 0 < a < b:
         raise PreconditionError("need 0 < a < b")
@@ -259,16 +256,16 @@ def turan_integral(p, a, b, *, big_r=None, method="quad"):
     if any(t.exponent.real < 0 for t in p.terms):
         raise PreconditionError("all Re(exponent) must be >= 0")
     d = max(p.d, 1)
-    big_r = b / 2 if big_r is None else float(big_r)
-    integral = l2_integral(p, a, b, method=method)
+    big_r = b / 2
+    integral = l2_integral(p, a, b)
     lhs = abs(eval_expsum(p, 0.0)) ** 2
     a_d = turan_constants.integral_constant(d)
     bound = a_d * (b / (b - a)) ** (2 * (d - 1)) * (b + a) / (b - a) ** 2 * integral
-    tail = l2_integral(p, 1.5 * big_r, 2 * big_r, method=method)
+    tail = l2_integral(p, 1.5 * big_r, 2 * big_r)
     sup_sq = sup_norm_sq(p, 0.0, big_r)
     a_sup = turan_constants.sup_constant(d)
     sup_bound = a_sup / big_r * tail
-    head = l2_integral(p, 0.0, big_r, method=method)
+    head = l2_integral(p, 0.0, big_r)
     a_l2 = turan_constants.l2l2_constant(d)
     l2_bound = a_l2 * tail
     return {
@@ -285,7 +282,7 @@ def turan_integral(p, a, b, *, big_r=None, method="quad"):
     }
 
 
-def three_interval(p, big_r, ell, mode, *, method="closed"):
+def three_interval(p, big_r, ell, mode):
     """Growth/decay comparison of |p|^2 over three consecutive intervals.
 
     growth: e^{lambda R} int_{(l-1)R}^{lR} <= A(M+d) int_{lR}^{(l+1)R};
@@ -316,8 +313,8 @@ def three_interval(p, big_r, ell, mode, *, method="closed"):
         raise PreconditionError("mode must be 'growth' or 'decay'")
     index = p.big_m + p.d
     a_c = turan_constants.three_interval_constant(index)
-    lo = l2_integral(p, (ell - 1) * big_r, ell * big_r, method=method)
-    hi = l2_integral(p, ell * big_r, (ell + 1) * big_r, method=method)
+    lo = l2_integral(p, (ell - 1) * big_r, ell * big_r)
+    hi = l2_integral(p, ell * big_r, (ell + 1) * big_r)
     if mode == "growth":
         lhs = math.exp(lam * big_r) * lo
         rhs = a_c * hi
@@ -337,18 +334,24 @@ def three_interval(p, big_r, ell, mode, *, method="closed"):
 # -- randomized draws and the constant estimator ---------------------------
 
 
-def draw_discrete_instance(rng, dmax=4, mmax=10, unit_mass=0.25):
-    """Random (z, c, m) with |z_j| in [1, 3], some mass exactly on |z| = 1."""
-    d = int(rng.integers(1, dmax + 1))
-    m = int(rng.integers(1, mmax + 1))
-    mod = np.where(rng.random(d) < unit_mass, 1.0, 1.0 + 2.0 * rng.random(d))
-    arg = 2 * math.pi * rng.random(d)
-    z = mod * np.exp(1j * arg)
+def _draw_power_sum(rng, d):
+    """Random (m, |z|, z, c) of d terms: m in 1..10, and each |z_j| is 1
+    with probability 1/4, else uniform in [1, 3]."""
+    m = int(rng.integers(1, 11))
+    mod = np.where(rng.random(d) < 0.25, 1.0, 1.0 + 2.0 * rng.random(d))
+    z = mod * np.exp(2j * math.pi * rng.random(d))
     c = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return m, mod, z, c
+
+
+def draw_discrete_instance(rng, dmax=4):
+    """Random (z, c, m) with d in 1..dmax terms (see _draw_power_sum)."""
+    d = int(rng.integers(1, dmax + 1))
+    m, _, z, c = _draw_power_sum(rng, d)
     return list(z), list(c), m
 
 
-def estimate_turan_constant(d, m_max, trials, seed):
+def estimate_turan_constant(d, trials, seed):
     """Worst observed normalized discrete ratio over random draws.
 
     ratio = lhs / (((m+d)/d)^{2(d-1)} * rhs); instances with vanishing rhs
@@ -360,10 +363,7 @@ def estimate_turan_constant(d, m_max, trials, seed):
     worst = 0.0
     skipped = 0
     for _ in range(trials):
-        m = int(rng.integers(1, m_max + 1))
-        mod = np.where(rng.random(d) < 0.25, 1.0, 1.0 + 2.0 * rng.random(d))
-        z = mod * np.exp(2j * math.pi * rng.random(d))
-        c = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        m, mod, z, c = _draw_power_sum(rng, d)
         if d == 1:
             # single term: the coefficient cancels exactly
             worst = max(worst, float(mod[0]) ** (-2 * (m + 1)))
@@ -380,22 +380,21 @@ def estimate_turan_constant(d, m_max, trials, seed):
     return worst
 
 
-def draw_expsum(rng, d, re_range=(0.0, 2.0), im_range=(-3.0, 3.0), powers=None,
-                min_sep=0.5):
+def draw_expsum(rng, d, re_range=(0.0, 2.0), powers=None):
     """Random ExpSum with d distinct exponents and optional power budget.
 
-    Exponents are kept at least min_sep apart (default 0.5, the regime of
-    integer-spaced indicial roots these sums come from): a nearly
-    coincident pair is the multiplicity case in disguise and is drawn via
-    explicit powers instead, keeping observed inequality ratios at their
-    stated index.
+    Imaginary parts are uniform in [-3, 3].  Exponents are kept at least
+    0.5 apart (the regime of integer-spaced indicial roots these sums come
+    from): a nearly coincident pair is the multiplicity case in disguise
+    and is drawn via explicit powers instead, keeping observed inequality
+    ratios at their stated index.
     """
     terms = []
     seen = []
     for _ in range(d):
         for _attempt in range(10000):
-            zeta = complex(rng.uniform(*re_range), rng.uniform(*im_range))
-            if all(abs(zeta - w) >= min_sep for w in seen):
+            zeta = complex(rng.uniform(*re_range), rng.uniform(-3.0, 3.0))
+            if all(abs(zeta - w) >= 0.5 for w in seen):
                 seen.append(zeta)
                 break
         else:
@@ -404,4 +403,19 @@ def draw_expsum(rng, d, re_range=(0.0, 2.0), im_range=(-3.0, 3.0), powers=None,
         for b in range(pmax + 1):
             terms.append(ExpTerm(complex(rng.standard_normal(),
                                          rng.standard_normal()), zeta, b))
+    return ExpSum(terms)
+
+
+def draw_budget_expsum(rng, d, budget):
+    """Random growth-type ExpSum with d exponents (real parts in [0.05, 2])
+    and ``budget`` extra log powers, each raising the top power of a
+    uniformly chosen exponent by one; its index M + d is d + budget."""
+    p = draw_expsum(rng, d, re_range=(0.05, 2.0))
+    terms = list(p.terms)
+    exps = p.distinct_exponents
+    for _ in range(budget):
+        zeta = exps[int(rng.integers(0, len(exps)))]
+        pw = max(t.power for t in terms if t.exponent == zeta) + 1
+        terms.append(ExpTerm(complex(rng.standard_normal(),
+                                     rng.standard_normal()), zeta, pw))
     return ExpSum(terms)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 
 ZERO = Fraction(0)
 
@@ -200,6 +201,11 @@ def poly_trim(p):
     while len(p) > 1 and p[-1] == 0:
         p.pop()
     return p
+
+
+def poly_sum(polys):
+    """Sum of coefficient lists (low order first), trimmed."""
+    return poly_trim([sum(cs) for cs in zip_longest(*polys, fillvalue=0)])
 
 
 def poly_divmod(p, q):

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import zip_longest
 
 import numpy as np
 
@@ -25,7 +24,8 @@ from . import polytensor as pt
 from .closed_form import ParameterError
 from .expsum import ExpSum, ExpTerm, _poly_exp_integral, three_interval
 from .linalg import (det_dense, lagrange_coefficients, poly_derivative,
-                     poly_eval, poly_mul, poly_shift, poly_trim)
+                     poly_eval, poly_mul, poly_shift, poly_sum,
+                     poly_squarefree_factors)
 from .polytensor import AngularBasis, ClosureError
 
 
@@ -91,7 +91,7 @@ class EulerOperator:
             raise ProbeError("compose needs the outer system's basis to be "
                              "the inner system's target")
         outer = [[poly_shift(p, -inner.weight) for p in row] for row in self.P]
-        P = [[_poly_sum(poly_mul(a, inner.P[i][c]) for i, a in enumerate(row))
+        P = [[poly_sum(poly_mul(a, inner.P[i][c]) for i, a in enumerate(row))
               for c in range(len(inner.basis))]
              for row in outer]
         return EulerOperator(inner.basis, self.target,
@@ -108,15 +108,11 @@ class EulerOperator:
                     or op.weight != first.weight:
                 raise ProbeError("combined systems differ in basis, target "
                                  "or weight")
-        P = [[_poly_sum([c * x for x in op.P[r][col]] for c, op in terms)
+        P = [[poly_sum([c * x for x in op.P[r][col]] for c, op in terms)
               for col in range(len(first.basis))]
              for r in range(len(first.target))]
         return EulerOperator(first.basis, first.target, first.weight,
                              max(op.order for _, op in terms), P)
-
-
-def _poly_sum(polys):
-    return poly_trim([sum(cs) for cs in zip_longest(*polys, fillvalue=0)])
 
 
 def probe_euler(apply_fn, basis, order, *, target=None, probe_degrees=None,
@@ -192,7 +188,6 @@ def probe_euler(apply_fn, basis, order, *, target=None, probe_degrees=None,
 class RootData:
     value: complex
     multiplicity: int
-    kernel: np.ndarray  # geometric kernel vectors, columns
     chain_basis: np.ndarray  # solution-chain basis, shape (mult*m_ang, dim)
 
     @property
@@ -232,6 +227,7 @@ class IndicialSpectrum:
             "total_multiplicity": self.total_multiplicity,
             "m_ang": self.operator.m_ang,
             "order": self.operator.order,
+            "low_confidence": self.low_confidence,
         }
 
 
@@ -280,55 +276,40 @@ def _chain_matrix(op, zeta, mult):
     return big
 
 
-def _chain_space(op, zeta, mult, rtol=1e-9):
+def _chain_space(op, zeta, mult):
     """Basis of log-power solution chains at a root."""
-    return _nullspace_float(_chain_matrix(op, zeta, mult), rtol=rtol,
+    return _nullspace_float(_chain_matrix(op, zeta, mult), rtol=1e-9,
                             scale=_operator_scale(op))
 
 
-def indicial_spectrum(op, cluster_radius=1e-7):
-    """Roots with multiplicities and kernel data of a square mode system.
+# Two float roots closer than this make a spectrum low-confidence.
+LOW_CONFIDENCE_GAP = 1e-6
 
-    Multiplicities come from the exact square-free factorization of the
-    exact determinant; the float roots of each (well-conditioned) distinct-
-    root factor are then deduplicated at the cluster radius, flagging any
-    ambiguous near-coincidence.
+
+def indicial_spectrum(op):
+    """Roots with multiplicities and solution chains of a square mode system.
+
+    The exact determinant is split by Yun's square-free factorization into
+    factors that are square-free and pairwise coprime, so each exact root
+    is a simple root of exactly one factor, whose exponent in the
+    factorization is its multiplicity.  np.roots of each factor therefore
+    lists every root once, and no roots are merged.  The spectrum is
+    flagged low_confidence when two float roots lie within
+    LOW_CONFIDENCE_GAP of each other.
     """
-    from .linalg import poly_squarefree_factors
-
     det = op.det_poly()
     if all(c == 0 for c in det):
         raise ProbeError("identically singular system")
-    root_list = []
-    for factor, mult in poly_squarefree_factors(det):
-        coeffs = [complex(c) for c in reversed(factor)]
-        for z in np.roots(coeffs):
-            root_list.append((complex(z), mult))
-    # merge identical roots found in different factors (adds multiplicities)
-    merged = []
-    low_confidence = False
-    for z, mult in sorted(root_list, key=lambda t: (t[0].real, t[0].imag)):
-        for rec in merged:
-            if abs(rec[0] - z) <= cluster_radius:
-                rec[1] += mult
-                break
-        else:
-            merged.append([z, mult])
-    for a in range(len(merged)):
-        for b in range(a + 1, len(merged)):
-            gap = abs(merged[a][0] - merged[b][0])
-            if cluster_radius < gap <= 10 * cluster_radius:
-                low_confidence = True
     out = []
-    scale = _operator_scale(op)
-    for z, mult in merged:
-        center = complex(z)
-        if abs(center.imag) < 1e-10:
-            center = complex(center.real, 0.0)
-        kernel = _nullspace_float(op.eval_float(center), scale=scale)
-        chains = _chain_space(op, center, mult)
-        out.append(RootData(center, mult, kernel, chains))
+    for factor, mult in poly_squarefree_factors(det):
+        for z in np.roots([complex(c) for c in reversed(factor)]):
+            center = complex(z)
+            if abs(center.imag) < 1e-10:
+                center = complex(center.real, 0.0)
+            out.append(RootData(center, mult, _chain_space(op, center, mult)))
     out.sort(key=lambda r: (r.value.real, r.value.imag))
+    low_confidence = any(abs(a.value - b.value) <= LOW_CONFIDENCE_GAP
+                         for i, a in enumerate(out) for b in out[i + 1:])
     return IndicialSpectrum(op, out, low_confidence)
 
 
@@ -390,8 +371,9 @@ class ModeSolution:
         return np.array([self.family_profile(c)(t)
                          for c in range(self.spectrum.operator.m_ang)])
 
-    def is_trivial(self, tol=1e-14):
-        return all(np.max(np.abs(tab)) < tol for tab in self.tables.values())
+    def is_trivial(self):
+        """Every coefficient is below 1e-14 in modulus."""
+        return all(np.max(np.abs(tab)) < 1e-14 for tab in self.tables.values())
 
 
 def solution_split(sol):
@@ -462,19 +444,22 @@ def triple_bar_norm(sol, a, b, lambdas=None):
 # -- three annulus verification ----------------------------------------------
 
 
-def three_annulus_verify(spectrum, beta_prime, L, a=1.0, trials=200, seed=0,
-                         *, lambdas=None, allow_zero_roots=False,
+def three_annulus_verify(spectrum, beta_prime, L, trials=200, seed=0, *,
                          turan_check=False, slack=1e-9):
     """Check the annulus growth/decay implications on random kernel draws.
 
-    For each draw: evaluates the weighted norms on the three annuli
-    (a, La), (La, L^2 a), (L^2 a, L^3 a); tests the growth and decay
+    For each draw of a kernel element from the growth and decay roots:
+    evaluates the unweighted annulus norms (every family weight 1) on
+    (1, L), (L, L^2) and (L^2, L^3); tests the growth and decay
     implications, their dichotomy, and the pure growth/decay part
-    inequalities.  Returns failure counts (failures at small L are data,
-    not errors).
+    inequalities, each up to the relative ``slack``.  With
+    ``turan_check`` every family profile of the pure parts is also run
+    through expsum.three_interval.  The spectrum must have no
+    zero-real-part roots.  Returns failure counts (failures at small L are
+    data, not errors).
     """
     part = spectrum.partition()
-    if part["zero"] and not allow_zero_roots:
+    if part["zero"]:
         raise ParameterError(
             "spectrum has zero-real-part roots; the annulus dichotomy "
             "requires the degenerate part to vanish")
@@ -486,12 +471,15 @@ def three_annulus_verify(spectrum, beta_prime, L, a=1.0, trials=200, seed=0,
     if trials < 1:
         raise ParameterError("need trials >= 1")
     rng = np.random.default_rng(seed)
-    gram = RadialGram(spectrum, lambdas)
-    t0 = math.log(a)
+    gram = RadialGram(spectrum)
     R = math.log(L)
-    g1 = gram.gram(t0, t0 + R)
-    g2 = gram.gram(t0 + R, t0 + 2 * R)
-    g3 = gram.gram(t0 + 2 * R, t0 + 3 * R)
+    grams = [gram.gram(i * R, (i + 1) * R) for i in range(3)]
+
+    def norms(sol, count):
+        """Norms of sol on the first ``count`` annuli, log r in [iR, (i+1)R]."""
+        return [math.sqrt(gram.norm_sq(sol, i * R, (i + 1) * R, grams[i]))
+                for i in range(count)]
+
     Lb = L ** beta_prime
     fails = {"growth_implication": 0, "decay_implication": 0,
              "dichotomy": 0, "both_implications": 0,
@@ -501,9 +489,7 @@ def three_annulus_verify(spectrum, beta_prime, L, a=1.0, trials=200, seed=0,
         sol = ModeSolution.random(spectrum, rng, include=("plus", "minus"))
         if sol.is_trivial():
             continue
-        n1 = math.sqrt(gram.norm_sq(sol, t0, t0 + R, g1))
-        n2 = math.sqrt(gram.norm_sq(sol, t0 + R, t0 + 2 * R, g2))
-        n3 = math.sqrt(gram.norm_sq(sol, t0 + 2 * R, t0 + 3 * R, g3))
+        n1, n2, n3 = norms(sol, 3)
         gfail = dfail = False
         if n2 >= Lb * n1 and not n3 >= Lb * n2 * (1 - slack):
             gfail = True
@@ -518,13 +504,11 @@ def three_annulus_verify(spectrum, beta_prime, L, a=1.0, trials=200, seed=0,
         hp = sol.restricted({"plus"})
         hm = sol.restricted({"minus"})
         if not hp.is_trivial():
-            p1 = math.sqrt(gram.norm_sq(hp, t0, t0 + R, g1))
-            p2 = math.sqrt(gram.norm_sq(hp, t0 + R, t0 + 2 * R, g2))
+            p1, p2 = norms(hp, 2)
             if not p2 >= Lb * p1 * (1 - slack):
                 fails["pure_growth"] += 1
         if not hm.is_trivial():
-            m1 = math.sqrt(gram.norm_sq(hm, t0, t0 + R, g1))
-            m2 = math.sqrt(gram.norm_sq(hm, t0 + R, t0 + 2 * R, g2))
+            m1, m2 = norms(hm, 2)
             if not m2 <= m1 / Lb * (1 + slack):
                 fails["pure_decay"] += 1
         if turan_check:
@@ -541,14 +525,19 @@ def three_annulus_verify(spectrum, beta_prime, L, a=1.0, trials=200, seed=0,
             "passed": all(v == 0 for v in fails.values())}
 
 
-def empirical_l0(spectrum, beta_prime, trials=200, seed=0,
-                 candidates=(1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0,
-                             24.0, 32.0), **kw):
-    """Smallest candidate L at which every draw passes all annulus checks."""
+# The L values empirical_l0 tries, in increasing order.
+L0_CANDIDATES = (1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0)
+
+
+def empirical_l0(spectrum, beta_prime, trials=200, seed=0, *,
+                 turan_check=False, slack=1e-9):
+    """Smallest of L0_CANDIDATES at which every draw passes all annulus
+    checks of three_annulus_verify (same seed at every L)."""
     results = []
-    for L in candidates:
-        rec = three_annulus_verify(spectrum, beta_prime, L,
-                                   trials=trials, seed=seed, **kw)
+    for L in L0_CANDIDATES:
+        rec = three_annulus_verify(spectrum, beta_prime, L, trials=trials,
+                                   seed=seed, turan_check=turan_check,
+                                   slack=slack)
         results.append(rec)
         if rec["passed"]:
             return {"L0": L, "scan": results,

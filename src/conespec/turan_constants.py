@@ -110,24 +110,13 @@ def _estimate_three_interval(index, trials, seed):
     """
     import numpy as np
 
-    from .expsum import ExpSum, ExpTerm, draw_expsum, l2_integral
+    from .expsum import ExpSum, ExpTerm, draw_budget_expsum, l2_integral
 
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
         d = int(rng.integers(1, index + 1))
-        budget = index - d
-        p = draw_expsum(rng, d, re_range=(0.05, 2.0), powers=None)
-        if budget > 0:
-            # distribute extra powers over the drawn exponents
-            terms = list(p.terms)
-            exps = p.distinct_exponents
-            for _ in range(budget):
-                zeta = exps[int(rng.integers(0, len(exps)))]
-                pw = max(t.power for t in terms if t.exponent == zeta) + 1
-                terms.append(ExpTerm(complex(rng.standard_normal(),
-                                             rng.standard_normal()), zeta, pw))
-            p = ExpSum(terms)
+        p = draw_budget_expsum(rng, d, index - d)
         lam = min(t.exponent.real for t in p.terms)
         if lam <= 0:
             continue
@@ -156,23 +145,23 @@ def _envelope(table):
     return out
 
 
-def regenerate(seed=20240801, discrete_trials=200000, integral_trials=20000,
-               dmax_discrete=12, dmax_integral=3, index_max=12):
-    """Recompute all tables; returns the new dict of dicts (not installed)."""
+def regenerate(seed=20240801, discrete_trials=200000, integral_trials=20000):
+    """Recompute all tables over the keys of the frozen ones; returns the
+    new dict of dicts (not installed)."""
     from .expsum import estimate_turan_constant
 
     discrete = {}
-    for d in range(1, dmax_discrete + 1):
-        est = estimate_turan_constant(d, 10, discrete_trials, seed + d)
+    for d in DISCRETE_A:
+        est = estimate_turan_constant(d, discrete_trials, seed + d)
         discrete[d] = float(est) * SAFETY
     integral, sup, l2 = {}, {}, {}
-    for d in range(1, dmax_integral + 1):
+    for d in INTEGRAL_A:
         wi, ws, wl = _estimate_integral_forms(d, integral_trials, seed + 100 + d)
         integral[d] = float(wi) * SAFETY
         sup[d] = float(ws) * SAFETY
         l2[d] = float(wl) * SAFETY
     three = {}
-    for idx in range(1, index_max + 1):
+    for idx in THREE_INTERVAL_A:
         w = _estimate_three_interval(idx, integral_trials, seed + 200 + idx)
         three[idx] = float(w) * SAFETY
     return {

@@ -318,6 +318,23 @@ def test_turan_single_checks(tmp_path):
     assert read_json(out)["data"]["holds"] is True
 
 
+def test_low_confidence_reaches_three_annulus(tmp_path, monkeypatch):
+    from conespec import mode_ode as mo
+
+    real = mo.indicial_spectrum
+
+    def flagged(op):
+        spec = real(op)
+        spec.low_confidence = True
+        return spec
+
+    monkeypatch.setattr(mo, "indicial_spectrum", flagged)
+    out = tmp_path / "a.json"
+    assert main(["three-annulus", "--n", "4", "--k", "1", "--j", "1",
+                 "--trials", "10", "--out", str(out)]) == 0
+    assert read_json(out)["data"]["low_confidence"] is True
+
+
 def test_degenerate_scan_cli(tmp_path):
     out = tmp_path / "d.json"
     rc = main(["degenerate-scan", "--n", "4", "--k", "1",

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conespec import mode_ode
 from conespec import polytensor as pt
 from conespec.closed_form import (ParameterError, scalar_indicial_polynomial,
                                   scalar_indicial_roots)
 from conespec.linalg import poly_shift
 from conespec.mode_ode import (EulerOperator, ModeSolution, ProbeError,
+                               _nullspace_float, _operator_scale,
                                degenerate_scan, divergence_mode_system,
                                indicial_spectrum, probe_euler,
                                scalar_mode_system, solution_split,
@@ -184,7 +186,7 @@ def test_solution_split_examples():
     from conespec.mode_ode import IndicialSpectrum, RootData
 
     base = synthetic_operator([(2, 1)])
-    root = RootData(1j, 1, np.eye(1, dtype=complex), np.eye(1, dtype=complex))
+    root = RootData(1j, 1, np.eye(1, dtype=complex))
     spec = IndicialSpectrum(base, [root])
     sol = ModeSolution.from_chain_weights(spec, {0: np.ones(1)})
     assert solution_split(sol)["degenerate"]
@@ -248,7 +250,10 @@ def test_norms_cross_module_consistency():
     root_idx = next(i for i, r in enumerate(spec.roots)
                     if abs(r.value - 3) < 1e-9)
     root = spec.roots[root_idx]
-    vec = root.kernel[:, 0]
+    # P(3) vanishes up to roundoff here, so the cutoff needs the system's
+    # own coefficient scale
+    vec = _nullspace_float(op.eval_float(root.value),
+                           scale=_operator_scale(op))[:, 0]
     vec = (vec / vec[np.argmax(np.abs(vec))]).real  # real pure-power solution
     table = np.zeros((root.multiplicity, len(basis)), dtype=complex)
     table[0] = vec
@@ -296,6 +301,29 @@ def test_low_confidence_flag_on_near_coincident_roots():
     spec = indicial_spectrum(op)
     assert spec.low_confidence
     assert spec.total_multiplicity == 2
+
+
+def test_near_coincident_roots_of_distinct_factors_stay_apart():
+    # z^2 (z - 1e-8): Yun's factors z (multiplicity 2) and z - 1e-8 are
+    # coprime, so their roots stay two roots and only the flag is raised
+    op = synthetic_operator([(0, 2), (Fraction(1, 10 ** 8), 1)])
+    spec = indicial_spectrum(op)
+    assert [(r.value, r.multiplicity) for r in spec.roots] == [(0, 2),
+                                                               (1e-8, 1)]
+    assert spec.low_confidence
+
+
+def test_low_confidence_reaches_degenerate_scan(monkeypatch):
+    real = mode_ode.indicial_spectrum
+
+    def flagged(op):
+        spec = real(op)
+        spec.low_confidence = True
+        return spec
+
+    monkeypatch.setattr(mode_ode, "indicial_spectrum", flagged)
+    rep = degenerate_scan(4, 1, [Fraction(1, 20)], 0, jobs=1)
+    assert [s["low_confidence"] for s in rep["spectra"].values()] == [True]
 
 
 def test_degenerate_scan_other_dimension():
