@@ -67,12 +67,17 @@ class ExpSum:
         return len(self.distinct_exponents)
 
     @property
-    def big_m(self):
-        """Sum over distinct exponents of the maximal power appearing."""
+    def top_powers(self):
+        """Each distinct exponent mapped to the highest power it carries."""
         best = {}
         for t in self.terms:
             best[t.exponent] = max(best.get(t.exponent, 0), t.power)
-        return sum(best.values())
+        return best
+
+    @property
+    def big_m(self):
+        """Sum over distinct exponents of the maximal power appearing."""
+        return sum(self.top_powers.values())
 
     @property
     def max_power(self):
@@ -87,6 +92,12 @@ class ExpSum:
                 out.append(ExpTerm(t.coeff * scale * math.comb(t.power, i)
                                    * c ** (t.power - i), t.exponent, i))
         return ExpSum(out)
+
+    def mirrored(self):
+        """The decay-form reflection sum c t^b e^{-conj(zeta) t}: every real
+        part changes sign and the coefficients and powers are kept."""
+        return ExpSum([ExpTerm(t.coeff, -t.exponent.conjugate(), t.power)
+                       for t in self.terms])
 
     def __call__(self, t):
         return eval_expsum(self, t)
@@ -172,10 +183,29 @@ def l2_integral(p, t0, t1):
     return max(acc.real, 0.0)
 
 
+def _abs_sq_grid(p, ts):
+    """|p|^2 at every point of the array ts in one pass; overflow raises
+    RangeError as in eval_expsum."""
+    acc = np.zeros(len(ts), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for term in p.terms:
+            val = term.coeff * np.exp(term.exponent * ts)
+            if term.power:
+                val *= ts ** term.power
+            acc += val
+    if not np.isfinite(acc).all():
+        raise RangeError(f"evaluation overflowed on [{ts[0]}, {ts[-1]}]")
+    return np.abs(acc) ** 2
+
+
 def sup_norm_sq(p, t0, t1, samples=2048):
-    """sup of |p|^2 on [t0, t1]: dense sampling plus golden-section refine."""
+    """sup of |p|^2 on [t0, t1]: dense sampling plus golden-section refine.
+
+    The grid is evaluated in one numpy pass; the best sample and the
+    refine use eval_expsum, so a maximum at an endpoint keeps its scalar
+    value."""
     ts = np.linspace(t0, t1, samples)
-    vals = [abs(eval_expsum(p, t)) ** 2 for t in ts]
+    vals = _abs_sq_grid(p, ts)
     i = int(np.argmax(vals))
     lo = ts[max(i - 1, 0)]
     hi = ts[min(i + 1, samples - 1)]
@@ -195,7 +225,7 @@ def sup_norm_sq(p, t0, t1, samples=2048):
         c = b - gr * (b - a)
         dd = a + gr * (b - a)
     best = -(f((a + b) / 2))
-    return max(best, max(vals))
+    return max(best, -f(ts[i]))
 
 
 # -- power sums and the discrete bound -------------------------------------
@@ -282,21 +312,17 @@ def turan_integral(p, a, b):
     }
 
 
-def three_interval(p, big_r, ell, mode):
-    """Growth/decay comparison of |p|^2 over three consecutive intervals.
+def three_interval_bound(tops, lo, hi, big_r, mode):
+    """The three-interval inequality from its interval integrals.
 
-    growth: e^{lambda R} int_{(l-1)R}^{lR} <= A(M+d) int_{lR}^{(l+1)R};
-    decay is the mirror image.  lambda is the minimal |Re exponent| and must
-    be positive with all real parts of one sign.
+    tops maps each distinct exponent of the sum to its highest power, so
+    the index is M + d = sum(tops.values()) + len(tops); lo and hi are the
+    integrals of |p|^2 over the lower and the upper interval, floats or
+    equal-shape arrays (one entry per sum with these exponents and
+    powers).  growth: e^{lambda R} lo <= A(M+d) hi; decay: hi <= A(M+d)
+    e^{-lambda R} lo, with lambda the minimal |Re exponent|.
     """
-    if big_r <= 0:
-        raise PreconditionError("R must be positive")
-    if int(ell) != ell or ell < 1:
-        raise PreconditionError("l must be an integer >= 1")
-    ell = int(ell)
-    if not p.terms:
-        raise PreconditionError("empty sum")
-    res = [t.exponent.real for t in p.terms]
+    res = [z.real for z in tops]
     if mode == "growth":
         lam = min(res)
         if lam <= 0:
@@ -311,10 +337,8 @@ def three_interval(p, big_r, ell, mode):
                 "mixed-sign sums must be split into pure parts first")
     else:
         raise PreconditionError("mode must be 'growth' or 'decay'")
-    index = p.big_m + p.d
+    index = sum(tops.values()) + len(tops)
     a_c = turan_constants.three_interval_constant(index)
-    lo = l2_integral(p, (ell - 1) * big_r, ell * big_r)
-    hi = l2_integral(p, ell * big_r, (ell + 1) * big_r)
     if mode == "growth":
         lhs = math.exp(lam * big_r) * lo
         rhs = a_c * hi
@@ -327,8 +351,30 @@ def three_interval(p, big_r, ell, mode):
         "lambda": lam,
         "constant": a_c,
         "holds": lhs <= rhs * (1 + 1e-12),
-        "params": {"R": big_r, "l": ell, "mode": mode, "index": index},
+        "index": index,
     }
+
+
+def three_interval(p, big_r, ell, mode):
+    """Growth/decay comparison of |p|^2 over three consecutive intervals.
+
+    growth: e^{lambda R} int_{(l-1)R}^{lR} <= A(M+d) int_{lR}^{(l+1)R};
+    decay is the mirror image.  lambda is the minimal |Re exponent| and must
+    be positive with all real parts of one sign (three_interval_bound).
+    """
+    if big_r <= 0:
+        raise PreconditionError("R must be positive")
+    if int(ell) != ell or ell < 1:
+        raise PreconditionError("l must be an integer >= 1")
+    ell = int(ell)
+    if not p.terms:
+        raise PreconditionError("empty sum")
+    lo = l2_integral(p, (ell - 1) * big_r, ell * big_r)
+    hi = l2_integral(p, ell * big_r, (ell + 1) * big_r)
+    rec = three_interval_bound(p.top_powers, lo, hi, big_r, mode)
+    rec["params"] = {"R": big_r, "l": ell, "mode": mode,
+                     "index": rec.pop("index")}
+    return rec
 
 
 # -- randomized draws and the constant estimator ---------------------------

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import polytensor as pt
 from .closed_form import ParameterError
-from .expsum import ExpSum, ExpTerm, _poly_exp_integral, three_interval
+from .expsum import (ExpSum, ExpTerm, _poly_exp_integral,
+                     three_interval_bound)
 from .linalg import (det_dense, lagrange_coefficients, poly_derivative,
                      poly_eval, poly_mul, poly_shift, poly_sum,
                      poly_squarefree_factors)
@@ -316,6 +317,10 @@ def indicial_spectrum(op):
 # -- mode solutions ---------------------------------------------------------
 
 
+# A mode solution whose coefficients are all below this is trivial.
+ZERO_COEFF = 1e-14
+
+
 @dataclass
 class ModeSolution:
     """Kernel element of one mode system: coefficients d_{a, b, c}.
@@ -372,8 +377,9 @@ class ModeSolution:
                          for c in range(self.spectrum.operator.m_ang)])
 
     def is_trivial(self):
-        """Every coefficient is below 1e-14 in modulus."""
-        return all(np.max(np.abs(tab)) < 1e-14 for tab in self.tables.values())
+        """Every coefficient is below ZERO_COEFF in modulus."""
+        return all(np.max(np.abs(tab)) < ZERO_COEFF
+                   for tab in self.tables.values())
 
 
 def solution_split(sol):
@@ -424,6 +430,13 @@ class RadialGram:
                 v[i] = tab[b, c]
         return v
 
+    def family_forms(self, coeffs, g):
+        """Squared unweighted norms of every family profile of a stack of
+        (..., K, m_ang) coefficient tensors on the interval of the Gram
+        matrix g: the real parts of v^T g conj(v), shape (..., m_ang)."""
+        return np.einsum("...kc,kl,...lc->...c", coeffs, g,
+                         coeffs.conj()).real
+
     def norm_sq(self, sol, t0, t1, gram=None):
         g = self.gram(t0, t1) if gram is None else gram
         total = 0.0
@@ -444,85 +457,148 @@ def triple_bar_norm(sol, a, b, lambdas=None):
 # -- three annulus verification ----------------------------------------------
 
 
-def three_annulus_verify(spectrum, beta_prime, L, trials=200, seed=0, *,
-                         turan_check=False, slack=1e-9):
-    """Check the annulus growth/decay implications on random kernel draws.
+def draw_kernel_coefficients(spectrum, trials, rng):
+    """Coefficients of ``trials`` random kernel elements on the growth and
+    decay roots, shape (trials, K, m_ang) with rows in RadialGram.index
+    order (rows of zero-real-part roots stay 0).
 
-    For each draw of a kernel element from the growth and decay roots:
-    evaluates the unweighted annulus norms (every family weight 1) on
-    (1, L), (L, L^2) and (L^2, L^3); tests the growth and decay
-    implications, their dichotomy, and the pure growth/decay part
-    inequalities, each up to the relative ``slack``.  With
-    ``turan_check`` every family profile of the pure parts is also run
-    through expsum.three_interval.  The spectrum must have no
-    zero-real-part roots.  Returns failure counts (failures at small L are
-    data, not errors).
+    Draw i equals the tables of the i-th of ``trials`` successive
+    ModeSolution.random(spectrum, rng, include=("plus", "minus")) calls:
+    one standard_normal((trials, 2 * sum dim)) reads the generator stream
+    in the same order (root by root, dim real parts then dim imaginary
+    parts), and the stacked products with each chain basis are the same
+    matrix-vector products.
     """
-    part = spectrum.partition()
-    if part["zero"]:
+    roots = [(a, root) for a, root in enumerate(spectrum.roots)
+             if root.classification != "zero" and root.chain_basis.shape[1]]
+    dims = [root.chain_basis.shape[1] for _, root in roots]
+    raw = rng.standard_normal((trials, 2 * sum(dims)))
+    m_ang = spectrum.operator.m_ang
+    starts = np.cumsum([0] + [r.multiplicity for r in spectrum.roots])
+    out = np.zeros((trials, starts[-1], m_ang), dtype=complex)
+    col = 0
+    for (a, root), dim in zip(roots, dims):
+        w = raw[:, col:col + dim] + 1j * raw[:, col + dim:col + 2 * dim]
+        col += 2 * dim
+        vec = np.matmul(root.chain_basis, w[:, :, None])[:, :, 0]
+        out[:, starts[a]:starts[a + 1]] = vec.reshape(
+            trials, root.multiplicity, m_ang)
+    return out
+
+
+def _trivial(coeffs):
+    """Per draw: every coefficient is below ZERO_COEFF (is_trivial)."""
+    return (np.abs(coeffs) < ZERO_COEFF).all(axis=(1, 2))
+
+
+def _annulus_draws(spectrum, beta_prime, Ls, trials, seed):
+    """Validate the annulus inputs and draw the nontrivial kernel elements
+    that every L of one call shares."""
+    if spectrum.partition()["zero"]:
         raise ParameterError(
             "spectrum has zero-real-part roots; the annulus dichotomy "
             "requires the degenerate part to vanish")
     beta = spectrum.beta
     if beta is None or not 0 < beta_prime < beta / 2:
         raise ParameterError("need 0 < beta_prime < beta/2")
-    if L <= 1:
+    if any(L <= 1 for L in Ls):
         raise ParameterError("need L > 1")
     if trials < 1:
         raise ParameterError("need trials >= 1")
-    rng = np.random.default_rng(seed)
-    gram = RadialGram(spectrum)
+    coeffs = draw_kernel_coefficients(spectrum, trials,
+                                      np.random.default_rng(seed))
+    return coeffs[~_trivial(coeffs)]
+
+
+def _turan_failures(gram, part, lo, hi, R, mode):
+    """Families of the drawn parts that fail expsum's three-interval check
+    on [0, R] against [R, 2R].
+
+    part is a (draws, K, m_ang) part tensor, lo and hi its per-family
+    interval integrals.  A family profile has the terms whose coefficient
+    is nonzero; draws are grouped by that pattern, so each distinct set of
+    exponents and top powers meets the bound once.
+    """
+    count = 0
+    for c in range(part.shape[2]):
+        present = part[:, :, c] != 0
+        patterns, which = np.unique(present, axis=0, return_inverse=True)
+        which = which.reshape(-1)
+        for u, pattern in enumerate(patterns):
+            tops = {}
+            for (a, b), on in zip(gram.index, pattern):
+                if on:
+                    zeta = gram.spectrum.roots[a].value
+                    tops[zeta] = max(tops.get(zeta, b), b)
+            if not tops:
+                continue
+            rows = which == u
+            rec = three_interval_bound(tops, np.maximum(lo[rows, c], 0.0),
+                                       np.maximum(hi[rows, c], 0.0), R, mode)
+            count += int(np.count_nonzero(~rec["holds"]))
+    return count
+
+
+def _annulus_record(gram, coeffs, beta_prime, L, trials, turan_check, slack):
+    """three_annulus_verify's record at one L for drawn coefficients."""
+    spectrum = gram.spectrum
     R = math.log(L)
     grams = [gram.gram(i * R, (i + 1) * R) for i in range(3)]
 
-    def norms(sol, count):
-        """Norms of sol on the first ``count`` annuli, log r in [iR, (i+1)R]."""
-        return [math.sqrt(gram.norm_sq(sol, i * R, (i + 1) * R, grams[i]))
-                for i in range(count)]
+    def norms(forms):
+        return np.sqrt(np.maximum(forms.sum(axis=-1), 0.0))
 
     Lb = L ** beta_prime
-    fails = {"growth_implication": 0, "decay_implication": 0,
-             "dichotomy": 0, "both_implications": 0,
+    n1, n2, n3 = (norms(gram.family_forms(coeffs, g)) for g in grams)
+    grows = n3 >= Lb * n2 * (1 - slack)
+    decays = n2 <= n1 / Lb * (1 + slack)
+    gfail = (n2 >= Lb * n1) & ~grows
+    dfail = (n3 <= n2 / Lb) & ~decays
+    fails = {"growth_implication": int(gfail.sum()),
+             "decay_implication": int(dfail.sum()),
+             "dichotomy": int((~(grows | decays)).sum()),
+             "both_implications": int((gfail & dfail).sum()),
              "pure_growth": 0, "pure_decay": 0,
              "turan_cross_check": 0}
-    for _ in range(trials):
-        sol = ModeSolution.random(spectrum, rng, include=("plus", "minus"))
-        if sol.is_trivial():
-            continue
-        n1, n2, n3 = norms(sol, 3)
-        gfail = dfail = False
-        if n2 >= Lb * n1 and not n3 >= Lb * n2 * (1 - slack):
-            gfail = True
-            fails["growth_implication"] += 1
-        if n3 <= n2 / Lb and not n2 <= n1 / Lb * (1 + slack):
-            dfail = True
-            fails["decay_implication"] += 1
-        if gfail and dfail:
-            fails["both_implications"] += 1
-        if not (n3 >= Lb * n2 * (1 - slack) or n2 <= n1 / Lb * (1 + slack)):
-            fails["dichotomy"] += 1
-        hp = sol.restricted({"plus"})
-        hm = sol.restricted({"minus"})
-        if not hp.is_trivial():
-            p1, p2 = norms(hp, 2)
-            if not p2 >= Lb * p1 * (1 - slack):
-                fails["pure_growth"] += 1
-        if not hm.is_trivial():
-            m1, m2 = norms(hm, 2)
-            if not m2 <= m1 / Lb * (1 + slack):
-                fails["pure_decay"] += 1
+    classes = np.array([spectrum.roots[a].classification
+                        for a, _ in gram.index])
+    for sign, mode in (("plus", "growth"), ("minus", "decay")):
+        part = coeffs * (classes == sign)[:, None]
+        lo, hi = (gram.family_forms(part, g) for g in grams[:2])
+        p1, p2 = norms(lo), norms(hi)
+        if mode == "growth":
+            holds = p2 >= Lb * p1 * (1 - slack)
+        else:
+            holds = p2 <= p1 / Lb * (1 + slack)
+        fails["pure_" + mode] = int((~_trivial(part) & ~holds).sum())
         if turan_check:
-            for part_sol, mode in ((hp, "growth"), (hm, "decay")):
-                for c in range(spectrum.operator.m_ang):
-                    p = part_sol.family_profile(c)
-                    if not p.terms:
-                        continue
-                    rec = three_interval(p, R, 1, mode)
-                    if not rec["holds"]:
-                        fails["turan_cross_check"] += 1
-    return {"L": L, "beta": beta, "beta_prime": beta_prime,
+            fails["turan_cross_check"] += _turan_failures(
+                gram, part, lo, hi, R, mode)
+    return {"L": L, "beta": spectrum.beta, "beta_prime": beta_prime,
             "trials": trials, "failures": fails,
             "passed": all(v == 0 for v in fails.values())}
+
+
+def three_annulus_verify(spectrum, beta_prime, L, trials=200, seed=0, *,
+                         turan_check=False, slack=1e-9):
+    """Check the annulus growth/decay implications on random kernel draws.
+
+    For each draw of a kernel element from the growth and decay roots
+    (draw_kernel_coefficients; draws with every coefficient below
+    ZERO_COEFF are skipped): evaluates the unweighted annulus norms (every
+    family weight 1) on (1, L), (L, L^2) and (L^2, L^3); tests the growth
+    and decay implications, their dichotomy, and the pure growth/decay
+    part inequalities, each up to the relative ``slack``.  With
+    ``turan_check`` every family profile of the pure parts also meets
+    expsum's three-interval bound.  All draws are evaluated together:
+    every norm and interval integral is a quadratic form on the
+    RadialGram matrices of the three annuli.  The spectrum must have no
+    zero-real-part roots.  Returns failure counts (failures at small L are
+    data, not errors).
+    """
+    coeffs = _annulus_draws(spectrum, beta_prime, [L], trials, seed)
+    return _annulus_record(RadialGram(spectrum), coeffs, beta_prime, L,
+                           trials, turan_check, slack)
 
 
 # The L values empirical_l0 tries, in increasing order.
@@ -532,17 +608,21 @@ L0_CANDIDATES = (1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0)
 def empirical_l0(spectrum, beta_prime, trials=200, seed=0, *,
                  turan_check=False, slack=1e-9):
     """Smallest of L0_CANDIDATES at which every draw passes all annulus
-    checks of three_annulus_verify (same seed at every L)."""
+    checks of three_annulus_verify.  The draws are made once and shared by
+    every L (as three_annulus_verify with the same seed at each L); only
+    the Gram matrices change with L."""
+    coeffs = _annulus_draws(spectrum, beta_prime, L0_CANDIDATES, trials, seed)
+    gram = RadialGram(spectrum)
     results = []
+    L0 = None
     for L in L0_CANDIDATES:
-        rec = three_annulus_verify(spectrum, beta_prime, L, trials=trials,
-                                   seed=seed, turan_check=turan_check,
-                                   slack=slack)
+        rec = _annulus_record(gram, coeffs, beta_prime, L, trials,
+                              turan_check, slack)
         results.append(rec)
         if rec["passed"]:
-            return {"L0": L, "scan": results,
-                    "turan_bound": turan_l_bound(spectrum, beta_prime)}
-    return {"L0": None, "scan": results,
+            L0 = L
+            break
+    return {"L0": L0, "scan": results,
             "turan_bound": turan_l_bound(spectrum, beta_prime)}
 
 

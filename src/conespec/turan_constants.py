@@ -110,7 +110,7 @@ def _estimate_three_interval(index, trials, seed):
     """
     import numpy as np
 
-    from .expsum import ExpSum, ExpTerm, draw_budget_expsum, l2_integral
+    from .expsum import draw_budget_expsum, l2_integral
 
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -126,8 +126,7 @@ def _estimate_three_interval(index, trials, seed):
         hi = l2_integral(p, ell * big_r, (ell + 1) * big_r)
         if hi > 0:
             worst = max(worst, math.exp(lam * big_r) * lo / hi)
-        pm = ExpSum([ExpTerm(t.coeff, -t.exponent.conjugate(), t.power)
-                     for t in p.terms])
+        pm = p.mirrored()
         lo_m = l2_integral(pm, (ell - 1) * big_r, ell * big_r)
         hi_m = l2_integral(pm, ell * big_r, (ell + 1) * big_r)
         if lo_m > 0:

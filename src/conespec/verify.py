@@ -102,9 +102,7 @@ def check_three_interval_sweep(seed=2, scale=1.0):
         ell = int(rng.integers(1, 4))
         if not es.three_interval(p, big_r, ell, "growth")["holds"]:
             violations += 1
-        pm = es.ExpSum([es.ExpTerm(t.coeff, -t.exponent.conjugate(), t.power)
-                        for t in p.terms])
-        if not es.three_interval(pm, big_r, ell, "decay")["holds"]:
+        if not es.three_interval(p.mirrored(), big_r, ell, "decay")["holds"]:
             violations += 1
     return _result(check_three_interval_sweep, violations == 0,
                    trials=trials, violations=violations)

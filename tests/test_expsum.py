@@ -6,9 +6,11 @@ from scipy import integrate
 
 from conespec import turan_constants
 from conespec.expsum import (ExpSum, ExpTerm, PreconditionError,
-                             RangeError, draw_expsum, estimate_turan_constant,
+                             RangeError, _abs_sq_grid, draw_budget_expsum,
+                             draw_expsum, estimate_turan_constant,
                              eval_expsum, l2_integral, sup_norm_sq,
-                             three_interval, turan_discrete, turan_integral)
+                             three_interval, three_interval_bound,
+                             turan_discrete, turan_integral)
 
 E = math.e
 
@@ -203,6 +205,43 @@ def test_shift_expands_powers_exactly():
 def test_sup_norm_matches_endpoint_monotone():
     p = ExpSum([ExpTerm(1, 1)])
     assert abs(sup_norm_sq(p, 0.0, 1.0) - E ** 2) < 1e-9
+
+
+def test_sup_norm_grid_matches_scalar_evaluation():
+    rng = np.random.default_rng(4)
+    ts = np.linspace(-1.0, 3.0, 101)
+    for _ in range(20):
+        p = draw_expsum(rng, int(rng.integers(1, 4)), re_range=(-2.0, 2.0),
+                        powers=2)
+        want = np.array([abs(eval_expsum(p, t)) ** 2 for t in ts])
+        assert np.allclose(_abs_sq_grid(p, ts), want, rtol=1e-13, atol=0)
+
+
+def test_sup_norm_grid_overflow_reported():
+    p = ExpSum([ExpTerm(1, 500)])
+    with pytest.raises(RangeError):
+        sup_norm_sq(p, 0.0, 5000.0)
+
+
+def test_mirrored_reflects_real_parts():
+    p = ExpSum([ExpTerm(2 + 1j, 1.5 + 2j, power=1), ExpTerm(-1, 0.5)])
+    q = p.mirrored()
+    assert [(t.coeff, t.exponent, t.power) for t in q.terms] == \
+        [(2 + 1j, -1.5 + 2j, 1), (-1, -0.5, 0)]
+    assert q.mirrored() == p
+    assert three_interval(q, 1.0, 1, "decay")["params"]["index"] == 3
+
+
+def test_three_interval_bound_takes_integral_arrays():
+    rng = np.random.default_rng(6)
+    p = draw_budget_expsum(rng, 2, 1)
+    recs = [three_interval(p, r, 1, "growth") for r in (0.5, 0.5)]
+    lo = np.array([l2_integral(p, 0.0, 0.5)] * 2)
+    hi = np.array([l2_integral(p, 0.5, 1.0), 1e-300])
+    both = three_interval_bound(p.top_powers, lo, hi, 0.5, "growth")
+    assert both["holds"].tolist() == [recs[0]["holds"], False]
+    assert both["lhs"][0] == recs[0]["lhs"]
+    assert both["index"] == recs[0]["params"]["index"] == 3
 
 
 def test_constant_table_lookup_extrapolates():

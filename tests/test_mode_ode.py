@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -8,17 +9,22 @@ from hypothesis import strategies as st
 
 from conespec import mode_ode
 from conespec import polytensor as pt
+from conespec import turan_constants
 from conespec.closed_form import (ParameterError, scalar_indicial_polynomial,
                                   scalar_indicial_roots)
 from conespec.linalg import poly_shift
-from conespec.mode_ode import (EulerOperator, ModeSolution, ProbeError,
-                               _nullspace_float, _operator_scale,
-                               degenerate_scan, divergence_mode_system,
+from conespec.expsum import three_interval
+from conespec.mode_ode import (L0_CANDIDATES, EulerOperator, ModeSolution,
+                               ProbeError, RadialGram, _nullspace_float,
+                               _operator_scale, degenerate_scan,
+                               divergence_mode_system,
+                               draw_kernel_coefficients, empirical_l0,
                                indicial_spectrum, probe_euler,
                                scalar_mode_system, solution_split,
                                tensor_mode_system, three_annulus_verify,
                                triple_bar_norm)
-from conespec.verify import check_multiplicity, check_three_annulus
+from conespec.verify import (_annulus_spectra, check_multiplicity,
+                             check_three_annulus)
 
 
 def synthetic_operator(roots_with_mult):
@@ -238,6 +244,166 @@ def test_three_annulus_beta_prime_bound():
 
 def test_three_annulus_dichotomy_with_turan_cross_check():
     assert check_three_annulus(seed=5, scale=0.5)["passed"]  # 100 draws
+
+
+def _oracle_annulus(spec, beta_prime, L, sols, slack=1e-9):
+    """three_annulus_verify's checks one draw at a time: failure counts
+    with the Turan cross-check, and the norms of the nontrivial draws."""
+    gram = RadialGram(spec)
+    R = math.log(L)
+    grams = [gram.gram(i * R, (i + 1) * R) for i in range(3)]
+
+    def norms(sol, count):
+        return [math.sqrt(gram.norm_sq(sol, i * R, (i + 1) * R, grams[i]))
+                for i in range(count)]
+
+    Lb = L ** beta_prime
+    fails = {"growth_implication": 0, "decay_implication": 0,
+             "dichotomy": 0, "both_implications": 0,
+             "pure_growth": 0, "pure_decay": 0,
+             "turan_cross_check": 0}
+    seen = []
+    for sol in sols:
+        if sol.is_trivial():
+            continue
+        n1, n2, n3 = norms(sol, 3)
+        gfail = n2 >= Lb * n1 and not n3 >= Lb * n2 * (1 - slack)
+        dfail = n3 <= n2 / Lb and not n2 <= n1 / Lb * (1 + slack)
+        fails["growth_implication"] += gfail
+        fails["decay_implication"] += dfail
+        fails["both_implications"] += gfail and dfail
+        fails["dichotomy"] += not (n3 >= Lb * n2 * (1 - slack)
+                                   or n2 <= n1 / Lb * (1 + slack))
+        hp = sol.restricted({"plus"})
+        hm = sol.restricted({"minus"})
+        p1, p2 = norms(hp, 2)
+        m1, m2 = norms(hm, 2)
+        if not hp.is_trivial():
+            fails["pure_growth"] += not p2 >= Lb * p1 * (1 - slack)
+        if not hm.is_trivial():
+            fails["pure_decay"] += not m2 <= m1 / Lb * (1 + slack)
+        for part_sol, mode in ((hp, "growth"), (hm, "decay")):
+            for c in range(spec.operator.m_ang):
+                p = part_sol.family_profile(c)
+                if p.terms and not three_interval(p, R, 1, mode)["holds"]:
+                    fails["turan_cross_check"] += 1
+        seen.append([n1, n2, n3, p1, p2, m1, m2])
+    return fails, np.array(seen)
+
+
+def _batched_norms(spec, L, coeffs):
+    """Annulus norms of the whole draws and of their pure parts from the
+    batched quadratic forms, in _oracle_annulus's column order."""
+    gram = RadialGram(spec)
+    R = math.log(L)
+    classes = np.array([spec.roots[a].classification for a, _ in gram.index])
+    cols = []
+    for mask, count in ((None, 3), ("plus", 2), ("minus", 2)):
+        z = coeffs if mask is None else coeffs * (classes == mask)[:, None]
+        for i in range(count):
+            g = gram.gram(i * R, (i + 1) * R)
+            cols.append(np.sqrt(np.maximum(
+                gram.family_forms(z, g).sum(axis=-1), 0.0)))
+    return np.stack(cols, axis=1)
+
+
+@functools.cache
+def _oracle_cells():
+    """The criterion-6 spectra and the tensor mode (5, 1, t = 0, j = 1),
+    which has three families and a root of multiplicity 3."""
+    cells = dict(_annulus_spectra())
+    _, op = tensor_mode_system(5, 1, Fraction(0), 1)
+    cells["tensor n=5 j=1"] = indicial_spectrum(op)
+    return cells
+
+
+@pytest.mark.parametrize("label", ["tensor j=1", "tensor j=3", "scalar s=1",
+                                   "tensor n=5 j=1"])
+def test_batched_annulus_matches_per_draw_oracle(label):
+    spec = _oracle_cells()[label]
+    trials, seed = 30, 42
+    beta_prime = 0.45 * spec.beta
+    rng = np.random.default_rng(seed)
+    sols = [ModeSolution.random(spec, rng, include=("plus", "minus"))
+            for _ in range(trials)]
+    coeffs = draw_kernel_coefficients(spec, trials,
+                                      np.random.default_rng(seed))
+    live = [not s.is_trivial() for s in sols]
+    scans = {flag: empirical_l0(spec, beta_prime, trials=trials, seed=seed,
+                                turan_check=flag)["scan"]
+             for flag in (False, True)}
+    failing = 0
+    for i, L in enumerate(L0_CANDIDATES + (1.01,)):
+        want, want_norms = _oracle_annulus(spec, beta_prime, L, sols)
+        got_norms = _batched_norms(spec, L, coeffs[live])
+        assert np.allclose(got_norms, want_norms, rtol=1e-12, atol=0)
+        for flag in (False, True):
+            expect = dict(want, turan_cross_check=want["turan_cross_check"]
+                          if flag else 0)
+            rec = three_annulus_verify(spec, beta_prime, L, trials=trials,
+                                       seed=seed, turan_check=flag)
+            assert rec["failures"] == expect, (label, L, flag)
+            if i < len(scans[flag]):
+                assert scans[flag][i] == rec
+        failing += any(want.values())
+    assert failing  # L = 1.01 fails on every cell: nonzero counts compared
+
+
+@pytest.mark.parametrize("label", ["scalar s=1", "tensor n=5 j=1"])
+def test_batched_turan_check_matches_oracle_when_it_fails(label,
+                                                          monkeypatch):
+    # The real three-interval constants hold on every draw above; A(M + d)
+    # = (M + d) / 4 makes the check fail and ties the count to the index.
+    monkeypatch.setattr(turan_constants, "three_interval_constant",
+                        lambda index: index / 4)
+    spec = _oracle_cells()[label]
+    trials, seed = 30, 42
+    beta_prime = 0.45 * spec.beta
+    rng = np.random.default_rng(seed)
+    sols = [ModeSolution.random(spec, rng, include=("plus", "minus"))
+            for _ in range(trials)]
+    failing = 0
+    for L in (1.01, 1.5, 4.0):
+        want, _ = _oracle_annulus(spec, beta_prime, L, sols)
+        rec = three_annulus_verify(spec, beta_prime, L, trials=trials,
+                                   seed=seed, turan_check=True)
+        assert rec["failures"] == want, L
+        failing += want["turan_cross_check"]
+    assert failing
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_kernel_draw_matches_mode_solution_random(seed):
+    _, op = tensor_mode_system(5, 1, Fraction(0), 1)
+    spec = indicial_spectrum(op)
+    gram = RadialGram(spec)
+    trials = 25
+    rng = np.random.default_rng(seed)
+    sols = [ModeSolution.random(spec, rng, include=("plus", "minus"))
+            for _ in range(trials)]
+    after = rng.standard_normal()
+    rng = np.random.default_rng(seed)
+    coeffs = draw_kernel_coefficients(spec, trials, rng)
+    assert rng.standard_normal() == after  # same share of the stream
+    for sol, tab in zip(sols, coeffs):
+        want = np.stack([gram.coefficient_vector(sol, c)
+                         for c in range(spec.operator.m_ang)], axis=1)
+        assert np.array_equal(tab, want)
+
+
+@pytest.mark.parametrize("roots,beta_prime,trials,msg", [
+    ([(0, 1), (2, 1), (-2, 1)], 0.9, 10, "zero-real-part"),
+    ([(2, 1), (-2, 1)], 1.0, 10, "beta_prime < beta/2"),
+    ([(2, 1), (-2, 1)], 0.9, 0, "trials >= 1"),
+])
+def test_empirical_l0_validates_like_three_annulus_verify(roots, beta_prime,
+                                                          trials, msg):
+    spec = indicial_spectrum(synthetic_operator(roots))
+    for check in (lambda: three_annulus_verify(spec, beta_prime, 4.0,
+                                               trials=trials),
+                  lambda: empirical_l0(spec, beta_prime, trials=trials)):
+        with pytest.raises(ParameterError, match=msg):
+            check()
 
 
 def test_norms_cross_module_consistency():
