@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 property failure, 2 usage error, 3 numeric failure.
 JSON artifacts carry a `data` block (byte-stable for a fixed seed/config)
-and a separate `metadata` block holding the timestamp and invocation.
+and a separate `metadata` block holding the timestamp and invocation (and,
+for verify-all, the seconds each suite took).
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ def _fraction(text, option):
                          "(expected e.g. 0.05, -1/20 or 2)") from None
 
 
-def _emit(args, data, rows=None, header=None):
-    """Write the result document (JSON, or CSV when rows are given)."""
+def _emit(args, data, rows=None, header=None, metadata=None):
+    """Write the result document (JSON, or CSV when rows are given);
+    metadata adds entries to the JSON metadata block."""
     if args.format == "csv":
         if rows is None:
             raise UsageError("this command has no CSV form")
@@ -57,6 +59,7 @@ def _emit(args, data, rows=None, header=None):
             "metadata": {
                 "command": args.command,
                 "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+                **(metadata or {}),
             },
             "data": data,
         }
@@ -480,20 +483,25 @@ def cmd_verify_all(args):
         raise UsageError(f"unknown suite(s): {', '.join(unknown)}; known "
                          f"suites: {', '.join(known)}")
     names = [nm for nm in known if not args.suite or nm in args.suite]
-    recs = mo.parallel_map(_run_one_suite,
+    runs = mo.parallel_map(_run_one_suite,
                            [(nm, args.seed, scale) for nm in names], args.jobs)
+    recs = [rec for rec, _ in runs]
     rep = {"suites": recs, "all_passed": all(r["passed"] for r in recs),
            "seed": args.seed, "scale": scale}
     for rec in recs:
         status = "PASS" if rec["passed"] else "FAIL"
         print(f"[{status}] {rec['name']}", file=sys.stderr)
-    _emit(args, rep)
+    _emit(args, rep, metadata={"suite_seconds": {
+        rec["name"]: seconds for rec, seconds in runs}})
     return 0 if rep["all_passed"] else 1
 
 
 def _run_one_suite(task):
+    """One suite's record and its wall-clock seconds."""
     name, seed, scale = task
-    return verify.run_suites(names=[name], seed=seed, scale=scale)["suites"][0]
+    start = time.perf_counter()
+    rec = verify.run_suites(names=[name], seed=seed, scale=scale)["suites"][0]
+    return rec, time.perf_counter() - start
 
 
 COMMANDS = {

@@ -18,35 +18,45 @@ def _clean(row: dict) -> dict:
     return {c: v for c, v in row.items() if v != 0}
 
 
+def _reduce(row, pivots):
+    """The row (dict col -> Fraction) with every pivot column cleared.
+
+    pivots is a fully reduced sparse_rref result: each pivot row is 1 at
+    its own column and 0 at every other pivot column, so clearing one
+    pivot column leaves the others as they are and one pass suffices.
+    """
+    row = _clean(dict(row))
+    for c in [c for c in row if c in pivots]:
+        f = row[c]
+        for pc, pv in pivots[c].items():
+            row[pc] = row.get(pc, ZERO) - f * pv
+    return _clean(row)
+
+
 def sparse_rref(rows):
     """Reduced row echelon form of sparse rational rows.
 
     rows: iterable of dict[int, Fraction].  Returns dict pivot_col -> row,
     where each row is a dict normalized to pivot value 1 and reduced
-    against every other pivot row.
+    against every other pivot row: a new row is cleared at every existing
+    pivot column, takes its lowest remaining column as its pivot, and is
+    then eliminated from the existing rows.
     """
     pivots: dict[int, dict] = {}
     for row in rows:
-        row = _clean(dict(row))
-        while row:
-            c = min(row)
-            if c in pivots:
-                f = row[c]
-                for pc, pv in pivots[c].items():
-                    row[pc] = row.get(pc, ZERO) - f * pv
-                row = _clean(row)
-                continue
-            inv = Fraction(1) / row[c]
-            row = {cc: vv * inv for cc, vv in row.items()}
-            # back-substitute into existing pivot rows
-            for pc, prow in pivots.items():
-                if c in prow:
-                    f = prow[c]
-                    for cc, vv in row.items():
-                        prow[cc] = prow.get(cc, ZERO) - f * vv
-                    pivots[pc] = _clean(prow)
-            pivots[c] = row
-            break
+        row = _reduce(row, pivots)
+        if not row:
+            continue
+        c = min(row)
+        inv = Fraction(1) / row[c]
+        row = {cc: vv * inv for cc, vv in row.items()}
+        for pc, prow in pivots.items():
+            if c in prow:
+                f = prow[c]
+                for cc, vv in row.items():
+                    prow[cc] = prow.get(cc, ZERO) - f * vv
+                pivots[pc] = _clean(prow)
+        pivots[c] = row
     return pivots
 
 
@@ -57,7 +67,8 @@ def sparse_rank(rows) -> int:
 def sparse_nullspace(rows, ncols: int):
     """Basis of the rational nullspace of a sparse matrix.
 
-    Returns a list of dense Fraction vectors of length ncols.
+    Returns a list of dense Fraction vectors of length ncols, one per
+    non-pivot column.
     """
     pivots = sparse_rref(rows)
     free_cols = [c for c in range(ncols) if c not in pivots]
@@ -71,10 +82,15 @@ def sparse_nullspace(rows, ncols: int):
     return basis
 
 
-def row_in_rowspace(rows, candidate, ncols: int) -> bool:
-    """Whether candidate (dict col->Fraction) lies in the row space."""
-    base = sparse_rank(list(rows))
-    return sparse_rank(list(rows) + [candidate]) == base
+def row_in_rowspace(pivots, candidate) -> bool:
+    """Whether candidate (dict col->Fraction) lies in the row space whose
+    sparse_rref is pivots.
+
+    The candidate is reduced as sparse_rref reduces an appended row; it
+    lies in the row space exactly when nothing is left, that is, when
+    appending it would not raise the rank.
+    """
+    return not _reduce(candidate, pivots)
 
 
 def solve_dense(a, b):

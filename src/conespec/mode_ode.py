@@ -22,7 +22,7 @@ import numpy as np
 
 from . import polytensor as pt
 from .closed_form import ParameterError
-from .expsum import (ExpSum, ExpTerm, _poly_exp_integral,
+from .expsum import (ExpSum, ExpTerm, RangeError, _poly_exp_integral,
                      three_interval_bound)
 from .linalg import (det_dense, lagrange_coefficients, poly_derivative,
                      poly_eval, poly_mul, poly_shift, poly_sum,
@@ -371,10 +371,24 @@ class ModeSolution:
         return ExpSum(terms)
 
     def profile_values(self, r):
-        """Vector of family profile values at radius r."""
-        t = math.log(r)
-        return np.array([self.family_profile(c)(t)
-                         for c in range(self.spectrum.operator.m_ang)])
+        """Family profile values sum_a sum_b tab[b, c] t^b e^{zeta_a t}
+        (t = log r), evaluated from the tables: shape (m_ang,) at a scalar
+        radius r, (len(r), m_ang) at an array of radii.  Raises RangeError
+        when a value leaves the float range."""
+        r = np.asarray(r, dtype=float)
+        if not np.all(r > 0):
+            raise ParameterError("need radii r > 0")
+        t = np.log(r)
+        out = np.zeros(t.shape + (self.spectrum.operator.m_ang,),
+                       dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a, tab in self.tables.items():
+                e = np.exp(self.spectrum.roots[a].value * t)
+                for b in range(tab.shape[0]):
+                    out += (t ** b * e)[..., None] * tab[b]
+        if not np.all(np.isfinite(out)):
+            raise RangeError("profile values overflowed")
+        return out
 
     def is_trivial(self):
         """Every coefficient is below ZERO_COEFF in modulus."""
@@ -627,7 +641,11 @@ def empirical_l0(spectrum, beta_prime, trials=200, seed=0, *,
 
 
 def turan_l_bound(spectrum, beta_prime):
-    """Three-interval-constant bound on L0: A(index)^{1/(beta - 2 beta')}."""
+    """Three-interval-constant bound on L0: A(index)^{1/(beta - 2 beta')}.
+
+    None means no finite bound: when beta - 2 beta' <= 0, and when the
+    power leaves the float range (beta' close to beta/2).
+    """
     from . import turan_constants
 
     beta = spectrum.beta
@@ -642,7 +660,10 @@ def turan_l_bound(spectrum, beta_prime):
         d = len(idx_roots)
         M = sum(spectrum.roots[a].multiplicity - 1 for a in idx_roots)
         a_c = turan_constants.three_interval_constant(M + d)
-        worst = max(worst, a_c ** (1.0 / (beta - 2 * beta_prime)))
+        try:
+            worst = max(worst, a_c ** (1.0 / (beta - 2 * beta_prime)))
+        except OverflowError:
+            return None
     return worst
 
 

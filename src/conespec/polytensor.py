@@ -26,16 +26,20 @@ Equality and zero-testing canonicalize components modulo the relation
 radial exponent).  Canonicalization runs on integer numerators over one
 common denominator per component.
 
-Caches, all filled lazily, holding immutable values and bounded by the
-degrees and bases in use:
+Caches, all filled lazily, holding values no caller mutates and bounded
+by the degrees and bases in use:
 
 - ``_q_power(n, k)``: the expansion of (sum_i x_i^2)^k used by
   canonicalization;
 - ``_sphere_moment_reduced(n, alpha)``: the exact sphere moments behind
   every slice inner product;
+- ``tensor_mode_basis(n, j)`` and ``oneform_mode_basis(n, j)``: each
+  angular basis with its exact Gram matrix, built once per (n, j) and
+  shared by every caller, which must not mutate it;
 - ``AngularBasis._functionals``: per basis element, the slice inner product
   with one image term (idx, alpha, gamma), so ``decompose`` costs one
-  multiplication per image term and element.
+  multiplication per image term and element.  With the memoized bases
+  these tables too are filled once per (n, j).
 
 ``linalg.lagrange_coefficients`` likewise memoizes its Lagrange basis per
 node tuple.
@@ -973,12 +977,14 @@ def tangential_traceless_hessian(n, j):
     return out.canonical()
 
 
+@lru_cache(maxsize=None)
 def tensor_mode_basis(n, j):
     """The angular families of the separated 2-tensor expansion at degree j.
 
     [phi dr(x)dr, (r dphi) boxtimes dr, traceless tangential Hessian,
     phi (g - dr(x)dr)]; the middle families vanish at j = 0 and the
-    Hessian family also vanishes at j = 1.
+    Hessian family also vanishes at j = 1.  Memoized per (n, j): every
+    caller shares the returned basis and must not mutate it.
     """
     phi = sphere_harmonic(n, j)
     dr = radial_form(n)
@@ -998,10 +1004,13 @@ def tensor_mode_basis(n, j):
     return basis_from_elements(n, els, labels)
 
 
+@lru_cache(maxsize=None)
 def oneform_mode_basis(n, j):
     """Radially parallel 1-form pair [phi dr, r d(phi)] for harmonic degree j.
 
     At j = 0 the differential part vanishes and the basis is [dr] alone.
+    Memoized per (n, j): every caller shares the returned basis and must
+    not mutate it.
     """
     phi = sphere_harmonic(n, j)
     el1 = mul_scalar_field(radial_form(n), phi)

@@ -626,14 +626,13 @@ def check_split(seed=31, scale=1.0):
     for _ in range(10):
         sol = mo.ModeSolution.random(spec, rng)
         parts = mo.solution_split(sol)
-        for _ in range(100):
-            r = float(rng.uniform(0.2, 5.0))
-            total = sol.profile_values(r)
-            summed = (parts["h_plus"].profile_values(r)
-                      + parts["h_minus"].profile_values(r)
-                      + parts["h_zero"].profile_values(r))
-            ok &= float(np.max(np.abs(total - summed))) < 1e-12 * max(
-                1.0, float(np.max(np.abs(total))))
+        r = rng.uniform(0.2, 5.0, 100)
+        total = sol.profile_values(r)
+        summed = (parts["h_plus"].profile_values(r)
+                  + parts["h_minus"].profile_values(r)
+                  + parts["h_zero"].profile_values(r))
+        ok &= bool(np.all(np.max(np.abs(total - summed), axis=1) < 1e-12
+                          * np.maximum(1.0, np.max(np.abs(total), axis=1))))
     return _result(check_split, ok)
 
 

@@ -301,6 +301,21 @@ def test_verify_all_jobs_matches_serial(tmp_path, monkeypatch):
     assert docs[0]["all_passed"] is True
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_all_reports_suite_seconds(tmp_path, jobs):
+    names = ["expsum.shift_covariance", "polytensor.gauge_composition"]
+    out = tmp_path / "v.json"
+    argv = ["verify-all", "--scale", "0.02", "--jobs", jobs, "--out", str(out)]
+    for name in names:
+        argv += ["--suite", name]
+    assert main(argv) == 0
+    doc = read_json(out)
+    seconds = doc["metadata"]["suite_seconds"]
+    assert sorted(seconds) == sorted(names)
+    assert all(isinstance(v, float) and v >= 0 for v in seconds.values())
+    assert "suite_seconds" not in doc["data"]
+
+
 def test_bootstrap_command(tmp_path):
     out = tmp_path / "b.json"
     rc = main(["bootstrap", "--regime", "infinity", "--n", "6", "--k", "1",
@@ -316,6 +331,18 @@ def test_turan_single_checks(tmp_path):
     assert main(["turan", "--check", "discrete", "--d", "3", "--seed", "5",
                  "--out", str(out)]) == 0
     assert read_json(out)["data"]["holds"] is True
+
+
+def test_three_annulus_unbounded_turan_bound(tmp_path):
+    # at beta' = 0.49 beta the Turan power leaves the float range: the
+    # bound is reported as absent and the exit code follows L0
+    out = tmp_path / "a.json"
+    rc = main(["three-annulus", "--n", "4", "--k", "1", "--j", "3",
+               "--beta-prime-frac", "0.49", "--trials", "20",
+               "--out", str(out)])
+    doc = read_json(out)["data"]
+    assert doc["turan_bound"] is None
+    assert rc == (0 if doc["L0"] is not None else 1)
 
 
 def test_low_confidence_reaches_three_annulus(tmp_path, monkeypatch):

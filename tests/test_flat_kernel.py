@@ -3,11 +3,14 @@ import pytest
 
 from conespec import polytensor as pt
 from conespec.closed_form import ParameterError
-from conespec.flat_kernel import (QuadraticField, degree1_system,
+from conespec.flat_kernel import (QuadraticField, _acol,
+                                  degree1_identity_diagnostics, degree1_system,
                                   divergence_free_nullspace,
                                   quadratic_flow_error,
                                   quadratic_lie_isomorphism,
                                   quadratic_lie_map_rows, solve_quadratic_lie)
+from conespec.linalg import sparse_rank
+from conespec.verify import _nk_pairs
 
 
 def test_mode_preconditions():
@@ -54,6 +57,22 @@ def test_degree1_assembly_matches_exact_divergence():
                 alpha = tuple(0 for _ in range(n))
                 want.add_term((j,), alpha, 2 * k - n, a)
     assert (got - want).is_zero()
+
+
+def test_identity_checks_match_rank_comparison():
+    # each check read against the one reduction equals "appending the
+    # candidate keeps the rank"
+    for (n, k) in _nk_pairs(8):
+        rows, _, cols = degree1_system(n, k)
+        base = sparse_rank(rows)
+        for kind, idx, got in degree1_identity_diagnostics(n, k):
+            if kind == "diag":
+                p, j = idx
+                cand = {_acol(cols, p, j, p): 1}
+            else:
+                l, j, m = idx
+                cand = {_acol(cols, l, j, m): 1, _acol(cols, m, j, l): 1}
+            assert got == (sparse_rank(rows + [cand]) == base), (n, k, idx)
 
 
 def test_lie_rank_against_float_oracle():

@@ -22,7 +22,7 @@ from conespec.mode_ode import (L0_CANDIDATES, EulerOperator, ModeSolution,
                                indicial_spectrum, probe_euler,
                                scalar_mode_system, solution_split,
                                tensor_mode_system, three_annulus_verify,
-                               triple_bar_norm)
+                               triple_bar_norm, turan_l_bound)
 from conespec.verify import (_annulus_spectra, check_multiplicity,
                              check_three_annulus)
 
@@ -206,6 +206,53 @@ def test_solution_split_examples():
     assert parts["degenerate"]
     prof = sol.family_profile(0)
     assert prof.big_m >= 1  # log power present
+
+
+@pytest.mark.parametrize("make_op", [
+    lambda: tensor_mode_system(4, 1, 0, 0)[1],
+    lambda: tensor_mode_system(4, 1, 0, 2)[1],
+    lambda: synthetic_operator([(0, 2), (1, 1), (-2, 3)]),
+], ids=["tensor j=0", "tensor j=2", "synthetic"])
+def test_profile_values_match_family_profiles(make_op):
+    # every cell has a double root at 0 and a multiple nonzero root, so
+    # log powers multiply both constant and exponential terms
+    spec = indicial_spectrum(make_op())
+    assert any(r.classification == "zero" and r.multiplicity > 1
+               for r in spec.roots)
+    m_ang = spec.operator.m_ang
+    rng = np.random.default_rng(3)
+    radii = rng.uniform(0.2, 5.0, 40)
+    for sol in (ModeSolution.random(spec, rng),
+                ModeSolution.random(spec, rng).restricted({"zero"})):
+        got = sol.profile_values(radii)
+        assert got.shape == (len(radii), m_ang)
+        want = np.array([[sol.family_profile(c)(math.log(r))
+                          for c in range(m_ang)] for r in radii])
+        assert np.all(np.abs(got - want)
+                      <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        one = sol.profile_values(float(radii[0]))
+        assert one.shape == (m_ang,)
+        assert np.array_equal(one, got[0])
+    with pytest.raises(ParameterError):
+        sol.profile_values([1.0, 0.0])
+
+
+def test_turan_l_bound_overflow_is_no_bound():
+    _, op = tensor_mode_system(4, 1, Fraction(0), 3)
+    spec = indicial_spectrum(op)
+    assert math.isfinite(turan_l_bound(spec, 0.45 * spec.beta))
+    # A(M + d)^(1 / (beta - 2 beta')) leaves the float range
+    assert turan_l_bound(spec, 0.49 * spec.beta) is None
+    assert turan_l_bound(spec, 0.5 * spec.beta) is None
+
+
+def test_angular_bases_built_once_per_degree():
+    assert pt.tensor_mode_basis(5, 2) is pt.tensor_mode_basis(5, 2)
+    assert pt.oneform_mode_basis(5, 2) is pt.oneform_mode_basis(5, 2)
+    assert pt.tensor_mode_basis(5, 2) is not pt.tensor_mode_basis(5, 3)
+    # every system of one (n, j) shares its families
+    basis, _ = tensor_mode_system(4, 1, Fraction(1, 10), 1)
+    assert basis is tensor_mode_system(4, 2, 0, 1)[0]
 
 
 def test_chain_space_dimension_equals_multiplicity():
