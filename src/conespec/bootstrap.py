@@ -34,12 +34,12 @@ class SchematicTerm:
         return self.j * h_order - total
 
 
-def enumerate_schematic_terms(k, j_max=None):
-    """All remainder terms with 2 <= j <= j_max and derivative total 2(k+1)."""
+def enumerate_schematic_terms(k):
+    """All remainder terms with 2 <= j <= 2(k+1) + 2 inverse-metric factors
+    and derivative total 2(k+1)."""
     total = 2 * (k + 1)
-    j_max = j_max if j_max is not None else total + 2
     out = []
-    for j in range(2, j_max + 1):
+    for j in range(2, total + 3):
         for alphas in _compositions(total, j):
             out.append(SchematicTerm(j, alphas))
     return out
@@ -60,7 +60,8 @@ def remainder_order(k, n, h_order, regime="infinity"):
     At infinity, |h| = O(r^{-h_order}) makes the (k+1)-st Laplacian power of
     h a O(r^{-(2 h_order + 2(k+1))}) source; the origin regime mirrors the
     sign.  Higher-j terms decay strictly faster (checked by enumeration in
-    the tests), so the quadratic terms set the order.
+    the ``bootstrap.remainder_monotone_and_dominant`` suite), so the
+    quadratic terms set the order.
     """
     if h_order <= 0:
         raise ParameterError("need h_order > 0")

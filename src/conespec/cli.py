@@ -207,10 +207,23 @@ def build_parser():
     return p
 
 
+def _load_json(path, option):
+    """The JSON document in the file an option names."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"{option} {path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{option} {path}: not JSON ({exc})") from exc
+
+
 def _apply_config(args):
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            conf = json.load(fh)
+        conf = _load_json(args.config, "--config")
+        if not isinstance(conf, dict):
+            raise UsageError(f"--config {args.config}: need a JSON object of "
+                             "option names to values")
         for key, val in conf.items():
             attr = key.replace("-", "_")
             if getattr(args, attr, None) is None:
@@ -319,10 +332,27 @@ def cmd_kernel(args):
     return 0 if ok else 1
 
 
+def _json_array(text, option, dtype, shape, want):
+    """numpy array of the given shape from a JSON option value; ``want``
+    describes the expected value in the usage error."""
+    try:
+        arr = np.array(json.loads(text), dtype=dtype)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{option}: not JSON ({exc})") from exc
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.shape != shape:
+        raise UsageError(f"{option}: need {want}, got {text!r}")
+    return arr
+
+
 def cmd_symbol(args):
     _require(args, "n", "xi", "hhat")
-    xi = np.array(json.loads(args.xi), dtype=float)
-    hh = np.array(json.loads(args.hhat), dtype=complex)
+    n = args.n
+    xi = _json_array(args.xi, "--xi", float, (n,),
+                     f"a JSON list of n = {n} numbers")
+    hh = _json_array(args.hhat, "--hhat", complex, (n, n),
+                     f"an n x n JSON matrix (n = {n})")
     if args.scalar:
         val = sy.linearized_scalar_symbol(args.n, xi, hh)
         data = {"n": args.n, "scalar": {"re": val.real, "im": val.imag}}
@@ -338,14 +368,7 @@ def cmd_symbol(args):
 def cmd_apply(args):
     _require(args, "op", "field")
     try:
-        with open(args.field) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"--field {args.field}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"--field {args.field}: not JSON ({exc})") from exc
-    try:
-        field = pt.PolyTensor.from_json(doc)
+        field = pt.PolyTensor.from_json(_load_json(args.field, "--field"))
     except ValueError as exc:
         raise UsageError(f"--field {args.field}: {exc}") from exc
     t = _fraction(args.t, "--t") if args.t is not None else Fraction(0)

@@ -58,11 +58,6 @@ class RatePair:
     t: float = 0.0
 
     @property
-    def growth_orders(self):
-        """Pointwise growth orders of the two kernel 1-forms."""
-        return (self.plus - 1, self.minus - 1)
-
-    @property
     def shifts(self):
         """Integer shifts feeding the exceptional set.
 
@@ -233,6 +228,8 @@ def essential_linear_gap(n, t, j_max=10):
     part in [1 - gamma, 1 + gamma] (reported as a supremum).  At t = 0 the
     gap is 0, witnessed by the dilation and the degree-2 conformal field.
     """
+    if n < 3:
+        raise ParameterError("need n >= 3")
     if abs(t) > 0.5:
         raise ParameterError("scan restricted to |t| <= 0.5")
     if j_max < 3:

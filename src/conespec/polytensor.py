@@ -10,6 +10,16 @@ radial contraction, the modified divergence, Lie derivative of the flat
 metric, the gauge operators on 1-forms, the gauged linearized operator on
 2-tensors, and the full linearized Bach/obstruction operator.
 
+Each operator is stated once: ``partial`` and ``laplacian`` are closed-form
+kernels; ``gradient``, ``divergence``, ``trace2``, ``radial_contraction``,
+``mul_scalar_field``, ``tensor_outer`` and ``lie_flat`` list their image
+terms for one private builder, ``_build``, which merges like terms; the rest
+are compositions (``hessian = gradient(gradient(.))``, ``lie_flat`` is
+nabla xi plus its transpose, ``dr_tensor = tensor_outer(dr, dr)``, and so on
+up to ``gauged_lin`` and ``bach_lin``).  ``PolyTensor.add_term`` is the
+public one-term constructor for explicit fields (``from_json``, the standard
+fields, tests); no operator uses it.
+
 Rational inputs stay rational throughout, so orthogonality, closure and
 nullspace decisions are exact.  Exact coefficients are ``int`` or
 ``Fraction``: integer input stays native ``int`` through the operators, a
@@ -95,11 +105,8 @@ class PolyTensor:
 
     # -- construction -------------------------------------------------
 
-    @classmethod
-    def zero(cls, n, rank):
-        return cls(n, rank)
-
     def add_term(self, idx, alpha, gamma, coeff):
+        """Add coeff * x^alpha * r^gamma to component idx (in place)."""
         idx = tuple(idx)
         alpha = tuple(alpha)
         gamma = _fr(gamma)
@@ -171,9 +178,6 @@ class PolyTensor:
 
     def is_radially_parallel(self):
         return not self.comps or self.homogeneity() == 0
-
-    def component(self, idx):
-        return dict(self.comps.get(tuple(idx), {}))
 
     # -- canonical form and equality -----------------------------------
 
@@ -386,14 +390,8 @@ def radial_form(n):
 
 def dr_tensor(n):
     """dr (x) dr, components x_i x_j / r^2."""
-    T = PolyTensor(n, 2)
-    for i in range(n):
-        for j in range(n):
-            alpha = [0] * n
-            alpha[i] += 1
-            alpha[j] += 1
-            T.add_term((i, j), tuple(alpha), -2, 1)
-    return T
+    dr = radial_form(n)
+    return tensor_outer(dr, dr)
 
 
 def tangential_metric(n):
@@ -453,33 +451,34 @@ def coclosed_eigenform(n, j):
 # -- differential operators ---------------------------------------------
 
 
+def _build(n, rank, terms):
+    """Field from (idx, (alpha, gamma), coeff) terms, like terms merged."""
+    comps = {}
+    for idx, key, c in terms:
+        _merge(comps.setdefault(idx, {}), key, c)
+    return PolyTensor(n, rank, {idx: comp for idx, comp in comps.items()
+                                if comp})
+
+
+def _partial_component(comp, i):
+    """d_i of one component's term dict, like terms merged."""
+    out = {}
+    for (alpha, gamma), c in comp.items():
+        ai = alpha[i]
+        if ai:
+            na = alpha[:i] + (ai - 1,) + alpha[i + 1:]
+            _merge(out, (na, gamma), c * ai)
+        if gamma != 0:
+            na = alpha[:i] + (ai + 1,) + alpha[i + 1:]
+            _merge(out, (na, gamma - 2), c * gamma)
+    return out
+
+
 def partial(T, i):
     """Partial derivative in direction i (same rank)."""
-    out = {}
-    for idx, comp in T.comps.items():
-        nc = {}
-        for (alpha, gamma), c in comp.items():
-            ai = alpha[i]
-            if ai:
-                na = alpha[:i] + (ai - 1,) + alpha[i + 1:]
-                _merge(nc, (na, gamma), c * ai)
-            if gamma != 0:
-                na = alpha[:i] + (ai + 1,) + alpha[i + 1:]
-                _merge(nc, (na, gamma - 2), c * gamma)
-        if nc:
-            out[idx] = nc
-    return PolyTensor(T.n, T.rank, out)
-
-
-def gradient(T):
-    """nabla T: rank increases by one, derivative index first."""
-    out = PolyTensor(T.n, T.rank + 1)
-    for i in range(T.n):
-        d = partial(T, i)
-        for idx, comp in d.comps.items():
-            for (alpha, gamma), c in comp.items():
-                out.add_term((i,) + idx, alpha, gamma, c)
-    return out
+    return PolyTensor(T.n, T.rank, {
+        idx: nc for idx, comp in T.comps.items()
+        if (nc := _partial_component(comp, i))})
 
 
 def laplacian(T, power=1):
@@ -510,73 +509,60 @@ def laplacian(T, power=1):
     return out
 
 
+def gradient(T):
+    """nabla T: rank increases by one, derivative index first."""
+    return _build(T.n, T.rank + 1, (
+        ((i,) + idx, key, c)
+        for i in range(T.n) for idx, comp in partial(T, i).comps.items()
+        for key, c in comp.items()))
+
+
 def divergence(T):
     """delta h: contract the derivative with the first index."""
     if T.rank < 1:
         raise ValueError("divergence needs rank >= 1")
-    out = PolyTensor(T.n, T.rank - 1)
-    for i in range(T.n):
-        d = partial(T, i)
-        for idx, comp in d.comps.items():
-            if idx[0] != i:
-                continue
-            for (alpha, gamma), c in comp.items():
-                out.add_term(idx[1:], alpha, gamma, c)
-    return out
+    return _build(T.n, T.rank - 1, (
+        (idx[1:], key, c) for i in range(T.n)
+        for idx, comp in T.comps.items() if idx[0] == i
+        for key, c in _partial_component(comp, i).items()))
 
 
 def trace2(T):
     if T.rank != 2:
         raise ValueError("trace needs rank 2")
-    out = PolyTensor(T.n, 0)
-    for i in range(T.n):
-        comp = T.comps.get((i, i))
-        if comp:
-            for (alpha, gamma), c in comp.items():
-                out.add_term((), alpha, gamma, c)
-    return out
+    return _build(T.n, 0, (
+        ((), key, c) for i in range(T.n)
+        for key, c in T.comps.get((i, i), {}).items()))
 
 
 def hessian(T):
+    """Hess T = nabla nabla T of a scalar field."""
     if T.rank != 0:
         raise ValueError("hessian needs a scalar")
-    out = PolyTensor(T.n, 2)
-    for i in range(T.n):
-        for j in range(T.n):
-            d = partial(partial(T, j), i)
-            comp = d.comps.get(())
-            if comp:
-                for (alpha, gamma), c in comp.items():
-                    out.add_term((i, j), alpha, gamma, c)
-    return out
+    return gradient(gradient(T))
 
 
 def mul_scalar_field(T, S):
     """Multiply a tensor field by a scalar field."""
     if S.rank != 0:
         raise ValueError("second factor must be a scalar field")
-    out = PolyTensor(T.n, T.rank)
     scomp = S.comps.get((), {})
-    for idx, comp in T.comps.items():
-        for (a1, g1), c1 in comp.items():
-            for (a2, g2), c2 in scomp.items():
-                out.add_term(idx, tuple(x + y for x, y in zip(a1, a2)),
-                             g1 + g2, c1 * c2)
-    return out
+    return _build(T.n, T.rank, (
+        (idx, (tuple(x + y for x, y in zip(a1, a2)), _fr(g1 + g2)),
+         _fr(c1 * c2))
+        for idx, comp in T.comps.items() for (a1, g1), c1 in comp.items()
+        for (a2, g2), c2 in scomp.items()))
 
 
 def tensor_outer(A, B):
     """Outer product of two 1-forms."""
     if A.rank != 1 or B.rank != 1:
         raise ValueError("outer product of 1-forms only")
-    out = PolyTensor(A.n, 2)
-    for (i,), compA in A.comps.items():
-        for (j,), compB in B.comps.items():
-            for (a1, g1), c1 in compA.items():
-                for (a2, g2), c2 in compB.items():
-                    out.add_term((i, j), tuple(x + y for x, y in zip(a1, a2)),
-                                 g1 + g2, c1 * c2)
-    return out
+    return _build(A.n, 2, (
+        ((i, j), (tuple(x + y for x, y in zip(a1, a2)), _fr(g1 + g2)),
+         _fr(c1 * c2))
+        for (i,), compA in A.comps.items() for (j,), compB in B.comps.items()
+        for (a1, g1), c1 in compA.items() for (a2, g2), c2 in compB.items()))
 
 
 def sym_pair(A, B):
@@ -585,18 +571,13 @@ def sym_pair(A, B):
 
 
 def lie_flat(xi):
-    """Lie derivative of the flat metric along the 1-form/vector xi."""
+    """Lie derivative of the flat metric along the 1-form/vector xi:
+    nabla xi plus its transpose."""
     if xi.rank != 1:
         raise ValueError("lie derivative needs a 1-form")
-    out = PolyTensor(xi.n, 2)
-    for i in range(xi.n):
-        d = partial(xi, i)
-        for idx, comp in d.comps.items():
-            j = idx[0]
-            for (alpha, gamma), c in comp.items():
-                out.add_term((i, j), alpha, gamma, c)
-                out.add_term((j, i), alpha, gamma, c)
-    return out
+    return _build(xi.n, 2, (
+        (out_idx, key, c) for (i, j), comp in gradient(xi).comps.items()
+        for key, c in comp.items() for out_idx in ((i, j), (j, i))))
 
 
 def div_star(xi):
@@ -608,14 +589,10 @@ def radial_contraction(T):
     """Contraction with r^{-1} d/dr in the first slot: (x_i / r^2) T_{i...}."""
     if T.rank < 1:
         raise ValueError("radial contraction needs rank >= 1")
-    out = PolyTensor(T.n, T.rank - 1)
-    for idx, comp in T.comps.items():
-        i = idx[0]
-        for (alpha, gamma), c in comp.items():
-            newa = list(alpha)
-            newa[i] += 1
-            out.add_term(idx[1:], tuple(newa), gamma - 2, c)
-    return out
+    return _build(T.n, T.rank - 1, (
+        (idx[1:], (alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:], gamma - 2), c)
+        for idx, comp in T.comps.items() for i in idx[:1]
+        for (alpha, gamma), c in comp.items()))
 
 
 def div_t(T, t):
@@ -691,16 +668,9 @@ def bach_lin(h, k=1):
     core = core - hessian(laplacian(tr)).scaled(Fraction(1, 2 * (n - 1) * (n - 2)))
     core = core - hessian(ddh).scaled(Fraction(1, 2 * (n - 1)))
     core = core - laplacian(div_star(dh)).scaled(Fraction(1, n - 2))
-    trace_part = laplacian(tr, 2) - laplacian(ddh)
-    g = delta_metric(n)
-    gpart = PolyTensor(n, 2)
-    for i in range(n):
-        comp = trace_part.comps.get(())
-        if comp:
-            for (alpha, gamma), c in comp.items():
-                gpart.add_term((i, i), alpha, gamma,
-                               c * Fraction(1, 2 * (n - 1) * (n - 2)))
-    core = core + gpart
+    trace_part = (laplacian(tr, 2) - laplacian(ddh)).scaled(
+        Fraction(1, 2 * (n - 1) * (n - 2)))
+    core = core + mul_scalar_field(delta_metric(n), trace_part)
     return laplacian(core, k - 1) if k > 1 else core
 
 
@@ -835,14 +805,15 @@ def scale_pullback(T, a, weight=0):
     (psi_a^* T)_I(x) = a^rank T_I(a x); weight adds an extra a^weight.
     """
     a = _fr(a)
-    out = PolyTensor(T.n, T.rank)
+    out = {}
     for idx, comp in T.comps.items():
+        nc = out[idx] = {}
         for (alpha, gamma), c in comp.items():
             scale = a ** (sum(alpha)) * (a ** int(gamma) if gamma == int(gamma)
                                          else float(a) ** float(gamma))
-            out.add_term(idx, alpha, gamma, c * scale * a ** T.rank
-                         * (a ** weight if weight else 1))
-    return out
+            nc[(alpha, gamma)] = (c * scale * a ** T.rank
+                                  * (a ** weight if weight else 1))
+    return PolyTensor(T.n, T.rank, out)
 
 
 # -- angular bases and closure -------------------------------------------

@@ -709,13 +709,14 @@ def check_remainder(seed=0, scale=1.0):
     ok = True
     for k in (1, 2, 3):
         prev = None
-        for h_order in np.linspace(0.1, 3.0, 30):
+        for h_order in np.linspace(0.1, 4.0, 40):
             v = bs.remainder_order(k, 2 * k + 2, float(h_order))
             if prev is not None:
                 ok &= v >= prev
             prev = v
         quad = 2 * 0.5 + 2 * (k + 1)
-        for term in bs.enumerate_schematic_terms(k, j_max=2 * (k + 1) + 2):
+        for term in bs.enumerate_schematic_terms(k):
+            ok &= sum(term.alphas) == 2 * (k + 1)
             ok &= term.order(0.5) >= quad - 1e-12
     return _result(check_remainder, ok)
 

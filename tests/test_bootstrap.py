@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conespec.bootstrap import (bootstrap_infinity,
-                                bootstrap_origin, enumerate_schematic_terms,
-                                regularity_ladder, remainder_order)
+from conespec.bootstrap import (bootstrap_infinity, bootstrap_origin,
+                                enumerate_schematic_terms, regularity_ladder,
+                                remainder_order)
 from conespec.closed_form import ParameterError
 
 
@@ -26,8 +26,9 @@ def test_remainder_quadratic_terms_dominate():
     for k in (1, 2, 3):
         h_order = 0.7
         quad = 2 * h_order + 2 * (k + 1)
-        terms = enumerate_schematic_terms(k, j_max=2 * (k + 1) + 2)
+        terms = enumerate_schematic_terms(k)
         assert terms
+        assert max(term.j for term in terms) == 2 * (k + 1) + 2
         for term in terms:
             assert sum(term.alphas) == 2 * (k + 1)
             assert term.order(h_order) >= quad - 1e-12

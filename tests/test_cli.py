@@ -9,6 +9,8 @@ import pytest
 from conespec import verify
 from conespec.cli import main
 
+EYE4 = "[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]"
+
 
 def run_cli(args, tmp_path=None):
     return main(args)
@@ -215,11 +217,32 @@ def test_mode_parameter_guards_are_usage_errors(capsys, argv, msg):
       "0"], "need tolerance > 0"),
     (["degenerate-scan", "--n", "4", "--k", "1", "--t-values", "0",
       "--tolerance=-1e-9"], "need tolerance > 0"),
+    (["symbol", "--n", "4", "--k", "1", "--xi", "[1, 0", "--hhat",
+      EYE4], "--xi: not JSON"),
+    (["symbol", "--n", "4", "--k", "1", "--xi", "[1, 0, 0, 0]", "--hhat",
+      "eye"], "--hhat: not JSON"),
+    (["symbol", "--n", "4", "--k", "1", "--xi", "[1, 0, 0]", "--hhat",
+      EYE4], "--xi: need a JSON list of n = 4 numbers"),
+    (["symbol", "--n", "4", "--k", "1", "--xi", "[1, 0, 0, 0]", "--hhat",
+      "[[1, 0], [0, 1]]"], "--hhat: need an n x n JSON matrix"),
+    (["symbol", "--n", "4", "--scalar", "--xi", "[1, 0, 0, 0]", "--hhat",
+      "[[1, 0, 0, 0], [0, 1]]"], "--hhat: need an n x n JSON matrix"),
+    (["kernel", "--n", "4", "--k", "1", "--mode", "degree1", "--config",
+      "TMP/missing.json"], "--config TMP/missing.json: No such file"),
+    (["kernel", "--n", "4", "--k", "1", "--mode", "degree1", "--config",
+      "TMP/not_json.json"], "--config TMP/not_json.json: not JSON"),
+    (["kernel", "--n", "4", "--k", "1", "--mode", "degree1", "--config",
+      "TMP/list.json"], "--config TMP/list.json: need a JSON object"),
+    (["gap", "--n", "2", "--j-max", "5"], "need n >= 3"),
 ])
-def test_out_of_range_option_is_usage_error(capsys, argv, msg):
-    # an explicit value is checked, never replaced by the default
+def test_out_of_range_option_is_usage_error(capsys, tmp_path, argv, msg):
+    # an explicit value is checked, never replaced by the default; TMP
+    # stands for a directory holding a non-JSON and a non-object config
+    (tmp_path / "not_json.json").write_text("n = 4")
+    (tmp_path / "list.json").write_text("[4, 1]")
+    argv = [a.replace("TMP", str(tmp_path)) for a in argv]
     assert main(argv) == 2
-    assert msg in capsys.readouterr().err
+    assert msg.replace("TMP", str(tmp_path)) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag,want", [(["--tolerance", "1e-6"], 1e-6),
