@@ -134,53 +134,183 @@ def eval_expsum(p, t):
 # -- closed-form L^2 integrals ----------------------------------------------
 
 
-def _poly_exp_integral(bpow, w, t0, t1):
-    """Integral of t^bpow e^{w t} over [t0, t1], complex w allowed.
+def poly_exp_integrals(bpow, w, t0, t1):
+    """Integrals of t^bpow e^{w t} over [t0, t1], elementwise on the
+    broadcast arrays bpow (nonnegative ints), w (complex), t0 and t1.
 
-    Uses the closed-form antiderivative; switches to a series for small |w|
-    where the closed form cancels badly.
+    Uses the closed-form antiderivative; entries with |w| max(|t0|, |t1|)
+    < 0.25, where the closed form cancels badly, take the power series
+    instead, summed until every such entry has converged.  A non-finite
+    entry raises RangeError naming its interval and exponent.
     """
-    w = complex(w)
-    if abs(w) * max(abs(t0), abs(t1)) < 0.25:
-        # series: sum_k w^k/k! * (t1^{b+k+1}-t0^{b+k+1})/(b+k+1)
-        acc = 0j
-        term = 1.0 + 0j
-        for k in range(0, 60):
-            piece = (t1 ** (bpow + k + 1) - t0 ** (bpow + k + 1)) / (bpow + k + 1)
-            acc += term * piece
-            term *= w / (k + 1)
-            if abs(term) * max(abs(t0), abs(t1)) ** (bpow + k + 2) < 1e-18 * (1 + abs(acc)):
-                break
-        return acc
+    args = [np.asarray(a, dtype=dt) for a, dt in
+            ((bpow, int), (w, complex), (t0, float), (t1, float))]
+    shape = np.broadcast_shapes(*(a.shape for a in args))
+    flat = []
+    for a in args:
+        full = np.empty(shape, dtype=a.dtype)
+        full[...] = a
+        flat.append(full.reshape(-1))
+    bpow, w, t0, t1 = flat
+    tmax = np.maximum(np.abs(t0), np.abs(t1))
+    small = _abs(w) * tmax < 0.25
+    series, closed = np.flatnonzero(small), np.flatnonzero(~small)
+    out = np.empty(w.shape, dtype=complex)
+    with np.errstate(all="ignore"):
+        if series.size:
+            out[series] = _power_series(bpow[series], w[series], t0[series],
+                                        t1[series], tmax[series])
+        if closed.size:
+            b, wc = bpow[closed], w[closed]
+            ends = _antiderivative(np.concatenate([b, b]),
+                                   np.concatenate([wc, wc]),
+                                   np.concatenate([t1[closed], t0[closed]]))
+            out[closed] = ends[:closed.size] - ends[closed.size:]
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        i = bad[0]
+        raise RangeError(f"integral of t^{bpow[i]} e^({w[i]} t) over "
+                         f"[{t0[i]}, {t1[i]}] is not finite")
+    return out.reshape(shape)
 
-    def anti(t):
-        s = 0j
-        fact = 1.0
-        tp = t ** bpow
-        for i in range(bpow + 1):
-            s += ((-1) ** i) * fact * tp / w ** (i + 1)
-            if i < bpow:
-                fact *= (bpow - i)
-                tp = t ** (bpow - i - 1)
-        return cmath.exp(w * t) * s
 
-    return anti(t1) - anti(t0)
+# Just above the series threshold the closed form subtracts terms up to
+# b!/|w|^(b+1), which is 1e14 times its result at b = 10, and |p|^2 can be
+# far smaller than its pair terms, so rounding decides the last digits of
+# an integral.  The kernel therefore rounds as scalar Python arithmetic
+# does: complex products without fused multiply-add (numpy's cumprod
+# multiplies so; its elementwise product need not), CPython's complex
+# division, libm pow and hypot.
+
+
+def _abs(z):
+    return np.hypot(z.real, z.imag)
+
+
+def _mul(a, b):
+    return ((a.real * b.real - a.imag * b.imag)
+            + 1j * (a.real * b.imag + a.imag * b.real))
+
+
+def _real_over(x, d):
+    """Real x over complex d by CPython's division formula: with (p, q)
+    the larger and the smaller component of d, ratio = q/p and
+    denom = p + q ratio."""
+    big = np.abs(d.real) >= np.abs(d.imag)
+    p = np.where(big, d.real, d.imag)
+    q = np.where(big, d.imag, d.real)
+    ratio = q / p
+    denom = p + q * ratio
+    a = x / denom
+    b = x * ratio / denom
+    return np.where(big, a, b) - 1j * np.where(big, b, a)
+
+
+def _pow_table(t, emax):
+    """t ** e for e = 0..emax, shape t.shape + (emax + 1,), each computed
+    once per distinct t by Python's float power."""
+    if emax == 0:
+        return np.ones(t.shape + (1,))
+    uniq, inv = np.unique(t, return_inverse=True)
+    table = np.array([[x ** e for e in range(emax + 1)]
+                      for x in uniq.tolist()]).reshape(len(uniq), emax + 1)
+    return table[inv.reshape(t.shape)]
+
+
+def _power_series(b, w, t0, t1, tmax):
+    """sum_k w^k/k! (t1^(b+k+1) - t0^(b+k+1))/(b+k+1), each entry stopped
+    at its first k whose next term is below 1e-18 (1 + |partial sum|), or
+    after 60 terms.
+
+    Takes 20 values of k at a time on the entries still running: the terms
+    are running products and the partial sums running sums along k, in
+    the order of the term-by-term loop."""
+    out = np.empty(w.shape, dtype=complex)
+    acc = np.zeros(w.shape, dtype=complex)
+    term = np.ones(w.shape, dtype=complex)
+    run = np.arange(len(w))
+    for k0 in range(0, 60, 20):
+        if not run.size:
+            break
+        k = np.arange(k0, k0 + 20)
+        e = b[run, None] + k + 1
+        rows = np.arange(run.size)[:, None]
+        p0, p1, pmax = _pow_table(np.stack([t0[run], t1[run], tmax[run]]),
+                                  int(e.max()) + 1)
+        piece = (p1[rows, e] - p0[rows, e]) / e
+        steps = np.empty((run.size, 21), dtype=complex)
+        steps[:, 0] = term
+        steps.real[:, 1:] = w.real[run, None] / (k + 1)
+        steps.imag[:, 1:] = w.imag[run, None] / (k + 1)
+        terms = np.cumprod(steps, axis=1)
+        add = terms[:, :-1] * piece
+        add[:, 0] += acc
+        sums = np.cumsum(add, axis=1)
+        stop = (_abs(terms[:, 1:]) * pmax[rows, e + 1]
+                < 1e-18 * (1 + _abs(sums)))
+        done = stop.any(axis=1)
+        out[run[done]] = sums[done, stop[done].argmax(axis=1)]
+        run, acc, term = run[~done], sums[~done, -1], terms[~done, -1]
+    out[run] = acc
+    return out
+
+
+def _antiderivative(b, w, t):
+    """e^{w t} sum_{i <= b} (-1)^i b!/(b-i)! t^(b-i) / w^(i+1).
+
+    Entries are sorted by decreasing b, so step i of the sum runs on the
+    prefix of entries with b >= i."""
+    order = np.argsort(-b, kind="stable")
+    b, w, t = b[order], w[order], t[order]
+    bmax = int(b[0]) if len(b) else 0
+    tpow = _pow_table(t, bmax)
+    s = np.zeros(w.shape, dtype=complex)
+    fact = np.ones(w.shape)
+    for i in range(bmax + 1):
+        n = np.count_nonzero(b >= i)
+        x = (-1) ** i * fact[:n] * tpow[np.arange(n), b[:n] - i]
+        s[:n] += _real_over(x, w[:n] ** np.full(n, i + 1))
+        fact[:n] *= b[:n] - i
+    out = np.empty(w.shape, dtype=complex)
+    out[order] = _mul(np.exp(w * t), s)
+    return out
+
+
+def l2_integrals(sums, t0, t1):
+    """Integrals of |p(t)|^2 over [t0, t1] for every sum p of ``sums`` in
+    one poly_exp_integrals call.
+
+    t0 and t1 have shape (len(sums), k): row i holds k intervals of
+    sums[i].  |p|^2 expands into the pair terms
+    t^(b+b') e^{(zeta + conj zeta') t}; each row sums its pairs' integrals
+    in pair order, and negative roundoff is clipped to 0.
+    """
+    terms = [t for p in sums for t in p.terms]
+    c = np.array([t.coeff for t in terms], dtype=complex)
+    z = np.array([t.exponent for t in terms], dtype=complex)
+    b = np.array([t.power for t in terms], dtype=int)
+    # pair q of sum s is its terms (i, j) = divmod(q, n_s), row by row
+    size = np.array([len(p.terms) for p in sums], dtype=int)
+    seg = np.repeat(np.arange(len(sums)), size ** 2)
+    q = np.arange(len(seg)) - np.repeat(np.cumsum(size ** 2) - size ** 2,
+                                        size ** 2)
+    first_term = (np.cumsum(size) - size)[seg]
+    i, j = np.divmod(q, size[seg]) + first_term
+    t0 = np.asarray(t0, dtype=float)
+    t1 = np.asarray(t1, dtype=float)
+    vals = _mul(_mul(c[i], c[j].conj())[:, None], poly_exp_integrals(
+        (b[i] + b[j])[:, None], (z[i] + z[j].conj())[:, None],
+        t0[seg], t1[seg])).real
+    k = t0.shape[1]
+    acc = np.bincount((seg[:, None] * k + np.arange(k)).ravel(),
+                      weights=vals.ravel(), minlength=len(sums) * k)
+    return np.maximum(acc, 0.0).reshape(len(sums), k)
 
 
 def l2_integral(p, t0, t1):
-    """Integral of |p(t)|^2 over [t0, t1], in closed form.
-
-    Expands |p|^2 into the pair terms t^(b+b') e^{(zeta + conj zeta') t}
-    and sums their exact integrals (_poly_exp_integral); negative roundoff
-    is clipped to 0.
-    """
-    acc = 0j
-    for a in p.terms:
-        for b in p.terms:
-            w = a.exponent + b.exponent.conjugate()
-            acc += a.coeff * b.coeff.conjugate() * _poly_exp_integral(
-                a.power + b.power, w, t0, t1)
-    return max(acc.real, 0.0)
+    """Integral of |p(t)|^2 over [t0, t1] in closed form (l2_integrals of
+    the one sum p on the one interval)."""
+    return float(l2_integrals([p], [[t0]], [[t1]])[0, 0])
 
 
 def _abs_sq_grid(p, ts):
@@ -236,11 +366,33 @@ def power_sum(z, c, ell):
     return sum(cj * zj ** ell for cj, zj in zip(c, z))
 
 
+def turan_discrete_batch(z, c, m):
+    """The discrete power-sum bound on N instances with d terms each.
+
+    z and c have shape (N, d), m shape (N,).  Returns arrays lhs = |S_0|^2
+    and rhs = max |S_{m+1..m+d}|^2 (S_ell = sum_j c_j z_j^ell),
+    constant_bound = A(d) ((m+d)/d)^{2(d-1)} and holds = lhs <=
+    constant_bound * rhs, with the constant A(d).
+    """
+    z = np.asarray(z, dtype=complex)
+    c = np.asarray(c, dtype=complex)
+    m = np.asarray(m)
+    d = z.shape[1]
+    ells = m[:, None] + np.arange(1, d + 1)
+    sums = (c[:, None, :] * z[:, None, :] ** ells[:, :, None]).sum(axis=2)
+    lhs = np.abs(c.sum(axis=1)) ** 2
+    rhs = (np.abs(sums) ** 2).max(axis=1)
+    a_d = turan_constants.discrete_constant(d)
+    bound = a_d * ((m + d) / d) ** (2 * (d - 1))
+    return {"lhs": lhs, "rhs": rhs, "constant": a_d,
+            "constant_bound": bound, "holds": lhs <= bound * rhs}
+
+
 def turan_discrete(z, c, m):
     """Discrete power-sum bound: |S_0|^2 against the next d sums after m.
 
-    Returns a record with lhs = |S_0|^2, rhs = max |S_{m+1..m+d}|^2,
-    constant_bound = A(d) ((m+d)/d)^{2(d-1)}, and the holds flag.  |z_j| >= 1
+    The one-instance case of turan_discrete_batch, as a record with lhs,
+    rhs, constant, constant_bound, the holds flag and params.  |z_j| >= 1
     is checked up to a roundoff margin of 1e-12.
     """
     z = [complex(v) for v in z]
@@ -255,48 +407,30 @@ def turan_discrete(z, c, m):
     m = int(m)
     if any(abs(v) < 1 - 1e-12 for v in z):
         raise PreconditionError("all |z_j| must be >= 1")
-    lhs = abs(power_sum(z, c, 0)) ** 2
-    rhs = max(abs(power_sum(z, c, m + j)) ** 2 for j in range(1, d + 1))
-    a_d = turan_constants.discrete_constant(d)
-    bound = a_d * ((m + d) / d) ** (2 * (d - 1))
-    return {
-        "lhs": lhs,
-        "rhs": rhs,
-        "constant": a_d,
-        "constant_bound": bound,
-        "holds": lhs <= bound * rhs,
-        "params": {"d": d, "m": m},
-    }
+    return {**_first(turan_discrete_batch([z], [c], [m])),
+            "params": {"d": d, "m": m}}
 
 
-def turan_integral(p, a, b):
-    """Integral form of the power-sum bound plus its two interval variants.
-
-    Requires all exponents with nonnegative real part and no powers.
-    lhs = |p(0)|^2; bound = A(d) (b/(b-a))^{2(d-1)} (b+a)/(b-a)^2 * int_a^b |p|^2.
-    The sup-norm and L^2-L^2 variants are evaluated on [0, R] against
-    [3R/2, 2R] with R = b/2.
-    """
-    if not 0 < a < b:
-        raise PreconditionError("need 0 < a < b")
-    if (b - a) / b < 1e-8:
-        raise PreconditionError("degenerate interval")
-    if p.max_power != 0:
-        raise PreconditionError("integral form needs pure exponentials")
-    if any(t.exponent.real < 0 for t in p.terms):
-        raise PreconditionError("all Re(exponent) must be >= 0")
-    d = max(p.d, 1)
+def turan_integral_batch(sums, a, b):
+    """turan_integral's record, without params, for every sum of ``sums``
+    at once: a and b hold one interval per sum, every interval integral
+    comes from one l2_integrals call, and each entry is an array."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     big_r = b / 2
-    integral = l2_integral(p, a, b)
-    lhs = abs(eval_expsum(p, 0.0)) ** 2
-    a_d = turan_constants.integral_constant(d)
+    integral, tail, head = l2_integrals(
+        sums, np.stack([a, 1.5 * big_r, np.zeros(len(sums))], axis=1),
+        np.stack([b, 2 * big_r, big_r], axis=1)).T
+    d = np.array([max(p.d, 1) for p in sums])
+    a_d, a_sup, a_l2 = (np.array([table(k) for k in d.tolist()])
+                        for table in (turan_constants.integral_constant,
+                                      turan_constants.sup_constant,
+                                      turan_constants.l2l2_constant))
+    lhs = np.array([abs(eval_expsum(p, 0.0)) ** 2 for p in sums])
     bound = a_d * (b / (b - a)) ** (2 * (d - 1)) * (b + a) / (b - a) ** 2 * integral
-    tail = l2_integral(p, 1.5 * big_r, 2 * big_r)
-    sup_sq = sup_norm_sq(p, 0.0, big_r)
-    a_sup = turan_constants.sup_constant(d)
+    sup_sq = np.array([sup_norm_sq(p, 0.0, r)
+                       for p, r in zip(sums, big_r.tolist())])
     sup_bound = a_sup / big_r * tail
-    head = l2_integral(p, 0.0, big_r)
-    a_l2 = turan_constants.l2l2_constant(d)
     l2_bound = a_l2 * tail
     return {
         "lhs": lhs,
@@ -308,20 +442,40 @@ def turan_integral(p, a, b):
                      "holds": sup_sq <= sup_bound * (1 + 1e-12)},
         "l2_form": {"lhs": head, "bound": l2_bound, "constant": a_l2,
                     "holds": head <= l2_bound * (1 + 1e-12)},
-        "params": {"d": d, "a": a, "b": b, "R": big_r},
     }
 
 
-def three_interval_bound(tops, lo, hi, big_r, mode):
-    """The three-interval inequality from its interval integrals.
+def turan_integral(p, a, b):
+    """Integral form of the power-sum bound plus its two interval variants.
 
-    tops maps each distinct exponent of the sum to its highest power, so
-    the index is M + d = sum(tops.values()) + len(tops); lo and hi are the
-    integrals of |p|^2 over the lower and the upper interval, floats or
-    equal-shape arrays (one entry per sum with these exponents and
-    powers).  growth: e^{lambda R} lo <= A(M+d) hi; decay: hi <= A(M+d)
-    e^{-lambda R} lo, with lambda the minimal |Re exponent|.
+    Requires all exponents with nonnegative real part and no powers.
+    lhs = |p(0)|^2; bound = A(d) (b/(b-a))^{2(d-1)} (b+a)/(b-a)^2 * int_a^b |p|^2.
+    The sup-norm and L^2-L^2 variants are evaluated on [0, R] against
+    [3R/2, 2R] with R = b/2.  The one-sum case of turan_integral_batch.
     """
+    if not 0 < a < b:
+        raise PreconditionError("need 0 < a < b")
+    if (b - a) / b < 1e-8:
+        raise PreconditionError("degenerate interval")
+    if p.max_power != 0:
+        raise PreconditionError("integral form needs pure exponentials")
+    if any(t.exponent.real < 0 for t in p.terms):
+        raise PreconditionError("all Re(exponent) must be >= 0")
+    rec = _first(turan_integral_batch([p], [a], [b]))
+    rec["params"] = {"d": max(p.d, 1), "a": a, "b": b, "R": b / 2}
+    return rec
+
+
+def _first(rec):
+    """Entry 0 of every array in a batched record, as Python scalars."""
+    if isinstance(rec, dict):
+        return {k: _first(v) for k, v in rec.items()}
+    return np.ravel(rec)[0].item()
+
+
+def _three_interval_rate(tops, mode):
+    """lambda (the minimal |Re exponent|) and the index M + d of a sum
+    with these top powers in this mode."""
     res = [z.real for z in tops]
     if mode == "growth":
         lam = min(res)
@@ -337,14 +491,31 @@ def three_interval_bound(tops, lo, hi, big_r, mode):
                 "mixed-sign sums must be split into pure parts first")
     else:
         raise PreconditionError("mode must be 'growth' or 'decay'")
-    index = sum(tops.values()) + len(tops)
-    a_c = turan_constants.three_interval_constant(index)
-    if mode == "growth":
-        lhs = math.exp(lam * big_r) * lo
-        rhs = a_c * hi
+    return lam, sum(tops.values()) + len(tops)
+
+
+def three_interval_bound(tops, lo, hi, big_r, mode):
+    """The three-interval inequality from its interval integrals.
+
+    tops maps each distinct exponent of the sum to its highest power, so
+    the index is M + d = sum(tops.values()) + len(tops); lo and hi are the
+    integrals of |p|^2 over the lower and the upper interval, floats or
+    equal-shape arrays (one entry per sum with these exponents and
+    powers).  tops and mode may instead be lists with one entry per entry
+    of lo, hi and big_r.  growth: e^{lambda R} lo <= A(M+d) hi; decay:
+    hi <= A(M+d) e^{-lambda R} lo, with lambda the minimal |Re exponent|.
+    """
+    if isinstance(tops, dict):
+        lam, index = _three_interval_rate(tops, mode)
+        a_c = turan_constants.three_interval_constant(index)
     else:
-        lhs = hi
-        rhs = a_c * math.exp(-lam * big_r) * lo
+        lam, index = (np.array(v) for v in zip(
+            *map(_three_interval_rate, tops, mode)))
+        a_c = np.array([turan_constants.three_interval_constant(i)
+                        for i in index.tolist()])
+    growth = np.asarray(mode) == "growth"
+    lhs = np.where(growth, np.exp(lam * big_r) * lo, hi)
+    rhs = np.where(growth, a_c * hi, a_c * np.exp(-lam * big_r) * lo)
     return {
         "lhs": lhs,
         "rhs": rhs,
@@ -355,12 +526,26 @@ def three_interval_bound(tops, lo, hi, big_r, mode):
     }
 
 
+def three_interval_batch(sums, big_r, ell, modes):
+    """three_interval on every sum of ``sums`` at once: big_r, ell and
+    modes hold one entry per sum, every interval integral comes from one
+    l2_integrals call, and the record is three_interval_bound's with one
+    array entry per sum."""
+    big_r = np.asarray(big_r, dtype=float)
+    ends = np.asarray(ell)[:, None] + np.arange(-1, 2)
+    edges = ends * big_r[:, None]
+    lo, hi = l2_integrals(sums, edges[:, :2], edges[:, 1:]).T
+    return three_interval_bound([p.top_powers for p in sums], lo, hi, big_r,
+                                modes)
+
+
 def three_interval(p, big_r, ell, mode):
     """Growth/decay comparison of |p|^2 over three consecutive intervals.
 
     growth: e^{lambda R} int_{(l-1)R}^{lR} <= A(M+d) int_{lR}^{(l+1)R};
     decay is the mirror image.  lambda is the minimal |Re exponent| and must
     be positive with all real parts of one sign (three_interval_bound).
+    The one-sum case of three_interval_batch.
     """
     if big_r <= 0:
         raise PreconditionError("R must be positive")
@@ -369,9 +554,7 @@ def three_interval(p, big_r, ell, mode):
     ell = int(ell)
     if not p.terms:
         raise PreconditionError("empty sum")
-    lo = l2_integral(p, (ell - 1) * big_r, ell * big_r)
-    hi = l2_integral(p, ell * big_r, (ell + 1) * big_r)
-    rec = three_interval_bound(p.top_powers, lo, hi, big_r, mode)
+    rec = _first(three_interval_batch([p], [big_r], [ell], [mode]))
     rec["params"] = {"R": big_r, "l": ell, "mode": mode,
                      "index": rec.pop("index")}
     return rec
@@ -380,21 +563,46 @@ def three_interval(p, big_r, ell, mode):
 # -- randomized draws and the constant estimator ---------------------------
 
 
+def _power_sum_variates(rng, d):
+    """The generator calls of one power-sum draw of d terms, in order: m,
+    then d each of the unit-modulus coin, the modulus, the angle and the
+    coefficients' real and imaginary parts."""
+    return (int(rng.integers(1, 11)), rng.random(d), rng.random(d),
+            rng.random(d), rng.standard_normal(d), rng.standard_normal(d))
+
+
+def _power_sum_from(m, coin, u, angle, re, im):
+    """(m, |z|, z, c) from the variates, elementwise, so stacked variates
+    of many draws give the stacked draws."""
+    mod = np.where(coin < 0.25, 1.0, 1.0 + 2.0 * u)
+    return m, mod, mod * np.exp(2j * math.pi * angle), re + 1j * im
+
+
 def _draw_power_sum(rng, d):
     """Random (m, |z|, z, c) of d terms: m in 1..10, and each |z_j| is 1
     with probability 1/4, else uniform in [1, 3]."""
-    m = int(rng.integers(1, 11))
-    mod = np.where(rng.random(d) < 0.25, 1.0, 1.0 + 2.0 * rng.random(d))
-    z = mod * np.exp(2j * math.pi * rng.random(d))
-    c = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return m, mod, z, c
+    return _power_sum_from(*_power_sum_variates(rng, d))
+
+
+def draw_discrete_instances(rng, trials, dmax=4):
+    """``trials`` successive draw_discrete_instance draws, from the same
+    generator calls in the same order, grouped by d: {d: (z, c, m)} with
+    z and c of shape (count, d) and m of shape (count,)."""
+    variates = {}
+    for _ in range(trials):
+        d = int(rng.integers(1, dmax + 1))
+        variates.setdefault(d, []).append(_power_sum_variates(rng, d))
+    out = {}
+    for d, rows in variates.items():
+        m, _, z, c = _power_sum_from(*(np.array(v) for v in zip(*rows)))
+        out[d] = (z, c, m)
+    return out
 
 
 def draw_discrete_instance(rng, dmax=4):
     """Random (z, c, m) with d in 1..dmax terms (see _draw_power_sum)."""
-    d = int(rng.integers(1, dmax + 1))
-    m, _, z, c = _draw_power_sum(rng, d)
-    return list(z), list(c), m
+    (z, c, m), = draw_discrete_instances(rng, 1, dmax).values()
+    return list(z[0]), list(c[0]), int(m[0])
 
 
 def estimate_turan_constant(d, trials, seed):

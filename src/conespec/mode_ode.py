@@ -22,7 +22,7 @@ import numpy as np
 
 from . import polytensor as pt
 from .closed_form import ParameterError
-from .expsum import (ExpSum, ExpTerm, RangeError, _poly_exp_integral,
+from .expsum import (ExpSum, ExpTerm, RangeError, poly_exp_integrals,
                      three_interval_bound)
 from .linalg import (det_dense, lagrange_coefficients, poly_derivative,
                      poly_eval, poly_mul, poly_shift, poly_sum,
@@ -427,14 +427,16 @@ class RadialGram:
                 self.index.append((a, b))
 
     def gram(self, t0, t1):
-        k = len(self.index)
-        g = np.zeros((k, k), dtype=complex)
-        for i, (a, b) in enumerate(self.index):
-            za = self.spectrum.roots[a].value
-            for j, (a2, b2) in enumerate(self.index):
-                zb = self.spectrum.roots[a2].value
-                g[i, j] = _poly_exp_integral(b + b2, za + zb.conjugate(), t0, t1)
-        return g
+        """Gram matrix (K, K) of the basis on [t0, t1], or a stack of them
+        (..., K, K) for arrays of interval ends, in one
+        poly_exp_integrals call."""
+        zeta = np.array([self.spectrum.roots[a].value for a, _ in self.index],
+                        dtype=complex)
+        power = np.array([b for _, b in self.index], dtype=int)
+        return poly_exp_integrals(np.add.outer(power, power),
+                                  np.add.outer(zeta, zeta.conj()),
+                                  np.asarray(t0, dtype=float)[..., None, None],
+                                  np.asarray(t1, dtype=float)[..., None, None])
 
     def coefficient_vector(self, sol, c):
         v = np.zeros(len(self.index), dtype=complex)
@@ -557,7 +559,7 @@ def _annulus_record(gram, coeffs, beta_prime, L, trials, turan_check, slack):
     """three_annulus_verify's record at one L for drawn coefficients."""
     spectrum = gram.spectrum
     R = math.log(L)
-    grams = [gram.gram(i * R, (i + 1) * R) for i in range(3)]
+    grams = gram.gram(np.arange(3) * R, np.arange(1, 4) * R)
 
     def norms(forms):
         return np.sqrt(np.maximum(forms.sum(axis=-1), 0.0))

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .closed_form import ParameterError
+
 
 def _outer(a, b):
     return np.outer(a, b)
@@ -20,6 +22,11 @@ def _norm_sq(xi):
     return (np.asarray(xi) * np.asarray(xi)).sum()
 
 
+def _check_dimension(n):
+    if n < 3:
+        raise ParameterError("need n >= 3")
+
+
 def linearized_obstruction_symbol(n, k, xi, hhat):
     """Symbol matrix of the linearized obstruction operator on (xi, hhat).
 
@@ -27,6 +34,7 @@ def linearized_obstruction_symbol(n, k, xi, hhat):
     bilaplacian term, the two Hessian/trace terms, the adjoint-divergence
     term, and the pure-trace terms, then multiplies by (-|xi|^2)^{k-1}.
     """
+    _check_dimension(n)
     xi = np.asarray(xi)
     h = np.asarray(hhat)
     if h.shape != (n, n):
@@ -50,6 +58,7 @@ def linearized_obstruction_symbol(n, k, xi, hhat):
 
 def linearized_scalar_symbol(n, xi, hhat):
     """Symbol of the linearized scalar curvature: |xi|^2 tr(h) - xi.h.xi."""
+    _check_dimension(n)
     xi = np.asarray(xi)
     h = np.asarray(hhat)
     return _norm_sq(xi) * np.trace(h) - xi @ h @ xi

@@ -53,18 +53,26 @@ def check_normalization(seed=0, scale=1.0):
     return _result(check_normalization, ok)
 
 
+# The Turan sweeps draw their instances one trial at a time, then evaluate
+# up to BATCH_TRIALS of them together; the cap bounds the batch arrays.
+BATCH_TRIALS = 256
+
+
+def _batches(trials):
+    return [min(BATCH_TRIALS, trials - s)
+            for s in range(0, trials, BATCH_TRIALS)]
+
+
 @_suite("expsum.discrete_inequality_sweep")
 def check_discrete_sweep(seed=0, scale=1.0):
     rng = np.random.default_rng(seed)
     trials = int(10000 * scale) or 1
     violations = 0
-    for _ in range(trials):
-        z, c, m = es.draw_discrete_instance(rng, dmax=4)
-        rec = es.turan_discrete(z, c, m)
-        if rec["rhs"] == 0:
-            continue
-        if not rec["holds"]:
-            violations += 1
+    for n in _batches(trials):
+        for z, c, m in es.draw_discrete_instances(rng, n, dmax=4).values():
+            rec = es.turan_discrete_batch(z, c, m)
+            violations += int(np.count_nonzero(~rec["holds"]
+                                               & (rec["rhs"] != 0)))
     return _result(check_discrete_sweep, violations == 0,
                    trials=trials, violations=violations)
 
@@ -74,15 +82,17 @@ def check_integral_sweep(seed=1, scale=1.0):
     rng = np.random.default_rng(seed)
     trials = int(1000 * scale) or 1
     violations = 0
-    for _ in range(trials):
-        d = int(rng.integers(1, 4))
-        p = es.draw_expsum(rng, d)
-        a = float(rng.uniform(0.05, 4.0))
-        b = float(rng.uniform(a + 0.05, 5.0))
-        rec = es.turan_integral(p, a, b)
-        if not (rec["holds"] and rec["sup_form"]["holds"]
-                and rec["l2_form"]["holds"]):
-            violations += 1
+    for n in _batches(trials):
+        sums, a, b = [], [], []
+        for _ in range(n):
+            d = int(rng.integers(1, 4))
+            sums.append(es.draw_expsum(rng, d))
+            a.append(float(rng.uniform(0.05, 4.0)))
+            b.append(float(rng.uniform(a[-1] + 0.05, 5.0)))
+        rec = es.turan_integral_batch(sums, a, b)
+        holds = (rec["holds"] & rec["sup_form"]["holds"]
+                 & rec["l2_form"]["holds"])
+        violations += int(np.count_nonzero(~holds))
     return _result(check_integral_sweep, violations == 0,
                    trials=trials, violations=violations)
 
@@ -92,18 +102,20 @@ def check_three_interval_sweep(seed=2, scale=1.0):
     rng = np.random.default_rng(seed)
     trials = int(1000 * scale) or 1
     violations = 0
-    for _ in range(trials):
-        d = int(rng.integers(1, 4))
-        budget = int(rng.integers(0, 6 - d)) if d < 5 else 0
-        p = es.draw_budget_expsum(rng, d, budget)
-        if p.big_m + p.d > 5:  # the power budget keeps the index <= 5
-            violations += 1
-        big_r = float(rng.uniform(0.2, 2.5))
-        ell = int(rng.integers(1, 4))
-        if not es.three_interval(p, big_r, ell, "growth")["holds"]:
-            violations += 1
-        if not es.three_interval(p.mirrored(), big_r, ell, "decay")["holds"]:
-            violations += 1
+    for n in _batches(trials):
+        sums, big_r, ell = [], [], []
+        for _ in range(n):
+            d = int(rng.integers(1, 4))
+            budget = int(rng.integers(0, 6 - d)) if d < 5 else 0
+            sums.append(es.draw_budget_expsum(rng, d, budget))
+            big_r.append(float(rng.uniform(0.2, 2.5)))
+            ell.append(int(rng.integers(1, 4)))
+        # the power budget keeps the index <= 5
+        violations += sum(p.big_m + p.d > 5 for p in sums)
+        rec = es.three_interval_batch(sums + [p.mirrored() for p in sums],
+                                      big_r * 2, ell * 2,
+                                      ["growth"] * n + ["decay"] * n)
+        violations += int(np.count_nonzero(~rec["holds"]))
     return _result(check_three_interval_sweep, violations == 0,
                    trials=trials, violations=violations)
 

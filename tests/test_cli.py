@@ -234,6 +234,10 @@ def test_mode_parameter_guards_are_usage_errors(capsys, argv, msg):
     (["kernel", "--n", "4", "--k", "1", "--mode", "degree1", "--config",
       "TMP/list.json"], "--config TMP/list.json: need a JSON object"),
     (["gap", "--n", "2", "--j-max", "5"], "need n >= 3"),
+    (["symbol", "--n", "2", "--k", "1", "--xi", "[1, 0]", "--hhat",
+      "[[1, 0], [0, 1]]"], "need n >= 3"),
+    (["symbol", "--n", "2", "--scalar", "--xi", "[1, 0]", "--hhat",
+      "[[1, 0], [0, 1]]"], "need n >= 3"),
 ])
 def test_out_of_range_option_is_usage_error(capsys, tmp_path, argv, msg):
     # an explicit value is checked, never replaced by the default; TMP

@@ -1,16 +1,21 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
-from conespec import turan_constants
+from conespec import expsum as es
+from conespec import turan_constants, verify
 from conespec.expsum import (ExpSum, ExpTerm, PreconditionError,
                              RangeError, _abs_sq_grid, draw_budget_expsum,
                              draw_expsum, estimate_turan_constant,
-                             eval_expsum, l2_integral, sup_norm_sq,
-                             three_interval, three_interval_bound,
-                             turan_discrete, turan_integral)
+                             eval_expsum, l2_integral, poly_exp_integrals,
+                             sup_norm_sq, three_interval,
+                             three_interval_bound, turan_discrete,
+                             turan_integral)
 
 E = math.e
 
@@ -248,3 +253,285 @@ def test_constant_table_lookup_extrapolates():
     assert turan_constants.discrete_constant(1) == turan_constants.DISCRETE_A[1]
     assert turan_constants.three_interval_constant(50) >= \
         turan_constants.THREE_INTERVAL_A[12]
+
+
+# -- the array kernel against the scalar closed form ------------------------
+
+
+def _poly_exp_integral(bpow, w, t0, t1):
+    """Scalar oracle: integral of t^bpow e^{w t} over [t0, t1], from the
+    closed-form antiderivative, or from the power series where
+    |w| max(|t0|, |t1|) < 0.25."""
+    w = complex(w)
+    if abs(w) * max(abs(t0), abs(t1)) < 0.25:
+        # series: sum_k w^k/k! * (t1^{b+k+1}-t0^{b+k+1})/(b+k+1)
+        acc = 0j
+        term = 1.0 + 0j
+        for k in range(0, 60):
+            piece = (t1 ** (bpow + k + 1) - t0 ** (bpow + k + 1)) / (bpow + k + 1)
+            acc += term * piece
+            term *= w / (k + 1)
+            if abs(term) * max(abs(t0), abs(t1)) ** (bpow + k + 2) < 1e-18 * (1 + abs(acc)):
+                break
+        return acc
+
+    def anti(t):
+        s = 0j
+        fact = 1.0
+        tp = t ** bpow
+        for i in range(bpow + 1):
+            s += ((-1) ** i) * fact * tp / w ** (i + 1)
+            if i < bpow:
+                fact *= (bpow - i)
+                tp = t ** (bpow - i - 1)
+        return cmath.exp(w * t) * s
+
+    return anti(t1) - anti(t0)
+
+
+def _l2_oracle(p, t0, t1):
+    acc = 0j
+    for a in p.terms:
+        for b in p.terms:
+            acc += a.coeff * b.coeff.conjugate() * _poly_exp_integral(
+                a.power + b.power, a.exponent + b.exponent.conjugate(), t0, t1)
+    return max(acc.real, 0.0)
+
+
+_entry = st.tuples(
+    st.integers(0, 10),                                    # power
+    st.floats(0.05, 10.0),                                 # t1 (t0 = 0)
+    st.one_of(st.floats(0.0, 0.2499), st.floats(0.25, 12.0)),  # |w| t1
+    st.floats(0.0, 2 * math.pi))                           # arg w
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=st.lists(_entry, min_size=1, max_size=12))
+def test_kernel_matches_scalar_closed_form(entries):
+    # one kernel call on a mix of powers and of both branches; the closed
+    # form just above |w| t = 0.25 cancels terms up to 1e14 times its
+    # result, so this holds only because the kernel rounds as the scalar
+    # arithmetic does
+    b, t1, scaled, arg = (np.array(v) for v in zip(*entries))
+    w = scaled / t1 * np.exp(1j * arg)
+    got = poly_exp_integrals(b, w, 0.0, t1)
+    for k in range(len(entries)):
+        want = _poly_exp_integral(int(b[k]), w[k], 0.0, float(t1[k]))
+        assert abs(got[k] - want) <= 1e-12 * abs(want)
+
+
+def test_kernel_broadcasts_and_keeps_shape():
+    rng = np.random.default_rng(3)
+    b = rng.integers(0, 4, (3, 1))
+    w = rng.normal(size=4) + 1j * rng.normal(size=4)
+    t0 = np.array([[0.0], [0.5], [-1.0]])
+    got = poly_exp_integrals(b, w, t0, 2.0)
+    assert got.shape == (3, 4)
+    for i in range(3):
+        for j in range(4):
+            want = _poly_exp_integral(int(b[i, 0]), w[j], float(t0[i, 0]),
+                                      2.0)
+            assert abs(got[i, j] - want) <= 1e-12 * abs(want)
+
+
+def test_l2_integral_matches_pairwise_oracle():
+    rng = np.random.default_rng(8)
+    for _ in range(60):
+        p = draw_expsum(rng, int(rng.integers(1, 4)), re_range=(-2.0, 2.0),
+                        powers=3)
+        t0, t1 = sorted(rng.uniform(0.0, 4.0, 2).tolist())
+        want = _l2_oracle(p, t0, t1)
+        assert abs(l2_integral(p, t0, t1) - want) <= 1e-12 * want
+        both = es.l2_integrals([p, p.mirrored()], [[t0, 0.0]] * 2,
+                               [[t1, t0]] * 2)
+        assert both.shape == (2, 2) and both[0, 0] == l2_integral(p, t0, t1)
+        assert both[1, 1] == l2_integral(p.mirrored(), 0.0, t0)
+
+
+def test_overflowing_integral_raises_range_error():
+    p = ExpSum([ExpTerm(1, 400)])
+    with pytest.raises(RangeError,
+                       match=r"e\^\(\(800\+0j\) t\) over \[0\.0, 10\.0\]"):
+        l2_integral(p, 0, 10)
+    with pytest.raises(RangeError, match="over"):
+        three_interval(p, 5.0, 1, "growth")
+
+
+# -- the batched sweeps against their per-trial loops -----------------------
+
+
+def _draw_discrete_oracle(rng, dmax):
+    d = int(rng.integers(1, dmax + 1))
+    m = int(rng.integers(1, 11))
+    mod = np.where(rng.random(d) < 0.25, 1.0, 1.0 + 2.0 * rng.random(d))
+    z = mod * np.exp(2j * math.pi * rng.random(d))
+    c = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return list(z), list(c), m
+
+
+def _discrete_sweep_oracle(seed, scale):
+    """check_discrete_sweep one trial at a time with the scalar bound;
+    returns (trials, violations) and the draws."""
+    rng = np.random.default_rng(seed)
+    trials = int(10000 * scale) or 1
+    violations = 0
+    draws = []
+    for _ in range(trials):
+        z, c, m = _draw_discrete_oracle(rng, 4)
+        draws.append((z, c, m))
+        d = len(z)
+        lhs = abs(es.power_sum(z, c, 0)) ** 2
+        rhs = max(abs(es.power_sum(z, c, m + j)) ** 2 for j in range(1, d + 1))
+        bound = (turan_constants.discrete_constant(d)
+                 * ((m + d) / d) ** (2 * (d - 1)))
+        if rhs == 0:
+            continue
+        if not lhs <= bound * rhs:
+            violations += 1
+    return (trials, violations), draws
+
+
+def _three_interval_oracle(p, big_r, ell, mode):
+    lo = _l2_oracle(p, (ell - 1) * big_r, ell * big_r)
+    hi = _l2_oracle(p, ell * big_r, (ell + 1) * big_r)
+    tops = p.top_powers
+    lam = min(abs(z.real) for z in tops)
+    a_c = turan_constants.three_interval_constant(sum(tops.values())
+                                                  + len(tops))
+    if mode == "growth":
+        return math.exp(lam * big_r) * lo <= a_c * hi * (1 + 1e-12)
+    return hi <= a_c * math.exp(-lam * big_r) * lo * (1 + 1e-12)
+
+
+def _three_interval_sweep_oracle(seed, scale):
+    rng = np.random.default_rng(seed)
+    trials = int(1000 * scale) or 1
+    violations = 0
+    draws = []
+    for _ in range(trials):
+        d = int(rng.integers(1, 4))
+        budget = int(rng.integers(0, 6 - d)) if d < 5 else 0
+        p = es.draw_budget_expsum(rng, d, budget)
+        if p.big_m + p.d > 5:
+            violations += 1
+        big_r = float(rng.uniform(0.2, 2.5))
+        ell = int(rng.integers(1, 4))
+        draws.append((p, big_r, ell))
+        if not _three_interval_oracle(p, big_r, ell, "growth"):
+            violations += 1
+        if not _three_interval_oracle(p.mirrored(), big_r, ell, "decay"):
+            violations += 1
+    return (trials, violations), draws
+
+
+def _integral_sweep_oracle(seed, scale):
+    rng = np.random.default_rng(seed)
+    trials = int(1000 * scale) or 1
+    violations = 0
+    for _ in range(trials):
+        p = es.draw_expsum(rng, int(rng.integers(1, 4)))
+        a = float(rng.uniform(0.05, 4.0))
+        b = float(rng.uniform(a + 0.05, 5.0))
+        d = max(p.d, 1)
+        big_r = b / 2
+        lhs = abs(eval_expsum(p, 0.0)) ** 2
+        bound = (turan_constants.integral_constant(d)
+                 * (b / (b - a)) ** (2 * (d - 1)) * (b + a) / (b - a) ** 2
+                 * _l2_oracle(p, a, b))
+        tail = _l2_oracle(p, 1.5 * big_r, 2 * big_r)
+        sup_bound = turan_constants.sup_constant(d) / big_r * tail
+        l2_bound = turan_constants.l2l2_constant(d) * tail
+        if not (lhs <= bound * (1 + 1e-12)
+                and sup_norm_sq(p, 0.0, big_r) <= sup_bound * (1 + 1e-12)
+                and _l2_oracle(p, 0.0, big_r) <= l2_bound * (1 + 1e-12)):
+            violations += 1
+    return trials, violations
+
+
+def _spy(monkeypatch, name):
+    calls = []
+    real = getattr(es, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(es, name, spy)
+    return calls
+
+
+def _assert_same_discrete_draws(calls, draws):
+    """The batches, concatenated per d in call order, hold the oracle's
+    draws of that d in draw order, bit for bit."""
+    got, want = {}, {}
+    for z, c, m in calls:
+        got.setdefault(z.shape[1], []).append((z, c, m))
+    for z, c, m in draws:
+        want.setdefault(len(z), []).append((z, c, m))
+    assert got.keys() == want.keys()
+    for d, batches in got.items():
+        z, c, m = (np.concatenate(v) for v in zip(*batches))
+        assert z.tobytes() == np.array([v[0] for v in want[d]]).tobytes()
+        assert c.tobytes() == np.array([v[1] for v in want[d]]).tobytes()
+        assert m.tolist() == [v[2] for v in want[d]]
+
+
+def _assert_same_three_interval_draws(calls, draws):
+    """Each batch holds its share of the oracle's draws in draw order,
+    growth first, then the mirror images in decay mode."""
+    start = 0
+    for sums, big_r, ell, modes in calls:
+        n = len(sums) // 2
+        part = draws[start:start + n]
+        start += n
+        assert [q.terms for q in sums] == ([p.terms for p, _, _ in part]
+                                           + [p.mirrored().terms
+                                              for p, _, _ in part])
+        assert list(big_r) == [r for _, r, _ in part] * 2
+        assert list(ell) == [e for _, _, e in part] * 2
+        assert list(modes) == ["growth"] * n + ["decay"] * n
+    assert start == len(draws)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_batched_sweeps_match_per_trial_oracle(monkeypatch, seed):
+    discrete = _spy(monkeypatch, "turan_discrete_batch")
+    three = _spy(monkeypatch, "three_interval_batch")
+    rec = verify.check_discrete_sweep(seed=seed, scale=0.2)["details"]
+    want, draws = _discrete_sweep_oracle(seed, 0.2)
+    assert (rec["trials"], rec["violations"]) == want
+    _assert_same_discrete_draws(discrete, draws)
+    rec = verify.check_three_interval_sweep(seed=seed, scale=0.2)["details"]
+    want, draws = _three_interval_sweep_oracle(seed, 0.2)
+    assert (rec["trials"], rec["violations"]) == want
+    _assert_same_three_interval_draws(three, draws)
+    rec = verify.check_integral_sweep(seed=seed, scale=0.05)["details"]
+    assert (rec["trials"], rec["violations"]) == _integral_sweep_oracle(
+        seed, 0.05)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_sweeps_count_failures_like_oracle(monkeypatch, seed):
+    # constants far below the observed ratios, so that many instances
+    # fail, and batches of 64 trials, so that failures straddle batches
+    for name, value in (("DISCRETE_A", 0.5), ("THREE_INTERVAL_A", 1.0),
+                        ("INTEGRAL_A", 0.3), ("SUP_A", 2.0),
+                        ("L2L2_A", 2.0)):
+        table = getattr(turan_constants, name)
+        monkeypatch.setattr(turan_constants, name,
+                            {k: value for k in table})
+    monkeypatch.setattr(verify, "BATCH_TRIALS", 64)
+    three = _spy(monkeypatch, "three_interval_batch")
+    rec = verify.check_discrete_sweep(seed=seed, scale=0.02)["details"]
+    want, _ = _discrete_sweep_oracle(seed, 0.02)
+    assert (rec["trials"], rec["violations"]) == want
+    assert 0 < want[1] < want[0]
+    rec = verify.check_three_interval_sweep(seed=seed, scale=0.2)["details"]
+    want, draws = _three_interval_sweep_oracle(seed, 0.2)
+    assert (rec["trials"], rec["violations"]) == want
+    assert 0 < want[1] < 2 * want[0]
+    _assert_same_three_interval_draws(three, draws)
+    rec = verify.check_integral_sweep(seed=seed, scale=0.1)["details"]
+    want = _integral_sweep_oracle(seed, 0.1)
+    assert (rec["trials"], rec["violations"]) == want
+    assert 0 < want[1] < want[0]

@@ -13,7 +13,7 @@ from conespec import turan_constants
 from conespec.closed_form import (ParameterError, scalar_indicial_polynomial,
                                   scalar_indicial_roots)
 from conespec.linalg import poly_shift
-from conespec.expsum import three_interval
+from conespec.expsum import RangeError, three_interval
 from conespec.mode_ode import (L0_CANDIDATES, EulerOperator, ModeSolution,
                                ProbeError, RadialGram, _nullspace_float,
                                _operator_scale, degenerate_scan,
@@ -273,6 +273,15 @@ def test_single_mode_growth_ratio_closed_form():
     assert abs(n2 / n1 - L ** 2) < 1e-9
     rec = three_annulus_verify(spec, 0.9, L, trials=50, seed=0)
     assert rec["passed"]
+
+
+def test_gram_overflow_raises_range_error():
+    spec = indicial_spectrum(synthetic_operator([(2, 1), (-2, 1)]))
+    gram = RadialGram(spec)
+    assert gram.gram([0.0, 1.0], [1.0, 2.0]).shape == (2, 2, 2)
+    with pytest.raises(RangeError, match=r"e\^\(\(4\+0j\) t\) over "
+                       r"\[0\.0, 400\.0\]"):
+        gram.gram(0.0, 400.0)
 
 
 def test_three_annulus_rejects_zero_roots():
