@@ -138,34 +138,26 @@ def poly_exp_integrals(bpow, w, t0, t1):
     """Integrals of t^bpow e^{w t} over [t0, t1], elementwise on the
     broadcast arrays bpow (nonnegative ints), w (complex), t0 and t1.
 
-    Uses the closed-form antiderivative; entries with |w| max(|t0|, |t1|)
-    < 0.25, where the closed form cancels badly, take the power series
-    instead, summed until every such entry has converged.  A non-finite
-    entry raises RangeError naming its interval and exponent.
+    Entries with |w| max(|t0|, |t1|) < (bpow + 1)/2 take the power series
+    and the others the closed-form antiderivative.  Below that switch the
+    closed form would subtract terms up to bpow!/|w|^(bpow+1) far larger
+    than its result; above it the series would cancel like
+    e^{2 |w| max(|t0|, |t1|)} when Re w < 0.  A non-finite entry raises
+    RangeError naming its interval and exponent.
     """
     args = [np.asarray(a, dtype=dt) for a, dt in
             ((bpow, int), (w, complex), (t0, float), (t1, float))]
     shape = np.broadcast_shapes(*(a.shape for a in args))
-    flat = []
-    for a in args:
-        full = np.empty(shape, dtype=a.dtype)
-        full[...] = a
-        flat.append(full.reshape(-1))
-    bpow, w, t0, t1 = flat
+    bpow, w, t0, t1 = (np.broadcast_to(a, shape).ravel() for a in args)
     tmax = np.maximum(np.abs(t0), np.abs(t1))
-    small = _abs(w) * tmax < 0.25
-    series, closed = np.flatnonzero(small), np.flatnonzero(~small)
+    series = np.abs(w) * tmax < (bpow + 1) / 2
+    closed = ~series
     out = np.empty(w.shape, dtype=complex)
     with np.errstate(all="ignore"):
-        if series.size:
-            out[series] = _power_series(bpow[series], w[series], t0[series],
-                                        t1[series], tmax[series])
-        if closed.size:
-            b, wc = bpow[closed], w[closed]
-            ends = _antiderivative(np.concatenate([b, b]),
-                                   np.concatenate([wc, wc]),
-                                   np.concatenate([t1[closed], t0[closed]]))
-            out[closed] = ends[:closed.size] - ends[closed.size:]
+        out[series] = _power_series(bpow[series], w[series], t0[series],
+                                    t1[series], tmax[series])
+        out[closed] = _closed_form(bpow[closed], w[closed], t0[closed],
+                                   t1[closed])
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
         i = bad[0]
@@ -174,106 +166,58 @@ def poly_exp_integrals(bpow, w, t0, t1):
     return out.reshape(shape)
 
 
-# Just above the series threshold the closed form subtracts terms up to
-# b!/|w|^(b+1), which is 1e14 times its result at b = 10, and |p|^2 can be
-# far smaller than its pair terms, so rounding decides the last digits of
-# an integral.  The kernel therefore rounds as scalar Python arithmetic
-# does: complex products without fused multiply-add (numpy's cumprod
-# multiplies so; its elementwise product need not), CPython's complex
-# division, libm pow and hypot.
-
-
-def _abs(z):
-    return np.hypot(z.real, z.imag)
-
-
-def _mul(a, b):
-    return ((a.real * b.real - a.imag * b.imag)
-            + 1j * (a.real * b.imag + a.imag * b.real))
-
-
-def _real_over(x, d):
-    """Real x over complex d by CPython's division formula: with (p, q)
-    the larger and the smaller component of d, ratio = q/p and
-    denom = p + q ratio."""
-    big = np.abs(d.real) >= np.abs(d.imag)
-    p = np.where(big, d.real, d.imag)
-    q = np.where(big, d.imag, d.real)
-    ratio = q / p
-    denom = p + q * ratio
-    a = x / denom
-    b = x * ratio / denom
-    return np.where(big, a, b) - 1j * np.where(big, b, a)
-
-
-def _pow_table(t, emax):
-    """t ** e for e = 0..emax, shape t.shape + (emax + 1,), each computed
-    once per distinct t by Python's float power."""
-    if emax == 0:
-        return np.ones(t.shape + (1,))
-    uniq, inv = np.unique(t, return_inverse=True)
-    table = np.array([[x ** e for e in range(emax + 1)]
-                      for x in uniq.tolist()]).reshape(len(uniq), emax + 1)
-    return table[inv.reshape(t.shape)]
-
-
 def _power_series(b, w, t0, t1, tmax):
-    """sum_k w^k/k! (t1^(b+k+1) - t0^(b+k+1))/(b+k+1), each entry stopped
-    at its first k whose next term is below 1e-18 (1 + |partial sum|), or
-    after 60 terms.
-
-    Takes 20 values of k at a time on the entries still running: the terms
-    are running products and the partial sums running sums along k, in
-    the order of the term-by-term loop."""
+    """sum_k w^k/k! (t1^(b+k+1) - t0^(b+k+1))/(b+k+1) on the entries still
+    running, 16 values of k at a time: the coefficients are running
+    products and the sums running sums along k.  An entry stops at the
+    first k where the bound |w|^(k+1)/(k+1)! tmax^(b+k+2) on its next
+    term is at most 1e-17 times the running sum of |terms|, or, as NaN,
+    where that bound is not finite (the next term could not be bounded)."""
     out = np.empty(w.shape, dtype=complex)
-    acc = np.zeros(w.shape, dtype=complex)
-    term = np.ones(w.shape, dtype=complex)
     run = np.arange(len(w))
-    for k0 in range(0, 60, 20):
-        if not run.size:
-            break
-        k = np.arange(k0, k0 + 20)
-        e = b[run, None] + k + 1
-        rows = np.arange(run.size)[:, None]
-        p0, p1, pmax = _pow_table(np.stack([t0[run], t1[run], tmax[run]]),
-                                  int(e.max()) + 1)
-        piece = (p1[rows, e] - p0[rows, e]) / e
-        steps = np.empty((run.size, 21), dtype=complex)
-        steps[:, 0] = term
-        steps.real[:, 1:] = w.real[run, None] / (k + 1)
-        steps.imag[:, 1:] = w.imag[run, None] / (k + 1)
-        terms = np.cumprod(steps, axis=1)
-        add = terms[:, :-1] * piece
-        add[:, 0] += acc
-        sums = np.cumsum(add, axis=1)
-        stop = (_abs(terms[:, 1:]) * pmax[rows, e + 1]
-                < 1e-18 * (1 + _abs(sums)))
-        done = stop.any(axis=1)
-        out[run[done]] = sums[done, stop[done].argmax(axis=1)]
-        run, acc, term = run[~done], sums[~done, -1], terms[~done, -1]
-    out[run] = acc
+    acc = np.zeros(w.shape, dtype=complex)
+    size = np.zeros(w.shape)
+    coef = np.ones(w.shape, dtype=complex)
+    k = np.arange(16)[:, None]
+    while run.size:
+        e = b + k + 1
+        steps = np.empty((len(k) + 1, run.size), dtype=complex)
+        steps[0] = coef
+        steps[1:] = w / (k + 1)
+        coefs = np.cumprod(steps, axis=0)
+        terms = coefs[:-1] * ((t1 ** e - t0 ** e) / e)
+        mods = np.abs(terms)
+        terms[0] += acc
+        mods[0] += size
+        sums, sizes = np.cumsum(terms, axis=0), np.cumsum(mods, axis=0)
+        bound = np.abs(coefs[1:]) * tmax ** (e + 1)
+        lost = ~np.isfinite(bound)
+        done = lost | (bound <= 1e-17 * sizes)
+        stopped = done.any(axis=0)
+        cols = np.flatnonzero(stopped)
+        at = done[:, cols].argmax(axis=0)
+        out[run[cols]] = np.where(lost[at, cols], np.nan, sums[at, cols])
+        keep = ~stopped
+        run, b, w, t0, t1, tmax = (a[keep] for a in (run, b, w, t0, t1, tmax))
+        acc, size, coef = sums[-1, keep], sizes[-1, keep], coefs[-1, keep]
+        k = k + len(k)
     return out
 
 
-def _antiderivative(b, w, t):
-    """e^{w t} sum_{i <= b} (-1)^i b!/(b-i)! t^(b-i) / w^(i+1).
-
-    Entries are sorted by decreasing b, so step i of the sum runs on the
-    prefix of entries with b >= i."""
-    order = np.argsort(-b, kind="stable")
-    b, w, t = b[order], w[order], t[order]
-    bmax = int(b[0]) if len(b) else 0
-    tpow = _pow_table(t, bmax)
-    s = np.zeros(w.shape, dtype=complex)
-    fact = np.ones(w.shape)
-    for i in range(bmax + 1):
-        n = np.count_nonzero(b >= i)
-        x = (-1) ** i * fact[:n] * tpow[np.arange(n), b[:n] - i]
-        s[:n] += _real_over(x, w[:n] ** np.full(n, i + 1))
-        fact[:n] *= b[:n] - i
-    out = np.empty(w.shape, dtype=complex)
-    out[order] = _mul(np.exp(w * t), s)
-    return out
+def _closed_form(b, w, t0, t1):
+    """F(t1) - F(t0) for the antiderivative
+    F(t) = e^{w t} sum_{i <= b} (-1)^i b!/(b-i)! t^(b-i) / w^(i+1),
+    with the terms of both ends as one (max(b) + 1, 2, len(b)) array,
+    summed in order along i (cumsum), so that the zero terms past an
+    entry's own b leave its value as if it were evaluated alone."""
+    i = np.arange(int(b.max(initial=0)) + 1)[:, None]
+    tpow = b - i
+    fall = np.cumprod(np.where(i > 0, tpow + 1.0, 1.0), axis=0)
+    coef = np.where(tpow >= 0, (-1.0) ** i * fall / w ** (i + 1), 0)
+    t = np.stack([t1, t0])
+    terms = coef[:, None] * t ** np.maximum(tpow, 0)[:, None]
+    ends = np.exp(w * t) * np.cumsum(terms, axis=0)[-1]
+    return ends[0] - ends[1]
 
 
 def l2_integrals(sums, t0, t1):
@@ -298,7 +242,7 @@ def l2_integrals(sums, t0, t1):
     i, j = np.divmod(q, size[seg]) + first_term
     t0 = np.asarray(t0, dtype=float)
     t1 = np.asarray(t1, dtype=float)
-    vals = _mul(_mul(c[i], c[j].conj())[:, None], poly_exp_integrals(
+    vals = ((c[i] * c[j].conj())[:, None] * poly_exp_integrals(
         (b[i] + b[j])[:, None], (z[i] + z[j].conj())[:, None],
         t0[seg], t1[seg])).real
     k = t0.shape[1]

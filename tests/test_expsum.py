@@ -3,7 +3,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import mpmath
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -151,16 +152,22 @@ def test_three_interval_mixed_signs_rejected():
 
 def test_closed_form_integral_matches_quadrature():
     rng = np.random.default_rng(5)
+    cases = []
     for _ in range(20):
         p = draw_expsum(rng, int(rng.integers(1, 4)), powers=2)
         t0, t1 = sorted(rng.uniform(0.1, 3.0, 2))
-        if t1 - t0 < 0.05:
-            continue
+        if t1 - t0 >= 0.05:
+            cases.append((p, t0, t1))
+    # a short interval at the origin (the series' stopping rule) and a
+    # power whose closed form cancels just above |w| t = 0.25 (the switch)
+    cases += [(ExpSum([ExpTerm(1, 0.5, 4)]), 0.0, 0.01),
+              (ExpSum([ExpTerm(1, 0.15, 5)]), 0.0, 1.0)]
+    for p, t0, t1 in cases:
         a = l2_integral(p, t0, t1)
         b, err = integrate.quad(lambda t: abs(eval_expsum(p, t)) ** 2,
-                                t0, t1, epsrel=1e-10, epsabs=1e-14, limit=200)
-        assert err <= 1e-6 * (abs(b) + 1e-14)
-        assert abs(a - b) < 1e-8 * (1 + abs(b))
+                                t0, t1, epsrel=1e-12, epsabs=0, limit=200)
+        assert err <= 1e-6 * b
+        assert abs(a - b) <= 1e-9 * b
 
 
 def test_estimate_constant_single_exponential_is_one():
@@ -255,69 +262,86 @@ def test_constant_table_lookup_extrapolates():
         turan_constants.THREE_INTERVAL_A[12]
 
 
-# -- the array kernel against the scalar closed form ------------------------
+# -- the array kernel against the closed form in mpmath ---------------------
 
 
-def _poly_exp_integral(bpow, w, t0, t1):
-    """Scalar oracle: integral of t^bpow e^{w t} over [t0, t1], from the
-    closed-form antiderivative, or from the power series where
-    |w| max(|t0|, |t1|) < 0.25."""
-    w = complex(w)
-    if abs(w) * max(abs(t0), abs(t1)) < 0.25:
-        # series: sum_k w^k/k! * (t1^{b+k+1}-t0^{b+k+1})/(b+k+1)
-        acc = 0j
-        term = 1.0 + 0j
-        for k in range(0, 60):
-            piece = (t1 ** (bpow + k + 1) - t0 ** (bpow + k + 1)) / (bpow + k + 1)
-            acc += term * piece
-            term *= w / (k + 1)
-            if abs(term) * max(abs(t0), abs(t1)) ** (bpow + k + 2) < 1e-18 * (1 + abs(acc)):
-                break
-        return acc
+def _integral_mp(b, w, t0, t1):
+    """Integral of t^b e^{w t} over [t0, t1] from the closed-form
+    antiderivative in mpmath at 60 digits, plus the digits its terms up to
+    b!/|w|^(b+1) cancel when |w| max(|t0|, |t1|) < 1."""
+    w, t0, t1 = mpmath.mpc(w), mpmath.mpf(t0), mpmath.mpf(t1)
+    if w == 0:
+        return (t1 ** (b + 1) - t0 ** (b + 1)) / (b + 1)
+    scaled = abs(w) * max(abs(t0), abs(t1))
+    with mpmath.workdps(60 + (b + 1) * max(0, int(-mpmath.log10(scaled)) + 1)):
+        def anti(t):
+            return mpmath.exp(w * t) * mpmath.fsum(
+                (-1) ** i * math.perm(b, i) * t ** (b - i) / w ** (i + 1)
+                for i in range(b + 1))
 
-    def anti(t):
-        s = 0j
-        fact = 1.0
-        tp = t ** bpow
-        for i in range(bpow + 1):
-            s += ((-1) ** i) * fact * tp / w ** (i + 1)
-            if i < bpow:
-                fact *= (bpow - i)
-                tp = t ** (bpow - i - 1)
-        return cmath.exp(w * t) * s
+        return anti(t1) - anti(t0)
 
-    return anti(t1) - anti(t0)
+
+def _abs_integral_mp(b, a, t0, t1):
+    """Integral of |t|^b e^{a t} over [t0, t1] (real a), the scale of the
+    kernel's error: from J(T) = int_0^T |t|^b e^{a t} dt =
+    sign(T) |T|^(b+1)/(b+1) 1F1(b+1; b+2; a T)."""
+    def j(t):
+        t = mpmath.mpf(t)
+        return (mpmath.sign(t) * abs(t) ** (b + 1) / (b + 1)
+                * mpmath.hyp1f1(b + 1, b + 2, a * t))
+
+    return float(j(t1) - j(t0))
 
 
 def _l2_oracle(p, t0, t1):
-    acc = 0j
-    for a in p.terms:
-        for b in p.terms:
-            acc += a.coeff * b.coeff.conjugate() * _poly_exp_integral(
-                a.power + b.power, a.exponent + b.exponent.conjugate(), t0, t1)
-    return max(acc.real, 0.0)
+    """Integral of |p|^2 over [t0, t1], summed pair by pair in mpmath."""
+    acc = mpmath.fsum(
+        mpmath.mpc(a.coeff * b.coeff.conjugate()) * _integral_mp(
+            a.power + b.power, a.exponent + b.exponent.conjugate(), t0, t1)
+        for a in p.terms for b in p.terms)
+    return max(float(acc.real), 0.0)
 
 
-_entry = st.tuples(
-    st.integers(0, 10),                                    # power
-    st.floats(0.05, 10.0),                                 # t1 (t0 = 0)
-    st.one_of(st.floats(0.0, 0.2499), st.floats(0.25, 12.0)),  # |w| t1
-    st.floats(0.0, 2 * math.pi))                           # arg w
+@st.composite
+def _kernel_entry(draw):
+    """(b, w, t0, t1): t0 = 0, t0 < 0 < t1 or [lR, (l + 1)R], with t1 from
+    1e-3 to 10, and |w| max(|t0|, |t1|) on both sides of 0.25 and of the
+    series switch (b + 1)/2."""
+    b = draw(st.integers(0, 10))
+    kind = draw(st.sampled_from(["origin", "across", "shell"]))
+    if kind == "shell":
+        ell = draw(st.integers(1, 3))
+        big_r = draw(st.floats(1e-3 / (ell + 1), 10.0 / (ell + 1)))
+        t0, t1 = ell * big_r, (ell + 1) * big_r
+    else:
+        t1 = draw(st.floats(1e-3, 10.0))
+        t0 = 0.0 if kind == "origin" else -draw(st.floats(0.01, 1.5)) * t1
+    scaled = draw(st.one_of(st.floats(1e-3, 0.2499), st.floats(0.25, 12.0),
+                            st.floats(0.8, 1.25).map(
+                                lambda f: f * (b + 1) / 2)))
+    w = cmath.rect(scaled / max(abs(t0), abs(t1)),
+                   draw(st.floats(0.0, 2 * math.pi)))
+    return b, w, t0, t1
 
 
-@settings(max_examples=200, deadline=None)
-@given(entries=st.lists(_entry, min_size=1, max_size=12))
-def test_kernel_matches_scalar_closed_form(entries):
-    # one kernel call on a mix of powers and of both branches; the closed
-    # form just above |w| t = 0.25 cancels terms up to 1e14 times its
-    # result, so this holds only because the kernel rounds as the scalar
-    # arithmetic does
-    b, t1, scaled, arg = (np.array(v) for v in zip(*entries))
-    w = scaled / t1 * np.exp(1j * arg)
-    got = poly_exp_integrals(b, w, 0.0, t1)
-    for k in range(len(entries)):
-        want = _poly_exp_integral(int(b[k]), w[k], 0.0, float(t1[k]))
-        assert abs(got[k] - want) <= 1e-12 * abs(want)
+@settings(max_examples=100, deadline=None)
+@given(entries=st.lists(_kernel_entry(), min_size=1, max_size=12))
+@example(entries=[(10, 0.3, 0.0, 1.0), (8, 0.27, 0.0, 1.0),
+                  (6, 0.26, 0.0, 2.0), (8, 1.0, 0.0, 0.01),
+                  (10, -5.5, 0.0, 1.0), (10, 0.3j, -1.0, 1.0),
+                  (10, -10.9, 0.0, 1.0), (10, -5.0, 1.0, 2.0)])
+def test_kernel_matches_mpmath_closed_form(entries):
+    # one kernel call on a mix of powers and of both branches, each entry
+    # within 1e-10 of the integral of |t|^b e^{Re(w) t}, and equal to the
+    # entry evaluated alone
+    b, w, t0, t1 = (np.array(v) for v in zip(*entries))
+    got = poly_exp_integrals(b, w, t0, t1)
+    for k, (bk, wk, t0k, t1k) in enumerate(entries):
+        err = abs(got[k] - complex(_integral_mp(bk, wk, t0k, t1k)))
+        assert err <= 1e-10 * _abs_integral_mp(bk, complex(wk).real, t0k,
+                                               t1k)
+        assert poly_exp_integrals(bk, wk, t0k, t1k) == got[k]
 
 
 def test_kernel_broadcasts_and_keeps_shape():
@@ -329,8 +353,7 @@ def test_kernel_broadcasts_and_keeps_shape():
     assert got.shape == (3, 4)
     for i in range(3):
         for j in range(4):
-            want = _poly_exp_integral(int(b[i, 0]), w[j], float(t0[i, 0]),
-                                      2.0)
+            want = complex(_integral_mp(int(b[i, 0]), w[j], t0[i, 0], 2.0))
             assert abs(got[i, j] - want) <= 1e-12 * abs(want)
 
 
@@ -355,6 +378,13 @@ def test_overflowing_integral_raises_range_error():
         l2_integral(p, 0, 10)
     with pytest.raises(RangeError, match="over"):
         three_interval(p, 5.0, 1, "growth")
+    # both take the series; the first term overflows, to inf here and to
+    # inf - inf = NaN on the second interval, whose later terms underflow
+    # to 0 * inf = NaN, so that no stopping rule could hold
+    with pytest.raises(RangeError, match="over"):
+        poly_exp_integrals(300, 1e-4, -1e3, 1e3)
+    with pytest.raises(RangeError, match="over"):
+        poly_exp_integrals(10, 1e-30, 5e29, 1e30)
 
 
 # -- the batched sweeps against their per-trial loops -----------------------
@@ -391,9 +421,7 @@ def _discrete_sweep_oracle(seed, scale):
     return (trials, violations), draws
 
 
-def _three_interval_oracle(p, big_r, ell, mode):
-    lo = _l2_oracle(p, (ell - 1) * big_r, ell * big_r)
-    hi = _l2_oracle(p, ell * big_r, (ell + 1) * big_r)
+def _three_interval_holds(p, big_r, lo, hi, mode):
     tops = p.top_powers
     lam = min(abs(z.real) for z in tops)
     a_c = turan_constants.three_interval_constant(sum(tops.values())
@@ -404,6 +432,9 @@ def _three_interval_oracle(p, big_r, ell, mode):
 
 
 def _three_interval_sweep_oracle(seed, scale):
+    """The sweep's draws one trial at a time and its verdicts with the
+    scalar formulas; the interval integrals of all draws come from one
+    l2_integrals call."""
     rng = np.random.default_rng(seed)
     trials = int(1000 * scale) or 1
     violations = 0
@@ -417,33 +448,46 @@ def _three_interval_sweep_oracle(seed, scale):
         big_r = float(rng.uniform(0.2, 2.5))
         ell = int(rng.integers(1, 4))
         draws.append((p, big_r, ell))
-        if not _three_interval_oracle(p, big_r, ell, "growth"):
+    edges = [[(ell + i) * big_r for i in (-1, 0, 1)]
+             for _, big_r, ell in draws] * 2
+    sums = [p for p, _, _ in draws] + [p.mirrored() for p, _, _ in draws]
+    ints = es.l2_integrals(sums, [e[:2] for e in edges],
+                           [e[1:] for e in edges])
+    for k, (p, big_r, _) in enumerate(draws):
+        if not _three_interval_holds(p, big_r, *ints[k], "growth"):
             violations += 1
-        if not _three_interval_oracle(p.mirrored(), big_r, ell, "decay"):
+        if not _three_interval_holds(p.mirrored(), big_r, *ints[trials + k],
+                                     "decay"):
             violations += 1
     return (trials, violations), draws
 
 
 def _integral_sweep_oracle(seed, scale):
+    """As _three_interval_sweep_oracle, for the integral sweep."""
     rng = np.random.default_rng(seed)
     trials = int(1000 * scale) or 1
-    violations = 0
+    draws = []
     for _ in range(trials):
         p = es.draw_expsum(rng, int(rng.integers(1, 4)))
         a = float(rng.uniform(0.05, 4.0))
         b = float(rng.uniform(a + 0.05, 5.0))
+        draws.append((p, a, b))
+    ints = es.l2_integrals([p for p, _, _ in draws],
+                           [[a, 0.75 * b, 0.0] for _, a, b in draws],
+                           [[b, b, b / 2] for _, _, b in draws])
+    violations = 0
+    for (p, a, b), (integral, tail, head) in zip(draws, ints):
         d = max(p.d, 1)
         big_r = b / 2
         lhs = abs(eval_expsum(p, 0.0)) ** 2
         bound = (turan_constants.integral_constant(d)
                  * (b / (b - a)) ** (2 * (d - 1)) * (b + a) / (b - a) ** 2
-                 * _l2_oracle(p, a, b))
-        tail = _l2_oracle(p, 1.5 * big_r, 2 * big_r)
+                 * integral)
         sup_bound = turan_constants.sup_constant(d) / big_r * tail
         l2_bound = turan_constants.l2l2_constant(d) * tail
         if not (lhs <= bound * (1 + 1e-12)
                 and sup_norm_sq(p, 0.0, big_r) <= sup_bound * (1 + 1e-12)
-                and _l2_oracle(p, 0.0, big_r) <= l2_bound * (1 + 1e-12)):
+                and head <= l2_bound * (1 + 1e-12)):
             violations += 1
     return trials, violations
 
