@@ -277,7 +277,8 @@ def sup_norm_sq(p, t0, t1, samples=2048):
 
     The grid is evaluated in one numpy pass; the best sample and the
     refine use eval_expsum, so a maximum at an endpoint keeps its scalar
-    value."""
+    value.  Each refine step keeps the surviving interior point's value and
+    evaluates one new point."""
     ts = np.linspace(t0, t1, samples)
     vals = _abs_sq_grid(p, ts)
     i = int(np.argmax(vals))
@@ -291,13 +292,16 @@ def sup_norm_sq(p, t0, t1, samples=2048):
     a, b = lo, hi
     c = b - gr * (b - a)
     dd = a + gr * (b - a)
+    fc, fd = f(c), f(dd)
     for _ in range(80):
-        if f(c) < f(dd):
-            b = dd
+        if fc < fd:
+            b, dd, fd = dd, c, fc
+            c = b - gr * (b - a)
+            fc = f(c)
         else:
-            a = c
-        c = b - gr * (b - a)
-        dd = a + gr * (b - a)
+            a, c, fc = c, dd, fd
+            dd = a + gr * (b - a)
+            fd = f(dd)
     best = -(f((a + b) / 2))
     return max(best, -f(ts[i]))
 

@@ -2,11 +2,14 @@
 
 Used wherever a dimension or rank decision must be exact rather than
 numerically zero: divergence-free nullspaces, angular Gram solves,
-polynomial interpolation of probed mode systems.
+polynomial interpolation of probed mode systems.  Determinants
+(``det_dense``) use Bareiss fraction-free elimination on integer rows, so
+the inner loop multiplies and divides integers, not Fractions.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
@@ -116,24 +119,39 @@ def solve_dense(a, b):
 
 
 def det_dense(a) -> Fraction:
-    """Determinant of a square rational matrix (fraction Gaussian)."""
-    m = [list(map(Fraction, row)) for row in a]
+    """Determinant of a square rational matrix by Bareiss fraction-free
+    elimination.
+
+    Each row is scaled to integers by the lcm of its denominators, the
+    integer determinant is eliminated with exact divisions by the previous
+    pivot (Bareiss, Math. Comp. 22, 1968), and the product of the row scales
+    is divided back out once.  A zero pivot swaps in a lower row; a column
+    with no nonzero pivot left gives 0.
+    """
+    m = []
+    scale = 1
+    for row in a:
+        row = [x if isinstance(x, int) else Fraction(x) for x in row]
+        d = math.lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (d // x.denominator) for x in row])
+        scale *= d
     n = len(m)
-    det = Fraction(1)
+    sign, prev = 1, 1
     for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        piv = next((r for r in range(col, n) if m[r][col]), None)
         if piv is None:
             return ZERO
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
+            sign = -sign
+        top = m[col]
+        p = top[col]
         for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return det
+            f = m[r][col]
+            m[r] = [0] * (col + 1) + [(p * x - f * y) // prev for x, y in
+                                      zip(m[r][col + 1:], top[col + 1:])]
+        prev = p
+    return Fraction(sign * prev, scale)
 
 
 def lagrange_coefficients(points):
@@ -191,7 +209,7 @@ def poly_mul(p, q):
 
 
 def poly_eval(p, x):
-    acc = ZERO
+    acc = 0
     for c in reversed(p):
         acc = acc * x + c
     return acc

@@ -69,21 +69,25 @@ class EulerOperator:
                 out[r, c] = complex(poly_eval([complex(x) for x in p], complex(z)))
         return out
 
-    def eval_exact(self, z):
-        return [[poly_eval(self.P[r][c], Fraction(z))
-                 for c in range(len(self.basis))]
-                for r in range(len(self.target))]
-
     def det_poly(self):
-        """Exact determinant polynomial by evaluation-interpolation."""
+        """Exact determinant polynomial by evaluation-interpolation.
+
+        P's denominators are cleared once by their lcm D; the integer
+        entries are evaluated by Horner at z = 0, ..., m_ang * order, each
+        integer determinant is taken by ``det_dense``, and the interpolated
+        polynomial is divided by D^m_ang.
+        """
         if not self.square:
             raise ProbeError("determinant needs a square system")
-        deg = self.m_ang * self.order
-        pts = []
-        for m in range(deg + 1):
-            z = Fraction(m)
-            pts.append((z, det_dense(self.eval_exact(z))))
-        return lagrange_coefficients(pts)
+        D = math.lcm(*(c.denominator for row in self.P for p in row
+                       for c in p))
+        Q = [[[c.numerator * (D // c.denominator) for c in p] for p in row]
+             for row in self.P]
+        pts = [(Fraction(z), det_dense([[poly_eval(p, z) for p in row]
+                                        for row in Q]))
+               for z in range(self.m_ang * self.order + 1)]
+        scale = D ** self.m_ang
+        return [c / scale for c in lagrange_coefficients(pts)]
 
     def compose(self, inner):
         """The system of self o inner: P(z) = P_self(z - w_inner) P_inner(z),

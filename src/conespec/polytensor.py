@@ -46,10 +46,12 @@ by the degrees and bases in use:
 - ``tensor_mode_basis(n, j)`` and ``oneform_mode_basis(n, j)``: each
   angular basis with its exact Gram matrix, built once per (n, j) and
   shared by every caller, which must not mutate it;
-- ``AngularBasis._functionals``: per basis element, the slice inner product
-  with one image term (idx, alpha, gamma), so ``decompose`` costs one
-  multiplication per image term and element.  With the memoized bases
-  these tables too are filled once per (n, j).
+- ``AngularBasis._functionals``: one table per basis, mapping an image
+  term (idx, alpha, gamma) to the integer numerators of its slice inner
+  products with every element over one denominator, so ``decompose`` sums
+  integer products over the field's common denominator and makes one
+  ``Fraction`` per element.  With the memoized bases these tables too are
+  filled once per (n, j).
 
 ``linalg.lagrange_coefficients`` likewise memoizes its Lagrange basis per
 node tuple.
@@ -831,12 +833,15 @@ class AngularBasis:
     elements: list
     gram: list
     labels: list
-    # per element: image term (idx, alpha, gamma) -> {r-exponent: value}
-    _functionals: list = dataclass_field(init=False, repr=False,
-                                        compare=False)
+    # image term (idx, alpha, gamma) -> ((r-exponent, den), numerators), the
+    # term's functional against every element being numerator / den; ()
+    # when it vanishes against every element
+    _functionals: dict = dataclass_field(default_factory=dict, init=False,
+                                         repr=False, compare=False)
 
     def __post_init__(self):
-        self._functionals = [{} for _ in self.elements]
+        if not all(T.is_radially_parallel() for T in self.elements):
+            raise ValueError("basis element not radially parallel")
 
     @property
     def norms(self):
@@ -845,24 +850,60 @@ class AngularBasis:
     def __len__(self):
         return len(self.elements)
 
+    def _functional(self, idx, alpha, gamma):
+        """The table entry of one image term, computed on first use; the
+        elements are radially parallel, so each functional has the one
+        r-exponent gamma + |alpha|."""
+        expo = gamma + sum(alpha)
+        vals = [_term_functional(T, idx, alpha, gamma).get(expo, 0)
+                for T in self.elements]
+        if not any(vals):
+            return ()
+        den = math.lcm(*(v.denominator for v in vals))
+        return (expo, den), tuple(v.numerator * (den // v.denominator)
+                                  for v in vals)
+
     def decompose(self, angular_field):
         """Exact coefficients of angular_field in this basis, plus the
         canonical residual, whose ``comps`` are empty exactly when the field
-        lies in the span."""
-        rhs = []
-        for T, table in zip(self.elements, self._functionals):
-            acc = {}
-            for idx, comp in angular_field.comps.items():
-                for (alpha, gamma), c in comp.items():
-                    key = (idx, alpha, gamma)
-                    f = table.get(key)
-                    if f is None:
-                        f = table[key] = _term_functional(T, idx, alpha, gamma)
-                    for expo, v in f.items():
-                        _merge(acc, expo, c * v)
-            if any(e != 0 for e in acc):
-                raise ValueError("field is not radially parallel against basis")
-            rhs.append(acc.get(0, 0))
+        lies in the span.
+
+        The field's int/Fraction coefficients are put over one common
+        denominator, and the right-hand side of the Gram solve is summed as
+        integer dot products with the table numerators, one sum per table
+        denominator.
+        """
+        table = self._functionals
+        fden = math.lcm(*(c.denominator for comp in angular_field.comps.values()
+                          for c in comp.values()))
+        sums = {}
+        for idx, comp in angular_field.comps.items():
+            for (alpha, gamma), c in comp.items():
+                key = (idx, alpha, gamma)
+                entry = table.get(key)
+                if entry is None:
+                    entry = table[key] = self._functional(idx, alpha, gamma)
+                if not entry:
+                    continue
+                group, nums = entry
+                cn = c.numerator * (fden // c.denominator)
+                acc = sums.get(group)
+                sums[group] = ([cn * v for v in nums] if acc is None else
+                               [a + cn * v for a, v in zip(acc, nums)])
+        by_expo = {}
+        for (expo, den), acc in sums.items():
+            by_expo.setdefault(expo, []).append((den, acc))
+        rhs = [0] * len(self.elements)
+        for expo, parts in by_expo.items():
+            lcd = math.lcm(*(den for den, _ in parts))
+            vals = [Fraction(sum(acc[i] * (lcd // den) for den, acc in parts),
+                             lcd * fden) for i in range(len(rhs))]
+            if expo != 0:
+                if any(vals):
+                    raise ValueError(
+                        "field is not radially parallel against basis")
+            else:
+                rhs = vals
         coeffs = solve_dense(self.gram, rhs)
         recon = PolyTensor(angular_field.n, angular_field.rank)
         for c, T in zip(coeffs, self.elements):

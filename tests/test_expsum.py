@@ -229,6 +229,34 @@ def test_sup_norm_grid_matches_scalar_evaluation():
         assert np.allclose(_abs_sq_grid(p, ts), want, rtol=1e-13, atol=0)
 
 
+def test_sup_norm_refines_past_the_sample_grid():
+    # a dense scan of the bracket around the best sample: the refine must
+    # land on its maximum, well inside the grid's own O(h^2) error
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        p = draw_expsum(rng, int(rng.integers(1, 4)), re_range=(-2.0, 2.0),
+                        powers=2)
+        r = float(rng.uniform(1.0, 4.0))
+        ts = np.linspace(0.0, r, 2048)
+        i = int(np.argmax(_abs_sq_grid(p, ts)))
+        dense = _abs_sq_grid(p, np.linspace(ts[max(i - 1, 0)],
+                                            ts[min(i + 1, 2047)], 20001))
+        assert abs(sup_norm_sq(p, 0.0, r) - dense.max()) <= 1e-11 * dense.max()
+
+
+def test_sup_norm_refine_evaluates_each_point_once(monkeypatch):
+    calls = []
+
+    def counted(p, t):
+        calls.append(t)
+        return eval_expsum(p, t)
+
+    monkeypatch.setattr(es, "eval_expsum", counted)
+    sup_norm_sq(ExpSum([ExpTerm(1, 1j), ExpTerm(0.5, -0.3)]), 0.0, 3.0)
+    # two interior points, one per step of 80, the midpoint, the best sample
+    assert len(calls) == 84
+
+
 def test_sup_norm_grid_overflow_reported():
     p = ExpSum([ExpTerm(1, 500)])
     with pytest.raises(RangeError):

@@ -1,14 +1,20 @@
-"""Exact sparse elimination: the reduced form behind nullspaces and the
-row-space test read against a precomputed reduction."""
+"""Exact elimination: the sparse reduced form behind nullspaces and the
+row-space test read against a precomputed reduction, and the Bareiss
+determinant behind det P(z) read against Fraction Gaussian elimination."""
 
+import json
+import pathlib
 from fractions import Fraction
 
+import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conespec.linalg import (row_in_rowspace, sparse_nullspace, sparse_rank,
+from conespec.linalg import (det_dense, lagrange_coefficients, poly_eval,
+                             row_in_rowspace, sparse_nullspace, sparse_rank,
                              sparse_rref)
+from conespec.mode_ode import tensor_mode_system
 
 ENTRIES = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 
@@ -79,3 +85,69 @@ def test_row_in_rowspace_matches_rank_comparison(case):
     pivots = sparse_rref(rows)
     want = sparse_rank(rows + [cand]) == sparse_rank(rows)
     assert row_in_rowspace(pivots, cand) == want
+
+
+def _det_gauss(a):
+    """Reference determinant: Gaussian elimination in Fractions."""
+    m = [list(map(Fraction, row)) for row in a]
+    n = len(m)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, n):
+            f = m[r][col] / m[col][col]
+            m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return det
+
+
+@st.composite
+def square_matrices(draw):
+    """Square matrices up to 6 x 6 of small ints and Fractions; zero
+    entries are common, and some rows are multiples of others."""
+    n = draw(st.integers(0, 6))
+    entry = st.one_of(st.integers(-3, 3), ENTRIES)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        f = draw(ENTRIES)
+        rows[i] = [f * x for x in rows[j]]
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices())
+@example([])
+@example([[0, 1], [1, 0]])                          # zero leading pivot
+@example([[0, 2, 1], [0, 1, 3], [Fraction(1, 2), 1, 1]])
+@example([[1, 2, 3], [0, 0, 0], [4, 5, 6]])         # zero row
+@example([[1, 2, 3], [2, 4, 6], [1, 0, Fraction(1, 3)]])  # rank 2
+@example([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 5)]])
+def test_det_dense_matches_fraction_gaussian(a):
+    got = det_dense(a)
+    assert isinstance(got, Fraction)
+    assert got == _det_gauss(a)
+
+
+GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "golden_modes.json").read_text())
+DET_CELLS = [(c["n"], c["k"], c["j"], Fraction(c["t"])) for c in GOLDEN] + [
+    (4, 1, 3, Fraction(1, 5)), (3, 3, 4, Fraction(0))]
+
+
+@pytest.mark.parametrize("cell", DET_CELLS,
+                         ids=[f"n{n}k{k}j{j}t{t}" for n, k, j, t in DET_CELLS])
+def test_det_poly_matches_per_node_fraction_evaluation(cell):
+    n, k, j, t = cell
+    _, op = tensor_mode_system(n, k, t, j)
+    nodes = [Fraction(z) for z in range(op.m_ang * op.order + 1)]
+    want = lagrange_coefficients(
+        [(z, _det_gauss([[poly_eval(p, z) for p in row] for row in op.P]))
+         for z in nodes])
+    assert op.det_poly() == want

@@ -159,6 +159,44 @@ def test_tensor_mode_basis_families():
             assert det_dense(sub) > 0
 
 
+MODE_BASES = {"tensor": (pt.tensor_mode_basis, pt.dr_tensor),
+              "oneform": (pt.oneform_mode_basis, pt.radial_form)}
+
+
+@pytest.mark.parametrize("j", [0, 1, 2, 3])
+@pytest.mark.parametrize("n", [3, 4, 6])
+@pytest.mark.parametrize("kind", sorted(MODE_BASES))
+def test_decompose_reads_combinations_exactly(kind, n, j):
+    make, radial = MODE_BASES[kind]
+    shared = make(n, j)
+    basis = pt.basis_from_elements(n, shared.elements, shared.labels)
+    rng = np.random.default_rng(100 * n + j)
+    coeffs = [Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
+              for _ in basis.elements]
+    field = pt.PolyTensor(n, shared.elements[0].rank)
+    for c, T in zip(coeffs, basis.elements):
+        field = field + T.scaled(c)
+    # the same family at harmonic degree j + 1 is orthogonal to the basis
+    off = pt.mul_scalar_field(radial(n), pt.sphere_harmonic(n, j + 1))
+    for _ in range(2):  # the first pass fills the tables, the second reads
+        got, residual = basis.decompose(field)
+        assert got == coeffs
+        assert not residual.comps
+        got, residual = basis.decompose(field + off)
+        assert got == coeffs
+        assert residual.comps and residual == off
+        for bad in (field.radial_scaled(1),
+                    field + basis.elements[0].radial_scaled(-1)):
+            with pytest.raises(ValueError, match="not radially parallel"):
+                basis.decompose(bad)
+
+
+def test_angular_basis_rejects_non_parallel_elements():
+    el = pt.tensor_mode_seed(4, 1)
+    with pytest.raises(ValueError, match="not radially parallel"):
+        pt.AngularBasis(4, [el.radial_scaled(1)], [[1]], ["r phi dr.dr"])
+
+
 def test_triple_bar_closed_forms():
     n = 4
     c = pt.delta_metric(n)
