@@ -157,15 +157,17 @@ def det_dense(a) -> Fraction:
 def lagrange_coefficients(points):
     """Coefficients (low degree first) of the interpolating polynomial.
 
-    points: list of (x, y) Fraction pairs with distinct x.
+    points: list of (x, y) Fraction (or int) pairs with distinct x.  The
+    y values are put over one common denominator and each coefficient is
+    an integer dot product with the node tuple's numerator table, made
+    into one Fraction.
     """
-    basis = _lagrange_basis(tuple(x for x, _ in points))
-    coeffs = [ZERO] * len(points)
-    for (_, yi), li in zip(points, basis):
-        if yi == 0:
-            continue
-        for k, c in enumerate(li):
-            coeffs[k] += yi * c
+    den, table = _lagrange_basis(tuple(x for x, _ in points))
+    yden = math.lcm(*(y.denominator for _, y in points))
+    ys = [(y.numerator * (yden // y.denominator), row)
+          for (_, y), row in zip(points, table) if y != 0]
+    coeffs = [Fraction(sum(y * row[k] for y, row in ys), den * yden)
+              for k in range(len(points))]
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
@@ -173,8 +175,9 @@ def lagrange_coefficients(points):
 
 @lru_cache(maxsize=None)
 def _lagrange_basis(nodes):
-    """Coefficient tuples of the Lagrange basis polynomials on the nodes,
-    memoized per node tuple.
+    """The Lagrange basis polynomials on the nodes as one common
+    denominator and a table of integer numerator tuples (low degree
+    first), memoized per node tuple.
 
     Each l_i is M(z) / ((z - x_i) M'(x_i)) with M the node polynomial,
     read off by synthetic division.
@@ -183,7 +186,7 @@ def _lagrange_basis(nodes):
     master = [1]
     for x in xs:
         master = poly_mul(master, [-x, 1])
-    out = []
+    basis = []
     for i, xi in enumerate(xs):
         quo = [0] * len(xs)
         acc = 0
@@ -194,8 +197,10 @@ def _lagrange_basis(nodes):
         for j, xj in enumerate(xs):
             if j != i:
                 denom *= xi - xj
-        out.append(tuple(Fraction(c) / denom for c in quo))
-    return tuple(out)
+        basis.append([Fraction(c) / denom for c in quo])
+    den = math.lcm(*(c.denominator for li in basis for c in li))
+    return den, tuple(tuple(c.numerator * (den // c.denominator) for c in li)
+                      for li in basis)
 
 
 def poly_mul(p, q):

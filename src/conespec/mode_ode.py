@@ -56,19 +56,6 @@ class EulerOperator:
     def square(self):
         return len(self.basis) == len(self.target)
 
-    def eval_float(self, z, derivative=0):
-        """Complex matrix P^{(derivative)}(z)."""
-        rows = len(self.target)
-        cols = len(self.basis)
-        out = np.zeros((rows, cols), dtype=complex)
-        for r in range(rows):
-            for c in range(cols):
-                p = self.P[r][c]
-                for _ in range(derivative):
-                    p = poly_derivative(p)
-                out[r, c] = complex(poly_eval([complex(x) for x in p], complex(z)))
-        return out
-
     def det_poly(self):
         """Exact determinant polynomial by evaluation-interpolation.
 
@@ -127,7 +114,10 @@ def probe_euler(apply_fn, basis, order, *, target=None, probe_degrees=None,
     apply_fn maps a PolyTensor to a PolyTensor; the basis (and target
     basis, when the operator changes rank) must be closed under it.
     Probes at order+1 distinct rational degrees, interpolates each matrix
-    entry, and verifies one held-out degree.
+    entry, and verifies one held-out degree.  Each image is decomposed as
+    the operator returns it; only the residual is canonicalized, and an
+    image with all-zero coefficients and an empty residual counts as
+    vanished.
     """
     target = target or basis
     degrees = list(probe_degrees) if probe_degrees is not None else \
@@ -150,6 +140,8 @@ def probe_euler(apply_fn, basis, order, *, target=None, probe_degrees=None,
             raise ProbeError(f"image outside target span: {exc}") from exc
         if residual.comps:
             raise ProbeError("basis not closed under the operator")
+        if not any(coeffs):  # the raw image is zero modulo sum x_i^2 = r^2
+            return coeffs, None
         return coeffs, w
 
     weight = None
@@ -262,18 +254,64 @@ def _operator_scale(op):
     return worst
 
 
-def _chain_matrix(op, zeta, mult):
-    """Log-power chain condition of op at a root zeta of multiplicity mult.
+class FloatSystem:
+    """Float view of one probed system for root work: its coefficient
+    scale (``_operator_scale``) and the coefficient arrays of P and its
+    derivatives.
+
+    Each derivative is taken exactly, then converted once into a float
+    array of shape (rows, cols, length), low order first and zero padded,
+    built on first use.  ``eval`` runs Horner's rule on all entries at
+    once in real arithmetic, with the operations of Python's complex
+    ``acc * z + c`` on a real c (real part ar zr - ai zi + c, imaginary
+    part ar zi + ai zr + 0.0), so it equals per-entry Horner bit for bit;
+    a complex array product may fuse multiply-adds.  Made per spectrum or
+    scan call, not stored on the EulerOperator, whose P a caller may
+    replace.
+    """
+
+    def __init__(self, op):
+        self.op = op
+        self.scale = _operator_scale(op)
+        self._exact = op.P  # P^(d) for d = len(self._arrays)
+        self._arrays = []
+
+    def eval(self, z, derivative=0):
+        """Complex matrix P^{(derivative)}(z)."""
+        while len(self._arrays) <= derivative:
+            P = self._exact
+            arr = np.zeros((len(P), len(P[0]), max(len(p) for row in P
+                                                    for p in row)))
+            for r, row in enumerate(P):
+                for c, p in enumerate(row):
+                    arr[r, c, :len(p)] = [float(x) for x in p]
+            self._arrays.append(arr)
+            self._exact = [[poly_derivative(p) for p in row] for row in P]
+        arr = self._arrays[derivative]
+        zr, zi = float(z.real), float(z.imag)
+        re = np.zeros(arr.shape[:2])
+        im = np.zeros(arr.shape[:2])
+        for k in range(arr.shape[2] - 1, -1, -1):
+            re, im = re * zr - im * zi + arr[:, :, k], re * zi + im * zr + 0.0
+        out = np.empty(arr.shape[:2], dtype=complex)
+        out.real = re
+        out.imag = im
+        return out
+
+
+def _chain_matrix(system, zeta, mult):
+    """Log-power chain condition of a FloatSystem at a root zeta of
+    multiplicity mult.
 
     Vectors stack (u_0, ..., u_{mult-1}); block (m, m+i) is
     C(m+i, i) P^(i)(zeta), so block row m reads
     sum_i C(m+i, i) P^(i)(zeta) u_{m+i} = 0.
     """
-    m_ang = op.m_ang
-    rows = len(op.target)
+    m_ang = system.op.m_ang
+    rows = len(system.op.target)
     big = np.zeros((mult * rows, mult * m_ang), dtype=complex)
     for i in range(mult):
-        deriv = op.eval_float(zeta, derivative=i)
+        deriv = system.eval(zeta, derivative=i)
         for m in range(mult - i):
             col = (m + i) * m_ang
             big[m * rows:(m + 1) * rows, col:col + m_ang] = \
@@ -281,10 +319,10 @@ def _chain_matrix(op, zeta, mult):
     return big
 
 
-def _chain_space(op, zeta, mult):
-    """Basis of log-power solution chains at a root."""
-    return _nullspace_float(_chain_matrix(op, zeta, mult), rtol=1e-9,
-                            scale=_operator_scale(op))
+def _chain_space(system, zeta, mult):
+    """Basis of log-power solution chains of a FloatSystem at a root."""
+    return _nullspace_float(_chain_matrix(system, zeta, mult), rtol=1e-9,
+                            scale=system.scale)
 
 
 # Two float roots closer than this make a spectrum low-confidence.
@@ -305,13 +343,15 @@ def indicial_spectrum(op):
     det = op.det_poly()
     if all(c == 0 for c in det):
         raise ProbeError("identically singular system")
+    system = FloatSystem(op)
     out = []
     for factor, mult in poly_squarefree_factors(det):
         for z in np.roots([complex(c) for c in reversed(factor)]):
             center = complex(z)
             if abs(center.imag) < 1e-10:
                 center = complex(center.real, 0.0)
-            out.append(RootData(center, mult, _chain_space(op, center, mult)))
+            out.append(RootData(center, mult,
+                                _chain_space(system, center, mult)))
     out.sort(key=lambda r: (r.value.real, r.value.imag))
     low_confidence = any(abs(a.value - b.value) <= LOW_CONFIDENCE_GAP
                          for i, a in enumerate(out) for b in out[i + 1:])
@@ -752,11 +792,12 @@ def _scan_one_mode(task):
         op = EulerOperator.combine([(1, A), (t, B)])
         div_op = EulerOperator.combine([(1, div), (-t, i_r)])
         spec = indicial_spectrum(op)
+        systems = FloatSystem(op), FloatSystem(div_op)
         hits = []
         for root in spec.roots:
             if root.classification != "zero":
                 continue
-            inter = _divergence_free_chain_space(op, div_op, root, tol)
+            inter = _divergence_free_chain_space(*systems, root, tol)
             if inter.shape[1]:
                 hits.append({"t": float(t), "j": j,
                              "root": {"re": root.value.real,
@@ -816,9 +857,10 @@ def parallel_map(fn, items, jobs=1):
         return pool.map(fn, items)
 
 
-def _divergence_free_chain_space(op, div_op, root, tol):
-    """Chain vectors killed by both the mode system and the divergence system."""
-    big = np.vstack([_chain_matrix(o, root.value, root.multiplicity)
-                     for o in (op, div_op)])
-    scale = max(_operator_scale(op), _operator_scale(div_op))
+def _divergence_free_chain_space(system, div_system, root, tol):
+    """Chain vectors killed by both the mode system and the divergence
+    system, given as FloatSystems."""
+    big = np.vstack([_chain_matrix(s, root.value, root.multiplicity)
+                     for s in (system, div_system)])
+    scale = max(system.scale, div_system.scale)
     return _nullspace_float(big / scale, rtol=tol, scale=1.0)

@@ -36,25 +36,39 @@ Equality and zero-testing canonicalize components modulo the relation
 radial exponent).  Canonicalization runs on integer numerators over one
 common denominator per component.
 
+Probing canonicalizes once per image.  ``angular_image`` hands the
+operator's raw output to ``AngularBasis.decompose``, canonicalizing it
+first only when it has a float coefficient or mixed homogeneity, so that
+exactly the images whose canonical form fails those checks are rejected.
+The slice functionals integrate over the sphere, where the relation
+holds, so a raw image gives the same coefficients as its canonical form;
+``decompose`` then merges the residual image - sum_i c_i T_i into one
+integer dict and canonicalizes only that, to decide closure.  Slice inner
+products of exact fields (``_slice_inner_exact``, behind every basis Gram
+matrix and table entry) sum integer products: the sphere moment of x^beta
+is a factor depending on n and |beta| alone times an integer.
+
 Caches, all filled lazily, holding values no caller mutates and bounded
 by the degrees and bases in use:
 
 - ``_q_power(n, k)``: the expansion of (sum_i x_i^2)^k used by
   canonicalization;
-- ``_sphere_moment_reduced(n, alpha)``: the exact sphere moments behind
-  every slice inner product;
+- ``_odd_factorial_product(alpha)`` and ``_moment_scale(n, s)``: the two
+  factors of every exact sphere moment, and ``_sphere_moment_reduced(n,
+  alpha)``, their product, behind ``slice_inner_reduced``;
 - ``tensor_mode_basis(n, j)`` and ``oneform_mode_basis(n, j)``: each
   angular basis with its exact Gram matrix, built once per (n, j) and
   shared by every caller, which must not mutate it;
-- ``AngularBasis._functionals``: one table per basis, mapping an image
-  term (idx, alpha, gamma) to the integer numerators of its slice inner
-  products with every element over one denominator, so ``decompose`` sums
-  integer products over the field's common denominator and makes one
-  ``Fraction`` per element.  With the memoized bases these tables too are
-  filled once per (n, j).
+- ``AngularBasis._functionals``: one table per basis, keyed on the raw
+  image terms (idx, alpha, gamma) that reach ``decompose`` (not on
+  canonical terms), mapping each to the integer numerators of its slice
+  inner products with every element over one denominator, so
+  ``decompose`` sums integer products over the field's common denominator
+  and makes one ``Fraction`` per element.  With the memoized bases these
+  tables too are filled once per (n, j).
 
 ``linalg.lagrange_coefficients`` likewise memoizes its Lagrange basis per
-node tuple.
+node tuple, as one denominator and a table of integer numerators.
 """
 
 from __future__ import annotations
@@ -734,22 +748,35 @@ def sphere_moment_reduced(n, alpha):
 
 @lru_cache(maxsize=None)
 def _sphere_moment_reduced(n, alpha):
-    if any(a % 2 for a in alpha):
-        return 0
-    half = [a // 2 for a in alpha]
-    num = Fraction(2)
-    for a in half:
-        num *= _half_factorial_rational(a)
-    s = (n + sum(alpha)) // 2 if (n + sum(alpha)) % 2 == 0 else None
-    if s is not None:
-        den = Fraction(math.factorial(s - 1))
+    odd = _odd_factorial_product(alpha)
+    return _moment_scale(n, sum(alpha)) * odd if odd else 0
+
+
+@lru_cache(maxsize=None)
+def _odd_factorial_product(alpha):
+    """prod_i (alpha_i - 1)!!, the integer part of the sphere moment of
+    x^alpha; 0 when any entry of alpha is odd.  Memoized on alpha."""
+    out = 1
+    for a in alpha:
+        if a % 2:
+            return 0
+        out *= math.prod(range(a - 1, 0, -2))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _moment_scale(n, s):
+    """The factor of the reduced sphere moment of x^alpha that depends on
+    n and s = |alpha| alone (s even): with Gamma(b + 1/2) / sqrt(pi) =
+    (2b - 1)!! / 2^b, the moment is _moment_scale(n, s) times
+    _odd_factorial_product(alpha).  Memoized on (n, s)."""
+    num = Fraction(2, 2 ** (s // 2))
+    if (n + s) % 2 == 0:
         # numerator contributed pi^{n/2}; reduced by pi^{n/2}
-        return num / den
-    # n odd: denominator Gamma(integer + 1/2) = rational * sqrt(pi)
-    m = (n + sum(alpha) - 1) // 2
-    den = _half_factorial_rational(m)
+        return num / math.factorial((n + s) // 2 - 1)
+    # n odd: denominator Gamma(integer + 1/2) = rational * sqrt(pi), and
     # pi^{n/2} / pi^{1/2} = pi^{(n-1)/2}
-    return num / den
+    return num / _half_factorial_rational((n + s - 1) // 2)
 
 
 def sphere_moment(n, alpha):
@@ -838,10 +865,13 @@ class AngularBasis:
     # when it vanishes against every element
     _functionals: dict = dataclass_field(default_factory=dict, init=False,
                                          repr=False, compare=False)
+    # per element (den, comps): the element is comps / den, comps integer
+    _integer: list = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not all(T.is_radially_parallel() for T in self.elements):
             raise ValueError("basis element not radially parallel")
+        self._integer = [_integer_form(T) for T in self.elements]
 
     @property
     def norms(self):
@@ -855,8 +885,9 @@ class AngularBasis:
         elements are radially parallel, so each functional has the one
         r-exponent gamma + |alpha|."""
         expo = gamma + sum(alpha)
-        vals = [_term_functional(T, idx, alpha, gamma).get(expo, 0)
-                for T in self.elements]
+        term = (1, {idx: {(alpha, gamma): 1}})
+        vals = [_slice_inner_exact(self.n, term, T).get(expo, 0)
+                for T in self._integer]
         if not any(vals):
             return ()
         den = math.lcm(*(v.denominator for v in vals))
@@ -868,10 +899,15 @@ class AngularBasis:
         canonical residual, whose ``comps`` are empty exactly when the field
         lies in the span.
 
-        The field's int/Fraction coefficients are put over one common
-        denominator, and the right-hand side of the Gram solve is summed as
-        integer dot products with the table numerators, one sum per table
-        denominator.
+        The field need not be canonical: the slice functionals integrate
+        over the sphere, where sum_i x_i^2 = r^2 holds, so every
+        representative of a field gives the same coefficients.  Its
+        int/Fraction coefficients are put over one common denominator, and
+        the right-hand side of the Gram solve is summed as integer dot
+        products with the table numerators, one sum per table denominator.
+        The residual field - sum_i c_i T_i is merged term by term into one
+        dict of integer numerators over one common denominator and
+        canonicalized once.
         """
         table = self._functionals
         fden = math.lcm(*(c.denominator for comp in angular_field.comps.values()
@@ -905,10 +941,63 @@ class AngularBasis:
             else:
                 rhs = vals
         coeffs = solve_dense(self.gram, rhs)
-        recon = PolyTensor(angular_field.n, angular_field.rank)
-        for c, T in zip(coeffs, self.elements):
-            recon = recon + T.scaled(c)
-        return coeffs, (angular_field - recon).canonical()
+        # L * residual in integers, L the common denominator of the field
+        # and of every c_i T_i
+        L = math.lcm(fden, *(c.denominator * den for c, (den, _) in
+                             zip(coeffs, self._integer)))
+        residual = {idx: {key: c.numerator * (L // c.denominator)
+                          for key, c in comp.items()}
+                    for idx, comp in angular_field.comps.items()}
+        for c, (den, comps) in zip(coeffs, self._integer):
+            if c == 0:
+                continue
+            f = -c.numerator * (L // (c.denominator * den))
+            for idx, comp in comps.items():
+                target = residual.setdefault(idx, {})
+                for key, v in comp.items():
+                    _merge(target, key, f * v)
+        residual = PolyTensor(angular_field.n, angular_field.rank,
+                              residual).canonical()
+        return coeffs, PolyTensor(residual.n, residual.rank, {
+            idx: {key: _over(v, L) for key, v in comp.items()}
+            for idx, comp in residual.comps.items()})
+
+
+def _integer_form(T):
+    """(den, comps) with T = comps / den: T's int/Fraction coefficients as
+    integer numerators over their common denominator."""
+    den = math.lcm(*(c.denominator for comp in T.comps.values()
+                     for c in comp.values()))
+    return den, {idx: {key: c.numerator * (den // c.denominator)
+                       for key, c in comp.items()}
+                 for idx, comp in T.comps.items()}
+
+
+def _slice_inner_exact(n, A, B):
+    """``slice_inner_reduced`` of two exact fields given by
+    ``_integer_form``: each moment is _moment_scale(n, |beta|) times the
+    integer _odd_factorial_product(beta), so the integer products are
+    summed per (r-exponent, |beta|) and each sum is scaled once."""
+    (den_a, comps_a), (den_b, comps_b) = A, B
+    parts = {}
+    for idx, comp_a in comps_a.items():
+        comp_b = comps_b.get(idx)
+        if not comp_b:
+            continue
+        for (a1, g1), c1 in comp_a.items():
+            d1 = g1 + sum(a1)
+            for (a2, g2), c2 in comp_b.items():
+                beta = tuple(x + y for x, y in zip(a1, a2))
+                odd = _odd_factorial_product(beta)
+                if odd:
+                    key = (d1 + g2 + sum(a2), sum(beta))
+                    parts[key] = parts.get(key, 0) + c1 * c2 * odd
+    out = {}
+    for (expo, s), v in parts.items():
+        if v:
+            _merge(out, expo, _moment_scale(n, s) * v)
+    den = den_a * den_b
+    return {expo: v / den for expo, v in out.items()}
 
 
 def _term_functional(B, idx, alpha, gamma):
@@ -927,9 +1016,10 @@ def _term_functional(B, idx, alpha, gamma):
 def _gram(elements):
     m = len(elements)
     g = [[0] * m for _ in range(m)]
+    ints = [_integer_form(T) for T in elements]
     for i in range(m):
         for j in range(i, m):
-            d = slice_inner_reduced(elements[i], elements[j])
+            d = _slice_inner_exact(elements[i].n, ints[i], ints[j])
             if any(e != 0 for e in d):
                 raise ValueError("basis element not radially parallel")
             g[i][j] = g[j][i] = d.get(0, 0)
@@ -948,22 +1038,37 @@ class ClosureError(ArithmeticError):
 def angular_image(apply_fn, element, m):
     """Apply ``apply_fn`` to r^m * element and read the image exactly.
 
-    The image is canonicalized once.  Returns None when it vanishes, else
-    ``(weight, angular)`` with image = r^(m - weight) * angular, where
-    ``angular`` is canonical.  Raises ClosureError for a float coefficient
-    or a non-homogeneous image.
+    Returns None when the image has no terms (an empty image has no
+    homogeneity, so it takes the canonical path), else ``(weight, angular)``
+    with image = r^(m - weight) * angular.  ``angular`` is the operator's
+    raw output, not canonicalized: its terms may still be rewritten by
+    sum_i x_i^2 = r^2, and it may even vanish modulo that relation, which
+    ``AngularBasis.decompose`` reads as all-zero coefficients with an empty
+    residual.  Raises ClosureError for a float coefficient or a
+    non-homogeneous image; a raw image that trips either check is
+    canonicalized first and checked again, so exactly the images whose
+    canonical form has a float or mixed homogeneity are rejected (and one
+    that is zero modulo the relation returns None).
     """
-    image = apply_fn(element.radial_scaled(m)).canonical()
-    if not image.comps:
-        return None
-    if not all(isinstance(c, (int, Fraction))
-               for comp in image.comps.values() for c in comp.values()):
-        raise ClosureError("operator image has float coefficients; probing "
-                           "needs exact int/Fraction arithmetic")
+    image = apply_fn(element.radial_scaled(m))
     deg = image.homogeneity()
-    if deg is None:
-        raise ClosureError("operator image is not homogeneous")
+    if deg is None or not _exact(image):
+        image = image.canonical()
+        if not image.comps:
+            return None
+        if not _exact(image):
+            raise ClosureError("operator image has float coefficients; "
+                               "probing needs exact int/Fraction arithmetic")
+        deg = image.homogeneity()
+        if deg is None:
+            raise ClosureError("operator image is not homogeneous")
     return m - deg, image.radial_scaled(-deg)
+
+
+def _exact(T):
+    """Whether every coefficient of T is an int or Fraction."""
+    return all(isinstance(c, (int, Fraction))
+               for comp in T.comps.values() for c in comp.values())
 
 
 def tensor_mode_seed(n, j):
@@ -974,19 +1079,41 @@ def tensor_mode_seed(n, j):
 def tangential_traceless_hessian(n, j):
     """Traceless tangential part of r^2 Hess(phi_j), radially parallel.
 
-    Vanishes identically for j <= 1 (the sphere Hessian of a degree-1
-    harmonic is pure trace); for j >= 2 this is the fourth angular family.
+    With P = Re(x_1 + i x_2)^j, phi_j = P r^-j, Pi = delta - x(x)x / r^2
+    and c = j (j - 1) / (n - 1), Pi (r^2 Hess phi_j) Pi minus its trace
+    part is, by Euler's relation x . grad P = j P and Delta P = 0,
+
+        r^(2-j) Hess P - (j - 1) r^-j (x (x) grad P + grad P (x) x)
+            + (j (j - 1) - c) r^(-j-2) P x (x) x + c r^-j P delta,
+
+    built here as one field from the gradient and Hessian of P and
+    canonicalized once.  Vanishes identically for j <= 1 (the sphere
+    Hessian of a degree-1 harmonic is pure trace); for j >= 2 this is the
+    fourth angular family.
     """
-    phi = sphere_harmonic(n, j)
-    H = hessian(phi).radial_scaled(2)  # r^2 Hess(phi), homogeneity 0
-    dr = radial_form(n)
-    ir = radial_contraction(H).radial_scaled(1)  # unit radial contraction
-    s = radial_contraction(radial_contraction(H)).radial_scaled(2)
-    proj = H - sym_pair(dr, ir) + mul_scalar_field(dr_tensor(n), s)
-    tr = trace2(proj)
-    out = proj - mul_scalar_field(tangential_metric(n), tr).scaled(
-        Fraction(1, n - 1))
-    return out.canonical()
+    if j <= 1:
+        return PolyTensor(n, 2)
+    P = cylindrical_harmonic(n, j)
+    grad = gradient(P)
+    c = _fr(Fraction(j * (j - 1), n - 1))
+    cxx = _fr(j * (j - 1) - c)
+    units = [tuple(int(a == b) for b in range(n)) for a in range(n)]
+
+    def shift(alpha, a):
+        return tuple(x + y for x, y in zip(alpha, units[a]))
+
+    terms = [(idx, (alpha, gamma + 2 - j), v)
+             for idx, comp in gradient(grad).comps.items()
+             for (alpha, gamma), v in comp.items()]
+    terms += [(pair, (shift(alpha, a), gamma - j), (1 - j) * v)
+              for (i,), comp in grad.comps.items()
+              for (alpha, gamma), v in comp.items()
+              for a in range(n) for pair in ((a, i), (i, a))]
+    for (alpha, gamma), v in P.comps.get((), {}).items():
+        terms += [((a, b), (shift(shift(alpha, a), b), gamma - j - 2),
+                   cxx * v) for a in range(n) for b in range(n)]
+        terms += [((a, a), (alpha, gamma - j), c * v) for a in range(n)]
+    return _build(n, 2, terms).canonical()
 
 
 @lru_cache(maxsize=None)

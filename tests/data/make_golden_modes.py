@@ -12,7 +12,9 @@ from fractions import Fraction
 
 from conespec.mode_ode import tensor_mode_system
 
-# (n, k, t, j): t = 0, integer t, small rational t, negative t, and k = 2.
+# (n, k, t, j): t = 0, integer t, small rational t, negative t, and k = 2;
+# the last three put the traceless tangential Hessian family at j = 3, 4
+# and n = 6, and reach k = 3.
 CELLS = [
     (4, 1, "0", 1),
     (4, 1, "1", 1),
@@ -20,6 +22,9 @@ CELLS = [
     (3, 1, "-1/4", 2),
     (5, 1, "1/10", 1),
     (4, 2, "1/10", 1),
+    (4, 1, "1/20", 3),
+    (3, 3, "0", 4),
+    (6, 2, "1/3", 2),
 ]
 
 

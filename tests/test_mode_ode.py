@@ -12,11 +12,12 @@ from conespec import polytensor as pt
 from conespec import turan_constants
 from conespec.closed_form import (ParameterError, scalar_indicial_polynomial,
                                   scalar_indicial_roots)
-from conespec.linalg import poly_shift
+from conespec.linalg import poly_derivative, poly_eval, poly_shift
 from conespec.expsum import RangeError, three_interval
-from conespec.mode_ode import (L0_CANDIDATES, EulerOperator, ModeSolution,
-                               ProbeError, RadialGram, _nullspace_float,
-                               _operator_scale, degenerate_scan,
+from conespec.mode_ode import (L0_CANDIDATES, EulerOperator, FloatSystem,
+                               ModeSolution, ProbeError, RadialGram,
+                               _nullspace_float, _operator_scale,
+                               degenerate_scan,
                                divergence_mode_system,
                                draw_kernel_coefficients, empirical_l0,
                                indicial_spectrum, probe_euler,
@@ -78,6 +79,76 @@ def test_probe_rejects_float_coefficients():
     basis = pt.basis_from_elements(4, [pt.sphere_harmonic(4, 1)], ["phi"])
     with pytest.raises(ProbeError, match="float coefficients"):
         probe_euler(lambda f: pt.laplacian(f).scaled(0.1), basis, 2)
+
+
+def _zero_mod_relation(f, c=1):
+    """c (r^2 f - (sum_i x_i^2) f): non-empty term by term, zero modulo
+    sum_i x_i^2 = r^2."""
+    q = pt.PolyTensor(f.n, 0)
+    for i in range(f.n):
+        q.add_term((), tuple(2 * (a == i) for a in range(f.n)), 0, 1)
+    return (f.radial_scaled(2) - pt.mul_scalar_field(f, q)).scaled(c)
+
+
+def _phi_basis(n=4, j=1):
+    return pt.basis_from_elements(n, [pt.sphere_harmonic(n, j)], ["phi"])
+
+
+def test_probe_reads_images_zero_modulo_the_relation_as_vanished():
+    basis = _phi_basis()
+    image = _zero_mod_relation(basis.elements[0])
+    assert image.comps and image.is_zero()
+    with pytest.raises(ProbeError, match="vanished on every probe"):
+        probe_euler(_zero_mod_relation, basis, 2)
+
+
+def test_probe_judges_floats_and_homogeneity_on_the_canonical_image():
+    basis = _phi_basis()
+    # float or mixed-homogeneity terms that cancel modulo the relation
+    for apply_fn in (lambda f: f + _zero_mod_relation(f, 0.5),
+                     lambda f: f + _zero_mod_relation(f.radial_scaled(1))):
+        op = probe_euler(apply_fn, basis, 1)
+        assert op.P == [[[1]]] and op.weight == 0
+    with pytest.raises(ProbeError, match="float coefficients"):
+        probe_euler(lambda f: f.scaled(0.5), basis, 1)
+    with pytest.raises(ProbeError, match="not homogeneous"):
+        probe_euler(lambda f: f + f.radial_scaled(1), basis, 1)
+
+
+def test_probe_rejects_image_outside_target_span():
+    basis = _phi_basis()
+    phi = basis.elements[0]
+    with pytest.raises(ProbeError, match="basis not closed"):
+        probe_euler(lambda f: pt.mul_scalar_field(f, phi), basis, 1)
+
+
+def _eval_float_oracle(op, z, derivative):
+    """P^(derivative)(z) entry by entry: exact derivative, complex
+    coefficients, Horner in Python complex arithmetic."""
+    out = np.zeros((len(op.target), len(op.basis)), dtype=complex)
+    for r, row in enumerate(op.P):
+        for c, p in enumerate(row):
+            for _ in range(derivative):
+                p = poly_derivative(p)
+            out[r, c] = poly_eval([complex(x) for x in p], complex(z))
+    return out
+
+
+@pytest.mark.parametrize("n,k,j,t", [
+    (3, 1, 2, Fraction(1, 7)), (4, 1, 3, 0), (5, 1, 0, Fraction(-1, 4)),
+    (4, 2, 3, 0), (3, 3, 1, Fraction(1, 20))])
+def test_float_system_matches_per_entry_horner(n, k, j, t):
+    basis, op = tensor_mode_system(n, k, t, j)
+    rng = np.random.default_rng(10 * n + j)
+    zs = [root.value for root in indicial_spectrum(op).roots]
+    zs += list(rng.normal(size=6) * 3 + 1j * rng.normal(size=6))
+    for system in (op, divergence_mode_system(n, t, j, basis)):
+        fs = FloatSystem(system)
+        assert fs.scale == _operator_scale(system)
+        for z in zs:
+            for d in range(3):
+                assert np.array_equal(fs.eval(z, d),
+                                      _eval_float_oracle(system, z, d))
 
 
 def test_integer_t_stays_exact():
@@ -474,7 +545,7 @@ def test_norms_cross_module_consistency():
     root = spec.roots[root_idx]
     # P(3) vanishes up to roundoff here, so the cutoff needs the system's
     # own coefficient scale
-    vec = _nullspace_float(op.eval_float(root.value),
+    vec = _nullspace_float(FloatSystem(op).eval(root.value),
                            scale=_operator_scale(op))[:, 0]
     vec = (vec / vec[np.argmax(np.abs(vec))]).real  # real pure-power solution
     table = np.zeros((root.multiplicity, len(basis)), dtype=complex)
@@ -575,11 +646,12 @@ def test_degenerate_scan_matches_per_t_direct_probes():
         for j in range(j_max + 1):
             op, div_op = _direct_systems(n, k, t, j)
             spec = indicial_spectrum(op)
+            systems = FloatSystem(op), FloatSystem(div_op)
             want["spectra"][f"t={float(t)},j={j}"] = spec.summary()
             for root in spec.roots:
                 if root.classification != "zero":
                     continue
-                inter = _divergence_free_chain_space(op, div_op, root, tol)
+                inter = _divergence_free_chain_space(*systems, root, tol)
                 dim = inter.shape[1]
                 if dim:
                     want["witnesses_t0" if t == 0 else "findings"].append(

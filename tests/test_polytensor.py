@@ -142,6 +142,70 @@ def test_closure_rejects_float_and_mixed_images():
         pt.angular_image(lambda f: f + f.radial_scaled(1), seed, 0)
 
 
+def _traceless_hessian_oracle(n, j):
+    """Pi (r^2 Hess phi_j) Pi minus its trace part, by general field
+    algebra: project with dr, then subtract the tangential trace."""
+    phi = pt.sphere_harmonic(n, j)
+    H = pt.hessian(phi).radial_scaled(2)
+    dr = pt.radial_form(n)
+    ir = pt.radial_contraction(H).radial_scaled(1)
+    s = pt.radial_contraction(pt.radial_contraction(H)).radial_scaled(2)
+    proj = H - pt.sym_pair(dr, ir) + pt.mul_scalar_field(pt.dr_tensor(n), s)
+    tr = pt.trace2(proj)
+    return (proj - pt.mul_scalar_field(pt.tangential_metric(n), tr).scaled(
+        Fraction(1, n - 1))).canonical()
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_closed_form_hessian_family_matches_field_algebra(n):
+    for j in range(7):
+        got = pt.tangential_traceless_hessian(n, j)
+        assert got.comps == _traceless_hessian_oracle(n, j).comps
+        assert got.comps == got.canonical().comps
+
+
+def _zero_mod_relation(f):
+    """r^2 f - (sum_i x_i^2) f: non-empty term by term, zero modulo
+    sum_i x_i^2 = r^2."""
+    q = pt.PolyTensor(f.n, 0)
+    for i in range(f.n):
+        q.add_term((), tuple(2 * (a == i) for a in range(f.n)), 0, 1)
+    return f.radial_scaled(2) - pt.mul_scalar_field(f, q)
+
+
+@pytest.mark.parametrize("n,j", [(3, 2), (4, 3), (6, 2)])
+def test_decompose_reads_non_canonical_fields(n, j):
+    basis = pt.tensor_mode_basis(n, j)
+    coeffs = [Fraction(i + 1, 3) for i in range(len(basis))]
+    field = pt.PolyTensor(n, 2)
+    for c, T in zip(coeffs, basis.elements):
+        field = field + T.scaled(c)
+    noise = _zero_mod_relation(pt.laplacian(field).radial_scaled(2))
+    assert noise.comps and noise.is_zero()
+    got, residual = basis.decompose(field + noise)
+    assert got == coeffs and not residual.comps
+    got, residual = basis.decompose(noise)
+    assert not any(got) and not residual.comps
+    off = pt.mul_scalar_field(pt.dr_tensor(n), pt.sphere_harmonic(n, j + 1))
+    got, residual = basis.decompose(field + noise + off)
+    assert got == coeffs and residual == off
+    assert all(type(c) in (int, Fraction) and (type(c) is int
+                                               or c.denominator != 1)
+               for comp in residual.comps.values() for c in comp.values())
+
+
+def test_exact_slice_inner_matches_general_path():
+    rng = np.random.default_rng(5)
+    for n, rank in [(3, 0), (4, 1), (4, 2), (5, 2)]:
+        for _ in range(5):
+            A = random_field(rng, n, rank).scaled(Fraction(2, 7))
+            B = random_field(rng, n, rank) + random_field(
+                rng, n, rank).scaled(Fraction(-3, 5))
+            got = pt._slice_inner_exact(n, pt._integer_form(A),
+                                        pt._integer_form(B))
+            assert got == pt.slice_inner_reduced(A, B)
+
+
 def test_tensor_mode_basis_families():
     for n in (4, 6):
         assert len(pt.tensor_mode_basis(n, 0)) == 2
