@@ -1,10 +1,17 @@
-"""Exact linear algebra over the rationals (sparse rows of Fractions).
+"""Exact linear algebra and polynomial kernels over the rationals.
 
 Used wherever a dimension or rank decision must be exact rather than
 numerically zero: divergence-free nullspaces, angular Gram solves,
-polynomial interpolation of probed mode systems.  Determinants
-(``det_dense``) use Bareiss fraction-free elimination on integer rows, so
-the inner loop multiplies and divides integers, not Fractions.
+polynomial interpolation of probed mode systems, square-free splits of
+their determinants.  The sparse elimination (``sparse_rref`` and the
+nullspace and row-space tests on it) and ``solve_dense`` work on rows of
+Fractions.  The polynomial kernels work on integer numerators over one
+common denominator and make one Fraction per output coefficient:
+determinants (``det_dense``) by Bareiss fraction-free elimination on
+integer rows, interpolation (``lagrange_coefficients``) as integer dot
+products with a memoized integer Lagrange table, and the square-free
+split (``poly_squarefree_factors``) by Yun's algorithm on the primitive
+integer polynomial.
 """
 
 from __future__ import annotations
@@ -154,8 +161,9 @@ def det_dense(a) -> Fraction:
     return Fraction(sign * prev, scale)
 
 
-def lagrange_coefficients(points):
-    """Coefficients (low degree first) of the interpolating polynomial.
+def lagrange_coefficients(points, scale=1):
+    """Coefficients (low degree first) of the interpolating polynomial,
+    each divided by the nonzero integer ``scale``.
 
     points: list of (x, y) Fraction (or int) pairs with distinct x.  The
     y values are put over one common denominator and each coefficient is
@@ -166,7 +174,7 @@ def lagrange_coefficients(points):
     yden = math.lcm(*(y.denominator for _, y in points))
     ys = [(y.numerator * (yden // y.denominator), row)
           for (_, y), row in zip(points, table) if y != 0]
-    coeffs = [Fraction(sum(y * row[k] for y, row in ys), den * yden)
+    coeffs = [Fraction(sum(y * row[k] for y, row in ys), den * yden * scale)
               for k in range(len(points))]
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
@@ -179,28 +187,29 @@ def _lagrange_basis(nodes):
     denominator and a table of integer numerator tuples (low degree
     first), memoized per node tuple.
 
-    Each l_i is M(z) / ((z - x_i) M'(x_i)) with M the node polynomial,
-    read off by synthetic division.
+    With the nodes x_i = u_i / s over their common denominator s,
+    l_i(z) = prod_{j != i} (s z - u_j) / prod_{j != i} (u_i - u_j): the
+    numerator is the node polynomial prod_j (y - u_j) divided by y - u_i
+    (synthetic division) with y = s z, so every step is in integers.
     """
-    xs = [x.numerator if x.denominator == 1 else x for x in nodes]
+    s = math.lcm(*(x.denominator for x in nodes))
+    us = [x.numerator * (s // x.denominator) for x in nodes]
     master = [1]
-    for x in xs:
-        master = poly_mul(master, [-x, 1])
-    basis = []
-    for i, xi in enumerate(xs):
-        quo = [0] * len(xs)
+    for u in us:
+        master = [a - u * b for a, b in zip([0] + master, master + [0])]
+    quos, weights = [], []
+    for i, ui in enumerate(us):
+        quo = [0] * len(us)
         acc = 0
-        for k in range(len(xs), 0, -1):
-            acc = master[k] + xi * acc
+        for k in range(len(us), 0, -1):
+            acc = master[k] + ui * acc
             quo[k - 1] = acc
-        denom = 1
-        for j, xj in enumerate(xs):
-            if j != i:
-                denom *= xi - xj
-        basis.append([Fraction(c) / denom for c in quo])
-    den = math.lcm(*(c.denominator for li in basis for c in li))
-    return den, tuple(tuple(c.numerator * (den // c.denominator) for c in li)
-                      for li in basis)
+        quos.append(quo)
+        weights.append(math.prod(ui - uj for j, uj in enumerate(us) if j != i))
+    den = math.lcm(*weights)
+    powers = [s ** k for k in range(len(us))]
+    return den, tuple(tuple(c * p * (den // w) for c, p in zip(quo, powers))
+                      for quo, w in zip(quos, weights))
 
 
 def poly_mul(p, q):
@@ -247,61 +256,81 @@ def poly_sum(polys):
     return poly_trim([sum(cs) for cs in zip_longest(*polys, fillvalue=0)])
 
 
-def poly_divmod(p, q):
-    """Exact rational polynomial division: p = quo * q + rem."""
-    p = poly_trim(p)
-    q = poly_trim(q)
-    if q == [ZERO]:
-        raise ZeroDivisionError("polynomial division by zero")
-    quo = [ZERO] * max(len(p) - len(q) + 1, 1)
-    rem = list(p)
-    dq = len(q) - 1
-    lead = q[-1]
-    for i in range(len(rem) - 1 - dq, -1, -1):
-        c = rem[i + dq] / lead
-        if c == 0:
-            continue
-        quo[i] = c
-        for jj, qc in enumerate(q):
-            rem[i + jj] -= c * qc
-    return poly_trim(quo), poly_trim(rem)
-
-
-def poly_monic(p):
-    p = poly_trim(p)
-    lead = p[-1]
-    if lead == 0:
-        return p
-    return [c / lead for c in p]
-
-
-def poly_gcd(p, q):
-    """Monic gcd of rational polynomials."""
-    a, b = poly_trim(p), poly_trim(q)
-    while b != [ZERO]:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    return poly_monic(a)
-
-
 def poly_squarefree_factors(p):
-    """List of (monic factor, multiplicity) with distinct-root factors."""
-    p = poly_monic(p)
+    """List of (monic factor, multiplicity) with distinct-root factors.
+
+    Yun's algorithm on the primitive integer polynomial of p (p over the
+    lcm of its denominators, divided by its content): each gcd is a
+    primitive pseudo-remainder sequence, and each quotient by a primitive
+    gcd is exact in integers by Gauss's lemma.  Only the monic factors
+    are made into Fractions.  Zero and constant p have no factors.
+    """
+    p = poly_trim(p)
     if len(p) <= 1:
         return []
-    dp = poly_derivative(p)
-    g = poly_gcd(p, dp)
-    c, _ = poly_divmod(p, g)
-    c = poly_monic(c)
+    den = math.lcm(*(c.denominator for c in p))
+    f = _primitive([c.numerator * (den // c.denominator) for c in p])
+    df = poly_derivative(f)
+    a = _int_gcd(f, df)
+    b, c = _exact_quo(f, a), _exact_quo(df, a)
     factors = []
     i = 1
-    while len(c) > 1:
-        d = poly_gcd(c, g)
-        fi, _ = poly_divmod(c, d)
-        fi = poly_monic(fi)
-        if len(fi) > 1:
-            factors.append((fi, i))
-        c = d
-        g, _ = poly_divmod(g, d)
+    while len(b) > 1:
+        d = poly_trim([x - y for x, y in
+                       zip_longest(c, poly_derivative(b), fillvalue=0)])
+        a = _int_gcd(b, d)
+        if len(a) > 1:
+            factors.append(([Fraction(x, a[-1]) for x in a], i))
+        b, c = _exact_quo(b, a), _exact_quo(d, a)
         i += 1
     return factors
+
+
+def _primitive(p):
+    """p divided by its content, with a positive leading coefficient."""
+    p = poly_trim(p)
+    g = math.gcd(*p)
+    if g == 0:
+        return p
+    if p[-1] < 0:
+        g = -g
+    return [c // g for c in p]
+
+
+def _prem(a, b):
+    """Pseudo-remainder of integer polynomials: lc(b)^e a mod b for the
+    number e of reduction steps, so it stays in integers."""
+    r, lead, db = list(a), b[-1], len(b) - 1
+    while len(r) > db:
+        c = r.pop()
+        if c:
+            s = len(r) - db
+            r = [lead * x for x in r]
+            for j, bj in enumerate(b[:-1]):
+                r[s + j] -= c * bj
+    return poly_trim(r or [0])
+
+
+def _int_gcd(a, b):
+    """Primitive gcd of integer polynomials (positive leading
+    coefficient) by the primitive pseudo-remainder sequence."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b != [0]:
+        a, b = b, _primitive(_prem(a, b))
+    return a
+
+
+def _exact_quo(a, b):
+    """a / b for integer polynomials where b divides a; the quotient is
+    integral when b is primitive (Gauss's lemma), so each step divides
+    exactly by b's leading coefficient."""
+    r, lead, db = list(a), b[-1], len(b) - 1
+    q = [0] * max(len(a) - db, 1)
+    for s in range(len(a) - 1 - db, -1, -1):
+        c = q[s] = r[s + db] // lead
+        if c:
+            for j, bj in enumerate(b):
+                r[s + j] -= c * bj
+    return poly_trim(q)

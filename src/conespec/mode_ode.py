@@ -14,9 +14,10 @@ the degenerate-solution scan all live on top of that data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from itertools import zip_longest
 
 import numpy as np
 
@@ -25,8 +26,7 @@ from .closed_form import ParameterError
 from .expsum import (ExpSum, ExpTerm, RangeError, poly_exp_integrals,
                      three_interval_bound)
 from .linalg import (det_dense, lagrange_coefficients, poly_derivative,
-                     poly_eval, poly_mul, poly_shift, poly_sum,
-                     poly_squarefree_factors)
+                     poly_eval, poly_squarefree_factors, poly_trim)
 from .polytensor import AngularBasis, ClosureError
 
 
@@ -39,7 +39,9 @@ class EulerOperator:
     """Matrix indicial polynomial of an operator on a closed angular basis.
 
     Acting on e^{zs} v (s = log r) yields e^{(z-w)s} P(z) v; entries of P
-    are Fraction coefficient lists (low order first).
+    are Fraction coefficient lists (low order first).  The exact kernels
+    (``det_poly``, ``compose``, ``combine``) clear P to integer numerators
+    over one denominator and refuse any other coefficient type.
     """
 
     basis: AngularBasis
@@ -61,31 +63,51 @@ class EulerOperator:
 
         P's denominators are cleared once by their lcm D; the integer
         entries are evaluated by Horner at z = 0, ..., m_ang * order, each
-        integer determinant is taken by ``det_dense``, and the interpolated
-        polynomial is divided by D^m_ang.
+        integer determinant is taken by ``det_dense``, and the integer
+        values are interpolated with D^m_ang folded into the one Fraction
+        made per coefficient.  A coefficient of P that is not an int or
+        Fraction raises ProbeError.
         """
         if not self.square:
             raise ProbeError("determinant needs a square system")
-        D = math.lcm(*(c.denominator for row in self.P for p in row
-                       for c in p))
-        Q = [[[c.numerator * (D // c.denominator) for c in p] for p in row]
-             for row in self.P]
-        pts = [(Fraction(z), det_dense([[poly_eval(p, z) for p in row]
-                                        for row in Q]))
+        D, Q = _cleared(self.P)
+        pts = [(z, det_dense([[poly_eval(p, z) for p in row]
+                              for row in Q]).numerator)
                for z in range(self.m_ang * self.order + 1)]
-        scale = D ** self.m_ang
-        return [c / scale for c in lagrange_coefficients(pts)]
+        return lagrange_coefficients(pts, scale=D ** self.m_ang)
 
     def compose(self, inner):
         """The system of self o inner: P(z) = P_self(z - w_inner) P_inner(z),
-        with weights and orders added."""
+        with weights and orders added.
+
+        Both P are cleared to integers once.  For w_inner = a/b and d the
+        largest degree in P_self, each entry p of P_self becomes the
+        integer polynomial b^d p(z - a/b) (Horner in steps of b z - a), the
+        matrix product runs on integers, and each output coefficient is one
+        Fraction over the product of the three scales.  A coefficient that
+        is not an int or Fraction raises ProbeError.
+        """
         if self.basis is not inner.target:
             raise ProbeError("compose needs the outer system's basis to be "
                              "the inner system's target")
-        outer = [[poly_shift(p, -inner.weight) for p in row] for row in self.P]
-        P = [[poly_sum(poly_mul(a, inner.P[i][c]) for i, a in enumerate(row))
-              for c in range(len(inner.basis))]
-             for row in outer]
+        d_out, outer = _cleared(self.P)
+        d_in, Q = _cleared(inner.P)
+        a, b = inner.weight.numerator, inner.weight.denominator
+        d = max(len(p) for row in outer for p in row) - 1
+        outer = [[_scaled_shift(p, a, b, d) for p in row] for row in outer]
+        den = d_out * b ** d * d_in
+        P = []
+        for row in outer:
+            out = []
+            for c in range(len(inner.basis)):
+                acc = [0] * (d + max(len(q[c]) for q in Q))
+                for p, q in zip(row, (q[c] for q in Q)):
+                    for i, x in enumerate(p):
+                        if x:
+                            for j, y in enumerate(q):
+                                acc[i + j] += x * y
+                out.append(_as_fractions(acc, den))
+            P.append(out)
         return EulerOperator(inner.basis, self.target,
                              self.weight + inner.weight,
                              self.order + inner.order, P)
@@ -93,18 +115,66 @@ class EulerOperator:
     @staticmethod
     def combine(terms):
         """The system of sum c * op over (c, op) in terms, whose systems
-        share basis, target and weight; its order is the largest."""
+        share basis, target and weight; its order is the largest.  Each
+        term is cleared to integers and the sum is taken over the lcm of
+        the term denominators; a coefficient that is not an int or
+        Fraction raises ProbeError."""
         (_, first), *rest = terms
         for _, op in rest:
             if op.basis is not first.basis or op.target is not first.target \
                     or op.weight != first.weight:
                 raise ProbeError("combined systems differ in basis, target "
                                  "or weight")
-        P = [[poly_sum([c * x for x in op.P[r][col]] for c, op in terms)
+        parts = []
+        for c, op in terms:
+            _require_exact([c])
+            D, Q = _cleared(op.P)
+            parts.append((c.numerator, c.denominator * D, Q))
+        den = math.lcm(*(d for _, d, _ in parts))
+        scales = [c * (den // d) for c, d, _ in parts]
+        P = [[_as_fractions([sum(c * x for c, x in zip(scales, xs))
+                             for xs in zip_longest(*(Q[r][col]
+                                                     for _, _, Q in parts),
+                                                   fillvalue=0)], den)
               for col in range(len(first.basis))]
              for r in range(len(first.target))]
         return EulerOperator(first.basis, first.target, first.weight,
                              max(op.order for _, op in terms), P)
+
+
+def _require_exact(coeffs):
+    for c in coeffs:
+        if not isinstance(c, (int, Fraction)):
+            raise ProbeError("mode systems need exact coefficients (int or "
+                             f"Fraction), got {type(c).__name__} {c!r}")
+
+
+def _cleared(P):
+    """(D, Q) with P = Q / D: the coefficient lists of P as integer
+    numerators over the lcm D of their denominators."""
+    coeffs = [c for row in P for p in row for c in p]
+    _require_exact(coeffs)
+    D = math.lcm(*(c.denominator for c in coeffs))
+    return D, [[[c.numerator * (D // c.denominator) for c in p] for p in row]
+               for row in P]
+
+
+def _scaled_shift(p, a, b, d):
+    """The integer coefficients of b^d p(z - a/b), for an integer
+    polynomial p of degree <= d: Horner's rule with the step
+    G <- G (b z - a) + p_k b^(d - k)."""
+    out = [0] * (d + 1)
+    for k in range(d, -1, -1):
+        for i in range(d, 0, -1):
+            out[i] = b * out[i - 1] - a * out[i]
+        out[0] = -a * out[0] + (p[k] * b ** (d - k) if k < len(p) else 0)
+    return out
+
+
+def _as_fractions(nums, den):
+    """Integer numerators over den as a Fraction coefficient list, trimmed
+    of high zeros."""
+    return [Fraction(v, den) for v in poly_trim(nums)]
 
 
 def probe_euler(apply_fn, basis, order, *, target=None, probe_degrees=None,
@@ -199,6 +269,10 @@ class IndicialSpectrum:
     operator: EulerOperator
     roots: list
     low_confidence: bool = False
+    # the FloatSystem the chain bases were taken from, for further root
+    # work on the same operator
+    system: FloatSystem | None = field(default=None, repr=False,
+                                       compare=False)
 
     @property
     def total_multiplicity(self):
@@ -265,9 +339,9 @@ class FloatSystem:
     once in real arithmetic, with the operations of Python's complex
     ``acc * z + c`` on a real c (real part ar zr - ai zi + c, imaginary
     part ar zi + ai zr + 0.0), so it equals per-entry Horner bit for bit;
-    a complex array product may fuse multiply-adds.  Made per spectrum or
-    scan call, not stored on the EulerOperator, whose P a caller may
-    replace.
+    a complex array product may fuse multiply-adds.  Made once per
+    spectrum (``IndicialSpectrum.system``) or scan call, not stored on the
+    EulerOperator, whose P a caller may replace.
     """
 
     def __init__(self, op):
@@ -338,7 +412,9 @@ def indicial_spectrum(op):
     factorization is its multiplicity.  np.roots of each factor therefore
     lists every root once, and no roots are merged.  The spectrum is
     flagged low_confidence when two float roots lie within
-    LOW_CONFIDENCE_GAP of each other.
+    LOW_CONFIDENCE_GAP of each other, and keeps the FloatSystem its chain
+    bases came from as ``system``.  A coefficient of P that is not an int
+    or Fraction raises ProbeError.
     """
     det = op.det_poly()
     if all(c == 0 for c in det):
@@ -355,7 +431,7 @@ def indicial_spectrum(op):
     out.sort(key=lambda r: (r.value.real, r.value.imag))
     low_confidence = any(abs(a.value - b.value) <= LOW_CONFIDENCE_GAP
                          for i, a in enumerate(out) for b in out[i + 1:])
-    return IndicialSpectrum(op, out, low_confidence)
+    return IndicialSpectrum(op, out, low_confidence, system)
 
 
 # -- mode solutions ---------------------------------------------------------
@@ -783,21 +859,24 @@ def divergence_mode_system(n, t, j, basis):
 
 def _scan_one_mode(task):
     """Spectra and divergence-compatible zero-root hits of one degree j at
-    every distinct t, each from A + t B and div - t i_r built once."""
+    every distinct t, each from A + t B built once; div - t i_r is built
+    only at a t whose spectrum has a zero-real-part root, and the float
+    view of A + t B is the spectrum's own."""
     n, k, j, t_values, tol = task
     basis, A, B, i_r = _gauged_parts(n, k, j, with_t=True)
     div = probe_euler(pt.divergence, basis, 1, target=i_r.target)
     cells = {}
     for t in dict.fromkeys(t_values):
-        op = EulerOperator.combine([(1, A), (t, B)])
-        div_op = EulerOperator.combine([(1, div), (-t, i_r)])
-        spec = indicial_spectrum(op)
-        systems = FloatSystem(op), FloatSystem(div_op)
+        spec = indicial_spectrum(EulerOperator.combine([(1, A), (t, B)]))
+        zeros = [root for root in spec.roots
+                 if root.classification == "zero"]
+        if zeros:
+            div_system = FloatSystem(
+                EulerOperator.combine([(1, div), (-t, i_r)]))
         hits = []
-        for root in spec.roots:
-            if root.classification != "zero":
-                continue
-            inter = _divergence_free_chain_space(*systems, root, tol)
+        for root in zeros:
+            inter = _divergence_free_chain_space(spec.system, div_system,
+                                                 root, tol)
             if inter.shape[1]:
                 hits.append({"t": float(t), "j": j,
                              "root": {"re": root.value.real,

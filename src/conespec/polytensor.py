@@ -63,9 +63,12 @@ by the degrees and bases in use:
   image terms (idx, alpha, gamma) that reach ``decompose`` (not on
   canonical terms), mapping each to the integer numerators of its slice
   inner products with every element over one denominator, so
-  ``decompose`` sums integer products over the field's common denominator
-  and makes one ``Fraction`` per element.  With the memoized bases these
-  tables too are filled once per (n, j).
+  ``decompose`` sums integer products over the field's common denominator;
+- ``AngularBasis._inverse``: the inverse Gram matrix of a basis as integer
+  rows over one denominator, so ``decompose`` applies it as an integer
+  matrix-vector product and makes one ``Fraction`` per element.
+
+With the memoized bases both per-basis tables are filled once per (n, j).
 
 ``linalg.lagrange_coefficients`` likewise memoizes its Lagrange basis per
 node tuple, as one denominator and a table of integer numerators.
@@ -73,7 +76,6 @@ node tuple, as one denominator and a table of integer numerators.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
@@ -854,6 +856,10 @@ class AngularBasis:
 
     Elements have homogeneity-0 components; ``gram`` is the slice inner
     product matrix divided by pi^floor(n/2); ``norms`` is its diagonal.
+    Two tables are built lazily for ``decompose``: the slice functionals of
+    the image terms it meets (``_functionals``) and the inverse Gram matrix
+    (``_inverse``, on the first call), both as integers over one
+    denominator.
     """
 
     n: int
@@ -867,6 +873,10 @@ class AngularBasis:
                                          repr=False, compare=False)
     # per element (den, comps): the element is comps / den, comps integer
     _integer: list = dataclass_field(init=False, repr=False, compare=False)
+    # (den, rows): the inverse Gram matrix is rows / den, rows integer;
+    # built on the first decompose
+    _inverse: tuple = dataclass_field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
         if not all(T.is_radially_parallel() for T in self.elements):
@@ -894,6 +904,17 @@ class AngularBasis:
         return (expo, den), tuple(v.numerator * (den // v.denominator)
                                   for v in vals)
 
+    def _inverse_gram(self):
+        """The inverse Gram matrix as one denominator and integer rows,
+        from one exact solve per unit vector; ValueError when the Gram
+        matrix is singular."""
+        m = len(self.elements)
+        cols = [solve_dense(self.gram, [int(i == j) for j in range(m)])
+                for i in range(m)]
+        den = math.lcm(*(c.denominator for col in cols for c in col))
+        return den, [[cols[j][i].numerator * (den // cols[j][i].denominator)
+                      for j in range(m)] for i in range(m)]
+
     def decompose(self, angular_field):
         """Exact coefficients of angular_field in this basis, plus the
         canonical residual, whose ``comps`` are empty exactly when the field
@@ -903,9 +924,11 @@ class AngularBasis:
         over the sphere, where sum_i x_i^2 = r^2 holds, so every
         representative of a field gives the same coefficients.  Its
         int/Fraction coefficients are put over one common denominator, and
-        the right-hand side of the Gram solve is summed as integer dot
+        the right-hand side of the Gram system is summed as integer dot
         products with the table numerators, one sum per table denominator.
-        The residual field - sum_i c_i T_i is merged term by term into one
+        The coefficients are the integer inverse-Gram rows applied to that
+        right-hand side, one Fraction per element; a singular Gram matrix
+        raises ValueError.  The residual field - sum_i c_i T_i is merged term by term into one
         dict of integer numerators over one common denominator and
         canonicalized once.
         """
@@ -929,18 +952,23 @@ class AngularBasis:
         by_expo = {}
         for (expo, den), acc in sums.items():
             by_expo.setdefault(expo, []).append((den, acc))
-        rhs = [0] * len(self.elements)
+        rhs, rden = [0] * len(self.elements), 1
         for expo, parts in by_expo.items():
             lcd = math.lcm(*(den for den, _ in parts))
-            vals = [Fraction(sum(acc[i] * (lcd // den) for den, acc in parts),
-                             lcd * fden) for i in range(len(rhs))]
+            nums = [sum(acc[i] * (lcd // den) for den, acc in parts)
+                    for i in range(len(rhs))]
             if expo != 0:
-                if any(vals):
+                if any(nums):
                     raise ValueError(
                         "field is not radially parallel against basis")
             else:
-                rhs = vals
-        coeffs = solve_dense(self.gram, rhs)
+                rhs, rden = nums, lcd
+        if self._inverse is None:
+            self._inverse = self._inverse_gram()
+        gden, inverse = self._inverse
+        den = gden * rden * fden
+        coeffs = [Fraction(sum(g * v for g, v in zip(row, rhs) if v), den)
+                  for row in inverse]
         # L * residual in integers, L the common denominator of the field
         # and of every c_i T_i
         L = math.lcm(fden, *(c.denominator * den for c, (den, _) in

@@ -621,9 +621,10 @@ def check_divfree_spectrum(seed=0, scale=1.0):
         for s in (j - 2, j, j + 2):
             if s >= 0:
                 allowed.update(cf.scalar_indicial_roots(n, k, s))
-        systems = mo.FloatSystem(op), mo.FloatSystem(div_op)
+        div_system = mo.FloatSystem(div_op)
         for root in spec.roots:
-            inter = mo._divergence_free_chain_space(*systems, root, 1e-9)
+            inter = mo._divergence_free_chain_space(spec.system, div_system,
+                                                    root, 1e-9)
             if inter.shape[1] > 0:
                 near = min(allowed, key=lambda z: abs(root.value - z))
                 ok &= abs(root.value - near) < 1e-7

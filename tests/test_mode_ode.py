@@ -662,6 +662,25 @@ def test_degenerate_scan_matches_per_t_direct_probes():
     assert degenerate_scan(n, k, tvals, j_max, tol=tol) == want
 
 
+def test_degenerate_scan_builds_one_float_system_per_system(monkeypatch):
+    # one FloatSystem per distinct (t, j) spectrum, plus one divergence
+    # system for each cell whose spectrum has a zero-real-part root
+    built = []
+
+    class Counted(FloatSystem):
+        def __init__(self, op):
+            built.append(op)
+            super().__init__(op)
+
+    monkeypatch.setattr(mode_ode, "FloatSystem", Counted)
+    tvals = [0, Fraction(1, 20), Fraction(1, 20), Fraction(-1, 10)]
+    out = degenerate_scan(4, 1, tvals, 1)
+    with_zero = sum(any(abs(r["re"]) < 1e-8 for r in s["roots"])
+                    for s in out["spectra"].values())
+    assert 0 < with_zero < len(out["spectra"])
+    assert len(built) == len(out["spectra"]) + with_zero
+
+
 @pytest.mark.parametrize("t_values,j_max,msg", [
     ([], 1, "at least one t"),
     ([0], -1, "j_max >= 0"),
