@@ -241,28 +241,6 @@ def quadratic_lie_isomorphism(n):
     }
 
 
-def solve_quadratic_lie(n, linear_tensor_coeffs):
-    """Solve L_X g0 = h for a quadratic field X, h with linear components.
-
-    linear_tensor_coeffs: dict (i<=j, m) -> value of the x_m coefficient of
-    h_{ij}.  Returns a QuadraticField.
-    """
-    from .linalg import solve_dense
-
-    rows, ncols, acols, row_index = quadratic_lie_map_rows(n)
-    dense = [[Fraction(0)] * ncols for _ in range(len(rows))]
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            dense[r][c] = v
-    rhs = [Fraction(0)] * len(rows)
-    for key, v in linear_tensor_coeffs.items():
-        (i, j, m) = key
-        rhs[row_index[(min(i, j), max(i, j), m)]] = Fraction(v)
-    sol = solve_dense(dense, rhs)
-    coeffs = {key: sol[col] for key, col in acols.items() if sol[col] != 0}
-    return QuadraticField(n, coeffs)
-
-
 def quadratic_flow_error(x_field, radii, *, rng=None):
     """Slope of the time-1 flow pullback defect against the radius.
 

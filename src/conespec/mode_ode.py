@@ -13,7 +13,9 @@ the degenerate-solution scan all live on top of that data.
 
 from __future__ import annotations
 
+import atexit
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -926,14 +928,44 @@ def degenerate_scan(n, k, t_values, j_max, *, tol=1e-9, jobs=1):
 def parallel_map(fn, items, jobs=1):
     """[fn(x) for x in items], on a pool of ``jobs`` processes when jobs > 1.
 
-    The pool uses the default start method and keeps the input order.
+    The results keep the input order.  The first call with jobs > 1 starts
+    the pool (default start method: fork on Linux up to Python 3.13) and
+    later calls with the same jobs reuse it, so its workers keep their memo
+    caches from call to call.  The workers see module state as of that
+    first use, not later changes in the caller.  A call with another jobs
+    value replaces the pool; the pool is torn down at interpreter exit.
     """
     if not jobs or jobs <= 1:
         return [fn(x) for x in items]
+    return _pool(jobs).map(fn, items)
+
+
+# os.getpid() -> (jobs, Pool).  A forked child inherits its parent's entry
+# and leaves it alone: it neither reuses nor tears down a pool it did not
+# start.
+_POOLS = {}
+
+
+def _pool(jobs):
+    held = _POOLS.get(os.getpid())
+    if held is not None and held[0] == jobs:
+        return held[1]
+    _close_pool()  # never fork while the old pool's threads run
     from multiprocessing import Pool
 
-    with Pool(jobs) as pool:
-        return pool.map(fn, items)
+    pool = Pool(jobs)
+    _POOLS[os.getpid()] = (jobs, pool)
+    # after multiprocessing's own exit hook, so this one runs first
+    atexit.unregister(_close_pool)
+    atexit.register(_close_pool)
+    return pool
+
+
+def _close_pool():
+    held = _POOLS.pop(os.getpid(), None)
+    if held is not None:
+        held[1].terminate()
+        held[1].join()
 
 
 def _divergence_free_chain_space(system, div_system, root, tol):

@@ -428,3 +428,24 @@ def test_entry_point_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "verify-all" in proc.stdout
+
+
+def test_degenerate_scan_jobs_reuse_pool_and_exit_cleanly(tmp_path):
+    # one process runs two --jobs 2 scans, which share the worker pool, and
+    # a serial one: data is byte-identical, and the pool is torn down at
+    # exit without "Exception ignored" on stderr (a ResourceWarning is an
+    # error, so a pool left running at exit shows there)
+    argv = ["degenerate-scan", "--n", "4", "--k", "1", "--j-max", "1",
+            "--t-values", "0,1/20"]
+    outs = [tmp_path / f"d{i}.json" for i in range(3)]
+    runs = [argv + ["--jobs", jobs, "--out", str(out)]
+            for jobs, out in zip(("2", "2", "1"), outs)]
+    code = ("import sys\nfrom conespec import cli\n"
+            f"sys.exit(max(cli.main(a) for a in {runs!r}))")
+    proc = subprocess.run([sys.executable, "-W", "error::ResourceWarning",
+                           "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "Exception ignored" not in proc.stderr
+    data = [json.dumps(read_json(out)["data"]) for out in outs]
+    assert data[0] == data[1] == data[2]

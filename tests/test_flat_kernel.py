@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from conespec.flat_kernel import (QuadraticField, _acol,
                                   divergence_free_nullspace,
                                   quadratic_flow_error,
                                   quadratic_lie_isomorphism,
-                                  quadratic_lie_map_rows, solve_quadratic_lie)
-from conespec.linalg import sparse_rank
+                                  quadratic_lie_map_rows)
+from conespec.linalg import solve_dense, sparse_rank
 from conespec.verify import _nk_pairs
 
 
@@ -105,6 +107,25 @@ def test_lie_map_matches_polytensor():
     for _ in range(5):
         x = rng.standard_normal(n)
         assert np.allclose(lie.evaluate(x), qf.lie_flat_matrix(x), atol=1e-12)
+
+
+def solve_quadratic_lie(n, linear_tensor_coeffs):
+    """Solve L_X g0 = h for a quadratic field X, h with linear components.
+
+    linear_tensor_coeffs: dict (i<=j, m) -> value of the x_m coefficient of
+    h_{ij}.  Returns a QuadraticField.
+    """
+    rows, ncols, acols, row_index = quadratic_lie_map_rows(n)
+    dense = [[Fraction(0)] * ncols for _ in range(len(rows))]
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            dense[r][c] = v
+    rhs = [Fraction(0)] * len(rows)
+    for (i, j, m), v in linear_tensor_coeffs.items():
+        rhs[row_index[(min(i, j), max(i, j), m)]] = Fraction(v)
+    sol = solve_dense(dense, rhs)
+    coeffs = {key: sol[col] for key, col in acols.items() if sol[col] != 0}
+    return QuadraticField(n, coeffs)
 
 
 def test_solve_quadratic_lie_inverts():

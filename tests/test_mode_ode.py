@@ -1,5 +1,8 @@
 import functools
 import math
+import multiprocessing
+import os
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +23,7 @@ from conespec.mode_ode import (L0_CANDIDATES, EulerOperator, FloatSystem,
                                degenerate_scan,
                                divergence_mode_system,
                                draw_kernel_coefficients, empirical_l0,
-                               indicial_spectrum, probe_euler,
+                               indicial_spectrum, parallel_map, probe_euler,
                                scalar_mode_system, solution_split,
                                tensor_mode_system, three_annulus_verify,
                                triple_bar_norm, turan_l_bound)
@@ -632,6 +635,70 @@ def test_degenerate_scan_parallel_matches_serial():
     assert rep_a["witnesses_t0"] == rep_b["witnesses_t0"]
     assert rep_a["spectra"] == rep_b["spectra"]
     assert rep_a == rep_b
+
+
+def test_degenerate_scan_positive_control():
+    # at n = 2k the scan must find the divergence-compatible zero roots
+    # (4, 2) is known to carry: j = 0 with multiplicity 2 and j = 2 with
+    # multiplicity 3, one dimension each
+    tvals = [0, Fraction(1, 20)]
+    rep = degenerate_scan(4, 2, tvals, 2, jobs=2)
+    assert [(f["t"], f["j"], f["root"]["mult"], f["dimension"])
+            for f in rep["findings"]] == [(0.05, 0, 2, 1), (0.05, 2, 3, 1)]
+    assert all(abs(f["root"]["re"]) < 1e-8 and abs(f["root"]["im"]) < 1e-8
+               for f in rep["findings"])
+    assert rep == degenerate_scan(4, 2, tvals, 2, jobs=1)
+
+
+def _worker_pid(_):
+    time.sleep(0.05)  # long enough that every worker takes a task
+    return os.getpid()
+
+
+def _fail_on_three(x):
+    if x == 3:
+        raise ValueError("three")
+    return x
+
+
+def _live_children():
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def test_parallel_map_keeps_input_order():
+    items = list(range(-10, 10))
+    assert parallel_map(abs, items, 2) == [abs(x) for x in items]
+
+
+def test_parallel_map_reuses_its_workers():
+    first = set(parallel_map(_worker_pid, range(4), 2))
+    second = set(parallel_map(_worker_pid, range(4), 2))
+    assert os.getpid() not in first | second
+    assert len(first | second) <= 2 and first & second
+    assert first | second <= _live_children()
+
+
+def test_parallel_map_propagates_errors_and_stays_usable():
+    with pytest.raises(ValueError, match="three"):
+        parallel_map(_fail_on_three, range(6), 2)
+    assert parallel_map(_fail_on_three, [0, 1, 2], 2) == [0, 1, 2]
+
+
+def test_parallel_map_replaces_pool_when_jobs_change():
+    old = set(parallel_map(_worker_pid, range(4), 2))
+    new = set(parallel_map(_worker_pid, range(6), 3))
+    assert not old & new
+    assert not old & _live_children()
+    parallel_map(_worker_pid, range(4), 2)  # leave the usual pool behind
+
+
+@pytest.mark.parametrize("jobs", [None, 0, 1, -2])
+def test_parallel_map_serial_never_starts_a_pool(monkeypatch, jobs):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    assert parallel_map(_worker_pid, range(3), jobs) == [os.getpid()] * 3
 
 
 def test_degenerate_scan_matches_per_t_direct_probes():
