@@ -11,6 +11,7 @@ orders are n - 2k at infinity and 2 at an isolated singular point.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -46,12 +47,13 @@ def enumerate_schematic_terms(k):
 
 
 def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """Every tuple of ``parts`` nonnegative integers summing to total, in
+    lexicographic order: stars and bars, with the parts - 1 bar positions
+    among total + parts - 1 slots drawn in lexicographic order."""
+    slots = total + parts - 1
+    for bars in itertools.combinations(range(slots), parts - 1):
+        edges = (-1,) + bars + (slots,)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
 def remainder_order(k, n, h_order, regime="infinity"):

@@ -3,8 +3,10 @@
 Exact nullspaces showing that homogeneous divergence-free candidates at the
 two critical degrees (and the log profile in the critical dimension, and
 the n = 3 degree-1 profile) vanish; the quadratic-vector-field/linear-
-2-tensor Lie isomorphism; and the numeric time-1 flow pullback error of a
-quadratic field, whose defect is quadratic in the radius.
+2-tensor Lie isomorphism; and the time-1 flow pullback defect of a
+quadratic field, which is quadratic in the radius: exactly, by degree, on
+integer fields, and numerically (DOP853) as a float oracle.  The
+nullspaces and Lie-map ranks are computed once per process.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -86,7 +89,8 @@ def divergence_free_nullspace(n, k, mode):
     degree1: |x|^{2(k+1)-n} u(x/|x|^2) with linear u;
     log:     log|x| c in the critical dimension n = 2(k+1);
     n3_degree1: the unit-sphere linear profile at n = 3.
-    The expected dimension is 0 in every mode.
+    The expected dimension is 0 in every mode.  The nullspace is computed
+    once per (n, k, mode) and process; every call returns a new record.
     """
     validate_nk(n, k)
     if mode not in MODES:
@@ -98,20 +102,25 @@ def divergence_free_nullspace(n, k, mode):
             "degree0 profile is constant when n = 2(k+1); use mode='log'")
     if mode == "n3_degree1" and n != 3:
         raise ParameterError("n3_degree1 requires n = 3")
-
-    if mode in ("degree0", "log"):
-        rows, ncols, cols = constant_profile_system(n)
-    elif mode == "degree1":
-        rows, ncols, cols = degree1_system(n, k)
-    else:  # n3_degree1 is the degree-1 matching with n - 2k = 1 (n = 3)
-        rows, ncols, cols = degree1_system(3, 1)
-    basis = sparse_nullspace(rows, ncols)
+    ncols, basis = _divergence_free_nullspace(n, k, mode)
     return {
         "mode": mode, "n": n, "k": k,
         "unknowns": ncols,
         "dimension": len(basis),
-        "basis": basis,
+        "basis": [list(v) for v in basis],
     }
+
+
+@lru_cache(maxsize=None)
+def _divergence_free_nullspace(n, k, mode):
+    """(unknowns, nullspace basis as tuples) of a validated profile."""
+    if mode in ("degree0", "log"):
+        rows, ncols, _ = constant_profile_system(n)
+    elif mode == "degree1":
+        rows, ncols, _ = degree1_system(n, k)
+    else:  # n3_degree1 is the degree-1 matching with n - 2k = 1 (n = 3)
+        rows, ncols, _ = degree1_system(3, 1)
+    return ncols, tuple(tuple(v) for v in sparse_nullspace(rows, ncols))
 
 
 def degree1_identity_diagnostics(n, k):
@@ -163,6 +172,17 @@ class QuadraticField:
             coeffs[(i, min(l, m), max(l, m))] = coeffs.get(
                 (i, min(l, m), max(l, m)), 0) + v
         return cls(n, {k: v for k, v in coeffs.items() if v != 0})
+
+    @classmethod
+    def random_integer(cls, n, rng, bound=3):
+        """Nonzero field with integer coefficients drawn uniformly from
+        [-bound, bound] (exact input for ``quadratic_flow_defect``)."""
+        while True:
+            coeffs = {(i, l, m): int(rng.integers(-bound, bound + 1))
+                      for i in range(n) for (l, m) in _sym_pairs(n)}
+            coeffs = {key: v for key, v in coeffs.items() if v}
+            if coeffs:
+                return cls(n, coeffs)
 
     @classmethod
     def random(cls, n, rng, scale=1.0):
@@ -227,18 +247,160 @@ def quadratic_lie_map_rows(n):
 
 
 def quadratic_lie_isomorphism(n):
-    """Exact rank of the Lie map from quadratic fields to linear 2-tensors."""
+    """Exact rank of the Lie map from quadratic fields to linear 2-tensors,
+    computed once per n and process; every call returns a new record."""
     if n < 2:
         raise ParameterError("need n >= 2")
-    rows, ncols, acols, row_index = quadratic_lie_map_rows(n)
-    rank = sparse_rank(rows)
+    nrows, ncols, rank = _lie_map_rank(n)
     return {
         "n": n,
         "dimension": ncols,
         "rank": rank,
-        "invertible": rank == ncols and len(rows) == ncols,
+        "invertible": rank == ncols and nrows == ncols,
         "nullspace_dimension": ncols - rank,
     }
+
+
+@lru_cache(maxsize=None)
+def _lie_map_rank(n):
+    rows, ncols, _, _ = quadratic_lie_map_rows(n)
+    return len(rows), ncols, sparse_rank(rows)
+
+
+# -- exact flow defect --------------------------------------------------------
+#
+# Polynomials in x_1 ... x_n are dicts exponent tuple -> int or Fraction
+# without zero coefficients; a matrix of them is a list of rows.
+
+
+def _padd(p, q, c=1):
+    """p + c q."""
+    out = dict(p)
+    for e, v in q.items():
+        w = out.get(e, 0) + c * v
+        if w:
+            out[e] = w
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _pmul(p, q):
+    out = {}
+    for e1, v1 in p.items():
+        for e2, v2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + v1 * v2
+    return {e: v for e, v in out.items() if v}
+
+
+def _pdiff(p, ell):
+    """d p / d x_ell."""
+    return {e[:ell] + (e[ell] - 1,) + e[ell + 1:]: v * e[ell]
+            for e, v in p.items() if e[ell]}
+
+
+def _monomial(n, *vars_):
+    e = [0] * n
+    for ell in vars_:
+        e[ell] += 1
+    return tuple(e)
+
+
+def _integer_coeffs(x_field):
+    for v in x_field.coeffs.values():
+        if not isinstance(v, int):
+            raise ParameterError("the exact flow defect needs integer "
+                                 f"coefficients, got {v!r}")
+    return x_field.coeffs
+
+
+def quadratic_flow_defect(x_field):
+    """Degree-0, -1 and -2 parts of the time-1 flow pullback defect
+    phi^* g0 - g0 - L_X g0 of a quadratic field with integer coefficients.
+
+    The flow's Taylor terms come from the Picard recursion on the bilinear
+    form Q of the field (X(y) = Q(y, y)): c_0 = x and
+    (p + 1) c_{p+1} = sum_{a+b=p} Q(c_a, c_b), so c_p is homogeneous of
+    degree p + 1 and the time-1 map is phi = sum_p c_p.  c_0, c_1 and c_2
+    fix D phi, and so the defect, through degree 2.  The recursion runs on
+    the integer numerators N_p = 2^p p! c_p,
+    N_{p+1} = sum_a C(p, a) 2Q(N_a, N_{p-a}), and the degree-d part of
+    the pullback on 2^d d! times it.  L_X g0 is read off the rows of the
+    Lie map (``quadratic_lie_map_rows``).  Returns three symmetric n x n
+    polynomial matrices, one per degree, with Fraction coefficients.
+    """
+    n = x_field.n
+    coeffs = _integer_coeffs(x_field)
+
+    def twice_q(u, v):
+        out = [{} for _ in range(n)]
+        for (i, ell, m), a in coeffs.items():
+            out[i] = _padd(out[i], _padd(_pmul(u[ell], v[m]),
+                                         _pmul(u[m], v[ell])), a)
+        return out
+
+    nums = [[{_monomial(n, i): 1} for i in range(n)]]
+    for p in range(2):
+        acc = [{} for _ in range(n)]
+        for a in range(p + 1):
+            acc = [_padd(s, q, math.comb(p, a)) for s, q in
+                   zip(acc, twice_q(nums[a], nums[p - a]))]
+        nums.append(acc)
+    # dnum[p][i][a] = d N_p,i / d x_a, homogeneous of degree p
+    dnum = [[[_pdiff(comp, a) for a in range(n)] for comp in num]
+            for num in nums]
+
+    rows, _, acols, row_index = quadratic_lie_map_rows(n)
+    keys = {col: key for key, col in acols.items()}
+    lie = [[{} for _ in range(n)] for _ in range(n)]
+    for (i, j, m), r in row_index.items():
+        v = sum(w * coeffs.get(keys[c], 0) for c, w in rows[r].items())
+        if v:
+            lie[i][j][_monomial(n, m)] = lie[j][i][_monomial(n, m)] = v
+    subtract = ([[{_monomial(n): 1} if a == b else {} for b in range(n)]
+                 for a in range(n)], lie)
+
+    parts = []
+    for d in range(3):
+        scale = 2 ** d * math.factorial(d)
+        part = [[{} for _ in range(n)] for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                acc = _padd({}, subtract[d][a][b], -scale) if d < 2 else {}
+                for p in range(d + 1):
+                    for i in range(n):
+                        acc = _padd(acc, _pmul(dnum[p][i][a],
+                                               dnum[d - p][i][b]),
+                                    math.comb(d, p))
+                part[a][b] = {e: Fraction(v, scale) for e, v in acc.items()}
+        parts.append(part)
+    return parts
+
+
+def flow_defect_form(x_field):
+    """The degree-2 form DX^T DX + (D(DX X) + D(DX X)^T) / 2 of the flow
+    pullback defect of a field with integer coefficients, from its
+    Jacobian DX, as a symmetric n x n polynomial matrix with Fraction
+    coefficients."""
+    n = x_field.n
+    X = [{} for _ in range(n)]
+    for (i, ell, m), a in _integer_coeffs(x_field).items():
+        X[i] = _padd(X[i], {_monomial(n, ell, m): a})
+    J = [[_pdiff(X[i], ell) for ell in range(n)] for i in range(n)]
+    V = [{} for _ in range(n)]
+    for i in range(n):
+        for ell in range(n):
+            V[i] = _padd(V[i], _pmul(J[i][ell], X[ell]))
+    K = [[_pdiff(V[i], ell) for ell in range(n)] for i in range(n)]
+    out = [[{} for _ in range(n)] for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            twice = _padd(K[a][b], K[b][a])
+            for i in range(n):
+                twice = _padd(twice, _pmul(J[i][a], J[i][b]), 2)
+            out[a][b] = {e: Fraction(v, 2) for e, v in twice.items()}
+    return out
 
 
 def quadratic_flow_error(x_field, radii, *, rng=None):

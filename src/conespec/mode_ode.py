@@ -7,8 +7,10 @@ interpolation over enough probe degrees.  The standard mode systems are
 composed from probed systems of order <= 2 (Laplacian, radial contraction,
 divergence, Hessian, flat Lie derivative) with P_{A o B}(z) =
 P_A(z - w_B) P_B(z); the gauged linearized system is P(z; t) = A(z) +
-t B(z).  Spectra, growth/decay splits, the three-annulus inequalities and
-the degenerate-solution scan all live on top of that data.
+t B(z), and the modified gauge system on a 1-form family is A(z) - t B(z);
+the t-free pieces are probed once per process and held.  Spectra,
+growth/decay splits, the three-annulus inequalities and the
+degenerate-solution scan all live on top of that data.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import zip_longest
 
 import numpy as np
@@ -800,45 +802,113 @@ def _exact_t(t):
                          "systems are exact")
 
 
-def _gauged_parts(n, k, j, with_t):
-    """Families, A, B and i_r with P(z; t) = A(z) + t B(z) the system of the
-    gauged linearized operator
+class _GaugedParts:
+    """The pieces of the gauged linearized operator
 
-        -c_{n,k}/(2(n-2)) Delta^(k-1) (Delta^2 + t (Hess div - Delta lie) i_r),
+        -c_{n,k}/(2(n-2)) Delta^(k-1) (Delta^2 + t (Hess div - Delta lie) i_r)
 
-    composed from pieces probed on the degree-j 2-tensor, 1-form and phi_j
-    families; B and i_r are None unless with_t."""
-    if n < 3:
-        raise ParameterError("need n >= 3 (the operator carries 1/(n - 2))")
-    if k < 1:
-        raise ParameterError("need k >= 1 (the operator is Delta^(k-1) of "
-                             "a fourth-order core)")
-    if j < 0:
-        raise ParameterError("need harmonic degree j >= 0")
-    basis = pt.tensor_mode_basis(n, j)
-    lap = probe_euler(pt.laplacian, basis, 2)
-    c = -pt.cnk(n, k) / (2 * (n - 2))
-    A = EulerOperator.combine([(c, reduce(EulerOperator.compose,
-                                          [lap] * (k + 1)))])
-    if not with_t:
-        return basis, A, None, None
-    forms = pt.oneform_mode_basis(n, j)
-    phi = pt.basis_from_elements(n, [pt.sphere_harmonic(n, j)], ["phi"])
-    i_r = probe_euler(pt.radial_contraction, basis, 0, target=forms)
-    hess_div = probe_euler(pt.hessian, phi, 2, target=basis).compose(
-        probe_euler(pt.divergence, forms, 1, target=phi))
-    lap_lie = lap.compose(probe_euler(pt.lie_flat, forms, 1, target=basis))
-    core = EulerOperator.combine([(1, hess_div), (-1, lap_lie)]).compose(i_r)
-    core = reduce(EulerOperator.compose, [lap] * (k - 1) + [core])
-    return basis, A, EulerOperator.combine([(c, core)]), i_r
+    at one (n, k, j): its system is P(z; t) = A(z) + t B(z), composed from
+    systems of order <= 2 probed on the degree-j 2-tensor, 1-form and phi_j
+    families.  Each piece is probed or composed on first use and then
+    held: A alone at t = 0, B and i_r at t != 0, and div (the divergence
+    from the 2-tensor families to the 1-form pair) for the degenerate
+    scan.  Shared through ``_gauged_parts``, so callers must not mutate
+    the systems it holds.
+    """
+
+    def __init__(self, n, k, j):
+        if n < 3:
+            raise ParameterError("need n >= 3 (the operator carries "
+                                 "1/(n - 2))")
+        if k < 1:
+            raise ParameterError("need k >= 1 (the operator is Delta^(k-1) "
+                                 "of a fourth-order core)")
+        if j < 0:
+            raise ParameterError("need harmonic degree j >= 0")
+        self.n, self.k, self.j = n, k, j
+        self.basis = pt.tensor_mode_basis(n, j)
+        self.c = -pt.cnk(n, k) / (2 * (n - 2))
+
+    @cached_property
+    def lap(self):
+        return probe_euler(pt.laplacian, self.basis, 2)
+
+    @cached_property
+    def A(self):
+        return EulerOperator.combine([(self.c, reduce(
+            EulerOperator.compose, [self.lap] * (self.k + 1)))])
+
+    @cached_property
+    def i_r(self):
+        return probe_euler(pt.radial_contraction, self.basis, 0,
+                           target=pt.oneform_mode_basis(self.n, self.j))
+
+    @cached_property
+    def B(self):
+        forms = self.i_r.target
+        phi = pt.basis_from_elements(
+            self.n, [pt.sphere_harmonic(self.n, self.j)], ["phi"])
+        hess_div = probe_euler(pt.hessian, phi, 2,
+                               target=self.basis).compose(
+            probe_euler(pt.divergence, forms, 1, target=phi))
+        lap_lie = self.lap.compose(probe_euler(pt.lie_flat, forms, 1,
+                                               target=self.basis))
+        core = EulerOperator.combine([(1, hess_div),
+                                      (-1, lap_lie)]).compose(self.i_r)
+        core = reduce(EulerOperator.compose,
+                      [self.lap] * (self.k - 1) + [core])
+        return EulerOperator.combine([(self.c, core)])
+
+    @cached_property
+    def div(self):
+        return probe_euler(pt.divergence, self.basis, 1,
+                           target=self.i_r.target)
+
+
+@lru_cache(maxsize=None)
+def _gauged_parts(n, k, j):
+    """The memoized ``_GaugedParts`` of (n, k, j): one probe set per
+    process (and per pool worker, which also inherits the parent's memo
+    when it is forked)."""
+    return _GaugedParts(n, k, j)
 
 
 def tensor_mode_system(n, k, t, j):
     """Angular families and exact system A + t B of the gauged linearized
-    operator (only the Laplacian is probed at t = 0)."""
+    operator (only the Laplacian is probed at t = 0).  The pieces are
+    probed once per (n, k, j) and process; every call returns a new
+    system."""
     _exact_t(t)
-    basis, A, B, _ = _gauged_parts(n, k, j, with_t=t != 0)
-    return basis, A if t == 0 else EulerOperator.combine([(1, A), (t, B)])
+    parts = _gauged_parts(n, k, j)
+    terms = [(1, parts.A)] + ([(t, parts.B)] if t != 0 else [])
+    return parts.basis, EulerOperator.combine(terms)
+
+
+@lru_cache(maxsize=None)
+def _gauge_family_parts(n, family, j):
+    """Basis, A and B with P(z; t) = A(z) - t B(z) the system of the
+    modified gauge operator gauge_op_t = div_t o lie_flat on one degree-j
+    1-form family: "typeI", the co-closed r psi_j (j in {1, 2}), or
+    "typeII", the pair [phi dr, r d(phi)].  A probes gauge_op and B
+    radial_contraction o lie_flat, each once per process."""
+    if family == "typeI":
+        basis = pt.basis_from_elements(n, [pt.coclosed_eigenform(n, j)],
+                                       ["r psi"])
+    elif family == "typeII":
+        basis = pt.oneform_mode_basis(n, j)
+    else:
+        raise ParameterError("family must be 'typeI' or 'typeII'")
+    return (basis, probe_euler(pt.gauge_op, basis, 2),
+            probe_euler(lambda f: pt.radial_contraction(pt.lie_flat(f)),
+                        basis, 1))
+
+
+def gauge_mode_system(n, family, t, j):
+    """Basis and exact system A - t B of the modified gauge operator on
+    one degree-j 1-form family (see ``_gauge_family_parts``)."""
+    _exact_t(t)
+    basis, A, B = _gauge_family_parts(n, family, j)
+    return basis, EulerOperator.combine([(1, A), (-t, B)])
 
 
 def scalar_mode_system(n, k, s):
@@ -865,16 +935,16 @@ def _scan_one_mode(task):
     only at a t whose spectrum has a zero-real-part root, and the float
     view of A + t B is the spectrum's own."""
     n, k, j, t_values, tol = task
-    basis, A, B, i_r = _gauged_parts(n, k, j, with_t=True)
-    div = probe_euler(pt.divergence, basis, 1, target=i_r.target)
+    parts = _gauged_parts(n, k, j)
     cells = {}
     for t in dict.fromkeys(t_values):
-        spec = indicial_spectrum(EulerOperator.combine([(1, A), (t, B)]))
+        spec = indicial_spectrum(EulerOperator.combine([(1, parts.A),
+                                                        (t, parts.B)]))
         zeros = [root for root in spec.roots
                  if root.classification == "zero"]
         if zeros:
             div_system = FloatSystem(
-                EulerOperator.combine([(1, div), (-t, i_r)]))
+                EulerOperator.combine([(1, parts.div), (-t, parts.i_r)]))
         hits = []
         for root in zeros:
             inter = _divergence_free_chain_space(spec.system, div_system,
@@ -895,11 +965,12 @@ def degenerate_scan(n, k, t_values, j_max, *, tol=1e-9, jobs=1):
 
     At t = 0 constants are genuine witnesses (reported separately); for
     small t != 0 the expected finding count is zero.  Both operators are
-    affine in t, so each degree j composes A, B, div and i_r once and every
-    listed t gets the exact systems A + t B and div - t i_r (t must be an
-    int or Fraction).  The degrees are independent and run on a worker pool
-    when jobs > 1; the report lists (t, j) cells in t-major order, repeated
-    t values included.
+    affine in t, so each degree j composes A, B, div and i_r once per
+    process (``_gauged_parts``; a later scan of the same (n, k, j) probes
+    nothing) and every listed t gets the exact systems A + t B and
+    div - t i_r (t must be an int or Fraction).  The degrees are
+    independent and run on a worker pool when jobs > 1; the report lists
+    (t, j) cells in t-major order, repeated t values included.
     """
     t_values = list(t_values)
     if not t_values:

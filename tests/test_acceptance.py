@@ -6,8 +6,11 @@ criterion 6 at scale 5.0 (1000 draws per spectrum)."""
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from conespec import verify
 from conespec.closed_form import gauge_exceptional_values, gauge_kernel_rates
+from conespec.flat_kernel import QuadraticField, quadratic_flow_error
 from conespec.mode_ode import degenerate_scan
 
 SEED = 42
@@ -109,5 +112,13 @@ def test_criterion_9_bootstrap():
 def test_criterion_10_quadratic_field_facts():
     t0 = time.time()
     _suites_pass(verify.check_lie_iso, verify.check_flow_error)
+    # the float oracle of the exact flow suite: the DOP853 pullback defect
+    # falls off like r^2
+    rng = np.random.default_rng(7)
+    radii = [10 ** e for e in (-1.0, -1.5, -2.0, -2.5, -3.0)]
+    for _ in range(5):
+        rec = quadratic_flow_error(QuadraticField.random(4, rng), radii,
+                                   rng=rng)
+        assert rec["slope"] is not None and 1.9 <= rec["slope"] <= 2.1, rec
     _report(10, "quadratic Lie isomorphism and flow-error slope 2.0±0.1",
             t0, 60.0)

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conespec.bootstrap import (bootstrap_infinity, bootstrap_origin,
-                                enumerate_schematic_terms, regularity_ladder,
-                                remainder_order)
+from conespec.bootstrap import (_compositions, bootstrap_infinity,
+                                bootstrap_origin, enumerate_schematic_terms,
+                                regularity_ladder, remainder_order)
 from conespec.closed_form import ParameterError
 
 
@@ -32,6 +32,24 @@ def test_remainder_quadratic_terms_dominate():
         for term in terms:
             assert sum(term.alphas) == 2 * (k + 1)
             assert term.order(h_order) >= quad - 1e-12
+
+
+def _recursive_compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _recursive_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_compositions_match_recursive_oracle(k):
+    # the same tuples in the same order for every j of enumerate_schematic_terms
+    total = 2 * (k + 1)
+    for parts in range(1, total + 3):
+        assert list(_compositions(total, parts)) == \
+            list(_recursive_compositions(total, parts))
 
 
 def test_remainder_monotone():

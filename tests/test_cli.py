@@ -399,6 +399,39 @@ def test_degenerate_scan_cli(tmp_path):
     assert doc["witnesses_t0"]
 
 
+def test_degenerate_scan_claim_scope(tmp_path):
+    # at n = 2k the paper's claim does not apply: the scan lists what it
+    # finds and exits 0; at n > 2k nothing is found, as before
+    out = tmp_path / "d.json"
+    assert main(["degenerate-scan", "--n", "4", "--k", "2", "--t-values",
+                 "0,1/20", "--j-max", "2", "--out", str(out)]) == 0
+    doc = read_json(out)["data"]
+    assert doc["claim_applies"] is False
+    assert [(f["t"], f["j"], f["root"]["mult"], f["dimension"])
+            for f in doc["findings"]] == [(0.05, 0, 2, 1), (0.05, 2, 3, 1)]
+    assert main(["degenerate-scan", "--n", "4", "--k", "1", "--t-values",
+                 "0,1/20", "--j-max", "2", "--out", str(out)]) == 0
+    doc = read_json(out)["data"]
+    assert doc["claim_applies"] is True and doc["findings"] == []
+    assert doc["witnesses_t0"]
+
+
+def test_degenerate_scan_finding_fails_where_claim_applies(monkeypatch):
+    from conespec import mode_ode as mo
+
+    real = mo.degenerate_scan
+
+    def with_finding(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        rep["findings"].append({"t": 0.05, "j": 0, "dimension": 1,
+                                "root": {"re": 0.0, "im": 0.0, "mult": 1}})
+        return rep
+
+    monkeypatch.setattr(mo, "degenerate_scan", with_finding)
+    assert main(["degenerate-scan", "--n", "4", "--k", "1", "--t-values",
+                 "1/20", "--j-max", "0"]) == 1
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"n": 4, "k": 1, "mode": "log"}))

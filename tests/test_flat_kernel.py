@@ -8,6 +8,7 @@ from conespec.closed_form import ParameterError
 from conespec.flat_kernel import (QuadraticField, _acol,
                                   degree1_identity_diagnostics, degree1_system,
                                   divergence_free_nullspace,
+                                  flow_defect_form, quadratic_flow_defect,
                                   quadratic_flow_error,
                                   quadratic_lie_isomorphism,
                                   quadratic_lie_map_rows)
@@ -178,3 +179,79 @@ def test_flow_rejects_large_radii():
     rec = quadratic_flow_error(X, [10.0, 0.1, 0.01, 0.001],
                                rng=np.random.default_rng(2))
     assert 10.0 in rec["rejected_radii"]
+
+
+def test_memoized_records_are_fresh_per_call():
+    rec = divergence_free_nullspace(4, 1, "degree1")
+    want = divergence_free_nullspace(4, 1, "degree1")
+    rec["dimension"] = 99
+    rec["basis"].append([Fraction(1)])
+    assert divergence_free_nullspace(4, 1, "degree1") == want
+    assert want["dimension"] == 0 and want["basis"] == []
+    lie = quadratic_lie_isomorphism(3)
+    lie["invertible"] = False
+    assert quadratic_lie_isomorphism(3)["invertible"]
+
+
+def test_memoized_nullspace_basis_rows_are_fresh(monkeypatch):
+    # every expected nullspace is empty, so plant a one-vector basis to see
+    # that the rows of a returned basis are copies of the memoized ones
+    from conespec import flat_kernel as fk
+
+    monkeypatch.setattr(fk, "sparse_nullspace",
+                        lambda rows, ncols: [[Fraction(1)] * ncols])
+    fk._divergence_free_nullspace.cache_clear()
+    try:
+        rec = divergence_free_nullspace(4, 1, "degree1")
+        rec["basis"][0][0] = Fraction(7)
+        assert divergence_free_nullspace(4, 1, "degree1")["basis"][0][0] == 1
+    finally:
+        fk._divergence_free_nullspace.cache_clear()
+
+
+def _no_terms(matrix):
+    return not any(p for row in matrix for p in row)
+
+
+def test_flow_defect_single_coefficient_by_hand():
+    # X = x_0^2 d_0: phi_0 = x_0 / (1 - x_0), so (phi^* g0)_00 =
+    # (1 - x_0)^-4 = 1 + 4 x_0 + 10 x_0^2 + ..., and L_X g0 = 4 x_0 dx_0^2
+    X = QuadraticField(2, {(0, 0, 0): 1})
+    low0, low1, quad = quadratic_flow_defect(X)
+    assert _no_terms(low0) and _no_terms(low1)
+    assert quad == [[{(2, 0): 10}, {}], [{}, {}]]
+    assert flow_defect_form(X) == quad
+
+
+def test_flow_defect_zero_field_and_float_coefficients():
+    assert all(_no_terms(part)
+               for part in quadratic_flow_defect(QuadraticField.zero(3)))
+    with pytest.raises(ParameterError, match="integer"):
+        quadratic_flow_defect(QuadraticField(3, {(0, 0, 0): 1.0}))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_flow_defect_matches_formula_on_integer_fields(seed):
+    X = QuadraticField.random_integer(3, np.random.default_rng(seed))
+    low0, low1, quad = quadratic_flow_defect(X)
+    assert _no_terms(low0) and _no_terms(low1)
+    assert quad == flow_defect_form(X) and not _no_terms(quad)
+    assert all(quad[a][b] == quad[b][a] for a in range(3) for b in range(3))
+
+
+def test_float_flow_converges_to_exact_defect():
+    # the DOP853 oracle's sup defect over its four directions tends to the
+    # sup of the exact degree-2 form over the same points
+    X = QuadraticField.random_integer(4, np.random.default_rng(5), bound=1)
+    quad = flow_defect_form(X)
+    radii = [1e-2, 1e-3]
+    rec = quadratic_flow_error(X, radii, rng=np.random.default_rng(0))
+    dirs = np.random.default_rng(0).standard_normal((4, 4))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    gaps = []
+    for r in radii:
+        exact = max(abs(sum(float(v) * np.prod((r * d) ** np.array(e))
+                            for e, v in p.items()))
+                    for d in dirs for row in quad for p in row)
+        gaps.append(abs(rec["errors_by_radius"][r] / exact - 1))
+    assert gaps[1] < 0.2 * gaps[0] and gaps[1] < 0.01

@@ -23,11 +23,13 @@ from conespec.mode_ode import (L0_CANDIDATES, EulerOperator, FloatSystem,
                                degenerate_scan,
                                divergence_mode_system,
                                draw_kernel_coefficients, empirical_l0,
-                               indicial_spectrum, parallel_map, probe_euler,
+                               gauge_mode_system, indicial_spectrum,
+                               parallel_map, probe_euler,
                                scalar_mode_system, solution_split,
                                tensor_mode_system, three_annulus_verify,
                                triple_bar_norm, turan_l_bound)
 from conespec.verify import (_annulus_spectra, check_multiplicity,
+                             check_probed_displays, check_rates_vs_probes,
                              check_three_annulus)
 
 
@@ -327,6 +329,59 @@ def test_angular_bases_built_once_per_degree():
     # every system of one (n, j) shares its families
     basis, _ = tensor_mode_system(4, 1, Fraction(1, 10), 1)
     assert basis is tensor_mode_system(4, 2, 0, 1)[0]
+
+
+@pytest.mark.parametrize("t", [Fraction(1, 10), Fraction(-1, 20)])
+@pytest.mark.parametrize("family", ["typeI", "typeII"])
+@pytest.mark.parametrize("n,j", [(3, 1), (3, 2), (4, 1), (4, 2)])
+def test_gauge_pieces_equal_direct_probe(n, j, family, t):
+    # A - t B from the probed gauge_op and radial_contraction o lie_flat
+    # equals the probe of gauge_op_t itself
+    basis, op = gauge_mode_system(n, family, t, j)
+    direct = probe_euler(lambda f: pt.gauge_op_t(f, t), basis, 2)
+    assert op.P == direct.P and op.weight == direct.weight
+
+
+def _count_probes(monkeypatch):
+    calls = []
+    real = mode_ode.probe_euler
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mode_ode, "probe_euler", counted)
+    return calls
+
+
+def test_display_suite_probes_each_family_once(monkeypatch):
+    mode_ode._gauge_family_parts.cache_clear()
+    calls = _count_probes(monkeypatch)
+    assert check_probed_displays()["passed"]
+    # 3 n x (2 co-closed + 4 one-form families) x 2 pieces, not one probe
+    # per (family, t)
+    assert len(calls) == 36
+    assert check_rates_vs_probes()["passed"]
+    assert len(calls) == 36  # its families are a subset of the displays'
+
+
+def test_second_degenerate_scan_probes_nothing(monkeypatch):
+    first = degenerate_scan(4, 1, [0, Fraction(1, 20)], 2)
+    calls = _count_probes(monkeypatch)
+    assert degenerate_scan(4, 1, [0, Fraction(1, 20)], 2) == first
+    assert calls == []
+
+
+def test_memoized_system_is_not_changed_by_callers():
+    parts = mode_ode._gauged_parts(4, 1, 2)
+    before = [[list(p) for p in row] for row in parts.A.P]
+    _, op = tensor_mode_system(4, 1, Fraction(1, 10), 2)
+    assert op.P != before and parts.A.P == before
+    _, op0 = tensor_mode_system(4, 1, 0, 2)
+    assert op0 is not parts.A and op0.P == before
+    op0.P[0][0] = [Fraction(12345)]
+    assert parts.A.P == before
+    assert tensor_mode_system(4, 1, 0, 2)[1].P == before
 
 
 def test_chain_space_dimension_equals_multiplicity():
