@@ -19,6 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import polytensor as pt
 from .closed_form import ParameterError, validate_nk
 from .linalg import (row_in_rowspace, sparse_nullspace, sparse_rank,
                      sparse_rref)
@@ -174,11 +175,11 @@ class QuadraticField:
         return cls(n, {k: v for k, v in coeffs.items() if v != 0})
 
     @classmethod
-    def random_integer(cls, n, rng, bound=3):
+    def random_integer(cls, n, rng):
         """Nonzero field with integer coefficients drawn uniformly from
-        [-bound, bound] (exact input for ``quadratic_flow_defect``)."""
+        [-3, 3] (exact input for ``quadratic_flow_defect``)."""
         while True:
-            coeffs = {(i, l, m): int(rng.integers(-bound, bound + 1))
+            coeffs = {(i, l, m): int(rng.integers(-3, 4))
                       for i in range(n) for (l, m) in _sym_pairs(n)}
             coeffs = {key: v for key, v in coeffs.items() if v}
             if coeffs:
@@ -268,51 +269,21 @@ def _lie_map_rank(n):
 
 
 # -- exact flow defect --------------------------------------------------------
-#
-# Polynomials in x_1 ... x_n are dicts exponent tuple -> int or Fraction
-# without zero coefficients; a matrix of them is a list of rows.
 
 
-def _padd(p, q, c=1):
-    """p + c q."""
-    out = dict(p)
-    for e, v in q.items():
-        w = out.get(e, 0) + c * v
-        if w:
-            out[e] = w
-        else:
-            out.pop(e, None)
-    return out
-
-
-def _pmul(p, q):
-    out = {}
-    for e1, v1 in p.items():
-        for e2, v2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            out[e] = out.get(e, 0) + v1 * v2
-    return {e: v for e, v in out.items() if v}
-
-
-def _pdiff(p, ell):
-    """d p / d x_ell."""
-    return {e[:ell] + (e[ell] - 1,) + e[ell + 1:]: v * e[ell]
-            for e, v in p.items() if e[ell]}
-
-
-def _monomial(n, *vars_):
-    e = [0] * n
-    for ell in vars_:
-        e[ell] += 1
-    return tuple(e)
-
-
-def _integer_coeffs(x_field):
-    for v in x_field.coeffs.values():
-        if not isinstance(v, int):
+def _integer_field(x_field):
+    """The field as a rank-1 PolyTensor, refusing non-integer coefficients."""
+    n = x_field.n
+    X = pt.PolyTensor(n, 1)
+    for (i, ell, m), a in x_field.coeffs.items():
+        if not isinstance(a, int):
             raise ParameterError("the exact flow defect needs integer "
-                                 f"coefficients, got {v!r}")
-    return x_field.coeffs
+                                 f"coefficients, got {a!r}")
+        alpha = [0] * n
+        alpha[ell] += 1
+        alpha[m] += 1
+        X.add_term((i,), alpha, 0, a)
+    return X
 
 
 def quadratic_flow_defect(x_field):
@@ -326,81 +297,56 @@ def quadratic_flow_defect(x_field):
     fix D phi, and so the defect, through degree 2.  The recursion runs on
     the integer numerators N_p = 2^p p! c_p,
     N_{p+1} = sum_a C(p, a) 2Q(N_a, N_{p-a}), and the degree-d part of
-    the pullback on 2^d d! times it.  L_X g0 is read off the rows of the
-    Lie map (``quadratic_lie_map_rows``).  Returns three symmetric n x n
-    polynomial matrices, one per degree, with Fraction coefficients.
+    the pullback on 2^d d! times it.  Returns three symmetric rank-2
+    PolyTensors, one per degree.
     """
-    n = x_field.n
-    coeffs = _integer_coeffs(x_field)
+    X = _integer_field(x_field)
+    n = X.n
 
     def twice_q(u, v):
-        out = [{} for _ in range(n)]
-        for (i, ell, m), a in coeffs.items():
-            out[i] = _padd(out[i], _padd(_pmul(u[ell], v[m]),
-                                         _pmul(u[m], v[ell])), a)
+        out = [pt.PolyTensor(n, 0) for _ in range(n)]
+        for (i, ell, m), a in x_field.coeffs.items():
+            out[i] = out[i] + (pt.mul_scalar_field(u[ell], v[m])
+                               + pt.mul_scalar_field(u[m], v[ell])).scaled(a)
         return out
 
-    nums = [[{_monomial(n, i): 1} for i in range(n)]]
+    nums = [[pt.PolyTensor(n, 0).add_term(
+        (), [int(q == i) for q in range(n)], 0, 1) for i in range(n)]]
     for p in range(2):
-        acc = [{} for _ in range(n)]
+        acc = [pt.PolyTensor(n, 0) for _ in range(n)]
         for a in range(p + 1):
-            acc = [_padd(s, q, math.comb(p, a)) for s, q in
+            acc = [s + q.scaled(math.comb(p, a)) for s, q in
                    zip(acc, twice_q(nums[a], nums[p - a]))]
         nums.append(acc)
-    # dnum[p][i][a] = d N_p,i / d x_a, homogeneous of degree p
-    dnum = [[[_pdiff(comp, a) for a in range(n)] for comp in num]
-            for num in nums]
+    dnum = [[pt.gradient(comp) for comp in num] for num in nums]
 
-    rows, _, acols, row_index = quadratic_lie_map_rows(n)
-    keys = {col: key for key, col in acols.items()}
-    lie = [[{} for _ in range(n)] for _ in range(n)]
-    for (i, j, m), r in row_index.items():
-        v = sum(w * coeffs.get(keys[c], 0) for c, w in rows[r].items())
-        if v:
-            lie[i][j][_monomial(n, m)] = lie[j][i][_monomial(n, m)] = v
-    subtract = ([[{_monomial(n): 1} if a == b else {} for b in range(n)]
-                 for a in range(n)], lie)
-
+    # g0 and L_X g0, each at the scale 2^d d! of its degree
+    subtract = (pt.delta_metric(n), pt.lie_flat(X).scaled(2))
     parts = []
     for d in range(3):
-        scale = 2 ** d * math.factorial(d)
-        part = [[{} for _ in range(n)] for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                acc = _padd({}, subtract[d][a][b], -scale) if d < 2 else {}
-                for p in range(d + 1):
-                    for i in range(n):
-                        acc = _padd(acc, _pmul(dnum[p][i][a],
-                                               dnum[d - p][i][b]),
-                                    math.comb(d, p))
-                part[a][b] = {e: Fraction(v, scale) for e, v in acc.items()}
-        parts.append(part)
+        part = subtract[d].scaled(-1) if d < 2 else pt.PolyTensor(n, 2)
+        for p in range(d + 1):
+            for i in range(n):
+                part = part + pt.tensor_outer(dnum[p][i], dnum[d - p][i]
+                                              ).scaled(math.comb(d, p))
+        parts.append(part.scaled(Fraction(1, 2 ** d * math.factorial(d))))
     return parts
 
 
 def flow_defect_form(x_field):
     """The degree-2 form DX^T DX + (D(DX X) + D(DX X)^T) / 2 of the flow
-    pullback defect of a field with integer coefficients, from its
-    Jacobian DX, as a symmetric n x n polynomial matrix with Fraction
-    coefficients."""
-    n = x_field.n
-    X = [{} for _ in range(n)]
-    for (i, ell, m), a in _integer_coeffs(x_field).items():
-        X[i] = _padd(X[i], {_monomial(n, ell, m): a})
-    J = [[_pdiff(X[i], ell) for ell in range(n)] for i in range(n)]
-    V = [{} for _ in range(n)]
-    for i in range(n):
-        for ell in range(n):
-            V[i] = _padd(V[i], _pmul(J[i][ell], X[ell]))
-    K = [[_pdiff(V[i], ell) for ell in range(n)] for i in range(n)]
-    out = [[{} for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            twice = _padd(K[a][b], K[b][a])
-            for i in range(n):
-                twice = _padd(twice, _pmul(J[i][a], J[i][b]), 2)
-            out[a][b] = {e: Fraction(v, 2) for e, v in twice.items()}
-    return out
+    pullback defect of a field with integer coefficients: the sum over i
+    of dX_i (x) dX_i plus half the flat Lie derivative along
+    nabla_X X."""
+    X = _integer_field(x_field)
+    form = pt.PolyTensor(X.n, 2)
+    nabla_x_x = pt.PolyTensor(X.n, 1)
+    for (i,), comp in X.comps.items():
+        Xi = pt.PolyTensor(X.n, 0, {(): dict(comp)})
+        dXi = pt.gradient(Xi)
+        form = form + pt.tensor_outer(dXi, dXi)
+        nabla_x_x = nabla_x_x + pt.mul_scalar_field(pt.partial(X, i), Xi)
+    return form + pt.lie_flat(nabla_x_x).scaled(Fraction(1, 2))
 
 
 def quadratic_flow_error(x_field, radii, *, rng=None):

@@ -876,12 +876,14 @@ def _gauged_parts(n, k, j):
 def tensor_mode_system(n, k, t, j):
     """Angular families and exact system A + t B of the gauged linearized
     operator (only the Laplacian is probed at t = 0).  The pieces are
-    probed once per (n, k, j) and process; every call returns a new
-    system."""
+    probed once per (n, k, j) and process; at t = 0 the returned system is
+    the memoized A itself, shared with every caller, who must not mutate
+    it."""
     _exact_t(t)
     parts = _gauged_parts(n, k, j)
-    terms = [(1, parts.A)] + ([(t, parts.B)] if t != 0 else [])
-    return parts.basis, EulerOperator.combine(terms)
+    if t == 0:
+        return parts.basis, parts.A
+    return parts.basis, EulerOperator.combine([(1, parts.A), (t, parts.B)])
 
 
 @lru_cache(maxsize=None)

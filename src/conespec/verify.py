@@ -312,9 +312,9 @@ def check_flow_error(seed=7, scale=1.0):
     for _ in range(max(1, int(5 * min(scale, 1.0)))):
         X = fk.QuadraticField.random_integer(4, rng)
         low0, low1, quad = fk.quadratic_flow_defect(X)
-        ok &= not any(p for part in (low0, low1) for row in part for p in row)
+        ok &= low0.is_zero() and low1.is_zero()
         ok &= quad == fk.flow_defect_form(X)
-        terms.append(sum(len(p) for row in quad for p in row))
+        terms.append(sum(len(comp) for comp in quad.comps.values()))
         ok &= terms[-1] > 0
     return _result(check_flow_error, ok, degree2_terms=terms)
 

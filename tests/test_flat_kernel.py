@@ -209,22 +209,18 @@ def test_memoized_nullspace_basis_rows_are_fresh(monkeypatch):
         fk._divergence_free_nullspace.cache_clear()
 
 
-def _no_terms(matrix):
-    return not any(p for row in matrix for p in row)
-
-
 def test_flow_defect_single_coefficient_by_hand():
     # X = x_0^2 d_0: phi_0 = x_0 / (1 - x_0), so (phi^* g0)_00 =
     # (1 - x_0)^-4 = 1 + 4 x_0 + 10 x_0^2 + ..., and L_X g0 = 4 x_0 dx_0^2
     X = QuadraticField(2, {(0, 0, 0): 1})
     low0, low1, quad = quadratic_flow_defect(X)
-    assert _no_terms(low0) and _no_terms(low1)
-    assert quad == [[{(2, 0): 10}, {}], [{}, {}]]
+    assert low0.is_zero() and low1.is_zero()
+    assert quad == pt.PolyTensor(2, 2).add_term((0, 0), (2, 0), 0, 10)
     assert flow_defect_form(X) == quad
 
 
 def test_flow_defect_zero_field_and_float_coefficients():
-    assert all(_no_terms(part)
+    assert all(part.is_zero()
                for part in quadratic_flow_defect(QuadraticField.zero(3)))
     with pytest.raises(ParameterError, match="integer"):
         quadratic_flow_defect(QuadraticField(3, {(0, 0, 0): 1.0}))
@@ -234,15 +230,18 @@ def test_flow_defect_zero_field_and_float_coefficients():
 def test_flow_defect_matches_formula_on_integer_fields(seed):
     X = QuadraticField.random_integer(3, np.random.default_rng(seed))
     low0, low1, quad = quadratic_flow_defect(X)
-    assert _no_terms(low0) and _no_terms(low1)
-    assert quad == flow_defect_form(X) and not _no_terms(quad)
-    assert all(quad[a][b] == quad[b][a] for a in range(3) for b in range(3))
+    assert low0.is_zero() and low1.is_zero()
+    assert quad == flow_defect_form(X) and not quad.is_zero()
+    transpose = pt.PolyTensor(3, 2, {(b, a): dict(comp) for (a, b), comp
+                                     in quad.comps.items()})
+    assert quad == transpose
 
 
 def test_float_flow_converges_to_exact_defect():
     # the DOP853 oracle's sup defect over its four directions tends to the
     # sup of the exact degree-2 form over the same points
-    X = QuadraticField.random_integer(4, np.random.default_rng(5), bound=1)
+    X = QuadraticField(4, {(0, 0, 1): 1, (0, 2, 2): -1, (1, 2, 3): -1,
+                           (2, 0, 0): 1, (3, 1, 3): 1})
     quad = flow_defect_form(X)
     radii = [1e-2, 1e-3]
     rec = quadratic_flow_error(X, radii, rng=np.random.default_rng(0))
@@ -250,8 +249,7 @@ def test_float_flow_converges_to_exact_defect():
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     gaps = []
     for r in radii:
-        exact = max(abs(sum(float(v) * np.prod((r * d) ** np.array(e))
-                            for e, v in p.items()))
-                    for d in dirs for row in quad for p in row)
+        exact = max(float(np.max(np.abs(quad.evaluate(r * d))))
+                    for d in dirs)
         gaps.append(abs(rec["errors_by_radius"][r] / exact - 1))
     assert gaps[1] < 0.2 * gaps[0] and gaps[1] < 0.01
