@@ -7,10 +7,12 @@ interpolation over enough probe degrees.  The standard mode systems are
 composed from probed systems of order <= 2 (Laplacian, radial contraction,
 divergence, Hessian, flat Lie derivative) with P_{A o B}(z) =
 P_A(z - w_B) P_B(z); the gauged linearized system is P(z; t) = A(z) +
-t B(z), and the modified gauge system on a 1-form family is A(z) - t B(z);
-the t-free pieces are probed once per process and held.  Spectra,
-growth/decay splits, the three-annulus inequalities and the
-degenerate-solution scan all live on top of that data.
+t B(z), and the modified gauge system on a 1-form family is A(z) - t B(z).
+One memo (``_probe``), keyed by operator, order, (n, j) and families,
+probes each piece once per process and shares it across k, t, the tensor,
+scalar, divergence and gauge systems and the scan.  Spectra, growth/decay
+splits, the three-annulus inequalities and the degenerate-solution scan
+all live on top of that data.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from itertools import zip_longest
 
 import numpy as np
@@ -802,151 +804,146 @@ def _exact_t(t):
                          "systems are exact")
 
 
-class _GaugedParts:
-    """The pieces of the gauged linearized operator
-
-        -c_{n,k}/(2(n-2)) Delta^(k-1) (Delta^2 + t (Hess div - Delta lie) i_r)
-
-    at one (n, k, j): its system is P(z; t) = A(z) + t B(z), composed from
-    systems of order <= 2 probed on the degree-j 2-tensor, 1-form and phi_j
-    families.  Each piece is probed or composed on first use and then
-    held: A alone at t = 0, B and i_r at t != 0, and div (the divergence
-    from the 2-tensor families to the 1-form pair) for the degenerate
-    scan.  Shared through ``_gauged_parts``, so callers must not mutate
-    the systems it holds.
-    """
-
-    def __init__(self, n, k, j):
-        if n < 3:
-            raise ParameterError("need n >= 3 (the operator carries "
-                                 "1/(n - 2))")
-        if k < 1:
-            raise ParameterError("need k >= 1 (the operator is Delta^(k-1) "
-                                 "of a fourth-order core)")
-        if j < 0:
-            raise ParameterError("need harmonic degree j >= 0")
-        self.n, self.k, self.j = n, k, j
-        self.basis = pt.tensor_mode_basis(n, j)
-        self.c = -pt.cnk(n, k) / (2 * (n - 2))
-
-    @cached_property
-    def lap(self):
-        return probe_euler(pt.laplacian, self.basis, 2)
-
-    @cached_property
-    def A(self):
-        return EulerOperator.combine([(self.c, reduce(
-            EulerOperator.compose, [self.lap] * (self.k + 1)))])
-
-    @cached_property
-    def i_r(self):
-        return probe_euler(pt.radial_contraction, self.basis, 0,
-                           target=pt.oneform_mode_basis(self.n, self.j))
-
-    @cached_property
-    def B(self):
-        forms = self.i_r.target
-        phi = pt.basis_from_elements(
-            self.n, [pt.sphere_harmonic(self.n, self.j)], ["phi"])
-        hess_div = probe_euler(pt.hessian, phi, 2,
-                               target=self.basis).compose(
-            probe_euler(pt.divergence, forms, 1, target=phi))
-        lap_lie = self.lap.compose(probe_euler(pt.lie_flat, forms, 1,
-                                               target=self.basis))
-        core = EulerOperator.combine([(1, hess_div),
-                                      (-1, lap_lie)]).compose(self.i_r)
-        core = reduce(EulerOperator.compose,
-                      [self.lap] * (self.k - 1) + [core])
-        return EulerOperator.combine([(self.c, core)])
-
-    @cached_property
-    def div(self):
-        return probe_euler(pt.divergence, self.basis, 1,
-                           target=self.i_r.target)
+@lru_cache(maxsize=None)
+def _family(kind, n, j):
+    """The degree-j angular families of one kind: "tensor" (2-tensors),
+    "forms" (the 1-form pair), "phi" (the harmonic phi_j) or "psi" (the
+    co-closed r psi_j); every mode system resolves its degree here."""
+    if j < 0:
+        raise ParameterError("need harmonic degree j >= 0")
+    if kind == "tensor":
+        return pt.tensor_mode_basis(n, j)
+    if kind == "forms":
+        return pt.oneform_mode_basis(n, j)
+    if kind == "phi":
+        return pt.basis_from_elements(n, [pt.sphere_harmonic(n, j)], ["phi"])
+    if j not in (1, 2):
+        raise ParameterError("the co-closed (typeI) family needs j in {1, 2}")
+    return pt.basis_from_elements(n, [pt.coclosed_eigenform(n, j)], ["r psi"])
 
 
 @lru_cache(maxsize=None)
-def _gauged_parts(n, k, j):
-    """The memoized ``_GaugedParts`` of (n, k, j): one probe set per
-    process (and per pool worker, which also inherits the parent's memo
-    when it is forked)."""
-    return _GaugedParts(n, k, j)
+def _probe(operator, order, n, j, source, target):
+    """The system of ``operator`` (of order <= ``order``) from the degree-j
+    ``source`` to the ``target`` families (``_family`` kinds), probed once
+    per process (pool workers keep their own memo) and shared by every
+    mode system and every k, so callers must not mutate it."""
+    return probe_euler(operator, _family(source, n, j), order,
+                       target=_family(target, n, j))
+
+
+def _radial_lie_flat(xi):
+    return pt.radial_contraction(pt.lie_flat(xi))
+
+
+def _gauged_scale(n, k):
+    if n < 3:
+        raise ParameterError("need n >= 3 (the operator carries 1/(n - 2))")
+    if k < 1:
+        raise ParameterError("need k >= 1 (the operator is Delta^(k-1) of a "
+                             "fourth-order core)")
+    return -pt.cnk(n, k) / (2 * (n - 2))
+
+
+@lru_cache(maxsize=None)
+def _gauged_A(n, k, j):
+    lap = _probe(pt.laplacian, 2, n, j, "tensor", "tensor")
+    return EulerOperator.combine([(_gauged_scale(n, k), reduce(
+        EulerOperator.compose, [lap] * (k + 1)))])
+
+
+@lru_cache(maxsize=None)
+def _gauged_B(n, k, j):
+    lap = _probe(pt.laplacian, 2, n, j, "tensor", "tensor")
+    hess_div = _probe(pt.hessian, 2, n, j, "phi", "tensor").compose(
+        _probe(pt.divergence, 1, n, j, "forms", "phi"))
+    lap_lie = lap.compose(_probe(pt.lie_flat, 1, n, j, "forms", "tensor"))
+    core = EulerOperator.combine([(1, hess_div), (-1, lap_lie)]).compose(
+        _probe(pt.radial_contraction, 0, n, j, "tensor", "forms"))
+    return EulerOperator.combine([(_gauged_scale(n, k), reduce(
+        EulerOperator.compose, [lap] * (k - 1) + [core]))])
+
+
+def _gauged_system(n, k, t, j):
+    A = _gauged_A(n, k, j)
+    if t == 0:
+        return A
+    return EulerOperator.combine([(1, A), (t, _gauged_B(n, k, j))])
 
 
 def tensor_mode_system(n, k, t, j):
-    """Angular families and exact system A + t B of the gauged linearized
-    operator (only the Laplacian is probed at t = 0).  The pieces are
-    probed once per (n, k, j) and process; at t = 0 the returned system is
-    the memoized A itself, shared with every caller, who must not mutate
-    it."""
+    """Angular families and exact system P(z; t) = A(z) + t B(z) of the
+    gauged linearized operator
+
+        -c_{n,k}/(2(n-2)) Delta^(k-1) (Delta^2 + t (Hess div - Delta lie) i_r)
+
+    at degree j.  A and B are composed once per (n, k, j) from systems of
+    order <= 2 on the degree-j 2-tensor, 1-form and phi_j families, each
+    probed once per (n, j) and process (``_probe``) and shared across k
+    and with the other mode systems.  At t = 0 only the Laplacian is
+    probed and the returned system is the memoized A itself, shared with
+    every caller, who must not mutate it."""
     _exact_t(t)
-    parts = _gauged_parts(n, k, j)
-    if t == 0:
-        return parts.basis, parts.A
-    return parts.basis, EulerOperator.combine([(1, parts.A), (t, parts.B)])
-
-
-@lru_cache(maxsize=None)
-def _gauge_family_parts(n, family, j):
-    """Basis, A and B with P(z; t) = A(z) - t B(z) the system of the
-    modified gauge operator gauge_op_t = div_t o lie_flat on one degree-j
-    1-form family: "typeI", the co-closed r psi_j (j in {1, 2}), or
-    "typeII", the pair [phi dr, r d(phi)].  A probes gauge_op and B
-    radial_contraction o lie_flat, each once per process."""
-    if family == "typeI":
-        basis = pt.basis_from_elements(n, [pt.coclosed_eigenform(n, j)],
-                                       ["r psi"])
-    elif family == "typeII":
-        basis = pt.oneform_mode_basis(n, j)
-    else:
-        raise ParameterError("family must be 'typeI' or 'typeII'")
-    return (basis, probe_euler(pt.gauge_op, basis, 2),
-            probe_euler(lambda f: pt.radial_contraction(pt.lie_flat(f)),
-                        basis, 1))
+    op = _gauged_system(n, k, t, j)
+    return op.basis, op
 
 
 def gauge_mode_system(n, family, t, j):
-    """Basis and exact system A - t B of the modified gauge operator on
-    one degree-j 1-form family (see ``_gauge_family_parts``)."""
+    """Basis and exact system A - t B of the modified gauge operator
+    gauge_op_t = div_t o lie_flat on one degree-j 1-form family: "typeI",
+    the co-closed r psi_j (j in {1, 2}), or "typeII", the pair
+    [phi dr, r d(phi)].  A is the probed gauge_op, B the probed
+    radial_contraction o lie_flat."""
     _exact_t(t)
-    basis, A, B = _gauge_family_parts(n, family, j)
-    return basis, EulerOperator.combine([(1, A), (-t, B)])
+    if family not in ("typeI", "typeII"):
+        raise ParameterError("family must be 'typeI' or 'typeII'")
+    kind = "psi" if family == "typeI" else "forms"
+    A = _probe(pt.gauge_op, 2, n, j, kind, kind)
+    B = _probe(_radial_lie_flat, 1, n, j, kind, kind)
+    return A.basis, EulerOperator.combine([(1, A), (-t, B)])
 
 
 def scalar_mode_system(n, k, s):
     """Scalar Laplacian-power system on a single degree-s harmonic: the
     (k + 1)-fold composite of the probed scalar Laplacian."""
-    basis = pt.basis_from_elements(n, [pt.sphere_harmonic(n, s)], ["phi"])
-    lap = probe_euler(pt.laplacian, basis, 2)
-    return basis, reduce(EulerOperator.compose, [lap] * (k + 1))
+    if k < 0:
+        raise ParameterError("need k >= 0 (the system is Delta^(k+1))")
+    lap = _probe(pt.laplacian, 2, n, s, "phi", "phi")
+    return lap.basis, reduce(EulerOperator.compose, [lap] * (k + 1))
+
+
+def _divergence_system(n, t, j):
+    return EulerOperator.combine(
+        [(1, _probe(pt.divergence, 1, n, j, "tensor", "forms")),
+         (-t, _probe(pt.radial_contraction, 0, n, j, "tensor", "forms"))])
 
 
 def divergence_mode_system(n, t, j, basis):
     """Modified-divergence system div - t i_r from the 2-tensor families
-    ``basis`` to the degree-j 1-form pair."""
+    ``basis``, which must be ``tensor_mode_basis(n, j)``, to the degree-j
+    1-form pair."""
     _exact_t(t)
-    forms = pt.oneform_mode_basis(n, j)
-    return EulerOperator.combine(
-        [(1, probe_euler(pt.divergence, basis, 1, target=forms)),
-         (-t, probe_euler(pt.radial_contraction, basis, 0, target=forms))])
+    if basis is not _family("tensor", n, j):
+        raise ParameterError("basis must be tensor_mode_basis(n, j), the "
+                             "degree-j 2-tensor families")
+    return _divergence_system(n, t, j)
 
 
 def _scan_one_mode(task):
     """Spectra and divergence-compatible zero-root hits of one degree j at
-    every distinct t, each from A + t B built once; div - t i_r is built
-    only at a t whose spectrum has a zero-real-part root, and the float
-    view of A + t B is the spectrum's own."""
+    every distinct t, each from A + t B; div - t i_r is built only at a t
+    whose spectrum has a zero-real-part root, and the float view of
+    A + t B is the spectrum's own.  Every piece comes from the per-process
+    memos, so a warm worker or a later scan of the same (n, j) probes
+    nothing."""
     n, k, j, t_values, tol = task
-    parts = _gauged_parts(n, k, j)
     cells = {}
     for t in dict.fromkeys(t_values):
-        spec = indicial_spectrum(EulerOperator.combine([(1, parts.A),
-                                                        (t, parts.B)]))
+        spec = indicial_spectrum(_gauged_system(n, k, t, j))
         zeros = [root for root in spec.roots
                  if root.classification == "zero"]
         if zeros:
-            div_system = FloatSystem(
-                EulerOperator.combine([(1, parts.div), (-t, parts.i_r)]))
+            div_system = FloatSystem(_divergence_system(n, t, j))
         hits = []
         for root in zeros:
             inter = _divergence_free_chain_space(spec.system, div_system,
@@ -967,12 +964,12 @@ def degenerate_scan(n, k, t_values, j_max, *, tol=1e-9, jobs=1):
 
     At t = 0 constants are genuine witnesses (reported separately); for
     small t != 0 the expected finding count is zero.  Both operators are
-    affine in t, so each degree j composes A, B, div and i_r once per
-    process (``_gauged_parts``; a later scan of the same (n, k, j) probes
-    nothing) and every listed t gets the exact systems A + t B and
-    div - t i_r (t must be an int or Fraction).  The degrees are
-    independent and run on a worker pool when jobs > 1; the report lists
-    (t, j) cells in t-major order, repeated t values included.
+    affine in t: every listed t (an int or Fraction) gets the exact
+    systems A + t B and div - t i_r from the pieces that
+    ``tensor_mode_system`` and ``divergence_mode_system`` share, probed
+    once per (n, j) and process, so a later scan probes nothing.  The
+    degrees are independent and run on a worker pool when jobs > 1; the
+    report lists (t, j) cells in t-major order, repeated t values included.
     """
     t_values = list(t_values)
     if not t_values:

@@ -28,9 +28,9 @@ from conespec.mode_ode import (L0_CANDIDATES, EulerOperator, FloatSystem,
                                scalar_mode_system, solution_split,
                                tensor_mode_system, three_annulus_verify,
                                triple_bar_norm, turan_l_bound)
-from conespec.verify import (_annulus_spectra, check_multiplicity,
-                             check_probed_displays, check_rates_vs_probes,
-                             check_three_annulus)
+from conespec.verify import (_annulus_spectra, check_divfree_spectrum,
+                             check_multiplicity, check_probed_displays,
+                             check_rates_vs_probes, check_three_annulus)
 
 
 def synthetic_operator(roots_with_mult):
@@ -354,8 +354,14 @@ def _count_probes(monkeypatch):
     return calls
 
 
+def _clear_mode_memos():
+    # the composed A and B hold probes, so they are cleared with the memo
+    for memo in (mode_ode._probe, mode_ode._gauged_A, mode_ode._gauged_B):
+        memo.cache_clear()
+
+
 def test_display_suite_probes_each_family_once(monkeypatch):
-    mode_ode._gauge_family_parts.cache_clear()
+    _clear_mode_memos()
     calls = _count_probes(monkeypatch)
     assert check_probed_displays()["passed"]
     # 3 n x (2 co-closed + 4 one-form families) x 2 pieces, not one probe
@@ -373,12 +379,63 @@ def test_second_degenerate_scan_probes_nothing(monkeypatch):
 
 
 def test_t_system_leaves_memoized_system_unchanged():
-    parts = mode_ode._gauged_parts(4, 1, 2)
-    before = [[list(p) for p in row] for row in parts.A.P]
+    A = mode_ode._gauged_A(4, 1, 2)
+    before = [[list(p) for p in row] for row in A.P]
     _, op = tensor_mode_system(4, 1, Fraction(1, 10), 2)
-    assert op.P != before and parts.A.P == before
+    assert op.P != before and A.P == before
     # t = 0 hands out the shared memoized system itself
-    assert tensor_mode_system(4, 1, 0, 2)[1] is parts.A
+    assert tensor_mode_system(4, 1, 0, 2)[1] is A
+
+
+def test_second_scalar_system_probes_nothing(monkeypatch):
+    # the scalar Laplacian is probed once per (n, s), for every k
+    scalar_mode_system(5, 1, 2)
+    calls = _count_probes(monkeypatch)
+    _, op = scalar_mode_system(5, 3, 2)
+    assert calls == [] and op.order == 8
+    assert scalar_mode_system(5, 1, 2)[0] is scalar_mode_system(5, 0, 2)[0]
+
+
+def test_tensor_system_shares_probes_across_k(monkeypatch):
+    tensor_mode_system(4, 1, 0, 3)
+    calls = _count_probes(monkeypatch)
+    tensor_mode_system(4, 2, 0, 3)
+    assert calls == []
+
+
+def test_divergence_system_reuses_the_tensor_probes(monkeypatch):
+    # i_r is probed for B at t != 0; divergence_mode_system adds only div
+    _clear_mode_memos()
+    basis, _ = tensor_mode_system(5, 1, Fraction(1, 10), 1)
+    calls = _count_probes(monkeypatch)
+    divergence_mode_system(5, Fraction(1, 10), 1, basis)
+    assert calls == [basis]
+    divergence_mode_system(5, Fraction(-1, 20), 1, basis)
+    assert calls == [basis]
+
+
+def test_divergence_system_after_a_scan_probes_nothing(monkeypatch):
+    # the t = 0 constants at j = 0 make the scan build div - t i_r
+    out = degenerate_scan(5, 2, [0, Fraction(1, 20)], 0)
+    assert out["witnesses_t0"]
+    calls = _count_probes(monkeypatch)
+    divergence_mode_system(5, Fraction(1, 20), 0, pt.tensor_mode_basis(5, 0))
+    assert calls == []
+
+
+def test_second_divfree_suite_probes_nothing(monkeypatch):
+    assert check_divfree_spectrum()["passed"]
+    calls = _count_probes(monkeypatch)
+    assert check_divfree_spectrum()["passed"]
+    assert calls == []
+
+
+def test_divergence_system_rejects_a_foreign_basis():
+    with pytest.raises(ParameterError, match="tensor_mode_basis"):
+        divergence_mode_system(4, 0, 1, pt.tensor_mode_basis(4, 2))
+    other = pt.basis_from_elements(4, pt.tensor_mode_basis(4, 1).elements)
+    with pytest.raises(ParameterError, match="tensor_mode_basis"):
+        divergence_mode_system(4, 0, 1, other)
 
 
 def test_chain_space_dimension_equals_multiplicity():
@@ -813,6 +870,19 @@ def test_degenerate_scan_parameter_guards(t_values, j_max, msg):
 def test_tensor_mode_system_parameter_guards(k, j, msg):
     with pytest.raises(ParameterError, match=msg):
         tensor_mode_system(4, k, 0, j)
+
+
+@pytest.mark.parametrize("call,msg", [
+    (lambda: scalar_mode_system(4, -1, 1), "k >= 0"),
+    (lambda: scalar_mode_system(4, 1, -1), "j >= 0"),
+    (lambda: gauge_mode_system(4, "typeII", Fraction(1, 10), -1), "j >= 0"),
+    (lambda: gauge_mode_system(4, "typeI", Fraction(1, 10), 3),
+     r"j in \{1, 2\}"),
+    (lambda: gauge_mode_system(4, "typeIII", Fraction(1, 10), 1), "family"),
+], ids=["scalar-k", "scalar-j", "typeII-j", "typeI-j", "family"])
+def test_mode_system_parameter_guards(call, msg):
+    with pytest.raises(ParameterError, match=msg):
+        call()
 
 
 def test_high_dimension_mode_system():
