@@ -808,7 +808,10 @@ def _exact_t(t):
 def _family(kind, n, j):
     """The degree-j angular families of one kind: "tensor" (2-tensors),
     "forms" (the 1-form pair), "phi" (the harmonic phi_j) or "psi" (the
-    co-closed r psi_j); every mode system resolves its degree here."""
+    co-closed r psi_j); every mode system resolves its degree here, so
+    the bounds on n and j are checked here."""
+    if n < 3:
+        raise ParameterError("need n >= 3")
     if j < 0:
         raise ParameterError("need harmonic degree j >= 0")
     if kind == "tensor":
@@ -837,8 +840,6 @@ def _radial_lie_flat(xi):
 
 
 def _gauged_scale(n, k):
-    if n < 3:
-        raise ParameterError("need n >= 3 (the operator carries 1/(n - 2))")
     if k < 1:
         raise ParameterError("need k >= 1 (the operator is Delta^(k-1) of a "
                              "fourth-order core)")

@@ -20,15 +20,16 @@ up to ``gauged_lin`` and ``bach_lin``).  ``PolyTensor.add_term`` is the
 public one-term constructor for explicit fields (``from_json``, the standard
 fields, tests); no operator uses it.
 
-Rational inputs stay rational throughout, so orthogonality, closure and
-nullspace decisions are exact.  Exact coefficients are ``int`` or
-``Fraction``: integer input stays native ``int`` through the operators, a
-``Fraction`` enters only with a rational factor (t, c_{n,k}/(n-2), 1/2, a
-Gram solve), and canonical forms store every integer coefficient as an
-``int``.  PolyTensor itself accepts float coefficients
-(``scale_pullback`` and ``evaluate`` use them), but probing reads every
-operator image through ``angular_image``, which rejects float
-coefficients.
+Fields are exact: every coefficient and radial exponent is an ``int`` or
+a ``Fraction``, so orthogonality, closure and nullspace decisions are
+exact.  A float is refused with a ValueError where it would enter a field:
+in ``add_term``, ``scaled``, ``radial_scaled`` and the operators that take
+t (``div_t``, ``gauge_op_t``, ``gauged_lin``); ``from_json`` reads a JSON
+float by its decimal text (0.1 is 1/10).  Integer input stays native
+``int`` through the operators, a ``Fraction`` enters only with a rational
+factor (t, c_{n,k}/(n-2), 1/2, a Gram solve), and canonical forms store
+every integer coefficient as an ``int``.  Only the views ``evaluate``,
+``sphere_moment`` and ``triple_bar_norm_sq`` return floats.
 
 Equality and zero-testing canonicalize components modulo the relation
 ``sum_i x_i^2 = r^2`` (each component is rewritten as ``r^g * P(x)`` with
@@ -38,15 +39,16 @@ common denominator per component.
 
 Probing canonicalizes once per image.  ``angular_image`` hands the
 operator's raw output to ``AngularBasis.decompose``, canonicalizing it
-first only when it has a float coefficient or mixed homogeneity, so that
-exactly the images whose canonical form fails those checks are rejected.
-The slice functionals integrate over the sphere, where the relation
-holds, so a raw image gives the same coefficients as its canonical form;
-``decompose`` then merges the residual image - sum_i c_i T_i into one
-integer dict and canonicalizes only that, to decide closure.  Slice inner
-products of exact fields (``_slice_inner_exact``, behind every basis Gram
-matrix and table entry) sum integer products: the sphere moment of x^beta
-is a factor depending on n and |beta| alone times an integer.
+first only when it has mixed homogeneity, so that exactly the images whose
+canonical form is not homogeneous are rejected.  The slice functionals
+integrate over the sphere, where the relation holds, so a raw image gives
+the same coefficients as its canonical form; ``decompose`` then merges the
+residual image - sum_i c_i T_i into one integer dict and canonicalizes
+only that, to decide closure.  Every slice inner product
+(``slice_inner_reduced``, every basis Gram matrix and table entry) goes
+through one kernel, ``_slice_inner_exact``, which sums integer products:
+the sphere moment of x^beta is a factor depending on n and |beta| alone
+times an integer.
 
 Caches, all filled lazily, holding values no caller mutates and bounded
 by the degrees and bases in use:
@@ -54,8 +56,7 @@ by the degrees and bases in use:
 - ``_q_power(n, k)``: the expansion of (sum_i x_i^2)^k used by
   canonicalization;
 - ``_odd_factorial_product(alpha)`` and ``_moment_scale(n, s)``: the two
-  factors of every exact sphere moment, and ``_sphere_moment_reduced(n,
-  alpha)``, their product, behind ``slice_inner_reduced``;
+  factors of every exact sphere moment;
 - ``tensor_mode_basis(n, j)`` and ``oneform_mode_basis(n, j)``: each
   angular basis with its exact Gram matrix, built once per (n, j) and
   shared by every caller, which must not mutate it;
@@ -89,14 +90,16 @@ Key = tuple  # (alpha, gamma)
 
 def _fr(x):
     """Exact coercion: ints stay native (fast arithmetic/hashing), strings
-    become Fractions, Fractions with unit denominator collapse to int."""
+    become Fractions, Fractions with unit denominator collapse to int;
+    anything else raises ValueError."""
     if isinstance(x, int):
         return x
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
     if isinstance(x, str):
         return _fr(Fraction(x))
-    return x  # float fast path
+    raise ValueError("fields take exact data (int, Fraction or a rational "
+                     f"string), got {type(x).__name__} {x!r}")
 
 
 def _merge(comp, key, val):
@@ -248,7 +251,7 @@ class PolyTensor:
             terms = []
             for (alpha, gamma), c in sorted(comp.items()):
                 terms.append({
-                    "coeff": str(c) if isinstance(c, (int, Fraction)) else c,
+                    "coeff": str(c),
                     "alpha": list(alpha),
                     "gamma": str(gamma) if isinstance(gamma, Fraction) else gamma,
                 })
@@ -258,7 +261,8 @@ class PolyTensor:
     @classmethod
     def from_json(cls, doc):
         """Field from a ``to_json`` document; ValueError names the first
-        missing or invalid key."""
+        missing or invalid key.  A JSON float ``coeff`` or ``gamma`` is read
+        exactly by its decimal text (0.1 is 1/10)."""
         if not isinstance(doc, dict):
             raise ValueError("field document must be a JSON object with keys "
                              "'n', 'rank' and 'components'")
@@ -284,10 +288,9 @@ class PolyTensor:
                     if len(alpha) != n or not all(
                             isinstance(a, int) and a >= 0 for a in alpha):
                         raise ValueError
-                    if not all(isinstance(t[key], (int, float, str))
-                               for key in ("coeff", "gamma")):
-                        raise ValueError
-                    out.add_term(idx, alpha, _fr(t["gamma"]), _fr(t["coeff"]))
+                    out.add_term(idx, alpha, *(
+                        str(v) if isinstance(v, float) else v
+                        for v in (t["gamma"], t["coeff"])))
             except (KeyError, TypeError, ValueError, ZeroDivisionError):
                 raise ValueError(
                     f"invalid components[{idxs!r}]: need a rank-{rank} index "
@@ -376,13 +379,11 @@ def _canonical_component(comp, n):
 
 
 def _over(v, den):
-    """v / den, kept as an int when exact (floats divide as floats)."""
+    """The integer v over den, kept as an int when exact."""
     if den == 1:
         return v
-    if type(v) is int:
-        q, r = divmod(v, den)
-        return q if r == 0 else Fraction(v, den)
-    return v / den
+    q, r = divmod(v, den)
+    return q if r == 0 else Fraction(v, den)
 
 
 # -- standard fields ----------------------------------------------------
@@ -657,7 +658,7 @@ def gauged_lin(h, k, t):
         raise ValueError(f"need k >= 1, got k = {k}")
     n = h.n
     t = _fr(t)
-    p, q = (t.numerator, t.denominator) if isinstance(t, Fraction) else (t, 1)
+    p, q = t.numerator, t.denominator
     core = laplacian(h, 2).scaled(q)
     if t != 0:
         ir = radial_contraction(h)
@@ -742,15 +743,9 @@ def _half_factorial_rational(a):
 def sphere_moment_reduced(n, alpha):
     """Moment integral over S^{n-1} of x^alpha divided by pi^floor(n/2).
 
-    Exact rational value; zero when any entry of alpha is odd.  Memoized
-    on (n, alpha).
+    Exact rational value; zero when any entry of alpha is odd.
     """
-    return _sphere_moment_reduced(n, tuple(alpha))
-
-
-@lru_cache(maxsize=None)
-def _sphere_moment_reduced(n, alpha):
-    odd = _odd_factorial_product(alpha)
+    odd = _odd_factorial_product(tuple(alpha))
     return _moment_scale(n, sum(alpha)) * odd if odd else 0
 
 
@@ -798,21 +793,7 @@ def slice_inner_reduced(A, B):
     """
     if A.n != B.n or A.rank != B.rank:
         raise ValueError("shape mismatch")
-    out = {}
-    for idx, compA in A.comps.items():
-        for (a1, g1), c1 in compA.items():
-            for expo, v in _term_functional(B, idx, a1, g1).items():
-                _merge(out, expo, c1 * v)
-    return out
-
-
-def slice_inner_value(A, B, r=1.0):
-    """Float <<A, B>> at radius r."""
-    power = A.n // 2
-    acc = 0.0
-    for expo, c in slice_inner_reduced(A, B).items():
-        acc += float(c) * float(r) ** float(expo)
-    return acc * math.pi ** power
+    return _slice_inner_exact(A.n, _integer_form(A), _integer_form(B))
 
 
 def triple_bar_norm_sq(T, a, b):
@@ -828,23 +809,6 @@ def triple_bar_norm_sq(T, a, b):
         else:
             acc += float(c) * (b ** e - a ** e) / e
     return acc * math.pi ** power
-
-
-def scale_pullback(T, a, weight=0):
-    """Pullback under x -> a x for a covariant rank-q tensor, times a^weight.
-
-    (psi_a^* T)_I(x) = a^rank T_I(a x); weight adds an extra a^weight.
-    """
-    a = _fr(a)
-    out = {}
-    for idx, comp in T.comps.items():
-        nc = out[idx] = {}
-        for (alpha, gamma), c in comp.items():
-            scale = a ** (sum(alpha)) * (a ** int(gamma) if gamma == int(gamma)
-                                         else float(a) ** float(gamma))
-            nc[(alpha, gamma)] = (c * scale * a ** T.rank
-                                  * (a ** weight if weight else 1))
-    return PolyTensor(T.n, T.rank, out)
 
 
 # -- angular bases and closure -------------------------------------------
@@ -1002,7 +966,8 @@ def _integer_form(T):
 
 
 def _slice_inner_exact(n, A, B):
-    """``slice_inner_reduced`` of two exact fields given by
+    """The one slice inner product kernel, behind ``slice_inner_reduced``,
+    the Gram matrices and the ``decompose`` tables, on two fields given by
     ``_integer_form``: each moment is _moment_scale(n, |beta|) times the
     integer _odd_factorial_product(beta), so the integer products are
     summed per (r-exponent, |beta|) and each sum is scaled once."""
@@ -1026,19 +991,6 @@ def _slice_inner_exact(n, A, B):
             _merge(out, expo, _moment_scale(n, s) * v)
     den = den_a * den_b
     return {expo: v / den for expo, v in out.items()}
-
-
-def _term_functional(B, idx, alpha, gamma):
-    """<<x^alpha r^gamma e_idx, B>> as dict r-exponent -> value: the linear
-    functional of B evaluated on one term."""
-    n = B.n
-    d1 = gamma + sum(alpha)
-    out = {}
-    for (a2, g2), c2 in B.comps.get(idx, {}).items():
-        m = _sphere_moment_reduced(n, tuple(x + y for x, y in zip(alpha, a2)))
-        if m:
-            _merge(out, d1 + g2 + sum(a2), c2 * m)
-    return out
 
 
 def _gram(elements):
@@ -1072,31 +1024,21 @@ def angular_image(apply_fn, element, m):
     raw output, not canonicalized: its terms may still be rewritten by
     sum_i x_i^2 = r^2, and it may even vanish modulo that relation, which
     ``AngularBasis.decompose`` reads as all-zero coefficients with an empty
-    residual.  Raises ClosureError for a float coefficient or a
-    non-homogeneous image; a raw image that trips either check is
-    canonicalized first and checked again, so exactly the images whose
-    canonical form has a float or mixed homogeneity are rejected (and one
-    that is zero modulo the relation returns None).
+    residual.  Raises ClosureError for a non-homogeneous image; a raw
+    image with mixed homogeneity is canonicalized first and checked again,
+    so exactly the images whose canonical form has mixed homogeneity are
+    rejected (and one that is zero modulo the relation returns None).
     """
     image = apply_fn(element.radial_scaled(m))
     deg = image.homogeneity()
-    if deg is None or not _exact(image):
+    if deg is None:
         image = image.canonical()
         if not image.comps:
             return None
-        if not _exact(image):
-            raise ClosureError("operator image has float coefficients; "
-                               "probing needs exact int/Fraction arithmetic")
         deg = image.homogeneity()
         if deg is None:
             raise ClosureError("operator image is not homogeneous")
     return m - deg, image.radial_scaled(-deg)
-
-
-def _exact(T):
-    """Whether every coefficient of T is an int or Fraction."""
-    return all(isinstance(c, (int, Fraction))
-               for comp in T.comps.values() for c in comp.values())
 
 
 def tensor_mode_seed(n, j):

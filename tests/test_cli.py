@@ -85,6 +85,22 @@ def test_apply_round_trip(tmp_path):
     assert (got - pt.delta_metric(3).scaled(2)).is_zero()
 
 
+def test_apply_reads_json_floats_by_decimal_text(tmp_path):
+    # a JSON float coeff or gamma is the rational its decimal text names
+    data = []
+    for coeff, gamma in [(0.1, 1.5), ("1/10", "3/2")]:
+        src = tmp_path / "field.json"
+        src.write_text(json.dumps({"n": 3, "rank": 0, "components": {"": [
+            {"coeff": coeff, "alpha": [2, 0, 0], "gamma": gamma}]}}))
+        out = tmp_path / "out.json"
+        assert main(["apply", "--op", "laplacian", "--field", str(src),
+                     "--out", str(out)]) == 0
+        data.append(read_json(out)["data"])
+    assert data[0] == data[1]
+    assert all(isinstance(term["coeff"], str)
+               for terms in data[0]["components"].values() for term in terms)
+
+
 def test_modes_json_and_csv(tmp_path):
     out = tmp_path / "m.json"
     rc = main(["modes", "--n", "4", "--k", "1", "--t", "0", "--j", "1",

@@ -81,18 +81,23 @@ def test_probe_holdout_and_weight():
 
 
 def test_probe_rejects_float_coefficients():
+    # a float is refused where it would enter a field, before any image
+    # reaches the closure test
     basis = pt.basis_from_elements(4, [pt.sphere_harmonic(4, 1)], ["phi"])
-    with pytest.raises(ProbeError, match="float coefficients"):
+    with pytest.raises(ValueError, match="exact data .* got float 0.1"):
         probe_euler(lambda f: pt.laplacian(f).scaled(0.1), basis, 2)
+    with pytest.raises(ValueError, match="exact data .* got float 0.5"):
+        probe_euler(lambda f: pt.gauge_op_t(f, 0.5),
+                    pt.oneform_mode_basis(4, 1), 2)
 
 
-def _zero_mod_relation(f, c=1):
-    """c (r^2 f - (sum_i x_i^2) f): non-empty term by term, zero modulo
+def _zero_mod_relation(f):
+    """r^2 f - (sum_i x_i^2) f: non-empty term by term, zero modulo
     sum_i x_i^2 = r^2."""
     q = pt.PolyTensor(f.n, 0)
     for i in range(f.n):
         q.add_term((), tuple(2 * (a == i) for a in range(f.n)), 0, 1)
-    return (f.radial_scaled(2) - pt.mul_scalar_field(f, q)).scaled(c)
+    return f.radial_scaled(2) - pt.mul_scalar_field(f, q)
 
 
 def _phi_basis(n=4, j=1):
@@ -107,15 +112,12 @@ def test_probe_reads_images_zero_modulo_the_relation_as_vanished():
         probe_euler(_zero_mod_relation, basis, 2)
 
 
-def test_probe_judges_floats_and_homogeneity_on_the_canonical_image():
+def test_probe_judges_homogeneity_on_the_canonical_image():
     basis = _phi_basis()
-    # float or mixed-homogeneity terms that cancel modulo the relation
-    for apply_fn in (lambda f: f + _zero_mod_relation(f, 0.5),
-                     lambda f: f + _zero_mod_relation(f.radial_scaled(1))):
-        op = probe_euler(apply_fn, basis, 1)
-        assert op.P == [[[1]]] and op.weight == 0
-    with pytest.raises(ProbeError, match="float coefficients"):
-        probe_euler(lambda f: f.scaled(0.5), basis, 1)
+    # mixed-homogeneity terms that cancel modulo the relation
+    op = probe_euler(lambda f: f + _zero_mod_relation(f.radial_scaled(1)),
+                     basis, 1)
+    assert op.P == [[[1]]] and op.weight == 0
     with pytest.raises(ProbeError, match="not homogeneous"):
         probe_euler(lambda f: f + f.radial_scaled(1), basis, 1)
 
@@ -879,11 +881,13 @@ def test_tensor_mode_system_parameter_guards(k, j, msg):
     (lambda: gauge_mode_system(4, "typeI", Fraction(1, 10), 3),
      r"j in \{1, 2\}"),
     (lambda: gauge_mode_system(4, "typeIII", Fraction(1, 10), 1), "family"),
-], ids=["scalar-k", "scalar-j", "typeII-j", "typeI-j", "family"])
+    (lambda: scalar_mode_system(1, 1, 1), "need n >= 3"),
+    (lambda: gauge_mode_system(2, "typeI", Fraction(1, 10), 2), "need n >= 3"),
+], ids=["scalar-k", "scalar-j", "typeII-j", "typeI-j", "family", "scalar-n1",
+        "typeI-n2"])
 def test_mode_system_parameter_guards(call, msg):
     with pytest.raises(ParameterError, match=msg):
         call()
-
 
 def test_high_dimension_mode_system():
     basis, op = tensor_mode_system(8, 1, Fraction(1, 10), 2)

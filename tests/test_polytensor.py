@@ -7,6 +7,7 @@ import pytest
 
 from conespec import polytensor as pt
 from conespec.verify import check_div_t_identity, check_gauge_composition
+from field_reference import naive_slice_inner
 
 
 def random_field(rng, n, rank, nterms=4):
@@ -92,11 +93,9 @@ def test_slice_inner_products():
     d = pt.slice_inner_reduced(drdr, drdr)
     assert set(d) == {0}
     vol = 2 * math.pi ** (n / 2) / math.gamma(n / 2)
-    assert abs(pt.slice_inner_value(drdr, drdr) - vol) < 1e-12
-    assert abs(pt.slice_inner_value(drdr, drdr, r=3.7)
-               - pt.slice_inner_value(drdr, drdr, r=0.2)) < 1e-12
+    assert abs(float(d[0]) * math.pi ** (n // 2) - vol) < 1e-12
     # radial/tangential orthogonality
-    assert pt.slice_inner_value(drdr, pt.tangential_metric(n)) == 0.0
+    assert pt.slice_inner_reduced(drdr, pt.tangential_metric(n)) == {}
 
 
 def test_dilation_field_is_conformal():
@@ -134,10 +133,17 @@ def test_gauged_lin_reduces_to_laplacian_power_at_t0():
         assert (got - want).is_zero()
 
 
-def test_closure_rejects_float_and_mixed_images():
+def test_fields_refuse_floats_and_closure_rejects_mixed_images():
     seed = pt.tensor_mode_seed(4, 1)
-    with pytest.raises(pt.ClosureError, match="float coefficients"):
-        pt.angular_image(lambda f: pt.gauged_lin(f, 1, 0.5), seed, 0)
+    for make, value in [
+            (lambda: pt.PolyTensor(4, 2).add_term((0, 0), (0,) * 4, 0, 0.1),
+             0.1),
+            (lambda: seed.scaled(0.1), 0.1),
+            (lambda: seed.radial_scaled(0.5), 0.5),
+            (lambda: pt.gauged_lin(seed, 1, 0.5), 0.5),
+            (lambda: pt.apply_operator("delta_t", seed, t=0.5), 0.5)]:
+        with pytest.raises(ValueError, match=f"exact data .* float {value}"):
+            make()
     with pytest.raises(pt.ClosureError, match="not homogeneous"):
         pt.angular_image(lambda f: f + f.radial_scaled(1), seed, 0)
 
@@ -204,6 +210,7 @@ def test_exact_slice_inner_matches_general_path():
             got = pt._slice_inner_exact(n, pt._integer_form(A),
                                         pt._integer_form(B))
             assert got == pt.slice_inner_reduced(A, B)
+            assert got == naive_slice_inner(A, B)
 
 
 def test_tensor_mode_basis_families():
@@ -265,7 +272,7 @@ def test_triple_bar_closed_forms():
     n = 4
     c = pt.delta_metric(n)
     L = 3.0
-    norm_c = pt.slice_inner_value(c, c)
+    norm_c = float(pt.slice_inner_reduced(c, c)[0]) * math.pi ** (n // 2)
     assert abs(pt.triple_bar_norm_sq(c, 1.0, L) - norm_c * math.log(L)) < 1e-10
     h = pt.dr_tensor(n).radial_scaled(2)  # r^2 times a unit parallel tensor
     ratio = pt.triple_bar_norm_sq(h, L, L * L) / pt.triple_bar_norm_sq(h, 1.0, L)
@@ -273,13 +280,16 @@ def test_triple_bar_closed_forms():
 
 
 def test_triple_bar_scale_invariance():
+    # <<h, h>> = c r^e gives |||h|||^2 on (a, a L) = a^e |||h|||^2 on (1, L)
     n = 4
     h = pt.tensor_mode_seed(n, 2).radial_scaled(Fraction(3, 2))
-    a, L = 2.0, 4.0
-    q = pt.scale_pullback(h, Fraction(2), weight=-2)
-    lhs = pt.triple_bar_norm_sq(h, a, a * L)
-    rhs = pt.triple_bar_norm_sq(q, 1.0, L)
-    assert abs(lhs - rhs) < 1e-9 * max(lhs, 1.0)
+    (e,) = pt.slice_inner_reduced(h, h)
+    assert e == 3
+    L = 4.0
+    rhs = pt.triple_bar_norm_sq(h, 1.0, L)
+    for a in (0.5, 2.0, 7.0):
+        lhs = pt.triple_bar_norm_sq(h, a, a * L)
+        assert abs(lhs - a ** e * rhs) < 1e-9 * abs(a ** e * rhs)
 
 
 def test_canonicalization_and_equality():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conespec import polytensor as pt
+from field_reference import naive_slice_inner
 
 COEFFS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 GAMMAS = st.integers(-4, 2)
@@ -65,29 +66,13 @@ def test_canonical_ignores_representation(T, data):
     assert other.canonical().comps == T.canonical().comps
 
 
-def _naive_slice_inner(A, B):
-    """Reference: form the pointwise product field, then integrate each of
-    its terms over the sphere."""
-    product = pt.PolyTensor(A.n, 0)
-    for idx, compA in A.comps.items():
-        for (a1, g1), c1 in compA.items():
-            for (a2, g2), c2 in B.comps.get(idx, {}).items():
-                product.add_term((), tuple(x + y for x, y in zip(a1, a2)),
-                                 g1 + g2, c1 * c2)
-    out = {}
-    for (alpha, gamma), c in product.comps.get((), {}).items():
-        expo = gamma + sum(alpha)
-        out[expo] = out.get(expo, 0) + c * pt.sphere_moment_reduced(A.n, alpha)
-    return {e: v for e, v in out.items() if v != 0}
-
-
 @settings(max_examples=60, deadline=None)
 @given(field_pairs())
 def test_slice_inner_is_symmetric_and_matches_reference(pair):
     A, B = pair
     got = pt.slice_inner_reduced(A, B)
     assert got == pt.slice_inner_reduced(B, A)
-    assert got == _naive_slice_inner(A, B)
+    assert got == naive_slice_inner(A, B)
 
 
 @settings(max_examples=40, deadline=None)
