@@ -11,7 +11,6 @@ orders are n - 2k at infinity and 2 at an isolated singular point.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -20,40 +19,33 @@ from .closed_form import ParameterError, validate_nk
 
 @dataclass(frozen=True)
 class SchematicTerm:
-    """One remainder term: j inverse-metric factors against derivative
-    factors of h with total derivative count 2(k+1)."""
+    """One class of remainder terms: j inverse-metric factors against
+    derivative factors of h with total derivative count ``total``.
+
+    The class holds ``count`` terms, one per distribution of the
+    derivatives over the j factors (C(total + j - 1, j - 1) of them); each
+    has the class's order, which depends only on j and the total."""
 
     j: int
-    alphas: tuple
+    total: int
+    count: int
 
     def order(self, h_order, regime="infinity"):
-        """Decay (or vanishing) order of the term when |h| = O(r^{-h_order})
-        at infinity (or O(r^{+h_order}) at the origin)."""
-        total = sum(self.alphas)
+        """Decay (or vanishing) order of every term of the class when
+        |h| = O(r^{-h_order}) at infinity (or O(r^{+h_order}) at the
+        origin)."""
         if regime == "infinity":
-            return self.j * h_order + total
-        return self.j * h_order - total
+            return self.j * h_order + self.total
+        return self.j * h_order - self.total
 
 
 def enumerate_schematic_terms(k):
-    """All remainder terms with 2 <= j <= 2(k+1) + 2 inverse-metric factors
-    and derivative total 2(k+1)."""
+    """The remainder term classes with 2 <= j <= 2(k+1) + 2 inverse-metric
+    factors and derivative total 2(k+1), one per j; each class counts its
+    derivative distributions."""
     total = 2 * (k + 1)
-    out = []
-    for j in range(2, total + 3):
-        for alphas in _compositions(total, j):
-            out.append(SchematicTerm(j, alphas))
-    return out
-
-
-def _compositions(total, parts):
-    """Every tuple of ``parts`` nonnegative integers summing to total, in
-    lexicographic order: stars and bars, with the parts - 1 bar positions
-    among total + parts - 1 slots drawn in lexicographic order."""
-    slots = total + parts - 1
-    for bars in itertools.combinations(range(slots), parts - 1):
-        edges = (-1,) + bars + (slots,)
-        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+    return [SchematicTerm(j, total, math.comb(total + j - 1, j - 1))
+            for j in range(2, total + 3)]
 
 
 def remainder_order(k, n, h_order, regime="infinity"):
@@ -61,8 +53,8 @@ def remainder_order(k, n, h_order, regime="infinity"):
 
     At infinity, |h| = O(r^{-h_order}) makes the (k+1)-st Laplacian power of
     h a O(r^{-(2 h_order + 2(k+1))}) source; the origin regime mirrors the
-    sign.  Higher-j terms decay strictly faster (checked by enumeration in
-    the ``bootstrap.remainder_monotone_and_dominant`` suite), so the
+    sign.  Higher-j terms decay strictly faster (checked per class in the
+    ``bootstrap.remainder_monotone_and_dominant`` suite), so the
     quadratic terms set the order.
     """
     if h_order <= 0:

@@ -6,7 +6,8 @@ the n = 3 degree-1 profile) vanish; the quadratic-vector-field/linear-
 2-tensor Lie isomorphism; and the time-1 flow pullback defect of a
 quadratic field, which is quadratic in the radius: exactly, by degree, on
 integer fields, and numerically (DOP853) as a float oracle.  The
-nullspaces and Lie-map ranks are computed once per process.
+degree-1 reductions, nullspaces and Lie-map ranks are computed once per
+process.
 """
 
 from __future__ import annotations
@@ -117,22 +118,32 @@ def _divergence_free_nullspace(n, k, mode):
     """(unknowns, nullspace basis as tuples) of a validated profile."""
     if mode in ("degree0", "log"):
         rows, ncols, _ = constant_profile_system(n)
+        pivots = sparse_rref(rows)
     elif mode == "degree1":
-        rows, ncols, _ = degree1_system(n, k)
+        ncols, _, pivots = _degree1_reduction(n, k)
     else:  # n3_degree1 is the degree-1 matching with n - 2k = 1 (n = 3)
-        rows, ncols, _ = degree1_system(3, 1)
-    return ncols, tuple(tuple(v) for v in sparse_nullspace(rows, ncols))
+        ncols, _, pivots = _degree1_reduction(3, 1)
+    return ncols, tuple(tuple(v) for v in sparse_nullspace(pivots, ncols))
+
+
+@lru_cache(maxsize=None)
+def _degree1_reduction(n, k):
+    """(unknowns, column map, sparse_rref pivots) of ``degree1_system``,
+    reduced once per (n, k) and process and shared by the degree-1
+    nullspace and the identity diagnostics; callers only read it."""
+    rows, ncols, cols = degree1_system(n, k)
+    return ncols, cols, sparse_rref(rows)
 
 
 def degree1_identity_diagnostics(n, k):
     """Check that the degree-1 system forces the two classical identities.
 
     Verifies that the rows 'A_{pjp} = 0' and 'A_{ljm} + A_{mjl} = 0' lie in
-    the row space of the assembled system for sampled indices.  The
-    system is reduced once and every candidate is read against it.
+    the row space of the assembled system for sampled indices.  Every
+    candidate is read against the one reduction of the system that the
+    degree-1 nullspace also reads.
     """
-    rows, _, cols = degree1_system(n, k)
-    pivots = sparse_rref(rows)
+    _, cols, pivots = _degree1_reduction(n, k)
     checks = []
     for p in range(min(n, 3)):
         for j in range(min(n, 3)):
@@ -165,14 +176,6 @@ class QuadraticField:
     @classmethod
     def zero(cls, n):
         return cls(n, {})
-
-    @classmethod
-    def from_entries(cls, n, entries):
-        coeffs = {}
-        for (i, l, m), v in entries.items():
-            coeffs[(i, min(l, m), max(l, m))] = coeffs.get(
-                (i, min(l, m), max(l, m)), 0) + v
-        return cls(n, {k: v for k, v in coeffs.items() if v != 0})
 
     @classmethod
     def random_integer(cls, n, rng):

@@ -74,13 +74,13 @@ def sparse_rank(rows) -> int:
     return len(sparse_rref(rows))
 
 
-def sparse_nullspace(rows, ncols: int):
-    """Basis of the rational nullspace of a sparse matrix.
+def sparse_nullspace(pivots, ncols: int):
+    """Basis of the rational nullspace of a sparse matrix with ncols
+    columns, read from its sparse_rref ``pivots``.
 
     Returns a list of dense Fraction vectors of length ncols, one per
     non-pivot column.
     """
-    pivots = sparse_rref(rows)
     free_cols = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free_cols:

@@ -88,11 +88,16 @@ Alpha = tuple  # multi-index over n variables
 Key = tuple  # (alpha, gamma)
 
 
+def _is_int(x):
+    """Whether x is an int and not a bool (JSON true/false)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _fr(x):
     """Exact coercion: ints stay native (fast arithmetic/hashing), strings
     become Fractions, Fractions with unit denominator collapse to int;
-    anything else raises ValueError."""
-    if isinstance(x, int):
+    anything else, bool included, raises ValueError."""
+    if _is_int(x):
         return x
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
@@ -270,9 +275,9 @@ class PolyTensor:
             if key not in doc:
                 raise ValueError(f"field document is missing key {key!r}")
         n, rank, components = doc["n"], doc["rank"], doc["components"]
-        if not isinstance(n, int) or n < 1:
+        if not _is_int(n) or n < 1:
             raise ValueError(f"invalid 'n': {n!r} (need an integer >= 1)")
-        if not isinstance(rank, int) or rank < 0:
+        if not _is_int(rank) or rank < 0:
             raise ValueError(f"invalid 'rank': {rank!r} (need an integer >= 0)")
         if not isinstance(components, dict):
             raise ValueError("invalid 'components': need an object mapping "
@@ -286,7 +291,7 @@ class PolyTensor:
                 for t in terms:
                     alpha = tuple(t["alpha"])
                     if len(alpha) != n or not all(
-                            isinstance(a, int) and a >= 0 for a in alpha):
+                            _is_int(a) and a >= 0 for a in alpha):
                         raise ValueError
                     out.add_term(idx, alpha, *(
                         str(v) if isinstance(v, float) else v

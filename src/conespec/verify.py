@@ -537,15 +537,13 @@ def check_parallel_inner(seed=0, scale=1.0):
     ok = True
     for n in (3, 4, 6):
         for j in (0, 1, 2):
+            # the basis Gram matrix holds every same-degree slice product
+            # (building it rejects any r-exponent other than 0); family
+            # orthogonality within a degree is a diagonal Gram matrix
             basis = pt.tensor_mode_basis(n, j)
-            for i, a in enumerate(basis.elements):
-                ok &= a.is_radially_parallel()
-                for i2, b in enumerate(basis.elements):
-                    d = pt.slice_inner_reduced(a, b)
-                    ok &= all(e == 0 for e in d)
-                    # family orthogonality within a degree (diagonal Gram)
-                    if i != i2:
-                        ok &= all(v == 0 for v in d.values())
+            ok &= all(a.is_radially_parallel() for a in basis.elements)
+            ok &= all(v == 0 for i, row in enumerate(basis.gram)
+                      for i2, v in enumerate(row) if i != i2)
             # distinct degrees are orthogonal
             other = pt.tensor_mode_basis(n, j + 1)
             for a in basis.elements:
@@ -724,7 +722,7 @@ def check_remainder(seed=0, scale=1.0):
             prev = v
         quad = 2 * 0.5 + 2 * (k + 1)
         for term in bs.enumerate_schematic_terms(k):
-            ok &= sum(term.alphas) == 2 * (k + 1)
+            ok &= term.total == 2 * (k + 1) and term.count >= 1
             ok &= term.order(0.5) >= quad - 1e-12
     return _result(check_remainder, ok)
 

@@ -1,11 +1,10 @@
 import math
 
-import numpy as np
 import pytest
 
-from conespec.bootstrap import (_compositions, bootstrap_infinity,
-                                bootstrap_origin, enumerate_schematic_terms,
-                                regularity_ladder, remainder_order)
+from conespec.bootstrap import (bootstrap_infinity, bootstrap_origin,
+                                enumerate_schematic_terms, regularity_ladder,
+                                remainder_order)
 from conespec.closed_form import ParameterError
 
 
@@ -21,19 +20,6 @@ def test_remainder_order_examples():
         remainder_order(1, 4, 0.0)
 
 
-def test_remainder_quadratic_terms_dominate():
-    # every higher-j term decays at least as fast as the quadratic ones
-    for k in (1, 2, 3):
-        h_order = 0.7
-        quad = 2 * h_order + 2 * (k + 1)
-        terms = enumerate_schematic_terms(k)
-        assert terms
-        assert max(term.j for term in terms) == 2 * (k + 1) + 2
-        for term in terms:
-            assert sum(term.alphas) == 2 * (k + 1)
-            assert term.order(h_order) >= quad - 1e-12
-
-
 def _recursive_compositions(total, parts):
     if parts == 1:
         yield (total,)
@@ -45,20 +31,16 @@ def _recursive_compositions(total, parts):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_compositions_match_recursive_oracle(k):
-    # the same tuples in the same order for every j of enumerate_schematic_terms
+    # one class per j = 2 ... 2(k+1) + 2, each counting every distribution
+    # of the derivative total 2(k+1) over its j factors; the suite checks
+    # the quadratic terms dominate at h_order 0.5, this at 0.7
     total = 2 * (k + 1)
-    for parts in range(1, total + 3):
-        assert list(_compositions(total, parts)) == \
-            list(_recursive_compositions(total, parts))
-
-
-def test_remainder_monotone():
-    prev = None
-    for h in np.linspace(0.1, 4.0, 40):
-        v = remainder_order(2, 8, float(h))
-        if prev is not None:
-            assert v >= prev
-        prev = v
+    terms = enumerate_schematic_terms(k)
+    assert [term.j for term in terms] == list(range(2, total + 3))
+    for term in terms:
+        assert term.total == total
+        assert term.count == len(list(_recursive_compositions(total, term.j)))
+        assert term.order(0.7) >= 2 * 0.7 + total - 1e-12
 
 
 def test_infinity_path_n4_k1():

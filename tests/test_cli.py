@@ -197,6 +197,24 @@ def test_apply_non_field_document_is_usage_error(tmp_path, capsys, doc, msg):
     assert f"--field {src}" in err and msg in err
 
 
+@pytest.mark.parametrize("key", ["coeff", "gamma", "alpha", "n"])
+def test_apply_rejects_json_booleans(tmp_path, capsys, key):
+    # bool is an int subclass, but true/false are not field data
+    term = {"coeff": 1, "alpha": [2, 0, 0], "gamma": 0}
+    doc = {"n": 3, "rank": 0, "components": {"": [term]}}
+    if key == "n":
+        doc["n"] = True
+        msg = "invalid 'n'"
+    else:
+        term[key] = [True, 0, 0] if key == "alpha" else False
+        msg = "invalid components['']"
+    src = tmp_path / "field.json"
+    src.write_text(json.dumps(doc))
+    assert main(["apply", "--op", "laplacian", "--field", str(src),
+                 "--out", str(tmp_path / "out.json")]) == 2
+    assert msg in capsys.readouterr().err
+
+
 def test_apply_partial_index_out_of_range(tmp_path, capsys):
     from conespec import polytensor as pt
 

@@ -16,6 +16,16 @@ from conespec.linalg import solve_dense, sparse_rank
 from conespec.verify import _nk_pairs
 
 
+def field_from_entries(n, entries):
+    """QuadraticField with X_i = sum a_{ilm} x_l x_m from entries keyed
+    (i, l, m) in any order of l and m; repeated keys add up."""
+    coeffs = {}
+    for (i, l, m), v in entries.items():
+        key = (i, min(l, m), max(l, m))
+        coeffs[key] = coeffs.get(key, 0) + v
+    return QuadraticField(n, {key: v for key, v in coeffs.items() if v != 0})
+
+
 def test_mode_preconditions():
     with pytest.raises(ParameterError):
         divergence_free_nullspace(6, 1, "log")  # not the critical dimension
@@ -103,7 +113,7 @@ def test_lie_map_matches_polytensor():
                     alpha[l] += 1
                     alpha[m] += 1
                     X.add_term((i,), tuple(alpha), 0, v)
-    qf = QuadraticField.from_entries(n, entries)
+    qf = field_from_entries(n, entries)
     lie = pt.lie_flat(X)
     for _ in range(5):
         x = rng.standard_normal(n)
@@ -161,7 +171,7 @@ def test_flow_error_zero_field():
 
 
 def test_flow_error_single_coefficient_slope():
-    X = QuadraticField.from_entries(3, {(0, 0, 0): 1.0})  # X_1 = x_1^2
+    X = field_from_entries(3, {(0, 0, 0): 1.0})  # X_1 = x_1^2
     radii = [10 ** e for e in (-1.0, -1.5, -2.0, -2.5, -3.0)]
     rec = quadratic_flow_error(X, radii, rng=np.random.default_rng(1))
     assert rec["slope"] is not None
@@ -169,13 +179,13 @@ def test_flow_error_single_coefficient_slope():
 
 
 def test_flow_radii_span_precondition():
-    X = QuadraticField.from_entries(3, {(0, 0, 0): 1.0})
+    X = field_from_entries(3, {(0, 0, 0): 1.0})
     with pytest.raises(ParameterError):
         quadratic_flow_error(X, [0.1, 0.2])
 
 
 def test_flow_rejects_large_radii():
-    X = QuadraticField.from_entries(3, {(0, 0, 0): 1.0})
+    X = field_from_entries(3, {(0, 0, 0): 1.0})
     rec = quadratic_flow_error(X, [10.0, 0.1, 0.01, 0.001],
                                rng=np.random.default_rng(2))
     assert 10.0 in rec["rejected_radii"]
@@ -199,7 +209,7 @@ def test_memoized_nullspace_basis_rows_are_fresh(monkeypatch):
     from conespec import flat_kernel as fk
 
     monkeypatch.setattr(fk, "sparse_nullspace",
-                        lambda rows, ncols: [[Fraction(1)] * ncols])
+                        lambda pivots, ncols: [[Fraction(1)] * ncols])
     fk._divergence_free_nullspace.cache_clear()
     try:
         rec = divergence_free_nullspace(4, 1, "degree1")
@@ -207,6 +217,30 @@ def test_memoized_nullspace_basis_rows_are_fresh(monkeypatch):
         assert divergence_free_nullspace(4, 1, "degree1")["basis"][0][0] == 1
     finally:
         fk._divergence_free_nullspace.cache_clear()
+
+
+def test_degree1_system_is_reduced_once(monkeypatch):
+    # the degree-1 nullspace and the identity diagnostics read one reduction
+    from conespec import flat_kernel as fk
+    from conespec.linalg import sparse_rref
+
+    want = degree1_identity_diagnostics(6, 1)
+    calls = []
+
+    def counting_rref(rows):
+        calls.append(1)
+        return sparse_rref(rows)
+
+    monkeypatch.setattr(fk, "sparse_rref", counting_rref)
+    fk._divergence_free_nullspace.cache_clear()
+    fk._degree1_reduction.cache_clear()
+    try:
+        assert divergence_free_nullspace(6, 1, "degree1")["dimension"] == 0
+        assert degree1_identity_diagnostics(6, 1) == want
+        assert len(calls) == 1
+    finally:
+        fk._divergence_free_nullspace.cache_clear()
+        fk._degree1_reduction.cache_clear()
 
 
 def test_flow_defect_single_coefficient_by_hand():

@@ -47,14 +47,14 @@ def test_nullspace_back_substitutes_later_pivots():
     # an unreduced echelon form read back gave [0, -1, 1]
     rows = [{1: Fraction(1), 2: Fraction(1)}, {0: Fraction(1), 1: Fraction(1)}]
     assert sparse_rref(rows) == {0: {0: 1, 2: -1}, 1: {1: 1, 2: 1}}
-    assert sparse_nullspace(rows, 3) == [[1, -1, 1]]
+    assert sparse_nullspace(sparse_rref(rows), 3) == [[1, -1, 1]]
 
 
 @settings(max_examples=150, deadline=None)
 @given(systems())
 def test_nullspace_is_killed_by_every_row(system):
     rows, ncols = system
-    basis = sparse_nullspace(rows, ncols)
+    basis = sparse_nullspace(sparse_rref(rows), ncols)
     assert all(_apply(row, v) == 0 for row in rows for v in basis)
     rank = _sympy_rank(rows, ncols)
     assert sparse_rank(rows) == rank
