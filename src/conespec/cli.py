@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -44,11 +45,9 @@ def _fraction(text, option):
 
 
 def _emit(args, data, rows=None, header=None, metadata=None):
-    """Write the result document (JSON, or CSV when rows are given);
-    metadata adds entries to the JSON metadata block."""
-    if args.format == "csv":
-        if rows is None:
-            raise UsageError("this command has no CSV form")
+    """Write the result document (CSV for rows under --format csv, else
+    JSON); metadata adds entries to the JSON metadata block."""
+    if rows is not None and args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(header)
@@ -83,14 +82,10 @@ def _json_default(obj):
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default=None)
-    p.add_argument("--tolerance", type=float, default=None)
-    p.add_argument("--config", default=None,
-                   help="flat JSON key/value file; flags override it")
+# Options that several commands read, with their defaults.
+SHARED = {"format": dict(choices=("json", "csv"), default="json"),
+          "seed": dict(type=int, default=0),
+          "jobs": dict(type=int, default=1)}
 
 
 def build_parser():
@@ -100,109 +95,110 @@ def build_parser():
                     "and decay-order bookkeeping")
     sub = p.add_subparsers(dest="command", required=True)
 
-    q = sub.add_parser("exceptional", help="exceptional integer growth rates")
+    def command(name, help, *shared):
+        """A subcommand with --out, --config and the named SHARED options."""
+        q = sub.add_parser(name, help=help)
+        q.add_argument("--out")
+        q.add_argument("--config", help="JSON object of option values; "
+                                        "flags win")
+        for opt in shared:
+            q.add_argument("--" + opt, **SHARED[opt])
+        return q
+
+    q = command("exceptional", "exceptional integer growth rates", "format")
     q.add_argument("--n", type=int, default=None)
     q.add_argument("--k", type=int, default=None)
-    q.add_argument("--j-max", type=int, default=None)
+    q.add_argument("--j-max", type=int, default=10)
     q.add_argument("--operator", choices=("laplacian-power", "gauge"),
-                   default=None)
-    q.add_argument("--window", type=int, nargs=2, default=None)
-    _add_common(q)
+                   default="laplacian-power")
+    q.add_argument("--window", type=int, nargs=2, default=(-12, 12))
 
-    q = sub.add_parser("rates", help="kernel rates of the gauge operators")
+    q = command("rates", "kernel rates of the gauge operators", "format")
     q.add_argument("--n", type=int, default=None)
-    q.add_argument("--t", default=None)
+    q.add_argument("--t", default="0")
     q.add_argument("--family", choices=("typeI", "typeII"), default=None)
     q.add_argument("--j", type=int, default=None)
-    _add_common(q)
 
-    q = sub.add_parser("gap", help="essential linear growth gap scan")
+    q = command("gap", "essential linear growth gap scan", "format")
     q.add_argument("--n", type=int, default=None)
-    q.add_argument("--t", default=None)
-    q.add_argument("--j-max", type=int, default=None)
-    _add_common(q)
+    q.add_argument("--t", default="0")
+    q.add_argument("--j-max", type=int, default=10)
 
-    q = sub.add_parser("kernel", help="divergence-free rigidity nullspaces")
+    q = command("kernel", "divergence-free rigidity nullspaces", "format")
     q.add_argument("--n", type=int, default=None)
     q.add_argument("--k", type=int, default=None)
     q.add_argument("--mode", choices=fk.MODES + ("quadratic-lie",),
                    default=None)
-    _add_common(q)
 
-    q = sub.add_parser("symbol", help="linearized operator symbols")
+    q = command("symbol", "linearized operator symbols")
     q.add_argument("--n", type=int, default=None)
     q.add_argument("--k", type=int, default=None)
     q.add_argument("--xi", default=None, help="JSON vector")
     q.add_argument("--hhat", default=None, help="JSON matrix")
     q.add_argument("--scalar", action="store_true",
                    help="scalar-curvature symbol instead")
-    _add_common(q)
 
-    q = sub.add_parser("apply", help="apply an exact operator to a field")
+    q = command("apply", "apply an exact operator to a field")
     q.add_argument("--op", choices=pt.OPCODES, default=None)
     q.add_argument("--field", default=None, help="JSON field document (path)")
-    q.add_argument("--t", default=None)
-    q.add_argument("--k", type=int, default=None)
-    q.add_argument("--index", type=int, default=None)
-    _add_common(q)
+    q.add_argument("--t", default="0")
+    q.add_argument("--k", type=int, default=1)
+    q.add_argument("--index", type=int, default=0)
 
-    q = sub.add_parser("modes", help="probe a separated mode system")
+    q = command("modes", "probe a separated mode system", "format")
     q.add_argument("--n", type=int, default=None)
     q.add_argument("--k", type=int, default=None)
-    q.add_argument("--t", default=None)
+    q.add_argument("--t", default="0")
     q.add_argument("--j", type=int, default=None)
-    _add_common(q)
 
-    q = sub.add_parser("three-annulus", help="annulus growth/decay checks")
+    q = command("three-annulus", "annulus growth/decay checks",
+                "format", "seed")
     q.add_argument("--n", type=int, default=None)
     q.add_argument("--k", type=int, default=None)
-    q.add_argument("--t", default=None)
+    q.add_argument("--t", default="0")
     q.add_argument("--j", type=int, default=None)
-    q.add_argument("--beta-prime-frac", type=float, default=None,
-                   help="beta' as a fraction of beta (default 0.45)")
-    q.add_argument("--trials", type=int, default=None)
+    q.add_argument("--beta-prime-frac", type=float, default=0.45,
+                   help="beta' as a fraction of beta (default %(default)s)")
+    q.add_argument("--trials", type=int, default=200)
     q.add_argument("--turan-check", action="store_true")
-    _add_common(q)
 
-    q = sub.add_parser("degenerate-scan",
-                       help="scan for divergence-compatible degenerate modes")
+    q = command("degenerate-scan",
+                "scan for divergence-compatible degenerate modes",
+                "format", "jobs")
     q.add_argument("--n", type=int, default=None)
     q.add_argument("--k", type=int, default=None)
     q.add_argument("--t-values", default=None,
                    help="comma-separated list, e.g. 0.05,-0.05; a list that "
                         "starts with '-' needs the = form: "
                         "--t-values=-0.25,0.2")
-    q.add_argument("--j-max", type=int, default=None)
-    _add_common(q)
+    q.add_argument("--j-max", type=int, default=6)
 
-    q = sub.add_parser("turan", help="power-sum inequality checks")
+    q = command("turan", "power-sum inequality checks")
     q.add_argument("--check", choices=("discrete", "integral",
                                        "three-interval", "sweep"),
-                   default=None)
-    q.add_argument("--d", type=int, default=None)
+                   default="sweep")
+    q.add_argument("--d", type=int, default=2)
     q.add_argument("--m", type=int, default=None)
     q.add_argument("--trials", type=int, default=None)
     q.add_argument("--estimate", type=int, default=None,
                    help="estimate the discrete constant for this d")
     q.add_argument("--regenerate-constants", action="store_true")
-    _add_common(q)
+    q.add_argument("--seed", type=int, default=None)
 
-    q = sub.add_parser("bootstrap", help="decay-order induction")
+    q = command("bootstrap", "decay-order induction", "format")
     q.add_argument("--regime", choices=("infinity", "origin"), default=None)
     q.add_argument("--n", type=int, default=None)
     q.add_argument("--k", type=int, default=None)
-    q.add_argument("--beta0", type=float, default=None)
-    q.add_argument("--sigma0", type=float, default=None)
+    q.add_argument("--beta0", type=float, default=0.3)
+    q.add_argument("--sigma0", type=float, default=0.3)
     q.add_argument("--ladder", action="store_true",
                    help="also report the integrability ladder")
-    _add_common(q)
 
-    q = sub.add_parser("verify-all", help="run every invariant suite")
-    q.add_argument("--scale", type=float, default=None,
-                   help="trial-count scale factor (default 1.0)")
+    q = command("verify-all", "run every invariant suite", "seed", "jobs")
+    q.add_argument("--scale", type=float, default=1.0,
+                   help="trial-count scale factor (default %(default)s)")
     q.add_argument("--suite", action="append", default=None,
                    help="restrict to named suites (repeatable)")
-    _add_common(q)
 
     return p
 
@@ -218,30 +214,35 @@ def _load_json(path, option):
         raise UsageError(f"{option} {path}: not JSON ({exc})") from exc
 
 
-def _apply_config(args):
-    if getattr(args, "config", None):
-        conf = _load_json(args.config, "--config")
-        if not isinstance(conf, dict):
-            raise UsageError(f"--config {args.config}: need a JSON object of "
-                             "option names to values")
-        for key, val in conf.items():
-            attr = key.replace("-", "_")
-            if getattr(args, attr, None) is None:
-                setattr(args, attr, val)
-    # defaults after config merge
-    if getattr(args, "seed", None) is None:
-        args.seed = 20240801 if getattr(args, "regenerate_constants",
-                                        False) else 0
-    if getattr(args, "tolerance", None) is None:
-        args.tolerance = 1e-9
-    elif not args.tolerance > 0:
-        raise UsageError(f"--tolerance: need tolerance > 0, got "
-                         f"{args.tolerance}")
-    if getattr(args, "format", None) is None:
-        args.format = "json"
-    if getattr(args, "jobs", None) is None:
-        args.jobs = 1
-    return args
+def _config_argv(parser, given, argv):
+    """argv with the --config file's options after the command name, so a
+    flag wins.  Keys are options of the command: true is a bare flag, false
+    none, a list the values of an nargs option or of repeats.  Keys the
+    command line sets are left out, so its --suite replaces the file's."""
+    conf = _load_json(given.config, "--config")
+    if not isinstance(conf, dict):
+        raise UsageError(f"--config {given.config}: need a JSON object of "
+                         "option names to values")
+    subparsers, = (a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in subparsers.choices[given.command]._actions}
+    tokens = []
+    for key, val in conf.items():
+        action = actions.get(key.replace("-", "_"))
+        if action is None or not hasattr(given, action.dest):  # -h has none
+            raise UsageError(f"--config {given.config}: {key!r} is not an "
+                             f"option of {given.command}")
+        opt = action.option_strings[0]
+        if getattr(given, action.dest) != action.default:
+            continue
+        if isinstance(val, bool) and action.nargs == 0:
+            tokens += [opt] if val else []
+        elif isinstance(val, list) and action.nargs:
+            tokens += [opt, *map(str, val)]
+        else:  # the = form: a value starting with '-' is not an option
+            tokens += [f"{opt}={v}" for v in
+                       (val if isinstance(val, list) else [val])]
+    return argv[:1] + tokens + argv[1:]
 
 
 def _require(args, *names):
@@ -255,29 +256,26 @@ def _require(args, *names):
 
 
 def cmd_exceptional(args):
-    op = args.operator or "laplacian-power"
+    op = args.operator
     if op == "laplacian-power":
         _require(args, "n", "k")
-        window = tuple(args.window) if args.window else (-12, 12)
-        E = cf.polyharmonic_exceptional_values(args.n, args.k, window=window)
+        E = cf.polyharmonic_exceptional_values(args.n, args.k, args.window)
         data = {"operator": op, "n": args.n, "k": args.k,
                 "window": list(E.window), "full_lattice": E.full_lattice,
                 "values": E.values}
-        rows = [(v, ";".join(E.provenance[v])) for v in E.values]
     else:
         _require(args, "n")
-        j_max = args.j_max if args.j_max is not None else 10
-        E = cf.gauge_exceptional_values(args.n, j_max)
-        data = {"operator": op, "n": args.n, "j_max": j_max,
+        E = cf.gauge_exceptional_values(args.n, args.j_max)
+        data = {"operator": op, "n": args.n, "j_max": args.j_max,
                 "values": E.values,
                 "provenance": {str(v): E.provenance[v] for v in E.values}}
-        rows = [(v, ";".join(E.provenance[v])) for v in E.values]
+    rows = [(v, ";".join(E.provenance[v])) for v in E.values]
     _emit(args, data, rows=rows, header=("value", "provenance"))
 
 
 def cmd_rates(args):
     _require(args, "n", "family", "j")
-    t = _fraction(args.t, "--t") if args.t is not None else Fraction(0)
+    t = _fraction(args.t, "--t")
     if t == 0:
         rp = cf.gauge_kernel_rates(args.n, args.family, args.j)
         roots = [complex(rp.plus), complex(rp.minus)]
@@ -302,9 +300,8 @@ def cmd_rates(args):
 
 def cmd_gap(args):
     _require(args, "n")
-    t = float(_fraction(args.t, "--t")) if args.t is not None else 0.0
-    j_max = args.j_max if args.j_max is not None else 10
-    rec = cf.essential_linear_gap(args.n, t, j_max)
+    t = float(_fraction(args.t, "--t"))
+    rec = cf.essential_linear_gap(args.n, t, args.j_max)
     rows = [(w["order_re"], w["order_im"], w["distance"], w["label"])
             for w in rec["witnesses"]]
     _emit(args, rec, rows=rows,
@@ -371,11 +368,10 @@ def cmd_apply(args):
         field = pt.PolyTensor.from_json(_load_json(args.field, "--field"))
     except ValueError as exc:
         raise UsageError(f"--field {args.field}: {exc}") from exc
-    t = _fraction(args.t, "--t") if args.t is not None else Fraction(0)
+    t = _fraction(args.t, "--t")
     try:
-        out = pt.apply_operator(args.op, field, t=t,
-                                k=1 if args.k is None else args.k,
-                                index=args.index or 0)
+        out = pt.apply_operator(args.op, field, t=t, k=args.k,
+                                index=args.index)
     except ValueError as exc:  # operator constraint on the field's shape
         raise UsageError(f"--op {args.op}: {exc}") from exc
     _emit(args, out.canonical().to_json())
@@ -383,7 +379,7 @@ def cmd_apply(args):
 
 def cmd_modes(args):
     _require(args, "n", "k", "j")
-    t = _fraction(args.t, "--t") if args.t is not None else Fraction(0)
+    t = _fraction(args.t, "--t")
     basis, op = mo.tensor_mode_system(args.n, args.k, t, args.j)
     spec = mo.indicial_spectrum(op)
     data = {"n": args.n, "k": args.k, "t": float(t), "j": args.j,
@@ -399,20 +395,18 @@ def cmd_modes(args):
 
 def cmd_three_annulus(args):
     _require(args, "n", "k", "j")
-    t = _fraction(args.t, "--t") if args.t is not None else Fraction(0)
-    frac = args.beta_prime_frac if args.beta_prime_frac is not None else 0.45
-    trials = args.trials if args.trials is not None else 200
+    t = _fraction(args.t, "--t")
+    frac = args.beta_prime_frac
     basis, op = mo.tensor_mode_system(args.n, args.k, t, args.j)
     spec = mo.indicial_spectrum(op)
     if spec.beta is None:
         raise NumericError("mode has no nonzero-real-part roots")
-    rec = mo.empirical_l0(spec, frac * spec.beta, trials=trials,
-                          seed=args.seed, turan_check=args.turan_check,
-                          slack=args.tolerance)
+    rec = mo.empirical_l0(spec, frac * spec.beta, trials=args.trials,
+                          seed=args.seed, turan_check=args.turan_check)
     scan_rows = [(r["L"], sum(r["failures"].values())) for r in rec["scan"]]
     data = {"n": args.n, "k": args.k, "t": float(t), "j": args.j,
             "beta": spec.beta, "beta_prime": frac * spec.beta,
-            "trials": trials, "L0": rec["L0"],
+            "trials": args.trials, "L0": rec["L0"],
             "turan_bound": rec["turan_bound"],
             "low_confidence": spec.low_confidence,
             "scan": [{"L": L, "failures": f} for (L, f) in scan_rows]}
@@ -424,9 +418,7 @@ def cmd_degenerate_scan(args):
     _require(args, "n", "k", "t-values")
     tvals = [_fraction(x, "--t-values")
              for x in str(args.t_values).split(",")]
-    j_max = args.j_max if args.j_max is not None else 6
-    rep = mo.degenerate_scan(args.n, args.k, tvals, j_max,
-                             tol=args.tolerance, jobs=args.jobs)
+    rep = mo.degenerate_scan(args.n, args.k, tvals, args.j_max, jobs=args.jobs)
     # the paper's claim (no finding at small t != 0) needs n > 2k; below
     # that the findings are reported but are not a failure
     rep["claim_applies"] = args.n > 2 * args.k
@@ -440,10 +432,12 @@ def cmd_degenerate_scan(args):
 def cmd_turan(args):
     if args.trials is not None and args.trials < 1:
         raise UsageError(f"--trials: need trials >= 1, got {args.trials}")
+    default_seed = 20240801 if args.regenerate_constants else 0
+    seed = default_seed if args.seed is None else args.seed
     if args.regenerate_constants:
         trials = args.trials if args.trials is not None else 20000
         tables = turan_constants.regenerate(
-            seed=args.seed,
+            seed=seed,
             discrete_trials=max(trials * 10, 10000),
             integral_trials=trials)
         _emit(args, tables)
@@ -451,31 +445,29 @@ def cmd_turan(args):
     if args.estimate is not None:
         est = es.estimate_turan_constant(
             args.estimate,
-            args.trials if args.trials is not None else 10000, args.seed)
+            args.trials if args.trials is not None else 10000, seed)
         _emit(args, {"d": args.estimate, "estimate": est,
                      "with_safety": est * turan_constants.SAFETY})
         return 0
-    check = args.check or "sweep"
-    if check == "sweep":
+    if args.check == "sweep":
         scale = args.trials / 10000.0 if args.trials is not None else 1.0
-        recs = [verify.check_discrete_sweep(seed=args.seed, scale=scale),
-                verify.check_integral_sweep(seed=args.seed, scale=scale),
-                verify.check_three_interval_sweep(seed=args.seed, scale=scale)]
+        recs = [verify.check_discrete_sweep(seed=seed, scale=scale),
+                verify.check_integral_sweep(seed=seed, scale=scale),
+                verify.check_three_interval_sweep(seed=seed, scale=scale)]
         ok = all(r["passed"] for r in recs)
         _emit(args, {"suites": recs, "all_passed": ok})
         return 0 if ok else 1
-    rng = np.random.default_rng(args.seed)
-    d = args.d if args.d is not None else 2
-    if d < 1:
-        raise UsageError(f"--d: need d >= 1, got {d}")
-    if check == "discrete":
-        z, c, m = es.draw_discrete_instance(rng, dmax=d)
+    rng = np.random.default_rng(seed)
+    if args.d < 1:
+        raise UsageError(f"--d: need d >= 1, got {args.d}")
+    if args.check == "discrete":
+        m, _, z, c = es._draw_power_sum(rng, args.d)
         rec = es.turan_discrete(z, c, m if args.m is None else args.m)
-    elif check == "integral":
-        p = es.draw_expsum(rng, d)
+    elif args.check == "integral":
+        p = es.draw_expsum(rng, args.d)
         rec = es.turan_integral(p, 1.0, 2.0)
     else:
-        p = es.draw_expsum(rng, d, re_range=(0.05, 2.0))
+        p = es.draw_expsum(rng, args.d, re_range=(0.05, 2.0))
         rec = es.three_interval(p, 1.0, 1, "growth")
     _emit(args, rec)
     return 0 if rec["holds"] else 1
@@ -484,10 +476,10 @@ def cmd_turan(args):
 def cmd_bootstrap(args):
     _require(args, "regime", "n", "k")
     if args.regime == "infinity":
-        start = args.beta0 if args.beta0 is not None else 0.3
+        start = args.beta0
         st = bs.bootstrap_infinity(args.n, args.k, start)
     else:
-        start = args.sigma0 if args.sigma0 is not None else 0.3
+        start = args.sigma0
         st = bs.bootstrap_origin(args.n, args.k, start)
     data = {"regime": st.regime, "n": st.n, "k": st.k, "start": start,
             "terminal": st.terminal, "final_order": st.order,
@@ -502,7 +494,8 @@ def cmd_bootstrap(args):
 
 
 def cmd_verify_all(args):
-    scale = args.scale if args.scale is not None else 1.0
+    if not 0 < args.scale < math.inf:
+        raise UsageError(f"--scale: need scale > 0, got {args.scale}")
     known = [fn.suite_name for fn in verify.SUITES]
     unknown = sorted(set(args.suite or ()) - set(known))
     if unknown:
@@ -510,10 +503,11 @@ def cmd_verify_all(args):
                          f"suites: {', '.join(known)}")
     names = [nm for nm in known if not args.suite or nm in args.suite]
     runs = mo.parallel_map(_run_one_suite,
-                           [(nm, args.seed, scale) for nm in names], args.jobs)
+                           [(nm, args.seed, args.scale) for nm in names],
+                           args.jobs)
     recs = [rec for rec, _ in runs]
     rep = {"suites": recs, "all_passed": all(r["passed"] for r in recs),
-           "seed": args.seed, "scale": scale}
+           "seed": args.seed, "scale": args.scale}
     for rec in recs:
         status = "PASS" if rec["passed"] else "FAIL"
         print(f"[{status}] {rec['name']}", file=sys.stderr)
@@ -547,10 +541,12 @@ COMMANDS = {
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _apply_config(args)
+        if args.config is not None:
+            args = parser.parse_args(_config_argv(parser, args, argv))
         rc = COMMANDS[args.command](args)
         return 0 if rc is None else rc
     except (UsageError, ParameterError, PreconditionError) as exc:

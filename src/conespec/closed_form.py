@@ -284,6 +284,8 @@ def polyharmonic_exceptional_values(n, k, window=(-12, 12)):
     """
     validate_nk(n, k)
     lo, hi = window
+    if lo > hi:
+        raise ParameterError("need window lo <= hi")
     prov = {}
     if n > 2 * (k + 1):
         gap_lo = 2 * (k + 1) - (n - 1)

@@ -533,9 +533,9 @@ def _draw_power_sum(rng, d):
 
 
 def draw_discrete_instances(rng, trials, dmax=4):
-    """``trials`` successive draw_discrete_instance draws, from the same
-    generator calls in the same order, grouped by d: {d: (z, c, m)} with
-    z and c of shape (count, d) and m of shape (count,)."""
+    """``trials`` draws of d in 1..dmax, each then of _draw_power_sum(rng,
+    d), grouped by d: {d: (z, c, m)} with z and c of shape (count, d) and
+    m of shape (count,)."""
     variates = {}
     for _ in range(trials):
         d = int(rng.integers(1, dmax + 1))
@@ -545,12 +545,6 @@ def draw_discrete_instances(rng, trials, dmax=4):
         m, _, z, c = _power_sum_from(*(np.array(v) for v in zip(*rows)))
         out[d] = (z, c, m)
     return out
-
-
-def draw_discrete_instance(rng, dmax=4):
-    """Random (z, c, m) with d in 1..dmax terms (see _draw_power_sum)."""
-    (z, c, m), = draw_discrete_instances(rng, 1, dmax).values()
-    return list(z[0]), list(c[0]), int(m[0])
 
 
 def estimate_turan_constant(d, trials, seed):

@@ -408,6 +408,11 @@ def _chain_space(system, zeta, mult):
 # Two float roots closer than this make a spectrum low-confidence.
 LOW_CONFIDENCE_GAP = 1e-6
 
+# degenerate_scan's kernel cutoff (relative to unit-scaled coefficients)
+# and the relative slack of every three-annulus inequality.
+SCAN_KERNEL_CUTOFF = 1e-9
+ANNULUS_SLACK = 1e-9
+
 
 def indicial_spectrum(op):
     """Roots with multiplicities and solution chains of a square mode system.
@@ -681,7 +686,7 @@ def _turan_failures(gram, part, lo, hi, R, mode):
     return count
 
 
-def _annulus_record(gram, coeffs, beta_prime, L, trials, turan_check, slack):
+def _annulus_record(gram, coeffs, beta_prime, L, trials, turan_check):
     """three_annulus_verify's record at one L for drawn coefficients."""
     spectrum = gram.spectrum
     R = math.log(L)
@@ -692,8 +697,8 @@ def _annulus_record(gram, coeffs, beta_prime, L, trials, turan_check, slack):
 
     Lb = L ** beta_prime
     n1, n2, n3 = (norms(gram.family_forms(coeffs, g)) for g in grams)
-    grows = n3 >= Lb * n2 * (1 - slack)
-    decays = n2 <= n1 / Lb * (1 + slack)
+    grows = n3 >= Lb * n2 * (1 - ANNULUS_SLACK)
+    decays = n2 <= n1 / Lb * (1 + ANNULUS_SLACK)
     gfail = (n2 >= Lb * n1) & ~grows
     dfail = (n3 <= n2 / Lb) & ~decays
     fails = {"growth_implication": int(gfail.sum()),
@@ -709,9 +714,9 @@ def _annulus_record(gram, coeffs, beta_prime, L, trials, turan_check, slack):
         lo, hi = (gram.family_forms(part, g) for g in grams[:2])
         p1, p2 = norms(lo), norms(hi)
         if mode == "growth":
-            holds = p2 >= Lb * p1 * (1 - slack)
+            holds = p2 >= Lb * p1 * (1 - ANNULUS_SLACK)
         else:
-            holds = p2 <= p1 / Lb * (1 + slack)
+            holds = p2 <= p1 / Lb * (1 + ANNULUS_SLACK)
         fails["pure_" + mode] = int((~_trivial(part) & ~holds).sum())
         if turan_check:
             fails["turan_cross_check"] += _turan_failures(
@@ -722,7 +727,7 @@ def _annulus_record(gram, coeffs, beta_prime, L, trials, turan_check, slack):
 
 
 def three_annulus_verify(spectrum, beta_prime, L, trials=200, seed=0, *,
-                         turan_check=False, slack=1e-9):
+                         turan_check=False):
     """Check the annulus growth/decay implications on random kernel draws.
 
     For each draw of a kernel element from the growth and decay roots
@@ -730,7 +735,7 @@ def three_annulus_verify(spectrum, beta_prime, L, trials=200, seed=0, *,
     ZERO_COEFF are skipped): evaluates the unweighted annulus norms (every
     family weight 1) on (1, L), (L, L^2) and (L^2, L^3); tests the growth
     and decay implications, their dichotomy, and the pure growth/decay
-    part inequalities, each up to the relative ``slack``.  With
+    part inequalities, each up to the relative ANNULUS_SLACK.  With
     ``turan_check`` every family profile of the pure parts also meets
     expsum's three-interval bound.  All draws are evaluated together:
     every norm and interval integral is a quadratic form on the
@@ -740,7 +745,7 @@ def three_annulus_verify(spectrum, beta_prime, L, trials=200, seed=0, *,
     """
     coeffs = _annulus_draws(spectrum, beta_prime, [L], trials, seed)
     return _annulus_record(RadialGram(spectrum), coeffs, beta_prime, L,
-                           trials, turan_check, slack)
+                           trials, turan_check)
 
 
 # The L values empirical_l0 tries, in increasing order.
@@ -748,7 +753,7 @@ L0_CANDIDATES = (1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0)
 
 
 def empirical_l0(spectrum, beta_prime, trials=200, seed=0, *,
-                 turan_check=False, slack=1e-9):
+                 turan_check=False):
     """Smallest of L0_CANDIDATES at which every draw passes all annulus
     checks of three_annulus_verify.  The draws are made once and shared by
     every L (as three_annulus_verify with the same seed at each L); only
@@ -759,7 +764,7 @@ def empirical_l0(spectrum, beta_prime, trials=200, seed=0, *,
     L0 = None
     for L in L0_CANDIDATES:
         rec = _annulus_record(gram, coeffs, beta_prime, L, trials,
-                              turan_check, slack)
+                              turan_check)
         results.append(rec)
         if rec["passed"]:
             L0 = L
@@ -937,7 +942,7 @@ def _scan_one_mode(task):
     A + t B is the spectrum's own.  Every piece comes from the per-process
     memos, so a warm worker or a later scan of the same (n, j) probes
     nothing."""
-    n, k, j, t_values, tol = task
+    n, k, j, t_values = task
     cells = {}
     for t in dict.fromkeys(t_values):
         spec = indicial_spectrum(_gauged_system(n, k, t, j))
@@ -948,7 +953,7 @@ def _scan_one_mode(task):
         hits = []
         for root in zeros:
             inter = _divergence_free_chain_space(spec.system, div_system,
-                                                 root, tol)
+                                                 root)
             if inter.shape[1]:
                 hits.append({"t": float(t), "j": j,
                              "root": {"re": root.value.real,
@@ -959,7 +964,7 @@ def _scan_one_mode(task):
     return cells
 
 
-def degenerate_scan(n, k, t_values, j_max, *, tol=1e-9, jobs=1):
+def degenerate_scan(n, k, t_values, j_max, *, jobs=1):
     """Scan for mode kernel elements supported on zero-real-part roots that
     also satisfy the modified divergence constraint.
 
@@ -979,7 +984,7 @@ def degenerate_scan(n, k, t_values, j_max, *, tol=1e-9, jobs=1):
         raise ParameterError("need j_max >= 0")
     for t in t_values:
         _exact_t(t)
-    tasks = [(n, k, j, t_values, tol) for j in range(j_max + 1)]
+    tasks = [(n, k, j, t_values) for j in range(j_max + 1)]
     per_j = parallel_map(_scan_one_mode, tasks, jobs)
     findings = []
     witnesses_t0 = []
@@ -1039,10 +1044,10 @@ def _close_pool():
         held[1].join()
 
 
-def _divergence_free_chain_space(system, div_system, root, tol):
+def _divergence_free_chain_space(system, div_system, root):
     """Chain vectors killed by both the mode system and the divergence
-    system, given as FloatSystems."""
+    system, given as FloatSystems, up to SCAN_KERNEL_CUTOFF."""
     big = np.vstack([_chain_matrix(s, root.value, root.multiplicity)
                      for s in (system, div_system)])
     scale = max(system.scale, div_system.scale)
-    return _nullspace_float(big / scale, rtol=tol, scale=1.0)
+    return _nullspace_float(big / scale, rtol=SCAN_KERNEL_CUTOFF, scale=1.0)

@@ -616,7 +616,7 @@ def check_divfree_spectrum(seed=0, scale=1.0):
         div_system = mo.FloatSystem(div_op)
         for root in spec.roots:
             inter = mo._divergence_free_chain_space(spec.system, div_system,
-                                                    root, 1e-9)
+                                                    root)
             if inter.shape[1] > 0:
                 near = min(allowed, key=lambda z: abs(root.value - z))
                 ok &= abs(root.value - near) < 1e-7

@@ -1,13 +1,16 @@
 import importlib.util
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from conespec import verify
-from conespec.cli import main
+from conespec.cli import build_parser, main
 
 EYE4 = "[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]"
 
@@ -247,10 +250,9 @@ def test_mode_parameter_guards_are_usage_errors(capsys, argv, msg):
     (["turan", "--check", "sweep", "--trials", "0"], "need trials >= 1"),
     (["turan", "--check", "discrete", "--d", "0"], "need d >= 1"),
     (["turan", "--check", "discrete", "--m", "0"], "m must be an integer >= 1"),
-    (["three-annulus", "--n", "4", "--k", "1", "--j", "1", "--tolerance",
-      "0"], "need tolerance > 0"),
-    (["degenerate-scan", "--n", "4", "--k", "1", "--t-values", "0",
-      "--tolerance=-1e-9"], "need tolerance > 0"),
+    (["exceptional", "--n", "4", "--k", "1", "--window", "5", "-5"],
+     "need window lo <= hi"),
+    (["verify-all", "--scale", "nan"], "need scale > 0"),
     (["symbol", "--n", "4", "--k", "1", "--xi", "[1, 0", "--hhat",
       EYE4], "--xi: not JSON"),
     (["symbol", "--n", "4", "--k", "1", "--xi", "[1, 0, 0, 0]", "--hhat",
@@ -272,6 +274,9 @@ def test_mode_parameter_guards_are_usage_errors(capsys, argv, msg):
       "[[1, 0], [0, 1]]"], "need n >= 3"),
     (["symbol", "--n", "2", "--scalar", "--xi", "[1, 0]", "--hhat",
       "[[1, 0], [0, 1]]"], "need n >= 3"),
+    (["verify-all", "--scale", "inf"], "need scale > 0"),
+    (["verify-all", "--scale=-1"], "need scale > 0"),
+    (["verify-all", "--scale", "0"], "need scale > 0"),
 ])
 def test_out_of_range_option_is_usage_error(capsys, tmp_path, argv, msg):
     # an explicit value is checked, never replaced by the default; TMP
@@ -281,30 +286,6 @@ def test_out_of_range_option_is_usage_error(capsys, tmp_path, argv, msg):
     argv = [a.replace("TMP", str(tmp_path)) for a in argv]
     assert main(argv) == 2
     assert msg.replace("TMP", str(tmp_path)) in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("flag,want", [(["--tolerance", "1e-6"], 1e-6),
-                                       ([], 1e-9)])
-def test_tolerance_reaches_library(monkeypatch, flag, want):
-    from conespec import mode_ode as mo
-
-    seen = {}
-
-    def fake_l0(spec, beta_prime, *, slack, **kw):
-        seen["slack"] = slack
-        return {"L0": 2.0, "scan": [], "turan_bound": None}
-
-    def fake_scan(n, k, t_values, j_max, *, tol, jobs):
-        seen["tol"] = tol
-        return {"findings": [], "witnesses_t0": []}
-
-    monkeypatch.setattr(mo, "empirical_l0", fake_l0)
-    monkeypatch.setattr(mo, "degenerate_scan", fake_scan)
-    assert main(["three-annulus", "--n", "4", "--k", "1", "--j", "1"]
-                + flag) == 0
-    assert main(["degenerate-scan", "--n", "4", "--k", "1", "--t-values",
-                 "0"] + flag) == 0
-    assert seen == {"slack": want, "tol": want}
 
 
 @pytest.mark.parametrize("flag,want", [(["--seed", "0"], 0),
@@ -394,6 +375,14 @@ def test_turan_single_checks(tmp_path):
     assert read_json(out)["data"]["holds"] is True
 
 
+@pytest.mark.parametrize("seed", ["0", "1", "2", "3"])
+def test_turan_discrete_draws_exactly_d_terms(tmp_path, seed):
+    out = tmp_path / "t.json"
+    main(["turan", "--check", "discrete", "--d", "3", "--seed", seed,
+          "--out", str(out)])
+    assert read_json(out)["data"]["params"]["d"] == 3
+
+
 def test_three_annulus_unbounded_turan_bound(tmp_path):
     # at beta' = 0.49 beta the Turan power leaves the float range: the
     # bound is reported as absent and the exit code follows L0
@@ -476,6 +465,82 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert main(["kernel", "--config", str(conf), "--mode", "degree1",
                  "--out", str(out)]) == 0
     assert read_json(out)["data"]["mode"] == "degree1"
+
+
+def test_config_suite_list_is_replaced_by_flags(tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"suite": ["polytensor.gauge_composition"],
+                                "scale": 0.02}))
+    out = tmp_path / "v.json"
+    assert main(["verify-all", "--config", str(conf), "--suite",
+                 "expsum.shift_covariance", "--out", str(out)]) == 0
+    data = read_json(out)["data"]
+    assert [s["name"] for s in data["suites"]] == ["expsum.shift_covariance"]
+    assert data["scale"] == 0.02
+
+
+def test_config_true_is_a_bare_flag(tmp_path):
+    conf = tmp_path / "conf.json"
+    out = tmp_path / "b.json"
+    for ladder in (True, False):
+        conf.write_text(json.dumps({"regime": "infinity", "n": 6, "k": 1,
+                                    "ladder": ladder}))
+        assert main(["bootstrap", "--config", str(conf),
+                     "--out", str(out)]) == 0
+        assert ("ladder" in read_json(out)["data"]) is ladder
+
+
+@pytest.mark.parametrize("key", ["tolerence", "tolerance", "jobs"])
+def test_config_unknown_key_is_usage_error(tmp_path, capsys, key):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({key: 1}))
+    assert main(["three-annulus", "--n", "4", "--k", "1", "--j", "1",
+                 "--config", str(conf)]) == 2
+    err = capsys.readouterr().err
+    assert repr(key) in err and str(conf) in err
+
+
+@pytest.mark.parametrize("key,value", [("mode", "bogus"), ("n", "x"),
+                                       ("k", True)])
+def test_config_value_is_refused_like_the_flag(tmp_path, capsys, key, value):
+    # a config value is parsed by the command's parser: the same error,
+    # exit 2, and no traceback
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({key: value}))
+    errors = []
+    for argv in (["--config", str(conf)], [f"--{key}={value}"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["kernel"] + argv)
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err.splitlines()[-1])
+    assert errors[0] == errors[1]
+    assert f"argument --{key}" in errors[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["modes", "--n", "4", "--k", "1", "--j", "1", "--jobs", "2"],
+    ["modes", "--n", "4", "--k", "1", "--j", "1", "--seed", "3"],
+    ["three-annulus", "--n", "4", "--k", "1", "--j", "1", "--tolerance", "5"],
+    ["symbol", "--n", "4", "--scalar", "--format", "csv"],
+    ["verify-all", "--format", "json"],
+])
+def test_undeclared_option_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_readme_commands_parse():
+    # every `conespec ...` line of README's sh blocks names only options
+    # its command declares (parsed, not run)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+             for line in block.splitlines() if line.startswith("conespec ")]
+    assert len(lines) >= 15
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])
 
 
 def test_rerun_byte_identical_data(tmp_path):

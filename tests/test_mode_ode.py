@@ -815,7 +815,7 @@ def test_parallel_map_serial_never_starts_a_pool(monkeypatch, jobs):
 def test_degenerate_scan_matches_per_t_direct_probes():
     from conespec.mode_ode import _divergence_free_chain_space
 
-    n, k, j_max, tol = 4, 1, 1, 1e-9
+    n, k, j_max = 4, 1, 1
     tvals = [Fraction(1, 20), 0, Fraction(1, 20), Fraction(-1, 10)]
     want = {"n": n, "k": k, "j_max": j_max,
             "t_values": [float(t) for t in tvals],
@@ -829,7 +829,7 @@ def test_degenerate_scan_matches_per_t_direct_probes():
             for root in spec.roots:
                 if root.classification != "zero":
                     continue
-                inter = _divergence_free_chain_space(*systems, root, tol)
+                inter = _divergence_free_chain_space(*systems, root)
                 dim = inter.shape[1]
                 if dim:
                     want["witnesses_t0" if t == 0 else "findings"].append(
@@ -837,7 +837,7 @@ def test_degenerate_scan_matches_per_t_direct_probes():
                          "root": {"re": root.value.real, "im": root.value.imag,
                                   "mult": root.multiplicity},
                          "dimension": int(dim)})
-    assert degenerate_scan(n, k, tvals, j_max, tol=tol) == want
+    assert degenerate_scan(n, k, tvals, j_max) == want
 
 
 def test_degenerate_scan_builds_one_float_system_per_system(monkeypatch):
