@@ -119,8 +119,8 @@ def bootstrap_infinity(n, k, beta0):
     """
     validate_nk(n, k)
     terminal = n - 2 * k
-    if beta0 <= 0:
-        raise ParameterError("need beta0 > 0")
+    if not 0 < beta0 < math.inf:
+        raise ParameterError("need finite beta0 > 0")
     state = DecayState("infinity", n, k, float(beta0), terminal=terminal)
     if beta0 >= terminal:
         state.order = terminal
@@ -164,8 +164,8 @@ def bootstrap_origin(n, k, sigma0):
     its time-1 flow (error quadratic in the radius).
     """
     validate_nk(n, k)
-    if sigma0 <= 0:
-        raise ParameterError("need sigma0 > 0")
+    if not 0 < sigma0 < math.inf:
+        raise ParameterError("need finite sigma0 > 0")
     state = DecayState("origin", n, k, float(sigma0), terminal=2.0)
     if sigma0 >= 2:
         state.order = 2.0

@@ -164,9 +164,10 @@ def modified_typeI_rates(n, t, j):
 
 def modified_typeII_matrix(n, t, nu):
     """Coefficient matrix polynomial (in z, low-order first) of the modified
-    type II system in the displayed (l, u) variables."""
-    if isinstance(t, Fraction):
-        nu = Fraction(nu)
+    type II system in the displayed (l, u) variables: exact (int and
+    Fraction) entries for a t that is not a float, floats for a float t."""
+    if not isinstance(t, float):
+        t, nu = Fraction(t), Fraction(nu)
     two = [(-4) * (n - 2 - t / 2 + nu / 4), 2 * (n - 4 - t), 2]
     off1 = [4 * nu, -nu]
     off2 = [n - t, 1]

@@ -12,7 +12,9 @@ One memo (``_probe``), keyed by operator, order, (n, j) and families,
 probes each piece once per process and shares it across k, t, the tensor,
 scalar, divergence and gauge systems and the scan.  Spectra, growth/decay
 splits, the three-annulus inequalities and the degenerate-solution scan
-all live on top of that data.
+all live on top of that data.  A spectrum's roots carry exact
+multiplicities; the chain basis of a root of multiplicity m, built on first
+read, is m singular vectors, and KERNEL_CUTOFF checks it.
 """
 
 from __future__ import annotations
@@ -22,15 +24,15 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import zip_longest
 
 import numpy as np
 
 from . import polytensor as pt
 from .closed_form import ParameterError
-from .expsum import (ExpSum, ExpTerm, RangeError, poly_exp_integrals,
-                     three_interval_bound)
+from .expsum import (ExpSum, ExpTerm, NumericError, RangeError,
+                     poly_exp_integrals, three_interval_bound)
 from .linalg import (det_dense, lagrange_coefficients, poly_derivative,
                      poly_eval, poly_squarefree_factors, poly_trim)
 from .polytensor import AngularBasis, ClosureError
@@ -261,7 +263,6 @@ def probe_euler(apply_fn, basis, order, *, target=None, probe_degrees=None,
 class RootData:
     value: complex
     multiplicity: int
-    chain_basis: np.ndarray  # solution-chain basis, shape (mult*m_ang, dim)
 
     @property
     def classification(self):
@@ -272,13 +273,36 @@ class RootData:
 
 @dataclass
 class IndicialSpectrum:
+    """Roots of a square mode system with their exact multiplicities, the
+    FloatSystem of the system (``system``) and, built on first read, the
+    solution-chain basis of every root (``chain_bases``)."""
+
     operator: EulerOperator
     roots: list
-    low_confidence: bool = False
-    # the FloatSystem the chain bases were taken from, for further root
-    # work on the same operator
-    system: FloatSystem | None = field(default=None, repr=False,
-                                       compare=False)
+    low_confidence: bool
+    system: FloatSystem = field(repr=False, compare=False)
+
+    @cached_property
+    def chain_bases(self):
+        """Per root, a (mult * m_ang, mult) basis of its log-power
+        solution chains: a regular matrix polynomial has as many chain
+        dimensions at a root as its multiplicity in det P, so these are the
+        mult right singular vectors of the chain matrix with the smallest
+        singular values.  NumericError when the largest of those exceeds
+        KERNEL_CUTOFF times the larger of the largest one and the scale."""
+        bases = []
+        for root in self.roots:
+            mult = root.multiplicity
+            _, s, vh = np.linalg.svd(_chain_matrix(self.system, root.value,
+                                                   mult))
+            bound = KERNEL_CUTOFF * max(s[0], self.system.scale)
+            if s[-mult] > bound:
+                raise NumericError(
+                    f"chain space at root {root.value:.6g} of multiplicity "
+                    f"{mult}: singular value {s[-mult]:.3e} exceeds the "
+                    f"kernel bound {bound:.3e}")
+            bases.append(vh[-mult:].conj().T)
+        return bases
 
     @property
     def total_multiplicity(self):
@@ -308,53 +332,32 @@ class IndicialSpectrum:
         }
 
 
-def _nullspace_float(mat, rtol=1e-8, scale=None):
-    """SVD nullspace with the cutoff tied to a natural problem scale.
-
-    The scale floor matters when the evaluated matrix is (near) identically
-    zero: thresholding against its own largest singular value would then
-    keep pure roundoff and report an empty kernel.
-    """
-    u, s, vh = np.linalg.svd(mat)
-    if s.size == 0:
-        return np.eye(mat.shape[1], dtype=complex)
-    base = max(s[0], scale if scale is not None else 0.0, 1e-300)
-    cutoff = rtol * base
-    rank = int((s > cutoff).sum())
-    return vh[rank:].conj().T
-
-
-def _operator_scale(op):
-    """Coefficient magnitude of a probed system (threshold reference)."""
-    worst = 1.0
-    for row in op.P:
-        for p in row:
-            worst = max(worst, sum(abs(float(complex(c).real))
-                                   + abs(float(complex(c).imag)) for c in p))
-    return worst
-
-
 class FloatSystem:
     """Float view of one probed system for root work: its coefficient
-    scale (``_operator_scale``) and the coefficient arrays of P and its
-    derivatives.
+    scale (the largest sum of |coefficient| over one entry of P, at least
+    1) and the coefficient arrays of P and its derivatives.
 
     Each derivative is taken exactly, then converted once into a float
-    array of shape (rows, cols, length), low order first and zero padded,
-    built on first use.  ``eval`` runs Horner's rule on all entries at
-    once in real arithmetic, with the operations of Python's complex
-    ``acc * z + c`` on a real c (real part ar zr - ai zi + c, imaginary
-    part ar zi + ai zr + 0.0), so it equals per-entry Horner bit for bit;
-    a complex array product may fuse multiply-adds.  Made once per
-    spectrum (``IndicialSpectrum.system``) or scan call, not stored on the
-    EulerOperator, whose P a caller may replace.
+    array of shape (rows, cols, length), low order first and zero padded;
+    the arrays and the scale are built on first use.  ``eval`` runs
+    Horner's rule on all entries at once in real arithmetic, with the
+    operations of Python's complex ``acc * z + c`` on a real c (real part
+    ar zr - ai zi + c, imaginary part ar zi + ai zr + 0.0), so it equals
+    per-entry Horner bit for bit; a complex array product may fuse
+    multiply-adds.  Made once per spectrum (``IndicialSpectrum.system``)
+    or scan call, not stored on the EulerOperator, whose P a caller may
+    replace.
     """
 
     def __init__(self, op):
         self.op = op
-        self.scale = _operator_scale(op)
         self._exact = op.P  # P^(d) for d = len(self._arrays)
         self._arrays = []
+
+    @cached_property
+    def scale(self):
+        return max([1.0] + [sum(abs(float(c)) for c in p)
+                            for row in self.op.P for p in row])
 
     def eval(self, z, derivative=0):
         """Complex matrix P^{(derivative)}(z)."""
@@ -399,23 +402,19 @@ def _chain_matrix(system, zeta, mult):
     return big
 
 
-def _chain_space(system, zeta, mult):
-    """Basis of log-power solution chains of a FloatSystem at a root."""
-    return _nullspace_float(_chain_matrix(system, zeta, mult), rtol=1e-9,
-                            scale=system.scale)
-
-
 # Two float roots closer than this make a spectrum low-confidence.
 LOW_CONFIDENCE_GAP = 1e-6
 
-# degenerate_scan's kernel cutoff (relative to unit-scaled coefficients)
-# and the relative slack of every three-annulus inequality.
-SCAN_KERNEL_CUTOFF = 1e-9
+# The float-kernel cutoff, relative to the larger of the largest singular
+# value and the coefficient scale: it checks every chain space and bounds
+# the scan's joint kernel.  ANNULUS_SLACK is the relative slack of every
+# three-annulus inequality.
+KERNEL_CUTOFF = 1e-9
 ANNULUS_SLACK = 1e-9
 
 
 def indicial_spectrum(op):
-    """Roots with multiplicities and solution chains of a square mode system.
+    """Roots with multiplicities of a square mode system.
 
     The exact determinant is split by Yun's square-free factorization into
     factors that are square-free and pairwise coprime, so each exact root
@@ -423,26 +422,24 @@ def indicial_spectrum(op):
     factorization is its multiplicity.  np.roots of each factor therefore
     lists every root once, and no roots are merged.  The spectrum is
     flagged low_confidence when two float roots lie within
-    LOW_CONFIDENCE_GAP of each other, and keeps the FloatSystem its chain
-    bases came from as ``system``.  A coefficient of P that is not an int
-    or Fraction raises ProbeError.
+    LOW_CONFIDENCE_GAP of each other; its chain bases are built only when
+    read.  A coefficient of P that is not an int or Fraction raises
+    ProbeError.
     """
     det = op.det_poly()
     if all(c == 0 for c in det):
         raise ProbeError("identically singular system")
-    system = FloatSystem(op)
     out = []
     for factor, mult in poly_squarefree_factors(det):
         for z in np.roots([complex(c) for c in reversed(factor)]):
             center = complex(z)
             if abs(center.imag) < 1e-10:
                 center = complex(center.real, 0.0)
-            out.append(RootData(center, mult,
-                                _chain_space(system, center, mult)))
+            out.append(RootData(center, mult))
     out.sort(key=lambda r: (r.value.real, r.value.imag))
     low_confidence = any(abs(a.value - b.value) <= LOW_CONFIDENCE_GAP
                          for i, a in enumerate(out) for b in out[i + 1:])
-    return IndicialSpectrum(op, out, low_confidence, system)
+    return IndicialSpectrum(op, out, low_confidence, FloatSystem(op))
 
 
 # -- mode solutions ---------------------------------------------------------
@@ -469,9 +466,8 @@ class ModeSolution:
         tables = {}
         m_ang = spectrum.operator.m_ang
         for a, w in weights.items():
-            root = spectrum.roots[a]
-            vec = root.chain_basis @ np.asarray(w, dtype=complex)
-            tables[a] = vec.reshape(root.multiplicity, m_ang)
+            vec = spectrum.chain_bases[a] @ np.asarray(w, dtype=complex)
+            tables[a] = vec.reshape(spectrum.roots[a].multiplicity, m_ang)
         return cls(spectrum, tables)
 
     @classmethod
@@ -480,9 +476,7 @@ class ModeSolution:
         for a, root in enumerate(spectrum.roots):
             if root.classification not in include:
                 continue
-            dim = root.chain_basis.shape[1]
-            if dim == 0:
-                continue
+            dim = root.multiplicity
             weights[a] = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         return cls.from_chain_weights(spectrum, weights)
 
@@ -609,27 +603,28 @@ def draw_kernel_coefficients(spectrum, trials, rng):
     decay roots, shape (trials, K, m_ang) with rows in RadialGram.index
     order (rows of zero-real-part roots stay 0).
 
-    Draw i equals the tables of the i-th of ``trials`` successive
-    ModeSolution.random(spectrum, rng, include=("plus", "minus")) calls:
-    one standard_normal((trials, 2 * sum dim)) reads the generator stream
-    in the same order (root by root, dim real parts then dim imaginary
-    parts), and the stacked products with each chain basis are the same
-    matrix-vector products.
+    Each chain basis (``spectrum.chain_bases``) has as many columns as its
+    root's multiplicity.  Draw i equals the tables of the i-th of
+    ``trials`` successive ModeSolution.random(spectrum, rng,
+    include=("plus", "minus")) calls: one standard_normal((trials, 2 *
+    sum mult)) reads the generator stream in the same order (root by root,
+    mult real parts then mult imaginary parts), and the stacked products
+    with each chain basis are the same matrix-vector products.
     """
-    roots = [(a, root) for a, root in enumerate(spectrum.roots)
-             if root.classification != "zero" and root.chain_basis.shape[1]]
-    dims = [root.chain_basis.shape[1] for _, root in roots]
-    raw = rng.standard_normal((trials, 2 * sum(dims)))
+    roots = [a for a, root in enumerate(spectrum.roots)
+             if root.classification != "zero"]
+    mults = [r.multiplicity for r in spectrum.roots]
+    raw = rng.standard_normal((trials, 2 * sum(mults[a] for a in roots)))
     m_ang = spectrum.operator.m_ang
-    starts = np.cumsum([0] + [r.multiplicity for r in spectrum.roots])
+    starts = np.cumsum([0] + mults)
     out = np.zeros((trials, starts[-1], m_ang), dtype=complex)
     col = 0
-    for (a, root), dim in zip(roots, dims):
+    for a in roots:
+        dim = mults[a]
         w = raw[:, col:col + dim] + 1j * raw[:, col + dim:col + 2 * dim]
         col += 2 * dim
-        vec = np.matmul(root.chain_basis, w[:, :, None])[:, :, 0]
-        out[:, starts[a]:starts[a + 1]] = vec.reshape(
-            trials, root.multiplicity, m_ang)
+        vec = np.matmul(spectrum.chain_bases[a], w[:, :, None])[:, :, 0]
+        out[:, starts[a]:starts[a + 1]] = vec.reshape(trials, dim, m_ang)
     return out
 
 
@@ -1046,8 +1041,11 @@ def _close_pool():
 
 def _divergence_free_chain_space(system, div_system, root):
     """Chain vectors killed by both the mode system and the divergence
-    system, given as FloatSystems, up to SCAN_KERNEL_CUTOFF."""
+    system, given as FloatSystems: the singular directions of the stacked
+    chain matrices whose singular value is at most KERNEL_CUTOFF times the
+    largest of the largest one and both coefficient scales."""
     big = np.vstack([_chain_matrix(s, root.value, root.multiplicity)
                      for s in (system, div_system)])
-    scale = max(system.scale, div_system.scale)
-    return _nullspace_float(big / scale, rtol=SCAN_KERNEL_CUTOFF, scale=1.0)
+    _, s, vh = np.linalg.svd(big)
+    bound = KERNEL_CUTOFF * max(s[0], system.scale, div_system.scale)
+    return vh[int((s > bound).sum()):].conj().T

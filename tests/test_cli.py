@@ -277,6 +277,14 @@ def test_mode_parameter_guards_are_usage_errors(capsys, argv, msg):
     (["verify-all", "--scale", "inf"], "need scale > 0"),
     (["verify-all", "--scale=-1"], "need scale > 0"),
     (["verify-all", "--scale", "0"], "need scale > 0"),
+    (["bootstrap", "--regime", "infinity", "--n", "4", "--k", "1",
+      "--beta0", "nan"], "need finite beta0 > 0"),
+    (["bootstrap", "--regime", "infinity", "--n", "4", "--k", "1",
+      "--beta0", "inf"], "need finite beta0 > 0"),
+    (["bootstrap", "--regime", "origin", "--n", "4", "--k", "1",
+      "--sigma0", "nan"], "need finite sigma0 > 0"),
+    (["bootstrap", "--regime", "origin", "--n", "4", "--k", "1",
+      "--sigma0", "inf"], "need finite sigma0 > 0"),
 ])
 def test_out_of_range_option_is_usage_error(capsys, tmp_path, argv, msg):
     # an explicit value is checked, never replaced by the default; TMP

@@ -56,6 +56,14 @@ def test_modified_typeII_matrix_display():
     assert mat[1][1] == [Fraction(-79, 5), Fraction(-1, 10), 1]
 
 
+def test_modified_typeII_matrix_keeps_an_int_t_exact():
+    mat = modified_typeII_matrix(4, 0, 8)
+    assert all(isinstance(c, (int, Fraction))
+               for row in mat for p in row for c in p)
+    assert mat[0][0][0] == Fraction(-16)
+    assert mat == modified_typeII_matrix(4, Fraction(0), 8)
+
+
 def test_translation_root_persists():
     # the translation-derived kernel keeps an exact root z = 1 for every t
     for n in (3, 4, 6):

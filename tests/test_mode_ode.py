@@ -19,7 +19,6 @@ from conespec.linalg import poly_derivative, poly_eval, poly_shift
 from conespec.expsum import RangeError, three_interval
 from conespec.mode_ode import (L0_CANDIDATES, EulerOperator, FloatSystem,
                                ModeSolution, ProbeError, RadialGram,
-                               _nullspace_float, _operator_scale,
                                degenerate_scan,
                                divergence_mode_system,
                                draw_kernel_coefficients, empirical_l0,
@@ -151,7 +150,9 @@ def test_float_system_matches_per_entry_horner(n, k, j, t):
     zs += list(rng.normal(size=6) * 3 + 1j * rng.normal(size=6))
     for system in (op, divergence_mode_system(n, t, j, basis)):
         fs = FloatSystem(system)
-        assert fs.scale == _operator_scale(system)
+        assert fs.scale == max([1.0] + [
+            sum(abs(float(complex(c).real)) + abs(float(complex(c).imag))
+                for c in p) for row in system.P for p in row])
         for z in zs:
             for d in range(3):
                 assert np.array_equal(fs.eval(z, d),
@@ -257,8 +258,8 @@ def test_solution_split_examples():
     op = synthetic_operator([(2, 1), (-2, 1)])
     spec = indicial_spectrum(op)
     sol = ModeSolution.from_chain_weights(
-        spec, {a: np.ones(spec.roots[a].chain_basis.shape[1])
-               for a in range(len(spec.roots))})
+        spec, {a: np.ones(root.multiplicity)
+               for a, root in enumerate(spec.roots)})
     parts = solution_split(sol)
     assert not parts["h_plus"].is_trivial()
     assert not parts["h_minus"].is_trivial()
@@ -266,12 +267,13 @@ def test_solution_split_examples():
     assert not parts["degenerate"]
     assert parts["beta"] == 2
 
-    # a purely imaginary root is degenerate
-    from conespec.mode_ode import IndicialSpectrum, RootData
-
-    base = synthetic_operator([(2, 1)])
-    root = RootData(1j, 1, np.eye(1, dtype=complex))
-    spec = IndicialSpectrum(base, [root])
+    # a purely imaginary root is degenerate: z^2 + 1 has roots -i and i
+    op = synthetic_operator([(0, 1)])
+    op.P = [[[Fraction(1), Fraction(0), Fraction(1)]]]
+    op.order = 2
+    spec = indicial_spectrum(op)
+    assert [r.classification for r in spec.roots] == ["zero", "zero"]
+    assert np.allclose(sorted(r.value.imag for r in spec.roots), [-1, 1])
     sol = ModeSolution.from_chain_weights(spec, {0: np.ones(1)})
     assert solution_split(sol)["degenerate"]
 
@@ -440,11 +442,63 @@ def test_divergence_system_rejects_a_foreign_basis():
         divergence_mode_system(4, 0, 1, other)
 
 
-def test_chain_space_dimension_equals_multiplicity():
-    _, op = tensor_mode_system(4, 1, 0, 2)
+@pytest.mark.parametrize("make_op", [
+    lambda: tensor_mode_system(3, 3, 0, 4)[1],
+    lambda: tensor_mode_system(6, 3, 0, 1)[1],
+    lambda: tensor_mode_system(4, 2, Fraction(1, 7), 3)[1],
+    lambda: tensor_mode_system(5, 1, Fraction(-1, 20), 2)[1],
+    lambda: scalar_mode_system(4, 1, 1)[1],
+], ids=["3-3-4-0", "6-3-1-0", "4-2-3-1/7", "5-1-2--1/20", "scalar-4-1-1"])
+def test_chain_columns_sum_to_det_degree(make_op):
+    # a root of multiplicity m has exactly m chain vectors, so the chain
+    # columns add up to deg det P = m_ang * order
+    op = make_op()
     spec = indicial_spectrum(op)
-    for root in spec.roots:
-        assert root.chain_basis.shape[1] == root.multiplicity
+    for root, basis in zip(spec.roots, spec.chain_bases):
+        assert basis.shape == (root.multiplicity * op.m_ang,
+                               root.multiplicity)
+    assert sum(b.shape[1] for b in spec.chain_bases) == op.m_ang * op.order
+
+
+@pytest.mark.parametrize("t", [Fraction(1, 7), Fraction(-1, 20),
+                               Fraction(1, 20), Fraction(-1, 10)])
+def test_chain_space_at_a_quintuple_root_has_five_vectors(t):
+    # (4, 3, 2): the root z = 2 has multiplicity 5, and a sixth singular
+    # value of its chain matrix sits below 1e-9 times the coefficient scale
+    # there, so a cutoff-sized chain space had 33 columns, not 32
+    _, op = tensor_mode_system(4, 3, t, 2)
+    spec = indicial_spectrum(op)
+    assert sum(b.shape[1] for b in spec.chain_bases) == 32
+    assert op.m_ang * op.order == 32
+    for root, basis in zip(spec.roots, spec.chain_bases):
+        M = mode_ode._chain_matrix(spec.system, root.value, root.multiplicity)
+        s0 = np.linalg.norm(M, 2)
+        assert np.linalg.norm(M @ basis, axis=0).max() <= 1e-12 * s0
+
+
+def test_chain_check_names_a_moved_root():
+    spec = indicial_spectrum(synthetic_operator([(2, 1), (-3, 2)]))
+    spec.roots[1] = mode_ode.RootData(spec.roots[1].value + 1e-3, 1)
+    with pytest.raises(mode_ode.NumericError,
+                       match=r"root 2\.001\+0j of multiplicity 1"):
+        spec.chain_bases
+
+
+def test_chain_bases_are_built_only_when_read(monkeypatch):
+    calls = []
+    real = mode_ode._chain_matrix
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(mode_ode, "_chain_matrix", counted)
+    _, op = tensor_mode_system(4, 3, Fraction(1, 7), 2)
+    indicial_spectrum(op).summary()
+    rep = degenerate_scan(5, 1, [Fraction(1, 20), Fraction(-1, 10)], 2)
+    assert not any(abs(r["re"]) < 1e-8 for s in rep["spectra"].values()
+                   for r in s["roots"])
+    assert calls == []
 
 
 def test_single_mode_growth_ratio_closed_form():
@@ -657,10 +711,12 @@ def test_norms_cross_module_consistency():
     root_idx = next(i for i, r in enumerate(spec.roots)
                     if abs(r.value - 3) < 1e-9)
     root = spec.roots[root_idx]
-    # P(3) vanishes up to roundoff here, so the cutoff needs the system's
-    # own coefficient scale
-    vec = _nullspace_float(FloatSystem(op).eval(root.value),
-                           scale=_operator_scale(op))[:, 0]
+    # the root 3 has multiplicity 3, so a chain column mixes log powers;
+    # P(3) vanishes up to roundoff, so any vector is a pure power
+    system = FloatSystem(op)
+    _, s, vh = np.linalg.svd(system.eval(root.value))
+    assert s[0] < 1e-12 * system.scale
+    vec = vh[0].conj()
     vec = (vec / vec[np.argmax(np.abs(vec))]).real  # real pure-power solution
     table = np.zeros((root.multiplicity, len(basis)), dtype=complex)
     table[0] = vec
