@@ -91,23 +91,65 @@ class DecayState:
 
 
 def _integer_barriers_infinity(n, k):
-    """Integer decay orders in (0, n-2k) with their removal mechanism."""
+    """Integer decay orders in (0, n-2k), each as (order, mechanism, detail,
+    check)."""
     terminal = n - 2 * k
     barriers = []
     for d in range(1, terminal):
         if n > 2 * (k + 1) and d == n - 2 * (k + 1):
-            barriers.append((d, "divergence-free kill (constant profile)",
-                             {"op": "divergence_free_nullspace",
-                              "mode": "degree0", "n": n, "k": k}))
+            mechanism = "divergence-free kill (constant profile)"
+            check = {"op": "divergence_free_nullspace", "mode": "degree0",
+                     "n": n, "k": k}
         elif d == n - 2 * k - 1:
-            mode = "n3_degree1" if n == 3 else "degree1"
-            barriers.append((d, "divergence-free kill (degree-1 profile)",
-                             {"op": "divergence_free_nullspace",
-                              "mode": mode, "n": n, "k": k}))
+            mechanism = "divergence-free kill (degree-1 profile)"
+            check = {"op": "divergence_free_nullspace",
+                     "mode": "n3_degree1" if n == 3 else "degree1",
+                     "n": n, "k": k}
         else:
-            barriers.append((d, "nonexceptional degree (no homogeneous "
-                                "solution)", None))
+            mechanism = "nonexceptional degree (no homogeneous solution)"
+            check = None
+        barriers.append((d, mechanism, "integer barrier crossed", check))
     return barriers
+
+
+def _induct(regime, n, k, start, name, terminal, barriers, *, begun, past,
+            attained, closing=None):
+    """The decay induction shared by both regimes.
+
+    From a finite ``start`` > 0 (the parameter ``name``), each pass doubles
+    the order, capped at ``terminal``; every barrier (order, mechanism,
+    detail, check) with current <= order < next is crossed and logged on
+    the way.  On the terminal pass the optional ``closing`` record
+    (mechanism, detail, check) is logged before the terminal one.  A
+    finite positive order at least doubles per pass, so even the smallest
+    positive double reaches any terminal order in about 1,080 passes.
+    """
+    validate_nk(n, k)
+    if not 0 < start < math.inf:
+        raise ParameterError(f"need finite {name} > 0")
+    state = DecayState(regime, n, k, float(start), terminal=terminal)
+    if start >= terminal:
+        state.order = terminal
+        state.log(terminal, "terminal", past)
+        return state
+    state.log(start, "start", begun)
+    while True:
+        nxt = min(2 * state.order, terminal)
+        for d, mechanism, detail, check in barriers:
+            if state.order <= d < nxt:
+                state.barriers.append((d, mechanism))
+                state.log(d, mechanism, detail, check)
+        if nxt == terminal:
+            if closing:
+                state.log(terminal, *closing)
+            state.order = terminal
+            state.strict = False
+            state.log(terminal, "terminal", attained)
+            return state
+        state.order = nxt
+        state.strict = True
+        state.log(nxt, "remainder gain",
+                  "source order doubles the field order")
 
 
 def bootstrap_infinity(n, k, beta0):
@@ -117,43 +159,17 @@ def bootstrap_infinity(n, k, beta0):
     in the path are crossed by the recorded rigidity mechanism.  In the
     critical dimension the log profile is excluded at the terminal step.
     """
-    validate_nk(n, k)
-    terminal = n - 2 * k
-    if not 0 < beta0 < math.inf:
-        raise ParameterError("need finite beta0 > 0")
-    state = DecayState("infinity", n, k, float(beta0), terminal=terminal)
-    if beta0 >= terminal:
-        state.order = terminal
-        state.log(terminal, "terminal", "already at or past the optimal order")
-        return state
-    state.log(beta0, "start", "initial decay order")
-    barriers = _integer_barriers_infinity(n, k)
-    guard = 0
-    while state.order < terminal:
-        guard += 1
-        if guard > 200:  # pragma: no cover
-            raise RuntimeError("bootstrap failed to terminate")
-        nxt = min(2 * state.order, terminal)
-        for d, mechanism, check in barriers:
-            if state.order <= d < nxt:
-                state.barriers.append((d, mechanism))
-                state.log(d, mechanism,
-                          "integer barrier crossed", check)
-        if nxt == terminal:
-            if n == 2 * (k + 1):
-                state.log(terminal, "log-profile kill (critical dimension)",
-                          "divergence-free log profile vanishes",
-                          {"op": "divergence_free_nullspace", "mode": "log",
-                           "n": n, "k": k})
-            state.order = terminal
-            state.strict = False
-            state.log(terminal, "terminal", "optimal order attained")
-            break
-        state.order = nxt
-        state.strict = True
-        state.log(nxt, "remainder gain",
-                  "source order doubles the field order")
-    return state
+    closing = None
+    if n == 2 * (k + 1):
+        closing = ("log-profile kill (critical dimension)",
+                   "divergence-free log profile vanishes",
+                   {"op": "divergence_free_nullspace", "mode": "log",
+                    "n": n, "k": k})
+    return _induct("infinity", n, k, beta0, "beta0", n - 2 * k,
+                   _integer_barriers_infinity(n, k),
+                   begun="initial decay order",
+                   past="already at or past the optimal order",
+                   attained="optimal order attained", closing=closing)
 
 
 def bootstrap_origin(n, k, sigma0):
@@ -163,37 +179,14 @@ def bootstrap_origin(n, k, sigma0):
     profile as the Lie derivative of a quadratic field and pulling back by
     its time-1 flow (error quadratic in the radius).
     """
-    validate_nk(n, k)
-    if not 0 < sigma0 < math.inf:
-        raise ParameterError("need finite sigma0 > 0")
-    state = DecayState("origin", n, k, float(sigma0), terminal=2.0)
-    if sigma0 >= 2:
-        state.order = 2.0
-        state.log(2.0, "terminal", "already at or past quadratic order")
-        return state
-    state.log(sigma0, "start", "initial vanishing order")
-    guard = 0
-    while state.order < 2:
-        guard += 1
-        if guard > 200:  # pragma: no cover
-            raise RuntimeError("bootstrap failed to terminate")
-        nxt = min(2 * state.order, 2.0)
-        if state.order <= 1 < nxt:
-            state.barriers.append((1, "Lie pullback subtraction"))
-            state.log(1.0, "Lie pullback subtraction",
-                      "linear profile = Lie derivative of a quadratic field; "
-                      "time-1 flow pullback leaves a quadratic error",
-                      {"op": "quadratic_lie_isomorphism", "n": n})
-        if nxt == 2.0:
-            state.order = 2.0
-            state.strict = False
-            state.log(2.0, "terminal", "quadratic order attained")
-            break
-        state.order = nxt
-        state.strict = True
-        state.log(nxt, "remainder gain",
-                  "source order doubles the field order")
-    return state
+    lie = (1, "Lie pullback subtraction",
+           "linear profile = Lie derivative of a quadratic field; "
+           "time-1 flow pullback leaves a quadratic error",
+           {"op": "quadratic_lie_isomorphism", "n": n})
+    return _induct("origin", n, k, sigma0, "sigma0", 2.0, [lie],
+                   begun="initial vanishing order",
+                   past="already at or past quadratic order",
+                   attained="quadratic order attained")
 
 
 def regularity_ladder(n, k, eps=None):

@@ -28,7 +28,7 @@ from . import polytensor as pt
 from . import symbols as sy
 from . import turan_constants, verify
 from .closed_form import ParameterError
-from .expsum import NumericError, PreconditionError
+from .expsum import NumericError
 
 
 class UsageError(Exception):
@@ -340,6 +340,8 @@ def _json_array(text, option, dtype, shape, want):
         arr = None
     if arr is None or arr.shape != shape:
         raise UsageError(f"{option}: need {want}, got {text!r}")
+    if not np.isfinite(arr).all():
+        raise UsageError(f"{option}: need finite entries, got {text!r}")
     return arr
 
 
@@ -350,15 +352,19 @@ def cmd_symbol(args):
                      f"a JSON list of n = {n} numbers")
     hh = _json_array(args.hhat, "--hhat", complex, (n, n),
                      f"an n x n JSON matrix (n = {n})")
-    if args.scalar:
-        val = sy.linearized_scalar_symbol(args.n, xi, hh)
-        data = {"n": args.n, "scalar": {"re": val.real, "im": val.imag}}
-    else:
-        _require(args, "k")
-        out = sy.linearized_obstruction_symbol(args.n, args.k, xi, hh)
-        data = {"n": args.n, "k": args.k,
-                "matrix_re": out.real.tolist(),
-                "matrix_im": out.imag.tolist()}
+    # an overflow is reported as a RangeError below, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.scalar:
+            val = sy.linearized_scalar_symbol(args.n, xi, hh)
+            data = {"n": args.n, "scalar": {"re": val.real, "im": val.imag}}
+        else:
+            _require(args, "k")
+            val = sy.linearized_obstruction_symbol(args.n, args.k, xi, hh)
+            data = {"n": args.n, "k": args.k,
+                    "matrix_re": val.real.tolist(),
+                    "matrix_im": val.imag.tolist()}
+    if not np.isfinite(val).all():
+        raise es.RangeError("symbol value overflowed the float range")
     _emit(args, data)
 
 
@@ -549,7 +555,7 @@ def main(argv=None):
             args = parser.parse_args(_config_argv(parser, args, argv))
         rc = COMMANDS[args.command](args)
         return 0 if rc is None else rc
-    except (UsageError, ParameterError, PreconditionError) as exc:
+    except (UsageError, ParameterError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, ArithmeticError) as exc:

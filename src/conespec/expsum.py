@@ -15,14 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import turan_constants
+from .closed_form import ParameterError
 
 
 class RangeError(ArithmeticError):
     """Evaluation left the floating-point range."""
-
-
-class PreconditionError(ValueError):
-    """An operation's stated precondition was violated."""
 
 
 class NumericError(RuntimeError):
@@ -39,10 +36,10 @@ class ExpTerm:
 
     def __post_init__(self):
         if self.power < 0:
-            raise PreconditionError("power must be nonnegative")
+            raise ParameterError("power must be nonnegative")
         if not (cmath.isfinite(complex(self.coeff))
                 and cmath.isfinite(complex(self.exponent))):
-            raise PreconditionError("coefficient and exponent must be finite")
+            raise ParameterError("coefficient and exponent must be finite")
 
 
 @dataclass
@@ -116,7 +113,7 @@ def _normalize(terms):
 def eval_expsum(p, t):
     """Evaluate sum c t^power e^{exponent t}; overflow raises RangeError."""
     if not math.isfinite(t):
-        raise PreconditionError("t must be finite")
+        raise ParameterError("t must be finite")
     acc = 0j
     for term in p.terms:
         try:
@@ -347,14 +344,14 @@ def turan_discrete(z, c, m):
     c = [complex(v) for v in c]
     d = len(z)
     if d < 1:
-        raise PreconditionError("empty exponent collection")
+        raise ParameterError("empty exponent collection")
     if len(c) != d:
-        raise PreconditionError("z and c must have equal length")
+        raise ParameterError("z and c must have equal length")
     if int(m) != m or m < 1:
-        raise PreconditionError("m must be an integer >= 1")
+        raise ParameterError("m must be an integer >= 1")
     m = int(m)
     if any(abs(v) < 1 - 1e-12 for v in z):
-        raise PreconditionError("all |z_j| must be >= 1")
+        raise ParameterError("all |z_j| must be >= 1")
     return {**_first(turan_discrete_batch([z], [c], [m])),
             "params": {"d": d, "m": m}}
 
@@ -402,13 +399,13 @@ def turan_integral(p, a, b):
     [3R/2, 2R] with R = b/2.  The one-sum case of turan_integral_batch.
     """
     if not 0 < a < b:
-        raise PreconditionError("need 0 < a < b")
+        raise ParameterError("need 0 < a < b")
     if (b - a) / b < 1e-8:
-        raise PreconditionError("degenerate interval")
+        raise ParameterError("degenerate interval")
     if p.max_power != 0:
-        raise PreconditionError("integral form needs pure exponentials")
+        raise ParameterError("integral form needs pure exponentials")
     if any(t.exponent.real < 0 for t in p.terms):
-        raise PreconditionError("all Re(exponent) must be >= 0")
+        raise ParameterError("all Re(exponent) must be >= 0")
     rec = _first(turan_integral_batch([p], [a], [b]))
     rec["params"] = {"d": max(p.d, 1), "a": a, "b": b, "R": b / 2}
     return rec
@@ -428,17 +425,17 @@ def _three_interval_rate(tops, mode):
     if mode == "growth":
         lam = min(res)
         if lam <= 0:
-            raise PreconditionError(
+            raise ParameterError(
                 "growth mode needs all Re(exponent) > 0; "
                 "mixed-sign sums must be split into pure parts first")
     elif mode == "decay":
         lam = min(-x for x in res)
         if lam <= 0:
-            raise PreconditionError(
+            raise ParameterError(
                 "decay mode needs all Re(exponent) < 0; "
                 "mixed-sign sums must be split into pure parts first")
     else:
-        raise PreconditionError("mode must be 'growth' or 'decay'")
+        raise ParameterError("mode must be 'growth' or 'decay'")
     return lam, sum(tops.values()) + len(tops)
 
 
@@ -496,12 +493,12 @@ def three_interval(p, big_r, ell, mode):
     The one-sum case of three_interval_batch.
     """
     if big_r <= 0:
-        raise PreconditionError("R must be positive")
+        raise ParameterError("R must be positive")
     if int(ell) != ell or ell < 1:
-        raise PreconditionError("l must be an integer >= 1")
+        raise ParameterError("l must be an integer >= 1")
     ell = int(ell)
     if not p.terms:
-        raise PreconditionError("empty sum")
+        raise ParameterError("empty sum")
     rec = _first(three_interval_batch([p], [big_r], [ell], [mode]))
     rec["params"] = {"R": big_r, "l": ell, "mode": mode,
                      "index": rec.pop("index")}
@@ -554,7 +551,7 @@ def estimate_turan_constant(d, trials, seed):
     are skipped (and counted); an all-skipped run is an error.
     """
     if d < 1 or trials < 1:
-        raise PreconditionError("need d >= 1 and trials >= 1")
+        raise ParameterError("need d >= 1 and trials >= 1")
     rng = np.random.default_rng(seed)
     worst = 0.0
     skipped = 0

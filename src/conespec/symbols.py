@@ -35,6 +35,8 @@ def linearized_obstruction_symbol(n, k, xi, hhat):
     term, and the pure-trace terms, then multiplies by (-|xi|^2)^{k-1}.
     """
     _check_dimension(n)
+    if k < 1:
+        raise ParameterError("need k >= 1")
     xi = np.asarray(xi)
     h = np.asarray(hhat)
     if h.shape != (n, n):

@@ -8,7 +8,7 @@ factor of 4, one table per inequality form (the forms differ by the
 combinatorial factors their derivations introduce, so a single table
 would be wrong for all but one of them).
 
-Regenerate with ``conespec turan --regenerate-constants`` (or
+Recompute with ``conespec turan --regenerate-constants`` (or
 :func:`regenerate`); every check reports the constant it used.
 """
 
@@ -18,11 +18,12 @@ import math
 
 SAFETY = 4.0
 
-# Frozen values generated by regenerate() with seed 20240801, 200000
-# trials per entry for the discrete table and 20000 for the integral-type
-# tables, monotone-enveloped (index-k sums embed in index k+1) and with
+# Frozen values, monotone-enveloped (index-k sums embed in index k+1), with
 # exponent draws separated by at least 0.5 (the integer-spaced indicial
-# regime the library checks).
+# regime the library checks).  regenerate() at its defaults reproduces all
+# but THREE_INTERVAL_A[5..12], which predate the current closed-form
+# integral kernel (it gives 137278727.4 against 5.2e24 at index 12); they
+# stay because turan_bound and --turan-check read them.
 DISCRETE_A = {1: 4.0, 2: 33.898008, 3: 33.898008, 4: 33.898008,
               5: 33.898008, 6: 33.898008, 7: 33.898008, 8: 33.898008,
               9: 33.898008, 10: 33.898008, 11: 33.898008, 12: 33.898008}

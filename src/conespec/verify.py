@@ -731,19 +731,19 @@ def check_remainder(seed=0, scale=1.0):
 def check_barrier_mechanisms(seed=0, scale=1.0):
     ok = True
     for (n, k) in _nk_pairs(8):
-        st = bs.bootstrap_infinity(n, k, 0.3)
-        for h in st.history:
-            chk = h.get("check")
-            if not chk:
-                continue
-            ok &= chk["op"] == "divergence_free_nullspace" and \
-                fk.divergence_free_nullspace(
-                    chk["n"], chk["k"], chk["mode"])["dimension"] == 0
-        st = bs.bootstrap_origin(n, k, 0.4)
-        for h in st.history:
-            chk = h.get("check")
-            if chk and chk["op"] == "quadratic_lie_isomorphism":
-                ok &= fk.quadratic_lie_isomorphism(chk["n"])["invertible"]
+        for st in (bs.bootstrap_infinity(n, k, 0.3),
+                   bs.bootstrap_origin(n, k, 0.4)):
+            for h in st.history:
+                chk = h["check"]
+                if chk is None:
+                    continue
+                if chk["op"] == "divergence_free_nullspace":
+                    ok &= fk.divergence_free_nullspace(
+                        chk["n"], chk["k"], chk["mode"])["dimension"] == 0
+                elif chk["op"] == "quadratic_lie_isomorphism":
+                    ok &= fk.quadratic_lie_isomorphism(chk["n"])["invertible"]
+                else:
+                    ok = False
     return _result(check_barrier_mechanisms, ok)
 
 

@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 
 import pytest
 
@@ -82,6 +84,17 @@ def test_origin_paths():
     assert st.order == 2.0 and len(st.history) == 1  # already past target
 
 
+@pytest.mark.parametrize("run,start", [(bootstrap_infinity, 1e-60),
+                                       (bootstrap_origin, 5e-324)])
+def test_tiny_start_reaches_terminal(run, start):
+    # no pass limit: ceil(log2(2 / start)) doublings reach the terminal 2,
+    # all but the last logged as a gain (5e-324 = 2^-1074 needs 1075)
+    st = run(4, 1, start)
+    assert st.order == st.terminal == 2
+    gains = sum(h["mechanism"] == "remainder gain" for h in st.history)
+    assert gains == math.ceil(-math.log2(start))
+
+
 def test_ladder_examples():
     rec = regularity_ladder(4, 1)
     assert rec["p"] == math.inf
@@ -107,3 +120,23 @@ def test_invalid_parameters():
         bootstrap_infinity(4, 1, -0.1)
     with pytest.raises(ParameterError):
         bootstrap_origin(4, 1, 0.0)
+
+
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "data"
+                     / "golden_bootstrap.json").read_text())
+
+
+@pytest.mark.parametrize("rec", GOLDEN,
+                         ids=[f"{r['regime']}-n{r['n']}k{r['k']}-{r['start']}"
+                              for r in GOLDEN])
+def test_induction_matches_golden(rec):
+    # regenerate with tests/data/make_golden_bootstrap.py only when a change
+    # to either induction is intended; the JSON text comparison also pins
+    # the int terminal at infinity against the float one at the origin
+    run = bootstrap_infinity if rec["regime"] == "infinity" else \
+        bootstrap_origin
+    st = run(rec["n"], rec["k"], rec["start"])
+    got = {"regime": st.regime, "n": st.n, "k": st.k, "start": rec["start"],
+           "terminal": st.terminal, "final_order": st.order,
+           "barriers": st.barriers, "history": st.history}
+    assert json.dumps(got) == json.dumps(rec)

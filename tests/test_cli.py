@@ -285,6 +285,15 @@ def test_mode_parameter_guards_are_usage_errors(capsys, argv, msg):
       "--sigma0", "nan"], "need finite sigma0 > 0"),
     (["bootstrap", "--regime", "origin", "--n", "4", "--k", "1",
       "--sigma0", "inf"], "need finite sigma0 > 0"),
+    (["symbol", "--n", "4", "--k", "0", "--xi", "[0, 0, 0, 0]", "--hhat",
+      EYE4], "need k >= 1"),
+    (["symbol", "--n", "4", "--k", "-2", "--xi", "[1, 0, 0, 0]", "--hhat",
+      EYE4], "need k >= 1"),
+    (["symbol", "--n", "4", "--k", "1", "--xi", "[NaN, 0, 0, 0]", "--hhat",
+      EYE4], "--xi: need finite entries"),
+    (["symbol", "--n", "4", "--scalar", "--xi", "[1, 0, 0, 0]", "--hhat",
+      "[[Infinity, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]"],
+     "--hhat: need finite entries"),
 ])
 def test_out_of_range_option_is_usage_error(capsys, tmp_path, argv, msg):
     # an explicit value is checked, never replaced by the default; TMP
@@ -374,6 +383,26 @@ def test_bootstrap_command(tmp_path):
     doc = read_json(out)["data"]
     assert doc["final_order"] == 4
     assert doc["ladder"]["p"] == math.inf
+
+
+@pytest.mark.parametrize("regime,start,terminal", [
+    ("infinity", "1e-60", 2), ("origin", "5e-324", 2.0)])
+def test_bootstrap_tiny_start_reaches_terminal(tmp_path, regime, start,
+                                               terminal):
+    out = tmp_path / "b.json"
+    start_flag = "--beta0" if regime == "infinity" else "--sigma0"
+    assert main(["bootstrap", "--regime", regime, "--n", "4", "--k", "1",
+                 start_flag, start, "--out", str(out)]) == 0
+    final = read_json(out)["data"]["final_order"]
+    assert final == terminal and type(final) is type(terminal)
+
+
+def test_symbol_overflow_is_numeric_failure(capsys):
+    # |xi|^4 overflows to inf and inf - inf is NaN: the command must not
+    # write NaN into data
+    assert main(["symbol", "--n", "4", "--k", "1", "--xi", "[1e200, 0, 0, 0]",
+                 "--hhat", EYE4]) == 3
+    assert "symbol value overflowed" in capsys.readouterr().err
 
 
 def test_turan_single_checks(tmp_path):

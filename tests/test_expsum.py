@@ -10,8 +10,8 @@ from scipy import integrate
 
 from conespec import expsum as es
 from conespec import turan_constants, verify
-from conespec.expsum import (ExpSum, ExpTerm, PreconditionError,
-                             RangeError, _abs_sq_grid, draw_budget_expsum,
+from conespec.closed_form import ParameterError
+from conespec.expsum import (ExpSum, ExpTerm, RangeError, _abs_sq_grid, draw_budget_expsum,
                              draw_expsum, estimate_turan_constant,
                              eval_expsum, l2_integral, poly_exp_integrals,
                              sup_norm_sq, three_interval,
@@ -68,11 +68,11 @@ def test_discrete_two_term_example():
 
 
 def test_discrete_preconditions():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ParameterError):
         turan_discrete([0.5], [1], 1)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ParameterError):
         turan_discrete([], [], 1)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ParameterError):
         turan_discrete([2], [1], 0)
 
 
@@ -103,15 +103,15 @@ def test_integral_sup_variant_exponential():
 
 def test_integral_preconditions():
     p = ExpSum([ExpTerm(1, -1)])
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ParameterError):
         turan_integral(p, 1.0, 2.0)
     q = ExpSum([ExpTerm(1, 1, power=1)])
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ParameterError):
         turan_integral(q, 1.0, 2.0)
     r = ExpSum([ExpTerm(1, 1)])
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ParameterError):
         turan_integral(r, 2.0, 1.0)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ParameterError):
         turan_integral(r, 1.0, 1.0 + 1e-12)
 
 
@@ -146,7 +146,7 @@ def test_three_interval_power_term_quadrature_oracle():
 
 def test_three_interval_mixed_signs_rejected():
     p = ExpSum([ExpTerm(1, 1), ExpTerm(1, -1)])
-    with pytest.raises(PreconditionError, match="split"):
+    with pytest.raises(ParameterError, match="split"):
         three_interval(p, 1.0, 1, "growth")
 
 
