@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -201,6 +202,12 @@ def build_parser():
                    help="restrict to named suites (repeatable)")
 
     return p
+
+
+@functools.cache
+def _parser():
+    """The parser, built once per process: parsing never changes it."""
+    return build_parser()
 
 
 def _load_json(path, option):
@@ -548,7 +555,7 @@ COMMANDS = {
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         if args.config is not None:

@@ -4,6 +4,11 @@ Carries the discrete power-sum bound, its integral form, the sup-norm and
 L^2-L^2 corollaries, and the three-interval growth/decay estimates that
 drive the annulus analysis of the mode systems (radial profiles become
 exponential sums in t = log r).
+
+Every inequality has one batched kernel reading a TermTable (the terms
+of many sums as flat arrays); the single-ExpSum functions convert once
+and call it.  The random drawers likewise fill a whole batch as arrays,
+and the single-instance drawers are their one-row case.
 """
 
 from __future__ import annotations
@@ -110,19 +115,106 @@ def _normalize(terms):
     return out
 
 
+_NO_TERMS = (np.zeros(0, dtype=complex), np.zeros(0, dtype=complex),
+             np.zeros(0, dtype=int), np.zeros(0, dtype=int))
+
+
+@dataclass(frozen=True, eq=False)
+class TermTable:
+    """The terms of ``rows`` exponential sums as flat arrays, one entry per
+    term: coefficient, exponent, power and the row (sum) it belongs to.
+
+    Rows are contiguous and in order, and the terms of a row are in
+    ExpSum's normalized order (real part, imaginary part, power), so a row
+    evaluates bit for bit as the ExpSum it stands for.  The batched
+    kernels read this table; the single-ExpSum functions convert once
+    with TermTable.of.
+    """
+
+    coeff: np.ndarray
+    exponent: np.ndarray
+    power: np.ndarray
+    row: np.ndarray
+    rows: int
+
+    @classmethod
+    def of(cls, sums):
+        """Row i holds the terms of sums[i]."""
+        parts = [(np.array([t.coeff for t in p.terms], dtype=complex),
+                  np.array([t.exponent for t in p.terms], dtype=complex),
+                  np.array([t.power for t in p.terms], dtype=int),
+                  np.full(len(p.terms), i)) for i, p in enumerate(sums)]
+        return cls.from_parts(parts, len(sums))
+
+    @classmethod
+    def from_parts(cls, parts, rows):
+        """The table of the (coeff, exponent, power, row) array quadruples
+        of ``parts``, put in row and normalized order."""
+        c, z, b, r = (np.concatenate(v) for v in zip(_NO_TERMS, *parts))
+        order = np.lexsort((b, z.imag, z.real, r))
+        return cls(c[order], z[order], b[order], r[order], rows)
+
+    def sums(self):
+        """Each row as an ExpSum."""
+        return [ExpSum([ExpTerm(*t) for t in terms])
+                for terms in self.row_terms()]
+
+    def sizes(self):
+        """The number of terms of each row."""
+        return np.bincount(self.row, minlength=self.rows)
+
+    def with_mirrors(self):
+        """The rows of this table, then each row's ExpSum.mirrored():
+        exponents -conj(zeta), coefficients and powers kept."""
+        return TermTable.from_parts(
+            [(self.coeff, self.exponent, self.power, self.row),
+             (self.coeff, -self.exponent.conj(), self.power,
+              self.row + self.rows)], 2 * self.rows)
+
+    def distinct(self):
+        """Per row, d (the number of distinct exponents) and M (the sum over
+        them of the highest power each carries)."""
+        new = np.ones(len(self.row), dtype=bool)
+        new[1:] = ((self.row[1:] != self.row[:-1])
+                   | (self.exponent[1:] != self.exponent[:-1]))
+        last = np.ones(len(self.row), dtype=bool)  # last term of its exponent
+        last[:-1] = new[1:]
+        d = np.bincount(self.row[new], minlength=self.rows)
+        big_m = np.bincount(self.row[last], weights=self.power[last],
+                            minlength=self.rows).astype(int)
+        return d, big_m
+
+    def row_terms(self):
+        """Each row's terms as a list of (coeff, exponent, power) tuples of
+        Python numbers, for the scalar evaluation _eval_terms."""
+        terms = list(zip(self.coeff.tolist(), self.exponent.tolist(),
+                         self.power.tolist()))
+        ends = np.cumsum(self.sizes()).tolist()
+        return [terms[s:e] for s, e in zip([0] + ends[:-1], ends)]
+
+
+def _eval_terms(terms, t):
+    """sum c t^power e^{exponent t} over (c, exponent, power) tuples, in
+    their order, in scalar complex arithmetic; cmath.exp raises
+    OverflowError, and the sum may be inf or nan."""
+    acc = 0j
+    for c, z, b in terms:
+        val = c * cmath.exp(z * t)
+        if b:
+            val *= t ** b
+        acc += val
+    return acc
+
+
 def eval_expsum(p, t):
     """Evaluate sum c t^power e^{exponent t}; overflow raises RangeError."""
     if not math.isfinite(t):
         raise ParameterError("t must be finite")
-    acc = 0j
-    for term in p.terms:
-        try:
-            val = term.coeff * cmath.exp(term.exponent * t)
-        except OverflowError as exc:
-            raise RangeError(f"exp overflow at t={t}") from exc
-        if term.power:
-            val *= t ** term.power
-        acc += val
+    try:
+        acc = _eval_terms([(u.coeff, u.exponent, u.power) for u in p.terms],
+                          t)
+    except OverflowError as exc:
+        raise RangeError(f"exp overflow at t={t}") from exc
     if not cmath.isfinite(acc):
         raise RangeError(f"evaluation overflowed at t={t}")
     return acc
@@ -217,90 +309,119 @@ def _closed_form(b, w, t0, t1):
     return ends[0] - ends[1]
 
 
-def l2_integrals(sums, t0, t1):
-    """Integrals of |p(t)|^2 over [t0, t1] for every sum p of ``sums`` in
-    one poly_exp_integrals call.
+def l2_integrals(table, t0, t1):
+    """Integrals of |p(t)|^2 over [t0, t1] for every row p of the
+    TermTable ``table`` in one poly_exp_integrals call.
 
-    t0 and t1 have shape (len(sums), k): row i holds k intervals of
-    sums[i].  |p|^2 expands into the pair terms
-    t^(b+b') e^{(zeta + conj zeta') t}; each row sums its pairs' integrals
-    in pair order, and negative roundoff is clipped to 0.
+    t0 and t1 have shape (table.rows, k): row i holds k intervals of row
+    i.  |p|^2 expands into the pair terms t^(b+b') e^{(zeta + conj zeta')
+    t}; each row sums its pairs' integrals in pair order, and negative
+    roundoff is clipped to 0.
     """
-    terms = [t for p in sums for t in p.terms]
-    c = np.array([t.coeff for t in terms], dtype=complex)
-    z = np.array([t.exponent for t in terms], dtype=complex)
-    b = np.array([t.power for t in terms], dtype=int)
-    # pair q of sum s is its terms (i, j) = divmod(q, n_s), row by row
-    size = np.array([len(p.terms) for p in sums], dtype=int)
-    seg = np.repeat(np.arange(len(sums)), size ** 2)
-    q = np.arange(len(seg)) - np.repeat(np.cumsum(size ** 2) - size ** 2,
-                                        size ** 2)
-    first_term = (np.cumsum(size) - size)[seg]
-    i, j = np.divmod(q, size[seg]) + first_term
+    c, z, b = table.coeff, table.exponent, table.power
+    # pair q of row s is its terms (i, j) = divmod(q - pair0, n_s) + term0,
+    # row by row
+    size = table.sizes()
+    seg = np.repeat(np.arange(table.rows), size ** 2)
+    pair0 = np.repeat(np.cumsum(size ** 2) - size ** 2, size ** 2)
+    term0 = (np.cumsum(size) - size)[seg]
+    il, jl = np.divmod(np.arange(len(seg)) - pair0, size[seg])
+    i, j = il + term0, jl + term0
     t0 = np.asarray(t0, dtype=float)
     t1 = np.asarray(t1, dtype=float)
-    vals = ((c[i] * c[j].conj())[:, None] * poly_exp_integrals(
-        (b[i] + b[j])[:, None], (z[i] + z[j].conj())[:, None],
-        t0[seg], t1[seg])).real
+    # the integrals of pair (j, i) are the conjugates of those of (i, j)
+    # (poly_exp_integrals is conjugation-symmetric, bit for bit up to the
+    # sign of a zero imaginary part), so only the pairs i <= j go through
+    # the kernel
+    upper = il <= jl
+    ints = np.empty((len(seg), t0.shape[1]), dtype=complex)
+    ints[upper] = poly_exp_integrals(
+        (b[i] + b[j])[upper, None], (z[i] + z[j].conj())[upper, None],
+        t0[seg[upper]], t1[seg[upper]])
+    mirror = pair0 + jl * size[seg] + il
+    ints[~upper] = ints[mirror[~upper]].conj()
+    vals = ((c[i] * c[j].conj())[:, None] * ints).real
     k = t0.shape[1]
     acc = np.bincount((seg[:, None] * k + np.arange(k)).ravel(),
-                      weights=vals.ravel(), minlength=len(sums) * k)
-    return np.maximum(acc, 0.0).reshape(len(sums), k)
+                      weights=vals.ravel(), minlength=table.rows * k)
+    return np.maximum(acc, 0.0).reshape(table.rows, k)
 
 
 def l2_integral(p, t0, t1):
     """Integral of |p(t)|^2 over [t0, t1] in closed form (l2_integrals of
     the one sum p on the one interval)."""
-    return float(l2_integrals([p], [[t0]], [[t1]])[0, 0])
+    return float(l2_integrals(TermTable.of([p]), [[t0]], [[t1]])[0, 0])
 
 
-def _abs_sq_grid(p, ts):
-    """|p|^2 at every point of the array ts in one pass; overflow raises
-    RangeError as in eval_expsum."""
+def _abs_sq_grid(terms, ts):
+    """|p|^2 at every point of the array ts in one numpy pass per term, for
+    the row terms of p; overflow raises RangeError as in eval_expsum."""
     acc = np.zeros(len(ts), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        for term in p.terms:
-            val = term.coeff * np.exp(term.exponent * ts)
-            if term.power:
-                val *= ts ** term.power
+        for c, z, b in terms:
+            val = c * np.exp(z * ts)
+            if b:
+                val *= ts ** b
             acc += val
     if not np.isfinite(acc).all():
         raise RangeError(f"evaluation overflowed on [{ts[0]}, {ts[-1]}]")
     return np.abs(acc) ** 2
 
 
-def sup_norm_sq(p, t0, t1, samples=2048):
-    """sup of |p|^2 on [t0, t1]: dense sampling plus golden-section refine.
+def _abs_sq(terms, t):
+    """|p(t)|^2 for the row terms of p, as eval_expsum computes it."""
+    try:
+        v = abs(_eval_terms(terms, t)) ** 2
+    except OverflowError as exc:
+        raise RangeError(f"exp overflow at t={t}") from exc
+    if not v < math.inf:
+        raise RangeError(f"evaluation overflowed at t={t}")
+    return v
 
-    The grid is evaluated in one numpy pass; the best sample and the
-    refine use eval_expsum, so a maximum at an endpoint keeps its scalar
-    value.  Each refine step keeps the surviving interior point's value and
-    evaluates one new point."""
-    ts = np.linspace(t0, t1, samples)
-    vals = _abs_sq_grid(p, ts)
-    i = int(np.argmax(vals))
-    lo = ts[max(i - 1, 0)]
-    hi = ts[min(i + 1, samples - 1)]
+
+def _golden_max(terms, lo, hi):
+    """The maximum of |p|^2 on [lo, hi] by 80 golden-section steps, for the
+    row terms of p: each step keeps the surviving interior point's value
+    and evaluates one new point; the result is |p|^2 at the final
+    midpoint."""
     gr = (math.sqrt(5) - 1) / 2
-
-    def f(t):
-        return -abs(eval_expsum(p, t)) ** 2
-
     a, b = lo, hi
     c = b - gr * (b - a)
     dd = a + gr * (b - a)
-    fc, fd = f(c), f(dd)
+    fc, fd = _abs_sq(terms, c), _abs_sq(terms, dd)
     for _ in range(80):
-        if fc < fd:
+        if fc > fd:
             b, dd, fd = dd, c, fc
             c = b - gr * (b - a)
-            fc = f(c)
+            fc = _abs_sq(terms, c)
         else:
             a, c, fc = c, dd, fd
             dd = a + gr * (b - a)
-            fd = f(dd)
-    best = -(f((a + b) / 2))
-    return max(best, -f(ts[i]))
+            fd = _abs_sq(terms, dd)
+    return _abs_sq(terms, (a + b) / 2)
+
+
+def sup_norms_sq(table, t0, t1, samples=2048):
+    """sup of |p|^2 on [t0[i], t1[i]] for every row p of ``table``: dense
+    sampling plus a golden-section refine around the best sample.
+
+    The grid is evaluated in numpy; the best sample and the refine use the
+    scalar arithmetic of eval_expsum, so a maximum at an endpoint keeps
+    its scalar value."""
+    out = []
+    for terms, lo, hi in zip(table.row_terms(), np.ravel(t0).tolist(),
+                             np.ravel(t1).tolist()):
+        ts = np.linspace(lo, hi, samples)
+        i = int(np.argmax(_abs_sq_grid(terms, ts)))
+        out.append(max(_golden_max(terms, float(ts[max(i - 1, 0)]),
+                                   float(ts[min(i + 1, samples - 1)])),
+                       _abs_sq(terms, float(ts[i]))))
+    return np.array(out)
+
+
+def sup_norm_sq(p, t0, t1, samples=2048):
+    """sup of |p|^2 on [t0, t1]: sup_norms_sq of the one sum p."""
+    return float(sup_norms_sq(TermTable.of([p]), [t0], [t1], samples)[0])
 
 
 # -- power sums and the discrete bound -------------------------------------
@@ -317,20 +438,28 @@ def turan_discrete_batch(z, c, m):
     z and c have shape (N, d), m shape (N,).  Returns arrays lhs = |S_0|^2
     and rhs = max |S_{m+1..m+d}|^2 (S_ell = sum_j c_j z_j^ell),
     constant_bound = A(d) ((m+d)/d)^{2(d-1)} and holds = lhs <=
-    constant_bound * rhs, with the constant A(d).
+    constant_bound * rhs, with the constant A(d).  A non-finite lhs, rhs
+    or constant_bound raises RangeError naming it; the product
+    constant_bound * rhs may overflow to inf, which holds.
     """
     z = np.asarray(z, dtype=complex)
     c = np.asarray(c, dtype=complex)
     m = np.asarray(m)
     d = z.shape[1]
     ells = m[:, None] + np.arange(1, d + 1)
-    sums = (c[:, None, :] * z[:, None, :] ** ells[:, :, None]).sum(axis=2)
-    lhs = np.abs(c.sum(axis=1)) ** 2
-    rhs = (np.abs(sums) ** 2).max(axis=1)
     a_d = turan_constants.discrete_constant(d)
-    bound = a_d * ((m + d) / d) ** (2 * (d - 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = (c[:, None, :] * z[:, None, :] ** ells[:, :, None]).sum(axis=2)
+        lhs = np.abs(c.sum(axis=1)) ** 2
+        rhs = (np.abs(sums) ** 2).max(axis=1)
+        bound = a_d * ((m + d) / d) ** (2 * (d - 1))
+        holds = lhs <= bound * rhs
+    for name, v in (("lhs", lhs), ("rhs", rhs), ("constant_bound", bound)):
+        if not np.isfinite(v).all():
+            raise RangeError(f"discrete bound: {name} is not finite "
+                             f"at d = {d}")
     return {"lhs": lhs, "rhs": rhs, "constant": a_d,
-            "constant_bound": bound, "holds": lhs <= bound * rhs}
+            "constant_bound": bound, "holds": holds}
 
 
 def turan_discrete(z, c, m):
@@ -356,25 +485,25 @@ def turan_discrete(z, c, m):
             "params": {"d": d, "m": m}}
 
 
-def turan_integral_batch(sums, a, b):
-    """turan_integral's record, without params, for every sum of ``sums``
-    at once: a and b hold one interval per sum, every interval integral
-    comes from one l2_integrals call, and each entry is an array."""
+def turan_integral_batch(table, a, b):
+    """turan_integral's record, without params, for every row of the
+    TermTable ``table`` at once: a and b hold one interval per row, every
+    interval integral comes from one l2_integrals call and every sup from
+    one sup_norms_sq call, and each entry is an array."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     big_r = b / 2
     integral, tail, head = l2_integrals(
-        sums, np.stack([a, 1.5 * big_r, np.zeros(len(sums))], axis=1),
+        table, np.stack([a, 1.5 * big_r, np.zeros(table.rows)], axis=1),
         np.stack([b, 2 * big_r, big_r], axis=1)).T
-    d = np.array([max(p.d, 1) for p in sums])
-    a_d, a_sup, a_l2 = (np.array([table(k) for k in d.tolist()])
-                        for table in (turan_constants.integral_constant,
+    d = np.maximum(table.distinct()[0], 1)
+    a_d, a_sup, a_l2 = (np.array([const(k) for k in d.tolist()])
+                        for const in (turan_constants.integral_constant,
                                       turan_constants.sup_constant,
                                       turan_constants.l2l2_constant))
-    lhs = np.array([abs(eval_expsum(p, 0.0)) ** 2 for p in sums])
+    lhs = np.array([_abs_sq(terms, 0.0) for terms in table.row_terms()])
     bound = a_d * (b / (b - a)) ** (2 * (d - 1)) * (b + a) / (b - a) ** 2 * integral
-    sup_sq = np.array([sup_norm_sq(p, 0.0, r)
-                       for p, r in zip(sums, big_r.tolist())])
+    sup_sq = sup_norms_sq(table, np.zeros(table.rows), big_r)
     sup_bound = a_sup / big_r * tail
     l2_bound = a_l2 * tail
     return {
@@ -406,7 +535,7 @@ def turan_integral(p, a, b):
         raise ParameterError("integral form needs pure exponentials")
     if any(t.exponent.real < 0 for t in p.terms):
         raise ParameterError("all Re(exponent) must be >= 0")
-    rec = _first(turan_integral_batch([p], [a], [b]))
+    rec = _first(turan_integral_batch(TermTable.of([p]), [a], [b]))
     rec["params"] = {"d": max(p.d, 1), "a": a, "b": b, "R": b / 2}
     return rec
 
@@ -418,47 +547,30 @@ def _first(rec):
     return np.ravel(rec)[0].item()
 
 
-def _three_interval_rate(tops, mode):
-    """lambda (the minimal |Re exponent|) and the index M + d of a sum
-    with these top powers in this mode."""
-    res = [z.real for z in tops]
-    if mode == "growth":
-        lam = min(res)
-        if lam <= 0:
-            raise ParameterError(
-                "growth mode needs all Re(exponent) > 0; "
-                "mixed-sign sums must be split into pure parts first")
-    elif mode == "decay":
-        lam = min(-x for x in res)
-        if lam <= 0:
-            raise ParameterError(
-                "decay mode needs all Re(exponent) < 0; "
-                "mixed-sign sums must be split into pure parts first")
-    else:
+def _mixed_signs(mode):
+    sign = ">" if mode == "growth" else "<"
+    return ParameterError(
+        f"{mode} mode needs all Re(exponent) {sign} 0; "
+        "mixed-sign sums must be split into pure parts first")
+
+
+def _check_modes(modes):
+    """The growth flags of ``modes`` (a mode or an array of them)."""
+    modes = np.asarray(modes)
+    if not np.all((modes == "growth") | (modes == "decay")):
         raise ParameterError("mode must be 'growth' or 'decay'")
-    return lam, sum(tops.values()) + len(tops)
+    return modes == "growth"
 
 
-def three_interval_bound(tops, lo, hi, big_r, mode):
-    """The three-interval inequality from its interval integrals.
-
-    tops maps each distinct exponent of the sum to its highest power, so
-    the index is M + d = sum(tops.values()) + len(tops); lo and hi are the
-    integrals of |p|^2 over the lower and the upper interval, floats or
-    equal-shape arrays (one entry per sum with these exponents and
-    powers).  tops and mode may instead be lists with one entry per entry
-    of lo, hi and big_r.  growth: e^{lambda R} lo <= A(M+d) hi; decay:
-    hi <= A(M+d) e^{-lambda R} lo, with lambda the minimal |Re exponent|.
-    """
-    if isinstance(tops, dict):
-        lam, index = _three_interval_rate(tops, mode)
-        a_c = turan_constants.three_interval_constant(index)
-    else:
-        lam, index = (np.array(v) for v in zip(
-            *map(_three_interval_rate, tops, mode)))
+def _three_interval_record(lam, index, lo, hi, big_r, growth):
+    """The three-interval inequality at rate lam and index M + d (floats
+    or arrays, as lo, hi, big_r and the growth flags): growth: e^{lambda
+    R} lo <= A(M+d) hi; decay: hi <= A(M+d) e^{-lambda R} lo."""
+    if np.ndim(index):
         a_c = np.array([turan_constants.three_interval_constant(i)
                         for i in index.tolist()])
-    growth = np.asarray(mode) == "growth"
+    else:
+        a_c = turan_constants.three_interval_constant(index)
     lhs = np.where(growth, np.exp(lam * big_r) * lo, hi)
     rhs = np.where(growth, a_c * hi, a_c * np.exp(-lam * big_r) * lo)
     return {
@@ -471,17 +583,48 @@ def three_interval_bound(tops, lo, hi, big_r, mode):
     }
 
 
-def three_interval_batch(sums, big_r, ell, modes):
-    """three_interval on every sum of ``sums`` at once: big_r, ell and
-    modes hold one entry per sum, every interval integral comes from one
-    l2_integrals call, and the record is three_interval_bound's with one
-    array entry per sum."""
+def three_interval_bound(tops, lo, hi, big_r, mode):
+    """The three-interval inequality from its interval integrals.
+
+    tops maps each distinct exponent of the sum to its highest power, so
+    the index is M + d = sum(tops.values()) + len(tops); lo and hi are the
+    integrals of |p|^2 over the lower and the upper interval, floats or
+    equal-shape arrays (one entry per sum with these exponents and
+    powers).  growth: e^{lambda R} lo <= A(M+d) hi; decay: hi <= A(M+d)
+    e^{-lambda R} lo, with lambda the minimal |Re exponent|.
+    """
+    growth = _check_modes(mode)
+    res = [z.real for z in tops]
+    lam = min(res) if growth else min(-x for x in res)
+    if lam <= 0:
+        raise _mixed_signs(mode)
+    return _three_interval_record(lam, sum(tops.values()) + len(tops), lo,
+                                  hi, big_r, growth)
+
+
+def three_interval_batch(table, big_r, ell, modes):
+    """three_interval on every row of the TermTable ``table`` at once:
+    big_r, ell and modes hold one entry per row, every interval integral
+    comes from one l2_integrals call, and the record is
+    three_interval_bound's with one array entry per row."""
+    growth = _check_modes(modes)
+    size = table.sizes()
+    if not size.all():
+        raise ParameterError("empty sum")
+    # each row is sorted by real part: its first term has the least, its
+    # last the largest
+    last = np.cumsum(size) - 1
+    re = table.exponent.real
+    lam = np.where(growth, re[last - size + 1], -re[last])
+    bad = np.flatnonzero(lam <= 0)
+    if bad.size:
+        raise _mixed_signs("growth" if growth[bad[0]] else "decay")
+    d, big_m = table.distinct()
     big_r = np.asarray(big_r, dtype=float)
     ends = np.asarray(ell)[:, None] + np.arange(-1, 2)
     edges = ends * big_r[:, None]
-    lo, hi = l2_integrals(sums, edges[:, :2], edges[:, 1:]).T
-    return three_interval_bound([p.top_powers for p in sums], lo, hi, big_r,
-                                modes)
+    lo, hi = l2_integrals(table, edges[:, :2], edges[:, 1:]).T
+    return _three_interval_record(lam, big_m + d, lo, hi, big_r, growth)
 
 
 def three_interval(p, big_r, ell, mode):
@@ -499,49 +642,154 @@ def three_interval(p, big_r, ell, mode):
     ell = int(ell)
     if not p.terms:
         raise ParameterError("empty sum")
-    rec = _first(three_interval_batch([p], [big_r], [ell], [mode]))
+    rec = _first(three_interval_batch(TermTable.of([p]), [big_r], [ell],
+                                      [mode]))
     rec["params"] = {"R": big_r, "l": ell, "mode": mode,
                      "index": rec.pop("index")}
     return rec
 
 
 # -- randomized draws and the constant estimator ---------------------------
+#
+# Each drawer draws a whole batch of instances with one generator call per
+# variate (per exponent slot and per budget step where a draw depends on
+# the slots before it).  Its one-row case is the single-instance drawer
+# and makes exactly the generator calls, in order, of a draw made one
+# variate at a time.
 
 
-def _power_sum_variates(rng, d):
-    """The generator calls of one power-sum draw of d terms, in order: m,
-    then d each of the unit-modulus coin, the modulus, the angle and the
-    coefficients' real and imaginary parts."""
-    return (int(rng.integers(1, 11)), rng.random(d), rng.random(d),
-            rng.random(d), rng.standard_normal(d), rng.standard_normal(d))
-
-
-def _power_sum_from(m, coin, u, angle, re, im):
-    """(m, |z|, z, c) from the variates, elementwise, so stacked variates
-    of many draws give the stacked draws."""
+def _power_sums(rng, d):
+    """(m, |z|, z, c) of len(d) random power sums, sum i of d[i] terms: m
+    of shape (len(d),) in 1..10; |z|, z and c flat, sum after sum, with
+    each |z_j| 1 with probability 1/4, else uniform in [1, 3].  The
+    generator calls, in order: m, then the unit-modulus coin, the modulus,
+    the angle and the coefficients' real and imaginary parts."""
+    n = int(np.sum(d))
+    m = rng.integers(1, 11, size=len(d))
+    coin, u, angle = rng.random(n), rng.random(n), rng.random(n)
+    re, im = rng.standard_normal(n), rng.standard_normal(n)
     mod = np.where(coin < 0.25, 1.0, 1.0 + 2.0 * u)
     return m, mod, mod * np.exp(2j * math.pi * angle), re + 1j * im
 
 
 def _draw_power_sum(rng, d):
-    """Random (m, |z|, z, c) of d terms: m in 1..10, and each |z_j| is 1
-    with probability 1/4, else uniform in [1, 3]."""
-    return _power_sum_from(*_power_sum_variates(rng, d))
+    """Random (m, |z|, z, c) of d terms: the one-sum case of _power_sums."""
+    m, mod, z, c = _power_sums(rng, [d])
+    return int(m[0]), mod, z, c
 
 
 def draw_discrete_instances(rng, trials, dmax=4):
-    """``trials`` draws of d in 1..dmax, each then of _draw_power_sum(rng,
-    d), grouped by d: {d: (z, c, m)} with z and c of shape (count, d) and
-    m of shape (count,)."""
-    variates = {}
-    for _ in range(trials):
-        d = int(rng.integers(1, dmax + 1))
-        variates.setdefault(d, []).append(_power_sum_variates(rng, d))
+    """``trials`` random power sums, each of d terms with d uniform in
+    1..dmax, grouped by d: {d: (z, c, m)} with z and c of shape (count, d)
+    and m of shape (count,), in draw order within each d."""
+    d = rng.integers(1, dmax + 1, size=trials)
+    m, _, z, c = _power_sums(rng, d)
+    first = np.cumsum(d) - d
     out = {}
-    for d, rows in variates.items():
-        m, _, z, c = _power_sum_from(*(np.array(v) for v in zip(*rows)))
-        out[d] = (z, c, m)
+    for k in np.unique(d).tolist():
+        rows = np.flatnonzero(d == k)
+        cols = first[rows, None] + np.arange(k)
+        out[k] = (z[cols], c[cols], m[rows])
     return out
+
+
+def _place_exponents(rng, placed, re_range):
+    """One new exponent for each row of ``placed`` (that row's exponents so
+    far): real part uniform in re_range, imaginary part in [-3, 3].  Every
+    row draws, then the rows whose draw lies within 0.5 of one of their
+    earlier exponents draw again, up to 10000 draws in all."""
+    out = np.empty(len(placed), dtype=complex)
+    todo = np.arange(len(placed))
+    draws = 0
+    while todo.size:
+        if draws == 10000:
+            raise NumericError("could not place separated exponents")
+        draws += 1
+        zeta = np.empty(todo.size, dtype=complex)
+        zeta.real = rng.uniform(*re_range, size=todo.size)
+        zeta.imag = rng.uniform(-3.0, 3.0, size=todo.size)
+        ok = (np.abs(zeta[:, None] - placed[todo]) >= 0.5).all(axis=1)
+        out[todo[ok]] = zeta[ok]
+        todo = todo[~ok]
+    return out
+
+
+def _exponent_slots(rng, d, re_range, powers):
+    """The exponents and terms of len(d) random sums, sum i with d[i]
+    exponents, placed slot by slot: slot s places exponent s of every sum
+    with d > s (_place_exponents), draws its top powers (uniform in
+    0..powers; 0 when powers is None, without a draw) and one complex
+    standard normal coefficient for each power up to the top.  Returns the
+    (len(d), max d) exponent array, +inf past a sum's d, and the terms as
+    (coeff, exponent, power, row) array quadruples, one per slot."""
+    d = np.asarray(d, dtype=int)
+    zs = np.full((len(d), int(d.max(initial=0))), np.inf, dtype=complex)
+    parts = []
+    for s in range(zs.shape[1]):
+        live = np.flatnonzero(d > s)
+        zeta = _place_exponents(rng, zs[live, :s], re_range)
+        zs[live, s] = zeta
+        count = 1 + (np.zeros(live.size, dtype=int) if powers is None
+                     else rng.integers(0, powers + 1, size=live.size))
+        first = np.cumsum(count) - count
+        total = int(count.sum())
+        # re, im of each coefficient in turn: a complex view of the pairs
+        coeff = rng.standard_normal(2 * total).view(complex)
+        parts.append((coeff, np.repeat(zeta, count),
+                      np.arange(total) - np.repeat(first, count),
+                      np.repeat(live, count)))
+    return zs, parts
+
+
+def draw_expsum_table(rng, d, re_range=(0.0, 2.0), powers=None):
+    """len(d) random sums as a TermTable, row i with d[i] distinct
+    exponents and an optional power budget.
+
+    Imaginary parts are uniform in [-3, 3].  Exponents are kept at least
+    0.5 apart (the regime of integer-spaced indicial roots these sums come
+    from): a nearly coincident pair is the multiplicity case in disguise
+    and is drawn via explicit powers instead, keeping observed inequality
+    ratios at their stated index.  Each exponent carries the powers 0 to
+    a top power uniform in 0..powers (0 when powers is None), each with a
+    complex standard normal coefficient.
+    """
+    _, parts = _exponent_slots(rng, d, re_range, powers)
+    return TermTable.from_parts(parts, len(d))
+
+
+def draw_expsum(rng, d, re_range=(0.0, 2.0), powers=None):
+    """Random ExpSum with d distinct exponents and optional power budget:
+    the one-row case of draw_expsum_table."""
+    return draw_expsum_table(rng, [d], re_range, powers).sums()[0]
+
+
+def draw_budget_table(rng, d, budget):
+    """len(d) random growth-type sums as a TermTable: row i with d[i]
+    exponents (real parts in [0.05, 2], draw_expsum_table) and budget[i]
+    extra log powers, each raising the top power of a uniformly chosen
+    exponent of its row by one with a new coefficient; the index M + d of
+    row i is d[i] + budget[i].  Step k of the budget draws the choices,
+    then the coefficients, of every row with budget > k."""
+    d = np.asarray(d, dtype=int)
+    budget = np.asarray(budget, dtype=int)
+    zs, parts = _exponent_slots(rng, d, (0.05, 2.0), None)
+    # the choice indexes a row's exponents in ExpSum order (real part,
+    # then imaginary part); the +inf padding sorts last
+    order = np.lexsort((zs.imag, zs.real))
+    top = np.zeros(zs.shape, dtype=int)
+    for k in range(int(budget.max(initial=0))):
+        live = np.flatnonzero(budget > k)
+        slot = order[live, rng.integers(0, d[live])]
+        top[live, slot] += 1
+        coeff = rng.standard_normal(2 * live.size).view(complex)
+        parts.append((coeff, zs[live, slot], top[live, slot], live))
+    return TermTable.from_parts(parts, len(d))
+
+
+def draw_budget_expsum(rng, d, budget):
+    """Random growth-type ExpSum with d exponents and ``budget`` extra log
+    powers: the one-row case of draw_budget_table."""
+    return draw_budget_table(rng, [d], [budget]).sums()[0]
 
 
 def estimate_turan_constant(d, trials, seed):
@@ -571,44 +819,3 @@ def estimate_turan_constant(d, trials, seed):
     if skipped == trials:
         raise NumericError("all sampled instances degenerate")
     return worst
-
-
-def draw_expsum(rng, d, re_range=(0.0, 2.0), powers=None):
-    """Random ExpSum with d distinct exponents and optional power budget.
-
-    Imaginary parts are uniform in [-3, 3].  Exponents are kept at least
-    0.5 apart (the regime of integer-spaced indicial roots these sums come
-    from): a nearly coincident pair is the multiplicity case in disguise
-    and is drawn via explicit powers instead, keeping observed inequality
-    ratios at their stated index.
-    """
-    terms = []
-    seen = []
-    for _ in range(d):
-        for _attempt in range(10000):
-            zeta = complex(rng.uniform(*re_range), rng.uniform(-3.0, 3.0))
-            if all(abs(zeta - w) >= 0.5 for w in seen):
-                seen.append(zeta)
-                break
-        else:
-            raise NumericError("could not place separated exponents")
-        pmax = 0 if powers is None else int(rng.integers(0, powers + 1))
-        for b in range(pmax + 1):
-            terms.append(ExpTerm(complex(rng.standard_normal(),
-                                         rng.standard_normal()), zeta, b))
-    return ExpSum(terms)
-
-
-def draw_budget_expsum(rng, d, budget):
-    """Random growth-type ExpSum with d exponents (real parts in [0.05, 2])
-    and ``budget`` extra log powers, each raising the top power of a
-    uniformly chosen exponent by one; its index M + d is d + budget."""
-    p = draw_expsum(rng, d, re_range=(0.05, 2.0))
-    terms = list(p.terms)
-    exps = p.distinct_exponents
-    for _ in range(budget):
-        zeta = exps[int(rng.integers(0, len(exps)))]
-        pw = max(t.power for t in terms if t.exponent == zeta) + 1
-        terms.append(ExpTerm(complex(rng.standard_normal(),
-                                     rng.standard_normal()), zeta, pw))
-    return ExpSum(terms)

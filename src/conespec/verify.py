@@ -53,8 +53,8 @@ def check_normalization(seed=0, scale=1.0):
     return _result(check_normalization, ok)
 
 
-# The Turan sweeps draw their instances one trial at a time, then evaluate
-# up to BATCH_TRIALS of them together; the cap bounds the batch arrays.
+# The Turan sweeps draw and evaluate up to BATCH_TRIALS instances at a
+# time as arrays; the cap bounds the batch arrays.
 BATCH_TRIALS = 256
 
 
@@ -83,13 +83,10 @@ def check_integral_sweep(seed=1, scale=1.0):
     trials = int(1000 * scale) or 1
     violations = 0
     for n in _batches(trials):
-        sums, a, b = [], [], []
-        for _ in range(n):
-            d = int(rng.integers(1, 4))
-            sums.append(es.draw_expsum(rng, d))
-            a.append(float(rng.uniform(0.05, 4.0)))
-            b.append(float(rng.uniform(a[-1] + 0.05, 5.0)))
-        rec = es.turan_integral_batch(sums, a, b)
+        table = es.draw_expsum_table(rng, rng.integers(1, 4, size=n))
+        a = rng.uniform(0.05, 4.0, size=n)
+        b = rng.uniform(a + 0.05, 5.0)
+        rec = es.turan_integral_batch(table, a, b)
         holds = (rec["holds"] & rec["sup_form"]["holds"]
                  & rec["l2_form"]["holds"])
         violations += int(np.count_nonzero(~holds))
@@ -103,18 +100,16 @@ def check_three_interval_sweep(seed=2, scale=1.0):
     trials = int(1000 * scale) or 1
     violations = 0
     for n in _batches(trials):
-        sums, big_r, ell = [], [], []
-        for _ in range(n):
-            d = int(rng.integers(1, 4))
-            budget = int(rng.integers(0, 6 - d)) if d < 5 else 0
-            sums.append(es.draw_budget_expsum(rng, d, budget))
-            big_r.append(float(rng.uniform(0.2, 2.5)))
-            ell.append(int(rng.integers(1, 4)))
+        d = rng.integers(1, 4, size=n)
+        table = es.draw_budget_table(rng, d, rng.integers(0, 6 - d))
+        big_r = rng.uniform(0.2, 2.5, size=n)
+        ell = rng.integers(1, 4, size=n)
         # the power budget keeps the index <= 5
-        violations += sum(p.big_m + p.d > 5 for p in sums)
-        rec = es.three_interval_batch(sums + [p.mirrored() for p in sums],
-                                      big_r * 2, ell * 2,
-                                      ["growth"] * n + ["decay"] * n)
+        d, big_m = table.distinct()
+        violations += int(np.count_nonzero(big_m + d > 5))
+        rec = es.three_interval_batch(table.with_mirrors(),
+                                      np.tile(big_r, 2), np.tile(ell, 2),
+                                      np.repeat(["growth", "decay"], n))
         violations += int(np.count_nonzero(~rec["holds"]))
     return _result(check_three_interval_sweep, violations == 0,
                    trials=trials, violations=violations)

@@ -5,11 +5,12 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
-from conespec import verify
+from conespec import cli, verify
 from conespec.cli import build_parser, main
 
 EYE4 = "[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]"
@@ -410,6 +411,78 @@ def test_turan_single_checks(tmp_path):
     assert main(["turan", "--check", "discrete", "--d", "3", "--seed", "5",
                  "--out", str(out)]) == 0
     assert read_json(out)["data"]["holds"] is True
+
+
+GOLDEN_TURAN = json.loads((Path(__file__).resolve().parent / "data"
+                           / "golden_turan.json").read_text())
+
+
+@pytest.mark.parametrize("cell", GOLDEN_TURAN,
+                         ids=[" ".join(c["argv"]) for c in GOLDEN_TURAN])
+def test_turan_single_checks_match_golden(tmp_path, cell):
+    # the instance each single check draws from its seed, and its record,
+    # are pinned (regenerate with tests/data/make_golden_turan.py only when
+    # a change to either is intended)
+    out = tmp_path / "t.json"
+    assert main(["turan", *cell["argv"], "--out", str(out)]) == cell["exit"]
+    assert read_json(out)["data"] == cell["data"]
+
+
+def test_turan_discrete_overflow_is_numeric_failure(tmp_path, capsys):
+    # at d = 400 the power sums leave the float range: exit 3 naming the
+    # quantity, no document and no numpy warning
+    out = tmp_path / "t.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["turan", "--check", "discrete", "--d", "400",
+                     "--out", str(out)]) == 3
+    assert "rhs is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_turan_discrete_overflowing_product_holds(tmp_path):
+    # at d = 300 constant_bound * rhs overflows although both are finite:
+    # the check holds, without a numpy warning
+    out = tmp_path / "t.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["turan", "--check", "discrete", "--d", "300",
+                     "--out", str(out)]) == 0
+    data = read_json(out)["data"]
+    assert data["holds"] is True
+    assert math.isfinite(data["rhs"]) and math.isfinite(data["constant_bound"])
+    assert data["constant_bound"] * data["rhs"] == math.inf
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
+    # one process runs different commands in sequence, with and without
+    # --config, on one parser; each call's data matches a fresh process
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    conf = tmp_path / "kernel.json"
+    conf.write_text(json.dumps({"n": 4, "k": 1, "mode": "log"}))
+    scan = tmp_path / "scan.json"
+    scan.write_text(json.dumps({"n": 4, "k": 1, "t-values": "0,0.05",
+                                "j-max": 1}))
+    runs = [["kernel", "--config", str(conf)],
+            ["turan", "--check", "integral", "--d", "2", "--seed", "3"],
+            ["kernel", "--n", "4", "--k", "1", "--mode", "degree1"],
+            ["degenerate-scan", "--config", str(scan)],
+            ["bootstrap", "--regime", "infinity", "--n", "6", "--k", "1"],
+            ["verify-all", "--suite", "expsum.shift_covariance",
+             "--scale", "0.02"]]
+    for i, argv in enumerate(runs):
+        here, fresh = tmp_path / f"here{i}.json", tmp_path / f"fresh{i}.json"
+        assert main(argv + ["--out", str(here)]) == 0
+        proc = subprocess.run([sys.executable, "-m", "conespec.cli", *argv,
+                               "--out", str(fresh)], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert read_json(here)["data"] == read_json(fresh)["data"], argv
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("seed", ["0", "1", "2", "3"])

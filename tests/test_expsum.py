@@ -11,7 +11,8 @@ from scipy import integrate
 from conespec import expsum as es
 from conespec import turan_constants, verify
 from conespec.closed_form import ParameterError
-from conespec.expsum import (ExpSum, ExpTerm, RangeError, _abs_sq_grid, draw_budget_expsum,
+from conespec.expsum import (ExpSum, ExpTerm, RangeError, TermTable,
+                             _abs_sq_grid, draw_budget_expsum,
                              draw_expsum, estimate_turan_constant,
                              eval_expsum, l2_integral, poly_exp_integrals,
                              sup_norm_sq, three_interval,
@@ -226,7 +227,8 @@ def test_sup_norm_grid_matches_scalar_evaluation():
         p = draw_expsum(rng, int(rng.integers(1, 4)), re_range=(-2.0, 2.0),
                         powers=2)
         want = np.array([abs(eval_expsum(p, t)) ** 2 for t in ts])
-        assert np.allclose(_abs_sq_grid(p, ts), want, rtol=1e-13, atol=0)
+        terms = TermTable.of([p]).row_terms()[0]
+        assert np.allclose(_abs_sq_grid(terms, ts), want, rtol=1e-13, atol=0)
 
 
 def test_sup_norm_refines_past_the_sample_grid():
@@ -238,20 +240,22 @@ def test_sup_norm_refines_past_the_sample_grid():
                         powers=2)
         r = float(rng.uniform(1.0, 4.0))
         ts = np.linspace(0.0, r, 2048)
-        i = int(np.argmax(_abs_sq_grid(p, ts)))
-        dense = _abs_sq_grid(p, np.linspace(ts[max(i - 1, 0)],
-                                            ts[min(i + 1, 2047)], 20001))
+        terms = TermTable.of([p]).row_terms()[0]
+        i = int(np.argmax(_abs_sq_grid(terms, ts)))
+        dense = _abs_sq_grid(terms, np.linspace(ts[max(i - 1, 0)],
+                                                ts[min(i + 1, 2047)], 20001))
         assert abs(sup_norm_sq(p, 0.0, r) - dense.max()) <= 1e-11 * dense.max()
 
 
 def test_sup_norm_refine_evaluates_each_point_once(monkeypatch):
     calls = []
+    real = es._eval_terms
 
-    def counted(p, t):
+    def counted(terms, t):
         calls.append(t)
-        return eval_expsum(p, t)
+        return real(terms, t)
 
-    monkeypatch.setattr(es, "eval_expsum", counted)
+    monkeypatch.setattr(es, "_eval_terms", counted)
     sup_norm_sq(ExpSum([ExpTerm(1, 1j), ExpTerm(0.5, -0.3)]), 0.0, 3.0)
     # two interior points, one per step of 80, the midpoint, the best sample
     assert len(calls) == 84
@@ -393,8 +397,8 @@ def test_l2_integral_matches_pairwise_oracle():
         t0, t1 = sorted(rng.uniform(0.0, 4.0, 2).tolist())
         want = _l2_oracle(p, t0, t1)
         assert abs(l2_integral(p, t0, t1) - want) <= 1e-12 * want
-        both = es.l2_integrals([p, p.mirrored()], [[t0, 0.0]] * 2,
-                               [[t1, t0]] * 2)
+        both = es.l2_integrals(TermTable.of([p, p.mirrored()]),
+                               [[t0, 0.0]] * 2, [[t1, t0]] * 2)
         assert both.shape == (2, 2) and both[0, 0] == l2_integral(p, t0, t1)
         assert both[1, 1] == l2_integral(p.mirrored(), 0.0, t0)
 
@@ -415,36 +419,31 @@ def test_overflowing_integral_raises_range_error():
         poly_exp_integrals(10, 1e-30, 5e29, 1e30)
 
 
-# -- the batched sweeps against their per-trial loops -----------------------
-
-
-def _draw_discrete_oracle(rng, dmax):
-    d = int(rng.integers(1, dmax + 1))
-    m = int(rng.integers(1, 11))
-    mod = np.where(rng.random(d) < 0.25, 1.0, 1.0 + 2.0 * rng.random(d))
-    z = mod * np.exp(2j * math.pi * rng.random(d))
-    c = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return list(z), list(c), m
+# -- the batched sweeps against per-instance oracles ------------------------
+#
+# Each oracle makes the sweep's own draws (the array drawers, batch by
+# batch, with the sweep's generator calls) and evaluates every instance on
+# its own with the scalar formulas and the single-sum functions.
 
 
 def _discrete_sweep_oracle(seed, scale):
-    """check_discrete_sweep one trial at a time with the scalar bound;
-    returns (trials, violations) and the draws."""
+    """check_discrete_sweep's instances, each checked with scalar power
+    sums; returns (trials, violations) and the draws."""
     rng = np.random.default_rng(seed)
     trials = int(10000 * scale) or 1
-    violations = 0
     draws = []
-    for _ in range(trials):
-        z, c, m = _draw_discrete_oracle(rng, 4)
-        draws.append((z, c, m))
+    for n in verify._batches(trials):
+        for z, c, m in es.draw_discrete_instances(rng, n, dmax=4).values():
+            draws += [(list(zi), list(ci), int(mi))
+                      for zi, ci, mi in zip(z, c, m)]
+    violations = 0
+    for z, c, m in draws:
         d = len(z)
         lhs = abs(es.power_sum(z, c, 0)) ** 2
         rhs = max(abs(es.power_sum(z, c, m + j)) ** 2 for j in range(1, d + 1))
         bound = (turan_constants.discrete_constant(d)
                  * ((m + d) / d) ** (2 * (d - 1)))
-        if rhs == 0:
-            continue
-        if not lhs <= bound * rhs:
+        if rhs != 0 and not lhs <= bound * rhs:
             violations += 1
     return (trials, violations), draws
 
@@ -460,73 +459,71 @@ def _three_interval_holds(p, big_r, lo, hi, mode):
 
 
 def _three_interval_sweep_oracle(seed, scale):
-    """The sweep's draws one trial at a time and its verdicts with the
-    scalar formulas; the interval integrals of all draws come from one
-    l2_integrals call."""
+    """check_three_interval_sweep's instances, each sum and its mirror
+    image checked on its own: integrals from l2_integral, verdicts from
+    the scalar formulas."""
     rng = np.random.default_rng(seed)
     trials = int(1000 * scale) or 1
-    violations = 0
     draws = []
-    for _ in range(trials):
-        d = int(rng.integers(1, 4))
-        budget = int(rng.integers(0, 6 - d)) if d < 5 else 0
-        p = es.draw_budget_expsum(rng, d, budget)
+    for n in verify._batches(trials):
+        d = rng.integers(1, 4, size=n)
+        table = es.draw_budget_table(rng, d, rng.integers(0, 6 - d))
+        big_r = rng.uniform(0.2, 2.5, size=n)
+        ell = rng.integers(1, 4, size=n)
+        draws += zip(table.sums(), big_r.tolist(), ell.tolist())
+    violations = 0
+    for p, big_r, ell in draws:
         if p.big_m + p.d > 5:
             violations += 1
-        big_r = float(rng.uniform(0.2, 2.5))
-        ell = int(rng.integers(1, 4))
-        draws.append((p, big_r, ell))
-    edges = [[(ell + i) * big_r for i in (-1, 0, 1)]
-             for _, big_r, ell in draws] * 2
-    sums = [p for p, _, _ in draws] + [p.mirrored() for p, _, _ in draws]
-    ints = es.l2_integrals(sums, [e[:2] for e in edges],
-                           [e[1:] for e in edges])
-    for k, (p, big_r, _) in enumerate(draws):
-        if not _three_interval_holds(p, big_r, *ints[k], "growth"):
-            violations += 1
-        if not _three_interval_holds(p.mirrored(), big_r, *ints[trials + k],
-                                     "decay"):
-            violations += 1
+        for q, mode in ((p, "growth"), (p.mirrored(), "decay")):
+            lo = l2_integral(q, (ell - 1) * big_r, ell * big_r)
+            hi = l2_integral(q, ell * big_r, (ell + 1) * big_r)
+            if not _three_interval_holds(q, big_r, lo, hi, mode):
+                violations += 1
     return (trials, violations), draws
 
 
 def _integral_sweep_oracle(seed, scale):
-    """As _three_interval_sweep_oracle, for the integral sweep."""
+    """As _three_interval_sweep_oracle, for the integral sweep; the draws
+    carry each instance's sup of |p|^2 on [0, R]."""
     rng = np.random.default_rng(seed)
     trials = int(1000 * scale) or 1
     draws = []
-    for _ in range(trials):
-        p = es.draw_expsum(rng, int(rng.integers(1, 4)))
-        a = float(rng.uniform(0.05, 4.0))
-        b = float(rng.uniform(a + 0.05, 5.0))
-        draws.append((p, a, b))
-    ints = es.l2_integrals([p for p, _, _ in draws],
-                           [[a, 0.75 * b, 0.0] for _, a, b in draws],
-                           [[b, b, b / 2] for _, _, b in draws])
+    for n in verify._batches(trials):
+        table = es.draw_expsum_table(rng, rng.integers(1, 4, size=n))
+        a = rng.uniform(0.05, 4.0, size=n)
+        b = rng.uniform(a + 0.05, 5.0)
+        draws += zip(table.sums(), a.tolist(), b.tolist())
     violations = 0
-    for (p, a, b), (integral, tail, head) in zip(draws, ints):
+    sups = []
+    for p, a, b in draws:
         d = max(p.d, 1)
         big_r = b / 2
+        integral = l2_integral(p, a, b)
+        tail = l2_integral(p, 1.5 * big_r, b)
+        head = l2_integral(p, 0.0, big_r)
         lhs = abs(eval_expsum(p, 0.0)) ** 2
         bound = (turan_constants.integral_constant(d)
                  * (b / (b - a)) ** (2 * (d - 1)) * (b + a) / (b - a) ** 2
                  * integral)
+        sups.append(sup_norm_sq(p, 0.0, big_r))
         sup_bound = turan_constants.sup_constant(d) / big_r * tail
         l2_bound = turan_constants.l2l2_constant(d) * tail
         if not (lhs <= bound * (1 + 1e-12)
-                and sup_norm_sq(p, 0.0, big_r) <= sup_bound * (1 + 1e-12)
+                and sups[-1] <= sup_bound * (1 + 1e-12)
                 and head <= l2_bound * (1 + 1e-12)):
             violations += 1
-    return trials, violations
+    return (trials, violations), sups
 
 
 def _spy(monkeypatch, name):
+    """Record the arguments and the result of every call of es.name."""
     calls = []
     real = getattr(es, name)
 
     def spy(*args):
-        calls.append(args)
-        return real(*args)
+        calls.append((args, real(*args)))
+        return calls[-1][1]
 
     monkeypatch.setattr(es, name, spy)
     return calls
@@ -536,7 +533,7 @@ def _assert_same_discrete_draws(calls, draws):
     """The batches, concatenated per d in call order, hold the oracle's
     draws of that d in draw order, bit for bit."""
     got, want = {}, {}
-    for z, c, m in calls:
+    for (z, c, m), _ in calls:
         got.setdefault(z.shape[1], []).append((z, c, m))
     for z, c, m in draws:
         want.setdefault(len(z), []).append((z, c, m))
@@ -552,13 +549,13 @@ def _assert_same_three_interval_draws(calls, draws):
     """Each batch holds its share of the oracle's draws in draw order,
     growth first, then the mirror images in decay mode."""
     start = 0
-    for sums, big_r, ell, modes in calls:
-        n = len(sums) // 2
+    for (table, big_r, ell, modes), _ in calls:
+        n = table.rows // 2
         part = draws[start:start + n]
         start += n
-        assert [q.terms for q in sums] == ([p.terms for p, _, _ in part]
-                                           + [p.mirrored().terms
-                                              for p, _, _ in part])
+        assert [q.terms for q in table.sums()] == (
+            [p.terms for p, _, _ in part]
+            + [p.mirrored().terms for p, _, _ in part])
         assert list(big_r) == [r for _, r, _ in part] * 2
         assert list(ell) == [e for _, _, e in part] * 2
         assert list(modes) == ["growth"] * n + ["decay"] * n
@@ -569,6 +566,7 @@ def _assert_same_three_interval_draws(calls, draws):
 def test_batched_sweeps_match_per_trial_oracle(monkeypatch, seed):
     discrete = _spy(monkeypatch, "turan_discrete_batch")
     three = _spy(monkeypatch, "three_interval_batch")
+    integral = _spy(monkeypatch, "turan_integral_batch")
     rec = verify.check_discrete_sweep(seed=seed, scale=0.2)["details"]
     want, draws = _discrete_sweep_oracle(seed, 0.2)
     assert (rec["trials"], rec["violations"]) == want
@@ -578,8 +576,11 @@ def test_batched_sweeps_match_per_trial_oracle(monkeypatch, seed):
     assert (rec["trials"], rec["violations"]) == want
     _assert_same_three_interval_draws(three, draws)
     rec = verify.check_integral_sweep(seed=seed, scale=0.05)["details"]
-    assert (rec["trials"], rec["violations"]) == _integral_sweep_oracle(
-        seed, 0.05)
+    want, sups = _integral_sweep_oracle(seed, 0.05)
+    assert (rec["trials"], rec["violations"]) == want
+    # the batched sup refine gives each instance's sup_norm_sq bit for bit
+    got = np.concatenate([out["sup_form"]["lhs"] for _, out in integral])
+    assert got.tobytes() == np.array(sups).tobytes()
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -604,6 +605,149 @@ def test_batched_sweeps_count_failures_like_oracle(monkeypatch, seed):
     assert 0 < want[1] < 2 * want[0]
     _assert_same_three_interval_draws(three, draws)
     rec = verify.check_integral_sweep(seed=seed, scale=0.1)["details"]
-    want = _integral_sweep_oracle(seed, 0.1)
+    want, _ = _integral_sweep_oracle(seed, 0.1)
     assert (rec["trials"], rec["violations"]) == want
     assert 0 < want[1] < want[0]
+
+
+# -- the array drawers ------------------------------------------------------
+
+
+def _power_sum_one_variate_at_a_time(rng, d):
+    m = int(rng.integers(1, 11))
+    coin, u, angle = rng.random(d), rng.random(d), rng.random(d)
+    re, im = rng.standard_normal(d), rng.standard_normal(d)
+    mod = np.where(coin < 0.25, 1.0, 1.0 + 2.0 * u)
+    return m, mod, mod * np.exp(2j * math.pi * angle), re + 1j * im
+
+
+def _expsum_one_variate_at_a_time(rng, d, re_range, powers):
+    terms, seen = [], []
+    for _ in range(d):
+        while True:
+            zeta = complex(rng.uniform(*re_range), rng.uniform(-3.0, 3.0))
+            if all(abs(zeta - w) >= 0.5 for w in seen):
+                break
+        seen.append(zeta)
+        pmax = 0 if powers is None else int(rng.integers(0, powers + 1))
+        for b in range(pmax + 1):
+            terms.append(ExpTerm(complex(rng.standard_normal(),
+                                         rng.standard_normal()), zeta, b))
+    return ExpSum(terms)
+
+
+def _budget_expsum_one_variate_at_a_time(rng, d, budget):
+    p = _expsum_one_variate_at_a_time(rng, d, (0.05, 2.0), None)
+    terms = list(p.terms)
+    exps = p.distinct_exponents
+    for _ in range(budget):
+        zeta = exps[int(rng.integers(0, len(exps)))]
+        pw = max(t.power for t in terms if t.exponent == zeta) + 1
+        terms.append(ExpTerm(complex(rng.standard_normal(),
+                                     rng.standard_normal()), zeta, pw))
+    return ExpSum(terms)
+
+
+def _same_table(a, b):
+    return a.rows == b.rows and all(
+        getattr(a, f).tobytes() == getattr(b, f).tobytes()
+        for f in ("coeff", "exponent", "power", "row"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 6),
+       powers=st.one_of(st.none(), st.integers(0, 3)),
+       re_range=st.sampled_from([(0.0, 2.0), (0.05, 2.0), (-2.0, 2.0)]),
+       budget=st.integers(0, 4))
+def test_one_row_draws_are_the_single_instance_draws(seed, d, powers,
+                                                     re_range, budget):
+    # the one-row case of each array drawer makes the generator calls of a
+    # draw made one variate at a time, and gives its instance bit for bit
+    rngs = [np.random.default_rng(seed) for _ in range(3)]
+    want = _expsum_one_variate_at_a_time(rngs[0], d, re_range, powers)
+    assert draw_expsum(rngs[1], d, re_range, powers).terms == want.terms
+    assert _same_table(es.draw_expsum_table(rngs[2], [d], re_range, powers),
+                       TermTable.of([want]))
+    want = _budget_expsum_one_variate_at_a_time(rngs[0], min(d, 4), budget)
+    assert draw_budget_expsum(rngs[1], min(d, 4), budget).terms == want.terms
+    assert _same_table(es.draw_budget_table(rngs[2], [min(d, 4)], [budget]),
+                       TermTable.of([want]))
+    want = _power_sum_one_variate_at_a_time(rngs[0], d)
+    for got in (es._draw_power_sum(rngs[1], d),
+                es._draw_power_sum(rngs[2], d)):
+        assert got[0] == want[0]
+        assert all(u.tobytes() == v.tobytes()
+                   for u, v in zip(got[1:], want[1:]))
+    states = [r.bit_generator.state for r in rngs]
+    assert states[0] == states[1] == states[2]
+
+
+def _assert_table_invariants(table, d, re_range):
+    """Row i has d[i] exponents in the drawn box, pairwise at least 0.5
+    apart, each with the contiguous powers 0..top, in normalized order;
+    returns each row's index M + d."""
+    index = []
+    for k, terms in enumerate(table.row_terms()):
+        assert terms == sorted(terms, key=lambda t: (t[1].real, t[1].imag,
+                                                     t[2]))
+        powers = {}
+        for _, z, b in terms:
+            powers.setdefault(z, []).append(b)
+        assert len(powers) == d[k]
+        assert all(bs == list(range(len(bs))) for bs in powers.values())
+        zs = list(powers)
+        assert all(abs(u - v) >= 0.5 for i, u in enumerate(zs)
+                   for v in zs[:i])
+        assert all(re_range[0] <= z.real <= re_range[1]
+                   and -3.0 <= z.imag <= 3.0 for z in zs)
+        index.append(sum(len(bs) - 1 for bs in powers.values()) + len(zs))
+    return index
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40))
+def test_drawn_instances_meet_their_invariants(seed, n):
+    rng = np.random.default_rng(seed)
+    m, mod, z, c = es._power_sums(rng, rng.integers(1, 5, size=n))
+    assert m.shape == (n,) and ((1 <= m) & (m <= 10)).all()
+    assert ((mod == 1.0) | ((1.0 <= mod) & (mod <= 3.0))).all()
+    assert np.allclose(np.abs(z), mod, rtol=1e-15, atol=0)
+    for k, (z, c, m) in es.draw_discrete_instances(rng, n).items():
+        assert 1 <= k <= 4 and z.shape == c.shape == (len(m), k)
+        assert ((1 <= m) & (m <= 10)).all()
+        assert ((1 - 1e-12 <= np.abs(z)) & (np.abs(z) <= 3 + 1e-12)).all()
+    d = rng.integers(1, 4, size=n)
+    table = es.draw_expsum_table(rng, d, powers=2)
+    _assert_table_invariants(table, d, (0.0, 2.0))
+    budget = rng.integers(0, 6 - d)
+    table = es.draw_budget_table(rng, d, budget)
+    index = _assert_table_invariants(table, d, (0.05, 2.0))
+    assert index == (d + budget).tolist() and max(index) <= 5
+    # the table's own bookkeeping agrees with the rows as ExpSums
+    sums = table.sums()
+    tab_d, tab_m = table.distinct()
+    assert tab_d.tolist() == [p.d for p in sums]
+    assert tab_m.tolist() == [p.big_m for p in sums]
+    assert _same_table(table.with_mirrors(),
+                       TermTable.of(sums + [p.mirrored() for p in sums]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(entries=st.lists(_kernel_entry(), min_size=1, max_size=12))
+def test_kernel_is_conjugation_symmetric(entries):
+    # l2_integrals evaluates pair (i, j) and takes the conjugate for
+    # (j, i): that must be exact, up to the sign of a zero imaginary part
+    # (which the real part of c conj(c') times the integral does not see)
+    b, w, t0, t1 = (np.array(v) for v in zip(*entries))
+    got = poly_exp_integrals(b, w, t0, t1)
+    assert (got.conj() == poly_exp_integrals(b, w.conj(), t0, t1)).all()
+
+
+def test_unplaceable_exponent_raises_numeric_error():
+    # on the segment Re = 0, Im in [-3, 3], at most 13 exponents fit 0.5
+    # apart: the 14th slot fails its 10000 draws, in a batch as alone
+    with pytest.raises(es.NumericError, match="separated exponents"):
+        es.draw_expsum_table(np.random.default_rng(0), [2, 14],
+                             re_range=(0.0, 0.0))
+    with pytest.raises(es.NumericError, match="separated exponents"):
+        draw_expsum(np.random.default_rng(0), 14, re_range=(0.0, 0.0))
