@@ -27,7 +27,7 @@ from . import flat_kernel as fk
 from . import mode_ode as mo
 from . import polytensor as pt
 from . import symbols as sy
-from . import turan_constants, verify
+from . import verify
 from .closed_form import ParameterError
 from .expsum import NumericError
 
@@ -174,17 +174,13 @@ def build_parser():
                         "--t-values=-0.25,0.2")
     q.add_argument("--j-max", type=int, default=6)
 
-    q = command("turan", "power-sum inequality checks")
+    q = command("turan", "power-sum inequality checks", "seed")
     q.add_argument("--check", choices=("discrete", "integral",
                                        "three-interval", "sweep"),
                    default="sweep")
     q.add_argument("--d", type=int, default=2)
     q.add_argument("--m", type=int, default=None)
     q.add_argument("--trials", type=int, default=None)
-    q.add_argument("--estimate", type=int, default=None,
-                   help="estimate the discrete constant for this d")
-    q.add_argument("--regenerate-constants", action="store_true")
-    q.add_argument("--seed", type=int, default=None)
 
     q = command("bootstrap", "decay-order induction", "format")
     q.add_argument("--regime", choices=("infinity", "origin"), default=None)
@@ -445,32 +441,16 @@ def cmd_degenerate_scan(args):
 def cmd_turan(args):
     if args.trials is not None and args.trials < 1:
         raise UsageError(f"--trials: need trials >= 1, got {args.trials}")
-    default_seed = 20240801 if args.regenerate_constants else 0
-    seed = default_seed if args.seed is None else args.seed
-    if args.regenerate_constants:
-        trials = args.trials if args.trials is not None else 20000
-        tables = turan_constants.regenerate(
-            seed=seed,
-            discrete_trials=max(trials * 10, 10000),
-            integral_trials=trials)
-        _emit(args, tables)
-        return 0
-    if args.estimate is not None:
-        est = es.estimate_turan_constant(
-            args.estimate,
-            args.trials if args.trials is not None else 10000, seed)
-        _emit(args, {"d": args.estimate, "estimate": est,
-                     "with_safety": est * turan_constants.SAFETY})
-        return 0
     if args.check == "sweep":
         scale = args.trials / 10000.0 if args.trials is not None else 1.0
-        recs = [verify.check_discrete_sweep(seed=seed, scale=scale),
-                verify.check_integral_sweep(seed=seed, scale=scale),
-                verify.check_three_interval_sweep(seed=seed, scale=scale)]
+        recs = [check(seed=args.seed, scale=scale)
+                for check in (verify.check_discrete_sweep,
+                              verify.check_integral_sweep,
+                              verify.check_three_interval_sweep)]
         ok = all(r["passed"] for r in recs)
         _emit(args, {"suites": recs, "all_passed": ok})
         return 0 if ok else 1
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     if args.d < 1:
         raise UsageError(f"--d: need d >= 1, got {args.d}")
     if args.check == "discrete":

@@ -3,7 +3,8 @@
 Carries the discrete power-sum bound, its integral form, the sup-norm and
 L^2-L^2 corollaries, and the three-interval growth/decay estimates that
 drive the annulus analysis of the mode systems (radial profiles become
-exponential sums in t = log r).
+exponential sums in t = log r).  Their constants are the closed forms of
+turan_constants.
 
 Every inequality has one batched kernel reading a TermTable (the terms
 of many sums as flat arrays); the single-ExpSum functions convert once
@@ -427,47 +428,56 @@ def sup_norm_sq(p, t0, t1, samples=2048):
 # -- power sums and the discrete bound -------------------------------------
 
 
-def power_sum(z, c, ell):
-    """S_ell = sum_j c_j z_j^ell."""
-    return sum(cj * zj ** ell for cj, zj in zip(c, z))
-
-
 def turan_discrete_batch(z, c, m):
     """The discrete power-sum bound on N instances with d terms each.
 
-    z and c have shape (N, d), m shape (N,).  Returns arrays lhs = |S_0|^2
-    and rhs = max |S_{m+1..m+d}|^2 (S_ell = sum_j c_j z_j^ell),
-    constant_bound = A(d) ((m+d)/d)^{2(d-1)} and holds = lhs <=
-    constant_bound * rhs, with the constant A(d).  A non-finite lhs, rhs
-    or constant_bound raises RangeError naming it; the product
-    constant_bound * rhs may overflow to inf, which holds.
+    z and c have shape (N, d), m shape (N,).  Returns arrays lhs = |S_0|^2,
+    rhs = max |S_{m+1..m+d}|^2 (S_ell = sum_j c_j z_j^ell), constant =
+    T_d(m)^2 (turan_constants.discrete_constant, exact until it is made a
+    float here) and holds = lhs <= constant * rhs up to a relative 1e-12.
+    A non-finite lhs, rhs or constant raises RangeError naming it; the
+    product constant * rhs may overflow to inf, which holds.
     """
     z = np.asarray(z, dtype=complex)
     c = np.asarray(c, dtype=complex)
     m = np.asarray(m)
     d = z.shape[1]
     ells = m[:, None] + np.arange(1, d + 1)
-    a_d = turan_constants.discrete_constant(d)
+    const = _per_key(
+        lambda k: _float_or_inf(turan_constants.discrete_constant(d, k)), m)
     with np.errstate(over="ignore", invalid="ignore"):
         sums = (c[:, None, :] * z[:, None, :] ** ells[:, :, None]).sum(axis=2)
         lhs = np.abs(c.sum(axis=1)) ** 2
         rhs = (np.abs(sums) ** 2).max(axis=1)
-        bound = a_d * ((m + d) / d) ** (2 * (d - 1))
-        holds = lhs <= bound * rhs
-    for name, v in (("lhs", lhs), ("rhs", rhs), ("constant_bound", bound)):
+        holds = lhs <= const * rhs * (1 + 1e-12)
+    for name, v in (("lhs", lhs), ("rhs", rhs), ("constant", const)):
         if not np.isfinite(v).all():
             raise RangeError(f"discrete bound: {name} is not finite "
                              f"at d = {d}")
-    return {"lhs": lhs, "rhs": rhs, "constant": a_d,
-            "constant_bound": bound, "holds": holds}
+    return {"lhs": lhs, "rhs": rhs, "constant": const, "holds": holds}
+
+
+def _float_or_inf(n):
+    """The int n as a float, inf when it leaves the float range."""
+    try:
+        return float(n)
+    except OverflowError:
+        return math.inf
+
+
+def _per_key(const, keys):
+    """const(k) for every entry k of the int array keys, as an array, with
+    one call per distinct k."""
+    uniq, at = np.unique(keys, return_inverse=True)
+    return np.array([const(k) for k in uniq.tolist()])[at]
 
 
 def turan_discrete(z, c, m):
     """Discrete power-sum bound: |S_0|^2 against the next d sums after m.
 
     The one-instance case of turan_discrete_batch, as a record with lhs,
-    rhs, constant, constant_bound, the holds flag and params.  |z_j| >= 1
-    is checked up to a roundoff margin of 1e-12.
+    rhs, constant, the holds flag and params.  |z_j| >= 1 is checked up
+    to a roundoff margin of 1e-12.
     """
     z = [complex(v) for v in z]
     c = [complex(v) for v in c]
@@ -497,12 +507,11 @@ def turan_integral_batch(table, a, b):
         table, np.stack([a, 1.5 * big_r, np.zeros(table.rows)], axis=1),
         np.stack([b, 2 * big_r, big_r], axis=1)).T
     d = np.maximum(table.distinct()[0], 1)
-    a_d, a_sup, a_l2 = (np.array([const(k) for k in d.tolist()])
-                        for const in (turan_constants.integral_constant,
-                                      turan_constants.sup_constant,
-                                      turan_constants.l2l2_constant))
+    a_d = turan_constants.integral_constant(d, a, b)
+    a_sup = turan_constants.sup_constant(d)
+    a_l2 = _per_key(turan_constants.l2l2_constant, d)
     lhs = np.array([_abs_sq(terms, 0.0) for terms in table.row_terms()])
-    bound = a_d * (b / (b - a)) ** (2 * (d - 1)) * (b + a) / (b - a) ** 2 * integral
+    bound = a_d * integral
     sup_sq = sup_norms_sq(table, np.zeros(table.rows), big_r)
     sup_bound = a_sup / big_r * tail
     l2_bound = a_l2 * tail
@@ -523,8 +532,9 @@ def turan_integral(p, a, b):
     """Integral form of the power-sum bound plus its two interval variants.
 
     Requires all exponents with nonnegative real part and no powers.
-    lhs = |p(0)|^2; bound = A(d) (b/(b-a))^{2(d-1)} (b+a)/(b-a)^2 * int_a^b |p|^2.
-    The sup-norm and L^2-L^2 variants are evaluated on [0, R] against
+    lhs = |p(0)|^2; bound = K_d(0; a, b) int_a^b |p|^2, with the Legendre
+    Christoffel function K_d (turan_constants.integral_constant).  The
+    sup-norm and L^2-L^2 variants are evaluated on [0, R] against
     [3R/2, 2R] with R = b/2.  The one-sum case of turan_integral_batch.
     """
     if not 0 < a < b:
@@ -565,10 +575,10 @@ def _check_modes(modes):
 def _three_interval_record(lam, index, lo, hi, big_r, growth):
     """The three-interval inequality at rate lam and index M + d (floats
     or arrays, as lo, hi, big_r and the growth flags): growth: e^{lambda
-    R} lo <= A(M+d) hi; decay: hi <= A(M+d) e^{-lambda R} lo."""
+    R} lo <= A(M+d) hi; decay: hi <= A(M+d) e^{-lambda R} lo, with A the
+    Gram-pencil constant turan_constants.three_interval_constant."""
     if np.ndim(index):
-        a_c = np.array([turan_constants.three_interval_constant(i)
-                        for i in index.tolist()])
+        a_c = _per_key(turan_constants.three_interval_constant, index)
     else:
         a_c = turan_constants.three_interval_constant(index)
     lhs = np.where(growth, np.exp(lam * big_r) * lo, hi)
@@ -649,7 +659,7 @@ def three_interval(p, big_r, ell, mode):
     return rec
 
 
-# -- randomized draws and the constant estimator ---------------------------
+# -- randomized draws -------------------------------------------------------
 #
 # Each drawer draws a whole batch of instances with one generator call per
 # variate (per exponent slot and per budget step where a draw depends on
@@ -790,32 +800,3 @@ def draw_budget_expsum(rng, d, budget):
     """Random growth-type ExpSum with d exponents and ``budget`` extra log
     powers: the one-row case of draw_budget_table."""
     return draw_budget_table(rng, [d], [budget]).sums()[0]
-
-
-def estimate_turan_constant(d, trials, seed):
-    """Worst observed normalized discrete ratio over random draws.
-
-    ratio = lhs / (((m+d)/d)^{2(d-1)} * rhs); instances with vanishing rhs
-    are skipped (and counted); an all-skipped run is an error.
-    """
-    if d < 1 or trials < 1:
-        raise ParameterError("need d >= 1 and trials >= 1")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    skipped = 0
-    for _ in range(trials):
-        m, mod, z, c = _draw_power_sum(rng, d)
-        if d == 1:
-            # single term: the coefficient cancels exactly
-            worst = max(worst, float(mod[0]) ** (-2 * (m + 1)))
-            continue
-        lhs = abs(power_sum(z, c, 0)) ** 2
-        rhs = max(abs(power_sum(z, c, m + j)) ** 2 for j in range(1, d + 1))
-        if rhs == 0.0:
-            skipped += 1
-            continue
-        ratio = lhs / (((m + d) / d) ** (2 * (d - 1)) * rhs)
-        worst = max(worst, ratio)
-    if skipped == trials:
-        raise NumericError("all sampled instances degenerate")
-    return worst

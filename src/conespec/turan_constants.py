@@ -1,174 +1,122 @@
-"""Constant tables for the power-sum inequalities.
+"""Closed-form constants of the power-sum inequalities.
 
-The inequalities hold with constants depending only on the number of
-distinct exponents (plus the power budget for the three-interval form),
-but no usable numeric values come with them.  Each table below is the
-worst ratio observed over a large randomized sweep multiplied by a safety
-factor of 4, one table per inequality form (the forms differ by the
-combinatorial factors their derivations introduce, so a single table
-would be wrong for all but one of them).
+Each constant depends only on the number d of distinct exponents (the
+index M + d for the three-interval form) and on the intervals, as in
+Turan's first main theorem (P. Turan, On a New Method of Analysis and Its
+Applications, Wiley 1984).  No constant is sampled or scaled by a safety
+factor:
 
-Recompute with ``conespec turan --regenerate-constants`` (or
-:func:`regenerate`); every check reports the constant it used.
+- the discrete constant T_d(m)^2 is the sharp one of that theorem;
+- the integral, sup, L^2-L^2 and three-interval constants are the
+  confluent limits of their ratios, reached as every exponent tends to 0,
+  where an exponential sum of d terms becomes a polynomial of degree
+  < d.  That they are the sups over all admissible exponents is a
+  conjecture, supported by high-precision searches that never beat them.
+
+The two Gram-pencil eigenvalues are computed exactly, once per process
+and size, on first use.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from functools import lru_cache
 
-SAFETY = 4.0
+import numpy as np
 
-# Frozen values, monotone-enveloped (index-k sums embed in index k+1), with
-# exponent draws separated by at least 0.5 (the integer-spaced indicial
-# regime the library checks).  regenerate() at its defaults reproduces all
-# but THREE_INTERVAL_A[5..12], which predate the current closed-form
-# integral kernel (it gives 137278727.4 against 5.2e24 at index 12); they
-# stay because turan_bound and --turan-check read them.
-DISCRETE_A = {1: 4.0, 2: 33.898008, 3: 33.898008, 4: 33.898008,
-              5: 33.898008, 6: 33.898008, 7: 33.898008, 8: 33.898008,
-              9: 33.898008, 10: 33.898008, 11: 33.898008, 12: 33.898008}
-INTEGRAL_A = {1: 3.730903, 2: 8.766552, 3: 8.766552}
-SUP_A = {1: 7.99863, 2: 505.761589, 3: 505.761589}
-L2L2_A = {1: 7.997716, 2: 335.29745, 3: 335.29745}
-# The three-interval table grows steeply with the index: its decay form is
-# genuinely binding on instances like t^M e^{-lambda t} with small lambda*R,
-# whose admissible ratio is exponentially large in the power budget.
-THREE_INTERVAL_A = {1: 3.95446, 2: 48.321529, 3: 281.155431, 4: 920.043889,
-                    5: 6108.770084, 6: 37761.753941, 7: 466028.29993,
-                    8: 27582641.683604, 9: 409953223590.70087,
-                    10: 2.5022121479116294e+17, 11: 2.1138853887928316e+19,
-                    12: 5.216901489083871e+24}
+from .linalg import (det_dense, lagrange_coefficients, poly_derivative,
+                     poly_eval)
 
 
-def _lookup(table, d):
-    if d in table:
-        return table[d]
-    dmax = max(table)
-    if d < min(table):
-        return table[min(table)]
-    # geometric extrapolation beyond the table, floored at ratio 2
-    ratio = max(table[dmax] / table[dmax - 1], 2.0) if dmax - 1 in table else 4.0
-    return table[dmax] * ratio ** (d - dmax)
+def discrete_constant(d, m):
+    """T_d(m)^2 as an exact int, T_d(m) = sum_{k<d} C(m+k, k) 2^k: the
+    sharp constant of |S_0|^2 <= T_d(m)^2 max_{m<nu<=m+d} |S_nu|^2 for
+    d terms with every |z_j| >= 1."""
+    t = sum(math.comb(m + k, k) << k for k in range(d))
+    return t * t
 
 
-def discrete_constant(d):
-    return _lookup(DISCRETE_A, d)
-
-
-def integral_constant(d):
-    return _lookup(INTEGRAL_A, d)
+def integral_constant(d, a, b):
+    """The Legendre Christoffel function K_d(0; a, b) =
+    sum_{k<d} (2k+1)/(b-a) P_k((a+b)/(b-a))^2, elementwise on the
+    broadcast arrays d, a and b: the sup of |q(0)|^2 / int_a^b |q|^2 over
+    polynomials q of degree < d.  P_k comes from the three-term recurrence
+    (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}, one array step per k."""
+    d, a, b = np.broadcast_arrays(np.asarray(d), np.asarray(a, dtype=float),
+                                  np.asarray(b, dtype=float))
+    x = (a + b) / (b - a)
+    prev, cur = np.zeros(x.shape), np.ones(x.shape)
+    acc = np.zeros(x.shape)
+    for k in range(int(d.max(initial=0))):
+        acc += np.where(k < d, (2 * k + 1) * cur ** 2, 0.0)
+        prev, cur = cur, ((2 * k + 1) * x * cur - k * prev) / (k + 1)
+    return acc / (b - a)
 
 
 def sup_constant(d):
-    return _lookup(SUP_A, d)
+    """K_d(0; 3/2, 2), elementwise on the array d: the sup of
+    sup_{[0, 1]} |q|^2 / int_{3/2}^2 |q|^2 over polynomials q of degree
+    < d, which is the maximum of K_d(x; 3/2, 2) over x in [0, 1].  That
+    sums the squares of P_k(4x - 7), and |P_k(y)| grows with |y| outside
+    [-1, 1], so on [0, 1] (y in [-7, -3]) the maximum is at x = 0."""
+    return integral_constant(d, 1.5, 2.0)
 
 
 def l2l2_constant(d):
-    return _lookup(L2L2_A, d)
+    """The largest eigenvalue of the Gram pencil of 1, t, ..., t^(d-1) on
+    [0, 1] against [3/2, 2]: the sup of int_0^1 |q|^2 / int_{3/2}^2 |q|^2
+    over polynomials q of degree < d."""
+    return _pencil_max(d, Fraction(3, 2), Fraction(2))
 
 
 def three_interval_constant(index):
-    return _lookup(THREE_INTERVAL_A, index)
+    """The largest eigenvalue of the Gram pencil of 1, t, ..., t^(N-1) on
+    [0, 1] against [1, 2], N = index: the sup of int_0^1 |q|^2 /
+    int_1^2 |q|^2 over polynomials q of degree < N."""
+    return _pencil_max(index, Fraction(1), Fraction(2))
 
 
-# -- regeneration -----------------------------------------------------------
+def _gram(n, a, b):
+    """The exact Gram matrix of 1, t, ..., t^(n-1) on [a, b]."""
+    return [[(b ** (i + j + 1) - a ** (i + j + 1)) / (i + j + 1)
+             for j in range(n)] for i in range(n)]
 
 
-def _estimate_integral_forms(d, trials, seed):
-    import numpy as np
-
-    from .expsum import draw_expsum, eval_expsum, l2_integral, sup_norm_sq
-
-    rng = np.random.default_rng(seed)
-    worst_int = worst_sup = worst_l2 = 0.0
-    for _ in range(trials):
-        p = draw_expsum(rng, d)
-        a = rng.uniform(0.05, 4.0)
-        b = a + rng.uniform(0.05, 5.0 - min(a, 4.0) + 0.05)
-        ints = l2_integral(p, a, b)
-        if ints > 0:
-            lhs = abs(eval_expsum(p, 0.0)) ** 2
-            denom = (b / (b - a)) ** (2 * (d - 1)) * (b + a) / (b - a) ** 2 * ints
-            if denom > 0:
-                worst_int = max(worst_int, lhs / denom)
-        big_r = rng.uniform(0.2, 3.0)
-        tail = l2_integral(p, 1.5 * big_r, 2.0 * big_r)
-        if tail > 0:
-            sup_sq = sup_norm_sq(p, 0.0, big_r, samples=256)
-            worst_sup = max(worst_sup, sup_sq * big_r / tail)
-            head = l2_integral(p, 0.0, big_r)
-            worst_l2 = max(worst_l2, head / tail)
-    return worst_int, worst_sup, worst_l2
+def _float_up(q):
+    """The least float >= the Fraction q, as a Fraction."""
+    f = float(q)
+    return Fraction(f if Fraction(f) >= q else math.nextafter(f, math.inf))
 
 
-def _estimate_three_interval(index, trials, seed):
-    """Worst observed ratio over BOTH the growth and the decay form.
+@lru_cache(maxsize=None)
+def _pencil_max(n, a, b):
+    """The largest root of det(H[0, 1] - lambda H[a, b]), where H[a, b] is
+    the Gram matrix of 1, t, ..., t^(n-1) on [a, b], as a float at most
+    1e-13 (relative) above it.
 
-    The two forms share the constant family but random draws stress them
-    very differently (a decaying exponential against a rising polynomial
-    factor is the binding configuration, and growth-form sampling never
-    produces its reflected coefficient profile), so both are sampled.
+    The determinant is a polynomial of degree n in lambda, interpolated
+    exactly from det_dense at lambda = 0..n.  Its roots, the pencil's
+    eigenvalues, are real and positive, so their sum trace(H[a, b]^-1
+    H[0, 1]) is at least the largest.  Newton's method from there
+    decreases monotonically to lambda_max; each iterate is rounded up to a
+    float, so it stays above.  It stops at the first iterate x where the
+    polynomial changes sign, exactly, on [x (1 - 1e-13), x]: that bracket
+    holds lambda_max.
     """
-    import numpy as np
-
-    from .expsum import draw_budget_expsum, l2_integral
-
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        d = int(rng.integers(1, index + 1))
-        p = draw_budget_expsum(rng, d, index - d)
-        lam = min(t.exponent.real for t in p.terms)
-        if lam <= 0:
-            continue
-        big_r = rng.uniform(0.2, 2.5)
-        ell = int(rng.integers(1, 4))
-        lo = l2_integral(p, (ell - 1) * big_r, ell * big_r)
-        hi = l2_integral(p, ell * big_r, (ell + 1) * big_r)
-        if hi > 0:
-            worst = max(worst, math.exp(lam * big_r) * lo / hi)
-        pm = p.mirrored()
-        lo_m = l2_integral(pm, (ell - 1) * big_r, ell * big_r)
-        hi_m = l2_integral(pm, ell * big_r, (ell + 1) * big_r)
-        if lo_m > 0:
-            worst = max(worst, math.exp(lam * big_r) * hi_m / lo_m)
-    return worst
-
-
-def _envelope(table):
-    """Monotone nondecreasing envelope: index-k sums embed in index k+1."""
-    out = {}
-    best = 0.0
-    for d in sorted(table):
-        best = max(best, float(table[d]))
-        out[d] = round(best, 6)
-    return out
-
-
-def regenerate(seed=20240801, discrete_trials=200000, integral_trials=20000):
-    """Recompute all tables over the keys of the frozen ones; returns the
-    new dict of dicts (not installed)."""
-    from .expsum import estimate_turan_constant
-
-    discrete = {}
-    for d in DISCRETE_A:
-        est = estimate_turan_constant(d, discrete_trials, seed + d)
-        discrete[d] = float(est) * SAFETY
-    integral, sup, l2 = {}, {}, {}
-    for d in INTEGRAL_A:
-        wi, ws, wl = _estimate_integral_forms(d, integral_trials, seed + 100 + d)
-        integral[d] = float(wi) * SAFETY
-        sup[d] = float(ws) * SAFETY
-        l2[d] = float(wl) * SAFETY
-    three = {}
-    for idx in THREE_INTERVAL_A:
-        w = _estimate_three_interval(idx, integral_trials, seed + 200 + idx)
-        three[idx] = float(w) * SAFETY
-    return {
-        "DISCRETE_A": _envelope(discrete),
-        "INTEGRAL_A": _envelope(integral),
-        "SUP_A": _envelope(sup),
-        "L2L2_A": _envelope(l2),
-        "THREE_INTERVAL_A": _envelope(three),
-    }
-
+    lo, hi = _gram(n, Fraction(0), Fraction(1)), _gram(n, a, b)
+    poly = lagrange_coefficients([
+        (lam, det_dense([[u - lam * v for u, v in zip(r, s)]
+                         for r, s in zip(lo, hi)]))
+        for lam in range(n + 1)])
+    slope = poly_derivative(poly)
+    x = _float_up(-poly[-2] / poly[-1])
+    while True:
+        top = poly_eval(poly, x)
+        if top * poly_eval(poly, x * (1 - Fraction(1, 10 ** 13))) <= 0:
+            return float(x)
+        nxt = _float_up(x - top / poly_eval(slope, x))
+        if nxt >= x:
+            raise ArithmeticError(f"pencil of size {n}: Newton's method "
+                                  "stalled above the largest root")
+        x = nxt

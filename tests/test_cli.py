@@ -306,22 +306,6 @@ def test_out_of_range_option_is_usage_error(capsys, tmp_path, argv, msg):
     assert msg.replace("TMP", str(tmp_path)) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag,want", [(["--seed", "0"], 0),
-                                       ([], 20240801)])
-def test_regenerate_constants_seed(monkeypatch, flag, want):
-    from conespec import turan_constants
-
-    seen = {}
-
-    def fake_regenerate(*, seed, **kw):
-        seen["seed"] = seed
-        return {}
-
-    monkeypatch.setattr(turan_constants, "regenerate", fake_regenerate)
-    assert main(["turan", "--regenerate-constants"] + flag) == 0
-    assert seen == {"seed": want}
-
-
 def test_verify_all_unknown_suite(capsys):
     assert main(["verify-all", "--suite", "no.such.suite"]) == 2
     err = capsys.readouterr().err
@@ -441,7 +425,7 @@ def test_turan_discrete_overflow_is_numeric_failure(tmp_path, capsys):
 
 
 def test_turan_discrete_overflowing_product_holds(tmp_path):
-    # at d = 300 constant_bound * rhs overflows although both are finite:
+    # at d = 300 constant * rhs overflows although both are finite:
     # the check holds, without a numpy warning
     out = tmp_path / "t.json"
     with warnings.catch_warnings():
@@ -450,8 +434,8 @@ def test_turan_discrete_overflowing_product_holds(tmp_path):
                      "--out", str(out)]) == 0
     data = read_json(out)["data"]
     assert data["holds"] is True
-    assert math.isfinite(data["rhs"]) and math.isfinite(data["constant_bound"])
-    assert data["constant_bound"] * data["rhs"] == math.inf
+    assert math.isfinite(data["rhs"]) and math.isfinite(data["constant"])
+    assert data["constant"] * data["rhs"] == math.inf
 
 
 def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
@@ -633,6 +617,8 @@ def test_config_value_is_refused_like_the_flag(tmp_path, capsys, key, value):
     ["three-annulus", "--n", "4", "--k", "1", "--j", "1", "--tolerance", "5"],
     ["symbol", "--n", "4", "--scalar", "--format", "csv"],
     ["verify-all", "--format", "json"],
+    ["turan", "--estimate", "2"],
+    ["turan", "--regenerate-constants"],
 ])
 def test_undeclared_option_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -13,9 +13,8 @@ from conespec import turan_constants, verify
 from conespec.closed_form import ParameterError
 from conespec.expsum import (ExpSum, ExpTerm, RangeError, TermTable,
                              _abs_sq_grid, draw_budget_expsum,
-                             draw_expsum, estimate_turan_constant,
-                             eval_expsum, l2_integral, poly_exp_integrals,
-                             sup_norm_sq, three_interval,
+                             draw_expsum, eval_expsum, l2_integral,
+                             poly_exp_integrals, sup_norm_sq, three_interval,
                              three_interval_bound, turan_discrete,
                              turan_integral)
 
@@ -82,8 +81,9 @@ def test_integral_constant_case():
     rec = turan_integral(p, 1.0, 2.0)
     assert abs(rec["lhs"] - 1) < 1e-12
     assert abs(rec["integral"] - 1) < 1e-10
-    # bound = A(1) * (b+a)/(b-a)^2 * integral = 3 A(1) >= 1
-    assert abs(rec["bound"] - 3 * rec["constant"]) < 1e-9
+    # bound = K_1(0; 1, 2) * integral, and K_1(0; 1, 2) = 1/(b - a) = 1
+    assert rec["constant"] == 1.0
+    assert abs(rec["bound"] - rec["integral"]) < 1e-15
     assert rec["holds"]
 
 
@@ -169,30 +169,6 @@ def test_closed_form_integral_matches_quadrature():
                                 t0, t1, epsrel=1e-12, epsabs=0, limit=200)
         assert err <= 1e-6 * b
         assert abs(a - b) <= 1e-9 * b
-
-
-def test_estimate_constant_single_exponential_is_one():
-    assert estimate_turan_constant(1, 500, seed=3) == 1.0
-
-
-def test_estimate_constant_deterministic_and_positive():
-    # The estimate is a max-statistic with a heavy-tailed base ratio, so its
-    # cross-seed spread is large (tens of percent at 1e4 trials); what is
-    # guaranteed is determinism per seed, positivity, and finiteness.
-    a = estimate_turan_constant(2, 10000, seed=7)
-    b = estimate_turan_constant(2, 10000, seed=7)
-    c = estimate_turan_constant(2, 10000, seed=8)
-    assert a == b
-    assert 0 < a < np.inf and 0 < c < np.inf
-    print(f"cross-seed spread at 1e4 trials: {abs(a - c) / max(a, c):.1%}")
-
-
-def test_estimate_constant_d3_recorded():
-    # larger-d estimates are recorded for the table, not asserted monotone
-    a2 = estimate_turan_constant(2, 4000, seed=7)
-    a3 = estimate_turan_constant(3, 4000, seed=7)
-    print(f"observed discrete ratio estimates: d=2 {a2:.3f}, d=3 {a3:.3f}")
-    assert a3 > 0
 
 
 def test_shift_covariance():
@@ -288,10 +264,124 @@ def test_three_interval_bound_takes_integral_arrays():
     assert both["index"] == recs[0]["params"]["index"] == 3
 
 
-def test_constant_table_lookup_extrapolates():
-    assert turan_constants.discrete_constant(1) == turan_constants.DISCRETE_A[1]
-    assert turan_constants.three_interval_constant(50) >= \
-        turan_constants.THREE_INTERVAL_A[12]
+# -- the closed-form constants ----------------------------------------------
+
+
+def test_discrete_constant_is_exact():
+    # T_3(1) = 1 + 2 * 2 + 3 * 4
+    assert turan_constants.discrete_constant(3, 1) == 17 ** 2
+    assert turan_constants.discrete_constant(1, 9) == 1
+    big = turan_constants.discrete_constant(600, 10)
+    assert isinstance(big, int) and big > 2 ** 1100
+
+
+def test_discrete_constant_out_of_float_range_raises():
+    # |z| = 1 keeps lhs and rhs finite at d = 600; T_d(m)^2 is not
+    z = np.exp(2j * np.pi * np.arange(600) / 600)[None, :]
+    with pytest.raises(RangeError, match="constant is not finite"):
+        es.turan_discrete_batch(z, np.ones((1, 600)), [1])
+
+
+def test_integral_constant_is_the_christoffel_function():
+    # K_d(0; 1, 2) at d = 1..4, and the same rows as one array call
+    want = [1, 28, 873, 28656]
+    got = turan_constants.integral_constant(np.arange(1, 5), 1.0, 2.0)
+    assert got.tolist() == want
+    a = np.array([1.0, 0.5, 3.0])
+    b = np.array([2.0, 4.0, 3.1])
+    both = turan_constants.integral_constant(np.array([4, 2, 3]), a, b)
+    for k, (d, ak, bk) in enumerate(zip([4, 2, 3], a, b)):
+        assert both[k] == turan_constants.integral_constant(d, ak, bk)
+    # the sup form's constant: K_d(0; 3/2, 2), 2 at d = 1
+    assert turan_constants.sup_constant(1) == 2.0
+
+
+def test_three_interval_constant_index_2():
+    exact = mpmath.mpf(7) + 4 * mpmath.sqrt(3)
+    got = turan_constants.three_interval_constant(2)
+    assert abs(got / exact - 1) <= 1e-13
+
+
+def _pencil_mp(n, a, b):
+    """The largest eigenvalue of the Gram pencil of 1, t, ..., t^(n-1) on
+    [0, 1] against [a, b] at 100 digits, and its eigenvector, by Cholesky
+    reduction to a symmetric eigenproblem."""
+    with mpmath.workdps(100):
+        def gram(lo, hi):
+            return mpmath.matrix([[(hi ** (i + j + 1) - lo ** (i + j + 1))
+                                   / (i + j + 1) for j in range(n)]
+                                  for i in range(n)])
+
+        inv = mpmath.cholesky(gram(mpmath.mpf(a), mpmath.mpf(b))) ** -1
+        vals, vecs = mpmath.eigsy(inv * gram(mpmath.mpf(0), mpmath.mpf(1))
+                                  * inv.T)
+        k = max(range(n), key=lambda i: vals[i])
+        q = inv.T * vecs[:, k]
+        return vals[k], [float(q[i]) for i in range(n)]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_pencil_constants_match_mpmath(n):
+    # never below the eigenvalue, and within 1e-12 of it
+    for got, (a, b) in ((turan_constants.three_interval_constant(n), (1, 2)),
+                        (turan_constants.l2l2_constant(n),
+                         (mpmath.mpf(3) / 2, 2))):
+        want, _ = _pencil_mp(n, a, b)
+        assert 0 <= (got - want) / want <= 1e-12
+
+
+# -- the witnesses that sampled constants failed ----------------------------
+
+
+def _discrete_witness(z, m):
+    """Coefficients c with |S_nu| = 1 for m < nu <= m + d and S_0 as large
+    as that allows, the sum of |w_nu| over the weights of
+    S_0 = sum w_nu S_nu."""
+    z = np.asarray(z, dtype=complex)
+    v = z[None, :] ** np.arange(m + 1, m + len(z) + 1)[:, None]
+    w = np.linalg.solve(v.T, np.ones(len(z)))
+    return np.linalg.solve(v, w.conj() / np.abs(w))
+
+
+@pytest.mark.parametrize("angles,gap,least", [
+    # clustered at one point of the circle: near T_3(1)^2 = 289
+    ([0.0, 0.01, 0.02], 0.0099, 288.9),
+    # pairwise at least 0.5 apart
+    ([0.0, 0.525, 1.05], 0.5, 193.5),
+])
+def test_discrete_witness_holds(angles, gap, least):
+    z = np.exp(1j * np.array(angles))
+    assert min(abs(u - v) for i, u in enumerate(z) for v in z[:i]) >= gap
+    rec = turan_discrete(z, _discrete_witness(z, 1), 1)
+    assert least <= rec["lhs"] / rec["rhs"] <= 289
+    assert rec["holds"] and rec["constant"] == 289
+
+
+def test_integral_witness_holds():
+    # exponents {0, +-i/2} on (1, 2) with the extremal coefficients
+    # G^-1 1 (G the Gram matrix of the exponentials): |p(0)|^2 /
+    # int_1^2 |p|^2 = 1^T G^-1 1 = 796.8, below K_3(0; 1, 2) = 873
+    zs = np.array([0.0, 0.5j, -0.5j])
+    gram = poly_exp_integrals(0, zs.conj()[:, None] + zs, 1.0, 2.0)
+    c = np.linalg.solve(gram, np.ones(3))
+    rec = turan_integral(ExpSum([ExpTerm(ck, u) for ck, u in zip(c, zs)]),
+                         1.0, 2.0)
+    assert 796 < rec["lhs"] / rec["integral"] < 797
+    assert rec["holds"] and rec["sup_form"]["holds"]
+    assert rec["l2_form"]["holds"]
+    assert rec["constant"] == 873
+
+
+@pytest.mark.parametrize("index", [4, 5])
+def test_three_interval_witness_holds(index):
+    # q(t) e^{t/1000} with q the pencil's top eigenvector: its ratio sits
+    # within 0.1% of the constant
+    _, q = _pencil_mp(index, 1, 2)
+    p = ExpSum([ExpTerm(qk, 1e-3, k) for k, qk in enumerate(q)])
+    rec = three_interval(p, 1.0, 1, "growth")
+    assert rec["params"]["index"] == index
+    assert rec["holds"]
+    assert 0.998 < rec["lhs"] / rec["rhs"] < 1
 
 
 # -- the array kernel against the closed form in mpmath ---------------------
@@ -426,6 +516,11 @@ def test_overflowing_integral_raises_range_error():
 # its own with the scalar formulas and the single-sum functions.
 
 
+def _power_sum(z, c, ell):
+    """S_ell = sum_j c_j z_j^ell."""
+    return sum(cj * zj ** ell for cj, zj in zip(c, z))
+
+
 def _discrete_sweep_oracle(seed, scale):
     """check_discrete_sweep's instances, each checked with scalar power
     sums; returns (trials, violations) and the draws."""
@@ -439,11 +534,10 @@ def _discrete_sweep_oracle(seed, scale):
     violations = 0
     for z, c, m in draws:
         d = len(z)
-        lhs = abs(es.power_sum(z, c, 0)) ** 2
-        rhs = max(abs(es.power_sum(z, c, m + j)) ** 2 for j in range(1, d + 1))
-        bound = (turan_constants.discrete_constant(d)
-                 * ((m + d) / d) ** (2 * (d - 1)))
-        if rhs != 0 and not lhs <= bound * rhs:
+        lhs = abs(_power_sum(z, c, 0)) ** 2
+        rhs = max(abs(_power_sum(z, c, m + j)) ** 2 for j in range(1, d + 1))
+        bound = float(turan_constants.discrete_constant(d, m))
+        if rhs != 0 and not lhs <= bound * rhs * (1 + 1e-12):
             violations += 1
     return (trials, violations), draws
 
@@ -503,11 +597,9 @@ def _integral_sweep_oracle(seed, scale):
         tail = l2_integral(p, 1.5 * big_r, b)
         head = l2_integral(p, 0.0, big_r)
         lhs = abs(eval_expsum(p, 0.0)) ** 2
-        bound = (turan_constants.integral_constant(d)
-                 * (b / (b - a)) ** (2 * (d - 1)) * (b + a) / (b - a) ** 2
-                 * integral)
+        bound = float(turan_constants.integral_constant(d, a, b)) * integral
         sups.append(sup_norm_sq(p, 0.0, big_r))
-        sup_bound = turan_constants.sup_constant(d) / big_r * tail
+        sup_bound = float(turan_constants.sup_constant(d)) / big_r * tail
         l2_bound = turan_constants.l2l2_constant(d) * tail
         if not (lhs <= bound * (1 + 1e-12)
                 and sups[-1] <= sup_bound * (1 + 1e-12)
@@ -585,14 +677,15 @@ def test_batched_sweeps_match_per_trial_oracle(monkeypatch, seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_batched_sweeps_count_failures_like_oracle(monkeypatch, seed):
-    # constants far below the observed ratios, so that many instances
-    # fail, and batches of 64 trials, so that failures straddle batches
-    for name, value in (("DISCRETE_A", 0.5), ("THREE_INTERVAL_A", 1.0),
-                        ("INTEGRAL_A", 0.3), ("SUP_A", 2.0),
-                        ("L2L2_A", 2.0)):
-        table = getattr(turan_constants, name)
+    # constants scaled to 1/100, far below the observed ratios, so that
+    # many instances fail (sup_constant reads the scaled
+    # integral_constant), and batches of 64 trials, so that failures
+    # straddle batches
+    for name in ("discrete_constant", "three_interval_constant",
+                 "integral_constant", "l2l2_constant"):
+        real = getattr(turan_constants, name)
         monkeypatch.setattr(turan_constants, name,
-                            {k: value for k in table})
+                            lambda *a, real=real: real(*a) / 100)
     monkeypatch.setattr(verify, "BATCH_TRIALS", 64)
     three = _spy(monkeypatch, "three_interval_batch")
     rec = verify.check_discrete_sweep(seed=seed, scale=0.02)["details"]
