@@ -86,7 +86,9 @@ def _json_default(obj):
 # Options that several commands read, with their defaults.
 SHARED = {"format": dict(choices=("json", "csv"), default="json"),
           "seed": dict(type=int, default=0),
-          "jobs": dict(type=int, default=1)}
+          "jobs": dict(type=int, default=1),
+          "n": dict(type=int), "k": dict(type=int), "t": dict(default="0"),
+          "j": dict(type=int)}
 
 
 def build_parser():
@@ -106,58 +108,42 @@ def build_parser():
             q.add_argument("--" + opt, **SHARED[opt])
         return q
 
-    q = command("exceptional", "exceptional integer growth rates", "format")
-    q.add_argument("--n", type=int, default=None)
-    q.add_argument("--k", type=int, default=None)
+    q = command("exceptional", "exceptional integer growth rates",
+                "format", "n", "k")
     q.add_argument("--j-max", type=int, default=10)
     q.add_argument("--operator", choices=("laplacian-power", "gauge"),
                    default="laplacian-power")
     q.add_argument("--window", type=int, nargs=2, default=(-12, 12))
 
-    q = command("rates", "kernel rates of the gauge operators", "format")
-    q.add_argument("--n", type=int, default=None)
-    q.add_argument("--t", default="0")
+    q = command("rates", "kernel rates of the gauge operators",
+                "format", "n", "t", "j")
     q.add_argument("--family", choices=("typeI", "typeII"), default=None)
-    q.add_argument("--j", type=int, default=None)
 
-    q = command("gap", "essential linear growth gap scan", "format")
-    q.add_argument("--n", type=int, default=None)
-    q.add_argument("--t", default="0")
+    q = command("gap", "essential linear growth gap scan", "format", "n", "t")
     q.add_argument("--j-max", type=int, default=10)
 
-    q = command("kernel", "divergence-free rigidity nullspaces", "format")
-    q.add_argument("--n", type=int, default=None)
-    q.add_argument("--k", type=int, default=None)
+    q = command("kernel", "divergence-free rigidity nullspaces",
+                "format", "n", "k")
     q.add_argument("--mode", choices=fk.MODES + ("quadratic-lie",),
                    default=None)
 
-    q = command("symbol", "linearized operator symbols")
-    q.add_argument("--n", type=int, default=None)
-    q.add_argument("--k", type=int, default=None)
+    q = command("symbol", "linearized operator symbols", "n", "k")
     q.add_argument("--xi", default=None, help="JSON vector")
     q.add_argument("--hhat", default=None, help="JSON matrix")
     q.add_argument("--scalar", action="store_true",
                    help="scalar-curvature symbol instead")
 
-    q = command("apply", "apply an exact operator to a field")
+    q = command("apply", "apply an exact operator to a field", "t")
     q.add_argument("--op", choices=pt.OPCODES, default=None)
     q.add_argument("--field", default=None, help="JSON field document (path)")
-    q.add_argument("--t", default="0")
     q.add_argument("--k", type=int, default=1)
     q.add_argument("--index", type=int, default=0)
 
-    q = command("modes", "probe a separated mode system", "format")
-    q.add_argument("--n", type=int, default=None)
-    q.add_argument("--k", type=int, default=None)
-    q.add_argument("--t", default="0")
-    q.add_argument("--j", type=int, default=None)
+    command("modes", "probe a separated mode system",
+            "format", "n", "k", "t", "j")
 
     q = command("three-annulus", "annulus growth/decay checks",
-                "format", "seed")
-    q.add_argument("--n", type=int, default=None)
-    q.add_argument("--k", type=int, default=None)
-    q.add_argument("--t", default="0")
-    q.add_argument("--j", type=int, default=None)
+                "format", "seed", "n", "k", "t", "j")
     q.add_argument("--beta-prime-frac", type=float, default=0.45,
                    help="beta' as a fraction of beta (default %(default)s)")
     q.add_argument("--trials", type=int, default=200)
@@ -165,9 +151,7 @@ def build_parser():
 
     q = command("degenerate-scan",
                 "scan for divergence-compatible degenerate modes",
-                "format", "jobs")
-    q.add_argument("--n", type=int, default=None)
-    q.add_argument("--k", type=int, default=None)
+                "format", "jobs", "n", "k")
     q.add_argument("--t-values", default=None,
                    help="comma-separated list, e.g. 0.05,-0.05; a list that "
                         "starts with '-' needs the = form: "
@@ -182,10 +166,8 @@ def build_parser():
     q.add_argument("--m", type=int, default=None)
     q.add_argument("--trials", type=int, default=None)
 
-    q = command("bootstrap", "decay-order induction", "format")
+    q = command("bootstrap", "decay-order induction", "format", "n", "k")
     q.add_argument("--regime", choices=("infinity", "origin"), default=None)
-    q.add_argument("--n", type=int, default=None)
-    q.add_argument("--k", type=int, default=None)
     q.add_argument("--beta0", type=float, default=0.3)
     q.add_argument("--sigma0", type=float, default=0.3)
     q.add_argument("--ladder", action="store_true",
@@ -489,6 +471,8 @@ def cmd_bootstrap(args):
 def cmd_verify_all(args):
     if not 0 < args.scale < math.inf:
         raise UsageError(f"--scale: need scale > 0, got {args.scale}")
+    if args.jobs < 1:
+        raise UsageError(f"--jobs: need jobs >= 1, got {args.jobs}")
     known = [fn.suite_name for fn in verify.SUITES]
     unknown = sorted(set(args.suite or ()) - set(known))
     if unknown:
@@ -510,10 +494,12 @@ def cmd_verify_all(args):
 
 
 def _run_one_suite(task):
-    """One suite's record and its wall-clock seconds."""
+    """One suite's record and its wall-clock seconds; the suite is looked up
+    in verify.SUITES at call time, so a wrapper put there is the one run."""
     name, seed, scale = task
+    suite, = (fn for fn in verify.SUITES if fn.suite_name == name)
     start = time.perf_counter()
-    rec = verify.run_suites(names=[name], seed=seed, scale=scale)["suites"][0]
+    rec = suite(seed=seed, scale=scale)
     return rec, time.perf_counter() - start
 
 

@@ -55,7 +55,6 @@ class RatePair:
     family: str  # "typeI" | "typeII"
     j: int
     n: int
-    t: float = 0.0
 
     @property
     def shifts(self):
@@ -119,8 +118,8 @@ class ExceptionalSet:
 def gauge_exceptional_values(n, j_max):
     """Integer exceptional values of the gauge operator up to degree j_max.
 
-    The union of the growth orders plus-1/minus-1 (type I), and b-1, b+1
-    for both signs (type II); always contains 1.
+    The union of the orders in ``RatePair.shifts`` over the type I (j >= 1)
+    and type II (j >= 0) families; always contains 1.
     """
     if n < 3 or j_max < 2:
         raise ParameterError("need n >= 3 and j_max >= 2")
@@ -132,16 +131,12 @@ def gauge_exceptional_values(n, j_max):
             raise ParameterError("non-integer exceptional value")  # pragma: no cover
         prov.setdefault(v, []).append(label)
 
-    for j in range(1, j_max + 1):
-        rp = gauge_kernel_rates(n, "typeI", j)
-        tag(rp.plus - 1, f"typeI j={j} upper-1")
-        tag(rp.minus - 1, f"typeI j={j} lower-1")
-    for j in range(0, j_max + 1):
-        rp = gauge_kernel_rates(n, "typeII", j)
-        tag(rp.plus - 1, f"typeII j={j} upper-1")
-        tag(rp.minus - 1, f"typeII j={j} lower-1")
-        tag(rp.plus + 1, f"typeII j={j} upper+1")
-        tag(rp.minus + 1, f"typeII j={j} lower+1")
+    for family, j_min in (("typeI", 1), ("typeII", 0)):
+        for j in range(j_min, j_max + 1):
+            rp = gauge_kernel_rates(n, family, j)
+            for key, (upper, lower) in rp.shifts.items():
+                tag(upper, f"{family} j={j} upper{key[1:]}")
+                tag(lower, f"{family} j={j} lower{key[1:]}")
     values = sorted(prov)
     return ExceptionalSet(values=values, provenance=prov, n=n, j_max=j_max)
 

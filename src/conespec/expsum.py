@@ -402,7 +402,10 @@ def _golden_max(terms, lo, hi):
     return _abs_sq(terms, (a + b) / 2)
 
 
-def sup_norms_sq(table, t0, t1, samples=2048):
+SUP_SAMPLES = 2048  # grid points per row before the golden-section refine
+
+
+def sup_norms_sq(table, t0, t1):
     """sup of |p|^2 on [t0[i], t1[i]] for every row p of ``table``: dense
     sampling plus a golden-section refine around the best sample.
 
@@ -412,17 +415,17 @@ def sup_norms_sq(table, t0, t1, samples=2048):
     out = []
     for terms, lo, hi in zip(table.row_terms(), np.ravel(t0).tolist(),
                              np.ravel(t1).tolist()):
-        ts = np.linspace(lo, hi, samples)
+        ts = np.linspace(lo, hi, SUP_SAMPLES)
         i = int(np.argmax(_abs_sq_grid(terms, ts)))
         out.append(max(_golden_max(terms, float(ts[max(i - 1, 0)]),
-                                   float(ts[min(i + 1, samples - 1)])),
+                                   float(ts[min(i + 1, SUP_SAMPLES - 1)])),
                        _abs_sq(terms, float(ts[i]))))
     return np.array(out)
 
 
-def sup_norm_sq(p, t0, t1, samples=2048):
+def sup_norm_sq(p, t0, t1):
     """sup of |p|^2 on [t0, t1]: sup_norms_sq of the one sum p."""
-    return float(sup_norms_sq(TermTable.of([p]), [t0], [t1], samples)[0])
+    return float(sup_norms_sq(TermTable.of([p]), [t0], [t1])[0])
 
 
 # -- power sums and the discrete bound -------------------------------------
@@ -688,11 +691,14 @@ def _draw_power_sum(rng, d):
     return int(m[0]), mod, z, c
 
 
-def draw_discrete_instances(rng, trials, dmax=4):
+DISCRETE_DMAX = 4  # the discrete sweep's largest number of terms
+
+
+def draw_discrete_instances(rng, trials):
     """``trials`` random power sums, each of d terms with d uniform in
-    1..dmax, grouped by d: {d: (z, c, m)} with z and c of shape (count, d)
-    and m of shape (count,), in draw order within each d."""
-    d = rng.integers(1, dmax + 1, size=trials)
+    1..DISCRETE_DMAX, grouped by d: {d: (z, c, m)} with z and c of shape
+    (count, d) and m of shape (count,), in draw order within each d."""
+    d = rng.integers(1, DISCRETE_DMAX + 1, size=trials)
     m, _, z, c = _power_sums(rng, d)
     first = np.cumsum(d) - d
     out = {}

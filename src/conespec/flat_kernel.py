@@ -360,9 +360,13 @@ def quadratic_flow_error(x_field, radii, *, rng=None):
     flow map by central differences (step 1e-5 times the radius), and
     compares the pullback metric with g0 + L_X g0.  The sup defect per
     radius scales like r^2; the log-log slope is returned along with
-    per-radius errors.
+    per-radius errors.  Needs scipy, from the ``test`` extra.
     """
-    from scipy.integrate import solve_ivp
+    try:
+        from scipy.integrate import solve_ivp
+    except ImportError as exc:
+        raise ImportError("quadratic_flow_error needs scipy: pip install "
+                          "'conespec[test]'") from exc
 
     n = x_field.n
     radii = sorted(float(r) for r in radii)

@@ -820,8 +820,8 @@ def _family(kind, n, j):
         return pt.oneform_mode_basis(n, j)
     if kind == "phi":
         return pt.basis_from_elements(n, [pt.sphere_harmonic(n, j)], ["phi"])
-    if j not in (1, 2):
-        raise ParameterError("the co-closed (typeI) family needs j in {1, 2}")
+    if j < 1:
+        raise ParameterError("the co-closed (typeI) family needs j >= 1")
     return pt.basis_from_elements(n, [pt.coclosed_eigenform(n, j)], ["r psi"])
 
 
@@ -892,7 +892,7 @@ def tensor_mode_system(n, k, t, j):
 def gauge_mode_system(n, family, t, j):
     """Basis and exact system A - t B of the modified gauge operator
     gauge_op_t = div_t o lie_flat on one degree-j 1-form family: "typeI",
-    the co-closed r psi_j (j in {1, 2}), or "typeII", the pair
+    the co-closed r psi_j (j >= 1), or "typeII", the pair
     [phi dr, r d(phi)].  A is the probed gauge_op, B the probed
     radial_contraction o lie_flat."""
     _exact_t(t)
@@ -913,21 +913,17 @@ def scalar_mode_system(n, k, s):
     return lap.basis, reduce(EulerOperator.compose, [lap] * (k + 1))
 
 
-def _divergence_system(n, t, j):
+def divergence_mode_system(n, t, j, basis=None):
+    """Modified-divergence system div - t i_r from the degree-j 2-tensor
+    families, ``tensor_mode_basis(n, j)``, to the degree-j 1-form pair.
+    A ``basis`` given must be those families."""
+    _exact_t(t)
+    if basis is not None and basis is not _family("tensor", n, j):
+        raise ParameterError("basis must be tensor_mode_basis(n, j), the "
+                             "degree-j 2-tensor families")
     return EulerOperator.combine(
         [(1, _probe(pt.divergence, 1, n, j, "tensor", "forms")),
          (-t, _probe(pt.radial_contraction, 0, n, j, "tensor", "forms"))])
-
-
-def divergence_mode_system(n, t, j, basis):
-    """Modified-divergence system div - t i_r from the 2-tensor families
-    ``basis``, which must be ``tensor_mode_basis(n, j)``, to the degree-j
-    1-form pair."""
-    _exact_t(t)
-    if basis is not _family("tensor", n, j):
-        raise ParameterError("basis must be tensor_mode_basis(n, j), the "
-                             "degree-j 2-tensor families")
-    return _divergence_system(n, t, j)
 
 
 def _scan_one_mode(task):
@@ -944,7 +940,7 @@ def _scan_one_mode(task):
         zeros = [root for root in spec.roots
                  if root.classification == "zero"]
         if zeros:
-            div_system = FloatSystem(_divergence_system(n, t, j))
+            div_system = FloatSystem(divergence_mode_system(n, t, j))
         hits = []
         for root in zeros:
             inter = _divergence_free_chain_space(spec.system, div_system,
@@ -977,6 +973,8 @@ def degenerate_scan(n, k, t_values, j_max, *, jobs=1):
         raise ParameterError("need at least one t value")
     if j_max < 0:
         raise ParameterError("need j_max >= 0")
+    if jobs < 1:
+        raise ParameterError(f"need jobs >= 1, got {jobs}")
     for t in t_values:
         _exact_t(t)
     tasks = [(n, k, j, t_values) for j in range(j_max + 1)]

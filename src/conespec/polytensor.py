@@ -84,9 +84,6 @@ from functools import lru_cache
 
 from .linalg import solve_dense
 
-Alpha = tuple  # multi-index over n variables
-Key = tuple  # (alpha, gamma)
-
 
 def _is_int(x):
     """Whether x is an int and not a bool (JSON true/false)."""
@@ -446,30 +443,25 @@ def sphere_harmonic(n, j):
 
 
 def coclosed_eigenform(n, j):
-    """A co-closed 1-form eigenfunction on the sphere, radially parallel form.
+    """A co-closed 1-form eigenfunction of degree j >= 1 on the sphere, in
+    radially parallel form (pointwise norm constant in r):
 
-    Returns r * psi_j as a PolyTensor (pointwise norm constant in r).
-    Supported for j = 1, 2; higher modes of this family need more
-    coordinate directions than the closed-form checks use.
+        r psi_j = r^(-j) Re(z^(j-1) x_3 dz - z^j dx_3),  z = x_1 + i x_2.
+
+    It is tangential (x . r psi_j = r^(-j) (Re(z^j x_3) - Re(z^j) x_3) = 0)
+    and divergence-free, with harmonic polynomial components over r^j.
     """
+    if n < 3 or j < 1:
+        raise ValueError("needs n >= 3 and j >= 1")
     T = PolyTensor(n, 1)
-    e1 = tuple(1 if k == 0 else 0 for k in range(n))
-    e2 = tuple(1 if k == 1 else 0 for k in range(n))
-    if j == 1:
-        T.add_term((1,), e1, -1, 1)
-        T.add_term((0,), e2, -1, -1)
-        return T
-    if j == 2:
-        if n < 3:
-            raise ValueError("j=2 eigenform needs n >= 3")
-        e3 = [0] * n
-        e3[2] = 1
-        a1 = tuple(a + b for a, b in zip(e1, e3))
-        a2 = tuple(a + b for a, b in zip(e2, e3))
-        T.add_term((1,), a1, -2, 1)
-        T.add_term((0,), a2, -2, -1)
-        return T
-    raise ValueError("only j in {1, 2} supported")
+    # component i is Re(i^q z^m) x_3^e over r^j
+    for i, q, m, e in ((0, 0, j - 1, 1), (1, 1, j - 1, 1), (2, 2, j, 0)):
+        for p in range(m + 1):
+            real = (1, 0, -1, 0)[(p + q) % 4]  # Re(i^(p+q))
+            if real:
+                alpha = (m - p, p, e) + (0,) * (n - 3)
+                T.add_term((i,), alpha, -j, real * math.comb(m, p))
+    return T
 
 
 # -- differential operators ---------------------------------------------
@@ -824,7 +816,7 @@ class AngularBasis:
     """Radially parallel basis with its exact Gram matrix.
 
     Elements have homogeneity-0 components; ``gram`` is the slice inner
-    product matrix divided by pi^floor(n/2); ``norms`` is its diagonal.
+    product matrix divided by pi^floor(n/2).
     Two tables are built lazily for ``decompose``: the slice functionals of
     the image terms it meets (``_functionals``) and the inverse Gram matrix
     (``_inverse``, on the first call), both as integers over one
@@ -851,10 +843,6 @@ class AngularBasis:
         if not all(T.is_radially_parallel() for T in self.elements):
             raise ValueError("basis element not radially parallel")
         self._integer = [_integer_form(T) for T in self.elements]
-
-    @property
-    def norms(self):
-        return [self.gram[i][i] for i in range(len(self.elements))]
 
     def __len__(self):
         return len(self.elements)

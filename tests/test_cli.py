@@ -295,6 +295,11 @@ def test_mode_parameter_guards_are_usage_errors(capsys, argv, msg):
     (["symbol", "--n", "4", "--scalar", "--xi", "[1, 0, 0, 0]", "--hhat",
       "[[Infinity, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]"],
      "--hhat: need finite entries"),
+    (["degenerate-scan", "--n", "4", "--k", "1", "--t-values", "0",
+      "--jobs=0"], "need jobs >= 1"),
+    (["degenerate-scan", "--n", "4", "--k", "1", "--t-values", "0",
+      "--jobs=-2"], "need jobs >= 1"),
+    (["verify-all", "--jobs=-1"], "need jobs >= 1"),
 ])
 def test_out_of_range_option_is_usage_error(capsys, tmp_path, argv, msg):
     # an explicit value is checked, never replaced by the default; TMP
@@ -625,6 +630,18 @@ def test_undeclared_option_is_usage_error(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_option_table_is_pinned():
+    # every subcommand's options (strings, dest, default, type, choices,
+    # nargs, action) as tests/data/make_cli_options.py records them
+    data = Path(__file__).resolve().parent / "data"
+    spec = importlib.util.spec_from_file_location(
+        "make_cli_options", data / "make_cli_options.py")
+    maker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(maker)
+    want = json.loads((data / "cli_options.json").read_text())
+    assert json.loads(json.dumps(maker.option_table(build_parser()))) == want
 
 
 def test_readme_commands_parse():

@@ -528,7 +528,7 @@ def _discrete_sweep_oracle(seed, scale):
     trials = int(10000 * scale) or 1
     draws = []
     for n in verify._batches(trials):
-        for z, c, m in es.draw_discrete_instances(rng, n, dmax=4).values():
+        for z, c, m in es.draw_discrete_instances(rng, n).values():
             draws += [(list(zi), list(ci), int(mi))
                       for zi, ci, mi in zip(z, c, m)]
     violations = 0

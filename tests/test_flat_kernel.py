@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -168,6 +169,14 @@ def test_flow_error_zero_field():
     rec = quadratic_flow_error(QuadraticField.zero(4), [0.1, 0.01, 0.001])
     assert rec["identity_flow"]
     assert all(v == 0.0 for v in rec["errors_by_radius"].values())
+
+
+def test_flow_error_without_scipy_names_the_test_extra(monkeypatch):
+    # the package needs only numpy; scipy comes with the test extra
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    monkeypatch.setitem(sys.modules, "scipy.integrate", None)
+    with pytest.raises(ImportError, match=r"conespec\[test\]"):
+        quadratic_flow_error(QuadraticField.zero(4), [0.1, 0.01, 0.001])
 
 
 def test_flow_error_single_coefficient_slope():

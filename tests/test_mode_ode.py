@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from conespec import mode_ode
 from conespec import polytensor as pt
 from conespec import turan_constants
-from conespec.closed_form import (ParameterError, scalar_indicial_polynomial,
-                                  scalar_indicial_roots)
+from conespec.closed_form import (ParameterError, modified_typeI_rates,
+                                  scalar_indicial_polynomial,
+                                  scalar_indicial_roots, typeI_eigenvalue)
 from conespec.linalg import poly_derivative, poly_eval, poly_shift
 from conespec.expsum import RangeError, three_interval
 from conespec.mode_ode import (L0_CANDIDATES, EulerOperator, FloatSystem,
@@ -27,7 +28,8 @@ from conespec.mode_ode import (L0_CANDIDATES, EulerOperator, FloatSystem,
                                scalar_mode_system, solution_split,
                                tensor_mode_system, three_annulus_verify,
                                triple_bar_norm, turan_l_bound)
-from conespec.verify import (_annulus_spectra, check_divfree_spectrum,
+from conespec.verify import (_annulus_spectra, _displayed_typeI,
+                             check_divfree_spectrum,
                              check_multiplicity, check_probed_displays,
                              check_rates_vs_probes, check_three_annulus)
 
@@ -67,6 +69,25 @@ def test_displayed_typeI_example_values():
     op = probe_euler(lambda f: pt.gauge_op_t(f, Fraction(1, 10)), basis, 2)
     assert poly_shift(op.P[0][0], Fraction(-1)) == \
         [Fraction(-19, 5), Fraction(-1, 10), Fraction(1)]
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_coclosed_family_every_degree(n, j):
+    # r psi_j is tangential, divergence-free and harmonic component by
+    # component, exactly; its probed type-I system is the displayed one
+    # after the unit shift, with the closed-form roots
+    form = pt.coclosed_eigenform(n, j)
+    assert pt.radial_contraction(form).is_zero()
+    assert pt.divergence(form).is_zero()
+    assert pt.laplacian(form.radial_scaled(j)).is_zero()
+    for t in (Fraction(0), Fraction(1, 10), Fraction(-1, 20)):
+        _, op = gauge_mode_system(n, "typeI", t, j)
+        shifted = poly_shift(op.P[0][0], Fraction(-1))
+        assert shifted == _displayed_typeI(n, t, typeI_eigenvalue(n, j))
+        got = np.sort(np.roots([float(c) for c in reversed(shifted)]))
+        want = np.sort(modified_typeI_rates(n, float(t), j))
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_probe_holdout_and_weight():
@@ -144,11 +165,11 @@ def _eval_float_oracle(op, z, derivative):
     (3, 1, 2, Fraction(1, 7)), (4, 1, 3, 0), (5, 1, 0, Fraction(-1, 4)),
     (4, 2, 3, 0), (3, 3, 1, Fraction(1, 20))])
 def test_float_system_matches_per_entry_horner(n, k, j, t):
-    basis, op = tensor_mode_system(n, k, t, j)
+    _, op = tensor_mode_system(n, k, t, j)
     rng = np.random.default_rng(10 * n + j)
     zs = [root.value for root in indicial_spectrum(op).roots]
     zs += list(rng.normal(size=6) * 3 + 1j * rng.normal(size=6))
-    for system in (op, divergence_mode_system(n, t, j, basis)):
+    for system in (op, divergence_mode_system(n, t, j)):
         fs = FloatSystem(system)
         assert fs.scale == max([1.0] + [
             sum(abs(float(complex(c).real)) + abs(float(complex(c).imag))
@@ -174,8 +195,8 @@ def test_integer_t_stays_exact():
 
 
 def _both_systems(n, k, t, j):
-    basis, op = tensor_mode_system(n, k, t, j)
-    return op, divergence_mode_system(n, t, j, basis)
+    _, op = tensor_mode_system(n, k, t, j)
+    return op, divergence_mode_system(n, t, j)
 
 
 def _direct_systems(n, k, t, j):
@@ -217,9 +238,8 @@ def test_interpolation_is_exact_at_small_rational_t(j, t):
 
 def test_float_t_is_rejected():
     # composition would carry a float t into P silently
-    basis = pt.tensor_mode_basis(4, 1)
     for call in (lambda: tensor_mode_system(4, 1, 0.1, 1),
-                 lambda: divergence_mode_system(4, 0.1, 1, basis),
+                 lambda: divergence_mode_system(4, 0.1, 1),
                  lambda: degenerate_scan(4, 1, [0, 0.1], 1)):
         with pytest.raises(ProbeError, match="int or Fraction"):
             call()
@@ -412,9 +432,9 @@ def test_divergence_system_reuses_the_tensor_probes(monkeypatch):
     _clear_mode_memos()
     basis, _ = tensor_mode_system(5, 1, Fraction(1, 10), 1)
     calls = _count_probes(monkeypatch)
-    divergence_mode_system(5, Fraction(1, 10), 1, basis)
+    divergence_mode_system(5, Fraction(1, 10), 1)
     assert calls == [basis]
-    divergence_mode_system(5, Fraction(-1, 20), 1, basis)
+    divergence_mode_system(5, Fraction(-1, 20), 1)
     assert calls == [basis]
 
 
@@ -423,7 +443,7 @@ def test_divergence_system_after_a_scan_probes_nothing(monkeypatch):
     out = degenerate_scan(5, 2, [0, Fraction(1, 20)], 0)
     assert out["witnesses_t0"]
     calls = _count_probes(monkeypatch)
-    divergence_mode_system(5, Fraction(1, 20), 0, pt.tensor_mode_basis(5, 0))
+    divergence_mode_system(5, Fraction(1, 20), 0)
     assert calls == []
 
 
@@ -924,6 +944,11 @@ def test_degenerate_scan_parameter_guards(t_values, j_max, msg):
         degenerate_scan(4, 1, t_values, j_max)
 
 
+def test_degenerate_scan_needs_jobs_at_least_one():
+    with pytest.raises(ParameterError, match="need jobs >= 1"):
+        degenerate_scan(4, 1, [0], 1, jobs=0)
+
+
 @pytest.mark.parametrize("k,j,msg", [(0, 1, "k >= 1"), (1, -1, "j >= 0")])
 def test_tensor_mode_system_parameter_guards(k, j, msg):
     with pytest.raises(ParameterError, match=msg):
@@ -934,8 +959,7 @@ def test_tensor_mode_system_parameter_guards(k, j, msg):
     (lambda: scalar_mode_system(4, -1, 1), "k >= 0"),
     (lambda: scalar_mode_system(4, 1, -1), "j >= 0"),
     (lambda: gauge_mode_system(4, "typeII", Fraction(1, 10), -1), "j >= 0"),
-    (lambda: gauge_mode_system(4, "typeI", Fraction(1, 10), 3),
-     r"j in \{1, 2\}"),
+    (lambda: gauge_mode_system(4, "typeI", Fraction(1, 10), 0), "j >= 1"),
     (lambda: gauge_mode_system(4, "typeIII", Fraction(1, 10), 1), "family"),
     (lambda: scalar_mode_system(1, 1, 1), "need n >= 3"),
     (lambda: gauge_mode_system(2, "typeI", Fraction(1, 10), 2), "need n >= 3"),
