@@ -260,7 +260,7 @@ def cmd_exceptional(args):
 
 def cmd_rates(args):
     _require(args, "n", "family", "j")
-    t = _fraction(args.t, "--t")
+    t = float(args.t)
     if t == 0:
         rp = cf.gauge_kernel_rates(args.n, args.family, args.j)
         roots = [complex(rp.plus), complex(rp.minus)]
@@ -270,14 +270,14 @@ def cmd_rates(args):
             rec = cf.modified_typeII_roots(args.n, 0.0, args.j)
             roots = [complex(z) for z in rec["roots"]]
     else:
-        rec = cf.modified_gauge_rates(args.n, float(t), args.family, args.j)
+        rec = cf.modified_gauge_rates(args.n, t, args.family, args.j)
         roots = [complex(z) for z in rec["roots"]]
         extra = {"non_geometric": [complex(z) for z in rec["non_geometric"]]}
-    data = {"n": args.n, "t": float(t), "family": args.family, "j": args.j,
+    data = {"n": args.n, "t": t, "family": args.family, "j": args.j,
             "roots": [{"re": z.real, "im": z.imag} for z in roots],
             "growth_orders": [{"re": z.real - 1, "im": z.imag} for z in roots]}
     data.update(extra)
-    rows = [(args.n, float(t), args.family, args.j, z.real, z.imag)
+    rows = [(args.n, t, args.family, args.j, z.real, z.imag)
             for z in roots]
     _emit(args, data, rows=rows,
           header=("n", "t", "family", "j", "root_re", "root_im"))
@@ -285,8 +285,7 @@ def cmd_rates(args):
 
 def cmd_gap(args):
     _require(args, "n")
-    t = float(_fraction(args.t, "--t"))
-    rec = cf.essential_linear_gap(args.n, t, args.j_max)
+    rec = cf.essential_linear_gap(args.n, float(args.t), args.j_max)
     rows = [(w["order_re"], w["order_im"], w["distance"], w["label"])
             for w in rec["witnesses"]]
     _emit(args, rec, rows=rows,
@@ -359,9 +358,8 @@ def cmd_apply(args):
         field = pt.PolyTensor.from_json(_load_json(args.field, "--field"))
     except ValueError as exc:
         raise UsageError(f"--field {args.field}: {exc}") from exc
-    t = _fraction(args.t, "--t")
     try:
-        out = pt.apply_operator(args.op, field, t=t, k=args.k,
+        out = pt.apply_operator(args.op, field, t=args.t, k=args.k,
                                 index=args.index)
     except ValueError as exc:  # operator constraint on the field's shape
         raise UsageError(f"--op {args.op}: {exc}") from exc
@@ -370,15 +368,15 @@ def cmd_apply(args):
 
 def cmd_modes(args):
     _require(args, "n", "k", "j")
-    t = _fraction(args.t, "--t")
-    basis, op = mo.tensor_mode_system(args.n, args.k, t, args.j)
+    t = float(args.t)
+    basis, op = mo.tensor_mode_system(args.n, args.k, args.t, args.j)
     spec = mo.indicial_spectrum(op)
-    data = {"n": args.n, "k": args.k, "t": float(t), "j": args.j,
+    data = {"n": args.n, "k": args.k, "t": t, "j": args.j,
             "m_ang": len(basis), "weight": str(op.weight),
             "order": op.order, "beta_j": spec.beta,
             "roots": spec.summary()["roots"],
             "low_confidence": spec.low_confidence}
-    rows = [(args.n, args.k, float(t), args.j, r["re"], r["im"], r["mult"])
+    rows = [(args.n, args.k, t, args.j, r["re"], r["im"], r["mult"])
             for r in data["roots"]]
     _emit(args, data, rows=rows,
           header=("n", "k", "t", "j", "root_re", "root_im", "mult"))
@@ -386,16 +384,15 @@ def cmd_modes(args):
 
 def cmd_three_annulus(args):
     _require(args, "n", "k", "j")
-    t = _fraction(args.t, "--t")
     frac = args.beta_prime_frac
-    basis, op = mo.tensor_mode_system(args.n, args.k, t, args.j)
+    basis, op = mo.tensor_mode_system(args.n, args.k, args.t, args.j)
     spec = mo.indicial_spectrum(op)
     if spec.beta is None:
         raise NumericError("mode has no nonzero-real-part roots")
     rec = mo.empirical_l0(spec, frac * spec.beta, trials=args.trials,
                           seed=args.seed, turan_check=args.turan_check)
     scan_rows = [(r["L"], sum(r["failures"].values())) for r in rec["scan"]]
-    data = {"n": args.n, "k": args.k, "t": float(t), "j": args.j,
+    data = {"n": args.n, "k": args.k, "t": float(args.t), "j": args.j,
             "beta": spec.beta, "beta_prime": frac * spec.beta,
             "trials": args.trials, "L0": rec["L0"],
             "turan_bound": rec["turan_bound"],
@@ -471,8 +468,6 @@ def cmd_bootstrap(args):
 def cmd_verify_all(args):
     if not 0 < args.scale < math.inf:
         raise UsageError(f"--scale: need scale > 0, got {args.scale}")
-    if args.jobs < 1:
-        raise UsageError(f"--jobs: need jobs >= 1, got {args.jobs}")
     known = [fn.suite_name for fn in verify.SUITES]
     unknown = sorted(set(args.suite or ()) - set(known))
     if unknown:
@@ -526,6 +521,11 @@ def main(argv=None):
     try:
         if args.config is not None:
             args = parser.parse_args(_config_argv(parser, args, argv))
+        # the SHARED options' values, checked once for every command
+        if "t" in args:
+            args.t = _fraction(args.t, "--t")
+        if getattr(args, "jobs", 1) < 1:
+            raise UsageError(f"--jobs: need jobs >= 1, got {args.jobs}")
         rc = COMMANDS[args.command](args)
         return 0 if rc is None else rc
     except (UsageError, ParameterError) as exc:

@@ -23,6 +23,9 @@ import numpy as np
 from . import turan_constants
 from .closed_form import ParameterError
 
+SUP_SAMPLES = 2048  # sup_norms_sq grid points per row before the refine
+DISCRETE_DMAX = 4  # the discrete sweep's largest number of terms
+
 
 class RangeError(ArithmeticError):
     """Evaluation left the floating-point range."""
@@ -402,9 +405,6 @@ def _golden_max(terms, lo, hi):
     return _abs_sq(terms, (a + b) / 2)
 
 
-SUP_SAMPLES = 2048  # grid points per row before the golden-section refine
-
-
 def sup_norms_sq(table, t0, t1):
     """sup of |p|^2 on [t0[i], t1[i]] for every row p of ``table``: dense
     sampling plus a golden-section refine around the best sample.
@@ -689,9 +689,6 @@ def _draw_power_sum(rng, d):
     """Random (m, |z|, z, c) of d terms: the one-sum case of _power_sums."""
     m, mod, z, c = _power_sums(rng, [d])
     return int(m[0]), mod, z, c
-
-
-DISCRETE_DMAX = 4  # the discrete sweep's largest number of terms
 
 
 def draw_discrete_instances(rng, trials):
