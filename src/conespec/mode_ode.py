@@ -22,6 +22,7 @@ from __future__ import annotations
 import atexit
 import math
 import os
+import signal
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
@@ -829,7 +830,7 @@ def _family(kind, n, j):
 def _probe(operator, order, n, j, source, target):
     """The system of ``operator`` (of order <= ``order``) from the degree-j
     ``source`` to the ``target`` families (``_family`` kinds), probed once
-    per process (pool workers keep their own memo) and shared by every
+    per process (forked workers keep their own memo) and shared by every
     mode system and every k, so callers must not mutate it."""
     return probe_euler(operator, _family(source, n, j), order,
                        target=_family(target, n, j))
@@ -965,8 +966,10 @@ def degenerate_scan(n, k, t_values, j_max, *, jobs=1):
     systems A + t B and div - t i_r from the pieces that
     ``tensor_mode_system`` and ``divergence_mode_system`` share, probed
     once per (n, j) and process, so a later scan probes nothing.  The
-    degrees are independent and run on a worker pool when jobs > 1; the
-    report lists (t, j) cells in t-major order, repeated t values included.
+    degrees are independent; with jobs > 1 ``parallel_map`` deals degree j
+    to forked worker j mod jobs, which keeps that degree and its memo for
+    every later scan in the process.  The report lists (t, j) cells in
+    t-major order, repeated t values included.
     """
     t_values = list(t_values)
     if not t_values:
@@ -995,46 +998,119 @@ def degenerate_scan(n, k, t_values, j_max, *, jobs=1):
 
 
 def parallel_map(fn, items, jobs=1):
-    """[fn(x) for x in items], on a pool of ``jobs`` processes when jobs > 1.
+    """[fn(x) for x in items], on ``jobs`` forked workers when jobs > 1.
 
-    The results keep the input order.  The first call with jobs > 1 starts
-    the pool (default start method: fork on Linux up to Python 3.13) and
-    later calls with the same jobs reuse it, so its workers keep their memo
-    caches from call to call.  The workers see module state as of that
-    first use, not later changes in the caller.  A call with another jobs
-    value replaces the pool; the pool is torn down at interpreter exit.
+    Items are dealt round-robin: item i goes to worker i mod jobs, which
+    gets its whole share as one message and returns its results as one;
+    the results keep the input order.  The first call with jobs > 1 forks
+    the workers and later calls with the same jobs reuse them, so a worker
+    keeps its positions from call to call (the same degrees j of a scan,
+    the same suites of ``verify-all``) and finds its memo caches warm.  The
+    workers see module state as of that first use, not later changes in
+    the caller.  A call with another jobs value replaces them; they are
+    ended at interpreter exit.
+
+    An exception in fn is raised as the serial loop would raise it: the
+    one at the lowest failing index, with its own type, and the workers
+    stay usable.  A worker that dies raises RuntimeError naming its pid and
+    exit code.  A call that ends without every reply (a dead worker, an
+    interrupt) ends all the workers, so the next call forks fresh ones.
     """
+    items = list(items)
     if not jobs or jobs <= 1:
         return [fn(x) for x in items]
-    return _pool(jobs).map(fn, items)
+    workers = _workers(jobs)
+    try:
+        for w, (proc, conn) in enumerate(workers):
+            _talk(proc, conn.send, (fn, items[w::jobs]))
+        replies = [_talk(proc, conn.recv) for proc, conn in workers]
+    except BaseException:
+        _close_workers()
+        raise
+    failed = [(w + jobs * len(done), exc)
+              for w, (done, exc) in enumerate(replies) if exc is not None]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    results = [None] * len(items)
+    for w, (done, _) in enumerate(replies):
+        results[w::jobs] = done
+    return results
 
 
-# os.getpid() -> (jobs, Pool).  A forked child inherits its parent's entry
-# and leaves it alone: it neither reuses nor tears down a pool it did not
-# start.
-_POOLS = {}
+def _talk(proc, call, *args):
+    """conn.send(...) or conn.recv() with a worker; one that has died
+    raises RuntimeError instead of blocking."""
+    try:
+        return call(*args)
+    except (EOFError, OSError):
+        proc.join(1)
+        raise RuntimeError(f"parallel_map worker {proc.pid} died, exit code "
+                           f"{proc.exitcode}") from None
 
 
-def _pool(jobs):
-    held = _POOLS.get(os.getpid())
+def _serve(conn):
+    """A worker: runs fn over each share it is sent, in order, and replies
+    (results, None), or (the results before the first error, the error)."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C is the parent's
+    while True:
+        try:
+            fn, share = conn.recv()
+        except EOFError:  # the parent closed its end
+            return
+        done = []
+        try:
+            for x in share:
+                done.append(fn(x))
+            reply = (done, None)
+        except BaseException as exc:
+            reply = (done, exc)
+        try:
+            conn.send(reply)
+        except Exception as exc:  # a result or the error does not pickle
+            conn.send(([], RuntimeError(f"parallel_map worker cannot send "
+                                        f"its reply: {exc!r}")))
+
+
+# os.getpid() -> (jobs, [(Process, Connection)]).  A forked child inherits
+# its parent's entry and leaves it alone: it neither reuses nor ends workers
+# it did not start.
+_WORKERS = {}
+
+
+def _workers(jobs):
+    held = _WORKERS.get(os.getpid())
     if held is not None and held[0] == jobs:
         return held[1]
-    _close_pool()  # never fork while the old pool's threads run
-    from multiprocessing import Pool
+    _close_workers()
+    import multiprocessing
 
-    pool = Pool(jobs)
-    _POOLS[os.getpid()] = (jobs, pool)
+    # fork, so the workers start with the caller's memos and module state
+    ctx = multiprocessing.get_context("fork")
+    workers = []
+    _WORKERS[os.getpid()] = (jobs, workers)
+    try:
+        for _ in range(jobs):
+            conn, child = ctx.Pipe()
+            proc = ctx.Process(target=_serve, args=(child,), daemon=True)
+            proc.start()
+            child.close()
+            workers.append((proc, conn))
+    except BaseException:
+        _close_workers()
+        raise
     # after multiprocessing's own exit hook, so this one runs first
-    atexit.unregister(_close_pool)
-    atexit.register(_close_pool)
-    return pool
+    atexit.unregister(_close_workers)
+    atexit.register(_close_workers)
+    return workers
 
 
-def _close_pool():
-    held = _POOLS.pop(os.getpid(), None)
-    if held is not None:
-        held[1].terminate()
-        held[1].join()
+def _close_workers():
+    _, workers = _WORKERS.pop(os.getpid(), (0, ()))
+    for proc, conn in workers:
+        proc.terminate()
+        conn.close()
+    for proc, _ in workers:
+        proc.join()
 
 
 def _divergence_free_chain_space(system, div_system, root):

@@ -676,10 +676,10 @@ def test_entry_point_installed():
 
 
 def test_degenerate_scan_jobs_reuse_pool_and_exit_cleanly(tmp_path):
-    # one process runs two --jobs 2 scans, which share the worker pool, and
-    # a serial one: data is byte-identical, and the pool is torn down at
+    # one process runs two --jobs 2 scans, which share the forked workers,
+    # and a serial one: data is byte-identical, and the workers are ended at
     # exit without "Exception ignored" on stderr (a ResourceWarning is an
-    # error, so a pool left running at exit shows there)
+    # error, so a worker left running at exit shows there)
     argv = ["degenerate-scan", "--n", "4", "--k", "1", "--j-max", "1",
             "--t-values", "0,1/20"]
     outs = [tmp_path / f"d{i}.json" for i in range(3)]

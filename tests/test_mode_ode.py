@@ -1,8 +1,11 @@
 import functools
+import json
 import math
 import multiprocessing
 import os
-import time
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +20,7 @@ from conespec.closed_form import (ParameterError, modified_typeI_rates,
                                   scalar_indicial_polynomial,
                                   scalar_indicial_roots, typeI_eigenvalue)
 from conespec.linalg import poly_derivative, poly_eval, poly_shift
-from conespec.expsum import RangeError, three_interval
+from conespec.expsum import NumericError, RangeError, three_interval
 from conespec.mode_ode import (L0_CANDIDATES, EulerOperator, FloatSystem,
                                ModeSolution, ProbeError, RadialGram,
                                degenerate_scan,
@@ -838,7 +841,6 @@ def test_degenerate_scan_positive_control():
 
 
 def _worker_pid(_):
-    time.sleep(0.05)  # long enough that every worker takes a task
     return os.getpid()
 
 
@@ -848,8 +850,29 @@ def _fail_on_three(x):
     return x
 
 
+def _fail_on_one_and_two(x):
+    if x == 1:
+        raise ParameterError("one")
+    if x == 2:
+        raise NumericError("two")
+    return x
+
+
 def _live_children():
     return {p.pid for p in multiprocessing.active_children()}
+
+
+def _run_fresh(code, *args):
+    """Runs ``code`` in a fresh interpreter that imports this conespec and
+    fails on a ResourceWarning; returns its stdout as JSON."""
+    src = os.path.dirname(os.path.dirname(mode_ode.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-W", "error::ResourceWarning",
+                           "-c", textwrap.dedent(code), *map(str, args)],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0 and not proc.stderr, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def test_parallel_map_keeps_input_order():
@@ -865,10 +888,84 @@ def test_parallel_map_reuses_its_workers():
     assert first | second <= _live_children()
 
 
+def test_parallel_map_deals_items_round_robin():
+    for _ in range(2):
+        a, b, *rest = parallel_map(_worker_pid, range(4), 2)
+        assert rest == [a, b]
+        assert len({a, b, os.getpid()}) == 3
+
+
 def test_parallel_map_propagates_errors_and_stays_usable():
     with pytest.raises(ValueError, match="three"):
         parallel_map(_fail_on_three, range(6), 2)
     assert parallel_map(_fail_on_three, [0, 1, 2], 2) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("items, error", [
+    (range(6), ParameterError),  # item 1 on worker 1 fails before item 2
+    ([0, 0, 2, 1], NumericError),  # item 2 on worker 0 fails before item 1
+])
+def test_parallel_map_raises_the_lowest_failing_index(items, error):
+    pids = parallel_map(_worker_pid, range(2), 2)
+    with pytest.raises(Exception) as info:
+        parallel_map(_fail_on_one_and_two, items, 2)
+    assert info.type is error
+    with pytest.raises(error):
+        [_fail_on_one_and_two(x) for x in items]
+    assert parallel_map(_worker_pid, range(2), 2) == pids
+    assert parallel_map(_fail_on_one_and_two, [0, 3], 2) == [0, 3]
+
+
+def test_parallel_map_dead_worker_raises_and_next_call_recovers():
+    out = _run_fresh("""
+        import json, os
+        from conespec.mode_ode import parallel_map
+
+        def pid(_):
+            return os.getpid()
+
+        def die(x):
+            if x == 1:
+                os._exit(3)
+            return x
+
+        before = parallel_map(pid, range(2), 2)
+        try:
+            parallel_map(die, [0, 1, 2, 3], 2)
+            error = None
+        except RuntimeError as exc:
+            error = str(exc)
+        after = parallel_map(pid, range(2), 2)
+        print(json.dumps({"before": before, "error": error, "after": after,
+                          "abs": parallel_map(abs, [-1, -2, -3], 2)}))
+    """)
+    assert out["error"] == (f"parallel_map worker {out['before'][1]} died, "
+                            f"exit code 3")
+    assert not set(out["before"]) & set(out["after"])
+    assert out["abs"] == [1, 2, 3]
+
+
+def test_parallel_map_keeps_each_degree_on_one_warm_worker():
+    # the workers' probe misses after two --jobs 2 scans add up to those of
+    # one serial scan: no degree is probed twice, on one worker or on two
+    code = """
+        import json, sys
+        from fractions import Fraction
+        from conespec import mode_ode
+
+        def misses(_):
+            return mode_ode._probe.cache_info().misses
+
+        scans, jobs = map(int, sys.argv[1:])
+        for _ in range(scans):
+            mode_ode.degenerate_scan(4, 1, [0, Fraction(1, 20)], 1, jobs=jobs)
+        print(json.dumps([misses(None)]
+                         + mode_ode.parallel_map(misses, range(jobs), jobs)))
+    """
+    serial, _ = _run_fresh(code, 1, 1)
+    parent, *workers = _run_fresh(code, 2, 2)
+    assert parent == 0 and all(workers)
+    assert sum(workers) == serial
 
 
 def test_parallel_map_replaces_pool_when_jobs_change():
@@ -876,15 +973,15 @@ def test_parallel_map_replaces_pool_when_jobs_change():
     new = set(parallel_map(_worker_pid, range(6), 3))
     assert not old & new
     assert not old & _live_children()
-    parallel_map(_worker_pid, range(4), 2)  # leave the usual pool behind
+    parallel_map(_worker_pid, range(4), 2)  # leave the usual workers behind
 
 
 @pytest.mark.parametrize("jobs", [None, 0, 1, -2])
 def test_parallel_map_serial_never_starts_a_pool(monkeypatch, jobs):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started")
+    def no_workers(jobs):
+        raise AssertionError("workers were started")
 
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(mode_ode, "_workers", no_workers)
     assert parallel_map(_worker_pid, range(3), jobs) == [os.getpid()] * 3
 
 
