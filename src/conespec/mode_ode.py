@@ -1062,7 +1062,7 @@ def _serve(conn):
             for x in share:
                 done.append(fn(x))
             reply = (done, None)
-        except BaseException as exc:
+        except BaseException as exc:  # SystemExit too: the parent raises it
             reply = (done, exc)
         try:
             conn.send(reply)
