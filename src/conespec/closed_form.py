@@ -173,11 +173,10 @@ def modified_typeII_matrix(n, t, nu):
 def modified_typeII_roots(n, t, j):
     """Kernel exponents of the t-modified gauge operator, type II, degree j.
 
-    For nu > 0: the four roots of the determinant quartic, found as
-    companion-matrix eigenvalues.  For nu = 0 the function-derived branch
-    decouples; only its two geometric roots are returned (the differential
-    part of the angular seed vanishes), with the spurious branch listed
-    separately.
+    For nu > 0: the four roots of the determinant quartic, by np.roots.
+    For nu = 0 the function-derived branch decouples; only its two
+    geometric roots are returned (the differential part of the angular
+    seed vanishes), with the spurious branch listed separately.
     """
     if abs(t) >= n / 2:
         raise ParameterError("need |t| < n/2")
@@ -191,15 +190,7 @@ def modified_typeII_roots(n, t, j):
                 "non_geometric": sorted(spur, key=lambda z: z.real)}
     det = poly_sum([poly_mul(mat[0][0], mat[1][1]),
                     [-c for c in poly_mul(mat[0][1], mat[1][0])]])
-    coeffs = list(reversed([float(c) for c in det]))
-    monic = np.array(coeffs, dtype=float) / coeffs[0]
-    companion = np.diag(np.ones(len(monic) - 2), -1)
-    companion[0, :] = -monic[1:]
-    roots = np.linalg.eigvals(companion)
-    if np.any(~np.isfinite(roots)):  # pragma: no cover
-        raise ArithmeticError(
-            "companion eigenvalue solve failed; condition estimate "
-            f"{np.linalg.cond(companion):.3e}")
+    roots = np.roots([float(c) for c in reversed(det)])
     return {"roots": sorted(roots, key=lambda z: (z.real, z.imag)),
             "non_geometric": []}
 

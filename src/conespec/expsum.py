@@ -24,6 +24,7 @@ from . import turan_constants
 from .closed_form import ParameterError
 
 SUP_SAMPLES = 2048  # sup_norms_sq grid points per row before the refine
+TURAN_SLACK = 1e-12  # the relative slack of every Turan inequality's holds
 DISCRETE_DMAX = 4  # the discrete sweep's largest number of terms
 
 
@@ -437,26 +438,32 @@ def turan_discrete_batch(z, c, m):
     z and c have shape (N, d), m shape (N,).  Returns arrays lhs = |S_0|^2,
     rhs = max |S_{m+1..m+d}|^2 (S_ell = sum_j c_j z_j^ell), constant =
     T_d(m)^2 (turan_constants.discrete_constant, exact until it is made a
-    float here) and holds = lhs <= constant * rhs up to a relative 1e-12.
-    A non-finite lhs, rhs or constant raises RangeError naming it; the
-    product constant * rhs may overflow to inf, which holds.
+    float here) and holds = lhs <= constant * rhs up to TURAN_SLACK.
+    A non-finite constant, lhs or rhs raises RangeError naming it; the
+    constant is checked before the (N, d, d) power array is made, so it
+    fails fast for every d >= 513, where T_d(m)^2 > 4^(d-1) >= 2^1024
+    leaves the float range.  The product constant * rhs may overflow to
+    inf, which holds.
     """
     z = np.asarray(z, dtype=complex)
     c = np.asarray(c, dtype=complex)
     m = np.asarray(m)
     d = z.shape[1]
-    ells = m[:, None] + np.arange(1, d + 1)
-    const = _per_key(
-        lambda k: _float_or_inf(turan_constants.discrete_constant(d, k)), m)
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums = (c[:, None, :] * z[:, None, :] ** ells[:, :, None]).sum(axis=2)
-        lhs = np.abs(c.sum(axis=1)) ** 2
-        rhs = (np.abs(sums) ** 2).max(axis=1)
-        holds = lhs <= const * rhs * (1 + 1e-12)
-    for name, v in (("lhs", lhs), ("rhs", rhs), ("constant", const)):
+
+    def finite(name, v):
         if not np.isfinite(v).all():
             raise RangeError(f"discrete bound: {name} is not finite "
                              f"at d = {d}")
+        return v
+
+    const = finite("constant", _per_key(
+        lambda k: _float_or_inf(turan_constants.discrete_constant(d, k)), m))
+    ells = m[:, None] + np.arange(1, d + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = (c[:, None, :] * z[:, None, :] ** ells[:, :, None]).sum(axis=2)
+        lhs = finite("lhs", np.abs(c.sum(axis=1)) ** 2)
+        rhs = finite("rhs", (np.abs(sums) ** 2).max(axis=1))
+        holds = lhs <= const * rhs * (1 + TURAN_SLACK)
     return {"lhs": lhs, "rhs": rhs, "constant": const, "holds": holds}
 
 
@@ -523,11 +530,11 @@ def turan_integral_batch(table, a, b):
         "integral": integral,
         "constant": a_d,
         "bound": bound,
-        "holds": lhs <= bound * (1 + 1e-12),
+        "holds": lhs <= bound * (1 + TURAN_SLACK),
         "sup_form": {"lhs": sup_sq, "bound": sup_bound, "constant": a_sup,
-                     "holds": sup_sq <= sup_bound * (1 + 1e-12)},
+                     "holds": sup_sq <= sup_bound * (1 + TURAN_SLACK)},
         "l2_form": {"lhs": head, "bound": l2_bound, "constant": a_l2,
-                    "holds": head <= l2_bound * (1 + 1e-12)},
+                    "holds": head <= l2_bound * (1 + TURAN_SLACK)},
     }
 
 
@@ -575,15 +582,15 @@ def _check_modes(modes):
     return modes == "growth"
 
 
-def _three_interval_record(lam, index, lo, hi, big_r, growth):
-    """The three-interval inequality at rate lam and index M + d (floats
-    or arrays, as lo, hi, big_r and the growth flags): growth: e^{lambda
-    R} lo <= A(M+d) hi; decay: hi <= A(M+d) e^{-lambda R} lo, with A the
-    Gram-pencil constant turan_constants.three_interval_constant."""
-    if np.ndim(index):
-        a_c = _per_key(turan_constants.three_interval_constant, index)
-    else:
-        a_c = turan_constants.three_interval_constant(index)
+def three_interval_record(lam, index, lo, hi, big_r, growth):
+    """The three-interval inequality from the interval integrals lo and hi
+    of |p|^2 over the lower and the upper interval, for sums p with rate
+    lam (the least |Re exponent|) and integer index M + d, all arrays of
+    one entry per sum (big_r and the growth flags may be scalars):
+    growth: e^{lambda R} lo <= A(M+d) hi; decay: hi <= A(M+d) e^{-lambda
+    R} lo, with A the Gram-pencil constant
+    turan_constants.three_interval_constant."""
+    a_c = _per_key(turan_constants.three_interval_constant, index)
     lhs = np.where(growth, np.exp(lam * big_r) * lo, hi)
     rhs = np.where(growth, a_c * hi, a_c * np.exp(-lam * big_r) * lo)
     return {
@@ -591,35 +598,16 @@ def _three_interval_record(lam, index, lo, hi, big_r, growth):
         "rhs": rhs,
         "lambda": lam,
         "constant": a_c,
-        "holds": lhs <= rhs * (1 + 1e-12),
+        "holds": lhs <= rhs * (1 + TURAN_SLACK),
         "index": index,
     }
-
-
-def three_interval_bound(tops, lo, hi, big_r, mode):
-    """The three-interval inequality from its interval integrals.
-
-    tops maps each distinct exponent of the sum to its highest power, so
-    the index is M + d = sum(tops.values()) + len(tops); lo and hi are the
-    integrals of |p|^2 over the lower and the upper interval, floats or
-    equal-shape arrays (one entry per sum with these exponents and
-    powers).  growth: e^{lambda R} lo <= A(M+d) hi; decay: hi <= A(M+d)
-    e^{-lambda R} lo, with lambda the minimal |Re exponent|.
-    """
-    growth = _check_modes(mode)
-    res = [z.real for z in tops]
-    lam = min(res) if growth else min(-x for x in res)
-    if lam <= 0:
-        raise _mixed_signs(mode)
-    return _three_interval_record(lam, sum(tops.values()) + len(tops), lo,
-                                  hi, big_r, growth)
 
 
 def three_interval_batch(table, big_r, ell, modes):
     """three_interval on every row of the TermTable ``table`` at once:
     big_r, ell and modes hold one entry per row, every interval integral
     comes from one l2_integrals call, and the record is
-    three_interval_bound's with one array entry per row."""
+    three_interval_record's with one array entry per row."""
     growth = _check_modes(modes)
     size = table.sizes()
     if not size.all():
@@ -637,7 +625,7 @@ def three_interval_batch(table, big_r, ell, modes):
     ends = np.asarray(ell)[:, None] + np.arange(-1, 2)
     edges = ends * big_r[:, None]
     lo, hi = l2_integrals(table, edges[:, :2], edges[:, 1:]).T
-    return _three_interval_record(lam, big_m + d, lo, hi, big_r, growth)
+    return three_interval_record(lam, big_m + d, lo, hi, big_r, growth)
 
 
 def three_interval(p, big_r, ell, mode):
@@ -645,7 +633,7 @@ def three_interval(p, big_r, ell, mode):
 
     growth: e^{lambda R} int_{(l-1)R}^{lR} <= A(M+d) int_{lR}^{(l+1)R};
     decay is the mirror image.  lambda is the minimal |Re exponent| and must
-    be positive with all real parts of one sign (three_interval_bound).
+    be positive with all real parts of one sign (three_interval_batch).
     The one-sum case of three_interval_batch.
     """
     if big_r <= 0:

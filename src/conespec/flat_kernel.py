@@ -194,7 +194,6 @@ class QuadraticField:
         for i in range(n):
             for (l, m) in _sym_pairs(n):
                 coeffs[(i, l, m)] = float(rng.standard_normal())
-        f = cls(n, coeffs)
         norm = math.sqrt(sum(v * v for v in coeffs.values()))
         return cls(n, {k: scale * v / norm for k, v in coeffs.items()})
 

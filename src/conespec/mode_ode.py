@@ -14,7 +14,12 @@ scalar, divergence and gauge systems and the scan.  Spectra, growth/decay
 splits, the three-annulus inequalities and the degenerate-solution scan
 all live on top of that data.  A spectrum's roots carry exact
 multiplicities; the chain basis of a root of multiplicity m, built on first
-read, is m singular vectors, and KERNEL_CUTOFF checks it.
+read, is m singular vectors, and KERNEL_CUTOFF checks it.  The spectrum's
+``chain_rows`` state the one row layout of a kernel element, (root, log
+power) in root order with each row's root value and class: a
+ModeSolution is one (K, m_ang) coefficient array in it, RadialGram's
+matrices and the annulus draws use it, and the annulus Turan cross-check
+reads its rates and indices from it in one array pass.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import numpy as np
 from . import polytensor as pt
 from .closed_form import ParameterError
 from .expsum import (ExpSum, ExpTerm, NumericError, RangeError,
-                     poly_exp_integrals, three_interval_bound)
+                     poly_exp_integrals, three_interval_record)
 from .linalg import (det_dense, lagrange_coefficients, poly_derivative,
                      poly_eval, poly_squarefree_factors, poly_trim)
 from .polytensor import AngularBasis, ClosureError
@@ -272,16 +277,42 @@ class RootData:
         return "plus" if self.value.real > 0 else "minus"
 
 
+@dataclass(frozen=True, eq=False)
+class ChainRows:
+    """The row layout of a kernel element's coefficients: row i is the log
+    power ``power[i]`` of root ``root[i]``, the roots in spectrum order and
+    the powers 0, ..., mult - 1 of each; row i carries the value ``zeta[i]``
+    and the class ``classes[i]`` ("plus", "minus" or "zero") of its root."""
+
+    root: np.ndarray
+    power: np.ndarray
+    zeta: np.ndarray
+    classes: np.ndarray
+
+
 @dataclass
 class IndicialSpectrum:
     """Roots of a square mode system with their exact multiplicities, the
     FloatSystem of the system (``system``) and, built on first read, the
-    solution-chain basis of every root (``chain_bases``)."""
+    solution-chain basis of every root (``chain_bases``) and the row
+    layout of its kernel elements (``chain_rows``)."""
 
     operator: EulerOperator
     roots: list
     low_confidence: bool
     system: FloatSystem = field(repr=False, compare=False)
+
+    @cached_property
+    def chain_rows(self):
+        """The ChainRows of this spectrum's kernel elements, one row per
+        chain dimension (total_multiplicity rows)."""
+        mults = [r.multiplicity for r in self.roots]
+        root = np.repeat(np.arange(len(mults)), mults)
+        first = np.cumsum([0] + mults)[:-1]
+        return ChainRows(
+            root, np.arange(len(root)) - np.repeat(first, mults),
+            np.array([r.value for r in self.roots], dtype=complex)[root],
+            np.array([r.classification for r in self.roots], dtype=str)[root])
 
     @cached_property
     def chain_bases(self):
@@ -308,12 +339,6 @@ class IndicialSpectrum:
     @property
     def total_multiplicity(self):
         return sum(r.multiplicity for r in self.roots)
-
-    def partition(self):
-        out = {"plus": [], "minus": [], "zero": []}
-        for i, r in enumerate(self.roots):
-            out[r.classification].append(i)
-        return out
 
     @property
     def beta(self):
@@ -452,87 +477,81 @@ ZERO_COEFF = 1e-14
 
 @dataclass
 class ModeSolution:
-    """Kernel element of one mode system: coefficients d_{a, b, c}.
-
-    a indexes roots of the spectrum, b the log power (below the root
-    multiplicity), c the angular family.
+    """Kernel element of one mode system: its coefficients d_{a, b, c} as
+    one complex (K, m_ang) array ``coeffs``, rows (root a, log power b) in
+    the spectrum's chain_rows layout and columns the angular families c.
     """
 
     spectrum: IndicialSpectrum
-    tables: dict  # root index -> complex array (mult, m_ang)
+    coeffs: np.ndarray
 
     @classmethod
     def from_chain_weights(cls, spectrum, weights):
-        """Combine chain bases with the given per-root weight vectors."""
-        tables = {}
-        m_ang = spectrum.operator.m_ang
+        """Combine chain bases with the given per-root weight vectors; the
+        rows of roots without weights are 0."""
+        rows = spectrum.chain_rows
+        coeffs = np.zeros((len(rows.root), spectrum.operator.m_ang),
+                          dtype=complex)
         for a, w in weights.items():
             vec = spectrum.chain_bases[a] @ np.asarray(w, dtype=complex)
-            tables[a] = vec.reshape(spectrum.roots[a].multiplicity, m_ang)
-        return cls(spectrum, tables)
+            coeffs[rows.root == a] = vec.reshape(-1, coeffs.shape[1])
+        return cls(spectrum, coeffs)
 
     @classmethod
     def random(cls, spectrum, rng, include=("plus", "minus", "zero")):
-        weights = {}
-        for a, root in enumerate(spectrum.roots):
-            if root.classification not in include:
-                continue
-            dim = root.multiplicity
-            weights[a] = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        return cls.from_chain_weights(spectrum, weights)
+        """The one-draw case of draw_kernel_coefficients."""
+        return cls(spectrum,
+                   draw_kernel_coefficients(spectrum, 1, rng, include)[0])
 
     def restricted(self, classes):
-        tables = {a: tab for a, tab in self.tables.items()
-                  if self.spectrum.roots[a].classification in classes}
-        return ModeSolution(self.spectrum, tables)
+        """The part on the roots of the given classes: other rows are 0."""
+        keep = np.isin(self.spectrum.chain_rows.classes, list(classes))
+        return ModeSolution(self.spectrum,
+                            np.where(keep[:, None], self.coeffs, 0))
 
     def family_profile(self, c):
         """Radial profile of family c as an ExpSum in t = log r."""
-        terms = []
-        for a, tab in self.tables.items():
-            zeta = self.spectrum.roots[a].value
-            for b in range(tab.shape[0]):
-                if tab[b, c] != 0:
-                    terms.append(ExpTerm(complex(tab[b, c]), zeta, b))
-        return ExpSum(terms)
+        rows = self.spectrum.chain_rows
+        return ExpSum([ExpTerm(complex(self.coeffs[i, c]), rows.zeta[i],
+                               int(rows.power[i]))
+                       for i in np.flatnonzero(self.coeffs[:, c])])
 
     def profile_values(self, r):
-        """Family profile values sum_a sum_b tab[b, c] t^b e^{zeta_a t}
-        (t = log r), evaluated from the tables: shape (m_ang,) at a scalar
-        radius r, (len(r), m_ang) at an array of radii.  Raises RangeError
-        when a value leaves the float range."""
+        """Family profile values sum_i coeffs[i, c] t^b_i e^{zeta_i t}
+        (t = log r) over the rows with a nonzero entry: shape (m_ang,) at a
+        scalar radius r, (len(r), m_ang) at an array of radii.  Raises
+        RangeError when a value leaves the float range."""
         r = np.asarray(r, dtype=float)
         if not np.all(r > 0):
             raise ParameterError("need radii r > 0")
         t = np.log(r)
-        out = np.zeros(t.shape + (self.spectrum.operator.m_ang,),
-                       dtype=complex)
+        rows = self.spectrum.chain_rows
+        out = np.zeros(t.shape + (self.coeffs.shape[1],), dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
-            for a, tab in self.tables.items():
-                e = np.exp(self.spectrum.roots[a].value * t)
-                for b in range(tab.shape[0]):
-                    out += (t ** b * e)[..., None] * tab[b]
+            for i in np.flatnonzero(self.coeffs.any(axis=1)).tolist():
+                term = t ** int(rows.power[i]) * np.exp(rows.zeta[i] * t)
+                out += term[..., None] * self.coeffs[i]
         if not np.all(np.isfinite(out)):
             raise RangeError("profile values overflowed")
         return out
 
     def is_trivial(self):
         """Every coefficient is below ZERO_COEFF in modulus."""
-        return all(np.max(np.abs(tab)) < ZERO_COEFF
-                   for tab in self.tables.values())
+        return bool(np.all(np.abs(self.coeffs) < ZERO_COEFF))
 
 
 def solution_split(sol):
-    """Growth/decay/degenerate decomposition of a mode solution."""
-    spec = sol.spectrum
+    """Growth/decay/degenerate decomposition of a mode solution; it is
+    degenerate when it is nontrivial and every nonzero row sits on a
+    zero-real-part root."""
+    classes = sol.spectrum.chain_rows.classes
     return {
         "h_plus": sol.restricted({"plus"}),
         "h_minus": sol.restricted({"minus"}),
         "h_zero": sol.restricted({"zero"}),
-        "beta": spec.beta,
-        "degenerate": bool(sol.tables) and all(
-            spec.roots[a].classification == "zero" for a in sol.tables)
-        and not sol.is_trivial(),
+        "beta": sol.spectrum.beta,
+        "degenerate": not sol.is_trivial() and bool(
+            np.all(classes[sol.coeffs.any(axis=1)] == "zero")),
     }
 
 
@@ -540,37 +559,24 @@ def solution_split(sol):
 
 
 class RadialGram:
-    """Gram matrices of the chain basis functions t^b e^{zeta t} on intervals."""
+    """Gram matrices of the chain basis functions t^b e^{zeta t} on
+    intervals, rows and columns in the spectrum's chain_rows layout."""
 
     def __init__(self, spectrum, lambdas=None):
         self.spectrum = spectrum
         m_ang = spectrum.operator.m_ang
         self.lambdas = ([1.0] * m_ang if lambdas is None
                         else [float(x) for x in lambdas])
-        self.index = []
-        for a, root in enumerate(spectrum.roots):
-            for b in range(root.multiplicity):
-                self.index.append((a, b))
 
     def gram(self, t0, t1):
         """Gram matrix (K, K) of the basis on [t0, t1], or a stack of them
         (..., K, K) for arrays of interval ends, in one
         poly_exp_integrals call."""
-        zeta = np.array([self.spectrum.roots[a].value for a, _ in self.index],
-                        dtype=complex)
-        power = np.array([b for _, b in self.index], dtype=int)
-        return poly_exp_integrals(np.add.outer(power, power),
-                                  np.add.outer(zeta, zeta.conj()),
+        rows = self.spectrum.chain_rows
+        return poly_exp_integrals(np.add.outer(rows.power, rows.power),
+                                  np.add.outer(rows.zeta, rows.zeta.conj()),
                                   np.asarray(t0, dtype=float)[..., None, None],
                                   np.asarray(t1, dtype=float)[..., None, None])
-
-    def coefficient_vector(self, sol, c):
-        v = np.zeros(len(self.index), dtype=complex)
-        for i, (a, b) in enumerate(self.index):
-            tab = sol.tables.get(a)
-            if tab is not None:
-                v[i] = tab[b, c]
-        return v
 
     def family_forms(self, coeffs, g):
         """Squared unweighted norms of every family profile of a stack of
@@ -580,10 +586,12 @@ class RadialGram:
                          coeffs.conj()).real
 
     def norm_sq(self, sol, t0, t1, gram=None):
+        """Weighted squared norm of one solution, family by family: the
+        per-draw counterpart of family_forms."""
         g = self.gram(t0, t1) if gram is None else gram
         total = 0.0
         for c in range(self.spectrum.operator.m_ang):
-            v = self.coefficient_vector(sol, c)
+            v = sol.coeffs[:, c]
             total += self.lambdas[c] * float(np.real(v @ (g @ v.conj())))
         return max(total, 0.0)
 
@@ -599,33 +607,31 @@ def triple_bar_norm(sol, a, b, lambdas=None):
 # -- three annulus verification ----------------------------------------------
 
 
-def draw_kernel_coefficients(spectrum, trials, rng):
-    """Coefficients of ``trials`` random kernel elements on the growth and
-    decay roots, shape (trials, K, m_ang) with rows in RadialGram.index
-    order (rows of zero-real-part roots stay 0).
+def draw_kernel_coefficients(spectrum, trials, rng, include=("plus", "minus")):
+    """Coefficients of ``trials`` random kernel elements on the roots whose
+    class is in ``include``, shape (trials, K, m_ang) in the chain_rows
+    layout (the rows of other roots stay 0).
 
     Each chain basis (``spectrum.chain_bases``) has as many columns as its
-    root's multiplicity.  Draw i equals the tables of the i-th of
-    ``trials`` successive ModeSolution.random(spectrum, rng,
-    include=("plus", "minus")) calls: one standard_normal((trials, 2 *
-    sum mult)) reads the generator stream in the same order (root by root,
-    mult real parts then mult imaginary parts), and the stacked products
-    with each chain basis are the same matrix-vector products.
+    root's multiplicity, and draw i weights it by a complex standard normal
+    vector.  One standard_normal((trials, 2 * sum mult)) call reads the
+    generator stream root by root, mult real parts then mult imaginary
+    parts, so the one-draw case (ModeSolution.random) reads it as
+    per-root calls would.
     """
+    rows = spectrum.chain_rows
     roots = [a for a, root in enumerate(spectrum.roots)
-             if root.classification != "zero"]
-    mults = [r.multiplicity for r in spectrum.roots]
-    raw = rng.standard_normal((trials, 2 * sum(mults[a] for a in roots)))
+             if root.classification in include]
+    mults = [spectrum.roots[a].multiplicity for a in roots]
+    raw = rng.standard_normal((trials, 2 * sum(mults)))
     m_ang = spectrum.operator.m_ang
-    starts = np.cumsum([0] + mults)
-    out = np.zeros((trials, starts[-1], m_ang), dtype=complex)
+    out = np.zeros((trials, len(rows.root), m_ang), dtype=complex)
     col = 0
-    for a in roots:
-        dim = mults[a]
+    for a, dim in zip(roots, mults):
         w = raw[:, col:col + dim] + 1j * raw[:, col + dim:col + 2 * dim]
         col += 2 * dim
         vec = np.matmul(spectrum.chain_bases[a], w[:, :, None])[:, :, 0]
-        out[:, starts[a]:starts[a + 1]] = vec.reshape(trials, dim, m_ang)
+        out[:, rows.root == a] = vec.reshape(trials, dim, m_ang)
     return out
 
 
@@ -634,10 +640,19 @@ def _trivial(coeffs):
     return (np.abs(coeffs) < ZERO_COEFF).all(axis=(1, 2))
 
 
-def _annulus_draws(spectrum, beta_prime, Ls, trials, seed):
-    """Validate the annulus inputs and draw the nontrivial kernel elements
-    that every L of one call shares."""
-    if spectrum.partition()["zero"]:
+def _annulus_draws(spectrum, beta_prime, Ls, trials, seed, turan_check):
+    """Validate the annulus inputs, draw the nontrivial kernel elements
+    and split them into pure parts, once for every L of one call.
+
+    Returns the drawn coefficients and, for the growth ("plus") and decay
+    ("minus") roots, (mode, part, live, turan): the part's coefficients,
+    the draws it is nontrivial in and, with turan_check, the (draw,
+    family) profiles that have a term (a boolean (draws, m_ang) mask) with
+    the rate lambda and index M + d of each.  These are read from the rows
+    with a nonzero coefficient: lambda is their least |Re zeta|, and M + d
+    sums, over their roots, one plus the top log power.
+    """
+    if "zero" in spectrum.chain_rows.classes:
         raise ParameterError(
             "spectrum has zero-real-part roots; the annulus dichotomy "
             "requires the degenerate part to vanish")
@@ -650,41 +665,30 @@ def _annulus_draws(spectrum, beta_prime, Ls, trials, seed):
         raise ParameterError("need trials >= 1")
     coeffs = draw_kernel_coefficients(spectrum, trials,
                                       np.random.default_rng(seed))
-    return coeffs[~_trivial(coeffs)]
+    coeffs = coeffs[~_trivial(coeffs)]
+    rows = spectrum.chain_rows
+    first = np.flatnonzero(np.diff(rows.root, prepend=-1))  # root starts
+    parts = []
+    for sign, mode in (("plus", "growth"), ("minus", "decay")):
+        part = coeffs * (rows.classes == sign)[:, None]
+        turan = None
+        if turan_check:
+            present = part != 0
+            on = present.any(axis=1)
+            lam = np.where(present, np.abs(rows.zeta.real)[:, None],
+                           np.inf).min(axis=1)
+            index = np.maximum.reduceat(
+                present * (rows.power + 1)[:, None], first, axis=1).sum(axis=1)
+            turan = (on, lam[on], index[on])
+        parts.append((mode, part, ~_trivial(part), turan))
+    return coeffs, parts
 
 
-def _turan_failures(gram, part, lo, hi, R, mode):
-    """Families of the drawn parts that fail expsum's three-interval check
-    on [0, R] against [R, 2R].
-
-    part is a (draws, K, m_ang) part tensor, lo and hi its per-family
-    interval integrals.  A family profile has the terms whose coefficient
-    is nonzero; draws are grouped by that pattern, so each distinct set of
-    exponents and top powers meets the bound once.
-    """
-    count = 0
-    for c in range(part.shape[2]):
-        present = part[:, :, c] != 0
-        patterns, which = np.unique(present, axis=0, return_inverse=True)
-        which = which.reshape(-1)
-        for u, pattern in enumerate(patterns):
-            tops = {}
-            for (a, b), on in zip(gram.index, pattern):
-                if on:
-                    zeta = gram.spectrum.roots[a].value
-                    tops[zeta] = max(tops.get(zeta, b), b)
-            if not tops:
-                continue
-            rows = which == u
-            rec = three_interval_bound(tops, np.maximum(lo[rows, c], 0.0),
-                                       np.maximum(hi[rows, c], 0.0), R, mode)
-            count += int(np.count_nonzero(~rec["holds"]))
-    return count
-
-
-def _annulus_record(gram, coeffs, beta_prime, L, trials, turan_check):
-    """three_annulus_verify's record at one L for drawn coefficients."""
-    spectrum = gram.spectrum
+def _annulus_record(gram, coeffs, parts, beta_prime, L, trials):
+    """three_annulus_verify's record at one L for the drawn coefficients
+    and pure parts of _annulus_draws.  The Turan cross-check puts every
+    (draw, family) profile of both parts through one
+    expsum.three_interval_record call on [0, R] against [R, 2R]."""
     R = math.log(L)
     grams = gram.gram(np.arange(3) * R, np.arange(1, 4) * R)
 
@@ -703,21 +707,25 @@ def _annulus_record(gram, coeffs, beta_prime, L, trials, turan_check):
              "both_implications": int((gfail & dfail).sum()),
              "pure_growth": 0, "pure_decay": 0,
              "turan_cross_check": 0}
-    classes = np.array([spectrum.roots[a].classification
-                        for a, _ in gram.index])
-    for sign, mode in (("plus", "growth"), ("minus", "decay")):
-        part = coeffs * (classes == sign)[:, None]
+    checks = []
+    for mode, part, live, turan in parts:
         lo, hi = (gram.family_forms(part, g) for g in grams[:2])
         p1, p2 = norms(lo), norms(hi)
         if mode == "growth":
             holds = p2 >= Lb * p1 * (1 - ANNULUS_SLACK)
         else:
             holds = p2 <= p1 / Lb * (1 + ANNULUS_SLACK)
-        fails["pure_" + mode] = int((~_trivial(part) & ~holds).sum())
-        if turan_check:
-            fails["turan_cross_check"] += _turan_failures(
-                gram, part, lo, hi, R, mode)
-    return {"L": L, "beta": spectrum.beta, "beta_prime": beta_prime,
+        fails["pure_" + mode] = int((live & ~holds).sum())
+        if turan is not None:
+            on, lam, index = turan
+            checks.append((lam, index, lo[on], hi[on],
+                           np.full(len(lam), mode == "growth")))
+    if checks:
+        lam, index, lo, hi, growth = (np.concatenate(v) for v in zip(*checks))
+        rec = three_interval_record(lam, index, np.maximum(lo, 0.0),
+                                    np.maximum(hi, 0.0), R, growth)
+        fails["turan_cross_check"] = int(np.count_nonzero(~rec["holds"]))
+    return {"L": L, "beta": gram.spectrum.beta, "beta_prime": beta_prime,
             "trials": trials, "failures": fails,
             "passed": all(v == 0 for v in fails.values())}
 
@@ -739,9 +747,10 @@ def three_annulus_verify(spectrum, beta_prime, L, trials=200, seed=0, *,
     zero-real-part roots.  Returns failure counts (failures at small L are
     data, not errors).
     """
-    coeffs = _annulus_draws(spectrum, beta_prime, [L], trials, seed)
-    return _annulus_record(RadialGram(spectrum), coeffs, beta_prime, L,
-                           trials, turan_check)
+    coeffs, parts = _annulus_draws(spectrum, beta_prime, [L], trials, seed,
+                                   turan_check)
+    return _annulus_record(RadialGram(spectrum), coeffs, parts, beta_prime,
+                           L, trials)
 
 
 # The L values empirical_l0 tries, in increasing order.
@@ -751,16 +760,16 @@ L0_CANDIDATES = (1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0)
 def empirical_l0(spectrum, beta_prime, trials=200, seed=0, *,
                  turan_check=False):
     """Smallest of L0_CANDIDATES at which every draw passes all annulus
-    checks of three_annulus_verify.  The draws are made once and shared by
-    every L (as three_annulus_verify with the same seed at each L); only
-    the Gram matrices change with L."""
-    coeffs = _annulus_draws(spectrum, beta_prime, L0_CANDIDATES, trials, seed)
+    checks of three_annulus_verify.  The draws and their pure parts are
+    made once and shared by every L (as three_annulus_verify with the same
+    seed at each L); only the Gram matrices change with L."""
+    coeffs, parts = _annulus_draws(spectrum, beta_prime, L0_CANDIDATES,
+                                   trials, seed, turan_check)
     gram = RadialGram(spectrum)
     results = []
     L0 = None
     for L in L0_CANDIDATES:
-        rec = _annulus_record(gram, coeffs, beta_prime, L, trials,
-                              turan_check)
+        rec = _annulus_record(gram, coeffs, parts, beta_prime, L, trials)
         results.append(rec)
         if rec["passed"]:
             L0 = L
@@ -770,7 +779,9 @@ def empirical_l0(spectrum, beta_prime, trials=200, seed=0, *,
 
 
 def turan_l_bound(spectrum, beta_prime):
-    """Three-interval-constant bound on L0: A(index)^{1/(beta - 2 beta')}.
+    """Three-interval-constant bound on L0: A(index)^{1/(beta - 2 beta')},
+    worst over the signs, where the index M + d of a sign is its number of
+    chain rows.
 
     None means no finite bound: when beta - 2 beta' <= 0, and when the
     power leaves the float range (beta' close to beta/2).
@@ -780,15 +791,13 @@ def turan_l_bound(spectrum, beta_prime):
     beta = spectrum.beta
     if beta is None or beta - 2 * beta_prime <= 0:
         return None
-    part = spectrum.partition()
+    classes = spectrum.chain_rows.classes
     worst = 1.0
     for sign in ("plus", "minus"):
-        idx_roots = part[sign]
-        if not idx_roots:
+        index = int(np.count_nonzero(classes == sign))
+        if not index:
             continue
-        d = len(idx_roots)
-        M = sum(spectrum.roots[a].multiplicity - 1 for a in idx_roots)
-        a_c = turan_constants.three_interval_constant(M + d)
+        a_c = turan_constants.three_interval_constant(index)
         try:
             worst = max(worst, a_c ** (1.0 / (beta - 2 * beta_prime)))
         except OverflowError:

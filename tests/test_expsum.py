@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +16,7 @@ from conespec.expsum import (ExpSum, ExpTerm, RangeError, TermTable,
                              _abs_sq_grid, draw_budget_expsum,
                              draw_expsum, eval_expsum, l2_integral,
                              poly_exp_integrals, sup_norm_sq, three_interval,
-                             three_interval_bound, turan_discrete,
-                             turan_integral)
+                             turan_discrete, turan_integral)
 
 E = math.e
 
@@ -252,18 +252,6 @@ def test_mirrored_reflects_real_parts():
     assert three_interval(q, 1.0, 1, "decay")["params"]["index"] == 3
 
 
-def test_three_interval_bound_takes_integral_arrays():
-    rng = np.random.default_rng(6)
-    p = draw_budget_expsum(rng, 2, 1)
-    recs = [three_interval(p, r, 1, "growth") for r in (0.5, 0.5)]
-    lo = np.array([l2_integral(p, 0.0, 0.5)] * 2)
-    hi = np.array([l2_integral(p, 0.5, 1.0), 1e-300])
-    both = three_interval_bound(p.top_powers, lo, hi, 0.5, "growth")
-    assert both["holds"].tolist() == [recs[0]["holds"], False]
-    assert both["lhs"][0] == recs[0]["lhs"]
-    assert both["index"] == recs[0]["params"]["index"] == 3
-
-
 # -- the closed-form constants ----------------------------------------------
 
 
@@ -280,6 +268,21 @@ def test_discrete_constant_out_of_float_range_raises():
     z = np.exp(2j * np.pi * np.arange(600) / 600)[None, :]
     with pytest.raises(RangeError, match="constant is not finite"):
         es.turan_discrete_batch(z, np.ones((1, 600)), [1])
+
+
+def test_discrete_constant_is_checked_before_the_power_array():
+    # T_d(m)^2 leaves the float range for every d >= 513; at d = 2000 the
+    # (1, d, d) power array alone would take 64 MB
+    d = 2000
+    z = np.exp(2j * np.pi * np.arange(d) / d)[None, :]
+    tracemalloc.start()
+    try:
+        with pytest.raises(RangeError, match="constant is not finite"):
+            es.turan_discrete_batch(z, np.ones((1, d)), [1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_integral_constant_is_the_christoffel_function():

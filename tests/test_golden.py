@@ -1,7 +1,11 @@
-"""Golden exact P(z): probed tensor mode systems must match a checked-in
+"""Golden outputs: probed tensor mode systems must match a checked-in
 fixture entry for entry (regenerate with tests/data/make_golden_modes.py
-only when a change to P(z) is intended)."""
+only when a change to P(z) is intended), and the annulus records and
+kernel draws must match golden_annulus.json exactly (regenerate with
+tests/data/make_golden_annulus.py only when a change to them is
+intended)."""
 
+import importlib.util
 import json
 import pathlib
 from fractions import Fraction
@@ -10,8 +14,9 @@ import pytest
 
 from conespec.mode_ode import tensor_mode_system
 
-GOLDEN = json.loads(
-    (pathlib.Path(__file__).parent / "data" / "golden_modes.json").read_text())
+DATA = pathlib.Path(__file__).parent / "data"
+GOLDEN = json.loads((DATA / "golden_modes.json").read_text())
+GOLDEN_ANNULUS = json.loads((DATA / "golden_annulus.json").read_text())
 
 
 @pytest.mark.parametrize("cell", GOLDEN,
@@ -26,3 +31,32 @@ def test_probed_system_matches_golden(cell):
     assert op.order == cell["order"]
     assert [[[str(c) for c in entry] for entry in row] for row in op.P] \
         == cell["P"]
+
+
+def _annulus_generator():
+    """The fixture's generator module, so the test rebuilds each record
+    exactly as the fixture was written."""
+    spec = importlib.util.spec_from_file_location(
+        "make_golden_annulus", DATA / "make_golden_annulus.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+GEN = _annulus_generator()
+
+
+@pytest.mark.parametrize("rec", GOLDEN_ANNULUS["annulus"],
+                         ids=[f"{r['cell']} seed={r['seed']}"
+                              for r in GOLDEN_ANNULUS["annulus"]])
+def test_annulus_records_match_golden(rec):
+    got = GEN.annulus_record(rec["cell"], tuple(rec["system"]), rec["seed"])
+    assert json.dumps(got) == json.dumps(rec)
+
+
+@pytest.mark.parametrize("rec", GOLDEN_ANNULUS["random"],
+                         ids=[" ".join(map(str, r["system"]))
+                              + f" seed={r['seed']}"
+                              for r in GOLDEN_ANNULUS["random"]])
+def test_mode_solution_random_matches_golden(rec):
+    assert GEN.random_record(tuple(rec["system"][1:]), rec["seed"]) == rec

@@ -614,7 +614,7 @@ def _batched_norms(spec, L, coeffs):
     batched quadratic forms, in _oracle_annulus's column order."""
     gram = RadialGram(spec)
     R = math.log(L)
-    classes = np.array([spec.roots[a].classification for a, _ in gram.index])
+    classes = spec.chain_rows.classes
     cols = []
     for mask, count in ((None, 3), ("plus", 2), ("minus", 2)):
         z = coeffs if mask is None else coeffs * (classes == mask)[:, None]
@@ -694,7 +694,6 @@ def test_batched_turan_check_matches_oracle_when_it_fails(label,
 def test_kernel_draw_matches_mode_solution_random(seed):
     _, op = tensor_mode_system(5, 1, Fraction(0), 1)
     spec = indicial_spectrum(op)
-    gram = RadialGram(spec)
     trials = 25
     rng = np.random.default_rng(seed)
     sols = [ModeSolution.random(spec, rng, include=("plus", "minus"))
@@ -704,9 +703,7 @@ def test_kernel_draw_matches_mode_solution_random(seed):
     coeffs = draw_kernel_coefficients(spec, trials, rng)
     assert rng.standard_normal() == after  # same share of the stream
     for sol, tab in zip(sols, coeffs):
-        want = np.stack([gram.coefficient_vector(sol, c)
-                         for c in range(spec.operator.m_ang)], axis=1)
-        assert np.array_equal(tab, want)
+        assert np.array_equal(tab, sol.coeffs)
 
 
 @pytest.mark.parametrize("roots,beta_prime,trials,msg", [
@@ -741,9 +738,9 @@ def test_norms_cross_module_consistency():
     assert s[0] < 1e-12 * system.scale
     vec = vh[0].conj()
     vec = (vec / vec[np.argmax(np.abs(vec))]).real  # real pure-power solution
-    table = np.zeros((root.multiplicity, len(basis)), dtype=complex)
-    table[0] = vec
-    sol = ModeSolution(spec, {root_idx: table})
+    coeffs = np.zeros((spec.total_multiplicity, len(basis)), dtype=complex)
+    coeffs[np.flatnonzero(spec.chain_rows.root == root_idx)[0]] = vec
+    sol = ModeSolution(spec, coeffs)
     field = pt.PolyTensor(n, 2)
     for c, T in enumerate(basis.elements):
         if abs(vec[c]) > 1e-12:
