@@ -1,7 +1,8 @@
 """Exponent-arithmetic engine for the decay-improvement inductions.
 
-Pure bookkeeping at the level the decay statements live at: the remainder of
-the gauged equation gains one power of the current order on every pass, the
+Pure bookkeeping at the level the decay statements live at: each pass
+doubles the field order through the quadratic remainder of the gauged
+equation (the remainder law, stated once in ``remainder_field_order``), the
 expansion can only stall at integer exceptional degrees, and each such
 barrier is removed by a finite-dimensional rigidity fact (divergence-free
 homogeneous profiles vanish at the two critical degrees; linear profiles
@@ -17,52 +18,32 @@ from dataclasses import dataclass, field
 from .closed_form import ParameterError, validate_nk
 
 
-@dataclass(frozen=True)
-class SchematicTerm:
-    """One class of remainder terms: j inverse-metric factors against
-    derivative factors of h with total derivative count ``total``.
+def remainder_field_order(order):
+    """The remainder law, stated once: one pass doubles the field order.
 
-    The class holds ``count`` terms, one per distribution of the
-    derivatives over the j factors (C(total + j - 1, j - 1) of them); each
-    has the class's order, which depends only on j and the total."""
-
-    j: int
-    total: int
-    count: int
-
-    def order(self, h_order, regime="infinity"):
-        """Decay (or vanishing) order of every term of the class when
-        |h| = O(r^{-h_order}) at infinity (or O(r^{+h_order}) at the
-        origin)."""
-        if regime == "infinity":
-            return self.j * h_order + self.total
-        return self.j * h_order - self.total
+    A field of order ``order`` (|h| = O(r^{-order}) at infinity, O(r^{order})
+    at the origin) has a quadratic remainder that, once the (k+1)-st
+    Laplacian power is inverted, is a field of twice that order; the terms
+    with more factors of h are smaller still.  ``_induct`` takes each next
+    order from here, and ``remainder_order`` builds the source order on it.
+    """
+    return 2 * order
 
 
-def enumerate_schematic_terms(k):
-    """The remainder term classes with 2 <= j <= 2(k+1) + 2 inverse-metric
-    factors and derivative total 2(k+1), one per j; each class counts its
-    derivative distributions."""
-    total = 2 * (k + 1)
-    return [SchematicTerm(j, total, math.comb(total + j - 1, j - 1))
-            for j in range(2, total + 3)]
-
-
-def remainder_order(k, n, h_order, regime="infinity"):
+def remainder_order(k, h_order, regime="infinity"):
     """Order of the source produced by the quadratic remainder.
 
     At infinity, |h| = O(r^{-h_order}) makes the (k+1)-st Laplacian power of
     h a O(r^{-(2 h_order + 2(k+1))}) source; the origin regime mirrors the
-    sign.  Higher-j terms decay strictly faster (checked per class in the
-    ``bootstrap.remainder_monotone_and_dominant`` suite), so the
-    quadratic terms set the order.
+    sign.  The doubling is ``remainder_field_order``'s; the inverted
+    Laplacian power adds the 2(k+1).
     """
     if h_order <= 0:
         raise ParameterError("need h_order > 0")
     if regime == "infinity":
-        return 2 * h_order + 2 * (k + 1)
+        return remainder_field_order(h_order) + 2 * (k + 1)
     if regime == "origin":
-        return 2 * h_order - 2 * (k + 1)
+        return remainder_field_order(h_order) - 2 * (k + 1)
     raise ParameterError("regime must be 'infinity' or 'origin'")
 
 
@@ -116,13 +97,14 @@ def _induct(regime, n, k, start, name, terminal, barriers, *, begun, past,
             attained, closing=None):
     """The decay induction shared by both regimes.
 
-    From a finite ``start`` > 0 (the parameter ``name``), each pass doubles
-    the order, capped at ``terminal``; every barrier (order, mechanism,
+    From a finite ``start`` > 0 (the parameter ``name``), each pass takes
+    the order to ``remainder_field_order`` of it (the remainder law: twice
+    the order), capped at ``terminal``; every barrier (order, mechanism,
     detail, check) with current <= order < next is crossed and logged on
     the way.  On the terminal pass the optional ``closing`` record
     (mechanism, detail, check) is logged before the terminal one.  A
-    finite positive order at least doubles per pass, so even the smallest
-    positive double reaches any terminal order in about 1,080 passes.
+    finite positive order doubles per pass, so even the smallest positive
+    double reaches any terminal order in about 1,080 passes.
     """
     validate_nk(n, k)
     if not 0 < start < math.inf:
@@ -134,7 +116,7 @@ def _induct(regime, n, k, start, name, terminal, barriers, *, begun, past,
         return state
     state.log(start, "start", begun)
     while True:
-        nxt = min(2 * state.order, terminal)
+        nxt = min(remainder_field_order(state.order), terminal)
         for d, mechanism, detail, check in barriers:
             if state.order <= d < nxt:
                 state.barriers.append((d, mechanism))

@@ -42,17 +42,6 @@ def _result(fn, passed, **details):
 # -- expsum ------------------------------------------------------------------
 
 
-@_suite("expsum.normalization_idempotent")
-def check_normalization(seed=0, scale=1.0):
-    rng = np.random.default_rng(seed)
-    ok = True
-    for _ in range(int(50 * scale) or 1):
-        p = es.draw_expsum(rng, int(rng.integers(1, 4)), powers=2)
-        q = p.normalized().normalized()
-        ok &= q.terms == p.normalized().terms
-    return _result(check_normalization, ok)
-
-
 # The Turan sweeps draw and evaluate up to BATCH_TRIALS instances at a
 # time as arrays; the cap bounds the batch arrays.
 BATCH_TRIALS = 256
@@ -703,23 +692,6 @@ def check_bootstrap_terminal(seed=0, scale=1.0):
         for sigma0 in (0.1, 0.3, 0.5, 0.9, 1.3, 1.7):
             ok &= bs.bootstrap_origin(n, k, sigma0).order == 2.0
     return _result(check_bootstrap_terminal, ok)
-
-
-@_suite("bootstrap.remainder_monotone_and_dominant")
-def check_remainder(seed=0, scale=1.0):
-    ok = True
-    for k in (1, 2, 3):
-        prev = None
-        for h_order in np.linspace(0.1, 4.0, 40):
-            v = bs.remainder_order(k, 2 * k + 2, float(h_order))
-            if prev is not None:
-                ok &= v >= prev
-            prev = v
-        quad = 2 * 0.5 + 2 * (k + 1)
-        for term in bs.enumerate_schematic_terms(k):
-            ok &= term.total == 2 * (k + 1) and term.count >= 1
-            ok &= term.order(0.5) >= quad - 1e-12
-    return _result(check_remainder, ok)
 
 
 @_suite("bootstrap.barrier_mechanisms_verified")

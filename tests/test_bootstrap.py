@@ -4,9 +4,9 @@ import pathlib
 
 import pytest
 
+from conespec import bootstrap
 from conespec.bootstrap import (bootstrap_infinity, bootstrap_origin,
-                                enumerate_schematic_terms, regularity_ladder,
-                                remainder_order)
+                                regularity_ladder, remainder_order)
 from conespec.closed_form import ParameterError
 
 
@@ -15,34 +15,21 @@ def orders(state):
 
 
 def test_remainder_order_examples():
-    assert remainder_order(1, 4, 0.3) == pytest.approx(4.6)
-    assert remainder_order(2, 6, 0.5) == pytest.approx(7.0)
-    assert remainder_order(1, 4, 0.5, regime="origin") == pytest.approx(-3.0)
+    assert remainder_order(1, 0.3) == pytest.approx(4.6)
+    assert remainder_order(2, 0.5) == pytest.approx(7.0)
+    assert remainder_order(1, 0.5, regime="origin") == pytest.approx(-3.0)
     with pytest.raises(ParameterError):
-        remainder_order(1, 4, 0.0)
+        remainder_order(1, 0.0)
 
 
-def _recursive_compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _recursive_compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_compositions_match_recursive_oracle(k):
-    # one class per j = 2 ... 2(k+1) + 2, each counting every distribution
-    # of the derivative total 2(k+1) over its j factors; the suite checks
-    # the quadratic terms dominate at h_order 0.5, this at 0.7
-    total = 2 * (k + 1)
-    terms = enumerate_schematic_terms(k)
-    assert [term.j for term in terms] == list(range(2, total + 3))
-    for term in terms:
-        assert term.total == total
-        assert term.count == len(list(_recursive_compositions(total, term.j)))
-        assert term.order(0.7) >= 2 * 0.7 + total - 1e-12
+def test_remainder_law_is_load_bearing(monkeypatch):
+    # the law is stated once: a pass that multiplies the order by 1.5 in
+    # place of 2 changes both the induction and the source order
+    monkeypatch.setattr(bootstrap, "remainder_field_order",
+                        lambda order: 1.5 * order)
+    assert orders(bootstrap_infinity(4, 1, 0.3)) == pytest.approx(
+        [0.3, 0.45, 0.675, 1.0, 1.0125, 1.51875, 2.0, 2.0])
+    assert remainder_order(1, 0.3) == pytest.approx(4.45)
 
 
 def test_infinity_path_n4_k1():

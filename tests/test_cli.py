@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import os
 import re
 import shlex
 import subprocess
@@ -14,6 +15,9 @@ from conespec import cli, verify
 from conespec.cli import build_parser, main
 
 EYE4 = "[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]"
+
+# a fresh interpreter imports this conespec whether or not it is installed
+FRESH_ENV = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
 
 
 def run_cli(args, tmp_path=None):
@@ -468,7 +472,7 @@ def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
         assert main(argv + ["--out", str(here)]) == 0
         proc = subprocess.run([sys.executable, "-m", "conespec.cli", *argv,
                                "--out", str(fresh)], capture_output=True,
-                              text=True, timeout=120)
+                              text=True, env=FRESH_ENV, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert read_json(here)["data"] == read_json(fresh)["data"], argv
     assert len(built) == 1
@@ -670,7 +674,7 @@ def test_rerun_byte_identical_data(tmp_path):
 
 def test_entry_point_installed():
     proc = subprocess.run([sys.executable, "-m", "conespec.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=FRESH_ENV)
     assert proc.returncode == 0
     assert "verify-all" in proc.stdout
 
@@ -689,7 +693,7 @@ def test_degenerate_scan_jobs_reuse_pool_and_exit_cleanly(tmp_path):
             f"sys.exit(max(cli.main(a) for a in {runs!r}))")
     proc = subprocess.run([sys.executable, "-W", "error::ResourceWarning",
                            "-c", code], capture_output=True, text=True,
-                          timeout=120)
+                          env=FRESH_ENV, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "Exception ignored" not in proc.stderr
     data = [json.dumps(read_json(out)["data"]) for out in outs]

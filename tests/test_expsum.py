@@ -48,6 +48,10 @@ def test_normalization_idempotent_and_merging():
     assert q.d == 2 and q.big_m == 0
     r = ExpSum([ExpTerm(1, 1.0, 2), ExpTerm(1, 1.0, 0), ExpTerm(1, 3.0, 1)])
     assert r.d == 2 and r.big_m == 3
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        p = draw_expsum(rng, int(rng.integers(1, 4)), powers=2)
+        assert p.normalized().normalized().terms == p.normalized().terms
 
 
 def test_discrete_single_term_example():
