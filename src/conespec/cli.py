@@ -14,6 +14,7 @@ import functools
 import io
 import json
 import math
+import re
 import sys
 import time
 from fractions import Fraction
@@ -91,8 +92,19 @@ SHARED = {"format": dict(choices=("json", "csv"), default="json"),
           "j": dict(type=int)}
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a token starting with '-' and a digit,
+    such as -1/20 or -0.25,0.2, as a value; argparse's own pattern takes
+    only forms like -1 and -0.1.  No conespec option looks like that, and
+    the subcommand parsers are made of the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="conespec",
         description="Indicial spectra on cones, power-sum inequalities, "
                     "and decay-order bookkeeping")
@@ -153,9 +165,7 @@ def build_parser():
                 "scan for divergence-compatible degenerate modes",
                 "format", "jobs", "n", "k")
     q.add_argument("--t-values", default=None,
-                   help="comma-separated list, e.g. 0.05,-0.05; a list that "
-                        "starts with '-' needs the = form: "
-                        "--t-values=-0.25,0.2")
+                   help="comma-separated list, e.g. 0.05,-1/20")
     q.add_argument("--j-max", type=int, default=6)
 
     q = command("turan", "power-sum inequality checks", "seed")
@@ -260,23 +270,17 @@ def cmd_exceptional(args):
 
 def cmd_rates(args):
     _require(args, "n", "family", "j")
-    t = float(args.t)
-    if t == 0:
-        rp = cf.gauge_kernel_rates(args.n, args.family, args.j)
-        roots = [complex(rp.plus), complex(rp.minus)]
-        extra = {"shifts": {k: [str(a), str(b)] for k, (a, b)
-                            in rp.shifts.items()}}
-        if args.family == "typeII":
-            rec = cf.modified_typeII_roots(args.n, 0.0, args.j)
-            roots = [complex(z) for z in rec["roots"]]
-    else:
-        rec = cf.modified_gauge_rates(args.n, t, args.family, args.j)
-        roots = [complex(z) for z in rec["roots"]]
-        extra = {"non_geometric": [complex(z) for z in rec["non_geometric"]]}
+    rec = cf.modified_gauge_rates(args.n, args.t, args.family, args.j)
+    t, roots = float(args.t), rec["roots"]
     data = {"n": args.n, "t": t, "family": args.family, "j": args.j,
             "roots": [{"re": z.real, "im": z.imag} for z in roots],
-            "growth_orders": [{"re": z.real - 1, "im": z.imag} for z in roots]}
-    data.update(extra)
+            "growth_orders": [{"re": z.real - 1, "im": z.imag} for z in roots],
+            "non_geometric": rec["non_geometric"]}
+    if args.t == 0:
+        # the integer shifts that make up the exceptional set at t = 0
+        rp = cf.gauge_kernel_rates(args.n, args.family, args.j)
+        data["shifts"] = {k: [str(a), str(b)]
+                          for k, (a, b) in rp.shifts.items()}
     rows = [(args.n, t, args.family, args.j, z.real, z.imag)
             for z in roots]
     _emit(args, data, rows=rows,
@@ -285,7 +289,8 @@ def cmd_rates(args):
 
 def cmd_gap(args):
     _require(args, "n")
-    rec = cf.essential_linear_gap(args.n, float(args.t), args.j_max)
+    rec = {**cf.essential_linear_gap(args.n, args.t, args.j_max),
+           "t": float(args.t)}
     rows = [(w["order_re"], w["order_im"], w["distance"], w["label"])
             for w in rec["witnesses"]]
     _emit(args, rec, rows=rows,

@@ -4,17 +4,21 @@ Ground truth for the mode systems: kernel rates of the gauge operator on
 1-forms (plain and t-modified), the integer exceptional sets they generate,
 the exceptional set of Laplacian powers on 2-tensors, and the scalar
 indicial polynomial of a Laplacian power acting on r^z times a spherical
-harmonic.
+harmonic.  The t-modified rates are decided on exact kernel polynomials
+at an int or Fraction t; their floats are for display only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .linalg import poly_eval, poly_mul, poly_sum
+from .linalg import (int_gcd, poly_axis_root_count, poly_clear_denominators,
+                     poly_divmod, poly_eval, poly_mul, poly_squarefree_factors,
+                     poly_sum)
 
 
 class ParameterError(ValueError):
@@ -141,28 +145,27 @@ def gauge_exceptional_values(n, j_max):
     return ExceptionalSet(values=values, provenance=prov, n=n, j_max=j_max)
 
 
-def modified_typeI_rates(n, t, j):
-    """Closed-form kernel exponents of the t-modified gauge operator, type I.
+# The rigid-motion rates, divided out of their kernel polynomials exactly
+# for every t: the rotation-derived type I rate z = 2 (growth order 1) and
+# the translation-derived type II rate z = 1 (growth order 0), both at j = 1.
+RIGID_ROOTS = {("typeI", 1): 2, ("typeII", 1): 1}
 
-    Roots of z^2 + (n-4-t) z - (mu - 2t) with mu the type-I eigenvalue:
-    ( -(n-4-t) +- sqrt((n-2+2j)^2 - 2nt + t^2) ) / 2.
-    """
-    if abs(t) >= n / 2:
+
+def _exact_t(n, t):
+    """t as a Fraction: an int or Fraction with |t| < n/2."""
+    if not isinstance(t, (int, Fraction)):
+        raise ParameterError(f"t = {t!r} must be an int or Fraction; the "
+                             "closed-form rates are exact")
+    if 2 * abs(t) >= n:
         raise ParameterError("need |t| < n/2")
-    if j < 1:
-        raise ParameterError("type I needs j >= 1")
-    disc = (n - 2 + 2 * j) ** 2 - 2 * n * t + t * t
-    root = np.sqrt(complex(disc))
-    base = -(n - 4 - t)
-    return ((base + root) / 2, (base - root) / 2)
+    return Fraction(t)
 
 
 def modified_typeII_matrix(n, t, nu):
-    """Coefficient matrix polynomial (in z, low-order first) of the modified
-    type II system in the displayed (l, u) variables: exact (int and
-    Fraction) entries for a t that is not a float, floats for a float t."""
-    if not isinstance(t, float):
-        t, nu = Fraction(t), Fraction(nu)
+    """Coefficient matrix polynomial (in z, low-order first, Fraction
+    entries) of the modified type II system in the displayed (l, u)
+    variables."""
+    t, nu = _exact_t(n, t), Fraction(nu)
     two = [(-4) * (n - 2 - t / 2 + nu / 4), 2 * (n - 4 - t), 2]
     off1 = [4 * nu, -nu]
     off2 = [n - t, 1]
@@ -170,96 +173,187 @@ def modified_typeII_matrix(n, t, nu):
     return [[two, off1], [off2, last]]
 
 
-def modified_typeII_roots(n, t, j):
-    """Kernel exponents of the t-modified gauge operator, type II, degree j.
+def modified_kernel_polynomial(n, t, family, j):
+    """Kernel polynomial of the t-modified gauge operator on one degree-j
+    family, exact (Fractions, low order first) for an int or Fraction t.
 
-    For nu > 0: the four roots of the determinant quartic, by np.roots.
-    For nu = 0 the function-derived branch decouples; only its two
-    geometric roots are returned (the differential part of the angular
-    seed vanishes), with the spurious branch listed separately.
+    Type I (j >= 1): z^2 + (n-4-t) z - (mu - 2t), mu the type I
+    eigenvalue.  Type II: the determinant of ``modified_typeII_matrix``;
+    at nu = 0 (j = 0) the l equation decouples, and only its geometric
+    pair 2z^2 + 2(n-4-t) z - 4(n-2-t/2) is kept (the differential part of
+    the angular seed vanishes).
     """
-    if abs(t) >= n / 2:
-        raise ParameterError("need |t| < n/2")
-    nu = typeII_eigenvalue(n, j)
-    mat = modified_typeII_matrix(n, t, nu)
-    if nu == 0:
-        # l-equation decouples: 2z^2 + 2(n-4-t)z - 4(n-2-t/2)
-        geo = np.roots([2, 2 * (n - 4 - t), -4 * (n - 2 - t / 2)])
-        spur = np.roots([1, (n - 4 - t), 2 * t])
-        return {"roots": sorted(geo, key=lambda z: z.real),
-                "non_geometric": sorted(spur, key=lambda z: z.real)}
-    det = poly_sum([poly_mul(mat[0][0], mat[1][1]),
-                    [-c for c in poly_mul(mat[0][1], mat[1][0])]])
-    roots = np.roots([float(c) for c in reversed(det)])
-    return {"roots": sorted(roots, key=lambda z: (z.real, z.imag)),
-            "non_geometric": []}
+    t = _exact_t(n, t)
+    if family == "typeI":
+        mu = typeI_eigenvalue(n, j)
+        return [-(mu - 2 * t), n - 4 - t, Fraction(1)]
+    if family == "typeII":
+        mat = modified_typeII_matrix(n, t, typeII_eigenvalue(n, j))
+        if j == 0:
+            return mat[0][0]
+        return poly_sum([poly_mul(mat[0][0], mat[1][1]),
+                         [-c for c in poly_mul(mat[0][1], mat[1][0])]])
+    raise ParameterError("family must be 'typeI' or 'typeII'")
+
+
+def modified_kernel_factors(n, t, family, j):
+    """Square-free factors (monic, with multiplicities) of the kernel
+    polynomial with its rigid root (``RIGID_ROOTS``) divided out exactly;
+    a nonzero remainder raises ArithmeticError."""
+    p = modified_kernel_polynomial(n, t, family, j)
+    rigid = RIGID_ROOTS.get((family, j))
+    if rigid is not None:
+        p, rem = poly_divmod(p, [-rigid, 1])
+        if rem != [0]:
+            raise ArithmeticError(f"{family} j={j}: the rigid root "
+                                  f"z = {rigid} leaves remainder {rem}")
+    return poly_squarefree_factors(p)
+
+
+def _order(z):
+    return (z.real, z.imag)
+
+
+def _float_roots(f):
+    """The roots of the square-free f, as floats for display, sorted.
+
+    A rational root is shown as its exact value.  After clearing
+    denominators f's leading coefficient is the lcm D of its
+    denominators, and a rational root p/q has q | D, so each float root x
+    from np.roots points to one candidate round(x D) / D, which is divided
+    out when f vanishes there exactly.  np.roots gives the rest.
+    """
+    den = math.lcm(*(c.denominator for c in f))
+    rest, out = f, []
+    for x in np.roots([float(c) for c in reversed(f)]):
+        r = Fraction(round(Fraction(x.real) * den), den)
+        quo, rem = poly_divmod(rest, [-r, 1])
+        if len(rest) > 1 and rem == [0]:
+            rest = quo
+            out.append(complex(r))
+    if len(rest) > 1:
+        out += map(complex, np.roots([float(c) for c in reversed(rest)]))
+    return sorted(out, key=_order)
+
+
+def _display_roots(factors):
+    return sorted((z for f, mult in factors for z in _float_roots(f) * mult),
+                  key=_order)
 
 
 def modified_gauge_rates(n, t, family, j):
-    """Kernel exponents of the t-modified gauge operator (both families)."""
-    if family == "typeI":
-        return {"roots": list(modified_typeI_rates(n, t, j)),
-                "non_geometric": []}
-    if family == "typeII":
-        return modified_typeII_roots(n, t, j)
-    raise ParameterError("family must be 'typeI' or 'typeII'")
+    """Kernel exponents of the t-modified gauge operator on one degree-j
+    family, sorted by real then imaginary part, for an int or Fraction t.
+
+    "roots" holds the rigid root, if the family has one, and each root of
+    ``modified_kernel_factors`` as often as its multiplicity; at nu = 0
+    (type II, j = 0), "non_geometric" holds the spurious branch, the roots
+    of the decoupled u equation z^2 + (n-4-t) z + 2t.  The exact factors
+    decide everything; the floats are for display.
+    """
+    roots = _display_roots(modified_kernel_factors(n, t, family, j))
+    if (family, j) in RIGID_ROOTS:
+        roots = sorted(roots + [complex(RIGID_ROOTS[family, j])], key=_order)
+    spur = []
+    if family == "typeII" and j == 0:
+        spur = _display_roots(poly_squarefree_factors(
+            modified_typeII_matrix(n, t, 0)[1][1]))
+    return {"roots": roots, "non_geometric": spur}
+
+
+def _coprime_base(items):
+    """Pairwise coprime monic polynomials, each with the labels (and the
+    multiplicities) of the items it divides, so that every root of an
+    element is a root of exactly the element's labels.
+
+    items are (label, square-free factor, multiplicity).  Each factor f
+    splits every element b into g = gcd(b, f), which gains f's label, and
+    b / g; what is left of f after all of them is a new element.
+    """
+    base = []
+    for label, f, mult in items:
+        out = []
+        for b, owners in base:
+            g = int_gcd(*map(poly_clear_denominators, (b, f)))
+            if len(g) > 1:
+                g = [Fraction(c, g[-1]) for c in g]
+                out.append((g, {**owners, label: mult}))
+                b, f = poly_divmod(b, g)[0], poly_divmod(f, g)[0]
+            if len(b) > 1:
+                out.append((b, owners))
+        if len(f) > 1:
+            out.append((f, {label: mult}))
+        base = out
+    return base
 
 
 def essential_linear_gap(n, t, j_max=10):
     """Width of the growth-order window around 1 free of non-rigid rates.
 
-    Scans all modified-gauge kernel rates up to degree j_max, removes the
-    rigid-motion families (the rotation-derived rate of exact order 1 and
-    the translation-derived rate of exact order 0), and returns the largest
-    gamma in (0, 1) such that no remaining rate has growth order with real
-    part in [1 - gamma, 1 + gamma] (reported as a supremum).  At t = 0 the
-    gap is 0, witnessed by the dilation and the degree-2 conformal field.
+    Takes the modified-gauge kernel rates up to degree j_max at an int or
+    Fraction t, with the rigid roots (``RIGID_ROOTS``) divided out exactly,
+    and returns the largest gamma in (0, 1) such that no remaining rate
+    has growth order with real part in [1 - gamma, 1 + gamma] (reported as
+    a supremum).  gamma0 = 0 is decided exactly: some remaining factor has
+    a root with Re z = 2, by the rational-root test for a linear factor
+    and otherwise by ``poly_axis_root_count``.  At t = 0 the gap is 0,
+    witnessed by the dilation and the degree-2 conformal field.  The
+    "witnesses" are the four roots nearest the window's centre, labels
+    that share a root kept in scan order (type I by j, then type II).
+
+    "collisions" lists one cluster per root that two or more labels
+    share, with all of those labels, found by exact gcds: the factors are
+    refined into a coprime base, and each base element's roots belong to
+    exactly its labels.  Floats are for display only.
     """
     if n < 3:
         raise ParameterError("need n >= 3")
-    if abs(t) > 0.5:
+    t = _exact_t(n, t)
+    if abs(t) > Fraction(1, 2):
         raise ParameterError("scan restricted to |t| <= 0.5")
     if j_max < 3:
         raise ParameterError("need j_max >= 3")
-    witnesses = []
-    orders = []
+    labels = ([("typeI", j) for j in range(1, j_max + 1)]
+              + [("typeII", j) for j in range(j_max + 1)])
+    base = _coprime_base([
+        (label, f, mult) for label in labels
+        for f, mult in modified_kernel_factors(n, t, *label)])
 
-    for j in range(1, j_max + 1):
-        plus, minus = modified_typeI_rates(n, t, j)
-        for root, branch in ((plus, "upper"), (minus, "lower")):
-            if j == 1 and branch == "upper":
-                continue  # rotation family: order exactly 1 for every t
-            orders.append((root - 1, f"typeI j={j} {branch}"))
-    for j in range(0, j_max + 1):
-        rec = modified_typeII_roots(n, t, j)
-        roots = list(rec["roots"])
-        if j == 1:
-            # translation family: exact root z = 1 (order 0) for every t
-            idx = min(range(len(roots)), key=lambda i: abs(roots[i] - 1))
-            del roots[idx]
-        for root in roots:
-            orders.append((root - 1, f"typeII j={j}"))
+    orders = {}  # (base element, index of its root) -> float growth order
+    rows = {label: [] for label in labels}
+    on_axis = False
+    for i, (b, owners) in enumerate(base):
+        on_axis |= (poly_eval(b, 2) == 0 if len(b) == 2
+                    else poly_axis_root_count(b, 2) > 0)
+        for k, z in enumerate(_float_roots(b)):
+            orders[i, k] = z - 1
+            for label, mult in owners.items():
+                rows[label] += [(i, k)] * mult
+    named = []  # (label of one root, its key), in the scan's order
+    for family, j in labels:
+        keys = sorted(rows[family, j], key=lambda key: _order(orders[key]))
+        if family == "typeI":
+            # upper first; at j = 1 only the lower root is left
+            named += reversed([(f"typeI j={j} {branch}", key) for branch, key
+                               in zip(("lower", "upper"), keys)])
+        else:
+            named += [(f"typeII j={j}", key) for key in keys]
 
-    gap = 1.0
-    near = []
-    for order, label in orders:
-        dist = abs(complex(order).real - 1.0)
-        near.append((dist, label, complex(order)))
-        gap = min(gap, dist)
-    near.sort(key=lambda rec: rec[0])
-    witnesses = [{"order_re": rec[2].real, "order_im": rec[2].imag,
-                  "label": rec[1], "distance": rec[0]} for rec in near[:4]]
-    # report root collisions instead of asserting a smallness threshold on t
-    collisions = []
-    vals = sorted(orders, key=lambda rec: (complex(rec[0]).real,
-                                           complex(rec[0]).imag))
-    for (a, la), (b, lb) in zip(vals, vals[1:]):
-        if la != lb and abs(complex(a) - complex(b)) < 1e-9:
-            collisions.append({"order_re": complex(a).real,
-                               "labels": [la, lb]})
-    return {"gamma0": 0.0 if gap < 1e-14 else min(gap, 1.0),
-            "witnesses": witnesses, "collisions": collisions,
-            "n": n, "t": t, "j_max": j_max}
+    near = sorted(((abs(orders[key].real - 1.0), label, orders[key])
+                   for label, key in named), key=lambda rec: rec[0])
+    witnesses = [{"order_re": order.real, "order_im": order.imag,
+                  "label": label, "distance": dist}
+                 for dist, label, order in near[:4]]
+    shared = {}  # a root two or more labels share -> those labels
+    for label, key in named:
+        if len(base[key[0]][1]) > 1 and label not in shared.get(key, []):
+            shared.setdefault(key, []).append(label)
+    collisions = [{"order_re": orders[key].real, "order_im": orders[key].imag,
+                   "labels": shared[key]}
+                  for key in sorted(shared, key=lambda k: _order(orders[k]))]
+    gamma0 = 0.0 if on_axis else min([1.0] + [rec[0] for rec in near])
+    return {"gamma0": gamma0, "witnesses": witnesses,
+            "collisions": collisions, "n": n, "t": t, "j_max": j_max}
 
 
 def polyharmonic_exceptional_values(n, k, window=(-12, 12)):

@@ -11,7 +11,9 @@ determinants (``det_dense``) by Bareiss fraction-free elimination on
 integer rows, interpolation (``lagrange_coefficients``) as integer dot
 products with a memoized integer Lagrange table, and the square-free
 split (``poly_squarefree_factors``) by Yun's algorithm on the primitive
-integer polynomial.
+integer polynomial, whose pseudo-remainder gcd (``int_gcd``) also gives
+the count of roots on a vertical line (``poly_axis_root_count``, by a
+Sturm chain).
 """
 
 from __future__ import annotations
@@ -256,6 +258,49 @@ def poly_sum(polys):
     return poly_trim([sum(cs) for cs in zip_longest(*polys, fillvalue=0)])
 
 
+def poly_clear_denominators(p):
+    """p times the lcm of its coefficients' denominators: integer
+    coefficients, the same roots."""
+    den = math.lcm(*(c.denominator for c in p))
+    return [c.numerator * (den // c.denominator) for c in p]
+
+
+def poly_divmod(a, b):
+    """Quotient and remainder of a by the nonzero b, over the rationals."""
+    b = poly_trim(b)
+    r = [Fraction(c) for c in poly_trim(a)]
+    q = [ZERO] * max(len(r) - len(b) + 1, 1)
+    for s in range(len(r) - len(b), -1, -1):
+        c = q[s] = r[s + len(b) - 1] / b[-1]
+        for i, bi in enumerate(b):
+            r[s + i] -= c * bi
+    return poly_trim(q), poly_trim(r[:len(b) - 1] or [ZERO])
+
+
+def poly_axis_root_count(p, c=0):
+    """Number of distinct roots of the nonzero p on the line Re z = c.
+
+    With p(c + iy) = R(y) + i I(y) for real polynomials R and I, those
+    roots are the real roots of g = gcd(R, I), counted by g's Sturm chain:
+    the sign changes of the chain at -infinity less those at +infinity.
+    """
+    q = poly_shift(p, c)
+    # i^k is (-1)^(k/2) for even k and i (-1)^((k-1)/2) for odd k
+    re = [a * (-1) ** (k // 2) if k % 2 == 0 else 0 for k, a in enumerate(q)]
+    im = [a * (-1) ** (k // 2) if k % 2 else 0 for k, a in enumerate(q)]
+    chain = [int_gcd(poly_clear_denominators(re),
+                     poly_clear_denominators(im))]
+    chain.append(poly_derivative(chain[0]))
+    while chain[-1] != [0]:
+        chain.append([-x for x in poly_divmod(chain[-2], chain[-1])[1]])
+    chain.pop()
+
+    def changes(signs):
+        return sum(a * b < 0 for a, b in zip(signs, signs[1:]))
+    return (changes([f[-1] * (-1) ** (len(f) - 1) for f in chain])
+            - changes([f[-1] for f in chain]))
+
+
 def poly_squarefree_factors(p):
     """List of (monic factor, multiplicity) with distinct-root factors.
 
@@ -268,17 +313,16 @@ def poly_squarefree_factors(p):
     p = poly_trim(p)
     if len(p) <= 1:
         return []
-    den = math.lcm(*(c.denominator for c in p))
-    f = _primitive([c.numerator * (den // c.denominator) for c in p])
+    f = _primitive(poly_clear_denominators(p))
     df = poly_derivative(f)
-    a = _int_gcd(f, df)
+    a = int_gcd(f, df)
     b, c = _exact_quo(f, a), _exact_quo(df, a)
     factors = []
     i = 1
     while len(b) > 1:
         d = poly_trim([x - y for x, y in
                        zip_longest(c, poly_derivative(b), fillvalue=0)])
-        a = _int_gcd(b, d)
+        a = int_gcd(b, d)
         if len(a) > 1:
             factors.append(([Fraction(x, a[-1]) for x in a], i))
         b, c = _exact_quo(b, a), _exact_quo(d, a)
@@ -311,7 +355,7 @@ def _prem(a, b):
     return poly_trim(r or [0])
 
 
-def _int_gcd(a, b):
+def int_gcd(a, b):
     """Primitive gcd of integer polynomials (positive leading
     coefficient) by the primitive pseudo-remainder sequence."""
     a, b = _primitive(a), _primitive(b)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from . import flat_kernel as fk
 from . import mode_ode as mo
 from . import polytensor as pt
 from . import symbols as sy
-from .linalg import poly_shift
+from .linalg import poly_eval, poly_mul, poly_shift
 
 
 def _suite(name):
@@ -146,64 +147,65 @@ def check_rate_relations(seed=0, scale=1.0):
     return _result(check_rate_relations, ok)
 
 
+def _monic_from_roots(roots):
+    return reduce(poly_mul, ([-r, 1] for r in roots), [Fraction(1)])
+
+
 @_suite("closed_form.modified_rates_match_base_at_t0")
 def check_modified_at_zero(seed=0, scale=1.0):
+    """At t = 0 the exact factors, times the rigid root's, are the product
+    of z - r over the base rates r: plus and minus for type I, b+-
+    and b+- + 2 for type II (b+ + 2 and b- at nu = 0)."""
     ok = True
     for n in (3, 4, 5, 6, 8):
-        for j in range(1, 8):
-            rp = cf.gauge_kernel_rates(n, "typeI", j)
-            plus, minus = cf.modified_typeI_rates(n, 0.0, j)
-            ok &= abs(plus - float(rp.plus)) < 1e-10
-            ok &= abs(minus - float(rp.minus)) < 1e-10
-        for j in range(0, 8):
-            rp = cf.gauge_kernel_rates(n, "typeII", j)
-            roots = cf.modified_typeII_roots(n, 0.0, j)["roots"]
-            want = sorted({float(rp.plus), float(rp.minus),
-                           float(rp.plus) + 2, float(rp.minus) + 2})
-            got = sorted(z.real for z in roots)
-            if j == 0:
-                # function-derived branch only: exponents b+ + 2 and b-
-                want = sorted((float(rp.plus) + 2, float(rp.minus)))
-            ok &= len(got) == len(want)
-            ok &= all(abs(a - b) < 1e-10 for a, b in zip(got, want))
-            ok &= all(abs(z.imag) < 1e-10 for z in roots)
+        for family, j_min in (("typeI", 1), ("typeII", 0)):
+            for j in range(j_min, 8):
+                rp = cf.gauge_kernel_rates(n, family, j)
+                want = [rp.plus, rp.minus]
+                if family == "typeII":
+                    want = ([rp.plus + 2, rp.minus] if j == 0
+                            else want + [rp.plus + 2, rp.minus + 2])
+                got = [Fraction(1)]
+                if (family, j) in cf.RIGID_ROOTS:
+                    got = [-cf.RIGID_ROOTS[family, j], 1]
+                for f, mult in cf.modified_kernel_factors(n, 0, family, j):
+                    got = reduce(poly_mul, [f] * mult, got)
+                ok &= got == _monic_from_roots(want)
     return _result(check_modified_at_zero, ok)
 
 
 @_suite("closed_form.rotation_rate_identity")
 def check_rotation_rate(seed=0, scale=1.0):
+    """The rotation root z = 2 of the type I j = 1 polynomial q(z; t), as
+    a polynomial in t: q's coefficients are affine in t (checked at a
+    third t), so q(2; t) = q(2; 0) + t (q(2; 1) - q(2; 0)), and both
+    terms vanish."""
     ok = True
+    root = cf.RIGID_ROOTS["typeI", 1]
     for n in (3, 4, 5, 6, 8):
-        for t in np.linspace(-0.4, 0.4, 41):
-            plus, _ = cf.modified_typeI_rates(n, float(t), 1)
-            ok &= abs(plus - 2.0) < 1e-12
+        q0, q1, q3 = (cf.modified_kernel_polynomial(n, t, "typeI", 1)
+                      for t in (0, 1, Fraction(-1, 3)))
+        slope = [b - a for a, b in zip(q0, q1)]
+        ok &= q3 == [a - c / 3 for a, c in zip(q0, slope)]
+        ok &= poly_eval(q0, root) == 0 and poly_eval(slope, root) == 0
     return _result(check_rotation_rate, ok)
 
 
 @_suite("closed_form.rates_match_probed_spectra")
 def check_rates_vs_probes(seed=0, scale=1.0):
-    """Dual route: companion-matrix roots of the displayed systems equal the
-    probed operator spectra (after the unit frame shift)."""
+    """Dual route: the determinant of each probed gauge system is a
+    nonzero multiple of the closed-form kernel polynomial after the unit
+    frame shift, det P(z) = c K(z + 1), exactly."""
     ok = True
     for n in (4, 6):
         for t in (Fraction(1, 10), Fraction(-1, 20)):
-            for j in (1, 2):
-                _, op = mo.gauge_mode_system(n, "typeII", t, j)
-                spec = mo.indicial_spectrum(op)
-                probed = sorted((r.value.real + 1, r.value.imag)
-                                for r in spec.roots
-                                for _ in range(r.multiplicity))
-                closed = cf.modified_typeII_roots(n, float(t), j)["roots"]
-                want = sorted((z.real, z.imag) for z in closed)
-                ok &= len(probed) == len(want)
-                ok &= all(abs(a - c) < 1e-7 and abs(b - d) < 1e-7
-                          for (a, b), (c, d) in zip(probed, want))
-            _, opI = mo.gauge_mode_system(n, "typeI", t, 2)
-            specI = mo.indicial_spectrum(opI)
-            probed = sorted(r.value.real + 1 for r in specI.roots)
-            closedI = sorted(z.real for z in
-                             cf.modified_typeI_rates(n, float(t), 2))
-            ok &= all(abs(a - b) < 1e-9 for a, b in zip(probed, closedI))
+            for family, j in (("typeII", 1), ("typeII", 2), ("typeI", 2)):
+                _, op = mo.gauge_mode_system(n, family, t, j)
+                det = op.det_poly()
+                closed = poly_shift(
+                    cf.modified_kernel_polynomial(n, t, family, j), 1)
+                c = det[-1] / closed[-1]
+                ok &= c != 0 and det == [c * x for x in closed]
     return _result(check_rates_vs_probes, ok)
 
 
@@ -540,20 +542,15 @@ def check_parallel_inner(seed=0, scale=1.0):
 # -- mode systems --------------------------------------------------------------
 
 
-def _displayed_typeI(n, t, mu):
-    return [Fraction(-(mu - 2 * t)), Fraction(n - 4 - t), Fraction(1)]
-
-
 @_suite("mode_ode.probed_systems_match_displays")
 def check_probed_displays(seed=0, scale=1.0):
     ok = True
     for n in (3, 4, 6):
         for t in (Fraction(0), Fraction(1, 10), Fraction(-1, 20)):
             for j in (1, 2):
-                mu = cf.typeI_eigenvalue(n, j)
                 _, op = mo.gauge_mode_system(n, "typeI", t, j)
                 got = poly_shift(op.P[0][0], Fraction(-1))
-                ok &= got == _displayed_typeI(n, t, mu)
+                ok &= got == cf.modified_kernel_polynomial(n, t, "typeI", j)
             for j in (0, 1, 2, 3):
                 nu = cf.typeII_eigenvalue(n, j)
                 _, op = mo.gauge_mode_system(n, "typeII", t, j)
@@ -588,10 +585,17 @@ def check_multiplicity(seed=0, scale=1.0):
 
 @_suite("mode_ode.divfree_spectrum_matches_scalar_roots")
 def check_divfree_spectrum(seed=0, scale=1.0):
+    """At t = 0 every root is an integer: each float root lies within 1e-7
+    of an integer z0 with det P(z0) = 0 exactly, and each root with a
+    divergence-free chain is a scalar indicial root of degree j or j +- 2."""
     ok = True
     for (n, k, j) in [(4, 1, 2), (6, 1, 1)]:
         _, op = mo.tensor_mode_system(n, k, Fraction(0), j)
         spec = mo.indicial_spectrum(op)
+        det = op.det_poly()
+        for root in spec.roots:
+            z0 = round(root.value.real)
+            ok &= abs(root.value - z0) < 1e-7 and poly_eval(det, z0) == 0
         div_op = mo.divergence_mode_system(n, Fraction(0), j)
         allowed = set()
         for s in (j - 2, j, j + 2):

@@ -421,6 +421,23 @@ def test_turan_single_checks_match_golden(tmp_path, cell):
     assert read_json(out)["data"] == cell["data"]
 
 
+GOLDEN_RATES = json.loads((Path(__file__).resolve().parent / "data"
+                           / "golden_rates.json").read_text())
+RATES_GROUPS = sorted({tuple(c["argv"][:3]) for c in GOLDEN_RATES})
+
+
+@pytest.mark.parametrize("group", RATES_GROUPS, ids=" ".join)
+def test_rates_and_gap_match_golden(tmp_path, group):
+    # the displayed roots, witnesses and clusters of every run at one n are
+    # pinned (regenerate with tests/data/make_golden_rates.py only when a
+    # change to them is intended)
+    out = tmp_path / "r.json"
+    for cell in GOLDEN_RATES:
+        if tuple(cell["argv"][:3]) == group:
+            assert main([*cell["argv"], "--out", str(out)]) == 0
+            assert read_json(out)["data"] == cell["data"], cell["argv"]
+
+
 def test_turan_discrete_overflow_is_numeric_failure(tmp_path, capsys):
     # at d = 400 the power sums leave the float range: exit 3 naming the
     # quantity, no document and no numpy warning
@@ -556,6 +573,44 @@ def test_degenerate_scan_finding_fails_where_claim_applies(monkeypatch):
     monkeypatch.setattr(mo, "degenerate_scan", with_finding)
     assert main(["degenerate-scan", "--n", "4", "--k", "1", "--t-values",
                  "1/20", "--j-max", "0"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["modes", "--n", "4", "--k", "1", "--j", "1", "--t", "-1/20"],
+    ["rates", "--n", "4", "--family", "typeII", "--j", "1", "--t", "-0.05"],
+    ["gap", "--n", "4", "--t", "-1/20", "--j-max", "3"],
+    ["degenerate-scan", "--n", "4", "--k", "1", "--t-values", "-1/20,1/20",
+     "--j-max", "1"],
+    ["degenerate-scan", "--n", "4", "--k", "1", "--t-values", "-0.05",
+     "--j-max", "1"],
+])
+def test_negative_rationals_are_values(tmp_path, argv):
+    # argparse alone reads -1/20 and -1/20,1/20 as option names (exit 2);
+    # the value must give the same data as the = form
+    tokens, joined = iter(argv), []
+    for a in tokens:
+        joined.append(f"{a}={next(tokens)}" if a in ("--t", "--t-values")
+                      else a)
+    datas = []
+    for form in (argv, joined):
+        out = tmp_path / "o.json"
+        assert main(form + ["--out", str(out)]) == 0
+        datas.append(read_json(out)["data"])
+    assert datas[0] == datas[1]
+
+
+def test_negative_rationals_from_a_config_file(tmp_path):
+    conf = tmp_path / "conf.json"
+    out = tmp_path / "o.json"
+    conf.write_text(json.dumps({"n": 4, "family": "typeI", "j": 1,
+                                "t": "-1/20"}))
+    assert main(["rates", "--config", str(conf), "--out", str(out)]) == 0
+    assert read_json(out)["data"]["t"] == -0.05
+    conf.write_text(json.dumps({"n": 4, "k": 1, "t-values": "-1/20,0",
+                                "j-max": 1}))
+    assert main(["degenerate-scan", "--config", str(conf),
+                 "--out", str(out)]) == 0
+    assert read_json(out)["data"]["t_values"] == [-0.05, 0.0]
 
 
 def test_config_file_and_flag_precedence(tmp_path):

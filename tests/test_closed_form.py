@@ -6,9 +6,10 @@ import pytest
 from conespec.closed_form import (ParameterError,
                                   essential_linear_gap,
                                   gauge_exceptional_values,
-                                  gauge_kernel_rates, modified_typeI_rates,
+                                  gauge_kernel_rates, modified_gauge_rates,
+                                  modified_kernel_factors,
+                                  modified_kernel_polynomial,
                                   modified_typeII_matrix,
-                                  modified_typeII_roots,
                                   polyharmonic_exceptional_values,
                                   scalar_indicial_polynomial,
                                   scalar_indicial_roots, validate_nk)
@@ -34,17 +35,19 @@ def test_exceptional_set_examples():
 
 
 def test_modified_typeI_example_and_identity():
-    plus, minus = modified_typeI_rates(4, 0.1, 1)
-    assert abs(plus - 2.0) < 1e-12
-    assert abs(minus - (-1.9)) < 1e-12
+    # z^2 - (1/10) z - 19/5 = (z - 2)(z + 19/10): both roots exact
+    rec = modified_gauge_rates(4, Fraction(1, 10), "typeI", 1)
+    assert rec["roots"] == [-1.9, 2.0]
+    assert modified_kernel_factors(4, Fraction(1, 10), "typeI", 1) == [
+        ([Fraction(19, 10), 1], 1)]
 
 
 def test_modified_typeII_quartic_t0():
-    rec = modified_typeII_roots(4, 0.0, 2)
-    got = sorted(z.real for z in rec["roots"])
-    # factorization oracle: det = 2 (z^2 - 4)(z^2 - 16)
-    assert np.allclose(got, [-4, -2, 2, 4], atol=1e-9)
-    assert {2.0, -4.0} <= {round(z.real, 9) for z in rec["roots"]}
+    rec = modified_gauge_rates(4, 0, "typeII", 2)
+    # factorization oracle: det = 2 (z^2 - 4)(z^2 - 16), every root exact
+    assert rec["roots"] == [-4, -2, 2, 4]
+    assert modified_kernel_polynomial(4, 0, "typeII", 2) == [
+        128, 0, -40, 0, 2]
 
 
 def test_modified_typeII_matrix_display():
@@ -64,35 +67,83 @@ def test_modified_typeII_matrix_keeps_an_int_t_exact():
     assert mat == modified_typeII_matrix(4, Fraction(0), 8)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: modified_typeII_matrix(4, 0.1, 8),
+    lambda: modified_gauge_rates(4, 0.1, "typeI", 1),
+    lambda: essential_linear_gap(4, 0.0, 6)])
+def test_a_float_t_is_refused(call):
+    with pytest.raises(ParameterError, match="int or Fraction"):
+        call()
+
+
 def test_translation_root_persists():
-    # the translation-derived kernel keeps an exact root z = 1 for every t
+    # the translation-derived kernel keeps an exact root z = 1 for every t:
+    # it divides out with remainder 0, and the cubic left over has the
+    # rational root t - (n - 3)
     for n in (3, 4, 6):
-        for t in (0.0, 0.05, -0.1, 0.3):
-            roots = modified_typeII_roots(n, t, 1)["roots"]
-            assert min(abs(z - 1) for z in roots) < 1e-9
+        for t in (0, Fraction(1, 20), Fraction(-1, 10), Fraction(3, 10)):
+            roots = modified_gauge_rates(n, t, "typeII", 1)["roots"]
+            assert 1 in roots and float(t - (n - 3)) in roots
+            factors = modified_kernel_factors(n, t, "typeII", 1)
+            assert sum((len(f) - 1) * m for f, m in factors) == 3
 
 
 def test_nu_zero_branches():
-    rec = modified_typeII_roots(4, 0.0, 0)
-    got = sorted(z.real for z in rec["roots"])
-    assert np.allclose(got, [-2, 2], atol=1e-12)  # b- and b+ + 2
-    assert len(rec["non_geometric"]) == 2
+    rec = modified_gauge_rates(4, 0, "typeII", 0)
+    assert rec["roots"] == [-2, 2]  # b- and b+ + 2
+    assert rec["non_geometric"] == [0, 0]  # z^2: a double root
 
 
 def test_gap_scan():
-    rec = essential_linear_gap(4, 0.0, 6)
+    rec = essential_linear_gap(4, 0, 6)
     assert rec["gamma0"] == 0.0
-    labels = {w["label"] for w in rec["witnesses"] if w["distance"] < 1e-12}
+    labels = {w["label"] for w in rec["witnesses"] if w["distance"] == 0}
     assert "typeII j=0" in labels   # dilation field
     assert "typeII j=2" in labels   # degree-2 conformal field
-    rec = essential_linear_gap(4, 0.1, 8)
+    rec = essential_linear_gap(4, Fraction(1, 10), 8)
     assert rec["gamma0"] > 0
     # the rotation family never appears: its order is removed exactly
     assert all("typeI j=1 upper" not in w["label"] for w in rec["witnesses"])
     assert "collisions" in rec
     # the gap shrinks as t -> 0 (the formerly-linear rates move like t)
-    small = essential_linear_gap(4, 0.05, 8)["gamma0"]
+    small = essential_linear_gap(4, Fraction(1, 20), 8)["gamma0"]
     assert 0 < small < rec["gamma0"]
+
+
+def test_gap_reports_each_shared_root_once():
+    # at n = 3, t = 0 three labels share z = -9 (order -10); sorted
+    # neighbours within 1e-9 made that two pairs
+    clusters = essential_linear_gap(3, 0)["collisions"]
+    at = [c for c in clusters if c["order_re"] == -10]
+    assert at == [{"order_re": -10.0, "order_im": 0.0, "labels": [
+        "typeI j=9 lower", "typeII j=8", "typeII j=10"]}]
+    assert len({(c["order_re"], c["order_im"]) for c in clusters}) \
+        == len(clusters)
+
+
+def test_gap_report_does_not_follow_float_noise(monkeypatch):
+    want = essential_linear_gap(3, 0)
+    roots = np.roots
+
+    def nudged(p):
+        r = roots(p)
+        return r + 1e-15 * np.maximum(1, np.abs(r))
+    monkeypatch.setattr(np, "roots", nudged)
+    assert essential_linear_gap(3, 0) == want
+
+
+def test_gap_decides_the_axis_exactly(monkeypatch):
+    # gamma0 = 0 comes from the exact factors, not from the float roots
+    monkeypatch.setattr(np, "roots", lambda p: np.zeros(len(p) - 1) + 7.5)
+    assert essential_linear_gap(4, 0, 6)["gamma0"] == 0.0
+    assert essential_linear_gap(4, Fraction(1, 10), 6)["gamma0"] > 0
+
+
+def test_rigid_roots_divide_out_exactly(monkeypatch):
+    from conespec import closed_form as cf
+    monkeypatch.setitem(cf.RIGID_ROOTS, ("typeI", 1), 3)
+    with pytest.raises(ArithmeticError, match="z = 3"):
+        modified_kernel_factors(4, Fraction(1, 10), "typeI", 1)
 
 
 def test_polyharmonic_exceptional_rules():

@@ -33,6 +33,7 @@ from conespec import polytensor as pt
 from conespec import symbols as sy
 from conespec import turan_constants as tc
 from conespec import verify
+from conespec.linalg import poly_shift
 
 SEED = 42
 SCALE = 0.02
@@ -107,14 +108,23 @@ def _largest_gauge_value_dropped(mp):
 
 
 def _typeI_rates_t_flipped(mp):
-    # the roots of z^2 + (n-4-t) z - (mu - 2t) with -2nt read as +2nt
-    _wrap(mp, cf, "modified_typeI_rates", lambda f, n, t, j: tuple(
-        z + t for z in f(n, -t, j)))
+    # the roots of z^2 + (n-4-t) z - (mu - 2t) with -2nt read as +2nt in
+    # the discriminant: the polynomial q(z - t; -t)
+    _wrap(mp, cf, "modified_kernel_polynomial", lambda f, n, t, family, j:
+          poly_shift(f(n, -t, family, j), -t) if family == "typeI"
+          else f(n, t, family, j))
 
 
 def _largest_typeII_root_dropped(mp):
-    _wrap(mp, cf, "modified_typeII_roots", lambda f, n, t, j: {
-        **(rec := f(n, t, j)), "roots": rec["roots"][:-1]})
+    # the type II polynomial rebuilt from its float roots less the largest
+    def dropped(original, n, t, family, j):
+        p = original(n, t, family, j)
+        if family != "typeII":
+            return p
+        roots = sorted(np.roots([float(c) for c in reversed(p)]),
+                       key=lambda z: (z.real, z.imag))[:-1]
+        return [p[-1] * Fraction(c) for c in reversed(np.poly(roots).real)]
+    _wrap(mp, cf, "modified_kernel_polynomial", dropped)
 
 
 def _polyharmonic_gap_too_wide(mp):
@@ -291,11 +301,16 @@ MUTANTS = {
     "type I rates with the t-term of the discriminant flipped": Mutant(
         _typeI_rates_t_flipped,
         kills=("closed_form.rotation_rate_identity",
-               "closed_form.rates_match_probed_spectra")),
+               "closed_form.rates_match_probed_spectra",
+               "mode_ode.probed_systems_match_displays")),
     "largest type II root dropped": Mutant(
         _largest_typeII_root_dropped,
         kills=("closed_form.modified_rates_match_base_at_t0",
                "closed_form.rates_match_probed_spectra")),
+    "rotation root divided out as z = 3": Mutant(
+        lambda mp: mp.setitem(cf.RIGID_ROOTS, ("typeI", 1), 3),
+        kills=("closed_form.modified_rates_match_base_at_t0",
+               "closed_form.rotation_rate_identity")),
     "polyharmonic gap one too wide": Mutant(
         _polyharmonic_gap_too_wide, kills=("closed_form.exceptional_rules",)),
     "scalar indicial roots off by one": Mutant(
@@ -362,7 +377,7 @@ MUTANTS = {
                "mode_ode.degenerate_scan_small")),
     "an indicial root moved by 1e-3": Mutant(
         _indicial_root_moved,
-        kills=("closed_form.rates_match_probed_spectra",
+        kills=("mode_ode.divfree_spectrum_matches_scalar_roots",
                "mode_ode.split_direct_sum",
                "mode_ode.three_annulus_dichotomy")),
     "empirical L0 always 1.25": Mutant(

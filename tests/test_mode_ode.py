@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 from conespec import mode_ode
 from conespec import polytensor as pt
 from conespec import turan_constants
-from conespec.closed_form import (ParameterError, modified_typeI_rates,
+from conespec.closed_form import (ParameterError, modified_gauge_rates,
+                                  modified_kernel_polynomial,
                                   scalar_indicial_polynomial,
-                                  scalar_indicial_roots, typeI_eigenvalue)
+                                  scalar_indicial_roots)
 from conespec.linalg import poly_derivative, poly_eval, poly_shift
 from conespec.expsum import NumericError, RangeError, three_interval
 from conespec.mode_ode import (L0_CANDIDATES, EulerOperator, FloatSystem,
@@ -31,8 +32,7 @@ from conespec.mode_ode import (L0_CANDIDATES, EulerOperator, FloatSystem,
                                scalar_mode_system, solution_split,
                                tensor_mode_system, three_annulus_verify,
                                triple_bar_norm, turan_l_bound)
-from conespec.verify import (_annulus_spectra, _displayed_typeI,
-                             check_divfree_spectrum,
+from conespec.verify import (_annulus_spectra, check_divfree_spectrum,
                              check_multiplicity, check_probed_displays,
                              check_rates_vs_probes, check_three_annulus)
 
@@ -87,9 +87,9 @@ def test_coclosed_family_every_degree(n, j):
     for t in (Fraction(0), Fraction(1, 10), Fraction(-1, 20)):
         _, op = gauge_mode_system(n, "typeI", t, j)
         shifted = poly_shift(op.P[0][0], Fraction(-1))
-        assert shifted == _displayed_typeI(n, t, typeI_eigenvalue(n, j))
+        assert shifted == modified_kernel_polynomial(n, t, "typeI", j)
         got = np.sort(np.roots([float(c) for c in reversed(shifted)]))
-        want = np.sort(modified_typeI_rates(n, float(t), j))
+        want = modified_gauge_rates(n, t, "typeI", j)["roots"]
         assert np.allclose(got, want, rtol=1e-12, atol=0)
 
 

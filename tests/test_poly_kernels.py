@@ -1,7 +1,8 @@
 """The integer polynomial kernels of the mode systems read against the
 Fraction code they replaced: Yun's square-free split (also against sympy),
-compose and combine, the Lagrange basis on rational nodes, and the
-inverse-Gram decompose against a Gram solve per field.  A float
+division with remainder, the count of roots on a vertical line against
+known roots, compose and combine, the Lagrange basis on rational nodes,
+and the inverse-Gram decompose against a Gram solve per field.  A float
 coefficient in P is refused by every entry point."""
 
 import dataclasses
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 from conespec import polytensor as pt
 from conespec.cli import main
-from conespec.linalg import (_lagrange_basis, poly_mul, poly_shift, poly_sum,
+from conespec.linalg import (_lagrange_basis, poly_axis_root_count,
+                             poly_divmod, poly_mul, poly_shift, poly_sum,
                              poly_squarefree_factors, solve_dense)
 from conespec.mode_ode import (EulerOperator, ProbeError, indicial_spectrum,
                                tensor_mode_system)
@@ -138,6 +140,41 @@ def test_squarefree_factors_match_oracle_and_sympy(p):
     assert all(type(c) is Fraction for f, _ in got for c in f)
     if len(_trim(p)) > 1:
         assert {m: f for f, m in got} == _sympy_squarefree(p)
+
+
+# -- division and the count of roots on a vertical line ---------------------
+
+REAL_PARTS = st.sampled_from([Fraction(-2), ZERO, Fraction(1, 2), Fraction(2),
+                              Fraction(7, 3)])
+# (roots, monic factor): z - a, or (z - a)^2 + b^2 with roots a +- bi
+ROOTED_FACTORS = st.one_of(
+    REAL_PARTS.map(lambda a: ({(a, 0)}, [-a, Fraction(1)])),
+    st.tuples(REAL_PARTS, st.sampled_from([Fraction(1, 2), Fraction(1),
+                                           Fraction(3)])).map(
+        lambda ab: ({(ab[0], ab[1]), (ab[0], -ab[1])},
+                    [ab[0] ** 2 + ab[1] ** 2, -2 * ab[0], Fraction(1)])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(ROOTED_FACTORS, st.integers(1, 3)), max_size=4),
+       RATIONALS.filter(lambda r: r != 0), REAL_PARTS)
+def test_axis_root_count_matches_known_roots(factors, lead, c):
+    p, roots = [Fraction(lead)], set()
+    for (rs, f), mult in factors:
+        roots |= rs
+        for _ in range(mult):
+            p = poly_mul(p, f)
+    assert poly_axis_root_count(p, c) == sum(re == c for re, _ in roots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(RATIONALS, min_size=1, max_size=6),
+       st.lists(RATIONALS, min_size=1, max_size=4).filter(
+           lambda b: any(b)))
+def test_poly_divmod_is_division_with_remainder(a, b):
+    q, r = poly_divmod(a, b)
+    assert poly_sum([poly_mul(q, b), r]) == poly_sum([a])
+    assert r == [0] or len(r) < len(poly_sum([b]))
 
 
 # -- compose and combine -----------------------------------------------------
