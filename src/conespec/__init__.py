@@ -21,4 +21,4 @@ from .mode_ode import (EulerOperator, IndicialSpectrum, ModeSolution,
                        three_annulus_verify, triple_bar_norm)
 from .polytensor import (AngularBasis, PolyTensor, apply_operator,
                          sphere_moment, tensor_mode_basis, triple_bar_norm_sq)
-from .symbols import linearized_obstruction_symbol, linearized_scalar_symbol
+from .symbols import principal_symbol

@@ -291,10 +291,10 @@ def cmd_gap(args):
     _require(args, "n")
     rec = {**cf.essential_linear_gap(args.n, args.t, args.j_max),
            "t": float(args.t)}
-    rows = [(w["order_re"], w["order_im"], w["distance"], w["label"])
-            for w in rec["witnesses"]]
+    rows = [(w["order_re"], w["order_im"], w["distance"],
+             "; ".join(w["labels"])) for w in rec["witnesses"]]
     _emit(args, rec, rows=rows,
-          header=("order_re", "order_im", "distance", "label"))
+          header=("order_re", "order_im", "distance", "labels"))
 
 
 def cmd_kernel(args):
@@ -341,14 +341,16 @@ def cmd_symbol(args):
                      f"a JSON list of n = {n} numbers")
     hh = _json_array(args.hhat, "--hhat", complex, (n, n),
                      f"an n x n JSON matrix (n = {n})")
+    if not np.array_equal(hh, hh.T):
+        raise UsageError(f"--hhat: need a symmetric matrix, got {args.hhat!r}")
     # an overflow is reported as a RangeError below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         if args.scalar:
-            val = sy.linearized_scalar_symbol(args.n, xi, hh)
+            val = complex(sy.symbol_at("scalar", n, xi, hh))
             data = {"n": args.n, "scalar": {"re": val.real, "im": val.imag}}
         else:
             _require(args, "k")
-            val = sy.linearized_obstruction_symbol(args.n, args.k, xi, hh)
+            val = sy.symbol_at("bach", n, xi, hh, args.k)
             data = {"n": args.n, "k": args.k,
                     "matrix_re": val.real.tolist(),
                     "matrix_im": val.imag.tolist()}

@@ -298,8 +298,9 @@ def essential_linear_gap(n, t, j_max=10):
     a root with Re z = 2, by the rational-root test for a linear factor
     and otherwise by ``poly_axis_root_count``.  At t = 0 the gap is 0,
     witnessed by the dilation and the degree-2 conformal field.  The
-    "witnesses" are the four roots nearest the window's centre, labels
-    that share a root kept in scan order (type I by j, then type II).
+    "witnesses" are the four roots nearest the window's centre and any
+    as near as the fourth, by distance, then order, each with all its
+    labels in scan order (type I by j, then type II).
 
     "collisions" lists one cluster per root that two or more labels
     share, with all of those labels, found by exact gcds: the factors are
@@ -339,19 +340,19 @@ def essential_linear_gap(n, t, j_max=10):
         else:
             named += [(f"typeII j={j}", key) for key in keys]
 
-    near = sorted(((abs(orders[key].real - 1.0), label, orders[key])
-                   for label, key in named), key=lambda rec: rec[0])
-    witnesses = [{"order_re": order.real, "order_im": order.imag,
-                  "label": label, "distance": dist}
-                 for dist, label, order in near[:4]]
-    shared = {}  # a root two or more labels share -> those labels
+    labels_at = {}  # root -> the labels that share it, in the scan's order
     for label, key in named:
-        if len(base[key[0]][1]) > 1 and label not in shared.get(key, []):
-            shared.setdefault(key, []).append(label)
+        labels_at.setdefault(key, {})[label] = None
+    distance = {key: abs(orders[key].real - 1.0) for key in labels_at}
+    near = sorted(labels_at, key=lambda k: (distance[k], _order(orders[k])))
+    witnesses = [{"order_re": orders[key].real, "order_im": orders[key].imag,
+                  "labels": list(labels_at[key]), "distance": distance[key]}
+                 for key in near if distance[key] <= distance[near[:4][-1]]]
     collisions = [{"order_re": orders[key].real, "order_im": orders[key].imag,
-                   "labels": shared[key]}
-                  for key in sorted(shared, key=lambda k: _order(orders[k]))]
-    gamma0 = 0.0 if on_axis else min([1.0] + [rec[0] for rec in near])
+                   "labels": list(labels_at[key])}
+                  for key in sorted(labels_at, key=lambda k: _order(orders[k]))
+                  if len(base[key[0]][1]) > 1]
+    gamma0 = 0.0 if on_axis else min([1.0] + list(distance.values()))
     return {"gamma0": gamma0, "witnesses": witnesses,
             "collisions": collisions, "n": n, "t": t, "j_max": j_max}
 

@@ -1,80 +1,80 @@
-"""Fourier symbols of the linearized obstruction and scalar-curvature
-operators at the flat metric.
-
-Substitutions: Laplacian -> -|xi|^2, covariant derivative -> i xi,
-divergence -> contraction with i xi, adjoint divergence -> symmetrized
-tensor with -(i/2) xi, trace -> matrix trace.  Written against generic
-array-likes so both numeric and symbolic inputs flow through.
+"""Principal symbols of the flat-metric field operators, read off the
+operators: an order-N operator maps hhat (xi . x)^N / N! to the constant
+i^-N sigma(xi)[hhat].  ``principal_symbol`` reads it exactly at e_1, and
+``symbol_at`` carries it to any xi by O(n) equivariance, so homogeneity
+of degree N is structural.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations_with_replacement, permutations
+
 import numpy as np
 
+from . import polytensor as pt
 from .closed_form import ParameterError
 
+# name -> (input rank, order at k, field operator, looked up at each call);
+# "scalar" is the linearized scalar curvature div div h - Delta tr h
+OPERATORS = {
+    "bach": (2, lambda k: 2 * k + 2, lambda h, k: pt.bach_lin(h, k)),
+    "gauged": (2, lambda k: 2 * k + 2, lambda h, k: pt.gauged_lin(h, k, 0)),
+    "scalar": (2, lambda k: 2, lambda h, k: pt.divergence(pt.divergence(h))
+               - pt.laplacian(pt.trace2(h))),
+    "lie": (1, lambda k: 1, lambda v, k: pt.lie_flat(v)),
+}
 
-def _outer(a, b):
-    return np.outer(a, b)
 
-
-def _norm_sq(xi):
-    return (np.asarray(xi) * np.asarray(xi)).sum()
-
-
-def _check_dimension(n):
+@lru_cache(maxsize=None)
+def principal_symbol(name, n, k=1):
+    """Exact principal symbol at xi = e_1 of the named operator, as a
+    read-only object array of rationals: the output's axes, then the
+    input's, each (a, b) and (b, a) holding half the image of
+    e_a e_b + e_b e_a.  For the odd-order "lie" the symbol is i times it."""
     if n < 3:
         raise ParameterError("need n >= 3")
-
-
-def linearized_obstruction_symbol(n, k, xi, hhat):
-    """Symbol matrix of the linearized obstruction operator on (xi, hhat).
-
-    Evaluates every term of the flat-metric linearization: the leading
-    bilaplacian term, the two Hessian/trace terms, the adjoint-divergence
-    term, and the pure-trace terms, then multiplies by (-|xi|^2)^{k-1}.
-    """
-    _check_dimension(n)
     if k < 1:
         raise ParameterError("need k >= 1")
-    xi = np.asarray(xi)
-    h = np.asarray(hhat)
-    if h.shape != (n, n):
-        raise ValueError("hhat must be n x n")
-    q = _norm_sq(xi)
-    tr = np.trace(h)
-    hxi = h @ xi
-    xihxi = xi @ hxi
-    eye = np.eye(n, dtype=h.dtype) if h.dtype != object else np.eye(n)
-
-    term_lead = -(q * q) * h / (2 * (n - 2))
-    term_hess_tr = -(-_outer(xi, xi)) * (-q) * tr / (2 * (n - 1) * (n - 2))
-    term_hess_div = -(-_outer(xi, xi)) * (-xihxi) / (2 * (n - 1))
-    sym = _outer(xi, hxi) + _outer(hxi, xi)
-    term_divstar = -(-q) * sym / (2 * (n - 2))
-    term_trace = ((q * q) * tr - q * xihxi) * eye / (2 * (n - 1) * (n - 2))
-
-    out = term_lead + term_hess_tr + term_hess_div + term_divstar + term_trace
-    return out * (-q) ** (k - 1)
-
-
-def linearized_scalar_symbol(n, xi, hhat):
-    """Symbol of the linearized scalar curvature: |xi|^2 tr(h) - xi.h.xi."""
-    _check_dimension(n)
-    xi = np.asarray(xi)
-    h = np.asarray(hhat)
-    return _norm_sq(xi) * np.trace(h) - xi @ h @ xi
+    rank, order, operator = OPERATORS[name]
+    big_n = order(k)
+    scale = Fraction((-1) ** (big_n // 2), math.factorial(big_n))
+    x1_power, const = ((big_n,) + (0,) * (n - 1), 0), ((0,) * n, 0)
+    out = None
+    for idx in combinations_with_replacement(range(n), rank):
+        cells = set(permutations(idx))
+        image = operator(pt.PolyTensor(n, rank, {c: {x1_power: 1}
+                                                 for c in cells}), k)
+        if out is None:
+            out = np.zeros((n,) * (image.rank + rank), dtype=object)
+        for out_idx, comp in image.comps.items():
+            if set(comp) != {const}:
+                raise ArithmeticError(f"{name} is not homogeneous of order "
+                                      f"{big_n}: its image keeps x or r")
+            for cell in cells:
+                out[out_idx + cell] = comp[const] * scale / len(cells)
+    out.flags.writeable = False
+    return out
 
 
-def lie_symbol(xi, v):
-    """Symbol of a Lie-derivative direction: i (xi (x) v + v (x) xi)."""
-    xi = np.asarray(xi)
-    v = np.asarray(v)
-    return 1j * (_outer(xi, v) + _outer(v, xi))
+def _reflect(tensor, q):
+    """The tensor with q applied to every index."""
+    for axis in range(tensor.ndim):
+        tensor = np.moveaxis(np.tensordot(q, tensor, axes=(1, axis)), 0, axis)
+    return tensor
 
 
-def gauged_reduction_value(n, k, xi, hhat):
-    """Expected symbol on transverse traceless input:
-    -(1/(2(n-2))) (-|xi|^2)^{k+1} hhat."""
-    q = _norm_sq(np.asarray(xi))
-    return -np.asarray(hhat) * (-q) ** (k + 1) / (2 * (n - 2))
+def symbol_at(name, n, xi, hhat, k=1):
+    """sigma(xi)[hhat] = |xi|^N Q sigma(e_1)[Q hhat Q] Q in floats, with Q
+    the Householder reflection taking e_1 to u = xi / |xi|."""
+    rank, order, _ = OPERATORS[name]
+    norm = np.linalg.norm(xi)
+    v = -np.asarray(xi) / norm if norm else np.zeros(n)
+    # v_0 = 1 - u_0, which is |u_perp|^2 / (1 + u_0) without cancellation
+    v[0] = 1 + v[0] if v[0] >= 0 else (v[1:] @ v[1:]) / (1 - v[0])
+    q = np.eye(n) - 2 / (v @ v) * np.outer(v, v) if v.any() else np.eye(n)
+    sym = principal_symbol(name, n, k).astype(float)
+    out = _reflect(np.tensordot(sym, _reflect(np.asarray(hhat), q), rank), q)
+    return out * norm ** order(k) * (1j if order(k) % 2 else 1)

@@ -1,6 +1,12 @@
 """Termwise references for the PolyTensor algebra, shared by the test
 modules: each is written independently of the library's integer kernels."""
 
+import math
+from fractions import Fraction
+from itertools import product
+
+import numpy as np
+
 from conespec import polytensor as pt
 
 
@@ -18,3 +24,26 @@ def naive_slice_inner(A, B):
         expo = gamma + sum(alpha)
         out[expo] = out.get(expo, 0) + c * pt.sphere_moment_reduced(A.n, alpha)
     return {e: v for e, v in out.items() if v != 0}
+
+
+def expanded_symbol(operator, order, xi, hhat):
+    """Reference principal symbol at an integer covector xi, by expansion
+    in place of equivariance: i^N times the operator (of order N) applied
+    to the integer tensor hhat times (xi . x)^N / N!, whose image is
+    constant."""
+    n = len(xi)
+    hhat = np.asarray(hhat)
+    field = pt.PolyTensor(n, hhat.ndim)
+    for alpha in product(range(order + 1), repeat=n):
+        if sum(alpha) == order:
+            c = Fraction(math.prod(int(x) ** a for x, a in zip(xi, alpha)),
+                         math.prod(map(math.factorial, alpha)))
+            for idx in np.ndindex(hhat.shape):
+                field.add_term(idx, alpha, 0, c * int(hhat[idx]))
+    image = operator(field)
+    value = np.zeros((n,) * image.rank, dtype=object)
+    for idx, comp in image.comps.items():
+        ((alpha, gamma), c), = comp.items()
+        assert not any(alpha) and gamma == 0
+        value[idx] = c
+    return value.astype(complex) * 1j ** order

@@ -9,10 +9,12 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conespec import cli, verify
 from conespec.cli import build_parser, main
+from field_reference import expanded_symbol
 
 EYE4 = "[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]"
 
@@ -70,14 +72,27 @@ def test_kernel_and_quadratic_lie(tmp_path):
 
 
 def test_symbol_command(tmp_path):
+    # the whole matrix, and the scalar value, at a non-axis xi against the
+    # field operator applied to hhat (xi . x)^N / N!
+    from conespec import polytensor as pt
+    from conespec import symbols as sy
+
+    xi = [1, 2, -1, 3]
+    hhat = [[2, 0, 1, -1], [0, 1, 3, 0], [1, 3, 0, 2], [-1, 0, 2, -2]]
+    argv = ["symbol", "--n", "4", "--xi", json.dumps(xi),
+            "--hhat", json.dumps(hhat)]
     out = tmp_path / "s.json"
-    rc = main(["symbol", "--n", "4", "--k", "1",
-               "--xi", "[1,0,0,0]",
-               "--hhat", "[[0,0,0,0],[0,0,1,0],[0,1,0,0],[0,0,0,0]]",
-               "--out", str(out)])
-    assert rc == 0
-    mat = read_json(out)["data"]["matrix_re"]
-    assert mat[1][2] == pytest.approx(-0.25)
+    assert main([*argv, "--k", "1", "--out", str(out)]) == 0
+    data = read_json(out)["data"]
+    want = expanded_symbol(pt.bach_lin, 4, xi, hhat)
+    got = np.array(data["matrix_re"]) + 1j * np.array(data["matrix_im"])
+    assert np.allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+    assert main([*argv, "--scalar", "--out", str(out)]) == 0
+    scalar = read_json(out)["data"]["scalar"]
+    want = expanded_symbol(lambda h: sy.OPERATORS["scalar"][2](h, 1), 2, xi,
+                           hhat)
+    assert complex(scalar["re"], scalar["im"]) == pytest.approx(complex(want),
+                                                                rel=1e-13)
 
 
 def test_apply_round_trip(tmp_path):
@@ -304,6 +319,9 @@ def test_mode_parameter_guards_are_usage_errors(capsys, argv, msg):
     (["degenerate-scan", "--n", "4", "--k", "1", "--t-values", "0",
       "--jobs=-2"], "need jobs >= 1"),
     (["verify-all", "--jobs=-1"], "need jobs >= 1"),
+    (["symbol", "--n", "4", "--k", "1", "--xi", "[1, 0, 0, 0]", "--hhat",
+      "[[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]"],
+     "--hhat: need a symmetric matrix"),
 ])
 def test_out_of_range_option_is_usage_error(capsys, tmp_path, argv, msg):
     # an explicit value is checked, never replaced by the default; TMP

@@ -97,13 +97,14 @@ def test_nu_zero_branches():
 def test_gap_scan():
     rec = essential_linear_gap(4, 0, 6)
     assert rec["gamma0"] == 0.0
-    labels = {w["label"] for w in rec["witnesses"] if w["distance"] == 0}
+    labels = {label for w in rec["witnesses"] if w["distance"] == 0
+              for label in w["labels"]}
     assert "typeII j=0" in labels   # dilation field
     assert "typeII j=2" in labels   # degree-2 conformal field
     rec = essential_linear_gap(4, Fraction(1, 10), 8)
     assert rec["gamma0"] > 0
     # the rotation family never appears: its order is removed exactly
-    assert all("typeI j=1 upper" not in w["label"] for w in rec["witnesses"])
+    assert all("typeI j=1 upper" not in w["labels"] for w in rec["witnesses"])
     assert "collisions" in rec
     # the gap shrinks as t -> 0 (the formerly-linear rates move like t)
     small = essential_linear_gap(4, Fraction(1, 20), 8)["gamma0"]
@@ -119,6 +120,17 @@ def test_gap_reports_each_shared_root_once():
         "typeI j=9 lower", "typeII j=8", "typeII j=10"]}]
     assert len({(c["order_re"], c["order_im"]) for c in clusters}) \
         == len(clusters)
+
+
+def test_gap_witnesses_list_each_root_once_with_all_labels():
+    # z = 3 (order 2) is shared by three labels; the witnesses listed two
+    # of them and cut typeII j=3 off.  Orders -1 and 3 tie at distance 2,
+    # and both are listed.
+    witnesses = essential_linear_gap(3, 0)["witnesses"]
+    assert witnesses[1] == {"order_re": 2.0, "order_im": 0.0, "labels": [
+        "typeI j=2 upper", "typeII j=1", "typeII j=3"], "distance": 1.0}
+    assert [(w["order_re"], w["distance"]) for w in witnesses] == [
+        (1.0, 0.0), (2.0, 1.0), (-1.0, 2.0), (3.0, 2.0)]
 
 
 def test_gap_report_does_not_follow_float_noise(monkeypatch):
