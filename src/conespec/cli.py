@@ -481,6 +481,10 @@ def cmd_verify_all(args):
         raise UsageError(f"unknown suite(s): {', '.join(unknown)}; known "
                          f"suites: {', '.join(known)}")
     names = [nm for nm in known if not args.suite or nm in args.suite]
+    # numpy loads numpy.random on first use (about 11 ms): load it here,
+    # before the first timed suite and before any worker is forked, so no
+    # suite's seconds include it and the other commands never pay for it
+    import numpy.random  # noqa: F401
     runs = mo.parallel_map(_run_one_suite,
                            [(nm, args.seed, args.scale) for nm in names],
                            args.jobs)

@@ -53,21 +53,18 @@ def degree1_system(n, k):
     is matched coefficient by coefficient.
     """
     cols = _a_index(n)
-    factor = Fraction(n - 2 * k)
+    factor = n - 2 * k
     rows = []
     for j in range(n):
         for (l, m) in _sym_pairs(n):
-            row = {}
             if l == m:
-                row[_acol(cols, l, j, l)] = row.get(_acol(cols, l, j, l), Fraction(0)) + factor
+                row = {_acol(cols, l, j, l): factor}
                 for i in range(n):
                     c = _acol(cols, i, j, i)
-                    row[c] = row.get(c, Fraction(0)) - 1
+                    row[c] = row.get(c, 0) - 1
             else:
-                c1 = _acol(cols, l, j, m)
-                c2 = _acol(cols, m, j, l)
-                row[c1] = row.get(c1, Fraction(0)) + factor
-                row[c2] = row.get(c2, Fraction(0)) + factor
+                row = {_acol(cols, l, j, m): factor,
+                       _acol(cols, m, j, l): factor}
             rows.append({c: v for c, v in row.items() if v != 0})
     return rows, len(cols), cols
 
@@ -80,7 +77,7 @@ def constant_profile_system(n):
     for j in range(n):
         for i in range(n):
             key = (min(i, j), max(i, j))
-            rows.append({cols[key]: Fraction(1)})
+            rows.append({cols[key]: 1})
     return rows, len(cols), cols
 
 
@@ -147,17 +144,13 @@ def degree1_identity_diagnostics(n, k):
     checks = []
     for p in range(min(n, 3)):
         for j in range(min(n, 3)):
-            cand = {_acol(cols, p, j, p): Fraction(1)}
+            cand = {_acol(cols, p, j, p): 1}
             checks.append(("diag", (p, j),
                            row_in_rowspace(pivots, cand)))
     for (l, j, m) in itertools.islice(
             ((l, j, m) for l in range(n) for j in range(n)
              for m in range(n) if l != m), 6):
-        cand = {}
-        c1 = _acol(cols, l, j, m)
-        c2 = _acol(cols, m, j, l)
-        cand[c1] = cand.get(c1, Fraction(0)) + 1
-        cand[c2] = cand.get(c2, Fraction(0)) + 1
+        cand = {_acol(cols, l, j, m): 1, _acol(cols, m, j, l): 1}
         checks.append(("antisym", (l, j, m),
                        row_in_rowspace(pivots, cand)))
     return checks
@@ -244,8 +237,8 @@ def quadratic_lie_map_rows(n):
                 key = (p, min(q, m), max(q, m))
                 col = acols[key]
                 # d_q X_p picks up a factor 2 on the diagonal l = m of a
-                weight = Fraction(2) if q == m else Fraction(1)
-                row[col] = row.get(col, Fraction(0)) + weight
+                weight = 2 if q == m else 1
+                row[col] = row.get(col, 0) + weight
     return rows, len(acols), acols, row_index
 
 

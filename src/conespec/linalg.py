@@ -3,10 +3,13 @@
 Used wherever a dimension or rank decision must be exact rather than
 numerically zero: divergence-free nullspaces, angular Gram solves,
 polynomial interpolation of probed mode systems, square-free splits of
-their determinants.  The sparse elimination (``sparse_rref`` and the
-nullspace and row-space tests on it) and ``solve_dense`` work on rows of
-Fractions.  The polynomial kernels work on integer numerators over one
-common denominator and make one Fraction per output coefficient:
+their determinants.  The sparse elimination (``sparse_rref``, and the
+nullspace, rank and row-space tests read from it) runs on integer rows,
+each over its common denominator, and accepts only int and Fraction
+entries; ``solve_dense`` alone stays on rows of Fractions, because it is on
+the probing path (the angular Gram solves).  The polynomial kernels work
+on integer numerators over one common denominator and make one Fraction
+per output coefficient:
 determinants (``det_dense``) by Bareiss fraction-free elimination on
 integer rows, interpolation (``lagrange_coefficients``) as integer dot
 products with a memoized integer Lagrange table, and the square-free
@@ -45,31 +48,77 @@ def _reduce(row, pivots):
     return _clean(row)
 
 
+def _integer_row(row):
+    """The nonzero entries of a row of ints and Fractions, times the lcm
+    of their denominators; any other entry is refused, never rounded."""
+    den = 1
+    for c, v in row.items():
+        if type(v) is not int:
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError("exact elimination needs int or Fraction "
+                                f"entries, got {v!r} at column {c}")
+            den = math.lcm(den, v.denominator)
+    return {c: v.numerator * (den // v.denominator)
+            for c, v in row.items() if v}
+
+
+def _primitive_row(row):
+    """The integer row divided by the gcd of its entries, with a positive
+    entry at its lowest column."""
+    g = math.gcd(*row.values())
+    if row[min(row)] < 0:
+        g = -g
+    return row if g == 1 else {c: v // g for c, v in row.items()}
+
+
+def _cleared(row, col, prow):
+    """a row - b prow, the integer row with column col cleared against the
+    pivot row prow, for the least a > 0 and b that do it."""
+    g = math.gcd(row[col], prow[col])
+    a, b = prow[col] // g, row[col] // g
+    out = {c: a * v for c, v in row.items()} if a != 1 else dict(row)
+    for c, v in prow.items():
+        w = out.get(c, 0) - b * v
+        if w:
+            out[c] = w
+        else:
+            del out[c]
+    return out
+
+
 def sparse_rref(rows):
     """Reduced row echelon form of sparse rational rows.
 
-    rows: iterable of dict[int, Fraction].  Returns dict pivot_col -> row,
-    where each row is a dict normalized to pivot value 1 and reduced
-    against every other pivot row: a new row is cleared at every existing
-    pivot column, takes its lowest remaining column as its pivot, and is
-    then eliminated from the existing rows.
+    rows: iterable of dict[int, int | Fraction]; any other entry raises
+    TypeError.  Returns dict pivot_col -> row, where each row is a dict of
+    Fractions normalized to pivot value 1 and zero at every other pivot
+    column, the unique reduced form of the row space.  The elimination runs
+    on integer rows, each put over its common denominator.  A new row is
+    cleared at the existing pivot columns, lowest first, by gcd-reduced
+    cross-multiplication, and takes its lowest remaining column as its
+    pivot.  Once every row is in, the pivot rows are reduced against each
+    other from the highest pivot down.  Every pivot row is kept primitive
+    with a positive pivot, and one Fraction per entry is made at the end.
     """
-    pivots: dict[int, dict] = {}
+    echelon: dict[int, dict] = {}
     for row in rows:
-        row = _reduce(row, pivots)
-        if not row:
-            continue
-        c = min(row)
-        inv = Fraction(1) / row[c]
-        row = {cc: vv * inv for cc, vv in row.items()}
-        for pc, prow in pivots.items():
-            if c in prow:
-                f = prow[c]
-                for cc, vv in row.items():
-                    prow[cc] = prow.get(cc, ZERO) - f * vv
-                pivots[pc] = _clean(prow)
-        pivots[c] = row
-    return pivots
+        row = _integer_row(row)
+        # lowest first: a pivot row is zero below its pivot, so clearing
+        # column c never brings back a column already cleared
+        while cols := [c for c in row if c in echelon]:
+            c = min(cols)
+            row = _cleared(row, c, echelon[c])
+        if row:
+            row = _primitive_row(row)
+            echelon[min(row)] = row
+    pivots: dict[int, dict] = {}
+    for c in sorted(echelon, reverse=True):
+        row = echelon[c]
+        for cc in [cc for cc in row if cc in pivots]:
+            row = _cleared(row, cc, pivots[cc])
+        pivots[c] = _primitive_row(row)
+    return {c: {cc: Fraction(v, prow[c]) for cc, v in prow.items()}
+            for c, prow in sorted(pivots.items())}
 
 
 def sparse_rank(rows) -> int:

@@ -387,6 +387,32 @@ def test_verify_all_reports_suite_seconds(tmp_path, jobs):
     assert "suite_seconds" not in doc["data"]
 
 
+def test_verify_all_loads_numpy_random_before_the_first_suite(tmp_path):
+    # numpy.random loads lazily; verify-all loads it before it times any
+    # suite, so the first suite's seconds do not include it.  A fresh
+    # interpreter, because the test process has long loaded it
+    out = tmp_path / "v.json"
+    code = f"""if True:
+        import sys
+        from conespec import cli, verify
+        assert "numpy.random" not in sys.modules
+        seen = []
+        first = verify.SUITES[0]
+        def wrapper(seed, scale):
+            seen.append("numpy.random" in sys.modules)
+            return first(seed=seed, scale=scale)
+        wrapper.suite_name = first.suite_name
+        verify.SUITES[0] = wrapper
+        rc = cli.main(["verify-all", "--suite", first.suite_name,
+                       "--scale", "0.02", "--out", {str(out)!r}])
+        sys.exit(rc or seen != [True])
+    """
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=FRESH_ENV, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert read_json(out)["data"]["all_passed"] is True
+
+
 def test_bootstrap_command(tmp_path):
     out = tmp_path / "b.json"
     rc = main(["bootstrap", "--regime", "infinity", "--n", "6", "--k", "1",

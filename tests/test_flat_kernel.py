@@ -7,14 +7,16 @@ import pytest
 from conespec import polytensor as pt
 from conespec.closed_form import ParameterError
 from conespec.flat_kernel import (QuadraticField, _acol,
+                                  constant_profile_system,
                                   degree1_identity_diagnostics, degree1_system,
                                   divergence_free_nullspace,
                                   flow_defect_form, quadratic_flow_defect,
                                   quadratic_flow_error,
                                   quadratic_lie_isomorphism,
                                   quadratic_lie_map_rows)
-from conespec.linalg import solve_dense, sparse_rank
+from conespec.linalg import solve_dense, sparse_rank, sparse_rref
 from conespec.verify import _nk_pairs
+from linalg_reference import fraction_rref
 
 
 def field_from_entries(n, entries):
@@ -87,6 +89,17 @@ def test_identity_checks_match_rank_comparison():
                 l, j, m = idx
                 cand = {_acol(cols, l, j, m): 1, _acol(cols, m, j, l): 1}
             assert got == (sparse_rank(rows + [cand]) == base), (n, k, idx)
+
+
+def test_suite_reductions_match_fraction_reference():
+    # every system the rigidity and Lie suites reduce: the 7 degree-1
+    # systems of _nk_pairs(8), the constant profiles and the Lie maps
+    pairs = _nk_pairs(8)
+    systems = [degree1_system(n, k)[0] for n, k in pairs]
+    systems += [constant_profile_system(n)[0] for n in {n for n, _ in pairs}]
+    systems += [quadratic_lie_map_rows(n)[0] for n in range(2, 7)]
+    for rows in systems:
+        assert sparse_rref(rows) == fraction_rref(rows)
 
 
 def test_lie_rank_against_float_oracle():

@@ -1,6 +1,7 @@
-"""Exact elimination: the sparse reduced form behind nullspaces and the
-row-space test read against a precomputed reduction, and the Bareiss
-determinant behind det P(z) read against Fraction Gaussian elimination."""
+"""Exact elimination: the integer sparse reduced form behind nullspaces
+and the row-space test, read against the Fraction reference elimination
+and a precomputed reduction, and the Bareiss determinant behind det P(z)
+read against Fraction Gaussian elimination."""
 
 import json
 import pathlib
@@ -15,6 +16,7 @@ from conespec.linalg import (det_dense, lagrange_coefficients, poly_eval,
                              row_in_rowspace, sparse_nullspace, sparse_rank,
                              sparse_rref)
 from conespec.mode_ode import tensor_mode_system
+from linalg_reference import fraction_rref
 
 ENTRIES = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 
@@ -22,12 +24,24 @@ ENTRIES = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 @st.composite
 def systems(draw):
     """Small sparse rational systems (rows as dicts col -> Fraction); few
-    nonzeros per row, so dependent rows and free columns are common."""
+    nonzeros per row, so dependent rows and free columns are common.  Some
+    rows are zero, repeat an earlier row or combine two earlier rows."""
     ncols = draw(st.integers(1, 7))
     rows = []
     for _ in range(draw(st.integers(0, 7))):
-        cols = draw(st.lists(st.integers(0, ncols - 1), max_size=4))
-        rows.append({c: draw(ENTRIES) for c in cols})
+        kind = draw(st.sampled_from(("fresh", "zero", "repeat", "combine")))
+        if kind == "zero":
+            rows.append({c: Fraction(0) for c in
+                         draw(st.lists(st.integers(0, ncols - 1),
+                                       max_size=2))})
+        elif kind != "fresh" and rows:
+            a, b = (draw(st.sampled_from(rows)) for _ in range(2))
+            f = draw(ENTRIES) if kind == "combine" else Fraction(0)
+            rows.append({c: a.get(c, 0) + f * b.get(c, 0)
+                         for c in a.keys() | b.keys()})
+        else:
+            cols = draw(st.lists(st.integers(0, ncols - 1), max_size=4))
+            rows.append({c: draw(ENTRIES) for c in cols})
     return rows, ncols
 
 
@@ -61,6 +75,30 @@ def test_nullspace_is_killed_by_every_row(system):
     assert len(basis) == ncols - rank
     if basis:
         assert sympy.Matrix(basis).rank() == len(basis)
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+def test_integer_rref_matches_fraction_reference(system):
+    # the reduced form of a row space is unique, so the integer kernel
+    # returns the reference's dict, pivots normalized to 1
+    rows, _ = system
+    got = sparse_rref(rows)
+    assert got == fraction_rref(rows)
+    assert all(type(v) is Fraction
+               for row in got.values() for v in row.values())
+    assert all(row[c] == 1 for c, row in got.items())
+
+
+def test_rref_refuses_inexact_entries():
+    # an inexact entry is refused with its column and value, never
+    # rounded or eliminated in float arithmetic
+    with pytest.raises(TypeError, match=r"0\.5 at column 0"):
+        sparse_rref([{0: 0.5, 1: 1.0}, {1: 0.25}])
+    with pytest.raises(TypeError, match=r"0\.25 at column 1"):
+        sparse_rref([{0: Fraction(1, 2), 1: 1}, {1: 0.25}])
+    with pytest.raises(TypeError, match="column 2"):
+        sparse_rank([{2: 0.0}])
 
 
 @st.composite
