@@ -151,12 +151,18 @@ def gauge_exceptional_values(n, j_max):
 RIGID_ROOTS = {("typeI", 1): 2, ("typeII", 1): 1}
 
 
-def _exact_t(n, t):
-    """t as a Fraction: an int or Fraction with |t| < n/2."""
+def exact_t(t):
+    """The one admission check for t, shared with the mode systems: t
+    itself when it is an int or a Fraction, else ParameterError."""
     if not isinstance(t, (int, Fraction)):
         raise ParameterError(f"t = {t!r} must be an int or Fraction; the "
-                             "closed-form rates are exact")
-    if 2 * abs(t) >= n:
+                             "rates and mode systems are exact")
+    return t
+
+
+def _exact_t(n, t):
+    """t as a Fraction: an int or Fraction with |t| < n/2."""
+    if 2 * abs(exact_t(t)) >= n:
         raise ParameterError("need |t| < n/2")
     return Fraction(t)
 

@@ -144,14 +144,16 @@ def sparse_nullspace(pivots, ncols: int):
 
 
 def row_in_rowspace(pivots, candidate) -> bool:
-    """Whether candidate (dict col->Fraction) lies in the row space whose
-    sparse_rref is pivots.
+    """Whether candidate (dict col -> int or Fraction) lies in the row
+    space whose sparse_rref is pivots.
 
-    The candidate is reduced as sparse_rref reduces an appended row; it
-    lies in the row space exactly when nothing is left, that is, when
-    appending it would not raise the rank.
+    The candidate is put over its common denominator (a float entry
+    raises TypeError naming its column, as in sparse_rref) and reduced as
+    sparse_rref reduces an appended row; it lies in the row space exactly
+    when nothing is left, that is, when appending it would not raise the
+    rank.
     """
-    return not _reduce(candidate, pivots)
+    return not _reduce(_integer_row(candidate), pivots)
 
 
 def solve_dense(a, b):

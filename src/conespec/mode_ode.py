@@ -3,23 +3,25 @@
 The exact operators act on radially parallel angular bases; applying one to
 r^m times a basis element returns r^{m-w} times an angular combination, so
 the matrix indicial polynomial P(z) is read off exactly by polynomial
-interpolation over enough probe degrees.  The standard mode systems are
-composed from probed systems of order <= 2 (Laplacian, radial contraction,
-divergence, Hessian, flat Lie derivative) with P_{A o B}(z) =
-P_A(z - w_B) P_B(z); the gauged linearized system is P(z; t) = A(z) +
-t B(z), and the modified gauge system on a 1-form family is A(z) - t B(z).
-One memo (``_probe``), keyed by operator, order, (n, j) and families,
+interpolation over enough probe degrees.  The standard mode systems are the
+second evaluator of ``polytensor.OPERATORS``, the table that states each
+operator once: a statement applied to ``_Words`` yields its words, sums of
+probed pieces of order <= 2 (Laplacian, Hessian, divergence, flat Lie
+derivative, radial contraction, and the divergence and radial contraction
+of a Lie derivative), composed with P_{A o B}(z) = P_A(z - w_B) P_B(z).
+Every operator is affine in t, P(z; t) = A(z) + t B(z), with A and B
+memoized.  One memo (``_probe``), keyed by piece, (n, j) and source family,
 probes each piece once per process and shares it across k, t, the tensor,
 scalar, divergence and gauge systems and the scan.  Spectra, growth/decay
-splits, the three-annulus inequalities and the degenerate-solution scan
-all live on top of that data.  A spectrum's roots carry exact
-multiplicities; the chain basis of a root of multiplicity m, built on first
-read, is m singular vectors, and KERNEL_CUTOFF checks it.  The spectrum's
+splits, the three-annulus inequalities and the degenerate-solution scan all
+live on top of that data.  A spectrum's roots carry exact multiplicities;
+the chain basis of a root of multiplicity m, built on first read, is m
+singular vectors, and KERNEL_CUTOFF checks it.  The spectrum's
 ``chain_rows`` state the one row layout of a kernel element, (root, log
-power) in root order with each row's root value and class: a
-ModeSolution is one (K, m_ang) coefficient array in it, RadialGram's
-matrices and the annulus draws use it, and the annulus Turan cross-check
-reads its rates and indices from it in one array pass.
+power) in root order with each row's root value and class: a ModeSolution
+is one (K, m_ang) coefficient array in it, RadialGram's matrices and the
+annulus draws use it, and the annulus Turan cross-check reads its rates and
+indices from it in one array pass.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from itertools import zip_longest
 import numpy as np
 
 from . import polytensor as pt
-from .closed_form import ParameterError
+from .closed_form import ParameterError, exact_t
 from .expsum import (ExpSum, ExpTerm, NumericError, RangeError,
                      poly_exp_integrals, three_interval_record)
 from .linalg import (det_dense, lagrange_coefficients, poly_derivative,
@@ -808,12 +810,6 @@ def turan_l_bound(spectrum, beta_prime):
 # -- standard mode systems ----------------------------------------------------
 
 
-def _exact_t(t):
-    if not isinstance(t, (int, Fraction)):
-        raise ProbeError(f"t = {t!r} must be an int or Fraction; the mode "
-                         "systems are exact")
-
-
 @lru_cache(maxsize=None)
 def _family(kind, n, j):
     """The degree-j angular families of one kind: "tensor" (2-tensors),
@@ -835,105 +831,171 @@ def _family(kind, n, j):
     return pt.basis_from_elements(n, [pt.coclosed_eigenform(n, j)], ["r psi"])
 
 
-@lru_cache(maxsize=None)
-def _probe(operator, order, n, j, source, target):
-    """The system of ``operator`` (of order <= ``order``) from the degree-j
-    ``source`` to the ``target`` families (``_family`` kinds), probed once
-    per process (forked workers keep their own memo) and shared by every
-    mode system and every k, so callers must not mutate it."""
-    return probe_euler(operator, _family(source, n, j), order,
-                       target=_family(target, n, j))
-
-
-def _radial_lie_flat(xi):
-    return pt.radial_contraction(pt.lie_flat(xi))
-
-
-def _gauged_scale(n, k):
-    if k < 1:
-        raise ParameterError("need k >= 1 (the operator is Delta^(k-1) of a "
-                             "fourth-order core)")
-    return -pt.cnk(n, k) / (2 * (n - 2))
+# The family routing: each probed piece, a tuple of polytensor primitives
+# applied innermost last, has an order (its system has degree <= order in
+# z) and maps a source family kind to a target kind.  lie_flat maps the
+# co-closed family out of every basis here, so the divergence and the
+# radial contraction of a Lie derivative are probed whole.
+_ROUTES = {
+    ("laplacian",): (2, {"tensor": "tensor", "phi": "phi"}),
+    ("hessian",): (2, {"phi": "tensor"}),
+    ("divergence",): (1, {"tensor": "forms", "forms": "phi"}),
+    ("lie_flat",): (1, {"forms": "tensor"}),
+    ("radial_contraction",): (0, {"tensor": "forms"}),
+    ("divergence", "lie_flat"): (2, {"forms": "forms", "psi": "psi"}),
+    ("radial_contraction", "lie_flat"): (1, {"forms": "forms",
+                                             "psi": "psi"}),
+}
 
 
 @lru_cache(maxsize=None)
-def _gauged_A(n, k, j):
-    lap = _probe(pt.laplacian, 2, n, j, "tensor", "tensor")
-    return EulerOperator.combine([(_gauged_scale(n, k), reduce(
-        EulerOperator.compose, [lap] * (k + 1)))])
+def _probe(piece, n, j, source):
+    """The system of one piece from the degree-j ``source`` families and
+    the kind of family it ends in, probed once per process (forked
+    workers keep their own memo) and shared by every mode system and
+    every k, so callers must not mutate it."""
+    order, routes = _ROUTES.get(piece, (0, {}))
+    if source not in routes:
+        raise ProbeError(f"no mode system for {' o '.join(piece)} on the "
+                         f"{source!r} families")
+    return probe_euler(
+        lambda T: reduce(lambda x, name: getattr(pt, name)(x),
+                         reversed(piece), T),
+        _family(source, n, j), order,
+        target=_family(routes[source], n, j)), routes[source]
+
+
+class _Pieces:
+    """The primitives on mode-side operands: ``x.ops.name(x, power=1)``
+    applies the polytensor primitive ``name`` power times.  A word lists
+    its probed pieces innermost first, and a lie_flat takes the
+    divergence or radial contraction applied right after it into its
+    piece."""
+
+    def __getattr__(self, name):
+        def apply(word, _):
+            fused = (name,) + word[-1] if word else ()
+            return word[:-1] + (fused,) if fused in _ROUTES else \
+                word + ((name,),)
+        return lambda x, power=1: _Words(
+            [(reduce(apply, range(power), w), c) for w, c in x.items()], x.n)
+
+
+class _Words(dict):
+    """The mode-side operand of a table statement: word -> coefficient, a
+    word being the probed pieces applied to the source families.  Its
+    ``ops`` are the pieces (``_Pieces``); ``n`` and ``rank`` are the
+    source's, which a statement may read."""
+
+    ops = _Pieces()
+
+    def __init__(self, items, n, rank=None):
+        super().__init__((w, c) for w, c in items if c)
+        self.n, self.rank = n, rank
+
+    def __add__(self, other):
+        return _Words([(w, self.get(w, 0) + other.get(w, 0))
+                       for w in {**self, **other}], self.n)
+
+    def __sub__(self, other):
+        return self + other.scaled(-1)
+
+    def scaled(self, c):
+        return _Words([(w, v * c) for w, v in self.items()], self.n)
+
+
+def _system(terms, n, j, family):
+    """The system of sum c * word over terms (c, word) from ``family``,
+    and the kind of family it ends in.  A piece that every word starts or
+    ends with is composed once around the rest; a lone word with
+    coefficient 1 is its composite itself."""
+    (c, first), *rest = terms
+    ends = rest and all(len(p) > 1 for _, p in terms)
+    if (not rest and len(first) > 1
+            or ends and all(p[0] == first[0] for _, p in rest)):
+        op, mid = _probe(first[0], n, j, family)
+        outer, end = _system([(c, p[1:]) for c, p in terms], n, j, mid)
+        return outer.compose(op), end
+    if ends and all(p[-1] == first[-1] for _, p in rest):
+        inner, mid = _system([(c, p[:-1]) for c, p in terms], n, j, family)
+        op, end = _probe(first[-1], n, j, mid)
+        return op.compose(inner), end
+    if rest:
+        parts = [_system([term], n, j, family) for term in terms]
+        return (EulerOperator.combine([(1, op) for op, _ in parts]),
+                parts[0][1])
+    op, end = _probe(first[0], n, j, family)
+    return op if c == 1 else EulerOperator.combine([(c, op)]), end
 
 
 @lru_cache(maxsize=None)
-def _gauged_B(n, k, j):
-    lap = _probe(pt.laplacian, 2, n, j, "tensor", "tensor")
-    hess_div = _probe(pt.hessian, 2, n, j, "phi", "tensor").compose(
-        _probe(pt.divergence, 1, n, j, "forms", "phi"))
-    lap_lie = lap.compose(_probe(pt.lie_flat, 1, n, j, "forms", "tensor"))
-    core = EulerOperator.combine([(1, hess_div), (-1, lap_lie)]).compose(
-        _probe(pt.radial_contraction, 0, n, j, "tensor", "forms"))
-    return EulerOperator.combine([(_gauged_scale(n, k), reduce(
-        EulerOperator.compose, [lap] * (k - 1) + [core]))])
+def _part(op, n, k, j, source, power):
+    """The t^power part (power 0 or 1) of the system of the table
+    operator ``op`` on the degree-j ``source`` families, memoized per
+    (op, n, k, j, source).  Every statement is affine in t, so its t^1
+    part is its words at t = 1 less those at t = 0."""
+    rank = _family(source, n, j).elements[0].rank
+
+    def at(t):
+        return pt.OPERATORS[op](_Words({(): 1}.items(), n, rank), t, k, 0)
+
+    words = at(1) - at(0) if power else at(0)
+    return _system([(c, w) for w, c in words.items()], n, j, source)[0]
 
 
-def _gauged_system(n, k, t, j):
-    A = _gauged_A(n, k, j)
-    if t == 0:
-        return A
-    return EulerOperator.combine([(1, A), (t, _gauged_B(n, k, j))])
+def _affine_system(op, n, k, t, j, source):
+    """P = A + t B of the table operator ``op`` from its memoized parts;
+    at t = 0 the memoized A itself, shared with every caller, who must
+    not mutate it."""
+    A = _part(op, n, k, j, source, 0)
+    return A if exact_t(t) == 0 else EulerOperator.combine(
+        [(1, A), (t, _part(op, n, k, j, source, 1))])
 
 
 def tensor_mode_system(n, k, t, j):
     """Angular families and exact system P(z; t) = A(z) + t B(z) of the
-    gauged linearized operator
-
-        -c_{n,k}/(2(n-2)) Delta^(k-1) (Delta^2 + t (Hess div - Delta lie) i_r)
-
-    at degree j.  A and B are composed once per (n, k, j) from systems of
-    order <= 2 on the degree-j 2-tensor, 1-form and phi_j families, each
-    probed once per (n, j) and process (``_probe``) and shared across k
-    and with the other mode systems.  At t = 0 only the Laplacian is
-    probed and the returned system is the memoized A itself, shared with
-    every caller, who must not mutate it."""
-    _exact_t(t)
-    op = _gauged_system(n, k, t, j)
+    table's gauged linearized operator ("gauged_lin") at degree j.  A and
+    B are composed once per (n, k, j) from pieces on the degree-j
+    2-tensor, 1-form and phi_j families, each probed once per (n, j) and
+    process (``_probe``) and shared across k and with the other mode
+    systems.  At t = 0 only the Laplacian is probed and the returned
+    system is the memoized A itself, shared with every caller, who must
+    not mutate it."""
+    op = _affine_system("gauged_lin", n, k, t, j, "tensor")
     return op.basis, op
 
 
 def gauge_mode_system(n, family, t, j):
     """Basis and exact system A - t B of the modified gauge operator
-    gauge_op_t = div_t o lie_flat on one degree-j 1-form family: "typeI",
-    the co-closed r psi_j (j >= 1), or "typeII", the pair
-    [phi dr, r d(phi)].  A is the probed gauge_op, B the probed
-    radial_contraction o lie_flat."""
-    _exact_t(t)
+    gauge_op_t = div_t o lie_flat (the table's "div_lie_t") on one
+    degree-j 1-form family: "typeI", the co-closed r psi_j (j >= 1), or
+    "typeII", the pair [phi dr, r d(phi)].  A is the probed
+    divergence o lie_flat, B the probed radial_contraction o lie_flat."""
     if family not in ("typeI", "typeII"):
         raise ParameterError("family must be 'typeI' or 'typeII'")
     kind = "psi" if family == "typeI" else "forms"
-    A = _probe(pt.gauge_op, 2, n, j, kind, kind)
-    B = _probe(_radial_lie_flat, 1, n, j, kind, kind)
-    return A.basis, EulerOperator.combine([(1, A), (-t, B)])
+    op = _affine_system("div_lie_t", n, 1, t, j, kind)
+    return op.basis, op
 
 
 def scalar_mode_system(n, k, s):
     """Scalar Laplacian-power system on a single degree-s harmonic: the
-    (k + 1)-fold composite of the probed scalar Laplacian."""
+    (k + 1)-fold composite of the table's Laplacian, probed once."""
     if k < 0:
         raise ParameterError("need k >= 0 (the system is Delta^(k+1))")
-    lap = _probe(pt.laplacian, 2, n, s, "phi", "phi")
+    lap = _affine_system("laplacian", n, 1, 0, s, "phi")
     return lap.basis, reduce(EulerOperator.compose, [lap] * (k + 1))
 
 
 def divergence_mode_system(n, t, j, basis=None):
-    """Modified-divergence system div - t i_r from the degree-j 2-tensor
-    families, ``tensor_mode_basis(n, j)``, to the degree-j 1-form pair.
-    A ``basis`` given must be those families."""
-    _exact_t(t)
+    """Modified-divergence system div - t i_r (the table's "delta_t")
+    from the degree-j 2-tensor families, ``tensor_mode_basis(n, j)``, to
+    the degree-j 1-form pair.  A ``basis`` given must be those
+    families."""
     if basis is not None and basis is not _family("tensor", n, j):
         raise ParameterError("basis must be tensor_mode_basis(n, j), the "
                              "degree-j 2-tensor families")
-    return EulerOperator.combine(
-        [(1, _probe(pt.divergence, 1, n, j, "tensor", "forms")),
-         (-t, _probe(pt.radial_contraction, 0, n, j, "tensor", "forms"))])
+    return _affine_system("delta_t", n, 1, t, j, "tensor")
 
 
 def _scan_one_mode(task):
@@ -946,7 +1008,8 @@ def _scan_one_mode(task):
     n, k, j, t_values = task
     cells = {}
     for t in dict.fromkeys(t_values):
-        spec = indicial_spectrum(_gauged_system(n, k, t, j))
+        spec = indicial_spectrum(_affine_system("gauged_lin", n, k, t, j,
+                                                 "tensor"))
         zeros = [root for root in spec.roots
                  if root.classification == "zero"]
         if zeros:
@@ -988,7 +1051,7 @@ def degenerate_scan(n, k, t_values, j_max, *, jobs=1):
     if jobs < 1:
         raise ParameterError(f"need jobs >= 1, got {jobs}")
     for t in t_values:
-        _exact_t(t)
+        exact_t(t)
     tasks = [(n, k, j, t_values) for j in range(j_max + 1)]
     per_j = parallel_map(_scan_one_mode, tasks, jobs)
     findings = []

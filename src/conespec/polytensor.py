@@ -10,15 +10,21 @@ radial contraction, the modified divergence, Lie derivative of the flat
 metric, the gauge operators on 1-forms, the gauged linearized operator on
 2-tensors, and the full linearized Bach/obstruction operator.
 
-Each operator is stated once: ``partial`` and ``laplacian`` are closed-form
-kernels; ``gradient``, ``divergence``, ``trace2``, ``radial_contraction``,
-``mul_scalar_field``, ``tensor_outer`` and ``lie_flat`` list their image
-terms for one private builder, ``_build``, which merges like terms; the rest
-are compositions (``hessian = gradient(gradient(.))``, ``lie_flat`` is
-nabla xi plus its transpose, ``dr_tensor = tensor_outer(dr, dr)``, and so on
-up to ``gauged_lin`` and ``bach_lin``).  ``PolyTensor.add_term`` is the
-public one-term constructor for explicit fields (``from_json``, the standard
-fields, tests); no operator uses it.
+Each primitive is stated once: ``partial`` and ``laplacian`` are
+closed-form kernels; ``gradient``, ``divergence``, ``trace2``,
+``radial_contraction``, ``mul_scalar_field``, ``tensor_outer`` and
+``lie_flat`` list their image terms for one private builder, ``_build``,
+which merges like terms; ``hessian = gradient(gradient(.))``.  Each
+operator built on them (``div_star``, ``div_t``, ``gauge_op_t`` and
+``gauge_op``, ``gauged_lin``, ``bach_lin``) is stated once, as a plain
+function of its argument x over the primitives ``x.ops``, and the table
+``OPERATORS`` lists every operator under its ``apply`` opcode.  Two
+evaluators read the same statements: on a field, ``x.ops`` is this module
+(``apply_operator``, and the public names called on fields); on a
+``mode_ode`` operand it is the probed pieces, whose sums and compositions
+give the mode systems.  ``PolyTensor.add_term`` is the public one-term
+constructor for explicit fields (``from_json``, the standard fields,
+tests); no operator uses it.
 
 Fields are exact: every coefficient and radial exponent is an ``int`` or
 a ``Fraction``, so orthogonality, closure and nullspace decisions are
@@ -78,10 +84,12 @@ node tuple, as one denominator and a table of integer numerators.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import lru_cache
 
+from .closed_form import ParameterError
 from .linalg import solve_dense
 
 
@@ -120,6 +128,8 @@ class PolyTensor:
     """Covariant tensor field with components sum of c * x^alpha * r^gamma."""
 
     __slots__ = ("n", "rank", "comps")
+    # the primitives the statements of OPERATORS apply to a field
+    ops = sys.modules[__name__]
 
     def __init__(self, n, rank, comps=None):
         self.n = n
@@ -492,6 +502,8 @@ def _partial_component(comp, i):
 
 def partial(T, i):
     """Partial derivative in direction i (same rank)."""
+    if not 0 <= i < T.n:
+        raise ValueError(f"index {i} out of range for n = {T.n}")
     return PolyTensor(T.n, T.rank, {
         idx: nc for idx, comp in T.comps.items()
         if (nc := _partial_component(comp, i))})
@@ -596,11 +608,6 @@ def lie_flat(xi):
         for key, c in comp.items() for out_idx in ((i, j), (j, i))))
 
 
-def div_star(xi):
-    """Adjoint of the divergence: minus half the Lie derivative."""
-    return lie_flat(xi).scaled(Fraction(-1, 2))
-
-
 def radial_contraction(T):
     """Contraction with r^{-1} d/dr in the first slot: (x_i / r^2) T_{i...}."""
     if T.rank < 1:
@@ -609,21 +616,6 @@ def radial_contraction(T):
         (idx[1:], (alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:], gamma - 2), c)
         for idx, comp in T.comps.items() for i in idx[:1]
         for (alpha, gamma), c in comp.items()))
-
-
-def div_t(T, t):
-    """Modified divergence: delta h - t * (radial contraction of h)."""
-    return divergence(T) - radial_contraction(T).scaled(t)
-
-
-def gauge_op(xi):
-    """The gauge operator on 1-forms: divergence of the Lie derivative."""
-    return divergence(lie_flat(xi))
-
-
-def gauge_op_t(xi, t):
-    """Modified gauge operator: modified divergence of the Lie derivative."""
-    return div_t(lie_flat(xi), t)
 
 
 def cnk(n, k):
@@ -638,6 +630,39 @@ def cnk(n, k):
     return Fraction(1)  # general higher-order system: constant is immaterial
 
 
+# -- the operator table -------------------------------------------------------
+
+
+def _two_tensor(h, k):
+    if h.rank != 2:
+        raise ValueError("needs a 2-tensor")
+    if k < 1:
+        raise ParameterError(f"need k >= 1, got k = {k}")
+
+
+def div_star(xi):
+    """Adjoint of the divergence: minus half the Lie derivative."""
+    return xi.ops.lie_flat(xi).scaled(Fraction(-1, 2))
+
+
+def div_t(T, t):
+    """Modified divergence: delta h - t * (radial contraction of h)."""
+    o = T.ops
+    out = o.divergence(T)
+    return out - o.radial_contraction(T).scaled(t) if _fr(t) else out
+
+
+def gauge_op_t(xi, t):
+    """Modified gauge operator: modified divergence of the Lie derivative."""
+    return div_t(xi.ops.lie_flat(xi), t)
+
+
+def gauge_op(xi):
+    """The gauge operator on 1-forms: gauge_op_t at t = 0, the divergence
+    of the Lie derivative."""
+    return gauge_op_t(xi, 0)
+
+
 def gauged_lin(h, k, t):
     """Gauged linearized operator on 2-tensors (strictly elliptic reduction).
 
@@ -649,20 +674,15 @@ def gauged_lin(h, k, t):
     - p Delta lie(i_radial h) ), so integer input stays integer until the
     one final scaling.
     """
-    if h.rank != 2:
-        raise ValueError("needs a 2-tensor")
-    if k < 1:
-        raise ValueError(f"need k >= 1, got k = {k}")
-    n = h.n
-    t = _fr(t)
-    p, q = t.numerator, t.denominator
-    core = laplacian(h, 2).scaled(q)
-    if t != 0:
-        ir = radial_contraction(h)
-        core = core + (hessian(divergence(ir))
-                       - laplacian(lie_flat(ir))).scaled(p)
-    out = laplacian(core, k - 1) if k > 1 else core
-    return out.scaled(-cnk(n, k) / (2 * q * (n - 2)))
+    _two_tensor(h, k)
+    o, t = h.ops, _fr(t)
+    core = o.laplacian(h, 2).scaled(t.denominator)
+    if t:
+        ir = o.radial_contraction(h)
+        core = core + (o.hessian(o.divergence(ir))
+                       - o.laplacian(o.lie_flat(ir))).scaled(t.numerator)
+    return o.laplacian(core, k - 1).scaled(
+        -cnk(h.n, k) / (2 * t.denominator * (h.n - 2)))
 
 
 def bach_lin(h, k=1):
@@ -672,60 +692,50 @@ def bach_lin(h, k=1):
         - 1/(2(n-1)) Hess(div div h) - 1/(n-2) Delta div_star(div h)
         + 1/(2(n-1)(n-2)) (Delta^2 tr h - Delta div div h) g ).
     """
-    if h.rank != 2:
-        raise ValueError("needs a 2-tensor")
-    if k < 1:
-        raise ValueError(f"need k >= 1, got k = {k}")
-    n = h.n
-    tr = trace2(h)
-    dh = divergence(h)
-    ddh = divergence(dh)
-    core = laplacian(h, 2).scaled(Fraction(-1, 2 * (n - 2)))
-    core = core - hessian(laplacian(tr)).scaled(Fraction(1, 2 * (n - 1) * (n - 2)))
-    core = core - hessian(ddh).scaled(Fraction(1, 2 * (n - 1)))
-    core = core - laplacian(div_star(dh)).scaled(Fraction(1, n - 2))
-    trace_part = (laplacian(tr, 2) - laplacian(ddh)).scaled(
+    _two_tensor(h, k)
+    o, n = h.ops, h.n
+    tr = o.trace2(h)
+    dh = o.divergence(h)
+    ddh = o.divergence(dh)
+    core = o.laplacian(h, 2).scaled(Fraction(-1, 2 * (n - 2)))
+    core = core - o.hessian(o.laplacian(tr)).scaled(
         Fraction(1, 2 * (n - 1) * (n - 2)))
-    core = core + mul_scalar_field(delta_metric(n), trace_part)
-    return laplacian(core, k - 1) if k > 1 else core
+    core = core - o.hessian(ddh).scaled(Fraction(1, 2 * (n - 1)))
+    core = core - o.laplacian(div_star(dh)).scaled(Fraction(1, n - 2))
+    trace_part = (o.laplacian(tr, 2) - o.laplacian(ddh)).scaled(
+        Fraction(1, 2 * (n - 1) * (n - 2)))
+    core = core + o.mul_scalar_field(o.delta_metric(n), trace_part)
+    return o.laplacian(core, k - 1)
 
 
-OPCODES = ("partial", "laplacian", "div", "div_star", "trace", "hessian",
-           "i_radial", "delta_t", "lie", "div_lie", "div_lie_t",
-           "gauged_lin", "bach_lin")
+# The operators, keyed by their ``apply`` opcodes.  Each is stated once,
+# above, as a plain function of its argument x over the primitives
+# ``x.ops``.  Two evaluators read the table: a field's ops are this
+# module's functions (``apply_operator`` and the public names above), and
+# a ``mode_ode`` operand's are its probed pieces.
+OPERATORS = {
+    "partial": lambda x, t, k, index: x.ops.partial(x, index),
+    "laplacian": lambda x, t, k, index: x.ops.laplacian(x),
+    "div": lambda x, t, k, index: x.ops.divergence(x),
+    "div_star": lambda x, t, k, index: div_star(x),
+    "trace": lambda x, t, k, index: x.ops.trace2(x),
+    "hessian": lambda x, t, k, index: x.ops.hessian(x),
+    "i_radial": lambda x, t, k, index: x.ops.radial_contraction(x),
+    "delta_t": lambda x, t, k, index: div_t(x, t),
+    "lie": lambda x, t, k, index: x.ops.lie_flat(x),
+    "div_lie": lambda x, t, k, index: gauge_op(x),
+    "div_lie_t": lambda x, t, k, index: gauge_op_t(x, t),
+    "gauged_lin": lambda x, t, k, index: gauged_lin(x, k, t),
+    "bach_lin": lambda x, t, k, index: bach_lin(x, k),
+}
+OPCODES = tuple(OPERATORS)
 
 
 def apply_operator(op, field, *, t=0, k=1, index=0):
-    """Dispatch an opcode to the corresponding exact operator."""
-    if op == "partial":
-        if not 0 <= index < field.n:
-            raise ValueError(f"index {index} out of range for n = {field.n}")
-        return partial(field, index)
-    if op == "laplacian":
-        return laplacian(field)
-    if op == "div":
-        return divergence(field)
-    if op == "div_star":
-        return div_star(field)
-    if op == "trace":
-        return trace2(field)
-    if op == "hessian":
-        return hessian(field)
-    if op == "i_radial":
-        return radial_contraction(field)
-    if op == "delta_t":
-        return div_t(field, t)
-    if op == "lie":
-        return lie_flat(field)
-    if op == "div_lie":
-        return gauge_op(field)
-    if op == "div_lie_t":
-        return gauge_op_t(field, t)
-    if op == "gauged_lin":
-        return gauged_lin(field, k, t)
-    if op == "bach_lin":
-        return bach_lin(field, k)
-    raise ValueError(f"unknown opcode {op!r}; known: {OPCODES}")
+    """The table's operator ``op`` evaluated on a field."""
+    if op not in OPERATORS:
+        raise ValueError(f"unknown opcode {op!r}; known: {OPCODES}")
+    return OPERATORS[op](field, t, k, index)
 
 
 # -- sphere integration --------------------------------------------------

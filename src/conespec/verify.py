@@ -393,41 +393,6 @@ def check_symbol_two_block(seed=13, scale=1.0):
 # -- polytensor ----------------------------------------------------------------
 
 
-def _random_polyform(n, rng, rank=1, nterms=3, max_deg=3):
-    T = pt.PolyTensor(n, rank)
-    for _ in range(nterms):
-        idx = tuple(int(rng.integers(0, n)) for _ in range(rank))
-        alpha = tuple(int(rng.integers(0, max_deg + 1)) for _ in range(n))
-        gamma = int(rng.integers(-2, 3))
-        T.add_term(idx, alpha, gamma, int(rng.integers(-4, 5)))
-    return T
-
-
-@_suite("polytensor.gauge_composition")
-def check_gauge_composition(seed=21, scale=1.0):
-    rng = np.random.default_rng(seed)
-    ok = True
-    for _ in range(int(200 * scale) or 1):
-        n = int(rng.integers(3, 6))
-        xi = _random_polyform(n, rng)
-        ok &= (pt.divergence(pt.lie_flat(xi)) - pt.gauge_op(xi)).is_zero()
-    return _result(check_gauge_composition, ok)
-
-
-@_suite("polytensor.modified_divergence_identity")
-def check_div_t_identity(seed=22, scale=1.0):
-    rng = np.random.default_rng(seed)
-    ok = True
-    t = Fraction(3, 7)
-    for _ in range(int(50 * scale) or 1):
-        n = int(rng.integers(3, 6))
-        h = _random_polyform(n, rng, rank=2)
-        lhs = pt.div_t(h, t)
-        rhs = pt.divergence(h) - pt.radial_contraction(h).scaled(t)
-        ok &= (lhs - rhs).is_zero()
-    return _result(check_div_t_identity, ok)
-
-
 @_suite("polytensor.polar_gauge_formula")
 def check_polar_formula(seed=0, scale=1.0):
     ok = True

@@ -359,7 +359,7 @@ def test_verify_all_suite(tmp_path, name):
 def test_verify_all_jobs_matches_serial(tmp_path, monkeypatch):
     # a bare verify-all runs every registered suite and aggregates them
     monkeypatch.setattr(verify, "SUITES", [verify.check_shift_covariance,
-                                           verify.check_gauge_composition])
+                                           verify.check_moment_recursion])
     docs = []
     for jobs in ("1", "2"):
         out = tmp_path / f"v{jobs}.json"
@@ -368,13 +368,13 @@ def test_verify_all_jobs_matches_serial(tmp_path, monkeypatch):
         docs.append(read_json(out)["data"])
     assert docs[0] == docs[1]
     assert [s["name"] for s in docs[0]["suites"]] == [
-        "expsum.shift_covariance", "polytensor.gauge_composition"]
+        "expsum.shift_covariance", "polytensor.sphere_moment_recursion"]
     assert docs[0]["all_passed"] is True
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_verify_all_reports_suite_seconds(tmp_path, jobs):
-    names = ["expsum.shift_covariance", "polytensor.gauge_composition"]
+    names = ["expsum.shift_covariance", "polytensor.sphere_moment_recursion"]
     out = tmp_path / "v.json"
     argv = ["verify-all", "--scale", "0.02", "--jobs", jobs, "--out", str(out)]
     for name in names:
@@ -671,8 +671,8 @@ def test_config_file_and_flag_precedence(tmp_path):
 
 def test_config_suite_list_is_replaced_by_flags(tmp_path):
     conf = tmp_path / "conf.json"
-    conf.write_text(json.dumps({"suite": ["polytensor.gauge_composition"],
-                                "scale": 0.02}))
+    conf.write_text(json.dumps({
+        "suite": ["polytensor.sphere_moment_recursion"], "scale": 0.02}))
     out = tmp_path / "v.json"
     assert main(["verify-all", "--config", str(conf), "--suite",
                  "expsum.shift_covariance", "--out", str(out)]) == 0

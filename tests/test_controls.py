@@ -187,13 +187,18 @@ def _lie_flat_without_transpose(mp):
     mp.setattr(pt, "lie_flat", lambda xi: pt.gradient(xi).scaled(2))
 
 
+# The three statements below are read by the fields and by the mode
+# systems alike, so each mutant reaches both.
+
+
 def _gauge_op_through_div_star(mp):
-    mp.setattr(pt, "gauge_op", lambda xi: pt.divergence(pt.div_star(xi)))
+    # gauge_op is gauge_op_t at t = 0, and the gauge mode systems read it
+    mp.setattr(pt, "gauge_op_t", lambda xi, t: pt.div_t(pt.div_star(xi), t))
 
 
 def _div_t_sign(mp):
-    mp.setattr(pt, "div_t", lambda T, t: pt.divergence(T)
-               + pt.radial_contraction(T).scaled(t))
+    mp.setattr(pt, "div_t", lambda T, t: T.ops.divergence(T)
+               + T.ops.radial_contraction(T).scaled(t))
 
 
 def _gauged_lin_t_sign(mp):
@@ -347,17 +352,19 @@ MUTANTS = {
                "mode_ode.degenerate_scan_small")),
     "gauge_op through div_star": Mutant(
         _gauge_op_through_div_star,
-        kills=("closed_form.rates_match_probed_spectra",
-               "polytensor.gauge_composition",
-               "polytensor.polar_gauge_formula",
+        kills=("polytensor.polar_gauge_formula",
                "mode_ode.probed_systems_match_displays")),
     "div_t's t-term sign flipped": Mutant(
-        _div_t_sign, kills=("polytensor.modified_divergence_identity",)),
+        _div_t_sign,
+        kills=("closed_form.rates_match_probed_spectra",
+               "mode_ode.probed_systems_match_displays")),
     "gauged_lin's t-term sign flipped": Mutant(
         _gauged_lin_t_sign, witness=_gauged_lin_at_t,
-        stage="no suite compares gauged_lin with the mode system, whose "
-              "t-term is composed separately; direction 19 states the "
-              "operator once"),
+        stage="gauged_lin and tensor_mode_system read one statement, so a "
+              "wrong t-term is wrong in both and direction 20's kernel "
+              "fields cannot see it; direction 2 does, since the flipped "
+              "det P at (4, 1, 2), t = 1/10 is not divisible by the "
+              "closed-form K(z + 2; t)"),
     "sphere moments with a wrong double factorial": Mutant(
         _moment_double_factorial_off,
         kills=("polytensor.sphere_moment_recursion",

@@ -1,9 +1,11 @@
 """Golden outputs: probed tensor mode systems must match a checked-in
 fixture entry for entry (regenerate with tests/data/make_golden_modes.py
-only when a change to P(z) is intended), and the annulus records and
-kernel draws must match golden_annulus.json exactly (regenerate with
+only when a change to P(z) is intended), the annulus records and kernel
+draws must match golden_annulus.json exactly (regenerate with
 tests/data/make_golden_annulus.py only when a change to them is
-intended)."""
+intended), and every ``apply`` opcode must reproduce golden_apply.json
+(regenerate with tests/data/make_golden_apply.py only when a change to
+an operator's output is intended)."""
 
 import importlib.util
 import json
@@ -17,6 +19,7 @@ from conespec.mode_ode import tensor_mode_system
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = json.loads((DATA / "golden_modes.json").read_text())
 GOLDEN_ANNULUS = json.loads((DATA / "golden_annulus.json").read_text())
+GOLDEN_APPLY = json.loads((DATA / "golden_apply.json").read_text())
 
 
 @pytest.mark.parametrize("cell", GOLDEN,
@@ -33,17 +36,17 @@ def test_probed_system_matches_golden(cell):
         == cell["P"]
 
 
-def _annulus_generator():
-    """The fixture's generator module, so the test rebuilds each record
+def _generator(name):
+    """A fixture's generator module, so the test rebuilds each record
     exactly as the fixture was written."""
-    spec = importlib.util.spec_from_file_location(
-        "make_golden_annulus", DATA / "make_golden_annulus.py")
+    spec = importlib.util.spec_from_file_location(name, DATA / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-GEN = _annulus_generator()
+GEN = _generator("make_golden_annulus")
+GEN_APPLY = _generator("make_golden_apply")
 
 
 @pytest.mark.parametrize("rec", GOLDEN_ANNULUS["annulus"],
@@ -60,3 +63,13 @@ def test_annulus_records_match_golden(rec):
                               for r in GOLDEN_ANNULUS["random"]])
 def test_mode_solution_random_matches_golden(rec):
     assert GEN.random_record(tuple(rec["system"][1:]), rec["seed"]) == rec
+
+
+@pytest.mark.parametrize("op", sorted({r["op"]
+                                       for r in GOLDEN_APPLY["records"]}))
+def test_apply_matches_golden(op):
+    assert GOLDEN_APPLY["fields"] == GEN_APPLY.FIELDS
+    for rec in GOLDEN_APPLY["records"]:
+        if rec["op"] == op:
+            got = GEN_APPLY.record(op, rec["field"], rec["k"], rec["t"])
+            assert got == rec

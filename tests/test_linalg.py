@@ -125,6 +125,15 @@ def test_row_in_rowspace_matches_rank_comparison(case):
     assert row_in_rowspace(pivots, cand) == want
 
 
+def test_row_in_rowspace_refuses_float_candidates():
+    # 0.1 * 3 != 0.3 in floats, so a float candidate was decided wrongly
+    pivots = sparse_rref([{0: 1, 1: 1}])
+    with pytest.raises(TypeError, match="column 0"):
+        row_in_rowspace(pivots, {0: 0.1 * 3, 1: 0.3})
+    assert row_in_rowspace(pivots, {0: Fraction(3, 10), 1: Fraction(3, 10)})
+    assert not row_in_rowspace(pivots, {0: 1, 1: 2})
+
+
 def _det_gauss(a):
     """Reference determinant: Gaussian elimination in Fractions."""
     m = [list(map(Fraction, row)) for row in a]

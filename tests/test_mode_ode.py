@@ -243,8 +243,10 @@ def test_float_t_is_rejected():
     # composition would carry a float t into P silently
     for call in (lambda: tensor_mode_system(4, 1, 0.1, 1),
                  lambda: divergence_mode_system(4, 0.1, 1),
+                 lambda: gauge_mode_system(4, "typeI", 0.1, 1),
                  lambda: degenerate_scan(4, 1, [0, 0.1], 1)):
-        with pytest.raises(ProbeError, match="int or Fraction"):
+        with pytest.raises(ParameterError, match="t = 0.1 must be an int or "
+                           "Fraction"):
             call()
 
 
@@ -382,8 +384,8 @@ def _count_probes(monkeypatch):
 
 
 def _clear_mode_memos():
-    # the composed A and B hold probes, so they are cleared with the memo
-    for memo in (mode_ode._probe, mode_ode._gauged_A, mode_ode._gauged_B):
+    # the composed parts hold probes, so they are cleared with the memo
+    for memo in (mode_ode._probe, mode_ode._part):
         memo.cache_clear()
 
 
@@ -406,7 +408,7 @@ def test_second_degenerate_scan_probes_nothing(monkeypatch):
 
 
 def test_t_system_leaves_memoized_system_unchanged():
-    A = mode_ode._gauged_A(4, 1, 2)
+    A = mode_ode._part("gauged_lin", 4, 1, 2, "tensor", 0)
     before = [[list(p) for p in row] for row in A.P]
     _, op = tensor_mode_system(4, 1, Fraction(1, 10), 2)
     assert op.P != before and A.P == before

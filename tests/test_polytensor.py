@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from conespec import polytensor as pt
-from conespec.verify import check_div_t_identity, check_gauge_composition
 from field_reference import naive_slice_inner
 
 
@@ -104,12 +103,30 @@ def test_dilation_field_is_conformal():
     assert (pt.lie_flat(rdr) - pt.delta_metric(n).scaled(2)).is_zero()
 
 
+# (n, m) for the radial fields r^m dr and r^m dr (x) dr below
+RADIAL = [(n, m) for n in (3, 4, 6) for m in (Fraction(-3, 2), 0, 2, 5)]
+
+
 def test_modified_divergence_identity_exact():
-    assert check_div_t_identity(seed=9, scale=0.04)["passed"]  # 2 fields
+    # div_t (r^m dr (x) dr) = (m + n - 1 - t) r^(m-1) dr, by hand
+    t = Fraction(3, 7)
+    for n, m in RADIAL:
+        h = pt.dr_tensor(n).radial_scaled(m)
+        want = pt.radial_form(n).radial_scaled(m - 1).scaled(m + n - 1 - t)
+        assert pt.div_t(h, t) == want
 
 
 def test_gauge_is_composition():
-    assert check_gauge_composition(seed=10, scale=0.1)["passed"]  # 20 fields
+    # div_t o lie on r^m dr, by hand: lie(r^m dr) = 2 r^(m-1) (delta +
+    # (m - 1) dr (x) dr), whose divergence is 2 (m - 1)(m + n - 1) r^(m-2) dr
+    # and whose radial contraction is 2 m r^(m-2) dr
+    t = Fraction(3, 7)
+    for n, m in RADIAL:
+        xi = pt.radial_form(n).radial_scaled(m)
+        dr = pt.radial_form(n).radial_scaled(m - 2)
+        div_lie = 2 * (m - 1) * (m + n - 1)
+        assert pt.gauge_op(xi) == dr.scaled(div_lie)
+        assert pt.gauge_op_t(xi, t) == dr.scaled(div_lie - 2 * m * t)
 
 
 def test_apply_operator_dispatch():
