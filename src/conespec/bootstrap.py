@@ -83,8 +83,7 @@ def _integer_barriers_infinity(n, k):
                      "n": n, "k": k}
         elif d == n - 2 * k - 1:
             mechanism = "divergence-free kill (degree-1 profile)"
-            check = {"op": "divergence_free_nullspace",
-                     "mode": "n3_degree1" if n == 3 else "degree1",
+            check = {"op": "divergence_free_nullspace", "mode": "degree1",
                      "n": n, "k": k}
         else:
             mechanism = "nonexceptional degree (no homogeneous solution)"

@@ -1,13 +1,15 @@
 """Finite-dimensional linear algebra for the divergence-free rigidity facts.
 
 Exact nullspaces showing that homogeneous divergence-free candidates at the
-two critical degrees (and the log profile in the critical dimension, and
-the n = 3 degree-1 profile) vanish; the quadratic-vector-field/linear-
-2-tensor Lie isomorphism; and the time-1 flow pullback defect of a
-quadratic field, which is quadratic in the radius: exactly, by degree, on
-integer fields, and numerically (DOP853) as a float oracle.  The
-degree-1 reductions, nullspaces and Lie-map ranks are computed once per
-process.
+two critical degrees (and the log profile in the critical dimension)
+vanish; the quadratic-vector-field/linear-2-tensor Lie isomorphism; and
+the time-1 flow pullback defect of a quadratic field, which is quadratic
+in the radius: exactly, by degree, on integer fields, and numerically
+(DOP853) as a float oracle.  The rigidity systems are read off the
+operator table: ``operator_rows`` applies ``polytensor.OPERATORS["div"]``
+or ``["lie"]`` to one candidate field per unknown and keys the images at
+one common radial power per class, so no row is written by hand.  The
+nullspaces and Lie-map ranks are computed once per process.
 """
 
 from __future__ import annotations
@@ -22,63 +24,69 @@ import numpy as np
 
 from . import polytensor as pt
 from .closed_form import ParameterError, validate_nk
-from .linalg import (row_in_rowspace, sparse_nullspace, sparse_rank,
-                     sparse_rref)
+from .linalg import sparse_nullspace, sparse_rank, sparse_rref
 
-MODES = ("degree0", "degree1", "log", "n3_degree1")
-
-
-def _sym_pairs(n):
-    return [(i, j) for i in range(n) for j in range(i, n)]
+MODES = ("degree0", "degree1", "log")
 
 
-def _a_index(n):
-    """Index map for A_{ijl}, symmetric in (i, j): ((i<=j), l) -> column."""
-    cols = {}
-    for (i, j) in _sym_pairs(n):
-        for ell in range(n):
-            cols[(i, j, ell)] = len(cols)
-    return cols
+def operator_rows(op, fields):
+    """Sparse rows of the table operator ``op`` on one field per unknown,
+    column c holding the image of ``fields[c]``; integer fields give
+    integer rows.
 
-
-def _acol(cols, i, j, ell):
-    return cols[(min(i, j), max(i, j), ell)]
-
-
-def degree1_system(n, k):
-    """Rows of the exact divergence condition on the degree-1 profile.
-
-    Unknowns A_{ijl} (symmetric in i, j); for each fixed j the quadratic
-    identity (n-2k) sum_{i,l} A_{ijl} x_i x_l = |x|^2 sum_i A_{iji}
-    is matched coefficient by coefficient.
+    Every image is keyed at one common radial power per class of the
+    exponent mod 2, the least over all images, its higher-power terms
+    lifted by |x|^2 = sum_i x_i^2; so a combination of the fields has a
+    zero image exactly when it meets every row.  (Images canonicalized
+    one by one could hide a relation through |x|^2.)  Rows are keyed by
+    (component, radial power, monomial); a condition met under several
+    keys, as the (i, j) and (j, i) components of a symmetric image are,
+    is kept once, under its first key.
     """
-    cols = _a_index(n)
-    factor = n - 2 * k
-    rows = []
-    for j in range(n):
-        for (l, m) in _sym_pairs(n):
-            if l == m:
-                row = {_acol(cols, l, j, l): factor}
-                for i in range(n):
-                    c = _acol(cols, i, j, i)
-                    row[c] = row.get(c, 0) - 1
-            else:
-                row = {_acol(cols, l, j, m): factor,
-                       _acol(cols, m, j, l): factor}
-            rows.append({c: v for c, v in row.items() if v != 0})
-    return rows, len(cols), cols
+    images = [pt.apply_operator(op, f) for f in fields]
+    base = {}
+    for image in images:
+        for comp in image.comps.values():
+            for _, gamma in comp:
+                base[gamma % 2] = min(gamma, base.get(gamma % 2, gamma))
+    rows = {}
+    for col, image in enumerate(images):
+        for idx, comp in image.comps.items():
+            for (alpha, gamma), c in comp.items():
+                g = base[gamma % 2]
+                # the lift by |x|^(gamma - g), skipped when there is none
+                lifted = ((alpha, 1),) if gamma == g else (
+                    (tuple(map(int.__add__, alpha, b)), v)
+                    for b, v in pt._q_power(len(alpha), (gamma - g) // 2))
+                for beta, v in lifted:
+                    row = rows.setdefault((idx, g, beta), {})
+                    row[col] = row.get(col, 0) + c * v
+    distinct = {}
+    for key, row in rows.items():
+        row = {col: v for col, v in row.items() if v}
+        if row:
+            distinct.setdefault(tuple(sorted(row.items())), (key, row))
+    return dict(distinct.values())
 
 
-def constant_profile_system(n):
-    """Rows for sum_i c_{ij} x_i = 0 on a symmetric constant matrix c."""
-    pairs = _sym_pairs(n)
-    cols = {p: i for i, p in enumerate(pairs)}
-    rows = []
-    for j in range(n):
-        for i in range(n):
-            key = (min(i, j), max(i, j))
-            rows.append({cols[key]: 1})
-    return rows, len(cols), cols
+def _profile_fields(n, k, mode):
+    """One symmetric 2-tensor per unknown of a profile, i <= j:
+    r^(2k-n) x_l (e_i . e_j) for the degree-1 coefficients A_ijl, and
+    r^(2(k+1)-n) (e_i . e_j) for the constant c_ij of degree 0 and log."""
+    if mode == "degree1":
+        gamma = 2 * k - n
+        monomials = [tuple(int(q == ell) for q in range(n))
+                     for ell in range(n)]
+    else:
+        # d_i log|x| = x_i |x|^-2 is the gamma -> 0 limit of
+        # d_i |x|^gamma / gamma, so the rows of log|x| c are those of
+        # |x|^gamma c at any fixed gamma != 0, up to the factor gamma
+        gamma = 2 * (k + 1) - n if mode == "degree0" else 2
+        monomials = [(0,) * n]
+    return [pt.PolyTensor(n, 2, {idx: {(alpha, gamma): 1}
+                                 for idx in sorted({(i, j), (j, i)})})
+            for i, j in itertools.combinations_with_replacement(range(n), 2)
+            for alpha in monomials]
 
 
 def divergence_free_nullspace(n, k, mode):
@@ -86,10 +94,11 @@ def divergence_free_nullspace(n, k, mode):
 
     degree0: |x|^{2(k+1)-n} c with constant symmetric c (n != 2(k+1));
     degree1: |x|^{2(k+1)-n} u(x/|x|^2) with linear u;
-    log:     log|x| c in the critical dimension n = 2(k+1);
-    n3_degree1: the unit-sphere linear profile at n = 3.
-    The expected dimension is 0 in every mode.  The nullspace is computed
-    once per (n, k, mode) and process; every call returns a new record.
+    log:     log|x| c in the critical dimension n = 2(k+1).
+    The rows are ``operator_rows`` of the table's ``div`` on the profile's
+    candidate fields.  The expected dimension is 0 in every mode.  The
+    nullspace is computed once per (n, k, mode) and process; every call
+    returns a new record.
     """
     validate_nk(n, k)
     if mode not in MODES:
@@ -99,8 +108,6 @@ def divergence_free_nullspace(n, k, mode):
     if mode == "degree0" and n == 2 * (k + 1):
         raise ParameterError(
             "degree0 profile is constant when n = 2(k+1); use mode='log'")
-    if mode == "n3_degree1" and n != 3:
-        raise ParameterError("n3_degree1 requires n = 3")
     ncols, basis = _divergence_free_nullspace(n, k, mode)
     return {
         "mode": mode, "n": n, "k": k,
@@ -113,50 +120,19 @@ def divergence_free_nullspace(n, k, mode):
 @lru_cache(maxsize=None)
 def _divergence_free_nullspace(n, k, mode):
     """(unknowns, nullspace basis as tuples) of a validated profile."""
-    if mode in ("degree0", "log"):
-        rows, ncols, _ = constant_profile_system(n)
-        pivots = sparse_rref(rows)
-    elif mode == "degree1":
-        ncols, _, pivots = _degree1_reduction(n, k)
-    else:  # n3_degree1 is the degree-1 matching with n - 2k = 1 (n = 3)
-        ncols, _, pivots = _degree1_reduction(3, 1)
-    return ncols, tuple(tuple(v) for v in sparse_nullspace(pivots, ncols))
-
-
-@lru_cache(maxsize=None)
-def _degree1_reduction(n, k):
-    """(unknowns, column map, sparse_rref pivots) of ``degree1_system``,
-    reduced once per (n, k) and process and shared by the degree-1
-    nullspace and the identity diagnostics; callers only read it."""
-    rows, ncols, cols = degree1_system(n, k)
-    return ncols, cols, sparse_rref(rows)
-
-
-def degree1_identity_diagnostics(n, k):
-    """Check that the degree-1 system forces the two classical identities.
-
-    Verifies that the rows 'A_{pjp} = 0' and 'A_{ljm} + A_{mjl} = 0' lie in
-    the row space of the assembled system for sampled indices.  Every
-    candidate is read against the one reduction of the system that the
-    degree-1 nullspace also reads.
-    """
-    _, cols, pivots = _degree1_reduction(n, k)
-    checks = []
-    for p in range(min(n, 3)):
-        for j in range(min(n, 3)):
-            cand = {_acol(cols, p, j, p): 1}
-            checks.append(("diag", (p, j),
-                           row_in_rowspace(pivots, cand)))
-    for (l, j, m) in itertools.islice(
-            ((l, j, m) for l in range(n) for j in range(n)
-             for m in range(n) if l != m), 6):
-        cand = {_acol(cols, l, j, m): 1, _acol(cols, m, j, l): 1}
-        checks.append(("antisym", (l, j, m),
-                       row_in_rowspace(pivots, cand)))
-    return checks
+    fields = _profile_fields(n, k, mode)
+    pivots = sparse_rref(list(operator_rows("div", fields).values()))
+    return len(fields), tuple(
+        tuple(v) for v in sparse_nullspace(pivots, len(fields)))
 
 
 # -- quadratic vector fields ------------------------------------------------
+
+
+def _coefficient_keys(n):
+    """The keys (i, l, m), l <= m, of a quadratic field's coefficients."""
+    return [(i, l, m) for i in range(n) for l, m in
+            itertools.combinations_with_replacement(range(n), 2)]
 
 
 @dataclass
@@ -175,18 +151,16 @@ class QuadraticField:
         """Nonzero field with integer coefficients drawn uniformly from
         [-3, 3] (exact input for ``quadratic_flow_defect``)."""
         while True:
-            coeffs = {(i, l, m): int(rng.integers(-3, 4))
-                      for i in range(n) for (l, m) in _sym_pairs(n)}
+            coeffs = {key: int(rng.integers(-3, 4))
+                      for key in _coefficient_keys(n)}
             coeffs = {key: v for key, v in coeffs.items() if v}
             if coeffs:
                 return cls(n, coeffs)
 
     @classmethod
     def random(cls, n, rng, scale=1.0):
-        coeffs = {}
-        for i in range(n):
-            for (l, m) in _sym_pairs(n):
-                coeffs[(i, l, m)] = float(rng.standard_normal())
+        coeffs = {key: float(rng.standard_normal())
+                  for key in _coefficient_keys(n)}
         norm = math.sqrt(sum(v * v for v in coeffs.values()))
         return cls(n, {k: scale * v / norm for k, v in coeffs.items()})
 
@@ -215,52 +189,34 @@ class QuadraticField:
         return sum(abs(float(v)) for v in self.coeffs.values())
 
 
-def quadratic_lie_map_rows(n):
-    """Sparse rows of X -> L_X g0 from quadratic-field to linear-2-tensor
-    coordinates; both spaces have dimension n^2 (n+1) / 2."""
-    pairs = _sym_pairs(n)
-    acols = {}
-    for i in range(n):
-        for (l, m) in pairs:
-            acols[(i, l, m)] = len(acols)
-    rows = []
-    row_index = {}
-    for (i, j) in pairs:
-        for m in range(n):
-            row_index[(i, j, m)] = len(row_index)
-            rows.append({})
-    # (L_X g0)_{ij} = 2 sum_m (a_{ijm} + a_{jim}) x_m  (a symmetric in last two)
-    for (i, j) in pairs:
-        for m in range(n):
-            row = rows[row_index[(i, j, m)]]
-            for (p, q) in ((i, j), (j, i)):
-                key = (p, min(q, m), max(q, m))
-                col = acols[key]
-                # d_q X_p picks up a factor 2 on the diagonal l = m of a
-                weight = 2 if q == m else 1
-                row[col] = row.get(col, 0) + weight
-    return rows, len(acols), acols, row_index
-
-
 def quadratic_lie_isomorphism(n):
-    """Exact rank of the Lie map from quadratic fields to linear 2-tensors,
-    computed once per n and process; every call returns a new record."""
+    """Exact rank of the Lie map X -> L_X g0 from quadratic fields to
+    linear 2-tensors, the ``operator_rows`` of the table's ``lie`` on the
+    fields x_l x_m e_i.  Both spaces have dimension n^2 (n+1) / 2, so the
+    map is invertible when its rank is full.  The rank is computed once
+    per n and process; every call returns a new record."""
     if n < 2:
         raise ParameterError("need n >= 2")
-    nrows, ncols, rank = _lie_map_rank(n)
+    ncols, rank = _lie_map_rank(n)
     return {
         "n": n,
         "dimension": ncols,
         "rank": rank,
-        "invertible": rank == ncols and nrows == ncols,
+        "invertible": rank == ncols,
         "nullspace_dimension": ncols - rank,
     }
 
 
+def _lie_fields(n):
+    """The fields x_l x_m e_i, one per coefficient a_ilm (l <= m)."""
+    return [_integer_field(QuadraticField(n, {key: 1}))
+            for key in _coefficient_keys(n)]
+
+
 @lru_cache(maxsize=None)
 def _lie_map_rank(n):
-    rows, ncols, _, _ = quadratic_lie_map_rows(n)
-    return len(rows), ncols, sparse_rank(rows)
+    fields = _lie_fields(n)
+    return len(fields), sparse_rank(list(operator_rows("lie", fields).values()))
 
 
 # -- exact flow defect --------------------------------------------------------

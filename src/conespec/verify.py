@@ -255,24 +255,13 @@ def check_divfree(seed=0, scale=1.0):
             modes.append("log")
         else:
             modes.append("degree0")
-        if n == 3:
-            modes.append("n3_degree1")
         for mode in modes:
             rec = fk.divergence_free_nullspace(n, k, mode)
             dims[f"{n},{k},{mode}"] = rec["dimension"]
             ok &= rec["dimension"] == 0
-            if mode.endswith("degree1"):  # A_ij^l x_l, symmetric in ij
+            if mode == "degree1":  # A_ij^l x_l, symmetric in ij
                 ok &= rec["unknowns"] == n * n * (n + 1) // 2
     return _result(check_divfree, ok, dimensions=dims)
-
-
-@_suite("flat_kernel.degree1_identities")
-def check_degree1_identities(seed=0, scale=1.0):
-    ok = True
-    for (n, k) in [(6, 1), (8, 2)]:
-        checks = fk.degree1_identity_diagnostics(n, k)
-        ok &= bool(checks) and all(rec[2] for rec in checks)
-    return _result(check_degree1_identities, ok)
 
 
 @_suite("flat_kernel.quadratic_lie_isomorphism")

@@ -71,6 +71,14 @@ def test_kernel_and_quadratic_lie(tmp_path):
     assert doc["dimension"] == 18 and doc["invertible"]
 
 
+def test_kernel_has_no_n3_degree1_mode(capsys):
+    # the n = 3 degree-1 profile is mode degree1 at (3, 1)
+    with pytest.raises(SystemExit) as exc:
+        main(["kernel", "--n", "3", "--k", "1", "--mode", "n3_degree1"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'n3_degree1'" in capsys.readouterr().err
+
+
 def test_symbol_command(tmp_path):
     # the whole matrix, and the scalar value, at a non-axis xi against the
     # field operator applied to hhat (xi . x)^N / N!

@@ -143,15 +143,30 @@ def _scalar_roots_off_by_one(mp):
 # -- flat kernel ------------------------------------------------------------
 
 
-def _last_row_dropped(name):
+def _last_row_dropped(system):
+    # the reader's rows lose their last one on the system that
+    # system(op, fields) picks out
     def patch(mp):
-        _wrap(mp, fk, name, lambda f, n: ((out := f(n))[0][:-1], *out[1:]))
+        def drop(f, op, fields):
+            rows = f(op, fields)
+            if system(op, fields):
+                del rows[list(rows)[-1]]
+            return rows
+        _wrap(mp, fk, "operator_rows", drop)
     return patch
 
 
+def _constant_profile(op, fields):
+    return op == "div" and not any(
+        any(alpha) for f in fields for comp in f.comps.values()
+        for alpha, _ in comp)
+
+
 def _degree1_factor_n(mp):
-    # the homogeneity factor n - 2k of the degree-1 condition read as n
-    _wrap(mp, fk, "degree1_system", lambda f, n, k: f(n, 0))
+    # the homogeneity factor n - 2k of the degree-1 condition read as n:
+    # the degree-1 candidates at radial power -n, the k = 0 case
+    _wrap(mp, fk, "_profile_fields", lambda f, n, k, mode: f(
+        n, 0 if mode == "degree1" else k, mode))
 
 
 def _flow_form_without_lie_term(mp):
@@ -318,16 +333,15 @@ MUTANTS = {
         kills=("closed_form.scalar_roots_kill_fields",
                "mode_ode.divfree_spectrum_matches_scalar_roots")),
     "constant-profile divergence loses its last row": Mutant(
-        _last_row_dropped("constant_profile_system"),
+        _last_row_dropped(_constant_profile),
         kills=("flat_kernel.divergence_free_rigidity",
                "bootstrap.barrier_mechanisms_verified")),
     "degree-1 divergence factor n in place of n - 2k": Mutant(
         _degree1_factor_n,
         kills=("flat_kernel.divergence_free_rigidity",
-               "flat_kernel.degree1_identities",
                "bootstrap.barrier_mechanisms_verified")),
     "quadratic Lie map loses its last row": Mutant(
-        _last_row_dropped("quadratic_lie_map_rows"),
+        _last_row_dropped(lambda op, fields: op == "lie"),
         kills=("flat_kernel.quadratic_lie_isomorphism",)),
     "flow defect form without its Lie term": Mutant(
         _flow_form_without_lie_term,

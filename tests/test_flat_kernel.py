@@ -1,19 +1,20 @@
+import itertools
 import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conespec import flat_kernel as fk
 from conespec import polytensor as pt
 from conespec.closed_form import ParameterError
-from conespec.flat_kernel import (QuadraticField, _acol,
-                                  constant_profile_system,
-                                  degree1_identity_diagnostics, degree1_system,
-                                  divergence_free_nullspace,
-                                  flow_defect_form, quadratic_flow_defect,
+from conespec.flat_kernel import (QuadraticField, divergence_free_nullspace,
+                                  flow_defect_form, operator_rows,
+                                  quadratic_flow_defect,
                                   quadratic_flow_error,
-                                  quadratic_lie_isomorphism,
-                                  quadratic_lie_map_rows)
+                                  quadratic_lie_isomorphism)
 from conespec.linalg import solve_dense, sparse_rank, sparse_rref
 from conespec.verify import _nk_pairs
 from linalg_reference import fraction_rref
@@ -35,77 +36,158 @@ def test_mode_preconditions():
     with pytest.raises(ParameterError):
         divergence_free_nullspace(4, 1, "degree0")  # constant profile there
     with pytest.raises(ParameterError):
-        divergence_free_nullspace(6, 1, "n3_degree1")
+        divergence_free_nullspace(3, 1, "n3_degree1")  # now mode degree1
     with pytest.raises(ParameterError):
         divergence_free_nullspace(4, 0, "degree1")  # trace-free case deferred
 
 
-def test_degree1_assembly_matches_exact_divergence():
-    # the assembled rows are the exact coefficients of delta(|x|^{2k-n} u(x))
-    rng = np.random.default_rng(4)
-    n, k = 6, 1
-    rows, ncols, cols = degree1_system(n, k)
-    avals = {key: int(rng.integers(-3, 4)) for key in cols}
-    h = pt.PolyTensor(n, 2)
-    for (i, j, ell), a in avals.items():
-        if a == 0:
-            continue
-        alpha = tuple(1 if q == ell else 0 for q in range(n))
-        h.add_term((i, j), alpha, 2 * k - n, a)
-        if i != j:
-            h.add_term((j, i), alpha, 2 * k - n, a)
-    got = pt.divergence(h)
-    # per component j: -(n-2k) |x|^{2k-n-2} sum A x x + |x|^{2k-n} sum A_iji
-    want = pt.PolyTensor(n, 1)
+# -- the hand-built rows, kept as oracles for operator_rows -------------------
+
+
+def _pairs(n):
+    return list(itertools.combinations_with_replacement(range(n), 2))
+
+
+def hand_degree1_rows(n, k):
+    """(n-2k) sum_{i,l} A_{ijl} x_i x_l = |x|^2 sum_i A_{iji}, matched
+    coefficient by coefficient, on the unknowns A_{ijl} (symmetric in i, j)
+    in the column order of ``fk._profile_fields(n, k, "degree1")``."""
+    cols = {}
+    for c, ((i, j), ell) in enumerate(itertools.product(_pairs(n), range(n))):
+        cols[(i, j, ell)] = cols[(j, i, ell)] = c
+    rows = []
     for j in range(n):
-        for ell in range(n):
-            for m in range(n):
-                a = avals.get((min(ell, j), max(ell, j), m), 0)
-                if a:
-                    alpha = [0] * n
-                    alpha[ell] += 1
-                    alpha[m] += 1
-                    want.add_term((j,), tuple(alpha), 2 * k - n - 2,
-                                  -(n - 2 * k) * a)
-        for i in range(n):
-            a = avals.get((min(i, j), max(i, j), i), 0)
-            if a:
-                alpha = tuple(0 for _ in range(n))
-                want.add_term((j,), alpha, 2 * k - n, a)
-    assert (got - want).is_zero()
+        for (l, m) in _pairs(n):
+            row = {cols[(a, j, b)]: n - 2 * k for a, b in {(l, m), (m, l)}}
+            if l == m:
+                for i in range(n):
+                    row[cols[(i, j, i)]] = row.get(cols[(i, j, i)], 0) - 1
+            rows.append({c: v for c, v in row.items() if v})
+    return rows
 
 
-def test_identity_checks_match_rank_comparison():
-    # each check read against the one reduction equals "appending the
-    # candidate keeps the rank"
+def hand_constant_rows(n):
+    """sum_i c_{ij} x_i = 0 on a symmetric constant matrix c."""
+    cols = {p: c for c, p in enumerate(_pairs(n))}
+    return [{cols[(min(i, j), max(i, j))]: 1}
+            for j in range(n) for i in range(n)]
+
+
+def hand_lie_rows(n):
+    """(L_X g0)_{ij} = d_i X_j + d_j X_i, matched at each x_m, on the
+    coefficients a_{ilm} in the order of ``fk._coefficient_keys(n)``;
+    d_q X_p picks up a factor 2 on the diagonal l = m of a."""
+    acols = {key: c for c, key in enumerate(fk._coefficient_keys(n))}
+    rows = []
+    for (i, j) in _pairs(n):
+        for m in range(n):
+            row = {}
+            for (p, q) in ((i, j), (j, i)):
+                col = acols[(p, min(q, m), max(q, m))]
+                row[col] = row.get(col, 0) + (2 if q == m else 1)
+            rows.append(row)
+    return rows
+
+
+def _lie_rows(n):
+    return operator_rows("lie", fk._lie_fields(n))
+
+
+def _div_rows(n, k, mode):
+    return list(operator_rows("div", fk._profile_fields(n, k, mode)).values())
+
+
+def _assert_same_row_space(hand, read):
+    rank = sparse_rank(hand)
+    assert sparse_rank(read) == rank
+    assert sparse_rank(hand + read) == rank
+
+
+def test_degree1_assembly_matches_exact_divergence():
+    # the rows read off div on r^(2k-n) x_l (e_i . e_j) span the hand rows
     for (n, k) in _nk_pairs(8):
-        rows, _, cols = degree1_system(n, k)
-        base = sparse_rank(rows)
-        for kind, idx, got in degree1_identity_diagnostics(n, k):
-            if kind == "diag":
-                p, j = idx
-                cand = {_acol(cols, p, j, p): 1}
-            else:
-                l, j, m = idx
-                cand = {_acol(cols, l, j, m): 1, _acol(cols, m, j, l): 1}
-            assert got == (sparse_rank(rows + [cand]) == base), (n, k, idx)
+        _assert_same_row_space(hand_degree1_rows(n, k),
+                               _div_rows(n, k, "degree1"))
+
+
+def test_constant_profile_rows_match_hand_rows():
+    # degree 0 and log read the same rows, up to the factor gamma
+    for (n, k) in _nk_pairs(8):
+        mode = "log" if n == 2 * (k + 1) else "degree0"
+        _assert_same_row_space(hand_constant_rows(n), _div_rows(n, k, mode))
+
+
+def test_lie_rows_match_hand_rows():
+    for n in range(2, 7):
+        _assert_same_row_space(hand_lie_rows(n),
+                               list(_lie_rows(n).values()))
+
+
+def test_rows_keyed_at_one_radial_power_see_the_sphere_relation():
+    # x_1^2 r^-2 + x_2^2 r^-2 - r^0 = 0 on R^2: keyed one image at a time
+    # the three traces look independent, at one common power they are not
+    fields = [pt.PolyTensor(2, 2).add_term((0, 0), (2, 0), -2, 1),
+              pt.PolyTensor(2, 2).add_term((1, 1), (0, 2), -2, 1),
+              pt.PolyTensor(2, 2).add_term((0, 0), (0, 0), 0, 1)]
+    rows = operator_rows("trace", fields)
+    assert sparse_rank(list(rows.values())) == 2
+    assert {g for _, g, _ in rows} == {-2}
+
+
+@st.composite
+def candidate_sets(draw):
+    n = draw(st.integers(2, 4))
+    term = st.tuples(st.integers(0, n - 1),
+                     st.lists(st.integers(0, 2), min_size=n, max_size=n),
+                     st.integers(-3, 2), st.integers(-3, 3).filter(bool))
+    fields = []
+    for terms in draw(st.lists(st.lists(term, min_size=1, max_size=3),
+                               min_size=1, max_size=4)):
+        field = pt.PolyTensor(n, 1)
+        for i, alpha, gamma, c in terms:
+            field.add_term((i,), alpha, gamma, c)
+        fields.append(field)
+    if draw(st.booleans()):
+        # the pieces x_i^2 r^-2 f of the first field f sum to f, a
+        # relation through |x|^2 that no single image shows
+        fields += [pt.mul_scalar_field(fields[0], pt.PolyTensor(n, 0).add_term(
+            (), [2 * (q == i) for q in range(n)], -2, 1)) for i in range(n)]
+    return draw(st.sampled_from(("div", "lie", "laplacian"))), fields
+
+
+@settings(max_examples=40, deadline=None)
+@given(candidate_sets(), st.integers(0, 2 ** 32 - 1))
+def test_operator_rows_rank_matches_evaluated_images(case, seed):
+    # the exact rank equals the numerical rank of the images evaluated at
+    # 3 x ncols random points (radii in [1/2, 2], so no image is ill-scaled)
+    op, fields = case
+    n = fields[0].n
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((3 * len(fields), n))
+    points *= (rng.uniform(0.5, 2, len(points))
+               / np.linalg.norm(points, axis=1))[:, None]
+    images = [pt.apply_operator(op, f) for f in fields]
+    values = np.array([np.concatenate([np.ravel(im.evaluate(x))
+                                       for x in points]) for im in images])
+    rows = list(operator_rows(op, fields).values())
+    assert sparse_rank(rows) == np.linalg.matrix_rank(values.T)
 
 
 def test_suite_reductions_match_fraction_reference():
-    # every system the rigidity and Lie suites reduce: the 7 degree-1
-    # systems of _nk_pairs(8), the constant profiles and the Lie maps
-    pairs = _nk_pairs(8)
-    systems = [degree1_system(n, k)[0] for n, k in pairs]
-    systems += [constant_profile_system(n)[0] for n in {n for n, _ in pairs}]
-    systems += [quadratic_lie_map_rows(n)[0] for n in range(2, 7)]
+    # every system the rigidity and Lie suites reduce: the degree-1,
+    # degree-0 and log systems of _nk_pairs(8), and the Lie maps
+    systems = [_div_rows(n, k, mode) for n, k in _nk_pairs(8)
+               for mode in ("degree1",
+                            "log" if n == 2 * (k + 1) else "degree0")]
+    systems += [list(_lie_rows(n).values()) for n in range(2, 7)]
     for rows in systems:
         assert sparse_rref(rows) == fraction_rref(rows)
 
 
 def test_lie_rank_against_float_oracle():
     for n in (3, 4, 5):
-        rows, ncols, acols, ridx = quadratic_lie_map_rows(n)
-        dense = np.zeros((len(rows), ncols))
+        rows = list(_lie_rows(n).values())
+        dense = np.zeros((len(rows), n * n * (n + 1) // 2))
         for r, row in enumerate(rows):
             for c, v in row.items():
                 dense[r, c] = float(v)
@@ -140,17 +222,14 @@ def solve_quadratic_lie(n, linear_tensor_coeffs):
     linear_tensor_coeffs: dict (i<=j, m) -> value of the x_m coefficient of
     h_{ij}.  Returns a QuadraticField.
     """
-    rows, ncols, acols, row_index = quadratic_lie_map_rows(n)
-    dense = [[Fraction(0)] * ncols for _ in range(len(rows))]
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            dense[r][c] = v
-    rhs = [Fraction(0)] * len(rows)
-    for (i, j, m), v in linear_tensor_coeffs.items():
-        rhs[row_index[(min(i, j), max(i, j), m)]] = Fraction(v)
+    rows = _lie_rows(n)
+    keys = fk._coefficient_keys(n)
+    dense = [[Fraction(row.get(c, 0)) for c in range(len(keys))]
+             for row in rows.values()]
+    rhs = [Fraction(linear_tensor_coeffs.get(
+        (min(idx), max(idx), alpha.index(1)), 0)) for idx, _, alpha in rows]
     sol = solve_dense(dense, rhs)
-    coeffs = {key: sol[col] for key, col in acols.items() if sol[col] != 0}
-    return QuadraticField(n, coeffs)
+    return QuadraticField(n, {key: v for key, v in zip(keys, sol) if v})
 
 
 def test_solve_quadratic_lie_inverts():
@@ -239,30 +318,6 @@ def test_memoized_nullspace_basis_rows_are_fresh(monkeypatch):
         assert divergence_free_nullspace(4, 1, "degree1")["basis"][0][0] == 1
     finally:
         fk._divergence_free_nullspace.cache_clear()
-
-
-def test_degree1_system_is_reduced_once(monkeypatch):
-    # the degree-1 nullspace and the identity diagnostics read one reduction
-    from conespec import flat_kernel as fk
-    from conespec.linalg import sparse_rref
-
-    want = degree1_identity_diagnostics(6, 1)
-    calls = []
-
-    def counting_rref(rows):
-        calls.append(1)
-        return sparse_rref(rows)
-
-    monkeypatch.setattr(fk, "sparse_rref", counting_rref)
-    fk._divergence_free_nullspace.cache_clear()
-    fk._degree1_reduction.cache_clear()
-    try:
-        assert divergence_free_nullspace(6, 1, "degree1")["dimension"] == 0
-        assert degree1_identity_diagnostics(6, 1) == want
-        assert len(calls) == 1
-    finally:
-        fk._divergence_free_nullspace.cache_clear()
-        fk._degree1_reduction.cache_clear()
 
 
 def test_flow_defect_single_coefficient_by_hand():
