@@ -4,9 +4,9 @@ Used wherever a dimension or rank decision must be exact rather than
 numerically zero: divergence-free nullspaces, angular Gram solves,
 polynomial interpolation of probed mode systems, square-free splits of
 their determinants.  The sparse elimination (``sparse_rref``, and the
-nullspace, rank and row-space tests read from it) runs on integer rows,
-each over its common denominator, and accepts only int and Fraction
-entries; ``solve_dense`` alone stays on rows of Fractions, because it is on
+nullspace and rank read from it) runs on integer rows, each over its
+common denominator, and accepts only int and Fraction entries;
+``solve_dense`` alone stays on rows of Fractions, because it is on
 the probing path (the angular Gram solves).  The polynomial kernels work
 on integer numerators over one common denominator and make one Fraction
 per output coefficient:
@@ -27,25 +27,6 @@ from functools import lru_cache
 from itertools import zip_longest
 
 ZERO = Fraction(0)
-
-
-def _clean(row: dict) -> dict:
-    return {c: v for c, v in row.items() if v != 0}
-
-
-def _reduce(row, pivots):
-    """The row (dict col -> Fraction) with every pivot column cleared.
-
-    pivots is a fully reduced sparse_rref result: each pivot row is 1 at
-    its own column and 0 at every other pivot column, so clearing one
-    pivot column leaves the others as they are and one pass suffices.
-    """
-    row = _clean(dict(row))
-    for c in [c for c in row if c in pivots]:
-        f = row[c]
-        for pc, pv in pivots[c].items():
-            row[pc] = row.get(pc, ZERO) - f * pv
-    return _clean(row)
 
 
 def _integer_row(row):
@@ -141,19 +122,6 @@ def sparse_nullspace(pivots, ncols: int):
             v[pc] = -prow.get(fc, ZERO)
         basis.append(v)
     return basis
-
-
-def row_in_rowspace(pivots, candidate) -> bool:
-    """Whether candidate (dict col -> int or Fraction) lies in the row
-    space whose sparse_rref is pivots.
-
-    The candidate is put over its common denominator (a float entry
-    raises TypeError naming its column, as in sparse_rref) and reduced as
-    sparse_rref reduces an appended row; it lies in the row space exactly
-    when nothing is left, that is, when appending it would not raise the
-    rank.
-    """
-    return not _reduce(_integer_row(candidate), pivots)
 
 
 def solve_dense(a, b):

@@ -8,7 +8,9 @@ second evaluator of ``polytensor.OPERATORS``, the table that states each
 operator once: a statement applied to ``_Words`` yields its words, sums of
 probed pieces of order <= 2 (Laplacian, Hessian, divergence, flat Lie
 derivative, radial contraction, and the divergence and radial contraction
-of a Lie derivative), composed with P_{A o B}(z) = P_A(z - w_B) P_B(z).
+of a Lie derivative).  One rule evaluates a sum of words: each word's
+pieces are composed innermost first, with P_{A o B}(z) = P_A(z - w_B)
+P_B(z), and the words' systems are summed with their coefficients.
 Every operator is affine in t, P(z; t) = A(z) + t B(z), with A and B
 memoized.  One memo (``_probe``), keyed by piece, (n, j) and source family,
 probes each piece once per process and shares it across k, t, the tensor,
@@ -452,14 +454,21 @@ def indicial_spectrum(op):
     flagged low_confidence when two float roots lie within
     LOW_CONFIDENCE_GAP of each other; its chain bases are built only when
     read.  A coefficient of P that is not an int or Fraction raises
-    ProbeError.
+    ProbeError, and a factor with a coefficient past the float range
+    raises RangeError.
     """
     det = op.det_poly()
     if all(c == 0 for c in det):
         raise ProbeError("identically singular system")
     out = []
     for factor, mult in poly_squarefree_factors(det):
-        for z in np.roots([complex(c) for c in reversed(factor)]):
+        try:
+            coeffs = [complex(c) for c in reversed(factor)]
+        except OverflowError:
+            raise RangeError(f"a degree-{len(factor) - 1} factor of det P "
+                             "has a coefficient past the float range") \
+                from None
+        for z in np.roots(coeffs):
             center = complex(z)
             if abs(center.imag) < 1e-10:
                 center = complex(center.real, 0.0)
@@ -584,8 +593,7 @@ class RadialGram:
         """Squared unweighted norms of every family profile of a stack of
         (..., K, m_ang) coefficient tensors on the interval of the Gram
         matrix g: the real parts of v^T g conj(v), shape (..., m_ang)."""
-        return np.einsum("...kc,kl,...lc->...c", coeffs, g,
-                         coeffs.conj()).real
+        return (np.matmul(g, coeffs.conj()) * coeffs).sum(axis=-2).real
 
     def norm_sq(self, sol, t0, t1, gram=None):
         """Weighted squared norm of one solution, family by family: the
@@ -904,43 +912,33 @@ class _Words(dict):
         return _Words([(w, v * c) for w, v in self.items()], self.n)
 
 
-def _system(terms, n, j, family):
-    """The system of sum c * word over terms (c, word) from ``family``,
-    and the kind of family it ends in.  A piece that every word starts or
-    ends with is composed once around the rest; a lone word with
-    coefficient 1 is its composite itself."""
-    (c, first), *rest = terms
-    ends = rest and all(len(p) > 1 for _, p in terms)
-    if (not rest and len(first) > 1
-            or ends and all(p[0] == first[0] for _, p in rest)):
-        op, mid = _probe(first[0], n, j, family)
-        outer, end = _system([(c, p[1:]) for c, p in terms], n, j, mid)
-        return outer.compose(op), end
-    if ends and all(p[-1] == first[-1] for _, p in rest):
-        inner, mid = _system([(c, p[:-1]) for c, p in terms], n, j, family)
-        op, end = _probe(first[-1], n, j, mid)
-        return op.compose(inner), end
-    if rest:
-        parts = [_system([term], n, j, family) for term in terms]
-        return (EulerOperator.combine([(1, op) for op, _ in parts]),
-                parts[0][1])
-    op, end = _probe(first[0], n, j, family)
-    return op if c == 1 else EulerOperator.combine([(c, op)]), end
+def _word(word, n, j, family):
+    """The system of one word from the degree-j ``family``: its pieces,
+    each probed through ``_probe``, composed innermost first."""
+    op, family = _probe(word[0], n, j, family)
+    for piece in word[1:]:
+        outer, family = _probe(piece, n, j, family)
+        op = outer.compose(op)
+    return op
 
 
 @lru_cache(maxsize=None)
 def _part(op, n, k, j, source, power):
     """The t^power part (power 0 or 1) of the system of the table
     operator ``op`` on the degree-j ``source`` families, memoized per
-    (op, n, k, j, source).  Every statement is affine in t, so its t^1
-    part is its words at t = 1 less those at t = 0."""
+    (op, n, k, j, source): the sum of its words' systems, each composed
+    plainly by ``_word``, or the word's own system when the part is a
+    single word with coefficient 1.  Every statement is affine in t, so
+    its t^1 part is its words at t = 1 less those at t = 0."""
     rank = _family(source, n, j).elements[0].rank
 
     def at(t):
         return pt.OPERATORS[op](_Words({(): 1}.items(), n, rank), t, k, 0)
 
     words = at(1) - at(0) if power else at(0)
-    return _system([(c, w) for w, c in words.items()], n, j, source)[0]
+    terms = [(c, _word(w, n, j, source)) for w, c in words.items()]
+    (c, first), *rest = terms
+    return first if not rest and c == 1 else EulerOperator.combine(terms)
 
 
 def _affine_system(op, n, k, t, j, source):

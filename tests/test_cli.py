@@ -451,6 +451,16 @@ def test_symbol_overflow_is_numeric_failure(capsys):
     assert "symbol value overflowed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["modes", "three-annulus"])
+def test_huge_t_is_numeric_failure_naming_the_float_range(capsys, command):
+    # det P at t = 1e200 is exact, but its factors leave the float range
+    # before np.roots can take them
+    assert main([command, "--n", "4", "--k", "1", "--j", "1",
+                 "--t", "1e200"]) == 3
+    assert ("a degree-5 factor of det P has a coefficient past the float "
+            "range") in capsys.readouterr().err
+
+
 def test_turan_single_checks(tmp_path):
     out = tmp_path / "t.json"
     assert main(["turan", "--check", "discrete", "--d", "3", "--seed", "5",

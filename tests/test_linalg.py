@@ -1,7 +1,7 @@
 """Exact elimination: the integer sparse reduced form behind nullspaces
-and the row-space test, read against the Fraction reference elimination
-and a precomputed reduction, and the Bareiss determinant behind det P(z)
-read against Fraction Gaussian elimination."""
+and ranks, read against the Fraction reference elimination and a
+precomputed reduction, and the Bareiss determinant behind det P(z) read
+against Fraction Gaussian elimination."""
 
 import json
 import pathlib
@@ -13,8 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conespec.linalg import (det_dense, lagrange_coefficients, poly_eval,
-                             row_in_rowspace, sparse_nullspace, sparse_rank,
-                             sparse_rref)
+                             sparse_nullspace, sparse_rank, sparse_rref)
 from conespec.mode_ode import tensor_mode_system
 from linalg_reference import fraction_rref
 
@@ -99,39 +98,6 @@ def test_rref_refuses_inexact_entries():
         sparse_rref([{0: Fraction(1, 2), 1: 1}, {1: 0.25}])
     with pytest.raises(TypeError, match="column 2"):
         sparse_rank([{2: 0.0}])
-
-
-@st.composite
-def system_and_candidate(draw):
-    rows, ncols = draw(systems())
-    if rows and draw(st.booleans()):  # a combination of the rows
-        cand = {}
-        for row in rows:
-            f = draw(ENTRIES)
-            for c, v in row.items():
-                cand[c] = cand.get(c, Fraction(0)) + f * v
-    else:
-        cols = draw(st.lists(st.integers(0, ncols - 1), max_size=4))
-        cand = {c: draw(ENTRIES) for c in cols}
-    return rows, cand
-
-
-@settings(max_examples=150, deadline=None)
-@given(system_and_candidate())
-def test_row_in_rowspace_matches_rank_comparison(case):
-    rows, cand = case
-    pivots = sparse_rref(rows)
-    want = sparse_rank(rows + [cand]) == sparse_rank(rows)
-    assert row_in_rowspace(pivots, cand) == want
-
-
-def test_row_in_rowspace_refuses_float_candidates():
-    # 0.1 * 3 != 0.3 in floats, so a float candidate was decided wrongly
-    pivots = sparse_rref([{0: 1, 1: 1}])
-    with pytest.raises(TypeError, match="column 0"):
-        row_in_rowspace(pivots, {0: 0.1 * 3, 1: 0.3})
-    assert row_in_rowspace(pivots, {0: Fraction(3, 10), 1: Fraction(3, 10)})
-    assert not row_in_rowspace(pivots, {0: 1, 1: 2})
 
 
 def _det_gauss(a):

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import math
 import multiprocessing
@@ -61,6 +62,13 @@ def test_probe_matches_scalar_indicial_polynomial():
         want = scalar_indicial_roots(n, k, s)
         got = {round(r.value.real): r.multiplicity for r in spec.roots}
         assert got == want
+
+
+def test_spectrum_past_the_float_range_is_a_range_error():
+    _, op = tensor_mode_system(4, 1, Fraction(10 ** 200), 1)
+    with pytest.raises(RangeError, match="factor of det P has a coefficient "
+                       "past the float range"):
+        indicial_spectrum(op)
 
 
 def test_displayed_typeI_example_values():
@@ -260,6 +268,74 @@ def test_compose_shifts_by_inner_weight(n, j):
     other = pt.basis_from_elements(n, [pt.sphere_harmonic(n, j)], ["phi"])
     with pytest.raises(ProbeError, match="compose needs"):
         lap.compose(probe_euler(pt.laplacian, other, 2))
+
+
+# (derivatives, weight) of each routed primitive: r^m -> r^(m - weight)
+_PRIMITIVES = {"laplacian": (2, 2), "hessian": (2, 2), "divergence": (1, 1),
+               "lie_flat": (1, 1), "radial_contraction": (0, 1)}
+
+
+def _routed_chains(max_pieces=4):
+    """Every chain of 1 to max_pieces routed pieces from the tensor
+    families, as its primitives applied innermost first, grouped by the
+    kind of family it ends in and its weight."""
+    groups, walks = {}, [((), "tensor")]
+    for _ in range(max_pieces):
+        walks = [(chain + piece[::-1], routes[kind])
+                 for chain, kind in walks
+                 for piece, (_, routes) in mode_ode._ROUTES.items()
+                 if kind in routes]
+        for chain, kind in walks:
+            weight = sum(_PRIMITIVES[p][1] for p in chain)
+            groups.setdefault((kind, weight), set()).add(chain)
+    return {key: sorted(chains) for key, chains in sorted(groups.items())}
+
+
+_CHAINS = _routed_chains()
+_DRAWN = itertools.count()
+
+
+@st.composite
+def _statements(draw):
+    """(n, j, end kind, terms): a table statement sum c * chain of one to
+    three chains of equal weight and end, drawn at one of five (n, j)."""
+    n, j = draw(st.sampled_from([(3, 2), (4, 1), (4, 3), (5, 2), (6, 0)]))
+    kind, weight = draw(st.sampled_from(sorted(_CHAINS)))
+    chains = draw(st.lists(st.sampled_from(_CHAINS[kind, weight]),
+                           min_size=1, max_size=3, unique=True))
+    coeffs = st.fractions(-3, 3, max_denominator=4).filter(bool)
+    return n, j, kind, [(draw(coeffs), c) for c in chains]
+
+
+@settings(max_examples=25, deadline=None)
+@given(drawn=_statements())
+def test_mode_systems_of_drawn_statements_equal_field_probes(drawn):
+    # the mode-side evaluator (_part over _Words) and probe_euler of the
+    # same statement on fields agree in P and weight: the guard on word
+    # composition and the Lie fusion for statements no golden file holds
+    n, j, kind, terms = drawn
+
+    def statement(x, t, k, index):
+        words = [functools.reduce(lambda y, name: getattr(x.ops, name)(y),
+                                  chain, x).scaled(c) for c, chain in terms]
+        return sum(words[1:], words[0])
+
+    key = f"drawn-{next(_DRAWN)}"  # fresh, as _part is memoized by name
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(pt.OPERATORS, key, statement)
+        got = mode_ode._part(key, n, 1, j, "tensor", 0)
+    # the derivative count bounds each entry's degree in z exactly, so
+    # the oracle needs no held-out degree
+    order = max(sum(_PRIMITIVES[p][0] for p in chain) for _, chain in terms)
+    probe = functools.partial(
+        probe_euler, lambda f: statement(f, 0, 1, 0),
+        mode_ode._family("tensor", n, j), order,
+        target=mode_ode._family(kind, n, j), holdout=False)
+    if not any(p for row in got.P for p in row):
+        with pytest.raises(ProbeError, match="vanished"):
+            probe()
+    else:
+        _assert_same_system(got, probe())
 
 
 def test_mode_multiplicities():
