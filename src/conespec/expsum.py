@@ -694,17 +694,23 @@ def draw_discrete_instances(rng, trials):
     return out
 
 
-def _place_exponents(rng, placed, re_range):
+def _place_exponents(rng, placed, re_range, d):
     """One new exponent for each row of ``placed`` (that row's exponents so
-    far): real part uniform in re_range, imaginary part in [-3, 3].  Every
-    row draws, then the rows whose draw lies within 0.5 of one of their
-    earlier exponents draw again, up to 10000 draws in all."""
+    far, out of d of them): real part uniform in re_range, imaginary part
+    in [-3, 3].  Every row draws, then the rows whose draw lies within 0.5
+    of one of their earlier exponents draw again, up to 10000 draws in
+    all; past them NumericError names d, the slot and the box."""
     out = np.empty(len(placed), dtype=complex)
     todo = np.arange(len(placed))
     draws = 0
     while todo.size:
         if draws == 10000:
-            raise NumericError("could not place separated exponents")
+            lo, hi = re_range
+            raise NumericError(
+                f"could not place separated exponents: exponent "
+                f"{placed.shape[1] + 1} of d = {d[todo[0]]} found no point "
+                f"0.5 from the earlier ones in the box Re in [{lo}, {hi}], "
+                "Im in [-3, 3] after 10000 draws")
         draws += 1
         zeta = np.empty(todo.size, dtype=complex)
         zeta.real = rng.uniform(*re_range, size=todo.size)
@@ -728,7 +734,7 @@ def _exponent_slots(rng, d, re_range, powers):
     parts = []
     for s in range(zs.shape[1]):
         live = np.flatnonzero(d > s)
-        zeta = _place_exponents(rng, zs[live, :s], re_range)
+        zeta = _place_exponents(rng, zs[live, :s], re_range, d[live])
         zs[live, s] = zeta
         count = 1 + (np.zeros(live.size, dtype=int) if powers is None
                      else rng.integers(0, powers + 1, size=live.size))

@@ -1,19 +1,17 @@
 """Exact linear algebra and polynomial kernels over the rationals.
 
 Used wherever a dimension or rank decision must be exact rather than
-numerically zero: divergence-free nullspaces, angular Gram solves,
-polynomial interpolation of probed mode systems, square-free splits of
-their determinants.  The sparse elimination (``sparse_rref``, and the
-nullspace and rank read from it) runs on integer rows, each over its
-common denominator, and accepts only int and Fraction entries;
-``solve_dense`` alone stays on rows of Fractions, because it is on
-the probing path (the angular Gram solves).  The polynomial kernels work
-on integer numerators over one common denominator and make one Fraction
-per output coefficient:
-determinants (``det_dense``) by Bareiss fraction-free elimination on
-integer rows, interpolation (``lagrange_coefficients``) as integer dot
-products with a memoized integer Lagrange table, and the square-free
-split (``poly_squarefree_factors``) by Yun's algorithm on the primitive
+numerically zero: divergence-free nullspaces, polynomial interpolation
+of probed mode systems, square-free splits of their determinants.  Every
+elimination runs on integer rows, each over its common denominator: the
+sparse elimination (``sparse_rref``, and the nullspace and rank read
+from it) accepts only int and Fraction entries.  The polynomial kernels
+work on integer numerators over one common denominator and make one
+Fraction per output coefficient: determinants (``det_dense``) by Bareiss
+fraction-free elimination on integer rows, interpolation
+(``lagrange_coefficients``) as integer dot products with a memoized
+integer Lagrange table, and the square-free split
+(``poly_squarefree_factors``) by Yun's algorithm on the primitive
 integer polynomial, whose pseudo-remainder gcd (``int_gcd``) also gives
 the count of roots on a vertical line (``poly_axis_root_count``, by a
 Sturm chain).
@@ -122,28 +120,6 @@ def sparse_nullspace(pivots, ncols: int):
             v[pc] = -prow.get(fc, ZERO)
         basis.append(v)
     return basis
-
-
-def solve_dense(a, b):
-    """Solve a square rational system a x = b exactly.
-
-    a: list of list of Fraction, b: list of Fraction.  Raises ValueError
-    on a singular matrix.
-    """
-    m = [list(map(Fraction, row)) + [Fraction(x)] for row, x in zip(a, b)]
-    n = len(m)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular system")
-        m[col], m[piv] = m[piv], m[col]
-        inv = Fraction(1) / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
 
 
 def det_dense(a) -> Fraction:

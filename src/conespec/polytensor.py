@@ -33,7 +33,7 @@ in ``add_term``, ``scaled``, ``radial_scaled`` and the operators that take
 t (``div_t``, ``gauge_op_t``, ``gauged_lin``); ``from_json`` reads a JSON
 float by its decimal text (0.1 is 1/10).  Integer input stays native
 ``int`` through the operators, a ``Fraction`` enters only with a rational
-factor (t, c_{n,k}/(n-2), 1/2, a Gram solve), and canonical forms store
+factor (t, c_{n,k}/(n-2), 1/2, a basis norm), and canonical forms store
 every integer coefficient as an ``int``.  Only the views ``evaluate``,
 ``sphere_moment`` and ``triple_bar_norm_sq`` return floats.
 
@@ -51,10 +51,10 @@ integrate over the sphere, where the relation holds, so a raw image gives
 the same coefficients as its canonical form; ``decompose`` then merges the
 residual image - sum_i c_i T_i into one integer dict and canonicalizes
 only that, to decide closure.  Every slice inner product
-(``slice_inner_reduced``, every basis Gram matrix and table entry) goes
-through one kernel, ``_slice_inner_exact``, which sums integer products:
-the sphere moment of x^beta is a factor depending on n and |beta| alone
-times an integer.
+(``slice_inner_reduced``, every basis norm and cross product, every table
+entry) goes through one kernel, ``_slice_inner_exact``, which sums
+integer products: the sphere moment of x^beta is a factor depending on n
+and |beta| alone times an integer.
 
 Caches, all filled lazily, holding values no caller mutates and bounded
 by the degrees and bases in use:
@@ -64,18 +64,20 @@ by the degrees and bases in use:
 - ``_odd_factorial_product(alpha)`` and ``_moment_scale(n, s)``: the two
   factors of every exact sphere moment;
 - ``tensor_mode_basis(n, j)`` and ``oneform_mode_basis(n, j)``: each
-  angular basis with its exact Gram matrix, built once per (n, j) and
-  shared by every caller, which must not mutate it;
+  angular basis with the exact norms of its elements, built once per
+  (n, j) and shared by every caller, which must not mutate it;
 - ``AngularBasis._functionals``: one table per basis, keyed on the raw
   image terms (idx, alpha, gamma) that reach ``decompose`` (not on
   canonical terms), mapping each to the integer numerators of its slice
   inner products with every element over one denominator, so
-  ``decompose`` sums integer products over the field's common denominator;
-- ``AngularBasis._inverse``: the inverse Gram matrix of a basis as integer
-  rows over one denominator, so ``decompose`` applies it as an integer
-  matrix-vector product and makes one ``Fraction`` per element.
+  ``decompose`` sums integer products over the field's common denominator.
+  With the memoized bases it is filled once per (n, j).
 
-With the memoized bases both per-basis tables are filled once per (n, j).
+Bases hold the exact norms of their elements: the families of one
+degree split a field on the cone into radial, mixed and tangential parts
+(as in Cheeger-Tian), so they are orthogonal on the sphere, building a
+basis checks it, and ``decompose`` reads each coefficient as a
+projection, the element's functional sum over its norm.
 
 ``linalg.lagrange_coefficients`` likewise memoizes its Lagrange basis per
 node tuple, as one denominator and a table of integer numerators.
@@ -90,7 +92,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .closed_form import ParameterError
-from .linalg import solve_dense
 
 
 def _is_int(x):
@@ -821,22 +822,28 @@ def triple_bar_norm_sq(T, a, b):
 # -- angular bases and closure -------------------------------------------
 
 
+class ClosureError(ArithmeticError):
+    """An operator image that cannot be read exactly in an angular basis,
+    or elements that do not make one."""
+
+
 @dataclass
 class AngularBasis:
-    """Radially parallel basis with its exact Gram matrix.
+    """Radially parallel, mutually orthogonal basis with its exact norms.
 
-    Elements have homogeneity-0 components; ``gram`` is the slice inner
-    product matrix divided by pi^floor(n/2).
-    Two tables are built lazily for ``decompose``: the slice functionals of
-    the image terms it meets (``_functionals``) and the inverse Gram matrix
-    (``_inverse``, on the first call), both as integers over one
-    denominator.
+    Elements have homogeneity-0 components; ``norms`` holds each element's
+    squared slice norm divided by pi^floor(n/2).  Building a basis checks
+    the invariant once: a non-parallel element raises ValueError, and a
+    nonzero cross product of two elements, or a zero norm, raises
+    ClosureError naming the families.  ``decompose`` builds its table of
+    the slice functionals of the image terms it meets (``_functionals``)
+    lazily, as integers over one denominator.
     """
 
     n: int
     elements: list
-    gram: list
     labels: list
+    norms: list = dataclass_field(init=False)
     # image term (idx, alpha, gamma) -> ((r-exponent, den), numerators), the
     # term's functional against every element being numerator / den; ()
     # when it vanishes against every element
@@ -844,15 +851,22 @@ class AngularBasis:
                                          repr=False, compare=False)
     # per element (den, comps): the element is comps / den, comps integer
     _integer: list = dataclass_field(init=False, repr=False, compare=False)
-    # (den, rows): the inverse Gram matrix is rows / den, rows integer;
-    # built on the first decompose
-    _inverse: tuple = dataclass_field(default=None, init=False, repr=False,
-                                      compare=False)
 
     def __post_init__(self):
         if not all(T.is_radially_parallel() for T in self.elements):
             raise ValueError("basis element not radially parallel")
         self._integer = [_integer_form(T) for T in self.elements]
+        self.norms = []
+        for i, (a, label) in enumerate(zip(self._integer, self.labels,
+                                           strict=True)):
+            for b, other in zip(self._integer[:i], self.labels):
+                if _slice_inner_exact(self.n, a, b):
+                    raise ClosureError(f"angular families {other!r} and "
+                                       f"{label!r} are not orthogonal")
+            norm = _slice_inner_exact(self.n, a, a).get(0)
+            if not norm:
+                raise ClosureError(f"angular family {label!r} has zero norm")
+            self.norms.append(norm)
 
     def __len__(self):
         return len(self.elements)
@@ -871,17 +885,6 @@ class AngularBasis:
         return (expo, den), tuple(v.numerator * (den // v.denominator)
                                   for v in vals)
 
-    def _inverse_gram(self):
-        """The inverse Gram matrix as one denominator and integer rows,
-        from one exact solve per unit vector; ValueError when the Gram
-        matrix is singular."""
-        m = len(self.elements)
-        cols = [solve_dense(self.gram, [int(i == j) for j in range(m)])
-                for i in range(m)]
-        den = math.lcm(*(c.denominator for col in cols for c in col))
-        return den, [[cols[j][i].numerator * (den // cols[j][i].denominator)
-                      for j in range(m)] for i in range(m)]
-
     def decompose(self, angular_field):
         """Exact coefficients of angular_field in this basis, plus the
         canonical residual, whose ``comps`` are empty exactly when the field
@@ -891,13 +894,13 @@ class AngularBasis:
         over the sphere, where sum_i x_i^2 = r^2 holds, so every
         representative of a field gives the same coefficients.  Its
         int/Fraction coefficients are put over one common denominator, and
-        the right-hand side of the Gram system is summed as integer dot
-        products with the table numerators, one sum per table denominator.
-        The coefficients are the integer inverse-Gram rows applied to that
-        right-hand side, one Fraction per element; a singular Gram matrix
-        raises ValueError.  The residual field - sum_i c_i T_i is merged term by term into one
-        dict of integer numerators over one common denominator and
-        canonicalized once.
+        the field's functional against each element is summed as integer
+        dot products with the table numerators, one sum per table
+        denominator.  The basis is orthogonal, so each coefficient is that
+        sum divided by the element's norm, one Fraction per element.  The
+        residual field - sum_i c_i T_i is merged term by term into one dict
+        of integer numerators over one common denominator and canonicalized
+        once.
         """
         table = self._functionals
         fden = math.lcm(*(c.denominator for comp in angular_field.comps.values()
@@ -930,12 +933,9 @@ class AngularBasis:
                         "field is not radially parallel against basis")
             else:
                 rhs, rden = nums, lcd
-        if self._inverse is None:
-            self._inverse = self._inverse_gram()
-        gden, inverse = self._inverse
-        den = gden * rden * fden
-        coeffs = [Fraction(sum(g * v for g, v in zip(row, rhs) if v), den)
-                  for row in inverse]
+        den = rden * fden
+        coeffs = [Fraction(v * norm.denominator, den * norm.numerator)
+                  for v, norm in zip(rhs, self.norms)]
         # L * residual in integers, L the common denominator of the field
         # and of every c_i T_i
         L = math.lcm(fden, *(c.denominator * den for c, (den, _) in
@@ -970,10 +970,11 @@ def _integer_form(T):
 
 def _slice_inner_exact(n, A, B):
     """The one slice inner product kernel, behind ``slice_inner_reduced``,
-    the Gram matrices and the ``decompose`` tables, on two fields given by
-    ``_integer_form``: each moment is _moment_scale(n, |beta|) times the
-    integer _odd_factorial_product(beta), so the integer products are
-    summed per (r-exponent, |beta|) and each sum is scaled once."""
+    the basis norms and cross products and the ``decompose`` tables, on
+    two fields given by ``_integer_form``: each moment is
+    _moment_scale(n, |beta|) times the integer
+    _odd_factorial_product(beta), so the integer products are summed per
+    (r-exponent, |beta|) and each sum is scaled once."""
     (den_a, comps_a), (den_b, comps_b) = A, B
     parts = {}
     for idx, comp_a in comps_a.items():
@@ -996,26 +997,10 @@ def _slice_inner_exact(n, A, B):
     return {expo: v / den for expo, v in out.items()}
 
 
-def _gram(elements):
-    m = len(elements)
-    g = [[0] * m for _ in range(m)]
-    ints = [_integer_form(T) for T in elements]
-    for i in range(m):
-        for j in range(i, m):
-            d = _slice_inner_exact(elements[i].n, ints[i], ints[j])
-            if any(e != 0 for e in d):
-                raise ValueError("basis element not radially parallel")
-            g[i][j] = g[j][i] = d.get(0, 0)
-    return g
-
-
 def basis_from_elements(n, elements, labels=None):
+    """The AngularBasis of ``elements``, labelled e0, e1, ... by default."""
     labels = labels or [f"e{i}" for i in range(len(elements))]
-    return AngularBasis(n, list(elements), _gram(elements), list(labels))
-
-
-class ClosureError(ArithmeticError):
-    """An operator image that cannot be read exactly in an angular basis."""
+    return AngularBasis(n, list(elements), list(labels))
 
 
 def angular_image(apply_fn, element, m):

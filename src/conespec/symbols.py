@@ -17,14 +17,18 @@ import numpy as np
 from . import polytensor as pt
 from .closed_form import ParameterError
 
-# name -> (input rank, order at k, field operator, looked up at each call);
-# "scalar" is the linearized scalar curvature div div h - Delta tr h
+# name -> (input rank, order at k, field operator, looked up at each call):
+# "bach", "gauged" and "lie" are the polytensor.OPERATORS entries
+# bach_lin, gauged_lin (at t = 0) and lie; "scalar", which has no opcode,
+# is the linearized scalar curvature div div h - Delta tr h
 OPERATORS = {
-    "bach": (2, lambda k: 2 * k + 2, lambda h, k: pt.bach_lin(h, k)),
-    "gauged": (2, lambda k: 2 * k + 2, lambda h, k: pt.gauged_lin(h, k, 0)),
+    "bach": (2, lambda k: 2 * k + 2,
+             lambda h, k: pt.apply_operator("bach_lin", h, k=k)),
+    "gauged": (2, lambda k: 2 * k + 2,
+               lambda h, k: pt.apply_operator("gauged_lin", h, k=k)),
     "scalar": (2, lambda k: 2, lambda h, k: pt.divergence(pt.divergence(h))
                - pt.laplacian(pt.trace2(h))),
-    "lie": (1, lambda k: 1, lambda v, k: pt.lie_flat(v)),
+    "lie": (1, lambda k: 1, lambda v, k: pt.apply_operator("lie", v)),
 }
 
 

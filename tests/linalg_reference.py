@@ -1,6 +1,6 @@
-"""Reference elimination for the test modules: the sparse reduced row
-echelon form in Fraction arithmetic, written independently of the
-library's integer kernel."""
+"""Reference elimination for the test modules, in Fraction arithmetic and
+written independently of the library's integer kernels: the sparse
+reduced row echelon form, and a dense square solve."""
 
 from fractions import Fraction
 
@@ -35,3 +35,22 @@ def fraction_rref(rows):
                 pivots[pc] = _clean(prow)
         pivots[c] = row
     return pivots
+
+
+def solve_dense(a, b):
+    """Solve a square rational system a x = b exactly by Gauss-Jordan
+    elimination on rows of Fractions; ValueError on a singular matrix."""
+    m = [list(map(Fraction, row)) + [Fraction(x)] for row, x in zip(a, b)]
+    n = len(m)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("singular system")
+        m[col], m[piv] = m[piv], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [x * inv for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return [m[r][n] for r in range(n)]

@@ -512,6 +512,18 @@ def test_turan_discrete_overflow_is_numeric_failure(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_turan_unplaceable_exponents_name_the_constraint(tmp_path, capsys):
+    # 200 exponents 0.5 apart do not fit in the drawn box: exit 3 naming
+    # d, the separation and the box, and no document
+    out = tmp_path / "t.json"
+    assert main(["turan", "--check", "integral", "--d", "200",
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "of d = 200 found no point 0.5 from the earlier ones" in err
+    assert "in the box Re in [0.0, 2.0], Im in [-3, 3]" in err
+    assert not out.exists()
+
+
 def test_turan_discrete_overflowing_product_holds(tmp_path):
     # at d = 300 constant * rhs overflows although both are finite:
     # the check holds, without a numpy warning

@@ -15,9 +15,9 @@ from conespec.flat_kernel import (QuadraticField, divergence_free_nullspace,
                                   quadratic_flow_defect,
                                   quadratic_flow_error,
                                   quadratic_lie_isomorphism)
-from conespec.linalg import solve_dense, sparse_rank, sparse_rref
+from conespec.linalg import sparse_rank, sparse_rref
 from conespec.verify import _nk_pairs
-from linalg_reference import fraction_rref
+from linalg_reference import fraction_rref, solve_dense
 
 
 def field_from_entries(n, entries):

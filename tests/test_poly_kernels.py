@@ -2,8 +2,8 @@
 Fraction code they replaced: Yun's square-free split (also against sympy),
 division with remainder, the count of roots on a vertical line against
 known roots, compose and combine, the Lagrange basis on rational nodes,
-and the inverse-Gram decompose against a Gram solve per field.  A float
-coefficient in P is refused by every entry point."""
+and decompose against a projection per field.  A float coefficient in P
+is refused by every entry point."""
 
 import dataclasses
 from fractions import Fraction
@@ -17,7 +17,7 @@ from conespec import polytensor as pt
 from conespec.cli import main
 from conespec.linalg import (_lagrange_basis, poly_axis_root_count,
                              poly_divmod, poly_mul, poly_shift, poly_sum,
-                             poly_squarefree_factors, solve_dense)
+                             poly_squarefree_factors)
 from conespec.mode_ode import (EulerOperator, ProbeError, indicial_spectrum,
                                tensor_mode_system)
 from field_reference import naive_slice_inner
@@ -249,16 +249,17 @@ def test_lagrange_basis_is_kronecker_on_rational_nodes(nodes):
             assert value == (i == j)
 
 
-# -- inverse-Gram decompose --------------------------------------------------
+# -- projection decompose ----------------------------------------------------
 
 CELLS = [(n, j) for n in range(3, 7) for j in range(5)]
 
 
 def _solve_oracle(basis, field):
-    """A Gram solve on a right-hand side from the termwise slice inner
-    product, which shares no kernel with ``decompose``."""
-    rhs = [naive_slice_inner(field, T).get(0, 0) for T in basis.elements]
-    return solve_dense(basis.gram, rhs)
+    """The projection onto each element, <<field, T>> / <<T, T>>, from the
+    termwise slice inner product, which shares no kernel with
+    ``decompose``."""
+    return [naive_slice_inner(field, T).get(0, 0)
+            / naive_slice_inner(T, T)[0] for T in basis.elements]
 
 
 @pytest.mark.parametrize("n,j", CELLS, ids=[f"n{n}j{j}" for n, j in CELLS])

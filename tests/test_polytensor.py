@@ -239,12 +239,10 @@ def test_tensor_mode_basis_families():
         basis = pt.tensor_mode_basis(n, 2)
         for el in basis.elements:
             assert el.is_radially_parallel()
-        # Gram positive definite (leading principal minors)
-        from conespec.linalg import det_dense
-        g = basis.gram
-        for m in range(1, len(g) + 1):
-            sub = [row[:m] for row in g[:m]]
-            assert det_dense(sub) > 0
+        # the families are orthogonal, so the Gram matrix is diagonal and
+        # positive definite exactly when every norm is positive
+        assert len(basis.norms) == len(basis)
+        assert all(norm > 0 for norm in basis.norms)
 
 
 MODE_BASES = {"tensor": (pt.tensor_mode_basis, pt.dr_tensor),
@@ -282,7 +280,32 @@ def test_decompose_reads_combinations_exactly(kind, n, j):
 def test_angular_basis_rejects_non_parallel_elements():
     el = pt.tensor_mode_seed(4, 1)
     with pytest.raises(ValueError, match="not radially parallel"):
-        pt.AngularBasis(4, [el.radial_scaled(1)], [[1]], ["r phi dr.dr"])
+        pt.AngularBasis(4, [el.radial_scaled(1)], ["r phi dr.dr"])
+
+
+def test_basis_refuses_non_orthogonal_families():
+    n, j = 4, 1
+    phi = pt.sphere_harmonic(n, j)
+    pair = [pt.tensor_mode_seed(n, j),
+            pt.mul_scalar_field(pt.delta_metric(n), phi)]
+    with pytest.raises(pt.ClosureError,
+                       match="'phi dr.dr' and 'phi delta' are not orthogonal"):
+        pt.basis_from_elements(n, pair, ["phi dr.dr", "phi delta"])
+    with pytest.raises(pt.ClosureError, match="'zero' has zero norm"):
+        pt.basis_from_elements(n, [pt.PolyTensor(n, 2)], ["zero"])
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_every_family_basis_is_orthogonal(n):
+    # building a basis raises ClosureError on a nonzero cross product
+    from conespec.mode_ode import _family
+
+    for j in range(7):
+        # the co-closed family "psi" starts at j = 1
+        for kind in ("tensor", "forms", "phi") + ("psi",) * (j > 0):
+            basis = _family(kind, n, j)
+            assert len(basis.norms) == len(basis)
+            assert all(norm > 0 for norm in basis.norms)
 
 
 def test_triple_bar_closed_forms():
