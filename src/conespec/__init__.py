@@ -18,7 +18,7 @@ from .flat_kernel import (QuadraticField, divergence_free_nullspace,
 from .mode_ode import (EulerOperator, IndicialSpectrum, ModeSolution,
                        degenerate_scan, empirical_l0, indicial_spectrum,
                        probe_euler, solution_split, tensor_mode_system,
-                       three_annulus_verify, triple_bar_norm)
+                       three_annulus_verify)
 from .polytensor import (AngularBasis, PolyTensor, apply_operator,
-                         sphere_moment, tensor_mode_basis, triple_bar_norm_sq)
+                         tensor_mode_basis)
 from .symbols import principal_symbol

@@ -61,9 +61,6 @@ class ExpSum:
     def __post_init__(self):
         self.terms = _normalize(self.terms)
 
-    def normalized(self):
-        return ExpSum(list(self.terms))
-
     @property
     def distinct_exponents(self):
         return sorted({t.exponent for t in self.terms},
@@ -99,12 +96,6 @@ class ExpSum:
                 out.append(ExpTerm(t.coeff * scale * math.comb(t.power, i)
                                    * c ** (t.power - i), t.exponent, i))
         return ExpSum(out)
-
-    def mirrored(self):
-        """The decay-form reflection sum c t^b e^{-conj(zeta) t}: every real
-        part changes sign and the coefficients and powers are kept."""
-        return ExpSum([ExpTerm(t.coeff, -t.exponent.conjugate(), t.power)
-                       for t in self.terms])
 
     def __call__(self, t):
         return eval_expsum(self, t)
@@ -169,7 +160,7 @@ class TermTable:
         return np.bincount(self.row, minlength=self.rows)
 
     def with_mirrors(self):
-        """The rows of this table, then each row's ExpSum.mirrored():
+        """The rows of this table, then each row's decay-form reflection:
         exponents -conj(zeta), coefficients and powers kept."""
         return TermTable.from_parts(
             [(self.coeff, self.exponent, self.power, self.row),
@@ -424,11 +415,6 @@ def sup_norms_sq(table, t0, t1):
     return np.array(out)
 
 
-def sup_norm_sq(p, t0, t1):
-    """sup of |p|^2 on [t0, t1]: sup_norms_sq of the one sum p."""
-    return float(sup_norms_sq(TermTable.of([p]), [t0], [t1])[0])
-
-
 # -- power sums and the discrete bound -------------------------------------
 
 
@@ -641,8 +627,6 @@ def three_interval(p, big_r, ell, mode):
     if int(ell) != ell or ell < 1:
         raise ParameterError("l must be an integer >= 1")
     ell = int(ell)
-    if not p.terms:
-        raise ParameterError("empty sum")
     rec = _first(three_interval_batch(TermTable.of([p]), [big_r], [ell],
                                       [mode]))
     rec["params"] = {"R": big_r, "l": ell, "mode": mode,
@@ -654,9 +638,8 @@ def three_interval(p, big_r, ell, mode):
 #
 # Each drawer draws a whole batch of instances with one generator call per
 # variate (per exponent slot and per budget step where a draw depends on
-# the slots before it).  Its one-row case is the single-instance drawer
-# and makes exactly the generator calls, in order, of a draw made one
-# variate at a time.
+# the slots before it).  Its one-row case makes exactly the generator
+# calls, in order, of a draw made one variate at a time.
 
 
 def _power_sums(rng, d):
@@ -792,8 +775,3 @@ def draw_budget_table(rng, d, budget):
         parts.append((coeff, zs[live, slot], top[live, slot], live))
     return TermTable.from_parts(parts, len(d))
 
-
-def draw_budget_expsum(rng, d, budget):
-    """Random growth-type ExpSum with d exponents and ``budget`` extra log
-    powers: the one-row case of draw_budget_table."""
-    return draw_budget_table(rng, [d], [budget]).sums()[0]

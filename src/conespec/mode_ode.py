@@ -41,8 +41,8 @@ import numpy as np
 
 from . import polytensor as pt
 from .closed_form import ParameterError, exact_t
-from .expsum import (ExpSum, ExpTerm, NumericError, RangeError,
-                     poly_exp_integrals, three_interval_record)
+from .expsum import (NumericError, RangeError, poly_exp_integrals,
+                     three_interval_record)
 from .linalg import (det_dense, lagrange_coefficients, poly_derivative,
                      poly_eval, poly_squarefree_factors, poly_trim)
 from .polytensor import AngularBasis, ClosureError
@@ -497,18 +497,6 @@ class ModeSolution:
     coeffs: np.ndarray
 
     @classmethod
-    def from_chain_weights(cls, spectrum, weights):
-        """Combine chain bases with the given per-root weight vectors; the
-        rows of roots without weights are 0."""
-        rows = spectrum.chain_rows
-        coeffs = np.zeros((len(rows.root), spectrum.operator.m_ang),
-                          dtype=complex)
-        for a, w in weights.items():
-            vec = spectrum.chain_bases[a] @ np.asarray(w, dtype=complex)
-            coeffs[rows.root == a] = vec.reshape(-1, coeffs.shape[1])
-        return cls(spectrum, coeffs)
-
-    @classmethod
     def random(cls, spectrum, rng, include=("plus", "minus", "zero")):
         """The one-draw case of draw_kernel_coefficients."""
         return cls(spectrum,
@@ -519,13 +507,6 @@ class ModeSolution:
         keep = np.isin(self.spectrum.chain_rows.classes, list(classes))
         return ModeSolution(self.spectrum,
                             np.where(keep[:, None], self.coeffs, 0))
-
-    def family_profile(self, c):
-        """Radial profile of family c as an ExpSum in t = log r."""
-        rows = self.spectrum.chain_rows
-        return ExpSum([ExpTerm(complex(self.coeffs[i, c]), rows.zeta[i],
-                               int(rows.power[i]))
-                       for i in np.flatnonzero(self.coeffs[:, c])])
 
     def profile_values(self, r):
         """Family profile values sum_i coeffs[i, c] t^b_i e^{zeta_i t}
@@ -566,18 +547,15 @@ def solution_split(sol):
     }
 
 
-# -- weighted annulus norms --------------------------------------------------
+# -- annulus norms -----------------------------------------------------------
 
 
 class RadialGram:
     """Gram matrices of the chain basis functions t^b e^{zeta t} on
     intervals, rows and columns in the spectrum's chain_rows layout."""
 
-    def __init__(self, spectrum, lambdas=None):
+    def __init__(self, spectrum):
         self.spectrum = spectrum
-        m_ang = spectrum.operator.m_ang
-        self.lambdas = ([1.0] * m_ang if lambdas is None
-                        else [float(x) for x in lambdas])
 
     def gram(self, t0, t1):
         """Gram matrix (K, K) of the basis on [t0, t1], or a stack of them
@@ -590,28 +568,21 @@ class RadialGram:
                                   np.asarray(t1, dtype=float)[..., None, None])
 
     def family_forms(self, coeffs, g):
-        """Squared unweighted norms of every family profile of a stack of
-        (..., K, m_ang) coefficient tensors on the interval of the Gram
-        matrix g: the real parts of v^T g conj(v), shape (..., m_ang)."""
+        """Squared norms of every family profile of a stack of (..., K,
+        m_ang) coefficient tensors on the interval of the Gram matrix g:
+        the real parts of v^T g conj(v), shape (..., m_ang)."""
         return (np.matmul(g, coeffs.conj()) * coeffs).sum(axis=-2).real
 
     def norm_sq(self, sol, t0, t1, gram=None):
-        """Weighted squared norm of one solution, family by family: the
-        per-draw counterpart of family_forms."""
+        """Squared norm of one solution, its family profiles' squared
+        norms summed family by family: the per-draw counterpart of
+        family_forms."""
         g = self.gram(t0, t1) if gram is None else gram
         total = 0.0
         for c in range(self.spectrum.operator.m_ang):
             v = sol.coeffs[:, c]
-            total += self.lambdas[c] * float(np.real(v @ (g @ v.conj())))
+            total += float(np.real(v @ (g @ v.conj())))
         return max(total, 0.0)
-
-
-def triple_bar_norm(sol, a, b, lambdas=None):
-    """Weighted annulus norm of a mode solution over (a, b)."""
-    if not 0 < a < b:
-        raise ParameterError("need 0 < a < b")
-    gram = RadialGram(sol.spectrum, lambdas)
-    return math.sqrt(gram.norm_sq(sol, math.log(a), math.log(b)))
 
 
 # -- three annulus verification ----------------------------------------------
@@ -746,12 +717,11 @@ def three_annulus_verify(spectrum, beta_prime, L, trials=200, seed=0, *,
 
     For each draw of a kernel element from the growth and decay roots
     (draw_kernel_coefficients; draws with every coefficient below
-    ZERO_COEFF are skipped): evaluates the unweighted annulus norms (every
-    family weight 1) on (1, L), (L, L^2) and (L^2, L^3); tests the growth
-    and decay implications, their dichotomy, and the pure growth/decay
-    part inequalities, each up to the relative ANNULUS_SLACK.  With
-    ``turan_check`` every family profile of the pure parts also meets
-    expsum's three-interval bound.  All draws are evaluated together:
+    ZERO_COEFF are skipped): evaluates the annulus norms on (1, L),
+    (L, L^2) and (L^2, L^3); tests the growth and decay implications,
+    their dichotomy, and the pure growth/decay part inequalities, each
+    up to the relative ANNULUS_SLACK.  With ``turan_check`` every family
+    profile of the pure parts also meets expsum's three-interval bound.  All draws are evaluated together:
     every norm and interval integral is a quadratic form on the
     RadialGram matrices of the three annuli.  The spectrum must have no
     zero-real-part roots.  Returns failure counts (failures at small L are

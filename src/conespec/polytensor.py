@@ -34,8 +34,8 @@ t (``div_t``, ``gauge_op_t``, ``gauged_lin``); ``from_json`` reads a JSON
 float by its decimal text (0.1 is 1/10).  Integer input stays native
 ``int`` through the operators, a ``Fraction`` enters only with a rational
 factor (t, c_{n,k}/(n-2), 1/2, a basis norm), and canonical forms store
-every integer coefficient as an ``int``.  Only the views ``evaluate``,
-``sphere_moment`` and ``triple_bar_norm_sq`` return floats.
+every integer coefficient as an ``int``.  Only the view ``evaluate``
+returns floats.
 
 Equality and zero-testing canonicalize components modulo the relation
 ``sum_i x_i^2 = r^2`` (each component is rewritten as ``r^g * P(x)`` with
@@ -639,6 +639,9 @@ def _two_tensor(h, k):
         raise ValueError("needs a 2-tensor")
     if k < 1:
         raise ParameterError(f"need k >= 1, got k = {k}")
+    if h.n < 3:
+        raise ParameterError(f"needs n >= 3 (divides by n - 2), "
+                             f"got n = {h.n}")
 
 
 def div_star(xi):
@@ -784,12 +787,6 @@ def _moment_scale(n, s):
     return num / _half_factorial_rational((n + s - 1) // 2)
 
 
-def sphere_moment(n, alpha):
-    """Float value of the moment integral over S^{n-1} of x^alpha."""
-    power = n // 2
-    return float(sphere_moment_reduced(n, alpha)) * math.pi ** power
-
-
 def slice_inner_reduced(A, B):
     """Slice inner product <<A, B>> as dict r-exponent -> Fraction.
 
@@ -802,21 +799,6 @@ def slice_inner_reduced(A, B):
     if A.n != B.n or A.rank != B.rank:
         raise ValueError("shape mismatch")
     return _slice_inner_exact(A.n, _integer_form(A), _integer_form(B))
-
-
-def triple_bar_norm_sq(T, a, b):
-    """Weighted annulus norm: integral over (a,b) of r^{-1} <<T, T>> dr."""
-    if not 0 < a < b:
-        raise ValueError("need 0 < a < b")
-    power = T.n // 2
-    acc = 0.0
-    for expo, c in slice_inner_reduced(T, T).items():
-        e = float(expo)
-        if e == 0:
-            acc += float(c) * math.log(b / a)
-        else:
-            acc += float(c) * (b ** e - a ** e) / e
-    return acc * math.pi ** power
 
 
 # -- angular bases and closure -------------------------------------------

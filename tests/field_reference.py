@@ -26,6 +26,21 @@ def naive_slice_inner(A, B):
     return {e: v for e, v in out.items() if v != 0}
 
 
+def triple_bar_norm_sq(T, a, b):
+    """Reference squared annulus norm of a field: the integral over
+    (a, b) of r^{-1} <<T, T>> dr, termwise over slice_inner_reduced."""
+    if not 0 < a < b:
+        raise ValueError("need 0 < a < b")
+    acc = 0.0
+    for expo, c in pt.slice_inner_reduced(T, T).items():
+        e = float(expo)
+        if e == 0:
+            acc += float(c) * math.log(b / a)
+        else:
+            acc += float(c) * (b ** e - a ** e) / e
+    return acc * math.pi ** (T.n // 2)
+
+
 def expanded_symbol(operator, order, xi, hhat):
     """Reference principal symbol at an integer covector xi, by expansion
     in place of equivariance: i^N times the operator (of order N) applied

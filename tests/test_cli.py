@@ -214,6 +214,18 @@ def test_apply_k_zero_is_usage_error(tmp_path, capsys, op):
     assert "need k >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("op", ["bach_lin", "gauged_lin"])
+def test_apply_n_below_three_is_usage_error(tmp_path, capsys, op):
+    # both operators divide by n - 2
+    from conespec import polytensor as pt
+
+    src = tmp_path / "field.json"
+    src.write_text(json.dumps(pt.dr_tensor(2).to_json()))
+    assert main(["apply", "--op", op, "--field", str(src)]) == 2
+    assert "needs n >= 3 (divides by n - 2), got n = 2" in \
+        capsys.readouterr().err
+
+
 @pytest.mark.parametrize("doc,msg", [
     ({}, "missing key 'n'"),
     ([1, 2], "must be a JSON object"),

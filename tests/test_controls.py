@@ -277,7 +277,7 @@ MUTANTS = {
     "remainder law: a pass multiplies the order by 1.5": Mutant(
         _set(bs, "remainder_field_order", lambda order: 1.5 * order),
         witness=lambda: bs.bootstrap_infinity(4, 1, 0.3).history,
-        stage="no suite reads the law; direction 17 stage 2 gives it an "
+        stage="no suite reads the law; direction 22 gives it an "
               "oracle that does not restate it"),
     "no integer barriers at infinity": Mutant(
         _set(bs, "_integer_barriers_infinity", lambda n, k: []),

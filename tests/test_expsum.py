@@ -13,12 +13,23 @@ from conespec import expsum as es
 from conespec import turan_constants, verify
 from conespec.closed_form import ParameterError
 from conespec.expsum import (ExpSum, ExpTerm, RangeError, TermTable,
-                             _abs_sq_grid, draw_budget_expsum,
-                             draw_expsum, eval_expsum, l2_integral,
-                             poly_exp_integrals, sup_norm_sq, three_interval,
-                             turan_discrete, turan_integral)
+                             _abs_sq_grid, draw_expsum, eval_expsum,
+                             l2_integral, poly_exp_integrals, sup_norms_sq,
+                             three_interval, turan_discrete, turan_integral)
 
 E = math.e
+
+
+def _sup_norm_sq(p, t0, t1):
+    """sup of |p|^2 on [t0, t1]: sup_norms_sq of the one sum p."""
+    return float(sup_norms_sq(TermTable.of([p]), [t0], [t1])[0])
+
+
+def _mirrored(p):
+    """Reference decay-form reflection of p, sum c t^b e^{-conj(zeta) t}:
+    every real part changes sign, coefficients and powers are kept."""
+    return ExpSum([ExpTerm(t.coeff, -t.exponent.conjugate(), t.power)
+                   for t in p.terms])
 
 
 def test_eval_constant_and_circle():
@@ -44,14 +55,14 @@ def test_normalization_idempotent_and_merging():
     p = ExpSum([ExpTerm(1, 2.0, 1), ExpTerm(2, 2.0, 1), ExpTerm(-3, 2.0, 1)])
     assert p.terms == []  # coefficients cancel
     q = ExpSum([ExpTerm(1, 1.0), ExpTerm(2, 2.0)])
-    assert q.normalized().normalized().terms == q.terms
+    assert ExpSum(ExpSum(q.terms).terms).terms == q.terms
     assert q.d == 2 and q.big_m == 0
     r = ExpSum([ExpTerm(1, 1.0, 2), ExpTerm(1, 1.0, 0), ExpTerm(1, 3.0, 1)])
     assert r.d == 2 and r.big_m == 3
     rng = np.random.default_rng(0)
     for _ in range(50):
         p = draw_expsum(rng, int(rng.integers(1, 4)), powers=2)
-        assert p.normalized().normalized().terms == p.normalized().terms
+        assert ExpSum(p.terms).terms == p.terms
 
 
 def test_discrete_single_term_example():
@@ -155,6 +166,14 @@ def test_three_interval_mixed_signs_rejected():
         three_interval(p, 1.0, 1, "growth")
 
 
+def test_three_interval_empty_sum_rejected():
+    # the batch's checks: the mode is checked before the sum
+    with pytest.raises(ParameterError, match="empty sum"):
+        three_interval(ExpSum([]), 1.0, 1, "growth")
+    with pytest.raises(ParameterError, match="mode must be"):
+        three_interval(ExpSum([]), 1.0, 1, "sideways")
+
+
 def test_closed_form_integral_matches_quadrature():
     rng = np.random.default_rng(5)
     cases = []
@@ -197,7 +216,7 @@ def test_shift_expands_powers_exactly():
 
 def test_sup_norm_matches_endpoint_monotone():
     p = ExpSum([ExpTerm(1, 1)])
-    assert abs(sup_norm_sq(p, 0.0, 1.0) - E ** 2) < 1e-9
+    assert abs(_sup_norm_sq(p, 0.0, 1.0) - E ** 2) < 1e-9
 
 
 def test_sup_norm_grid_matches_scalar_evaluation():
@@ -224,7 +243,8 @@ def test_sup_norm_refines_past_the_sample_grid():
         i = int(np.argmax(_abs_sq_grid(terms, ts)))
         dense = _abs_sq_grid(terms, np.linspace(ts[max(i - 1, 0)],
                                                 ts[min(i + 1, 2047)], 20001))
-        assert abs(sup_norm_sq(p, 0.0, r) - dense.max()) <= 1e-11 * dense.max()
+        best = dense.max()
+        assert abs(_sup_norm_sq(p, 0.0, r) - best) <= 1e-11 * best
 
 
 def test_sup_norm_refine_evaluates_each_point_once(monkeypatch):
@@ -236,7 +256,7 @@ def test_sup_norm_refine_evaluates_each_point_once(monkeypatch):
         return real(terms, t)
 
     monkeypatch.setattr(es, "_eval_terms", counted)
-    sup_norm_sq(ExpSum([ExpTerm(1, 1j), ExpTerm(0.5, -0.3)]), 0.0, 3.0)
+    _sup_norm_sq(ExpSum([ExpTerm(1, 1j), ExpTerm(0.5, -0.3)]), 0.0, 3.0)
     # two interior points, one per step of 80, the midpoint, the best sample
     assert len(calls) == 84
 
@@ -244,15 +264,17 @@ def test_sup_norm_refine_evaluates_each_point_once(monkeypatch):
 def test_sup_norm_grid_overflow_reported():
     p = ExpSum([ExpTerm(1, 500)])
     with pytest.raises(RangeError):
-        sup_norm_sq(p, 0.0, 5000.0)
+        _sup_norm_sq(p, 0.0, 5000.0)
 
 
 def test_mirrored_reflects_real_parts():
     p = ExpSum([ExpTerm(2 + 1j, 1.5 + 2j, power=1), ExpTerm(-1, 0.5)])
-    q = p.mirrored()
+    both = TermTable.of([p]).with_mirrors().sums()
+    assert both[0] == p
+    q = both[1]
     assert [(t.coeff, t.exponent, t.power) for t in q.terms] == \
         [(2 + 1j, -1.5 + 2j, 1), (-1, -0.5, 0)]
-    assert q.mirrored() == p
+    assert TermTable.of([q]).with_mirrors().sums()[1] == p
     assert three_interval(q, 1.0, 1, "decay")["params"]["index"] == 3
 
 
@@ -494,10 +516,10 @@ def test_l2_integral_matches_pairwise_oracle():
         t0, t1 = sorted(rng.uniform(0.0, 4.0, 2).tolist())
         want = _l2_oracle(p, t0, t1)
         assert abs(l2_integral(p, t0, t1) - want) <= 1e-12 * want
-        both = es.l2_integrals(TermTable.of([p, p.mirrored()]),
+        both = es.l2_integrals(TermTable.of([p, _mirrored(p)]),
                                [[t0, 0.0]] * 2, [[t1, t0]] * 2)
         assert both.shape == (2, 2) and both[0, 0] == l2_integral(p, t0, t1)
-        assert both[1, 1] == l2_integral(p.mirrored(), 0.0, t0)
+        assert both[1, 1] == l2_integral(_mirrored(p), 0.0, t0)
 
 
 def test_overflowing_integral_raises_range_error():
@@ -576,7 +598,7 @@ def _three_interval_sweep_oracle(seed, scale):
     for p, big_r, ell in draws:
         if p.big_m + p.d > 5:
             violations += 1
-        for q, mode in ((p, "growth"), (p.mirrored(), "decay")):
+        for q, mode in ((p, "growth"), (_mirrored(p), "decay")):
             lo = l2_integral(q, (ell - 1) * big_r, ell * big_r)
             hi = l2_integral(q, ell * big_r, (ell + 1) * big_r)
             if not _three_interval_holds(q, big_r, lo, hi, mode):
@@ -605,7 +627,7 @@ def _integral_sweep_oracle(seed, scale):
         head = l2_integral(p, 0.0, big_r)
         lhs = abs(eval_expsum(p, 0.0)) ** 2
         bound = float(turan_constants.integral_constant(d, a, b)) * integral
-        sups.append(sup_norm_sq(p, 0.0, big_r))
+        sups.append(_sup_norm_sq(p, 0.0, big_r))
         sup_bound = float(turan_constants.sup_constant(d)) / big_r * tail
         l2_bound = turan_constants.l2l2_constant(d) * tail
         if not (lhs <= bound * (1 + 1e-12)
@@ -654,7 +676,7 @@ def _assert_same_three_interval_draws(calls, draws):
         start += n
         assert [q.terms for q in table.sums()] == (
             [p.terms for p, _, _ in part]
-            + [p.mirrored().terms for p, _, _ in part])
+            + [_mirrored(p).terms for p, _, _ in part])
         assert list(big_r) == [r for _, r, _ in part] * 2
         assert list(ell) == [e for _, _, e in part] * 2
         assert list(modes) == ["growth"] * n + ["decay"] * n
@@ -677,7 +699,7 @@ def test_batched_sweeps_match_per_trial_oracle(monkeypatch, seed):
     rec = verify.check_integral_sweep(seed=seed, scale=0.05)["details"]
     want, sups = _integral_sweep_oracle(seed, 0.05)
     assert (rec["trials"], rec["violations"]) == want
-    # the batched sup refine gives each instance's sup_norm_sq bit for bit
+    # the batched sup refine gives each instance's one-row sup bit for bit
     got = np.concatenate([out["sup_form"]["lhs"] for _, out in integral])
     assert got.tobytes() == np.array(sups).tobytes()
 
@@ -769,7 +791,8 @@ def test_one_row_draws_are_the_single_instance_draws(seed, d, powers,
     assert _same_table(es.draw_expsum_table(rngs[2], [d], re_range, powers),
                        TermTable.of([want]))
     want = _budget_expsum_one_variate_at_a_time(rngs[0], min(d, 4), budget)
-    assert draw_budget_expsum(rngs[1], min(d, 4), budget).terms == want.terms
+    got = es.draw_budget_table(rngs[1], [min(d, 4)], [budget]).sums()[0]
+    assert got.terms == want.terms
     assert _same_table(es.draw_budget_table(rngs[2], [min(d, 4)], [budget]),
                        TermTable.of([want]))
     want = _power_sum_one_variate_at_a_time(rngs[0], d)
@@ -829,7 +852,7 @@ def test_drawn_instances_meet_their_invariants(seed, n):
     assert tab_d.tolist() == [p.d for p in sums]
     assert tab_m.tolist() == [p.big_m for p in sums]
     assert _same_table(table.with_mirrors(),
-                       TermTable.of(sums + [p.mirrored() for p in sums]))
+                       TermTable.of(sums + [_mirrored(p) for p in sums]))
 
 
 @settings(max_examples=100, deadline=None)

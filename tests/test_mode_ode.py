@@ -22,7 +22,8 @@ from conespec.closed_form import (ParameterError, modified_gauge_rates,
                                   scalar_indicial_polynomial,
                                   scalar_indicial_roots)
 from conespec.linalg import poly_derivative, poly_eval, poly_shift
-from conespec.expsum import NumericError, RangeError, three_interval
+from conespec.expsum import (ExpSum, ExpTerm, NumericError, RangeError,
+                             three_interval)
 from conespec.mode_ode import (L0_CANDIDATES, EulerOperator, FloatSystem,
                                ModeSolution, ProbeError, RadialGram,
                                degenerate_scan,
@@ -32,10 +33,11 @@ from conespec.mode_ode import (L0_CANDIDATES, EulerOperator, FloatSystem,
                                parallel_map, probe_euler,
                                scalar_mode_system, solution_split,
                                tensor_mode_system, three_annulus_verify,
-                               triple_bar_norm, turan_l_bound)
+                               turan_l_bound)
 from conespec.verify import (_annulus_spectra, check_divfree_spectrum,
                              check_multiplicity, check_probed_displays,
                              check_rates_vs_probes, check_three_annulus)
+from field_reference import triple_bar_norm_sq
 
 
 def synthetic_operator(roots_with_mult):
@@ -52,6 +54,26 @@ def synthetic_operator(roots_with_mult):
     basis = pt.basis_from_elements(4, [pt.dr_tensor(4)], ["e"])
     order = len(poly) - 1
     return EulerOperator(basis, basis, Fraction(2), order, [[poly]])
+
+
+def unit_chain_solution(spec, roots):
+    """The mode solution weighting every chain basis column of the given
+    roots by 1; the rows of other roots are 0."""
+    rows = spec.chain_rows
+    coeffs = np.zeros((len(rows.root), spec.operator.m_ang), dtype=complex)
+    for a in roots:
+        vec = spec.chain_bases[a].sum(axis=1)
+        coeffs[rows.root == a] = vec.reshape(-1, coeffs.shape[1])
+    return ModeSolution(spec, coeffs)
+
+
+def family_profile(sol, c):
+    """Reference radial profile of family c of a mode solution, as an
+    ExpSum in t = log r."""
+    rows = sol.spectrum.chain_rows
+    return ExpSum([ExpTerm(complex(sol.coeffs[i, c]), rows.zeta[i],
+                           int(rows.power[i]))
+                   for i in np.flatnonzero(sol.coeffs[:, c])])
 
 
 def test_probe_matches_scalar_indicial_polynomial():
@@ -358,9 +380,7 @@ def test_solution_split_examples():
     # roots {2, -2} with unit coefficients: pure sign split
     op = synthetic_operator([(2, 1), (-2, 1)])
     spec = indicial_spectrum(op)
-    sol = ModeSolution.from_chain_weights(
-        spec, {a: np.ones(root.multiplicity)
-               for a, root in enumerate(spec.roots)})
+    sol = unit_chain_solution(spec, range(len(spec.roots)))
     parts = solution_split(sol)
     assert not parts["h_plus"].is_trivial()
     assert not parts["h_minus"].is_trivial()
@@ -375,7 +395,7 @@ def test_solution_split_examples():
     spec = indicial_spectrum(op)
     assert [r.classification for r in spec.roots] == ["zero", "zero"]
     assert np.allclose(sorted(r.value.imag for r in spec.roots), [-1, 1])
-    sol = ModeSolution.from_chain_weights(spec, {0: np.ones(1)})
+    sol = unit_chain_solution(spec, [0])
     assert solution_split(sol)["degenerate"]
 
     # double root at 0: the log mode lives in the degenerate part
@@ -385,7 +405,7 @@ def test_solution_split_examples():
     sol = ModeSolution.random(spec, np.random.default_rng(0))
     parts = solution_split(sol)
     assert parts["degenerate"]
-    prof = sol.family_profile(0)
+    prof = family_profile(sol, 0)
     assert prof.big_m >= 1  # log power present
 
 
@@ -407,7 +427,7 @@ def test_profile_values_match_family_profiles(make_op):
                 ModeSolution.random(spec, rng).restricted({"zero"})):
         got = sol.profile_values(radii)
         assert got.shape == (len(radii), m_ang)
-        want = np.array([[sol.family_profile(c)(math.log(r))
+        want = np.array([[family_profile(sol, c)(math.log(r))
                           for c in range(m_ang)] for r in radii])
         assert np.all(np.abs(got - want)
                       <= 1e-12 * np.maximum(1.0, np.abs(want)))
@@ -606,11 +626,12 @@ def test_single_mode_growth_ratio_closed_form():
     # single mode r^2: the annulus norms scale by exactly L^2
     op = synthetic_operator([(2, 1)])
     spec = indicial_spectrum(op)
-    sol = ModeSolution.from_chain_weights(spec, {0: np.ones(1)})
+    sol = unit_chain_solution(spec, [0])
     L = 3.0
-    n1 = triple_bar_norm(sol, 1.0, L)
-    n2 = triple_bar_norm(sol, L, L ** 2)
-    assert abs(n2 / n1 - L ** 2) < 1e-9
+    gram = RadialGram(spec)
+    n1 = gram.norm_sq(sol, 0.0, math.log(L))
+    n2 = gram.norm_sq(sol, math.log(L), 2 * math.log(L))
+    assert abs(math.sqrt(n2 / n1) - L ** 2) < 1e-9
     rec = three_annulus_verify(spec, 0.9, L, trials=50, seed=0)
     assert rec["passed"]
 
@@ -680,7 +701,7 @@ def _oracle_annulus(spec, beta_prime, L, sols, slack=1e-9):
             fails["pure_decay"] += not m2 <= m1 / Lb * (1 + slack)
         for part_sol, mode in ((hp, "growth"), (hm, "decay")):
             for c in range(spec.operator.m_ang):
-                p = part_sol.family_profile(c)
+                p = family_profile(part_sol, c)
                 if p.terms and not three_interval(p, R, 1, mode)["holds"]:
                     fails["turan_cross_check"] += 1
         seen.append([n1, n2, n3, p1, p2, m1, m2])
@@ -804,7 +825,7 @@ def test_norms_cross_module_consistency():
     n, k, j = 4, 1, 1
     basis, op = tensor_mode_system(n, k, Fraction(0), j)
     spec = indicial_spectrum(op)
-    lambdas = [float(norm) * math.pi ** (n // 2) for norm in basis.norms]
+    norms = [float(norm) * math.pi ** (n // 2) for norm in basis.norms]
     root_idx = next(i for i, r in enumerate(spec.roots)
                     if abs(r.value - 3) < 1e-9)
     root = spec.roots[root_idx]
@@ -824,8 +845,10 @@ def test_norms_cross_module_consistency():
             field = field + T.scaled(Fraction(float(vec[c])).limit_denominator(
                 10 ** 10)).radial_scaled(3)
     a, b = 0.7, 2.9
-    direct = pt.triple_bar_norm_sq(field, a, b)
-    via_gram = triple_bar_norm(sol, a, b, lambdas=lambdas) ** 2
+    direct = triple_bar_norm_sq(field, a, b)
+    gram = RadialGram(spec)
+    forms = gram.family_forms(sol.coeffs, gram.gram(math.log(a), math.log(b)))
+    via_gram = float(np.dot(norms, forms))
     assert abs(direct - via_gram) < 1e-6 * max(direct, 1e-12)
 
 
