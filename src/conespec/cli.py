@@ -172,7 +172,8 @@ def build_parser():
     q.add_argument("--check", choices=("discrete", "integral",
                                        "three-interval", "sweep"),
                    default="sweep")
-    q.add_argument("--d", type=int, default=2)
+    q.add_argument("--d", type=int, default=None,
+                   help="distinct exponents drawn (default 2)")
     q.add_argument("--m", type=int, default=None)
     q.add_argument("--trials", type=int, default=None)
 
@@ -424,7 +425,16 @@ def cmd_degenerate_scan(args):
     return 1 if rep["claim_applies"] and rep["findings"] else 0
 
 
+# The options of ``turan`` each check reads; a check given another exits 2.
+TURAN_READS = {"d": ("discrete", "integral", "three-interval"),
+               "m": ("discrete",), "trials": ("sweep",)}
+
+
 def cmd_turan(args):
+    for opt, checks in TURAN_READS.items():
+        if getattr(args, opt) is not None and args.check not in checks:
+            raise UsageError(f"--{opt} is not read by --check {args.check} "
+                             f"(only by {', '.join(checks)})")
     if args.trials is not None and args.trials < 1:
         raise UsageError(f"--trials: need trials >= 1, got {args.trials}")
     if args.check == "sweep":
@@ -437,16 +447,17 @@ def cmd_turan(args):
         _emit(args, {"suites": recs, "all_passed": ok})
         return 0 if ok else 1
     rng = np.random.default_rng(args.seed)
-    if args.d < 1:
-        raise UsageError(f"--d: need d >= 1, got {args.d}")
+    d = 2 if args.d is None else args.d
+    if d < 1:
+        raise UsageError(f"--d: need d >= 1, got {d}")
     if args.check == "discrete":
-        m, _, z, c = es._draw_power_sum(rng, args.d)
+        m, _, z, c = es._draw_power_sum(rng, d)
         rec = es.turan_discrete(z, c, m if args.m is None else args.m)
     elif args.check == "integral":
-        p = es.draw_expsum(rng, args.d)
+        p = es.draw_expsum(rng, d)
         rec = es.turan_integral(p, 1.0, 2.0)
     else:
-        p = es.draw_expsum(rng, args.d, re_range=(0.05, 2.0))
+        p = es.draw_expsum(rng, d, re_range=(0.05, 2.0))
         rec = es.three_interval(p, 1.0, 1, "growth")
     _emit(args, rec)
     return 0 if rec["holds"] else 1

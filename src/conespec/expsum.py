@@ -71,19 +71,6 @@ class ExpSum:
         return len(self.distinct_exponents)
 
     @property
-    def top_powers(self):
-        """Each distinct exponent mapped to the highest power it carries."""
-        best = {}
-        for t in self.terms:
-            best[t.exponent] = max(best.get(t.exponent, 0), t.power)
-        return best
-
-    @property
-    def big_m(self):
-        """Sum over distinct exponents of the maximal power appearing."""
-        return sum(self.top_powers.values())
-
-    @property
     def max_power(self):
         return max((t.power for t in self.terms), default=0)
 

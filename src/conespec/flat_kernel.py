@@ -143,10 +143,6 @@ class QuadraticField:
     coeffs: dict  # (i, l<=m) -> float/Fraction
 
     @classmethod
-    def zero(cls, n):
-        return cls(n, {})
-
-    @classmethod
     def random_integer(cls, n, rng):
         """Nonzero field with integer coefficients drawn uniformly from
         [-3, 3] (exact input for ``quadratic_flow_defect``)."""
@@ -156,13 +152,6 @@ class QuadraticField:
             coeffs = {key: v for key, v in coeffs.items() if v}
             if coeffs:
                 return cls(n, coeffs)
-
-    @classmethod
-    def random(cls, n, rng, scale=1.0):
-        coeffs = {key: float(rng.standard_normal())
-                  for key in _coefficient_keys(n)}
-        norm = math.sqrt(sum(v * v for v in coeffs.values()))
-        return cls(n, {k: scale * v / norm for k, v in coeffs.items()})
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -257,8 +246,8 @@ def quadratic_flow_defect(x_field):
     def twice_q(u, v):
         out = [pt.PolyTensor(n, 0) for _ in range(n)]
         for (i, ell, m), a in x_field.coeffs.items():
-            out[i] = out[i] + (pt.mul_scalar_field(u[ell], v[m])
-                               + pt.mul_scalar_field(u[m], v[ell])).scaled(a)
+            out[i] = out[i] + (pt.outer(u[ell], v[m])
+                               + pt.outer(u[m], v[ell])).scaled(a)
         return out
 
     nums = [[pt.PolyTensor(n, 0).add_term(
@@ -278,8 +267,8 @@ def quadratic_flow_defect(x_field):
         part = subtract[d].scaled(-1) if d < 2 else pt.PolyTensor(n, 2)
         for p in range(d + 1):
             for i in range(n):
-                part = part + pt.tensor_outer(dnum[p][i], dnum[d - p][i]
-                                              ).scaled(math.comb(d, p))
+                part = part + pt.outer(dnum[p][i], dnum[d - p][i]
+                                       ).scaled(math.comb(d, p))
         parts.append(part.scaled(Fraction(1, 2 ** d * math.factorial(d))))
     return parts
 
@@ -295,8 +284,8 @@ def flow_defect_form(x_field):
     for (i,), comp in X.comps.items():
         Xi = pt.PolyTensor(X.n, 0, {(): dict(comp)})
         dXi = pt.gradient(Xi)
-        form = form + pt.tensor_outer(dXi, dXi)
-        nabla_x_x = nabla_x_x + pt.mul_scalar_field(pt.partial(X, i), Xi)
+        form = form + pt.outer(dXi, dXi)
+        nabla_x_x = nabla_x_x + pt.outer(pt.partial(X, i), Xi)
     return form + pt.lie_flat(nabla_x_x).scaled(Fraction(1, 2))
 
 

@@ -12,19 +12,19 @@ metric, the gauge operators on 1-forms, the gauged linearized operator on
 
 Each primitive is stated once: ``partial`` and ``laplacian`` are
 closed-form kernels; ``gradient``, ``divergence``, ``trace2``,
-``radial_contraction``, ``mul_scalar_field``, ``tensor_outer`` and
-``lie_flat`` list their image terms for one private builder, ``_build``,
-which merges like terms; ``hessian = gradient(gradient(.))``.  Each
-operator built on them (``div_star``, ``div_t``, ``gauge_op_t`` and
-``gauge_op``, ``gauged_lin``, ``bach_lin``) is stated once, as a plain
-function of its argument x over the primitives ``x.ops``, and the table
-``OPERATORS`` lists every operator under its ``apply`` opcode.  Two
-evaluators read the same statements: on a field, ``x.ops`` is this module
-(``apply_operator``, and the public names called on fields); on a
-``mode_ode`` operand it is the probed pieces, whose sums and compositions
-give the mode systems.  ``PolyTensor.add_term`` is the public one-term
-constructor for explicit fields (``from_json``, the standard fields,
-tests); no operator uses it.
+``radial_contraction``, ``outer`` (the outer product of two fields of any
+ranks, a scalar factor included) and ``lie_flat`` list their image terms
+for one private builder, ``_build``, which merges like terms;
+``hessian = gradient(gradient(.))``.  Each operator built on them
+(``div_star``, ``div_t``, ``gauge_op_t`` and ``gauge_op``, ``gauged_lin``,
+``bach_lin``) is stated once, as a plain function of its argument x
+over the primitives ``x.ops``, and the table ``OPERATORS`` lists every
+operator under its ``apply`` opcode.  Two evaluators read the same
+statements: on a field, ``x.ops`` is this module (``apply_operator``, and
+the public names called on fields); on a ``mode_ode`` operand it is the
+probed pieces, whose sums and compositions give the mode systems.
+``PolyTensor.add_term`` is the public one-term constructor for explicit
+fields (``from_json``, the standard fields, tests); no operator uses it.
 
 Fields are exact: every coefficient and radial exponent is an ``int`` or
 a ``Fraction``, so orthogonality, closure and nullspace decisions are
@@ -231,8 +231,7 @@ class PolyTensor:
             return NotImplemented
         return (self - other).is_zero()
 
-    def __hash__(self):  # pragma: no cover - identity hashing only
-        return id(self)
+    __hash__ = None  # equality is by value, and fields are mutable
 
     # -- evaluation and serialization ----------------------------------
 
@@ -423,7 +422,7 @@ def radial_form(n):
 def dr_tensor(n):
     """dr (x) dr, components x_i x_j / r^2."""
     dr = radial_form(n)
-    return tensor_outer(dr, dr)
+    return outer(dr, dr)
 
 
 def tangential_metric(n):
@@ -571,32 +570,17 @@ def hessian(T):
     return gradient(gradient(T))
 
 
-def mul_scalar_field(T, S):
-    """Multiply a tensor field by a scalar field."""
-    if S.rank != 0:
-        raise ValueError("second factor must be a scalar field")
-    scomp = S.comps.get((), {})
-    return _build(T.n, T.rank, (
-        (idx, (tuple(x + y for x, y in zip(a1, a2)), _fr(g1 + g2)),
+def outer(A, B):
+    """Outer product A (x) B: the field whose component (i..., j...) is
+    A_i... B_j..., of rank A.rank + B.rank."""
+    if A.n != B.n:
+        raise ValueError(f"outer product needs one n, got n = {A.n} and "
+                         f"n = {B.n}")
+    return _build(A.n, A.rank + B.rank, (
+        (i + j, (tuple(x + y for x, y in zip(a1, a2)), _fr(g1 + g2)),
          _fr(c1 * c2))
-        for idx, comp in T.comps.items() for (a1, g1), c1 in comp.items()
-        for (a2, g2), c2 in scomp.items()))
-
-
-def tensor_outer(A, B):
-    """Outer product of two 1-forms."""
-    if A.rank != 1 or B.rank != 1:
-        raise ValueError("outer product of 1-forms only")
-    return _build(A.n, 2, (
-        ((i, j), (tuple(x + y for x, y in zip(a1, a2)), _fr(g1 + g2)),
-         _fr(c1 * c2))
-        for (i,), compA in A.comps.items() for (j,), compB in B.comps.items()
+        for i, compA in A.comps.items() for j, compB in B.comps.items()
         for (a1, g1), c1 in compA.items() for (a2, g2), c2 in compB.items()))
-
-
-def sym_pair(A, B):
-    """Symmetric product A (x) B + B (x) A of two 1-forms."""
-    return tensor_outer(A, B) + tensor_outer(B, A)
 
 
 def lie_flat(xi):
@@ -708,7 +692,7 @@ def bach_lin(h, k=1):
     core = core - o.laplacian(div_star(dh)).scaled(Fraction(1, n - 2))
     trace_part = (o.laplacian(tr, 2) - o.laplacian(ddh)).scaled(
         Fraction(1, 2 * (n - 1) * (n - 2)))
-    core = core + o.mul_scalar_field(o.delta_metric(n), trace_part)
+    core = core + o.outer(o.delta_metric(n), trace_part)
     return o.laplacian(core, k - 1)
 
 
@@ -1013,7 +997,7 @@ def angular_image(apply_fn, element, m):
 
 def tensor_mode_seed(n, j):
     """Seed phi_j dr (x) dr for the separated 2-tensor expansion."""
-    return mul_scalar_field(dr_tensor(n), sphere_harmonic(n, j))
+    return outer(dr_tensor(n), sphere_harmonic(n, j))
 
 
 def tangential_traceless_hessian(n, j):
@@ -1071,14 +1055,14 @@ def tensor_mode_basis(n, j):
     labels = ["phi dr.dr"]
     if j >= 1:
         tau = gradient(phi).radial_scaled(1)
-        els.append(sym_pair(tau, dr))
+        els.append(outer(tau, dr) + outer(dr, tau))
         labels.append("tau boxtimes dr")
     if j >= 2:
         B = tangential_traceless_hessian(n, j)  # already canonical
         if B.comps:
             els.append(B)
             labels.append("traceless tangential")
-    els.append(mul_scalar_field(tangential_metric(n), phi))
+    els.append(outer(tangential_metric(n), phi))
     labels.append("phi tangential metric")
     return basis_from_elements(n, els, labels)
 
@@ -1092,7 +1076,7 @@ def oneform_mode_basis(n, j):
     not mutate it.
     """
     phi = sphere_harmonic(n, j)
-    el1 = mul_scalar_field(radial_form(n), phi)
+    el1 = outer(radial_form(n), phi)
     if j == 0:
         return basis_from_elements(n, [el1], ["phi dr"])
     el2 = gradient(phi).radial_scaled(1)  # r * d(phi), radially parallel

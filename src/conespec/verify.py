@@ -389,7 +389,7 @@ def check_polar_formula(seed=0, scale=1.0):
         for j in (1, 2):
             nu = cf.typeII_eigenvalue(n, j)
             phi = pt.sphere_harmonic(n, j)
-            phidr = pt.mul_scalar_field(pt.radial_form(n), phi)
+            phidr = pt.outer(pt.radial_form(n), phi)
             dphi = pt.gradient(phi)
             for m in (0, 1, 3):
                 # radial piece a(r) = r^m against the two-block polar formula
@@ -420,7 +420,7 @@ def check_kernel_elements(seed=0, scale=1.0):
         # rotation duals are killed by the modified operator too
         ok &= pt.gauge_op_t(rot.radial_scaled(1), Fraction(1, 7)).is_zero()
         phi = pt.sphere_harmonic(n, 2)
-        phidr = pt.mul_scalar_field(pt.radial_form(n), phi)
+        phidr = pt.outer(pt.radial_form(n), phi)
         dphi = pt.gradient(phi)
         bp, bm = 2, -n
         # gradient family and decaying family

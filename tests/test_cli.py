@@ -342,12 +342,22 @@ def test_mode_parameter_guards_are_usage_errors(capsys, argv, msg):
     (["symbol", "--n", "4", "--k", "1", "--xi", "[1, 0, 0, 0]", "--hhat",
       "[[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]"],
      "--hhat: need a symmetric matrix"),
+    (["turan", "--check", "integral", "--m", "5"],
+     "--m is not read by --check integral"),
+    (["turan", "--check", "sweep", "--d", "7"],
+     "--d is not read by --check sweep"),
+    (["turan", "--check", "discrete", "--trials", "3"],
+     "--trials is not read by --check discrete"),
+    (["turan", "--check", "sweep", "--config", "TMP/turan_d.json"],
+     "--d is not read by --check sweep"),
 ])
 def test_out_of_range_option_is_usage_error(capsys, tmp_path, argv, msg):
     # an explicit value is checked, never replaced by the default; TMP
-    # stands for a directory holding a non-JSON and a non-object config
+    # stands for a directory holding a non-JSON and a non-object config,
+    # and one that gives turan --d
     (tmp_path / "not_json.json").write_text("n = 4")
     (tmp_path / "list.json").write_text("[4, 1]")
+    (tmp_path / "turan_d.json").write_text('{"d": 7}')
     argv = [a.replace("TMP", str(tmp_path)) for a in argv]
     assert main(argv) == 2
     assert msg.replace("TMP", str(tmp_path)) in capsys.readouterr().err

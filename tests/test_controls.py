@@ -175,7 +175,7 @@ def _flow_form_without_lie_term(mp):
         form = pt.PolyTensor(X.n, 2)
         for comp in X.comps.values():
             dXi = pt.gradient(pt.PolyTensor(X.n, 0, {(): dict(comp)}))
-            form = form + pt.tensor_outer(dXi, dXi)
+            form = form + pt.outer(dXi, dXi)
         return form
     mp.setattr(fk, "flow_defect_form", no_lie)
 

@@ -150,7 +150,7 @@ def candidate_sets(draw):
     if draw(st.booleans()):
         # the pieces x_i^2 r^-2 f of the first field f sum to f, a
         # relation through |x|^2 that no single image shows
-        fields += [pt.mul_scalar_field(fields[0], pt.PolyTensor(n, 0).add_term(
+        fields += [pt.outer(fields[0], pt.PolyTensor(n, 0).add_term(
             (), [2 * (q == i) for q in range(n)], -2, 1)) for i in range(n)]
     return draw(st.sampled_from(("div", "lie", "laplacian"))), fields
 
@@ -258,7 +258,7 @@ def test_solve_quadratic_lie_inverts():
 
 
 def test_flow_error_zero_field():
-    rec = quadratic_flow_error(QuadraticField.zero(4), [0.1, 0.01, 0.001])
+    rec = quadratic_flow_error(QuadraticField(4, {}), [0.1, 0.01, 0.001])
     assert rec["identity_flow"]
     assert all(v == 0.0 for v in rec["errors_by_radius"].values())
 
@@ -268,7 +268,7 @@ def test_flow_error_without_scipy_names_the_test_extra(monkeypatch):
     monkeypatch.setitem(sys.modules, "scipy", None)
     monkeypatch.setitem(sys.modules, "scipy.integrate", None)
     with pytest.raises(ImportError, match=r"conespec\[test\]"):
-        quadratic_flow_error(QuadraticField.zero(4), [0.1, 0.01, 0.001])
+        quadratic_flow_error(QuadraticField(4, {}), [0.1, 0.01, 0.001])
 
 
 def test_flow_error_single_coefficient_slope():
@@ -332,7 +332,7 @@ def test_flow_defect_single_coefficient_by_hand():
 
 def test_flow_defect_zero_field_and_float_coefficients():
     assert all(part.is_zero()
-               for part in quadratic_flow_defect(QuadraticField.zero(3)))
+               for part in quadratic_flow_defect(QuadraticField(3, {})))
     with pytest.raises(ParameterError, match="integer"):
         quadratic_flow_defect(QuadraticField(3, {(0, 0, 0): 1.0}))
 

@@ -178,9 +178,10 @@ def _traceless_hessian_oracle(n, j):
     dr = pt.radial_form(n)
     ir = pt.radial_contraction(H).radial_scaled(1)
     s = pt.radial_contraction(pt.radial_contraction(H)).radial_scaled(2)
-    proj = H - pt.sym_pair(dr, ir) + pt.mul_scalar_field(pt.dr_tensor(n), s)
+    proj = (H - pt.outer(dr, ir) - pt.outer(ir, dr)
+            + pt.outer(pt.dr_tensor(n), s))
     tr = pt.trace2(proj)
-    return (proj - pt.mul_scalar_field(pt.tangential_metric(n), tr).scaled(
+    return (proj - pt.outer(pt.tangential_metric(n), tr).scaled(
         Fraction(1, n - 1))).canonical()
 
 
@@ -198,7 +199,7 @@ def _zero_mod_relation(f):
     q = pt.PolyTensor(f.n, 0)
     for i in range(f.n):
         q.add_term((), tuple(2 * (a == i) for a in range(f.n)), 0, 1)
-    return f.radial_scaled(2) - pt.mul_scalar_field(f, q)
+    return f.radial_scaled(2) - pt.outer(f, q)
 
 
 @pytest.mark.parametrize("n,j", [(3, 2), (4, 3), (6, 2)])
@@ -214,7 +215,7 @@ def test_decompose_reads_non_canonical_fields(n, j):
     assert got == coeffs and not residual.comps
     got, residual = basis.decompose(noise)
     assert not any(got) and not residual.comps
-    off = pt.mul_scalar_field(pt.dr_tensor(n), pt.sphere_harmonic(n, j + 1))
+    off = pt.outer(pt.dr_tensor(n), pt.sphere_harmonic(n, j + 1))
     got, residual = basis.decompose(field + noise + off)
     assert got == coeffs and residual == off
     assert all(type(c) in (int, Fraction) and (type(c) is int
@@ -268,7 +269,7 @@ def test_decompose_reads_combinations_exactly(kind, n, j):
     for c, T in zip(coeffs, basis.elements):
         field = field + T.scaled(c)
     # the same family at harmonic degree j + 1 is orthogonal to the basis
-    off = pt.mul_scalar_field(radial(n), pt.sphere_harmonic(n, j + 1))
+    off = pt.outer(radial(n), pt.sphere_harmonic(n, j + 1))
     for _ in range(2):  # the first pass fills the tables, the second reads
         got, residual = basis.decompose(field)
         assert got == coeffs
@@ -292,7 +293,7 @@ def test_basis_refuses_non_orthogonal_families():
     n, j = 4, 1
     phi = pt.sphere_harmonic(n, j)
     pair = [pt.tensor_mode_seed(n, j),
-            pt.mul_scalar_field(pt.delta_metric(n), phi)]
+            pt.outer(pt.delta_metric(n), phi)]
     with pytest.raises(pt.ClosureError,
                        match="'phi dr.dr' and 'phi delta' are not orthogonal"):
         pt.basis_from_elements(n, pair, ["phi dr.dr", "phi delta"])
@@ -349,6 +350,13 @@ def test_canonicalization_and_equality():
     assert a == b
     assert (a - b).is_zero()
     assert not (a + b).is_zero()
+
+
+def test_fields_are_unhashable():
+    # equality is by value, so identity hashing would put the equal a and
+    # b of the test above in different set slots
+    with pytest.raises(TypeError, match="unhashable"):
+        {pt.radial_form(3)}
 
 
 def test_serialization_round_trip():

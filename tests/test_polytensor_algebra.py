@@ -4,6 +4,7 @@ with per-term references."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -188,16 +189,43 @@ def test_operators_match_per_term_reference(data):
     pairs += [(pt.divergence(T), _ref_divergence(T)) for T in (T1, T2, T3)]
     pairs += [(pt.radial_contraction(T), _ref_radial_contraction(T))
               for T in (T1, T2, T3)]
-    pairs += [(pt.mul_scalar_field(T, S0), _ref_mul_scalar_field(T, S0))
+    pairs += [(pt.outer(T, S0), _ref_mul_scalar_field(T, S0))
               for T in (T0, T1, T2)]
     pairs += [(pt.hessian(T0), _ref_hessian(T0)),
               (pt.lie_flat(T1), _ref_lie_flat(T1)),
               (pt.trace2(T2), _ref_trace2(T2)),
-              (pt.tensor_outer(T1, S1), _ref_tensor_outer(T1, S1))]
+              (pt.outer(T1, S1), _ref_tensor_outer(T1, S1))]
     for got, want in pairs:
         assert got.rank == want.rank
         assert got.comps == want.comps
         assert got.to_json() == want.to_json()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_outer_is_associative(data):
+    n = data.draw(st.integers(3, 4))
+    A, B, C = (data.draw(fields(n, max_terms=3)) for _ in range(3))
+    left = pt.outer(pt.outer(A, B), C)
+    right = pt.outer(A, pt.outer(B, C))
+    assert left.rank == right.rank == A.rank + B.rank + C.rank
+    assert left.comps == right.comps
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_outer_obeys_the_leibniz_rule(data):
+    n = data.draw(st.integers(3, 4))
+    A, B = data.draw(fields(n)), data.draw(fields(n))
+    i = data.draw(st.integers(0, n - 1))
+    got = pt.partial(pt.outer(A, B), i)
+    want = pt.outer(pt.partial(A, i), B) + pt.outer(A, pt.partial(B, i))
+    assert got.comps == want.comps
+
+
+def test_outer_refuses_factors_of_different_n():
+    with pytest.raises(ValueError, match="n = 3 and n = 4"):
+        pt.outer(pt.radial_form(3), pt.radial_form(4))
 
 
 def test_cancelled_component_is_dropped():
