@@ -11,8 +11,8 @@ from .closed_form import (essential_linear_gap, gauge_exceptional_values,
                           gauge_kernel_rates, modified_gauge_rates,
                           polyharmonic_exceptional_values,
                           scalar_indicial_polynomial, scalar_indicial_roots)
-from .expsum import (ExpSum, ExpTerm, eval_expsum, three_interval,
-                     turan_discrete, turan_integral)
+from .expsum import (TermTable, three_interval, turan_discrete,
+                     turan_integral)
 from .flat_kernel import (QuadraticField, divergence_free_nullspace,
                           quadratic_flow_error, quadratic_lie_isomorphism)
 from .mode_ode import (EulerOperator, IndicialSpectrum, ModeSolution,

@@ -454,10 +454,10 @@ def cmd_turan(args):
         m, _, z, c = es._draw_power_sum(rng, d)
         rec = es.turan_discrete(z, c, m if args.m is None else args.m)
     elif args.check == "integral":
-        p = es.draw_expsum(rng, d)
+        p = es.draw_expsum_table(rng, [d])
         rec = es.turan_integral(p, 1.0, 2.0)
     else:
-        p = es.draw_expsum(rng, d, re_range=(0.05, 2.0))
+        p = es.draw_expsum_table(rng, [d], re_range=(0.05, 2.0))
         rec = es.three_interval(p, 1.0, 1, "growth")
     _emit(args, rec)
     return 0 if rec["holds"] else 1

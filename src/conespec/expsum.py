@@ -6,17 +6,18 @@ drive the annulus analysis of the mode systems (radial profiles become
 exponential sums in t = log r).  Their constants are the closed forms of
 turan_constants.
 
-Every inequality has one batched kernel reading a TermTable (the terms
-of many sums as flat arrays); the single-ExpSum functions convert once
-and call it.  The random drawers likewise fill a whole batch as arrays,
-and the single-instance drawers are their one-row case.
+A sum is a row of a TermTable (the terms of many sums as flat arrays),
+the one representation of an exponential sum here.  Every inequality
+has one batched kernel reading a table; the single-instance functions
+take a one-row table and call it.  The random drawers likewise fill a
+whole batch as arrays, and a single instance is their one-row case.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,68 +37,6 @@ class NumericError(RuntimeError):
     """A randomized draw could not produce a usable instance."""
 
 
-@dataclass(frozen=True)
-class ExpTerm:
-    """One term c * t^power * e^{exponent * t}."""
-
-    coeff: complex
-    exponent: complex
-    power: int = 0
-
-    def __post_init__(self):
-        if self.power < 0:
-            raise ParameterError("power must be nonnegative")
-        if not (cmath.isfinite(complex(self.coeff))
-                and cmath.isfinite(complex(self.exponent))):
-            raise ParameterError("coefficient and exponent must be finite")
-
-
-@dataclass
-class ExpSum:
-    """Finite sum of ExpTerms, normalized on construction."""
-
-    terms: list = field(default_factory=list)
-
-    def __post_init__(self):
-        self.terms = _normalize(self.terms)
-
-    @property
-    def distinct_exponents(self):
-        return sorted({t.exponent for t in self.terms},
-                      key=lambda z: (z.real, z.imag))
-
-    @property
-    def d(self):
-        return len(self.distinct_exponents)
-
-    @property
-    def max_power(self):
-        return max((t.power for t in self.terms), default=0)
-
-    def shift(self, c):
-        """The sum p(t + c), expanded exactly (binomial mixing of powers)."""
-        out = []
-        for t in self.terms:
-            scale = cmath.exp(t.exponent * c)
-            for i in range(t.power + 1):
-                out.append(ExpTerm(t.coeff * scale * math.comb(t.power, i)
-                                   * c ** (t.power - i), t.exponent, i))
-        return ExpSum(out)
-
-    def __call__(self, t):
-        return eval_expsum(self, t)
-
-
-def _normalize(terms):
-    acc = {}
-    for t in terms:
-        key = (complex(t.exponent), int(t.power))
-        acc[key] = acc.get(key, 0j) + complex(t.coeff)
-    out = [ExpTerm(c, z, p) for (z, p), c in acc.items() if c != 0]
-    out.sort(key=lambda t: (t.exponent.real, t.exponent.imag, t.power))
-    return out
-
-
 _NO_TERMS = (np.zeros(0, dtype=complex), np.zeros(0, dtype=complex),
              np.zeros(0, dtype=int), np.zeros(0, dtype=int))
 
@@ -106,12 +45,12 @@ _NO_TERMS = (np.zeros(0, dtype=complex), np.zeros(0, dtype=complex),
 class TermTable:
     """The terms of ``rows`` exponential sums as flat arrays, one entry per
     term: coefficient, exponent, power and the row (sum) it belongs to.
+    A single sum is a one-row table.
 
     Rows are contiguous and in order, and the terms of a row are in
-    ExpSum's normalized order (real part, imaginary part, power), so a row
-    evaluates bit for bit as the ExpSum it stands for.  The batched
-    kernels read this table; the single-ExpSum functions convert once
-    with TermTable.of.
+    normalized order (real part, imaginary part, power; like terms keep
+    their order and are not merged, since every kernel is linear in the
+    terms).  from_parts is the one constructor, and it checks every term.
     """
 
     coeff: np.ndarray
@@ -121,26 +60,17 @@ class TermTable:
     rows: int
 
     @classmethod
-    def of(cls, sums):
-        """Row i holds the terms of sums[i]."""
-        parts = [(np.array([t.coeff for t in p.terms], dtype=complex),
-                  np.array([t.exponent for t in p.terms], dtype=complex),
-                  np.array([t.power for t in p.terms], dtype=int),
-                  np.full(len(p.terms), i)) for i, p in enumerate(sums)]
-        return cls.from_parts(parts, len(sums))
-
-    @classmethod
     def from_parts(cls, parts, rows):
         """The table of the (coeff, exponent, power, row) array quadruples
-        of ``parts``, put in row and normalized order."""
+        of ``parts``, put in row and normalized order.  A negative power
+        or a non-finite coefficient or exponent raises ParameterError."""
         c, z, b, r = (np.concatenate(v) for v in zip(_NO_TERMS, *parts))
+        if (b < 0).any():
+            raise ParameterError("power must be nonnegative")
+        if not (np.isfinite(c).all() and np.isfinite(z).all()):
+            raise ParameterError("coefficient and exponent must be finite")
         order = np.lexsort((b, z.imag, z.real, r))
         return cls(c[order], z[order], b[order], r[order], rows)
-
-    def sums(self):
-        """Each row as an ExpSum."""
-        return [ExpSum([ExpTerm(*t) for t in terms])
-                for terms in self.row_terms()]
 
     def sizes(self):
         """The number of terms of each row."""
@@ -153,6 +83,23 @@ class TermTable:
             [(self.coeff, self.exponent, self.power, self.row),
              (self.coeff, -self.exponent.conj(), self.power,
               self.row + self.rows)], 2 * self.rows)
+
+    def shifted(self, c):
+        """Each row p as p(t + c), expanded exactly: a term a t^b e^{zeta t}
+        becomes the terms C(b, i) c^(b-i) e^{zeta c} a t^i e^{zeta t} for
+        i = 0..b, like terms unmerged (distinct() reads repeated
+        exponents)."""
+        count = self.power + 1
+        src = np.repeat(np.arange(len(count)), count)
+        b = self.power[src]
+        i = np.arange(len(src)) - np.repeat(np.cumsum(count) - count, count)
+        binom = np.array([math.comb(*bi) for bi in zip(b.tolist(),
+                                                         i.tolist())],
+                         dtype=float)
+        coeff = (self.coeff[src] * np.exp(self.exponent[src] * c) * binom
+                 * float(c) ** (b - i))
+        return TermTable.from_parts(
+            [(coeff, self.exponent[src], i, self.row[src])], self.rows)
 
     def distinct(self):
         """Per row, d (the number of distinct exponents) and M (the sum over
@@ -186,20 +133,6 @@ def _eval_terms(terms, t):
         if b:
             val *= t ** b
         acc += val
-    return acc
-
-
-def eval_expsum(p, t):
-    """Evaluate sum c t^power e^{exponent t}; overflow raises RangeError."""
-    if not math.isfinite(t):
-        raise ParameterError("t must be finite")
-    try:
-        acc = _eval_terms([(u.coeff, u.exponent, u.power) for u in p.terms],
-                          t)
-    except OverflowError as exc:
-        raise RangeError(f"exp overflow at t={t}") from exc
-    if not cmath.isfinite(acc):
-        raise RangeError(f"evaluation overflowed at t={t}")
     return acc
 
 
@@ -330,15 +263,23 @@ def l2_integrals(table, t0, t1):
     return np.maximum(acc, 0.0).reshape(table.rows, k)
 
 
+def _one_row(table):
+    """Refuse a table that is not a single sum."""
+    if table.rows != 1:
+        raise ParameterError(f"needs a one-row TermTable, got "
+                             f"{table.rows} rows")
+
+
 def l2_integral(p, t0, t1):
-    """Integral of |p(t)|^2 over [t0, t1] in closed form (l2_integrals of
-    the one sum p on the one interval)."""
-    return float(l2_integrals(TermTable.of([p]), [[t0]], [[t1]])[0, 0])
+    """Integral of |p(t)|^2 over [t0, t1] in closed form, for the one-row
+    TermTable p (l2_integrals on the one interval)."""
+    _one_row(p)
+    return float(l2_integrals(p, [[t0]], [[t1]])[0, 0])
 
 
 def _abs_sq_grid(terms, ts):
     """|p|^2 at every point of the array ts in one numpy pass per term, for
-    the row terms of p; overflow raises RangeError as in eval_expsum."""
+    the row terms of p; overflow raises RangeError as in _abs_sq."""
     acc = np.zeros(len(ts), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         for c, z, b in terms:
@@ -352,7 +293,8 @@ def _abs_sq_grid(terms, ts):
 
 
 def _abs_sq(terms, t):
-    """|p(t)|^2 for the row terms of p, as eval_expsum computes it."""
+    """|p(t)|^2 for the row terms of p in the scalar arithmetic of
+    _eval_terms; overflow raises RangeError."""
     try:
         v = abs(_eval_terms(terms, t)) ** 2
     except OverflowError as exc:
@@ -389,7 +331,7 @@ def sup_norms_sq(table, t0, t1):
     sampling plus a golden-section refine around the best sample.
 
     The grid is evaluated in numpy; the best sample and the refine use the
-    scalar arithmetic of eval_expsum, so a maximum at an endpoint keeps
+    scalar arithmetic of _eval_terms, so a maximum at an endpoint keeps
     its scalar value."""
     out = []
     for terms, lo, hi in zip(table.row_terms(), np.ravel(t0).tolist(),
@@ -514,22 +456,25 @@ def turan_integral_batch(table, a, b):
 def turan_integral(p, a, b):
     """Integral form of the power-sum bound plus its two interval variants.
 
-    Requires all exponents with nonnegative real part and no powers.
-    lhs = |p(0)|^2; bound = K_d(0; a, b) int_a^b |p|^2, with the Legendre
-    Christoffel function K_d (turan_constants.integral_constant).  The
-    sup-norm and L^2-L^2 variants are evaluated on [0, R] against
-    [3R/2, 2R] with R = b/2.  The one-sum case of turan_integral_batch.
+    p is a one-row TermTable with all exponents of nonnegative real part
+    and no powers.  lhs = |p(0)|^2; bound = K_d(0; a, b) int_a^b |p|^2,
+    with the Legendre Christoffel function K_d
+    (turan_constants.integral_constant).  The sup-norm and L^2-L^2
+    variants are evaluated on [0, R] against [3R/2, 2R] with R = b/2.
+    The one-sum case of turan_integral_batch.
     """
+    _one_row(p)
     if not 0 < a < b:
         raise ParameterError("need 0 < a < b")
     if (b - a) / b < 1e-8:
         raise ParameterError("degenerate interval")
-    if p.max_power != 0:
+    if p.power.any():
         raise ParameterError("integral form needs pure exponentials")
-    if any(t.exponent.real < 0 for t in p.terms):
+    if (p.exponent.real < 0).any():
         raise ParameterError("all Re(exponent) must be >= 0")
-    rec = _first(turan_integral_batch(TermTable.of([p]), [a], [b]))
-    rec["params"] = {"d": max(p.d, 1), "a": a, "b": b, "R": b / 2}
+    rec = _first(turan_integral_batch(p, [a], [b]))
+    rec["params"] = {"d": max(int(p.distinct()[0][0]), 1), "a": a, "b": b,
+                     "R": b / 2}
     return rec
 
 
@@ -602,20 +547,21 @@ def three_interval_batch(table, big_r, ell, modes):
 
 
 def three_interval(p, big_r, ell, mode):
-    """Growth/decay comparison of |p|^2 over three consecutive intervals.
+    """Growth/decay comparison of |p|^2 over three consecutive intervals,
+    for the one-row TermTable p.
 
     growth: e^{lambda R} int_{(l-1)R}^{lR} <= A(M+d) int_{lR}^{(l+1)R};
     decay is the mirror image.  lambda is the minimal |Re exponent| and must
     be positive with all real parts of one sign (three_interval_batch).
     The one-sum case of three_interval_batch.
     """
+    _one_row(p)
     if big_r <= 0:
         raise ParameterError("R must be positive")
     if int(ell) != ell or ell < 1:
         raise ParameterError("l must be an integer >= 1")
     ell = int(ell)
-    rec = _first(three_interval_batch(TermTable.of([p]), [big_r], [ell],
-                                      [mode]))
+    rec = _first(three_interval_batch(p, [big_r], [ell], [mode]))
     rec["params"] = {"R": big_r, "l": ell, "mode": mode,
                      "index": rec.pop("index")}
     return rec
@@ -734,12 +680,6 @@ def draw_expsum_table(rng, d, re_range=(0.0, 2.0), powers=None):
     return TermTable.from_parts(parts, len(d))
 
 
-def draw_expsum(rng, d, re_range=(0.0, 2.0), powers=None):
-    """Random ExpSum with d distinct exponents and optional power budget:
-    the one-row case of draw_expsum_table."""
-    return draw_expsum_table(rng, [d], re_range, powers).sums()[0]
-
-
 def draw_budget_table(rng, d, budget):
     """len(d) random growth-type sums as a TermTable: row i with d[i]
     exponents (real parts in [0.05, 2], draw_expsum_table) and budget[i]
@@ -750,7 +690,7 @@ def draw_budget_table(rng, d, budget):
     d = np.asarray(d, dtype=int)
     budget = np.asarray(budget, dtype=int)
     zs, parts = _exponent_slots(rng, d, (0.05, 2.0), None)
-    # the choice indexes a row's exponents in ExpSum order (real part,
+    # the choice indexes a row's exponents in normalized order (real part,
     # then imaginary part); the +inf padding sorts last
     order = np.lexsort((zs.imag, zs.real))
     top = np.zeros(zs.shape, dtype=int)

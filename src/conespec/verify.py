@@ -112,10 +112,10 @@ def check_shift_covariance(seed=3, scale=1.0):
     ok = True
     for _ in range(int(100 * scale) or 1):
         d = int(rng.integers(1, 4))
-        p = es.draw_expsum(rng, d, re_range=(0.05, 2.0), powers=1)
+        p = es.draw_expsum_table(rng, [d], re_range=(0.05, 2.0), powers=1)
         big_r = float(rng.uniform(0.3, 2.0))
         a = es.three_interval(p, big_r, 2, "growth")
-        b = es.three_interval(p.shift(big_r), big_r, 1, "growth")
+        b = es.three_interval(p.shifted(big_r), big_r, 1, "growth")
         ok &= a["holds"] == b["holds"]
         ok &= abs(a["lhs"] - b["lhs"]) <= 1e-8 * (1 + abs(a["lhs"]))
     return _result(check_shift_covariance, ok)
@@ -483,6 +483,36 @@ def check_parallel_inner(seed=0, scale=1.0):
                     d = pt.slice_inner_reduced(a, b)
                     ok &= all(v == 0 for v in d.values())
     return _result(check_parallel_inner, ok)
+
+
+@_suite("polytensor.ale_witnesses")
+def check_ale_witnesses(seed=0, scale=1.0):
+    """The first-order terms of two exact ALE metrics on R^4, with
+    J(x) = (-x_2, x_1, -x_4, x_3): Burns's h_B = (r^2 delta - x x - Jx Jx)
+    / r^4 (Bach-flat, of degree -2 = -(n - 2k) at (4, 1)) and
+    Eguchi-Hanson's h_1 = (x x - Jx Jx) / r^6 (Ricci-flat, of degree -4).
+    Both lie in the kernels of bach_lin(., 1) and gauged_lin(., 1, 0);
+    h_B, whose radial contraction vanishes, also in that of
+    gauged_lin(., 1, 1/10), and h_1 not.  h_B satisfies the Bianchi gauge
+    div h = d tr h / 2 and is not divergence-free; h_1 is traceless and
+    divergence-free."""
+    x = pt.radial_form(4).radial_scaled(1)
+    jx = pt.PolyTensor(4, 1)
+    for i, (j, sign) in enumerate(((1, -1), (0, 1), (3, -1), (2, 1))):
+        jx.add_term((i,), tuple(int(m == j) for m in range(4)), 0, sign)
+    xx, jj = pt.outer(x, x), pt.outer(jx, jx)
+    h_b = pt.delta_metric(4).radial_scaled(-2) - (xx + jj).radial_scaled(-4)
+    h_1 = (xx - jj).radial_scaled(-6)
+    ok = h_b.homogeneity() == -2 and h_1.homogeneity() == -4
+    for h in (h_b, h_1):
+        ok &= pt.bach_lin(h, 1).is_zero() and pt.gauged_lin(h, 1, 0).is_zero()
+    ok &= pt.gauged_lin(h_b, 1, Fraction(1, 10)).is_zero()
+    ok &= not pt.gauged_lin(h_1, 1, Fraction(1, 10)).is_zero()
+    div_b = pt.divergence(h_b)
+    ok &= (div_b - pt.gradient(pt.trace2(h_b)).scaled(Fraction(1, 2))
+           ).is_zero() and not div_b.is_zero()
+    ok &= pt.trace2(h_1).is_zero() and pt.divergence(h_1).is_zero()
+    return _result(check_ale_witnesses, ok)
 
 
 # -- mode systems --------------------------------------------------------------

@@ -14,7 +14,6 @@ The memo caches are cleared around every mutant, so every suite reads
 the mutant and no later test reads its results.
 """
 
-import cmath
 import dataclasses
 import sys
 from dataclasses import dataclass
@@ -78,11 +77,11 @@ def _barriers(n, k):
 
 
 def _shift_without_binomial_mixing(mp):
-    def shift(self, c):
-        return es.ExpSum([es.ExpTerm(t.coeff * cmath.exp(t.exponent * c),
-                                     t.exponent, t.power)
-                          for t in self.terms])
-    mp.setattr(es.ExpSum, "shift", shift)
+    def shifted(self, c):
+        return es.TermTable.from_parts(
+            [(self.coeff * np.exp(self.exponent * c), self.exponent,
+              self.power, self.row)], self.rows)
+    mp.setattr(es.TermTable, "shifted", shifted)
 
 
 def _turan_constants_times_100(mp):
@@ -185,6 +184,19 @@ def _flow_form_without_lie_term(mp):
 
 def _symbol_one_power_too_many(mp):
     _wrap(mp, pt, "bach_lin", lambda f, h, k=1: pt.laplacian(f(h, k)))
+
+
+def _bach_hess_trace_without_laplacian(mp):
+    # -1/(2(n-1)(n-2)) Hess(tr h) in place of Hess(Delta tr h).  Every term
+    # of bach_lin vanishes on its own on h_B and h_1, so a changed
+    # coefficient cannot show there; tr h_B = 2/r^2 is harmonic on R^4,
+    # but its Hessian is not 0
+    def changed(original, h, k=1):
+        tr = pt.trace2(h)
+        diff = pt.hessian(pt.laplacian(tr)) - pt.hessian(tr)
+        return original(h, k) + pt.laplacian(diff, k - 1).scaled(
+            Fraction(1, 2 * (h.n - 1) * (h.n - 2)))
+    _wrap(mp, pt, "bach_lin", changed)
 
 
 def _symbol_divstar_sign(mp):
@@ -299,7 +311,7 @@ MUTANTS = {
         lambda mp: _wrap(mp, tc, "three_interval_constant",
                          lambda f, index: f(index) / 100),
         kills=("expsum.three_interval_sweep",)),
-    "ExpSum.shift without binomial mixing": Mutant(
+    "TermTable.shifted without binomial mixing": Mutant(
         _shift_without_binomial_mixing, kills=("expsum.shift_covariance",)),
     "every Turan constant x 100": Mutant(
         _turan_constants_times_100, witness=_turan_constants,
@@ -354,6 +366,11 @@ MUTANTS = {
         _symbol_divstar_sign,
         kills=("symbols.gauge_invariance_and_reduction",
                "symbols.two_block_assembly")),
+    "bach_lin's Hess(Delta tr h) term without its Laplacian": Mutant(
+        _bach_hess_trace_without_laplacian,
+        kills=("symbols.gauge_invariance_and_reduction",
+               "symbols.two_block_assembly",
+               "polytensor.ale_witnesses")),
     "lie_flat without the transpose": Mutant(
         _lie_flat_without_transpose,
         kills=("closed_form.rates_match_probed_spectra",

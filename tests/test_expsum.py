@@ -12,66 +12,75 @@ from scipy import integrate
 from conespec import expsum as es
 from conespec import turan_constants, verify
 from conespec.closed_form import ParameterError
-from conespec.expsum import (ExpSum, ExpTerm, RangeError, TermTable,
-                             _abs_sq_grid, draw_expsum, eval_expsum,
-                             l2_integral, poly_exp_integrals, sup_norms_sq,
+from conespec.expsum import (RangeError, TermTable, _abs_sq_grid,
+                             _eval_terms, draw_expsum_table, l2_integral,
+                             poly_exp_integrals, sup_norms_sq,
                              three_interval, turan_discrete, turan_integral)
 
 E = math.e
 
 
+def _table(*rows):
+    """The TermTable whose row i holds the (coeff, exponent[, power])
+    tuples rows[i]; the power defaults to 0."""
+    parts = [(np.array([t[0] for t in terms], dtype=complex),
+              np.array([t[1] for t in terms], dtype=complex),
+              np.array([t[2] if len(t) > 2 else 0 for t in terms],
+                       dtype=int),
+              np.full(len(terms), i)) for i, terms in enumerate(rows)]
+    return TermTable.from_parts(parts, len(rows))
+
+
+def _sum(*terms):
+    """The one-row TermTable of the (coeff, exponent[, power]) tuples."""
+    return _table(terms)
+
+
+def _rows(table):
+    """Each row of ``table`` as a one-row TermTable."""
+    return [_table(terms) for terms in table.row_terms()]
+
+
+def _value(p, t):
+    """The one-row TermTable p at t, in scalar arithmetic."""
+    return _eval_terms(p.row_terms()[0], t)
+
+
 def _sup_norm_sq(p, t0, t1):
     """sup of |p|^2 on [t0, t1]: sup_norms_sq of the one sum p."""
-    return float(sup_norms_sq(TermTable.of([p]), [t0], [t1])[0])
+    return float(sup_norms_sq(p, [t0], [t1])[0])
 
 
 def _mirrored(p):
-    """Reference decay-form reflection of p, sum c t^b e^{-conj(zeta) t}:
-    every real part changes sign, coefficients and powers are kept."""
-    return ExpSum([ExpTerm(t.coeff, -t.exponent.conjugate(), t.power)
-                   for t in p.terms])
+    """Reference decay-form reflection of the one sum p,
+    sum c t^b e^{-conj(zeta) t}: every real part changes sign,
+    coefficients and powers are kept."""
+    return _sum(*((c, -z.conjugate(), b) for c, z, b in p.row_terms()[0]))
 
 
 def _top_powers(p):
-    """Reference: each distinct exponent of p mapped to the highest power
-    it carries, so M is the sum of the values and d their number."""
+    """Reference: each distinct exponent of the one sum p mapped to the
+    highest power it carries, so M is the sum of the values and d their
+    number."""
     best = {}
-    for t in p.terms:
-        best[t.exponent] = max(best.get(t.exponent, 0), t.power)
+    for _, z, b in p.row_terms()[0]:
+        best[z] = max(best.get(z, 0), b)
     return best
 
 
 def test_eval_constant_and_circle():
-    p = ExpSum([ExpTerm(1, 0)])
-    assert eval_expsum(p, 5.0) == 1
-    p = ExpSum([ExpTerm(1, 1j)])
-    assert abs(eval_expsum(p, math.pi) - (-1)) < 1e-14
+    assert _value(_sum((1, 0)), 5.0) == 1
+    assert abs(_value(_sum((1, 1j)), math.pi) - (-1)) < 1e-14
 
 
 def test_eval_power_term():
     # t e^t at t = 1 equals e (direct scalar arithmetic)
-    p = ExpSum([ExpTerm(1, 1, power=1)])
-    assert abs(eval_expsum(p, 1.0) - E) < 1e-14
+    assert abs(_value(_sum((1, 1, 1)), 1.0) - E) < 1e-14
 
 
 def test_eval_overflow_reported():
-    p = ExpSum([ExpTerm(1, 500)])
     with pytest.raises(RangeError):
-        eval_expsum(p, 5000.0)
-
-
-def test_normalization_idempotent_and_merging():
-    p = ExpSum([ExpTerm(1, 2.0, 1), ExpTerm(2, 2.0, 1), ExpTerm(-3, 2.0, 1)])
-    assert p.terms == []  # coefficients cancel
-    q = ExpSum([ExpTerm(1, 1.0), ExpTerm(2, 2.0)])
-    assert ExpSum(ExpSum(q.terms).terms).terms == q.terms
-    r = ExpSum([ExpTerm(1, 1.0, 2), ExpTerm(1, 1.0, 0), ExpTerm(1, 3.0, 1)])
-    d, big_m = TermTable.of([q, r]).distinct()
-    assert [q.d, r.d] == d.tolist() == [2, 2] and big_m.tolist() == [0, 3]
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        p = draw_expsum(rng, int(rng.integers(1, 4)), powers=2)
-        assert ExpSum(p.terms).terms == p.terms
+        es._abs_sq(_sum((1, 500)).row_terms()[0], 5000.0)
 
 
 def test_discrete_single_term_example():
@@ -101,7 +110,7 @@ def test_discrete_preconditions():
 
 
 def test_integral_constant_case():
-    p = ExpSum([ExpTerm(1, 0)])
+    p = _sum((1, 0))
     rec = turan_integral(p, 1.0, 2.0)
     assert abs(rec["lhs"] - 1) < 1e-12
     assert abs(rec["integral"] - 1) < 1e-10
@@ -113,7 +122,7 @@ def test_integral_constant_case():
 
 def test_integral_sup_variant_exponential():
     # p = e^t on [0, R] with R = 1: closed-form integral oracle
-    p = ExpSum([ExpTerm(1, 1)])
+    p = _sum((1, 1))
     rec = turan_integral(p, 1.0, 2.0)  # R = b/2 = 1
     sup_sq = rec["sup_form"]["lhs"]
     assert abs(sup_sq - E ** 2) < 1e-9
@@ -127,13 +136,13 @@ def test_integral_sup_variant_exponential():
 
 
 def test_integral_preconditions():
-    p = ExpSum([ExpTerm(1, -1)])
+    p = _sum((1, -1))
     with pytest.raises(ParameterError):
         turan_integral(p, 1.0, 2.0)
-    q = ExpSum([ExpTerm(1, 1, power=1)])
+    q = _sum((1, 1, 1))
     with pytest.raises(ParameterError):
         turan_integral(q, 1.0, 2.0)
-    r = ExpSum([ExpTerm(1, 1)])
+    r = _sum((1, 1))
     with pytest.raises(ParameterError):
         turan_integral(r, 2.0, 1.0)
     with pytest.raises(ParameterError):
@@ -141,7 +150,7 @@ def test_integral_preconditions():
 
 
 def test_three_interval_growth_closed_form():
-    p = ExpSum([ExpTerm(1, 1)])
+    p = _sum((1, 1))
     rec = three_interval(p, 1.0, 1, "growth")
     lhs_oracle = E * (E ** 2 - 1) / 2  # e^{lambda R} int_0^1 e^{2t}
     rhs_oracle = rec["constant"] * (E ** 4 - E ** 2) / 2
@@ -151,7 +160,7 @@ def test_three_interval_growth_closed_form():
 
 
 def test_three_interval_decay_closed_form():
-    p = ExpSum([ExpTerm(1, -1)])
+    p = _sum((1, -1))
     rec = three_interval(p, 1.0, 1, "decay")
     lhs_oracle = (math.exp(-2) - math.exp(-4)) / 2
     assert abs(rec["lhs"] - lhs_oracle) < 1e-12
@@ -159,7 +168,7 @@ def test_three_interval_decay_closed_form():
 
 
 def test_three_interval_power_term_quadrature_oracle():
-    p = ExpSum([ExpTerm(1, 1, power=1)])  # t e^t, M = 1, d = 1
+    p = _sum((1, 1, 1))  # t e^t, M = 1, d = 1
     rec = three_interval(p, 1.0, 2, "growth")
     lo, _ = integrate.quad(lambda t: (t * math.exp(t)) ** 2, 1, 2)
     hi, _ = integrate.quad(lambda t: (t * math.exp(t)) ** 2, 2, 3)
@@ -170,7 +179,7 @@ def test_three_interval_power_term_quadrature_oracle():
 
 
 def test_three_interval_mixed_signs_rejected():
-    p = ExpSum([ExpTerm(1, 1), ExpTerm(1, -1)])
+    p = _sum((1, 1), (1, -1))
     with pytest.raises(ParameterError, match="split"):
         three_interval(p, 1.0, 1, "growth")
 
@@ -178,26 +187,34 @@ def test_three_interval_mixed_signs_rejected():
 def test_three_interval_empty_sum_rejected():
     # the batch's checks: the mode is checked before the sum
     with pytest.raises(ParameterError, match="empty sum"):
-        three_interval(ExpSum([]), 1.0, 1, "growth")
+        three_interval(_sum(), 1.0, 1, "growth")
     with pytest.raises(ParameterError, match="mode must be"):
-        three_interval(ExpSum([]), 1.0, 1, "sideways")
+        three_interval(_sum(), 1.0, 1, "sideways")
+
+
+def test_single_sum_functions_refuse_other_row_counts():
+    for table in (_table(), _table([(1, 1)], [(1, 2)])):
+        for call in (lambda: l2_integral(table, 0.0, 1.0),
+                     lambda: turan_integral(table, 1.0, 2.0),
+                     lambda: three_interval(table, 1.0, 1, "growth")):
+            with pytest.raises(ParameterError, match="one-row"):
+                call()
 
 
 def test_closed_form_integral_matches_quadrature():
     rng = np.random.default_rng(5)
     cases = []
     for _ in range(20):
-        p = draw_expsum(rng, int(rng.integers(1, 4)), powers=2)
+        p = draw_expsum_table(rng, [int(rng.integers(1, 4))], powers=2)
         t0, t1 = sorted(rng.uniform(0.1, 3.0, 2))
         if t1 - t0 >= 0.05:
             cases.append((p, t0, t1))
     # a short interval at the origin (the series' stopping rule) and a
     # power whose closed form cancels just above |w| t = 0.25 (the switch)
-    cases += [(ExpSum([ExpTerm(1, 0.5, 4)]), 0.0, 0.01),
-              (ExpSum([ExpTerm(1, 0.15, 5)]), 0.0, 1.0)]
+    cases += [(_sum((1, 0.5, 4)), 0.0, 0.01), (_sum((1, 0.15, 5)), 0.0, 1.0)]
     for p, t0, t1 in cases:
         a = l2_integral(p, t0, t1)
-        b, err = integrate.quad(lambda t: abs(eval_expsum(p, t)) ** 2,
+        b, err = integrate.quad(lambda t: abs(_value(p, t)) ** 2,
                                 t0, t1, epsrel=1e-12, epsabs=0, limit=200)
         assert err <= 1e-6 * b
         assert abs(a - b) <= 1e-9 * b
@@ -206,36 +223,92 @@ def test_closed_form_integral_matches_quadrature():
 def test_shift_covariance():
     rng = np.random.default_rng(11)
     for _ in range(25):
-        p = draw_expsum(rng, 2, re_range=(0.1, 2.0), powers=1)
+        p = draw_expsum_table(rng, [2], re_range=(0.1, 2.0), powers=1)
         big_r = float(rng.uniform(0.4, 1.5))
         a = three_interval(p, big_r, 2, "growth")
-        b = three_interval(p.shift(big_r), big_r, 1, "growth")
+        b = three_interval(p.shifted(big_r), big_r, 1, "growth")
         assert a["holds"] == b["holds"]
         assert abs(a["lhs"] - b["lhs"]) < 1e-7 * (1 + abs(a["lhs"]))
         assert abs(a["rhs"] - b["rhs"]) < 1e-7 * (1 + abs(a["rhs"]))
 
 
 def test_shift_expands_powers_exactly():
-    p = ExpSum([ExpTerm(2.0, 1.5, power=2)])
-    q = p.shift(0.7)
+    p = _sum((2.0, 1.5, 2))
+    q = p.shifted(0.7)
+    assert q.power.tolist() == [0, 1, 2]
+    assert [v.tolist() for v in q.distinct()] == [[1], [2]]
     for t in (0.0, 0.3, 1.1):
-        assert abs(eval_expsum(q, t) - eval_expsum(p, t + 0.7)) < 1e-12 * (
-            1 + abs(eval_expsum(p, t + 0.7)))
+        assert abs(_value(q, t) - _value(p, t + 0.7)) < 1e-12 * (
+            1 + abs(_value(p, t + 0.7)))
+
+
+@st.composite
+def _one_row_tables(draw):
+    """A drawn one-row table: 1 to 3 exponents with real parts in
+    [-2, 2], each with powers up to 0 to 3."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return draw_expsum_table(rng, [draw(st.integers(1, 3))],
+                             re_range=(-2.0, 2.0),
+                             powers=draw(st.integers(0, 3)))
+
+
+def _term_moduli(p, c, ts):
+    """sum |a| (|t| + |c|)^b e^{Re zeta (t + c)} over the terms of the one
+    sum p at every point of ts: a bound on the moduli of the terms of
+    p(t + c) and of p.shifted(c) at t before they cancel."""
+    return sum(abs(a) * (np.abs(ts) + abs(c)) ** b * np.exp(z.real * (ts + c))
+               for a, z, b in p.row_terms()[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=_one_row_tables(), c=st.floats(-2.0, 2.0), t=st.floats(-2.0, 2.0))
+def test_shifted_row_at_t_is_the_row_at_t_plus_c(p, c, t):
+    q = p.shifted(c)
+    assert q.rows == 1
+    assert abs(_value(q, t) - _value(p, t + c)) <= 1e-12 * _term_moduli(
+        p, c, np.array(t))
+    # the shift keeps every exponent and the top power it carries
+    assert [v.tolist() for v in q.distinct()] == [v.tolist()
+                                                  for v in p.distinct()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=_one_row_tables(), c=st.floats(-2.0, 2.0), t0=st.floats(-2.0, 2.0),
+       width=st.floats(0.01, 2.0))
+def test_shifted_integral_is_the_integral_shifted(p, c, t0, width):
+    # within README's 1e-10 of the integral of the squared term moduli
+    t1 = t0 + width
+    got = es.l2_integrals(p.shifted(c), [[t0]], [[t1]])[0, 0]
+    scale = width * _term_moduli(p, c, np.linspace(t0, t1, 201)).max() ** 2
+    assert abs(got - l2_integral(p, t0 + c, t1 + c)) <= 1e-10 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=_one_row_tables(), at=st.integers(0, 50), bad=st.sampled_from([
+    ("power", -1), ("power", -4), ("coeff", math.nan), ("coeff", math.inf),
+    ("coeff", complex(0.0, -math.inf)), ("exponent", math.nan),
+    ("exponent", complex(1.0, math.inf))]))
+def test_from_parts_refuses_bad_terms(p, at, bad):
+    name, value = bad
+    arrays = {f: getattr(p, f).copy() for f in ("coeff", "exponent", "power")}
+    arrays[name][at % len(p.power)] = value
+    with pytest.raises(ParameterError, match="nonnegative|finite"):
+        TermTable.from_parts([(arrays["coeff"], arrays["exponent"],
+                               arrays["power"], p.row)], 1)
 
 
 def test_sup_norm_matches_endpoint_monotone():
-    p = ExpSum([ExpTerm(1, 1)])
-    assert abs(_sup_norm_sq(p, 0.0, 1.0) - E ** 2) < 1e-9
+    assert abs(_sup_norm_sq(_sum((1, 1)), 0.0, 1.0) - E ** 2) < 1e-9
 
 
 def test_sup_norm_grid_matches_scalar_evaluation():
     rng = np.random.default_rng(4)
     ts = np.linspace(-1.0, 3.0, 101)
     for _ in range(20):
-        p = draw_expsum(rng, int(rng.integers(1, 4)), re_range=(-2.0, 2.0),
-                        powers=2)
-        want = np.array([abs(eval_expsum(p, t)) ** 2 for t in ts])
-        terms = TermTable.of([p]).row_terms()[0]
+        p = draw_expsum_table(rng, [int(rng.integers(1, 4))],
+                              re_range=(-2.0, 2.0), powers=2)
+        want = np.array([abs(_value(p, t)) ** 2 for t in ts])
+        terms = p.row_terms()[0]
         assert np.allclose(_abs_sq_grid(terms, ts), want, rtol=1e-13, atol=0)
 
 
@@ -244,11 +317,11 @@ def test_sup_norm_refines_past_the_sample_grid():
     # land on its maximum, well inside the grid's own O(h^2) error
     rng = np.random.default_rng(11)
     for _ in range(20):
-        p = draw_expsum(rng, int(rng.integers(1, 4)), re_range=(-2.0, 2.0),
-                        powers=2)
+        p = draw_expsum_table(rng, [int(rng.integers(1, 4))],
+                              re_range=(-2.0, 2.0), powers=2)
         r = float(rng.uniform(1.0, 4.0))
         ts = np.linspace(0.0, r, 2048)
-        terms = TermTable.of([p]).row_terms()[0]
+        terms = p.row_terms()[0]
         i = int(np.argmax(_abs_sq_grid(terms, ts)))
         dense = _abs_sq_grid(terms, np.linspace(ts[max(i - 1, 0)],
                                                 ts[min(i + 1, 2047)], 20001))
@@ -265,26 +338,24 @@ def test_sup_norm_refine_evaluates_each_point_once(monkeypatch):
         return real(terms, t)
 
     monkeypatch.setattr(es, "_eval_terms", counted)
-    _sup_norm_sq(ExpSum([ExpTerm(1, 1j), ExpTerm(0.5, -0.3)]), 0.0, 3.0)
+    _sup_norm_sq(_sum((1, 1j), (0.5, -0.3)), 0.0, 3.0)
     # two interior points, one per step of 80, the midpoint, the best sample
     assert len(calls) == 84
 
 
 def test_sup_norm_grid_overflow_reported():
-    p = ExpSum([ExpTerm(1, 500)])
     with pytest.raises(RangeError):
-        _sup_norm_sq(p, 0.0, 5000.0)
+        _sup_norm_sq(_sum((1, 500)), 0.0, 5000.0)
 
 
 def test_mirrored_reflects_real_parts():
-    p = ExpSum([ExpTerm(2 + 1j, 1.5 + 2j, power=1), ExpTerm(-1, 0.5)])
-    both = TermTable.of([p]).with_mirrors().sums()
-    assert both[0] == p
-    q = both[1]
-    assert [(t.coeff, t.exponent, t.power) for t in q.terms] == \
-        [(2 + 1j, -1.5 + 2j, 1), (-1, -0.5, 0)]
-    assert TermTable.of([q]).with_mirrors().sums()[1] == p
-    assert three_interval(q, 1.0, 1, "decay")["params"]["index"] == 3
+    p = _sum((2 + 1j, 1.5 + 2j, 1), (-1, 0.5))
+    terms, mirror = p.with_mirrors().row_terms()
+    assert terms == p.row_terms()[0]
+    assert mirror == [(2 + 1j, -1.5 + 2j, 1), (-1, -0.5, 0)]
+    assert _sum(*mirror).with_mirrors().row_terms()[1] == terms
+    assert three_interval(_sum(*mirror), 1.0, 1,
+                          "decay")["params"]["index"] == 3
 
 
 # -- the closed-form constants ----------------------------------------------
@@ -402,8 +473,7 @@ def test_integral_witness_holds():
     zs = np.array([0.0, 0.5j, -0.5j])
     gram = poly_exp_integrals(0, zs.conj()[:, None] + zs, 1.0, 2.0)
     c = np.linalg.solve(gram, np.ones(3))
-    rec = turan_integral(ExpSum([ExpTerm(ck, u) for ck, u in zip(c, zs)]),
-                         1.0, 2.0)
+    rec = turan_integral(_sum(*zip(c, zs)), 1.0, 2.0)
     assert 796 < rec["lhs"] / rec["integral"] < 797
     assert rec["holds"] and rec["sup_form"]["holds"]
     assert rec["l2_form"]["holds"]
@@ -415,7 +485,7 @@ def test_three_interval_witness_holds(index):
     # q(t) e^{t/1000} with q the pencil's top eigenvector: its ratio sits
     # within 0.1% of the constant
     _, q = _pencil_mp(index, 1, 2)
-    p = ExpSum([ExpTerm(qk, 1e-3, k) for k, qk in enumerate(q)])
+    p = _sum(*((qk, 1e-3, k) for k, qk in enumerate(q)))
     rec = three_interval(p, 1.0, 1, "growth")
     assert rec["params"]["index"] == index
     assert rec["holds"]
@@ -456,10 +526,11 @@ def _abs_integral_mp(b, a, t0, t1):
 
 def _l2_oracle(p, t0, t1):
     """Integral of |p|^2 over [t0, t1], summed pair by pair in mpmath."""
+    terms = p.row_terms()[0]
     acc = mpmath.fsum(
-        mpmath.mpc(a.coeff * b.coeff.conjugate()) * _integral_mp(
-            a.power + b.power, a.exponent + b.exponent.conjugate(), t0, t1)
-        for a in p.terms for b in p.terms)
+        mpmath.mpc(ca * cb.conjugate())
+        * _integral_mp(ba + bb, za + zb.conjugate(), t0, t1)
+        for ca, za, ba in terms for cb, zb, bb in terms)
     return max(float(acc.real), 0.0)
 
 
@@ -520,19 +591,19 @@ def test_kernel_broadcasts_and_keeps_shape():
 def test_l2_integral_matches_pairwise_oracle():
     rng = np.random.default_rng(8)
     for _ in range(60):
-        p = draw_expsum(rng, int(rng.integers(1, 4)), re_range=(-2.0, 2.0),
-                        powers=3)
+        p = draw_expsum_table(rng, [int(rng.integers(1, 4))],
+                              re_range=(-2.0, 2.0), powers=3)
         t0, t1 = sorted(rng.uniform(0.0, 4.0, 2).tolist())
         want = _l2_oracle(p, t0, t1)
         assert abs(l2_integral(p, t0, t1) - want) <= 1e-12 * want
-        both = es.l2_integrals(TermTable.of([p, _mirrored(p)]),
+        both = es.l2_integrals(p.with_mirrors(),
                                [[t0, 0.0]] * 2, [[t1, t0]] * 2)
         assert both.shape == (2, 2) and both[0, 0] == l2_integral(p, t0, t1)
         assert both[1, 1] == l2_integral(_mirrored(p), 0.0, t0)
 
 
 def test_overflowing_integral_raises_range_error():
-    p = ExpSum([ExpTerm(1, 400)])
+    p = _sum((1, 400))
     with pytest.raises(RangeError,
                        match=r"e\^\(\(800\+0j\) t\) over \[0\.0, 10\.0\]"):
         l2_integral(p, 0, 10)
@@ -602,10 +673,10 @@ def _three_interval_sweep_oracle(seed, scale):
         table = es.draw_budget_table(rng, d, rng.integers(0, 6 - d))
         big_r = rng.uniform(0.2, 2.5, size=n)
         ell = rng.integers(1, 4, size=n)
-        draws += zip(table.sums(), big_r.tolist(), ell.tolist())
+        draws += zip(_rows(table), big_r.tolist(), ell.tolist())
     violations = 0
     for p, big_r, ell in draws:
-        if sum(_top_powers(p).values()) + p.d > 5:
+        if sum(_top_powers(p).values()) + len(_top_powers(p)) > 5:
             violations += 1
         for q, mode in ((p, "growth"), (_mirrored(p), "decay")):
             lo = l2_integral(q, (ell - 1) * big_r, ell * big_r)
@@ -625,16 +696,16 @@ def _integral_sweep_oracle(seed, scale):
         table = es.draw_expsum_table(rng, rng.integers(1, 4, size=n))
         a = rng.uniform(0.05, 4.0, size=n)
         b = rng.uniform(a + 0.05, 5.0)
-        draws += zip(table.sums(), a.tolist(), b.tolist())
+        draws += zip(_rows(table), a.tolist(), b.tolist())
     violations = 0
     sups = []
     for p, a, b in draws:
-        d = max(p.d, 1)
+        d = max(len(_top_powers(p)), 1)
         big_r = b / 2
         integral = l2_integral(p, a, b)
         tail = l2_integral(p, 1.5 * big_r, b)
         head = l2_integral(p, 0.0, big_r)
-        lhs = abs(eval_expsum(p, 0.0)) ** 2
+        lhs = abs(_value(p, 0.0)) ** 2
         bound = float(turan_constants.integral_constant(d, a, b)) * integral
         sups.append(_sup_norm_sq(p, 0.0, big_r))
         sup_bound = float(turan_constants.sup_constant(d)) / big_r * tail
@@ -683,9 +754,9 @@ def _assert_same_three_interval_draws(calls, draws):
         n = table.rows // 2
         part = draws[start:start + n]
         start += n
-        assert [q.terms for q in table.sums()] == (
-            [p.terms for p, _, _ in part]
-            + [_mirrored(p).terms for p, _, _ in part])
+        assert table.row_terms() == (
+            [p.row_terms()[0] for p, _, _ in part]
+            + [_mirrored(p).row_terms()[0] for p, _, _ in part])
         assert list(big_r) == [r for _, r, _ in part] * 2
         assert list(ell) == [e for _, _, e in part] * 2
         assert list(modes) == ["growth"] * n + ["decay"] * n
@@ -762,21 +833,20 @@ def _expsum_one_variate_at_a_time(rng, d, re_range, powers):
         seen.append(zeta)
         pmax = 0 if powers is None else int(rng.integers(0, powers + 1))
         for b in range(pmax + 1):
-            terms.append(ExpTerm(complex(rng.standard_normal(),
-                                         rng.standard_normal()), zeta, b))
-    return ExpSum(terms)
+            terms.append((complex(rng.standard_normal(),
+                                  rng.standard_normal()), zeta, b))
+    return terms
 
 
 def _budget_expsum_one_variate_at_a_time(rng, d, budget):
-    p = _expsum_one_variate_at_a_time(rng, d, (0.05, 2.0), None)
-    terms = list(p.terms)
-    exps = p.distinct_exponents
+    terms = _expsum_one_variate_at_a_time(rng, d, (0.05, 2.0), None)
+    exps = sorted({z for _, z, _ in terms}, key=lambda z: (z.real, z.imag))
     for _ in range(budget):
         zeta = exps[int(rng.integers(0, len(exps)))]
-        pw = max(t.power for t in terms if t.exponent == zeta) + 1
-        terms.append(ExpTerm(complex(rng.standard_normal(),
-                                     rng.standard_normal()), zeta, pw))
-    return ExpSum(terms)
+        pw = max(b for _, z, b in terms if z == zeta) + 1
+        terms.append((complex(rng.standard_normal(),
+                              rng.standard_normal()), zeta, pw))
+    return terms
 
 
 def _same_table(a, b):
@@ -794,24 +864,18 @@ def test_one_row_draws_are_the_single_instance_draws(seed, d, powers,
                                                      re_range, budget):
     # the one-row case of each array drawer makes the generator calls of a
     # draw made one variate at a time, and gives its instance bit for bit
-    rngs = [np.random.default_rng(seed) for _ in range(3)]
+    rngs = [np.random.default_rng(seed) for _ in range(2)]
     want = _expsum_one_variate_at_a_time(rngs[0], d, re_range, powers)
-    assert draw_expsum(rngs[1], d, re_range, powers).terms == want.terms
-    assert _same_table(es.draw_expsum_table(rngs[2], [d], re_range, powers),
-                       TermTable.of([want]))
+    assert _same_table(draw_expsum_table(rngs[1], [d], re_range, powers),
+                       _sum(*want))
     want = _budget_expsum_one_variate_at_a_time(rngs[0], min(d, 4), budget)
-    got = es.draw_budget_table(rngs[1], [min(d, 4)], [budget]).sums()[0]
-    assert got.terms == want.terms
-    assert _same_table(es.draw_budget_table(rngs[2], [min(d, 4)], [budget]),
-                       TermTable.of([want]))
+    assert _same_table(es.draw_budget_table(rngs[1], [min(d, 4)], [budget]),
+                       _sum(*want))
     want = _power_sum_one_variate_at_a_time(rngs[0], d)
-    for got in (es._draw_power_sum(rngs[1], d),
-                es._draw_power_sum(rngs[2], d)):
-        assert got[0] == want[0]
-        assert all(u.tobytes() == v.tobytes()
-                   for u, v in zip(got[1:], want[1:]))
-    states = [r.bit_generator.state for r in rngs]
-    assert states[0] == states[1] == states[2]
+    got = es._draw_power_sum(rngs[1], d)
+    assert got[0] == want[0]
+    assert all(u.tobytes() == v.tobytes() for u, v in zip(got[1:], want[1:]))
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
 def _assert_table_invariants(table, d, re_range):
@@ -855,13 +919,13 @@ def test_drawn_instances_meet_their_invariants(seed, n):
     table = es.draw_budget_table(rng, d, budget)
     index = _assert_table_invariants(table, d, (0.05, 2.0))
     assert index == (d + budget).tolist() and max(index) <= 5
-    # the table's own bookkeeping agrees with the rows as ExpSums
-    sums = table.sums()
+    # the table's own bookkeeping agrees with the references, row by row
+    rows = _rows(table)
     tab_d, tab_m = table.distinct()
-    assert tab_d.tolist() == [p.d for p in sums]
-    assert tab_m.tolist() == [sum(_top_powers(p).values()) for p in sums]
-    assert _same_table(table.with_mirrors(),
-                       TermTable.of(sums + [_mirrored(p) for p in sums]))
+    assert tab_d.tolist() == [len(_top_powers(p)) for p in rows]
+    assert tab_m.tolist() == [sum(_top_powers(p).values()) for p in rows]
+    assert _same_table(table.with_mirrors(), _table(
+        *(p.row_terms()[0] for p in rows + [_mirrored(p) for p in rows])))
 
 
 @settings(max_examples=100, deadline=None)
@@ -879,7 +943,8 @@ def test_unplaceable_exponent_raises_numeric_error():
     # on the segment Re = 0, Im in [-3, 3], at most 13 exponents fit 0.5
     # apart: the 14th slot fails its 10000 draws, in a batch as alone
     with pytest.raises(es.NumericError, match="separated exponents"):
-        es.draw_expsum_table(np.random.default_rng(0), [2, 14],
-                             re_range=(0.0, 0.0))
+        draw_expsum_table(np.random.default_rng(0), [2, 14],
+                          re_range=(0.0, 0.0))
     with pytest.raises(es.NumericError, match="separated exponents"):
-        draw_expsum(np.random.default_rng(0), 14, re_range=(0.0, 0.0))
+        draw_expsum_table(np.random.default_rng(0), [14],
+                          re_range=(0.0, 0.0))

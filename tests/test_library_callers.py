@@ -6,11 +6,14 @@ allowlisted here with its reason.
 The scan is by name: a function or class counts as reached when its bare
 name occurs in the library as a name, an attribute or an identifier
 string (such as an opcode looked up in a table).  A method (a ``def``
-inside a class) counts as reached only through an attribute access
-``<expr>.name`` or an identifier string: a bare local name does not reach
-it, and neither does an attribute of ``rng``, ``np``, ``math`` or
-``cmath``.  Dunder methods are reached by the language, and ``@_suite``
-functions by ``verify.SUITES``."""
+inside a class K) counts as reached only through an attribute access
+``<base>.name`` whose base can be K: ``self`` or ``cls`` inside K, a
+base that ends in the name K (``K.name``, ``mo.K.name``), or any other
+base that is neither a class name nor one of ``rng``, ``np``, ``math``
+and ``cmath`` (a duck-typed call such as ``x.ops.outer``).  A bare local
+name or an identifier string does not reach a method; no library
+``getattr`` looks one up by string.  Dunder methods are reached by the
+language, and ``@_suite`` functions by ``verify.SUITES``."""
 
 import ast
 import importlib.util
@@ -43,10 +46,10 @@ def _is_suite(node):
                and d.func.id == "_suite" for d in node.decorator_list)
 
 
-def _definitions(body, prefix, in_class=False):
-    """(qualified name, (bare name, is a method)) of every function,
-    method and class defined in ``body``, nested ones included, less the
-    exempt ones."""
+def _definitions(body, prefix, owner=None):
+    """(qualified name, (bare name, the class of a method or None)) of
+    every function, method and class defined in ``body``, nested ones
+    included, less the exempt ones."""
     for node in body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
@@ -54,53 +57,110 @@ def _definitions(body, prefix, in_class=False):
             is_class = isinstance(node, ast.ClassDef)
             dunder = node.name.startswith("__") and node.name.endswith("__")
             if not dunder and not _is_suite(node):
-                yield name, (node.name, in_class and not is_class)
-            yield from _definitions(node.body, name, is_class)
+                yield name, (node.name, None if is_class else owner)
+            yield from _definitions(node.body, name,
+                                    node.name if is_class else None)
 
 
-def _uses(tree):
-    """(name, reaches methods) of every name, attribute and identifier
-    string in ``tree``."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id, False
-        elif isinstance(node, ast.Attribute):
-            base = node.value
-            yield node.attr, not (isinstance(base, ast.Name)
-                                  and base.id in FOREIGN)
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and node.value.isidentifier()):
-            yield node.value, True
+def _last_name(node):
+    """The name an attribute base ends in, or None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
 
 
-def _scan():
-    """Every exempt-free definition of the library, qualified name to
-    (bare name, is a method), and the names the library uses outside
-    __init__.py: all of them, and those that reach methods."""
-    defined, used, method_used = {}, set(), set()
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        tree = ast.parse(path.read_text(), filename=str(path))
-        defined.update(_definitions(tree.body, path.stem))
-        for name, reaches_methods in _uses(tree):
-            used.add(name)
-            if reaches_methods:
-                method_used.add(name)
-    return defined, used, method_used
+def _uses(node, classes, names, methods, owner=None):
+    """Add to ``names`` the names that ``node`` uses, and to ``methods``
+    the (class, method) pairs it reaches, with class None for a
+    duck-typed access; ``owner`` is the innermost enclosing class and
+    ``classes`` every class name."""
+    if isinstance(node, ast.ClassDef):
+        owner = node.name
+    elif isinstance(node, ast.Name):
+        names.add(node.id)
+    elif isinstance(node, ast.Attribute):
+        names.add(node.attr)
+        base = _last_name(node.value)
+        if base in ("self", "cls") and owner is not None:
+            methods.add((owner, node.attr))
+        elif base in classes:
+            methods.add((base, node.attr))
+        elif base not in FOREIGN:
+            methods.add((None, node.attr))
+    elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+          and node.value.isidentifier()):
+        names.add(node.value)
+    for child in ast.iter_child_nodes(node):
+        _uses(child, classes, names, methods, owner)
+
+
+def _library():
+    """The library's modules outside __init__.py, stem to source."""
+    return {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))
+            if path.name != "__init__.py"}
+
+
+def _unreached(modules):
+    """The qualified names of the definitions in ``modules`` (stem to
+    source) that nothing in them reaches and ALLOWED does not name."""
+    trees = {stem: ast.parse(text) for stem, text in modules.items()}
+    defined = {}
+    for stem, tree in trees.items():
+        defined.update(_definitions(tree.body, stem))
+    classes = {node.name for tree in trees.values()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    names, methods = set(), set()
+    for tree in trees.values():
+        _uses(tree, classes, names, methods)
+    return sorted(
+        q for q, (bare, owner) in defined.items()
+        if not (bare in names if owner is None
+                else {(owner, bare), (None, bare)} & methods)
+        and q not in ALLOWED)
 
 
 def test_every_library_definition_is_reached():
-    defined, used, method_used = _scan()
-    unreached = sorted(
-        q for q, (bare, is_method) in defined.items()
-        if bare not in (method_used if is_method else used)
-        and q not in ALLOWED)
+    unreached = _unreached(_library())
     assert unreached == [], (
         "defined in src/conespec but reached only from tests or exports: "
         + ", ".join(unreached))
 
 
 def test_every_allowlisted_name_is_defined():
-    defined, _, _ = _scan()
-    assert sorted(set(ALLOWED) - set(defined)) == []
+    defined = {q for stem, text in _library().items()
+               for q, _ in _definitions(ast.parse(text).body, stem)}
+    assert sorted(set(ALLOWED) - defined) == []
+
+
+SYNTHETIC = """
+class K:
+    def name(self):
+        return self.inner()
+
+    def inner(self):
+        return 0
+
+    def duck(self):
+        return 0
+
+    def by_string(self):
+        return 0
+
+
+class Other:
+    def name(self):
+        return 1
+
+
+def caller(x):
+    assert isinstance(x, K)
+    return Other.name(x) + x.ops.duck() + len("by_string")
+"""
+
+
+def test_a_method_is_reached_only_through_a_base_that_can_be_its_class():
+    # K.name is reached only as Other.name, and K.by_string only as a
+    # string; K.inner through self inside K, K.duck through a duck-typed
+    # base
+    assert _unreached({"synthetic": SYNTHETIC}) == [
+        "synthetic.K.by_string", "synthetic.K.name", "synthetic.caller"]

@@ -22,8 +22,8 @@ from conespec.closed_form import (ParameterError, modified_gauge_rates,
                                   scalar_indicial_polynomial,
                                   scalar_indicial_roots)
 from conespec.linalg import poly_derivative, poly_eval, poly_shift
-from conespec.expsum import (ExpSum, ExpTerm, NumericError, RangeError,
-                             TermTable, three_interval)
+from conespec.expsum import (NumericError, RangeError, TermTable,
+                             _eval_terms, three_interval)
 from conespec.mode_ode import (L0_CANDIDATES, EulerOperator, FloatSystem,
                                ModeSolution, ProbeError, RadialGram,
                                degenerate_scan,
@@ -68,12 +68,13 @@ def unit_chain_solution(spec, roots):
 
 
 def family_profile(sol, c):
-    """Reference radial profile of family c of a mode solution, as an
-    ExpSum in t = log r."""
+    """Reference radial profile of family c of a mode solution, as a
+    one-row TermTable in t = log r."""
     rows = sol.spectrum.chain_rows
-    return ExpSum([ExpTerm(complex(sol.coeffs[i, c]), rows.zeta[i],
-                           int(rows.power[i]))
-                   for i in np.flatnonzero(sol.coeffs[:, c])])
+    at = np.flatnonzero(sol.coeffs[:, c])
+    return TermTable.from_parts([(sol.coeffs[at, c], rows.zeta[at],
+                                  rows.power[at], np.zeros(len(at), int))],
+                                1)
 
 
 def test_probe_matches_scalar_indicial_polynomial():
@@ -406,7 +407,7 @@ def test_solution_split_examples():
     parts = solution_split(sol)
     assert parts["degenerate"]
     prof = family_profile(sol, 0)
-    _, big_m = TermTable.of([prof]).distinct()
+    _, big_m = prof.distinct()
     assert big_m[0] >= 1  # log power present
 
 
@@ -428,8 +429,9 @@ def test_profile_values_match_family_profiles(make_op):
                 ModeSolution.random(spec, rng).restricted({"zero"})):
         got = sol.profile_values(radii)
         assert got.shape == (len(radii), m_ang)
-        want = np.array([[family_profile(sol, c)(math.log(r))
-                          for c in range(m_ang)] for r in radii])
+        terms = [family_profile(sol, c).row_terms()[0] for c in range(m_ang)]
+        want = np.array([[_eval_terms(tc, math.log(r)) for tc in terms]
+                         for r in radii])
         assert np.all(np.abs(got - want)
                       <= 1e-12 * np.maximum(1.0, np.abs(want)))
         one = sol.profile_values(float(radii[0]))
@@ -703,7 +705,8 @@ def _oracle_annulus(spec, beta_prime, L, sols, slack=1e-9):
         for part_sol, mode in ((hp, "growth"), (hm, "decay")):
             for c in range(spec.operator.m_ang):
                 p = family_profile(part_sol, c)
-                if p.terms and not three_interval(p, R, 1, mode)["holds"]:
+                if len(p.power) and not three_interval(p, R, 1,
+                                                       mode)["holds"]:
                     fails["turan_cross_check"] += 1
         seen.append([n1, n2, n3, p1, p2, m1, m2])
     return fails, np.array(seen)
