@@ -376,9 +376,9 @@ def cmd_apply(args):
 
 def cmd_modes(args):
     _require(args, "n", "k", "j")
-    t = float(args.t)
     basis, op = mo.tensor_mode_system(args.n, args.k, args.t, args.j)
     spec = mo.indicial_spectrum(op)
+    t = float(args.t)
     data = {"n": args.n, "k": args.k, "t": t, "j": args.j,
             "m_ang": len(basis), "weight": str(op.weight),
             "order": op.order, "beta_j": spec.beta,

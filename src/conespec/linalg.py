@@ -2,19 +2,18 @@
 
 Used wherever a dimension or rank decision must be exact rather than
 numerically zero: divergence-free nullspaces, polynomial interpolation
-of probed mode systems, square-free splits of their determinants.  Every
-elimination runs on integer rows, each over its common denominator: the
-sparse elimination (``sparse_rref``, and the nullspace and rank read
-from it) accepts only int and Fraction entries.  The polynomial kernels
-work on integer numerators over one common denominator and make one
-Fraction per output coefficient: determinants (``det_dense``) by Bareiss
-fraction-free elimination on integer rows, interpolation
-(``lagrange_coefficients``) as integer dot products with a memoized
-integer Lagrange table, and the square-free split
-(``poly_squarefree_factors``) by Yun's algorithm on the primitive
-integer polynomial, whose pseudo-remainder gcd (``int_gcd``) also gives
-the count of roots on a vertical line (``poly_axis_root_count``, by a
-Sturm chain).
+of probed mode systems, their determinants and square-free splits.
+Every elimination runs on integer rows: the sparse elimination
+(``sparse_rref``, and the nullspace and rank read from it) puts each
+int and Fraction row over its common denominator, and the determinant of
+an integer polynomial matrix (``poly_det``) is one Bareiss determinant
+(``det_dense``) of integers by Kronecker substitution.  Interpolation
+(``lagrange_coefficients``) is integer dot products with a memoized
+integer Lagrange table, one Fraction per coefficient, and the
+square-free split (``poly_squarefree_factors``) is Yun's algorithm on
+the primitive integer polynomial, whose pseudo-remainder gcd
+(``int_gcd``) also gives the count of roots on a vertical line
+(``poly_axis_root_count``, by a Sturm chain).
 """
 
 from __future__ import annotations
@@ -122,29 +121,22 @@ def sparse_nullspace(pivots, ncols: int):
     return basis
 
 
-def det_dense(a) -> Fraction:
-    """Determinant of a square rational matrix by Bareiss fraction-free
-    elimination.
-
-    Each row is scaled to integers by the lcm of its denominators, the
-    integer determinant is eliminated with exact divisions by the previous
-    pivot (Bareiss, Math. Comp. 22, 1968), and the product of the row scales
-    is divided back out once.  A zero pivot swaps in a lower row; a column
-    with no nonzero pivot left gives 0.
+def det_dense(a) -> int:
+    """Determinant of a square integer matrix by Bareiss fraction-free
+    elimination, with exact divisions by the previous pivot (Bareiss, Math.
+    Comp. 22, 1968).  A zero pivot swaps in a lower row; a column with no
+    nonzero pivot left gives 0.  An entry that is not an int raises
+    TypeError.
     """
-    m = []
-    scale = 1
-    for row in a:
-        row = [x if isinstance(x, int) else Fraction(x) for x in row]
-        d = math.lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (d // x.denominator) for x in row])
-        scale *= d
+    m = [list(row) for row in a]
+    if not all(isinstance(x, int) for row in m for x in row):
+        raise TypeError("det_dense needs int entries")
     n = len(m)
     sign, prev = 1, 1
     for col in range(n):
         piv = next((r for r in range(col, n) if m[r][col]), None)
         if piv is None:
-            return ZERO
+            return 0
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
             sign = -sign
@@ -155,12 +147,28 @@ def det_dense(a) -> Fraction:
             m[r] = [0] * (col + 1) + [(p * x - f * y) // prev for x, y in
                                       zip(m[r][col + 1:], top[col + 1:])]
         prev = p
-    return Fraction(sign * prev, scale)
+    return sign * prev
 
 
-def lagrange_coefficients(points, scale=1):
-    """Coefficients (low degree first) of the interpolating polynomial,
-    each divided by the nonzero integer ``scale``.
+def poly_det(rows):
+    """Coefficients (low degree first, trimmed) of the determinant of a
+    square matrix of integer polynomials, by Kronecker substitution: none
+    exceeds B, the product over the rows of the sum of their coefficients'
+    absolute values, so one det_dense of the entries at z = 2^s > 2B has
+    them as its balanced base-2^s digits."""
+    s = (2 * math.prod(sum(abs(c) for p in row for c in p)
+                       for row in rows)).bit_length()
+    v = det_dense([[sum(c << s * i for i, c in enumerate(p)) for p in row]
+                   for row in rows])
+    out, mask, half = [], (1 << s) - 1, 1 << s >> 1
+    while v:
+        out.append(d := ((v + half) & mask) - half)
+        v = (v - d) >> s
+    return out or [0]
+
+
+def lagrange_coefficients(points):
+    """Coefficients (low degree first) of the interpolating polynomial.
 
     points: list of (x, y) Fraction (or int) pairs with distinct x.  The
     y values are put over one common denominator and each coefficient is
@@ -171,7 +179,7 @@ def lagrange_coefficients(points, scale=1):
     yden = math.lcm(*(y.denominator for _, y in points))
     ys = [(y.numerator * (yden // y.denominator), row)
           for (_, y), row in zip(points, table) if y != 0]
-    coeffs = [Fraction(sum(y * row[k] for y, row in ys), den * yden * scale)
+    coeffs = [Fraction(sum(y * row[k] for y, row in ys), den * yden)
               for k in range(len(points))]
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()

@@ -43,7 +43,7 @@ from . import polytensor as pt
 from .closed_form import ParameterError, exact_t
 from .expsum import (NumericError, RangeError, poly_exp_integrals,
                      three_interval_record)
-from .linalg import (det_dense, lagrange_coefficients, poly_derivative,
+from .linalg import (lagrange_coefficients, poly_derivative, poly_det,
                      poly_eval, poly_squarefree_factors, poly_trim)
 from .polytensor import AngularBasis, ClosureError
 
@@ -77,22 +77,15 @@ class EulerOperator:
         return len(self.basis) == len(self.target)
 
     def det_poly(self):
-        """Exact determinant polynomial by evaluation-interpolation.
-
-        P's denominators are cleared once by their lcm D; the integer
-        entries are evaluated by Horner at z = 0, ..., m_ang * order, each
-        integer determinant is taken by ``det_dense``, and the integer
-        values are interpolated with D^m_ang folded into the one Fraction
-        made per coefficient.  A coefficient of P that is not an int or
-        Fraction raises ProbeError.
+        """Exact determinant polynomial: P's denominators are cleared once
+        by their lcm D, ``poly_det`` takes the integer determinant, and
+        D^m_ang is folded into the one Fraction made per coefficient.  A
+        coefficient of P that is not an int or Fraction raises ProbeError.
         """
         if not self.square:
             raise ProbeError("determinant needs a square system")
         D, Q = _cleared(self.P)
-        pts = [(z, det_dense([[poly_eval(p, z) for p in row]
-                              for row in Q]).numerator)
-               for z in range(self.m_ang * self.order + 1)]
-        return lagrange_coefficients(pts, scale=D ** self.m_ang)
+        return _as_fractions(poly_det(Q), D ** self.m_ang)
 
     def compose(self, inner):
         """The system of self o inner: P(z) = P_self(z - w_inner) P_inner(z),

@@ -25,8 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import (det_dense, lagrange_coefficients, poly_derivative,
-                     poly_eval)
+from .linalg import poly_derivative, poly_det, poly_eval
 
 
 def discrete_constant(d, m):
@@ -95,8 +94,8 @@ def _pencil_max(n, a, b):
     the Gram matrix of 1, t, ..., t^(n-1) on [a, b], as a float at most
     1e-13 (relative) above it.
 
-    The determinant is a polynomial of degree n in lambda, interpolated
-    exactly from det_dense at lambda = 0..n.  Its roots, the pencil's
+    The determinant is a polynomial of degree n in lambda, taken exactly
+    by poly_det on the pencil cleared to integers.  Its roots, the pencil's
     eigenvalues, are real and positive, so their sum trace(H[a, b]^-1
     H[0, 1]) is at least the largest.  Newton's method from there
     decreases monotonically to lambda_max; each iterate is rounded up to a
@@ -105,12 +104,11 @@ def _pencil_max(n, a, b):
     holds lambda_max.
     """
     lo, hi = _gram(n, Fraction(0), Fraction(1)), _gram(n, a, b)
-    poly = lagrange_coefficients([
-        (lam, det_dense([[u - lam * v for u, v in zip(r, s)]
-                         for r, s in zip(lo, hi)]))
-        for lam in range(n + 1)])
+    L = math.lcm(*(x.denominator for r in lo + hi for x in r))
+    poly = poly_det([[[int(L * u), -int(L * v)] for u, v in zip(r, s)]
+                     for r, s in zip(lo, hi)])
     slope = poly_derivative(poly)
-    x = _float_up(-poly[-2] / poly[-1])
+    x = _float_up(Fraction(-poly[-2], poly[-1]))
     while True:
         top = poly_eval(poly, x)
         if top * poly_eval(poly, x * (1 - Fraction(1, 10 ** 13))) <= 0:

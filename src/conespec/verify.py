@@ -495,7 +495,9 @@ def check_ale_witnesses(seed=0, scale=1.0):
     h_B, whose radial contraction vanishes, also in that of
     gauged_lin(., 1, 1/10), and h_1 not.  h_B satisfies the Bianchi gauge
     div h = d tr h / 2 and is not divergence-free; h_1 is traceless and
-    divergence-free."""
+    divergence-free.  On both, each term of bach_lin vanishes on its own;
+    on h_B + L_X delta, X = x_1 x_2 r^-2 dx_3, four of five do not, and
+    bach_lin(., 1) still does."""
     x = pt.radial_form(4).radial_scaled(1)
     jx = pt.PolyTensor(4, 1)
     for i, (j, sign) in enumerate(((1, -1), (0, 1), (3, -1), (2, 1))):
@@ -504,6 +506,9 @@ def check_ale_witnesses(seed=0, scale=1.0):
     h_b = pt.delta_metric(4).radial_scaled(-2) - (xx + jj).radial_scaled(-4)
     h_1 = (xx - jj).radial_scaled(-6)
     ok = h_b.homogeneity() == -2 and h_1.homogeneity() == -4
+    X = pt.PolyTensor(4, 1)
+    X.add_term((2,), (1, 1, 0, 0), -2, 1)
+    ok &= pt.bach_lin(h_b + pt.lie_flat(X), 1).is_zero()
     for h in (h_b, h_1):
         ok &= pt.bach_lin(h, 1).is_zero() and pt.gauged_lin(h, 1, 0).is_zero()
     ok &= pt.gauged_lin(h_b, 1, Fraction(1, 10)).is_zero()

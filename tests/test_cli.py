@@ -483,6 +483,18 @@ def test_huge_t_is_numeric_failure_naming_the_float_range(capsys, command):
             "range") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["modes", "three-annulus",
+                                     "degenerate-scan"])
+def test_t_past_the_float_range_names_the_factors(capsys, command):
+    # t = 1e400 is itself past the float range; every command still fails
+    # on det P's factors, before it reports t as a float
+    cell = (["--t-values", "1e400"] if command == "degenerate-scan"
+            else ["--j", "1", "--t", "1e400"])
+    assert main([command, "--n", "4", "--k", "1", *cell]) == 3
+    assert "factor of det P has a coefficient past the float range" in \
+        capsys.readouterr().err
+
+
 def test_turan_single_checks(tmp_path):
     out = tmp_path / "t.json"
     assert main(["turan", "--check", "discrete", "--d", "3", "--seed", "5",

@@ -15,6 +15,7 @@ the mutant and no later test reads its results.
 """
 
 import dataclasses
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,11 +28,12 @@ from conespec import bootstrap as bs
 from conespec import closed_form as cf
 from conespec import expsum as es
 from conespec import flat_kernel as fk
+from conespec import linalg
 from conespec import mode_ode as mo
 from conespec import polytensor as pt
 from conespec import turan_constants as tc
 from conespec import verify
-from conespec.linalg import poly_shift
+from conespec.linalg import poly_shift, poly_trim
 
 SEED = 42
 SCALE = 0.02
@@ -187,10 +189,8 @@ def _symbol_one_power_too_many(mp):
 
 
 def _bach_hess_trace_without_laplacian(mp):
-    # -1/(2(n-1)(n-2)) Hess(tr h) in place of Hess(Delta tr h).  Every term
-    # of bach_lin vanishes on its own on h_B and h_1, so a changed
-    # coefficient cannot show there; tr h_B = 2/r^2 is harmonic on R^4,
-    # but its Hessian is not 0
+    # -1/(2(n-1)(n-2)) Hess(tr h) in place of Hess(Delta tr h): tr h_B =
+    # 2/r^2 is harmonic on R^4, but its Hessian is not 0
     def changed(original, h, k=1):
         tr = pt.trace2(h)
         diff = pt.hessian(pt.laplacian(tr)) - pt.hessian(tr)
@@ -199,12 +199,41 @@ def _bach_hess_trace_without_laplacian(mp):
     _wrap(mp, pt, "bach_lin", changed)
 
 
+def _bach_hess_div_div_doubled(mp):
+    # -1/(n-1) Hess(div div h) in place of -1/(2(n-1)) Hess(div div h);
+    # the term vanishes on h_B and h_1, not on the gauge-shifted h_B
+    def doubled(original, h, k=1):
+        hess = pt.hessian(pt.divergence(pt.divergence(h)))
+        return original(h, k) - pt.laplacian(hess, k - 1).scaled(
+            Fraction(1, 2 * (h.n - 1)))
+    _wrap(mp, pt, "bach_lin", doubled)
+
+
 def _symbol_divstar_sign(mp):
     # adds the adjoint-divergence term back twice: its sign flipped
     def flipped(original, h, k=1):
         twice = pt.laplacian(pt.div_star(pt.divergence(h)), k)
         return original(h, k) + twice.scaled(Fraction(2, h.n - 2))
     _wrap(mp, pt, "bach_lin", flipped)
+
+
+# -- linalg -----------------------------------------------------------------
+
+
+def _poly_det_unbalanced_digits(mp):
+    # poly_det reading each base-2^s digit as d = v & mask, in [0, 2^s):
+    # a negative coefficient reads as itself plus 2^s, and the next one as
+    # itself minus 1
+    def unbalanced(rows):
+        s = (2 * math.prod(sum(abs(c) for p in row for c in p)
+                           for row in rows)).bit_length()
+        v = linalg.det_dense([[sum(c << s * i for i, c in enumerate(p))
+                               for p in row] for row in rows])
+        degree = sum(max(len(p) for p in row) - 1 for row in rows)
+        return poly_trim([v >> s * i & (1 << s) - 1
+                          for i in range(degree + 1)])
+    for module in (linalg, mo, tc):
+        mp.setattr(module, "poly_det", unbalanced)
 
 
 # -- polytensor -------------------------------------------------------------
@@ -362,6 +391,11 @@ MUTANTS = {
         _symbol_one_power_too_many,
         kills=("symbols.gauge_invariance_and_reduction",
                "symbols.two_block_assembly")),
+    "bach_lin's Hess(div div h) coefficient doubled": Mutant(
+        _bach_hess_div_div_doubled,
+        kills=("symbols.gauge_invariance_and_reduction",
+               "symbols.two_block_assembly",
+               "polytensor.ale_witnesses")),
     "obstruction symbol's adjoint-divergence sign flipped": Mutant(
         _symbol_divstar_sign,
         kills=("symbols.gauge_invariance_and_reduction",
@@ -371,6 +405,15 @@ MUTANTS = {
         kills=("symbols.gauge_invariance_and_reduction",
                "symbols.two_block_assembly",
                "polytensor.ale_witnesses")),
+    "poly_det reads unbalanced digits": Mutant(
+        _poly_det_unbalanced_digits,
+        kills=("expsum.integral_inequality_sweep",
+               "expsum.three_interval_sweep",
+               "expsum.shift_covariance",
+               "closed_form.rates_match_probed_spectra",
+               "mode_ode.divfree_spectrum_matches_scalar_roots",
+               "mode_ode.split_direct_sum",
+               "mode_ode.three_annulus_dichotomy")),
     "lie_flat without the transpose": Mutant(
         _lie_flat_without_transpose,
         kills=("closed_form.rates_match_probed_spectra",

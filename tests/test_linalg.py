@@ -1,7 +1,9 @@
 """Exact elimination: the integer sparse reduced form behind nullspaces
 and ranks, read against the Fraction reference elimination and a
-precomputed reduction, and the Bareiss determinant behind det P(z) read
-against Fraction Gaussian elimination."""
+precomputed reduction, the integer Bareiss determinant read against
+Fraction Gaussian elimination, and the determinant of a polynomial
+matrix behind det P(z) and the Gram pencils read against Fraction
+evaluation and interpolation."""
 
 import json
 import pathlib
@@ -12,10 +14,12 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conespec.linalg import (det_dense, lagrange_coefficients, poly_eval,
+from conespec import turan_constants as tc
+from conespec.linalg import (det_dense, lagrange_coefficients, poly_det,
                              sparse_nullspace, sparse_rank, sparse_rref)
 from conespec.mode_ode import tensor_mode_system
-from linalg_reference import fraction_rref
+from linalg_reference import (det_gauss, fraction_rref, lagrange_fraction,
+                              poly_det_by_interpolation)
 
 ENTRIES = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 
@@ -100,36 +104,16 @@ def test_rref_refuses_inexact_entries():
         sparse_rank([{2: 0.0}])
 
 
-def _det_gauss(a):
-    """Reference determinant: Gaussian elimination in Fractions."""
-    m = [list(map(Fraction, row)) for row in a]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] / m[col][col]
-            m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return det
-
-
 @st.composite
 def square_matrices(draw):
-    """Square matrices up to 6 x 6 of small ints and Fractions; zero
+    """Square integer matrices up to 6 x 6 with small entries; zero
     entries are common, and some rows are multiples of others."""
     n = draw(st.integers(0, 6))
-    entry = st.one_of(st.integers(-3, 3), ENTRIES)
-    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    rows = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n)]
     if n >= 2 and draw(st.booleans()):
         i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
                              unique=True))
-        f = draw(ENTRIES)
+        f = draw(st.integers(-3, 3))
         rows[i] = [f * x for x in rows[j]]
     return rows
 
@@ -138,33 +122,76 @@ def square_matrices(draw):
 @given(square_matrices())
 @example([])
 @example([[0, 1], [1, 0]])                          # zero leading pivot
-@example([[0, 2, 1], [0, 1, 3], [Fraction(1, 2), 1, 1]])
+@example([[0, 2, 1], [0, 1, 3], [1, 2, 2]])
 @example([[1, 2, 3], [0, 0, 0], [4, 5, 6]])         # zero row
-@example([[1, 2, 3], [2, 4, 6], [1, 0, Fraction(1, 3)]])  # rank 2
-@example([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 5)]])
+@example([[1, 2, 3], [2, 4, 6], [1, 0, 7]])         # rank 2
+@example([[2 ** 70, 3], [5, -(2 ** 80)]])
 def test_det_dense_matches_fraction_gaussian(a):
     got = det_dense(a)
-    assert isinstance(got, Fraction)
-    assert got == _det_gauss(a)
+    assert type(got) is int
+    assert got == det_gauss(a)
+    if a:
+        # an entry that is not an int is refused, even an integral Fraction
+        with pytest.raises(TypeError, match="int entries"):
+            det_dense([*a[:-1], [*a[-1][:-1], Fraction(a[-1][-1])]])
 
 
-def _lagrange_fraction_loop(points):
-    """Interpolating polynomial, low degree first, by one Fraction
-    multiply-add per (node, coefficient) over the Lagrange basis."""
-    xs = [Fraction(x) for x, _ in points]
-    coeffs = [Fraction(0)] * len(points)
-    for i, (xi, (_, yi)) in enumerate(zip(xs, points)):
-        li, denom = [Fraction(1)], Fraction(1)
-        for j, xj in enumerate(xs):
-            if j != i:
-                li = [a - xj * b for a, b in zip([Fraction(0)] + li,
-                                                 li + [Fraction(0)])]
-                denom *= xi - xj
-        for k, c in enumerate(li):
-            coeffs[k] += yi * c / denom
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
+@st.composite
+def poly_matrices(draw):
+    """Square matrices up to 5 x 5 of integer polynomials of degree <= 6
+    with coefficients up to 2^100; some entries are zero or constant, and
+    some rows are multiples of others."""
+    n = draw(st.integers(0, 5))
+    coeff = st.one_of(st.integers(-3, 3),
+                      st.integers(-(2 ** 100), 2 ** 100))
+    rows = [[draw(st.lists(coeff, min_size=1, max_size=7))
+             for _ in range(n)] for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        f = draw(st.integers(-3, 3))
+        rows[i] = [[f * c for c in p] for p in rows[j]]
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_matrices())
+@example([])
+@example([[[1, 2], [3]], [[0], [0, 0]]])                # zero row
+@example([[[2], [-7]], [[5], [3]]])                     # constant entries
+@example([[[1, 0, -4], [2, -1]], [[0, -3], [5, 1, -2 ** 90]]])  # negative leads
+@example([[[1, 2], [3, 4], [5]], [[2, 4], [6, 8], [10]],  # rank 2
+          [[0, 1], [1], [1, 1, 1]]])
+@example([[[-1, 0, 0, 0, 0, 0, -(2 ** 100)]]])
+def test_poly_det_matches_fraction_interpolation(rows):
+    got = poly_det(rows)
+    assert all(type(c) is int for c in got)
+    assert got == poly_det_by_interpolation(rows)
+
+
+@pytest.mark.parametrize("a, b", [(Fraction(1), Fraction(2)),
+                                  (Fraction(3, 2), Fraction(2))],
+                         ids=["three_interval", "l2l2"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pencil_polynomial_matches_fraction_interpolation(monkeypatch, n,
+                                                          a, b):
+    # the determinant _pencil_max takes is det(H[0, 1] - lambda H[a, b])
+    # times the positive scale that clears the pencil to integers
+    seen = []
+    monkeypatch.setattr(tc, "poly_det",
+                        lambda rows: seen.append(poly_det(rows)) or seen[-1])
+    tc._pencil_max.__wrapped__(n, a, b)
+
+    def gram(lo, hi):
+        return [[(hi ** (i + j + 1) - lo ** (i + j + 1)) / (i + j + 1)
+                 for j in range(n)] for i in range(n)]
+    want = poly_det_by_interpolation(
+        [[[u, -v] for u, v in zip(r, s)]
+         for r, s in zip(gram(Fraction(0), Fraction(1)), gram(a, b))])
+    (got,) = seen
+    assert len(got) == n + 1 and all(type(c) is int for c in got)
+    assert [Fraction(c, got[-1]) for c in got] == [c / want[-1] for c in want]
+    assert got[-1] * want[-1] > 0
 
 
 RATIONALS = st.one_of(st.integers(-6, 6), st.fractions(
@@ -180,7 +207,7 @@ RATIONALS = st.one_of(st.integers(-6, 6), st.fractions(
 @example([(Fraction(m), Fraction(m * m, 3)) for m in range(6)])
 def test_lagrange_coefficients_match_fraction_loop(points):
     got = lagrange_coefficients(points)
-    assert got == _lagrange_fraction_loop(points)
+    assert got == lagrange_fraction(points)
     assert all(type(c) is Fraction for c in got)
 
 
@@ -196,8 +223,4 @@ DET_CELLS = list(dict.fromkeys(  # the golden file may hold an extra cell
 def test_det_poly_matches_per_node_fraction_evaluation(cell):
     n, k, j, t = cell
     _, op = tensor_mode_system(n, k, t, j)
-    nodes = [Fraction(z) for z in range(op.m_ang * op.order + 1)]
-    want = lagrange_coefficients(
-        [(z, _det_gauss([[poly_eval(p, z) for p in row] for row in op.P]))
-         for z in nodes])
-    assert op.det_poly() == want
+    assert op.det_poly() == poly_det_by_interpolation(op.P)
